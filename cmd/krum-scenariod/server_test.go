@@ -431,6 +431,29 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerRejectsLegacyScreenedField: "screened" was a spec field
+// until screened selection was deleted; a submission still carrying it
+// is refused with the unknown-field error instead of silently running
+// dense under a key the client did not ask for.
+func TestServerRejectsLegacyScreenedField(t *testing.T) {
+	srv := NewServer(1, store.NewMemory(), 0)
+	defer srv.Stop()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := strings.Replace(matrixBody(t, 7, "krum"), `"base":{`, `"base":{"screened":true,`, 1)
+	if !strings.Contains(body, `"screened":true`) {
+		t.Fatalf("could not plant the legacy field in %s", body)
+	}
+	resp, msg := postMatrix(t, ts, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(string(msg), `unknown field "screened"`) {
+		t.Errorf("message %q does not name the unknown field", msg)
+	}
+}
+
 // TestServerStoreStats checks the /store endpoint against the expected
 // counters after a cold and a warm matrix.
 func TestServerStoreStats(t *testing.T) {

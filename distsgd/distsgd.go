@@ -148,16 +148,6 @@ type Config struct {
 	// cache is bypassed (full rebuild) on the first round, on a shape
 	// change, and when every proposal changed.
 	Incremental bool
-	// Screened routes Krum/Multi-Krum selection through the engine's
-	// norm + triangle-inequality screening (vec.Screener): candidate
-	// rows whose score lower bound exceeds the running selection
-	// threshold are pruned without computing their distances, and every
-	// surviving row is re-checked exactly, so results are bit-identical
-	// with or without the flag. Worthwhile at large n, where pruning
-	// attacks the n² inner-product bill itself; composes with
-	// Incremental (the cached screener repairs only changed rows'
-	// bounds between rounds).
-	Screened bool
 	// ArrivalSpec selects the bounded-staleness asynchronous mode
 	// through the arrival registry (arrival.Parse) — e.g.
 	// "bounded(tau=3)" or "bernoulli(p=0.5,tau=8,damp=0.1)". Each
@@ -324,9 +314,6 @@ func Run(cfg Config) (*Result, error) {
 	engine := core.NewEngine(cfg.Parallel)
 	if cfg.Incremental {
 		engine.EnableCache()
-	}
-	if cfg.Screened {
-		engine.EnableScreening()
 	}
 	// The async state is seeded from cfg.Seed directly (not from a
 	// rootRNG draw), so enabling an arrival process never shifts the

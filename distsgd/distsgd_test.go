@@ -89,67 +89,6 @@ func TestRunIncrementalBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunScreenedBitIdentical is the screening layer's contract at the
-// training level: the same config with and without Screened produces
-// bit-identical histories and final parameters — pruning skips
-// distance work, never changes a selected index. The Gaussian attack
-// keeps a Byzantine population at σ = 200, the regime where the norm
-// screen actually prunes, so the run exercises real pruning rather
-// than vacuously evaluating everything.
-func TestRunScreenedBitIdentical(t *testing.T) {
-	base := quickConfig(t)
-	base.Attack = attack.Gaussian{Sigma: 200}
-	base.Rounds = 20
-	base.EvalEvery = 5
-	base.TrackSelection = true
-
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr := base
-	scr.Screened = true
-	prunes := vec.ScreenPruneCount()
-	screened, err := Run(scr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vec.ScreenPruneCount() == prunes {
-		t.Error("screened run never pruned a row: screening path not exercised")
-	}
-
-	if !reflect.DeepEqual(plain.FinalParams, screened.FinalParams) {
-		t.Error("FinalParams differ between screened and dense runs")
-	}
-	if plain.SelectionTrackedRounds != screened.SelectionTrackedRounds ||
-		plain.ByzantineSelectedRounds != screened.ByzantineSelectedRounds {
-		t.Errorf("selection tracking differs: %d/%d vs %d/%d",
-			plain.ByzantineSelectedRounds, plain.SelectionTrackedRounds,
-			screened.ByzantineSelectedRounds, screened.SelectionTrackedRounds)
-	}
-	if len(plain.History) != len(screened.History) {
-		t.Fatalf("history lengths differ: %d vs %d", len(plain.History), len(screened.History))
-	}
-	for r := range plain.History {
-		if plain.History[r] != screened.History[r] {
-			t.Errorf("round %d stats differ: %+v vs %+v", r, plain.History[r], screened.History[r])
-			break
-		}
-	}
-
-	// Screening composes with the incremental cache; the combination
-	// must also match bit for bit.
-	both := scr
-	both.Incremental = true
-	combined, err := Run(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.FinalParams, combined.FinalParams) {
-		t.Error("FinalParams differ between screened+incremental and dense runs")
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	base := quickConfig(t)
 	tests := []struct {

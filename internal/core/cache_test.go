@@ -112,6 +112,27 @@ func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 	}
 }
 
+// TestRoundCacheCountsDistinctRows: a declared change-set may repeat an
+// index (the contract only forbids omissions); the row is recomputed
+// once and CacheStats.RowUpdates agrees with vec's process counter.
+func TestRoundCacheCountsDistinctRows(t *testing.T) {
+	const n, d = 8, 30
+	vs := engineTestVectors(n, d, 6)
+	e := NewEngine(0).EnableCache()
+	e.Round(vs).Distances()
+	next := vec.CloneAll(vs)
+	next[3] = engineTestVectors(1, d, 60)[0]
+	next[5] = engineTestVectors(1, d, 61)[0]
+	rows := vec.MatrixRowUpdateCount()
+	e.Round(next).SetChanged([]int{3, 5, 3}).Distances()
+	if r := vec.MatrixRowUpdateCount() - rows; r != 2 {
+		t.Errorf("round recomputed %d rows, want 2 distinct", r)
+	}
+	if st := e.Cache().Stats(); st.RowUpdates != 2 {
+		t.Errorf("stats = %+v, want 2 row updates", st)
+	}
+}
+
 // TestRoundCacheChangedReportsAll: Changed on a cold or shape-mismatched
 // cache names every index.
 func TestRoundCacheChangedReportsAll(t *testing.T) {

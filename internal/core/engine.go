@@ -24,10 +24,6 @@ type RoundContext struct {
 	// changedKnown distinguishes "nothing changed" from "unknown".
 	changed      []int
 	changedKnown bool
-	// screened offers rules a vec.Screener (norm + triangle-inequality
-	// pruned selection) instead of the full matrix; scr memoizes it.
-	screened bool
-	scr      *vec.Screener
 }
 
 // NewRoundContext returns a context over one round's proposals.
@@ -52,15 +48,6 @@ func (c *RoundContext) EnsureParallel(workers int) {
 	if c.dm == nil && workers > c.parallel {
 		c.parallel = workers
 	}
-}
-
-// SetScreened toggles the screened selection path for this round (see
-// Engine.Screened) and returns the context for chaining. Like
-// SetParallel it must precede the first Distances/Screener call to
-// have any effect.
-func (c *RoundContext) SetScreened(on bool) *RoundContext {
-	c.screened = on
-	return c
 }
 
 // SetChanged declares the change-set for a cached round: the indices
@@ -94,40 +81,13 @@ func (c *RoundContext) Vectors() [][]float64 { return c.vectors }
 // that need to retain distances across rounds must copy them out.
 func (c *RoundContext) Distances() *vec.DistanceMatrix {
 	if c.dm == nil {
-		if scr := c.Screener(); scr != nil {
-			// A screened round that still needs the full matrix (e.g.
-			// Bulyan's iterated selection reads every active row each
-			// iteration) completes the screener's lazily-filled matrix —
-			// bit-identical to a dense build, with already-exact rows
-			// reused.
-			c.dm = scr.Materialize()
-		} else if c.cache != nil {
+		if c.cache != nil {
 			c.dm = c.cache.distances(c.vectors, c.changed, c.changedKnown, c.parallel)
 		} else {
 			c.dm = buildMatrix(c.vectors, c.parallel)
 		}
 	}
 	return c.dm
-}
-
-// Screener returns the round's screened-selection view (see
-// vec.Screener), creating it on first use, or nil when the round should
-// use the dense path: the engine is not screened, or the full matrix
-// was already built (at which point every score is a cheap row scan and
-// bounds could save nothing). Rules treat a nil screener as "take the
-// dense path"; both paths select bit-identical indices.
-func (c *RoundContext) Screener() *vec.Screener {
-	if !c.screened || c.dm != nil {
-		return nil
-	}
-	if c.scr == nil {
-		if c.cache != nil {
-			c.scr = c.cache.screener(c.vectors, c.changed, c.changedKnown)
-		} else {
-			c.scr = vec.NewScreener(c.vectors)
-		}
-	}
-	return c.scr
 }
 
 // buildMatrix is the one place a fresh distance matrix is constructed.
@@ -190,11 +150,6 @@ func AggregateContext(rule Rule, dst []float64, ctx *RoundContext) error {
 // (concurrent scenario cells each own their engine).
 type RoundCache struct {
 	dm *vec.DistanceMatrix
-	// scr is the screened counterpart: a cache serving a screened
-	// engine retains the screener (its lazily-filled matrix plus
-	// pruning bounds) instead of a dense matrix. At most one of dm/scr
-	// is non-nil.
-	scr *vec.Screener
 	// stats, exposed through Stats for tests and diagnostics.
 	builds  uint64
 	reuses  uint64
@@ -209,7 +164,8 @@ type CacheStats struct {
 	// rounds plus rounds served by incremental row updates.
 	Reuses uint64
 	// RowUpdates counts individual row recomputations across all
-	// incremental rounds.
+	// incremental rounds (a row named twice in one change-set is
+	// recomputed, and counted, once).
 	RowUpdates uint64
 }
 
@@ -235,36 +191,22 @@ func (rc *RoundCache) Changed(vectors [][]float64) []int {
 		}
 		return all
 	}
-	equal := func(i int, v []float64) bool { return rc.dm.VectorEqual(i, v) }
-	if rc.dm == nil {
-		equal = func(i int, v []float64) bool { return rc.scr.VectorEqual(i, v) }
-	}
 	var changed []int
 	for i, v := range vectors {
-		if !equal(i, v) {
+		if !rc.dm.VectorEqual(i, v) {
 			changed = append(changed, i)
 		}
 	}
 	return changed
 }
 
-// reusable reports whether the cached matrix (or screener) matches the
-// round's shape.
+// reusable reports whether the cached matrix matches the round's shape.
 func (rc *RoundCache) reusable(vectors [][]float64) bool {
 	n := len(vectors)
-	var cn, cd int
-	switch {
-	case rc.dm != nil:
-		cn, cd = rc.dm.N(), rc.dm.Dim()
-	case rc.scr != nil:
-		cn, cd = rc.scr.N(), rc.scr.Dim()
-	default:
+	if rc.dm == nil || rc.dm.N() != n || n == 0 {
 		return false
 	}
-	if cn != n || n == 0 {
-		return false
-	}
-	return cd == len(vectors[0])
+	return rc.dm.Dim() == len(vectors[0])
 }
 
 // distances serves one round's matrix: full rebuild when the cache is
@@ -273,12 +215,6 @@ func (rc *RoundCache) reusable(vectors [][]float64) bool {
 // is diffed here, so cached engines stay transparent to callers that
 // never declare one.
 func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown bool, parallel int) *vec.DistanceMatrix {
-	if rc.scr != nil {
-		// The cache has been serving screened rounds; a dense request
-		// routes through the screener so its already-exact rows are
-		// reused, and the cache keeps the screener as its store.
-		return rc.screener(vectors, changed, changedKnown).Materialize()
-	}
 	if !rc.reusable(vectors) {
 		rc.dm = buildMatrix(vectors, parallel)
 		rc.builds++
@@ -294,38 +230,9 @@ func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown
 	}
 	rc.reuses++
 	if len(changed) > 0 {
-		rc.dm.UpdateRows(changed, vectors)
-		rc.rowUpds += uint64(len(changed))
+		rc.rowUpds += uint64(rc.dm.UpdateRows(changed, vectors))
 	}
 	return rc.dm
-}
-
-// screener serves one screened round's vec.Screener, the analogue of
-// distances for the pruned-selection path: a fresh screener when the
-// cache is cold, the shape changed, or everything changed; otherwise
-// the retained screener with its exact rows and bounds repaired only
-// for the changed vectors (Screener.UpdateRows).
-func (rc *RoundCache) screener(vectors [][]float64, changed []int, changedKnown bool) *vec.Screener {
-	if rc.scr == nil || !rc.reusable(vectors) {
-		rc.dm = nil
-		rc.scr = vec.NewScreener(vectors)
-		rc.builds++
-		return rc.scr
-	}
-	if !changedKnown {
-		changed = rc.Changed(vectors)
-	}
-	if len(changed) >= len(vectors) {
-		rc.scr = vec.NewScreener(vectors)
-		rc.builds++
-		return rc.scr
-	}
-	rc.reuses++
-	if len(changed) > 0 {
-		rc.scr.UpdateRows(changed, vectors)
-		rc.rowUpds += uint64(len(changed))
-	}
-	return rc.scr
 }
 
 // Engine is the shared aggregation engine of the parameter server: it
@@ -338,14 +245,6 @@ type Engine struct {
 	// distance matrix (0 = serial); see vec.NewDistanceMatrixParallel
 	// for the d ≫ n crossover.
 	Parallel int
-	// Screened switches selection rules to the norm/triangle-inequality
-	// pruned path (vec.Screener): rows whose score lower bound exceeds
-	// the running selection threshold are never computed, and surviving
-	// rows are re-checked exactly, so selected indices stay
-	// bit-identical to the dense path. The knob trades nothing but
-	// wall clock — it exists as a flag (rather than always-on) so both
-	// paths stay benchmarkable and cross-checkable.
-	Screened bool
 	// cache, when enabled, reuses the previous round's matrix through
 	// incremental row updates; see RoundCache.
 	cache *RoundCache
@@ -368,17 +267,6 @@ func (e *Engine) EnableCache() *Engine {
 	return e
 }
 
-// EnableScreening switches the engine's selection rules to the
-// screened (pruned) path and returns the engine for chaining. Like
-// EnableCache, it never changes results — only which distances get
-// computed. Screening composes with the cache: a screened cached
-// engine retains the screener across rounds and repairs only changed
-// rows' bounds.
-func (e *Engine) EnableScreening() *Engine {
-	e.Screened = true
-	return e
-}
-
 // Cache returns the engine's cross-round cache, or nil when caching is
 // not enabled.
 func (e *Engine) Cache() *RoundCache { return e.cache }
@@ -390,7 +278,6 @@ func (e *Engine) Cache() *RoundCache { return e.cache }
 func (e *Engine) Round(vectors [][]float64) *RoundContext {
 	ctx := NewRoundContext(vectors).SetParallel(e.Parallel)
 	ctx.cache = e.cache
-	ctx.screened = e.Screened
 	return ctx
 }
 

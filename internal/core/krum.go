@@ -120,21 +120,8 @@ func (k *Krum) round(vectors [][]float64) *RoundContext {
 	return NewRoundContext(vectors).SetParallel(k.Parallel)
 }
 
-// SelectContext implements ContextSelector against a shared round. On
-// a screened round the winner comes from the pruned path — the same
-// index Argmin over the full score slice would produce (including
-// degenerate non-finite inputs, for which the screener falls back to
-// evaluating everything), because the bounded selection orders by the
-// identical (score, index) comparison and pruning is strict.
+// SelectContext implements ContextSelector against a shared round.
 func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
-	neighbours, err := k.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ctx.EnsureParallel(k.Parallel)
-	if scr := ctx.Screener(); scr != nil {
-		return scr.SelectKSmallest(neighbours, 1), nil
-	}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
 	if err := k.scoresInto(ctx, scores); err != nil {
@@ -199,9 +186,7 @@ var (
 // Name implements Rule.
 func (mk *MultiKrum) Name() string { return fmt.Sprintf("multikrum(m=%d)", mk.M) }
 
-// SelectContext implements ContextSelector against a shared round. The
-// screened path returns the identical (score, index)-ordered M-subset
-// as KSmallestIndices over the full score slice.
+// SelectContext implements ContextSelector against a shared round.
 func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 	if mk.M < 1 {
 		return nil, fmt.Errorf("m = %d (need m ≥ 1): %w", mk.M, ErrBadParameter)
@@ -210,13 +195,6 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 		return nil, fmt.Errorf("m = %d exceeds n = %d: %w", mk.M, ctx.N(), ErrBadParameter)
 	}
 	inner := Krum{F: mk.F, Strict: mk.Strict}
-	neighbours, err := inner.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if scr := ctx.Screener(); scr != nil {
-		return scr.SelectKSmallest(neighbours, mk.M), nil
-	}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
 	if err := inner.scoresInto(ctx, scores); err != nil {

@@ -57,21 +57,11 @@ const naiveDimMax = 16
 // naiveDimMax; tiny dimensions keep the exact subtract-square loop).
 // Cost: Θ(n·d) for the norms plus n·(n−1)/2 inner products of d
 // multiply-adds each, i.e. Θ(n²·d) — the same asymptotic bill as the
-// naive kernel, paid at a much higher arithmetic throughput. Above
-// gramBlock dimensions the build runs depth-first (buildBlocked) so
-// every vector's k-slice is consumed by all pairs while cache-resident;
-// the result is bit-identical to the pair-at-a-time walk either way
-// (the canonical blocked order of gram.go does not depend on the loop
-// nest).
+// naive kernel, paid at a much higher arithmetic throughput. The build
+// is the tile walker (fill) over "all rows, strict upper triangle".
 func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
 	m := newShell(vectors)
-	if m.gram && m.dim > gramBlock {
-		m.buildBlocked()
-		return m
-	}
-	for u := 0; u < m.n; u += 2 {
-		m.buildRowPair(u)
-	}
+	m.fill(stridedRows(m.n, 0, 1), true)
 	return m
 }
 
@@ -84,9 +74,7 @@ func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
 func NewDistanceMatrixNaive(vectors [][]float64) *DistanceMatrix {
 	m := newShell(vectors)
 	m.gram = false
-	for u := 0; u < m.n; u += 2 {
-		m.buildRowPair(u)
-	}
+	m.fill(stridedRows(m.n, 0, 1), true)
 	return m
 }
 
@@ -116,90 +104,91 @@ func newShell(vectors [][]float64) *DistanceMatrix {
 	return m
 }
 
+// stridedRows returns worker w's share of a full build's row-set: the
+// adjacent row pairs (2p, 2p+1) with p ≡ w (mod workers), in ascending
+// order. (0, 1) is every row, 0…n−1. The pair at row u carries ~2·(n−u)
+// upper-triangle dots, so striding balances the triangular load.
+func stridedRows(n, w, workers int) []int {
+	rows := make([]int, 0, (n+1)/workers+2)
+	for u := 2 * w; u < n; u += 2 * workers {
+		rows = append(rows, u)
+		if u+1 < n {
+			rows = append(rows, u+1)
+		}
+	}
+	return rows
+}
+
 // vector returns the matrix's own copy of vector i.
 func (m *DistanceMatrix) vector(i int) []float64 {
 	return m.vecs[i*m.dim : (i+1)*m.dim]
 }
 
-// buildRowPair fills the strict upper-triangle cells of rows u and u+1
-// and their mirrors: the unit of work the parallel builder distributes
-// (and the serial builder runs at dimensions within one depth block,
-// where buildBlocked would degenerate to the same walk). Working on two
-// rows at once lets the inner loop run the 2×4 tile, which streams each
-// column vector once for two rows. The dots go through the blocked
-// wrappers of gram.go, so the result is bit-identical to buildBlocked's
-// depth-first accumulation. A trailing odd row falls back to the 1×4
-// row kernel.
-func (m *DistanceMatrix) buildRowPair(u int) {
-	n := m.n
+// fill is the one tile walker behind every distance the matrix ever
+// computes. It walks (row pair × column start × k-block) depth-first
+// and turns the accumulated inner products into clamped distances:
+//
+//   - rows is the row-set, consumed two rows at a time so the inner loop
+//     runs the 2×4 tile (each streamed column slice feeds two rows); a
+//     trailing odd row runs the 1×4 tile.
+//   - upper selects the column range. A full build sets it and passes
+//     adjacent row pairs (stridedRows): each row covers only its strict
+//     upper triangle — the pair's cross cell, then every column right
+//     of the pair — and assembly mirrors the value below the diagonal.
+//     Row u then owns cells (u, j>u) and their mirrors (j>u, u), so
+//     disjoint row-sets write disjoint cells: the parallel builder is
+//     this walker over a partition of the rows, sharing nothing but the
+//     buffer. An update clears it and passes the changed rows: each row
+//     covers all n columns (the self cell rides through the tile walk
+//     and is zeroed at assembly), so a changed–changed pair is simply
+//     staged from both sides with the same canonical value.
+//
+// The staged cells must be zero on entry (fresh from newShell, or
+// zeroed by recompute): each k-block of gramBlock coordinates adds its
+// per-block tile results into them in ascending k, which is exactly
+// the canonical blocked order of gram.go, so a cell's bits never depend
+// on the row-set, the partition, or the tile that happened to cover it.
+// The k-block loop is outermost for locality: all n slices of one block
+// (n·gramBlock·8 bytes, 640 KB at n = 40) stay L2-resident while every
+// row pair consumes them, instead of each pair streaming the full n·d
+// working set — measured ~30% off the pair-outer wall clock at n = 40,
+// d = 10⁴ on one core. At d ≤ gramBlock the walk is a single block.
+func (m *DistanceMatrix) fill(rows []int, upper bool) {
 	if !m.gram {
-		for i := u; i < n && i < u+2; i++ {
-			vi := m.vector(i)
-			for j := i + 1; j < n; j++ {
-				dist := Dist2(vi, m.vector(j))
-				m.d[i*n+j] = dist
-				m.d[j*n+i] = dist
-			}
-		}
+		m.fillExact(rows, upper)
 		return
 	}
-	if u+1 >= n {
-		m.rowDots(u, u+1, n)
-		m.assembleRow(u, u+1, n, true)
-		return
-	}
-	v0, v1 := m.vector(u), m.vector(u+1)
-	row0 := m.d[u*n : (u+1)*n]
-	row1 := m.d[(u+1)*n : (u+2)*n]
-	row0[u+1] = dotPair(v0, v1)
-	var t [8]float64
-	j := u + 2
-	for ; j+4 <= n; j += 4 {
-		dot24(v0, v1, m.vector(j), m.vector(j+1), m.vector(j+2), m.vector(j+3), &t)
-		row0[j], row0[j+1], row0[j+2], row0[j+3] = t[0], t[1], t[2], t[3]
-		row1[j], row1[j+1], row1[j+2], row1[j+3] = t[4], t[5], t[6], t[7]
-	}
-	for ; j < n; j++ {
-		vj := m.vector(j)
-		row0[j] = dotPair(v0, vj)
-		row1[j] = dotPair(v1, vj)
-	}
-	m.assembleRow(u, u+1, n, true)
-	m.assembleRow(u+1, u+2, n, true)
-}
-
-// buildBlocked fills the whole matrix depth-first: the outer loop walks
-// k-blocks of gramBlock coordinates, the inner loop walks row pairs,
-// and each pair's raw inner products accumulate across blocks in the
-// cells of m.d (zero at allocation) before one final assembly pass
-// turns them into clamped distances. Per pair this computes exactly the
-// blocked order of gram.go — each block's lanes reduce and the block
-// results sum in ascending k — so the matrix is bit-identical to the
-// pair-at-a-time build; the loop inversion exists purely for locality.
-// A pair-outer build streams every column vector once per earlier row
-// pair (Θ(n²/4) vector loads, ~32 MB from L3 at n = 40, d = 10⁴),
-// where this walk keeps all n slices of one k-block (n·gramBlock·8
-// bytes, 640 KB at n = 40) L2-resident while the n²/2 tile kernels
-// consume them — measured ~30% off the pair-outer wall clock at that
-// shape on one core.
-func (m *DistanceMatrix) buildBlocked() {
 	n, d := m.n, m.dim
 	var t [8]float64
 	for k0 := 0; k0 < d; k0 += gramBlock {
-		k1 := k0 + gramBlock
-		if k1 > d {
-			k1 = d
-		}
+		k1 := min(k0+gramBlock, d)
 		slice := func(i int) []float64 { return m.vecs[i*d+k0 : i*d+k1] }
-		// Row pairs cover every strict-upper-triangle cell, including
-		// column n−1 of an odd trailing row (reached as a column of the
-		// earlier pairs, never as a row of its own).
-		for u := 0; u+1 < n; u += 2 {
-			v0, v1 := slice(u), slice(u+1)
-			row0 := m.d[u*n : (u+1)*n]
-			row1 := m.d[(u+1)*n : (u+2)*n]
-			row0[u+1] += dotPairBlock(v0, v1)
-			j := u + 2
+		for k := 0; k < len(rows); k += 2 {
+			r0 := rows[k]
+			v0, row0 := slice(r0), m.d[r0*n:(r0+1)*n]
+			j := 0
+			if k+1 == len(rows) {
+				if upper {
+					j = r0 + 1
+				}
+				for ; j+4 <= n; j += 4 {
+					p0, p1, p2, p3 := dot4Block(v0, slice(j), slice(j+1), slice(j+2), slice(j+3))
+					row0[j] += p0
+					row0[j+1] += p1
+					row0[j+2] += p2
+					row0[j+3] += p3
+				}
+				for ; j < n; j++ {
+					row0[j] += dotPairBlock(v0, slice(j))
+				}
+				break
+			}
+			r1 := rows[k+1]
+			v1, row1 := slice(r1), m.d[r1*n:(r1+1)*n]
+			if upper {
+				row0[r1] += dotPairBlock(v0, v1)
+				j = r1 + 1
+			}
 			for ; j+4 <= n; j += 4 {
 				dot24Block(v0, v1, slice(j), slice(j+1), slice(j+2), slice(j+3), &t)
 				row0[j] += t[0]
@@ -218,36 +207,58 @@ func (m *DistanceMatrix) buildBlocked() {
 			}
 		}
 	}
-	for u := 0; u < n; u++ {
-		m.assembleRow(u, u+1, n, true)
+	if upper {
+		for _, i := range rows {
+			m.assembleRow(i, i+1, true)
+		}
+		return
+	}
+	// Assemble without mirroring first: a changed row's column cells in
+	// OTHER changed rows still hold staged raw dots, and both sides of a
+	// changed–changed pair staged the same canonical value, so each row
+	// assembles independently of the rest. Then mirror the finished
+	// distances into every column (rewriting another changed row's
+	// already-assembled cell installs the identical value).
+	for _, i := range rows {
+		m.assembleRow(i, 0, false)
+	}
+	for _, i := range rows {
+		for j := 0; j < n; j++ {
+			m.d[j*n+i] = m.d[i*n+j]
+		}
 	}
 }
 
-// rowDots writes ⟨v_i, v_j⟩ for j in [from, to) into the d-row of i,
-// using the 1×4 register tile with a dotPair remainder. Tile alignment
-// never changes a pair's value: every column accumulates in the
-// canonical dotPair order (see gram.go).
-func (m *DistanceMatrix) rowDots(i, from, to int) {
-	vi := m.vector(i)
-	row := m.d[i*m.n : (i+1)*m.n]
-	j := from
-	for ; j+4 <= to; j += 4 {
-		row[j], row[j+1], row[j+2], row[j+3] = dot4(
-			vi, m.vector(j), m.vector(j+1), m.vector(j+2), m.vector(j+3))
-	}
-	for ; j < to; j++ {
-		row[j] = dotPair(vi, m.vector(j))
+// fillExact is fill for matrices on the exact kernel (d ≤ naiveDimMax,
+// and the naive oracle): the one subtract-square pair loop, shared by
+// build and update, over the same row-set and column range.
+func (m *DistanceMatrix) fillExact(rows []int, upper bool) {
+	n := m.n
+	for _, i := range rows {
+		vi := m.vector(i)
+		j := 0
+		if upper {
+			j = i + 1
+		}
+		for ; j < n; j++ {
+			dist := 0.0
+			if j != i {
+				dist = Dist2(vi, m.vector(j))
+			}
+			m.d[i*n+j] = dist
+			m.d[j*n+i] = dist
+		}
 	}
 }
 
 // assembleRow turns the inner products staged in row i's cells [from,
-// to) into clamped squared distances, mirroring each value into column
-// i when mirror is set. The clamp guards against the small negative
+// n) into clamped squared distances, mirroring each value into column i
+// when mirror is set. The clamp guards against the small negative
 // results cancellation produces when ⟨a,b⟩ ≈ (‖a‖²+‖b‖²)/2.
-func (m *DistanceMatrix) assembleRow(i, from, to int, mirror bool) {
+func (m *DistanceMatrix) assembleRow(i, from int, mirror bool) {
 	row := m.d[i*m.n : (i+1)*m.n]
 	ni := m.nrm[i]
-	for j := from; j < to; j++ {
+	for j := from; j < m.n; j++ {
 		if j == i {
 			row[i] = 0
 			continue
@@ -267,41 +278,40 @@ func (m *DistanceMatrix) assembleRow(i, from, to int, mirror bool) {
 // the matrix in Θ(n·d) — the incremental alternative to a Θ(n²·d)
 // rebuild when few vectors changed between rounds. The result is
 // bit-identical to NewDistanceMatrix over the updated vector set: the
-// recomputed pairs go through the same canonical inner-product order as
-// a full build, and untouched cells are exactly the values a full build
-// would recompute for unchanged vectors.
+// recomputed pairs go through the same walker, hence the same canonical
+// inner-product order, as a full build, and untouched cells are exactly
+// the values a full build would recompute for unchanged vectors.
 func (m *DistanceMatrix) UpdateRow(i int, v []float64) {
 	m.setVector(i, v)
-	m.recomputeRow(i)
+	m.recompute([]int{i})
 }
 
 // UpdateRows replaces every vector named in changed with its entry in
 // vectors (the caller's full current vector set) and recomputes the
-// affected rows and columns in Θ(c·n·d) for c changed vectors. All
-// replacements are installed before any row is recomputed, so
-// changed–changed pairs use both new vectors. Above gramBlock
-// dimensions the batch runs depth-first (updateRowsBlocked) with the
-// same locality win as a blocked full build; the result is
-// bit-identical either way.
-func (m *DistanceMatrix) UpdateRows(changed []int, vectors [][]float64) {
+// affected rows and columns in Θ(c·n·d) for c distinct changed vectors.
+// All replacements are installed before any row is recomputed, so
+// changed–changed pairs use both new vectors. Duplicate indices are
+// recomputed once; the return value is the number of distinct rows
+// recomputed — what MatrixRowUpdateCount advanced by.
+func (m *DistanceMatrix) UpdateRows(changed []int, vectors [][]float64) int {
 	for _, i := range changed {
 		m.setVector(i, vectors[i])
 	}
-	if m.gram && m.dim > gramBlock && len(changed) >= 2 {
-		m.updateRowsBlocked(dedupChanged(changed))
-		return
+	rows := dedupChanged(changed)
+	m.recompute(rows)
+	return len(rows)
+}
+
+// recompute re-derives every distance involving the given duplicate-free
+// rows from the stored vectors: zero the rows' staged cells, then run
+// the walker over "these rows, all columns" (rows accumulate in place,
+// so a repeated index would double-count itself).
+func (m *DistanceMatrix) recompute(rows []int) {
+	matrixRowUpdates.Add(uint64(len(rows)))
+	for _, i := range rows {
+		clear(m.d[i*m.n : (i+1)*m.n])
 	}
-	// Recompute changed rows two at a time so the update path runs the
-	// same bandwidth-saving 2×4 tile as a full build; a trailing odd
-	// row uses the 1×4 row kernel. Changed–changed pairs are simply
-	// computed from both (new) sides — the values agree bit for bit.
-	k := 0
-	for ; k+2 <= len(changed); k += 2 {
-		m.recomputeRowDual(changed[k], changed[k+1])
-	}
-	if k < len(changed) {
-		m.recomputeRow(changed[k])
-	}
+	m.fill(rows, false)
 }
 
 // dedupChanged returns changed without duplicate indices (first
@@ -329,154 +339,11 @@ func dedupChanged(changed []int) []int {
 	return changed
 }
 
-// updateRowsBlocked recomputes the changed rows depth-first over
-// k-blocks, mirroring buildBlocked's locality: each k-block keeps the
-// n vector slices it touches cache-resident while every changed row
-// pair consumes them, instead of streaming the full n·d working set
-// once per row pair (the bandwidth bill that made the pair-at-a-time
-// batch ~25% slower per pair than a blocked build at n = 40,
-// d = 10⁴). Per pair the raw dots accumulate in the canonical blocked
-// order of gram.go, so the matrix stays bit-identical to the
-// full-depth update path and to a rebuild. changed must be
-// duplicate-free (rows accumulate in place, so a repeated index would
-// double-count itself).
-func (m *DistanceMatrix) updateRowsBlocked(changed []int) {
-	matrixRowUpdates.Add(uint64(len(changed)))
-	n, d := m.n, m.dim
-	for _, i := range changed {
-		row := m.d[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	var t [8]float64
-	for k0 := 0; k0 < d; k0 += gramBlock {
-		k1 := k0 + gramBlock
-		if k1 > d {
-			k1 = d
-		}
-		slice := func(i int) []float64 { return m.vecs[i*d+k0 : i*d+k1] }
-		k := 0
-		for ; k+2 <= len(changed); k += 2 {
-			v0, v1 := slice(changed[k]), slice(changed[k+1])
-			row0 := m.d[changed[k]*n : (changed[k]+1)*n]
-			row1 := m.d[changed[k+1]*n : (changed[k+1]+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				dot24Block(v0, v1, slice(j), slice(j+1), slice(j+2), slice(j+3), &t)
-				row0[j] += t[0]
-				row0[j+1] += t[1]
-				row0[j+2] += t[2]
-				row0[j+3] += t[3]
-				row1[j] += t[4]
-				row1[j+1] += t[5]
-				row1[j+2] += t[6]
-				row1[j+3] += t[7]
-			}
-			for ; j < n; j++ {
-				vj := slice(j)
-				row0[j] += dotPairBlock(v0, vj)
-				row1[j] += dotPairBlock(v1, vj)
-			}
-		}
-		if k < len(changed) {
-			vi := slice(changed[k])
-			row := m.d[changed[k]*n : (changed[k]+1)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				r0, r1, r2, r3 := dot4Block(vi, slice(j), slice(j+1), slice(j+2), slice(j+3))
-				row[j] += r0
-				row[j+1] += r1
-				row[j+2] += r2
-				row[j+3] += r3
-			}
-			for ; j < n; j++ {
-				row[j] += dotPairBlock(vi, slice(j))
-			}
-		}
-	}
-	// Assemble without mirroring first: a changed row's column cells in
-	// OTHER changed rows still hold staged raw dots, and both sides of a
-	// changed–changed pair staged the same canonical value, so each row
-	// assembles independently of the rest. Then mirror the finished
-	// distances into every column (rewriting another changed row's
-	// already-assembled cell installs the identical value).
-	for _, i := range changed {
-		m.assembleRow(i, 0, n, false)
-	}
-	for _, i := range changed {
-		for j := 0; j < n; j++ {
-			m.d[j*n+i] = m.d[i*n+j]
-		}
-	}
-}
-
 // setVector installs a copy of v as vector i and refreshes its norm.
 func (m *DistanceMatrix) setVector(i int, v []float64) {
 	checkLen("UpdateRow", len(v), m.dim)
 	copy(m.vector(i), v)
 	m.nrm[i] = dotPair(v, v)
-}
-
-// recomputeRow recomputes every distance involving vector i from the
-// stored vectors. The j == i cell passes through rowDots as the
-// self-inner-product (keeping the tile walk uniform) and is then zeroed
-// by assembleRow.
-func (m *DistanceMatrix) recomputeRow(i int) {
-	matrixRowUpdates.Add(1)
-	n := m.n
-	if !m.gram {
-		vi := m.vector(i)
-		for j := 0; j < n; j++ {
-			dist := 0.0
-			if j != i {
-				dist = Dist2(vi, m.vector(j))
-			}
-			m.d[i*n+j] = dist
-			m.d[j*n+i] = dist
-		}
-		return
-	}
-	m.rowDots(i, 0, n)
-	m.assembleRow(i, 0, n, true)
-}
-
-// recomputeRowDual recomputes rows i0 and i1 together with the 2×4
-// tile. The cross pair (i0, i1) is produced from both sides with the
-// same canonical order, so the mirror writes agree. A duplicated index
-// (the rows would alias) degrades to the single-row path.
-func (m *DistanceMatrix) recomputeRowDual(i0, i1 int) {
-	if i0 == i1 || !m.gram {
-		m.recomputeRow(i0)
-		if i0 != i1 {
-			m.recomputeRow(i1)
-		}
-		return
-	}
-	matrixRowUpdates.Add(2)
-	n := m.n
-	v0, v1 := m.vector(i0), m.vector(i1)
-	row0 := m.d[i0*n : (i0+1)*n]
-	row1 := m.d[i1*n : (i1+1)*n]
-	var t [8]float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		dot24(v0, v1, m.vector(j), m.vector(j+1), m.vector(j+2), m.vector(j+3), &t)
-		row0[j], row0[j+1], row0[j+2], row0[j+3] = t[0], t[1], t[2], t[3]
-		row1[j], row1[j+1], row1[j+2], row1[j+3] = t[4], t[5], t[6], t[7]
-	}
-	for ; j < n; j++ {
-		vj := m.vector(j)
-		row0[j] = dotPair(v0, vj)
-		row1[j] = dotPair(v1, vj)
-	}
-	// Assembling row i0 mirrors its finished distances into column i0 —
-	// overwriting row i1's STAGED raw dot at (i1, i0). Re-stage that
-	// cross dot before assembling row i1.
-	cross := row1[i0]
-	m.assembleRow(i0, 0, n, true)
-	row1[i0] = cross
-	m.assembleRow(i1, 0, n, true)
 }
 
 // VectorEqual reports whether v is element-for-element identical to the

@@ -9,21 +9,20 @@ import (
 // a parallel build assigns per goroutine; fan-out is capped at
 // totalWork / minParallelFlops. Tuned on BenchmarkDistanceMatrix /
 // BenchmarkDistanceMatrixLargeN: an n = 40, d = 10⁴ build (~8 Mflop)
-// now runs serial — where parallel was a wash — while n ≥ 10³ builds
-// still fan out fully.
+// runs serial — where parallel was a wash — while n ≥ 10³ builds fan
+// out fully.
 const minParallelFlops = 8 << 20
 
 // NewDistanceMatrixParallel computes the same matrix as
 // NewDistanceMatrix using up to workers goroutines (0 means
-// GOMAXPROCS). Row pairs are strided across workers — the pair at row
-// u carries ~2·(n−u) upper-triangle dots, so striding balances the
-// triangular load — and every pair goes through the same blocked
-// Gram-trick builder as the serial constructor, so the result is
-// bit-identical whatever the worker count (the concurrency contract
-// the scenario runner's determinism test pins down). Each dot's O(d)
-// inner product dominates, so speedup is close to linear in the
-// deep-learning regime (d ≫ n) the paper targets — Lemma 4.1's cost
-// lives almost entirely here.
+// GOMAXPROCS). Each worker runs the tile walker (fill) over its strided
+// share of the row pairs (stridedRows), so every cell goes through the
+// same loop nest as the serial build and the result is bit-identical
+// whatever the worker count (the concurrency contract the scenario
+// runner's determinism test pins down). Each dot's O(d) inner product
+// dominates, so speedup is close to linear in the deep-learning regime
+// (d ≫ n) the paper targets — Lemma 4.1's cost lives almost entirely
+// here.
 func NewDistanceMatrixParallel(vectors [][]float64, workers int) *DistanceMatrix {
 	n := len(vectors)
 	if workers <= 0 {
@@ -35,9 +34,8 @@ func NewDistanceMatrixParallel(vectors [][]float64, workers int) *DistanceMatrix
 	// Cap the fan-out so each goroutine gets at least minParallelFlops
 	// of multiply-add work: below that, spawn/park/cache-line costs eat
 	// the speedup (at n = 40, d = 10⁴ the whole build is ~8 Mflop —
-	// barely one goroutine's worth). Worker count never affects results
-	// (bit-identical by the shared buildRowPair), only wall clock, so
-	// the cap is purely a scheduling decision.
+	// barely one goroutine's worth). Worker count never affects results,
+	// only wall clock, so the cap is purely a scheduling decision.
 	dim := 0
 	if n > 0 {
 		dim = len(vectors[0])
@@ -56,13 +54,7 @@ func NewDistanceMatrixParallel(vectors [][]float64, workers int) *DistanceMatrix
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// buildRowPair writes cells (u, j>u), (u+1, j>u+1) and
-			// their column mirrors; distinct pairs never write the
-			// same cell, so the workers share no state beyond the
-			// matrix buffer.
-			for u := 2 * w; u < n; u += 2 * workers {
-				m.buildRowPair(u)
-			}
+			m.fill(stridedRows(n, w, workers), true)
 		}(w)
 	}
 	wg.Wait()

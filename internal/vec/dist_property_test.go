@@ -171,6 +171,29 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// TestParallelFanOutBitIdenticalToSerial is the same contract at a
+// shape that clears minParallelFlops, so the build really runs on
+// several goroutines (every shape above is capped to the serial path):
+// an odd n for the trailing single row, three k-blocks deep. Under
+// -race this is the data-race check of the workers' disjoint-cell
+// claim.
+func TestParallelFanOutBitIdenticalToSerial(t *testing.T) {
+	const n, d, workers = 97, 2*gramBlock + 2053, 3
+	if fanOut := n * (n - 1) / 2 * d / minParallelFlops; fanOut < workers {
+		t.Fatalf("shape allows only %d goroutines, want %d: the test would be vacuous", fanOut, workers)
+	}
+	vs := adversarialVectors(NewRNG(7), n, d)
+	serial := NewDistanceMatrix(vs)
+	par := NewDistanceMatrixParallel(vs, workers)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if serial.At(i, j) != par.At(i, j) {
+				t.Fatalf("cell (%d,%d) differs: serial %v, parallel %v", i, j, serial.At(i, j), par.At(i, j))
+			}
+		}
+	}
+}
+
 // TestUpdateRowEquivalence is the incremental-path contract: after any
 // sequence of single-row mutations, the matrix is BIT-IDENTICAL to a
 // full rebuild over the final vector set. The guarantee is exact — not
@@ -209,8 +232,8 @@ func TestUpdateRowEquivalence(t *testing.T) {
 // the dual-row tile's trailing single row) must land bit-identically
 // on the full rebuild, and the update must leave the stored copies in
 // sync (VectorEqual sees the new content). The second shape's
-// dimension exceeds gramBlock, driving the same change-sets through
-// the depth-first blocked batch path (updateRowsBlocked).
+// dimension exceeds gramBlock, driving the same change-sets through a
+// multi-block walk.
 func TestUpdateRowsEquivalence(t *testing.T) {
 	rng := NewRNG(777)
 	for _, shape := range []struct{ n, d int }{{13, 37}, {11, gramBlock + 453}} {
@@ -237,6 +260,42 @@ func TestUpdateRowsEquivalence(t *testing.T) {
 					if m.At(a, b) != fresh.At(a, b) {
 						t.Fatalf("n=%d d=%d step %d (changed %v): cell (%d,%d) diverged: %v vs %v",
 							n, d, step, changed, a, b, m.At(a, b), fresh.At(a, b))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateRowsCountsDistinctRows pins the row-update accounting at
+// both depths (one k-block and several): a change-set with repeated
+// indices recomputes each distinct row once, UpdateRows returns and
+// MatrixRowUpdateCount advances by that distinct count, and the matrix
+// lands bit-identically on a rebuild.
+func TestUpdateRowsCountsDistinctRows(t *testing.T) {
+	rng := NewRNG(35)
+	for _, d := range []int{100, gramBlock + 51} {
+		const n = 7
+		vs := adversarialVectors(rng, n, d)
+		m := NewDistanceMatrix(vs)
+		for _, tc := range []struct {
+			changed  []int
+			distinct int
+		}{{[]int{3, 5, 3}, 2}, {[]int{2, 2}, 1}, {[]int{6, 0, 6, 0, 4}, 3}} {
+			for _, i := range tc.changed {
+				vs[i] = adversarialVectors(rng, 1, d)[0]
+			}
+			before := MatrixRowUpdateCount()
+			got := m.UpdateRows(tc.changed, vs)
+			if counted := MatrixRowUpdateCount() - before; got != tc.distinct || counted != uint64(tc.distinct) {
+				t.Errorf("d=%d UpdateRows(%v): returned %d, counter advanced %d, want %d distinct rows",
+					d, tc.changed, got, counted, tc.distinct)
+			}
+			fresh := NewDistanceMatrix(vs)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if m.At(i, j) != fresh.At(i, j) {
+						t.Fatalf("d=%d UpdateRows(%v): cell (%d,%d) = %v, rebuild %v", d, tc.changed, i, j, m.At(i, j), fresh.At(i, j))
 					}
 				}
 			}

@@ -148,8 +148,7 @@ func TestSumKSmallestBoundaries(t *testing.T) {
 		t.Errorf("single-vector matrix: got %v, want 0", got)
 	}
 	// All-equal vectors: every pairwise distance is an exact zero tie;
-	// every k must sum to 0 from every viewpoint — the degenerate
-	// input screened selection must also survive (its scores then tie
+	// every k must sum to 0 from every viewpoint (scores then tie
 	// completely and selection is decided by index alone).
 	allEq := NewDistanceMatrix([][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}})
 	for i := 0; i < 4; i++ {

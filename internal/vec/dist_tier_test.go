@@ -7,14 +7,14 @@ import (
 
 // The cross-tier differential matrix. Every WITHIN-tier guarantee the
 // package makes (blocked ≡ oracle within the principled band, parallel
-// ≡ serial bit for bit, incremental ≡ rebuild bit for bit, screened ≡
-// dense index-for-index) must hold under each available tier — the
+// ≡ serial bit for bit, incremental ≡ rebuild bit for bit) must hold
+// under each available tier — the
 // battery here forces each tier in turn and re-proves them. ACROSS
 // tiers only norm-relative agreement is promised (gram.go contract),
 // and the agreement tests below pin exactly that: adversarial
 // magnitudes stay inside the shared error band, and non-finite inputs
 // classify identically (a NaN cell under one tier is a NaN cell under
-// every tier) so screening decisions cannot diverge on poisoned rounds.
+// every tier) so selections cannot diverge on poisoned rounds.
 
 // TestPropertyBatteryPerTier re-runs the within-tier determinism
 // battery once per available tier.
@@ -26,8 +26,8 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 
 			// Blocked ≡ oracle + invariants, straddling naiveDimMax, both
 			// tile tails, and the gramBlock depth seam (the last shape
-			// takes the depth-first buildBlocked path, with an odd n so
-			// the trailing row is covered there too).
+			// walks three k-blocks, with an odd n so the trailing row is
+			// covered there too).
 			for _, shape := range []struct{ n, d int }{{1, 1}, {3, 17}, {7, 33}, {9, 64}, {12, 129}, {40, 251}, {7, 2*gramBlock + 51}} {
 				vs := adversarialVectors(rng, shape.n, shape.d)
 				m := NewDistanceMatrix(vs)
@@ -65,42 +65,19 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 						}
 					}
 				}
-
-				// Screened ≡ dense: same selection indices, and every
-				// materialized cell bit-equal to the dense matrix.
-				s := NewScreener(shadow)
-				k := shape.n/2 + 1
-				got := s.SelectKSmallest(k, shape.n-1)
-				want := s.selectDense(k, shape.n-1)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d d=%d: screened selection length %d, dense %d", shape.n, shape.d, len(got), len(want))
-				}
-				for x := range got {
-					if got[x] != want[x] {
-						t.Fatalf("n=%d d=%d: screened selection %v, dense %v", shape.n, shape.d, got, want)
-					}
-				}
-				dm := s.Materialize()
-				for i := 0; i < shape.n; i++ {
-					for j := 0; j < shape.n; j++ {
-						if dm.At(i, j) != fresh.At(i, j) {
-							t.Fatalf("n=%d d=%d: screened cell (%d,%d) differs from dense: %v vs %v",
-								shape.n, shape.d, i, j, dm.At(i, j), fresh.At(i, j))
-						}
-					}
-				}
 			}
 		})
 	}
 }
 
-// TestBuildBlockedMatchesRowPair pins the loop-nest independence of the
-// canonical blocked order directly: at multi-block dimensions the
-// depth-first buildBlocked walk (what NewDistanceMatrix runs) and the
-// pair-at-a-time buildRowPair walk (what the parallel builder
-// distributes) must produce bit-identical matrices under every tier —
-// each pair's lanes consume the same k-sequence either way, so any
-// difference is a seam bug.
+// TestBuildBlockedMatchesRowPair pins the walker to the canonical
+// blocked order directly, one pair at a time: at multi-block dimensions
+// every cell the walker produces — full build, parallel build (the
+// public entry point and each strided share of the row pairs run on its
+// own), and UpdateRows — must be bit-identical to
+// clamp(dotPair(vᵢ,vᵢ) + dotPair(vⱼ,vⱼ) − 2·dotPair(vᵢ,vⱼ)) under every
+// tier. Each pair's lanes consume the same k-sequence whichever tile,
+// row-set or partition covered it, so any difference is a seam bug.
 func TestBuildBlockedMatchesRowPair(t *testing.T) {
 	for _, tier := range AvailableTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -108,19 +85,41 @@ func TestBuildBlockedMatchesRowPair(t *testing.T) {
 			rng := NewRNG(uint64(4000 + tier))
 			for _, shape := range []struct{ n, d int }{{2, gramBlock + 1}, {9, 2 * gramBlock}, {12, 2*gramBlock + 1807}} {
 				vs := adversarialVectors(rng, shape.n, shape.d)
-				blocked := NewDistanceMatrix(vs)
-				rowPair := newShell(vs)
-				matrixBuilds.Add(^uint64(0)) // uncount the shell: not a public build
-				for u := 0; u < rowPair.n; u += 2 {
-					rowPair.buildRowPair(u)
-				}
-				for i := 0; i < shape.n; i++ {
-					for j := 0; j < shape.n; j++ {
-						if blocked.At(i, j) != rowPair.At(i, j) {
-							t.Fatalf("n=%d d=%d cell (%d,%d): buildBlocked %v ≠ buildRowPair %v",
-								shape.n, shape.d, i, j, blocked.At(i, j), rowPair.At(i, j))
+				check := func(what string, m *DistanceMatrix, vs [][]float64) {
+					t.Helper()
+					for i := range vs {
+						for j := range vs {
+							want := dotPair(vs[i], vs[i]) + dotPair(vs[j], vs[j]) - 2*dotPair(vs[i], vs[j])
+							if want < 0 || i == j {
+								want = 0
+							}
+							if m.At(i, j) != want {
+								t.Fatalf("n=%d d=%d %s cell (%d,%d): walker %v ≠ per-pair reference %v",
+									shape.n, shape.d, what, i, j, m.At(i, j), want)
+							}
 						}
 					}
+				}
+				check("build", NewDistanceMatrix(vs), vs)
+				check("parallel build", NewDistanceMatrixParallel(vs, 3), vs)
+				// The shapes sit below minParallelFlops, so also run the
+				// three workers' shares directly.
+				shares := newShell(vs)
+				matrixBuilds.Add(^uint64(0)) // uncount the shell: not a public build
+				for w := 0; w < 3; w++ {
+					shares.fill(stridedRows(shape.n, w, 3), true)
+				}
+				check("strided shares", shares, vs)
+
+				// Update one row, a pair, and an odd batch with a repeat.
+				m := NewDistanceMatrix(vs)
+				shadow := CloneAll(vs)
+				for _, changed := range [][]int{{shape.n - 1}, {0, 1}, {1, 0, 1, shape.n / 2}} {
+					for _, i := range changed {
+						shadow[i] = adversarialVectors(rng, 1, shape.d)[0]
+					}
+					m.UpdateRows(changed, shadow)
+					check("update", m, shadow)
 				}
 			}
 		})
@@ -199,8 +198,8 @@ func TestCrossTierPair2BitIdentical(t *testing.T) {
 // TestCrossTierNonFiniteClassification: rows carrying NaN or ±Inf
 // (Byzantine payloads) must classify identically under every tier —
 // IEEE-754 makes NaN absorbing and Inf−Inf NaN in EVERY accumulation
-// order, so a poisoned cell is poisoned under all tiers and screening
-// decisions cannot diverge across a heterogeneous fleet. Compared via
+// order, so a poisoned cell is poisoned under all tiers and selection
+// cannot diverge across a heterogeneous fleet. Compared via
 // Dist2 and raw cell values (checkMatrixInvariants would reject the
 // NaNs by design, so this test reads cells directly).
 func TestCrossTierNonFiniteClassification(t *testing.T) {

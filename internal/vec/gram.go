@@ -12,13 +12,12 @@ package vec
 //
 // BIT-STABILITY CONTRACT (per tier — ROADMAP decision (a)): every
 // kernel TIER (tier.go) defines its own canonical accumulation order
-// for an inner product, and WITHIN a tier every entry point — dot4
-// columns, norms, row updates, the parallel builder, the screened
-// materialization, the incremental UpdateRow path — reproduces exactly
-// that order. IEEE-754 multiplication is commutative bit for bit and
-// the k-order never changes within a tier, so ⟨a,b⟩ is bit-identical
-// whichever kernel shape, goroutine count, or tile alignment computes
-// it. This is what lets DistanceMatrix.UpdateRow promise results
+// for an inner product, and WITHIN a tier both entry points — dotPair
+// (the norms) and DistanceMatrix.fill (every build and update, serial
+// or parallel) — reproduce exactly that order. IEEE-754 multiplication
+// is commutative bit for bit and the k-order never changes within a
+// tier, so ⟨a,b⟩ is bit-identical whichever tile shape, goroutine
+// count, or tile alignment computes it. This is what lets DistanceMatrix.UpdateRow promise results
 // identical to a full rebuild, and the scenario runner promise
 // identical results across worker counts — all per tier.
 //
@@ -35,8 +34,7 @@ package vec
 // dimensions — all n vectors' k-slices stay cache-resident while every
 // pair consumes them — without perturbing a single bit: a pair's value
 // depends only on the k-sequence its own lanes consume, never on which
-// loop nest (pair-outer dot24 over full vectors, or block-outer
-// partial sums) drove the kernel.
+// tile or row-set drove the kernel.
 //
 // LANE ORDER (the order families):
 //
@@ -55,12 +53,14 @@ package vec
 // id (Tier.Order): the scenario store salts keys with it, distsgd
 // records it in Result.Kernel, and the fleet join handshake pins it.
 //
-// dotPair, dot4 and dot24 (the names the matrix code calls) are the
-// blocked wrappers below; the per-block primitives dotPairBlock,
-// dot4Block and dot24Block dispatch on the active tier (gram_amd64.go
-// on amd64, this package's pure-Go references elsewhere).
-// gram_test.go pins every tier to its reference order, to fixed golden
-// vectors, and to the blocked composition at multi-block dimensions.
+// dotPair below is the blocked composition for one pair; the walker
+// composes the tiles the same way in place. The per-block primitives
+// dotPairBlock, dot4Block and dot24Block dispatch on the active tier
+// (gram_amd64.go on amd64, this package's pure-Go references
+// elsewhere). gram_test.go pins every tier to its reference order, to
+// fixed golden vectors, and to the blocked composition at multi-block
+// dimensions (through the dot4/dot24 compositions of
+// gram_blocked_test.go).
 
 // gramBlock is the depth-blocking factor of the canonical accumulation
 // order: inner products accumulate in k-blocks of this many elements
@@ -92,61 +92,6 @@ func dotPair(a, b []float64) float64 {
 		s += dotPairBlock(a[k:e], b[k:e])
 	}
 	return s
-}
-
-// dot4 returns ⟨a,b0⟩, ⟨a,b1⟩, ⟨a,b2⟩, ⟨a,b3⟩ in the active tier's
-// canonical blocked order; every column is bit-identical to
-// dotPair(a, bi).
-func dot4(a, b0, b1, b2, b3 []float64) (float64, float64, float64, float64) {
-	n := len(a)
-	if n <= gramBlock {
-		return dot4Block(a, b0, b1, b2, b3)
-	}
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	var r0, r1, r2, r3 float64
-	for k := 0; k < n; k += gramBlock {
-		e := k + gramBlock
-		if e > n {
-			e = n
-		}
-		p0, p1, p2, p3 := dot4Block(a[k:e], b0[k:e], b1[k:e], b2[k:e], b3[k:e])
-		r0 += p0
-		r1 += p1
-		r2 += p2
-		r3 += p3
-	}
-	return r0, r1, r2, r3
-}
-
-// dot24 computes the 2×4 tile in the active tier's canonical blocked
-// order; see dot24Go for the output layout. Every cell is
-// bit-identical to the corresponding dotPair.
-func dot24(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64) {
-	n := len(a0)
-	if n <= gramBlock {
-		dot24Block(a0, a1, b0, b1, b2, b3, out)
-		return
-	}
-	a1 = a1[:n]
-	b0 = b0[:n]
-	b1 = b1[:n]
-	b2 = b2[:n]
-	b3 = b3[:n]
-	*out = [8]float64{}
-	var t [8]float64
-	for k := 0; k < n; k += gramBlock {
-		e := k + gramBlock
-		if e > n {
-			e = n
-		}
-		dot24Block(a0[k:e], a1[k:e], b0[k:e], b1[k:e], b2[k:e], b3[k:e], &t)
-		for i := range out {
-			out[i] += t[i]
-		}
-	}
 }
 
 // dotPairGo returns ⟨a,b⟩ using the canonical two-accumulator order.

@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Kernel tiers. The Gram microkernels behind DistanceMatrix (dotPair /
-// dot4 / dot24, see gram.go) exist in several implementations of
-// increasing ISA requirements; exactly one — the tier — is active in a
-// process at a time, selected once at init from CPU feature detection
-// and the KRUM_KERNEL_TIER environment knob.
+// Kernel tiers. The Gram microkernels behind DistanceMatrix
+// (dotPairBlock / dot4Block / dot24Block, see gram.go) exist in several
+// implementations of increasing ISA requirements; exactly one — the
+// tier — is active in a process at a time, selected once at init from
+// CPU feature detection and the KRUM_KERNEL_TIER environment knob.
 //
 // The tier is more than a speed setting: each tier defines its own
 // CANONICAL ACCUMULATION ORDER for an inner product (contract decision
@@ -42,13 +42,6 @@ const (
 	// removes the per-step product rounding, so TierAVX2 results differ
 	// from pair2 tiers in the low bits (by less error, not more).
 	TierAVX2
-	// TierAVX512 is a reserved stub behind the same dispatch seam: the
-	// name parses (ParseTier) so ops tooling and configs can speak it
-	// before kernels land, but it is never available — selecting it
-	// falls back — and it defines no order family yet. Implementing it
-	// means an 8-lane asm kernel, a pure-Go reference defining its
-	// canonical order, an Order() id, and goldens in gram_test.go.
-	TierAVX512
 )
 
 // String returns the tier's spec name — the value KRUM_KERNEL_TIER
@@ -61,8 +54,6 @@ func (t Tier) String() string {
 		return "sse2"
 	case TierAVX2:
 		return "avx2"
-	case TierAVX512:
-		return "avx512"
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
@@ -82,7 +73,7 @@ func (t Tier) Order() string {
 	}
 }
 
-// ParseTier parses a tier spec name ("go", "sse2", "avx2", "avx512"),
+// ParseTier parses a tier spec name ("go", "sse2", "avx2"),
 // case-insensitively.
 func ParseTier(s string) (Tier, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
@@ -92,10 +83,8 @@ func ParseTier(s string) (Tier, error) {
 		return TierSSE2, nil
 	case "avx2":
 		return TierAVX2, nil
-	case "avx512":
-		return TierAVX512, nil
 	}
-	return TierGo, fmt.Errorf("vec: unknown kernel tier %q (want go|sse2|avx2|avx512)", s)
+	return TierGo, fmt.Errorf("vec: unknown kernel tier %q (want go|sse2|avx2)", s)
 }
 
 // currentTier holds the active tier. It is read on every microkernel

@@ -1,11 +1,16 @@
 package vec
 
-import "testing"
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
 
 // TestParseTier pins the spec names round-tripping through String, the
 // case/whitespace tolerance, and rejection of unknown names.
 func TestParseTier(t *testing.T) {
-	for _, tier := range []Tier{TierGo, TierSSE2, TierAVX2, TierAVX512} {
+	for _, tier := range []Tier{TierGo, TierSSE2, TierAVX2} {
 		got, err := ParseTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseTier(%q) = %v, %v; want %v", tier.String(), got, err, tier)
@@ -14,8 +19,10 @@ func TestParseTier(t *testing.T) {
 	if got, err := ParseTier("  AvX2 "); err != nil || got != TierAVX2 {
 		t.Errorf("ParseTier with case/space = %v, %v; want TierAVX2", got, err)
 	}
-	if _, err := ParseTier("avx9000"); err == nil {
-		t.Error("ParseTier accepted an unknown tier name")
+	for _, name := range []string{"avx9000", "avx512"} {
+		if _, err := ParseTier(name); err == nil {
+			t.Errorf("ParseTier accepted the unknown tier name %q", name)
+		}
 	}
 	if _, err := ParseTier(""); err == nil {
 		t.Error("ParseTier accepted the empty string")
@@ -53,14 +60,40 @@ func TestAvailableTiers(t *testing.T) {
 			t.Errorf("TierAvailable(%v) = false but AvailableTiers lists it", tier)
 		}
 	}
-	if TierAvailable(TierAVX512) {
-		t.Error("TierAVX512 reported available; it is a stub with no kernels")
-	}
 	// The returned slice is a copy: mutating it must not corrupt the
 	// process's availability set.
-	tiers[0] = TierAVX512
-	if TierAvailable(TierAVX512) {
+	tiers[0] = noSuchTier
+	if TierAvailable(noSuchTier) {
 		t.Error("mutating AvailableTiers() result changed the availability set")
+	}
+}
+
+// noSuchTier is a tier value no platform defines.
+const noSuchTier = Tier(99)
+
+// TestEnvUnknownTierIgnored pins the KRUM_KERNEL_TIER knob's
+// unknown-name path end to end: a child process started with a name no
+// tier carries ("avx512" was once reserved; it is now just unknown)
+// keeps the auto-detected tier and says so on stderr.
+func TestEnvUnknownTierIgnored(t *testing.T) {
+	const childEnv = "KRUM_TIER_TEST_CHILD"
+	if os.Getenv(childEnv) != "" {
+		os.Stdout.WriteString("active-tier=" + KernelTier().String() + "\n")
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestEnvUnknownTierIgnored$")
+	cmd.Env = append(os.Environ(), tierEnv+"=avx512", childEnv+"=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("child: %v\n%s", err, stderr.String())
+	}
+	auto := supportedTiers[len(supportedTiers)-1]
+	if want := "active-tier=" + auto.String() + "\n"; !strings.Contains(stdout.String(), want) {
+		t.Errorf("child stdout %q lacks %q: the unknown name changed the tier", stdout.String(), want)
+	}
+	if want := `ignoring KRUM_KERNEL_TIER="avx512": vec: unknown kernel tier`; !strings.Contains(stderr.String(), want) {
+		t.Errorf("child stderr %q lacks the note %q", stderr.String(), want)
 	}
 }
 
@@ -76,8 +109,8 @@ func TestSetKernelTierRestore(t *testing.T) {
 	if KernelTier() != TierGo {
 		t.Errorf("after SetKernelTier(TierGo), KernelTier() = %v", KernelTier())
 	}
-	if _, err := SetKernelTier(TierAVX512); err == nil {
-		t.Error("SetKernelTier(TierAVX512) succeeded; the stub tier has no kernels")
+	if _, err := SetKernelTier(noSuchTier); err == nil {
+		t.Error("SetKernelTier accepted a tier this CPU does not have")
 	}
 	if KernelTier() != TierGo {
 		t.Errorf("failed SetKernelTier changed the tier to %v", KernelTier())

@@ -91,10 +91,6 @@ type Spec struct {
 	// either way; the flag trades memory for skipped recomputation when
 	// proposals replay across rounds.
 	Incremental bool `json:"incremental,omitempty"`
-	// Screened enables norm + triangle-inequality screened selection
-	// (see distsgd.Config.Screened). Results are bit-identical either
-	// way; the flag prunes distance work at large n.
-	Screened bool `json:"screened,omitempty"`
 	// Arrival is the arrival-process registry spec selecting the
 	// bounded-staleness asynchronous mode (see
 	// distsgd.Config.ArrivalSpec), e.g. "bounded(tau=3)" or
@@ -218,7 +214,6 @@ func (s Spec) configWith(wl *workload.Workload) distsgd.Config {
 		TrackSelection: s.TrackSelection,
 		Parallel:       s.Parallel,
 		Incremental:    s.Incremental,
-		Screened:       s.Screened,
 		ArrivalSpec:    s.Arrival,
 	}
 }

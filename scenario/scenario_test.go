@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -273,73 +274,11 @@ func TestRunnerDeterministicWithIncrementalCache(t *testing.T) {
 	}
 }
 
-// TestRunnerDeterministicWithScreening extends the same contract to
-// screened selection: with Screened set on every cell, results must be
-// byte-identical across runner worker counts and against the dense
-// matrix. The Gaussian attack keeps a σ = 200 Byzantine population, so
-// the screened cells genuinely prune rows rather than evaluating
-// everything; the combination cell also sets Incremental, covering the
-// screener's cross-round bounds repair. Run under -race in CI, this is
-// the race-checked screened-vs-naive equivalence gate.
-func TestRunnerDeterministicWithScreening(t *testing.T) {
-	base := quickSpec()
-	base.Attack = "gaussian(sigma=200)"
-	base.Screened = true
-	m := Matrix{
-		Base:  base,
-		Rules: []string{"krum", "multikrum(m=5)"},
-		Seeds: []uint64{5, 6},
-	}
-	prunes := vec.ScreenPruneCount()
-	serial, err := (&Runner{Workers: 1}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vec.ScreenPruneCount() == prunes {
-		t.Error("screened matrix never pruned a row: screening path not exercised")
-	}
-	parallel, err := (&Runner{Workers: 8}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseMatrix := m
-	denseMatrix.Base.Screened = false
-	combinedMatrix := m
-	combinedMatrix.Base.Incremental = true
-	dense, err := (&Runner{Workers: 4}).Run(denseMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := (&Runner{Workers: 4}).Run(combinedMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != m.Size() || len(parallel) != m.Size() || len(dense) != m.Size() || len(combined) != m.Size() {
-		t.Fatalf("result counts: %d / %d / %d / %d, want %d",
-			len(serial), len(parallel), len(dense), len(combined), m.Size())
-	}
-	for i := range serial {
-		a := serial[i]
-		for _, other := range []struct {
-			name string
-			r    CellResult
-		}{{"worker-count", parallel[i]}, {"dense", dense[i]}, {"screened+incremental", combined[i]}} {
-			if !reflect.DeepEqual(a.Result.FinalParams, other.r.Result.FinalParams) {
-				t.Errorf("cell %d (%s): FinalParams differ vs %s", i, a.Spec.Label(), other.name)
-			}
-			if !reflect.DeepEqual(a.Result.History, other.r.Result.History) {
-				t.Errorf("cell %d: history differs vs %s", i, other.name)
-			}
-		}
-	}
-}
-
-// TestSpecScreenedRoundTrip: the Screened axis must survive the JSON
-// round-trip (strict decoding included) and land in the compiled
+// TestSpecIncrementalRoundTrip: the Incremental flag must survive the
+// JSON round-trip (strict decoding included) and land in the compiled
 // distsgd.Config.
-func TestSpecScreenedRoundTrip(t *testing.T) {
+func TestSpecIncrementalRoundTrip(t *testing.T) {
 	s := quickSpec()
-	s.Screened = true
 	s.Incremental = true
 	blob, err := s.MarshalIndent()
 	if err != nil {
@@ -349,26 +288,43 @@ func TestSpecScreenedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Screened || !back.Incremental {
-		t.Errorf("round-trip lost flags: %+v", back)
+	if !back.Incremental {
+		t.Errorf("round-trip lost the flag: %+v", back)
 	}
 	cfg, err := back.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Screened || !cfg.Incremental {
-		t.Errorf("compile lost flags: screened=%v incremental=%v", cfg.Screened, cfg.Incremental)
+	if !cfg.Incremental {
+		t.Error("compile lost the incremental flag")
 	}
 	// Unset it stays omitted — the JSON form of old specs is unchanged,
 	// so pre-existing store keys cannot shift.
-	s.Screened = false
 	s.Incremental = false
 	blob, err = s.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(blob), `"screened"`) || strings.Contains(string(blob), `"incremental"`) {
-		t.Errorf("zero-value flags serialized: %s", blob)
+	if strings.Contains(string(blob), `"incremental"`) {
+		t.Errorf("zero-value flag serialized: %s", blob)
+	}
+}
+
+// TestLegacyScreenedFieldRejected: "screened" was a spec field until
+// screened selection was deleted. Configs still carrying it — true or
+// false, in a spec or a matrix base — must fail strict decoding with
+// the unknown-field error rather than be silently run dense.
+func TestLegacyScreenedFieldRejected(t *testing.T) {
+	spec := `{"workload":"gmm(k=3,dim=6)","rule":"krum","schedule":"const(gamma=0.1)","n":9,"f":2,"rounds":8,"batch_size":8,"seed":7,"screened":%s}`
+	for _, v := range []string{"true", "false"} {
+		one := fmt.Sprintf(spec, v)
+		if _, err := ParseSpecJSON([]byte(one)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `unknown field "screened"`) {
+			t.Errorf("ParseSpecJSON(screened=%s) = %v, want the unknown-field ErrBadSpec", v, err)
+		}
+		matrix := `{"base":` + one + `,"seeds":[1,2]}`
+		if _, err := ParseMatrixJSON([]byte(matrix)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `unknown field "screened"`) {
+			t.Errorf("ParseMatrixJSON(base.screened=%s) = %v, want the unknown-field ErrBadSpec", v, err)
+		}
 	}
 }
 

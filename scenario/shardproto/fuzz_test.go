@@ -22,6 +22,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		`{"worker_id": "w1"}`,
 		`{}`,
 		`{"task": {"id": "t1", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7}}}`,
+		// Hostile: "screened" is a deleted spec field, so these two (and the
+		// seed-task-screened corpus file) are unknown-field messages every
+		// decoder must refuse (TestDecodeRejectsHostileInput pins the error).
 		`{"task": {"id": "t2", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "screened": true}}}`,
 		`{"task": {"id": "t3", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "screened": false}}}`,
 		`{"task": {"id": "t4", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "arrival": "bounded(tau=3)"}}}`,

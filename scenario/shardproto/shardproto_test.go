@@ -87,6 +87,10 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"zero lease":       {`{"worker_id": "w1", "token": "t", "lease_millis": 0}`, func(b []byte) error { _, err := DecodeJoinResponse(b); return err }},
 		"grant sans token": {`{"worker_id": "w1", "lease_millis": 1000}`, func(b []byte) error { _, err := DecodeJoinResponse(b); return err }},
 		"task without id":  {`{"task": {"spec": {}}}`, func(b []byte) error { _, err := DecodePollResponse(b); return err }},
+		"legacy screened task": {`{"task": {"id": "t2", "spec": {"rule": "krum", "n": 9, "f": 2, "incremental": true, "screened": true}}}`,
+			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
+		"legacy screened=false in a batch": {`{"tasks": [{"id": "t3", "spec": {"rule": "krum", "n": 9, "f": 2, "screened": false}}]}`,
+			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
 		"result and error": {`{"worker_id": "w1", "token": "t", "task_id": "t1", "result": {}, "error": "x"}`, func(b []byte) error { _, err := DecodeResultRequest(b); return err }},
 		"neither result nor error": {`{"worker_id": "w1", "token": "t", "task_id": "t1"}`,
 			func(b []byte) error { _, err := DecodeResultRequest(b); return err }},

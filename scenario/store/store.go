@@ -17,8 +17,7 @@
 // cosmetic fields (Name label, Parallel worker count) are excluded:
 // they cannot change a result. Everything else — including Seed,
 // EvalEvery/EvalBatch/TrackSelection (they change Result contents) and
-// the Incremental and Screened flags — is hashed, together with the
-// Version salt.
+// the Incremental flag — is hashed, together with the Version salt.
 //
 // # Invalidation
 //
@@ -166,10 +165,9 @@ func Canonical(s scenario.Spec) (scenario.Spec, error) {
 // SHA-256 of the Version salt and the canonical spec's JSON. The key
 // is conservative: two specs sharing a key are guaranteed to produce
 // the same result under the current code version, but not every
-// result-identical pair shares a key — notably Incremental and
-// Screened are hashed (they are part of the cell's declared identity
-// even though results are bit-identical either way), so flipping
-// either recomputes; screened and unscreened cells can never alias.
+// result-identical pair shares a key — notably Incremental is hashed
+// (it is part of the cell's declared identity even though results are
+// bit-identical either way), so flipping it recomputes.
 func Key(s scenario.Spec) (string, error) {
 	c, err := Canonical(s)
 	if err != nil {

@@ -90,7 +90,6 @@ func TestKeyCanonicalization(t *testing.T) {
 		"evalbatch": func(s *scenario.Spec) { s.EvalBatch = 65 },
 		"tracksel":  func(s *scenario.Spec) { s.TrackSelection = true },
 		"increment": func(s *scenario.Spec) { s.Incremental = true },
-		"screened":  func(s *scenario.Spec) { s.Screened = true },
 	}
 	for name, mutate := range mutations {
 		v := base
