@@ -25,8 +25,10 @@ check: fmt vet build race check-docs
 # must be named in README/EXPERIMENTS/ARCHITECTURE and still
 # round-trip via its parser, and every exported identifier in the
 # newest packages (scenario/store, scenario/shardproto,
-# cmd/krum-scenariod) must carry a doc comment. Blocking in CI — docs
-# rot is a build failure here.
+# cmd/krum-scenariod) must carry a doc comment, and every cmd/,
+# examples/ and internal/ path the docs name must exist (with every
+# binary and example listed in README). Blocking in CI — docs rot is a
+# build failure here.
 check-docs:
 	$(GO) test -run 'TestDocs' .
 

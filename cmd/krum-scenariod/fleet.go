@@ -448,13 +448,10 @@ func (fl *fleet) pickLocked(w *fleetWorker) *fleetTask {
 }
 
 // tryAssign refreshes the member's lease and hands it up to max queued
-// tasks (max < 1 is treated as 1 — the unbatched protocol). known is
-// false for expired, never-joined or wrongly-authenticated ids — the
-// 410 that tells a worker to rejoin.
+// tasks (DecodePollRequest guarantees max ≥ 1). known is false for
+// expired, never-joined or wrongly-authenticated ids — the 410 that
+// tells a worker to rejoin.
 func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask, known bool) {
-	if max < 1 {
-		max = 1
-	}
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	w := fl.member(workerID, token)
@@ -848,8 +845,7 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetPoll leases up to MaxTasks tasks to a worker (POST
 // /fleet/poll), holding the request open for the poll window when the
-// queues are idle. A MaxTasks ≤ 1 poll is answered in the unbatched
-// single-Task wire form, so pre-batching workers interoperate.
+// queues are idle.
 func (s *Server) handleFleetPoll(w http.ResponseWriter, r *http.Request) {
 	body, err := shardproto.ReadBody(r.Body)
 	if err != nil {
@@ -871,14 +867,9 @@ func (s *Server) handleFleetPoll(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(tasks) > 0 {
 			w.Header().Set("Content-Type", "application/json")
-			var resp shardproto.PollResponse
-			if req.MaxTasks <= 1 {
-				resp.Task = &shardproto.Task{ID: tasks[0].id, Spec: tasks[0].spec}
-			} else {
-				resp.Tasks = make([]shardproto.Task, len(tasks))
-				for i, t := range tasks {
-					resp.Tasks[i] = shardproto.Task{ID: t.id, Spec: t.spec}
-				}
+			resp := shardproto.PollResponse{Tasks: make([]shardproto.Task, len(tasks))}
+			for i, t := range tasks {
+				resp.Tasks[i] = shardproto.Task{ID: t.id, Spec: t.spec}
 			}
 			writeJSON(w, resp)
 			return
@@ -912,11 +903,7 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	taskIDs := req.TaskIDs
-	if req.TaskID != "" {
-		taskIDs = append([]string{req.TaskID}, taskIDs...)
-	}
-	if !s.fleet.heartbeat(req.WorkerID, req.Token, taskIDs) {
+	if !s.fleet.heartbeat(req.WorkerID, req.Token, req.TaskIDs) {
 		http.Error(w, "unknown worker id (lease expired; rejoin)", http.StatusGone)
 		return
 	}

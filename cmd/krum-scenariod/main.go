@@ -11,14 +11,15 @@
 // workers joined every cell runs in-process on one shared bounded
 // pool; once workers join, cells are dispatched to the fleet instead.
 //
-//	krum-scenariod -addr :8080 -workers 8 -store cells.jsonl
+//	krum-scenariod -addr :8080 -workers 8 -store-dir ./cells
 //
-// A durable coordinator adds a segmented store directory and a
-// checkpoint/journal; killed mid-matrix — SIGKILL, OOM, a pulled plug
-// — and restarted on the same state, it replays the journal, resumes
-// unfinished matrices under their original ids (completed cells
-// replay as store hits), and re-adopts the live worker fleet through
-// the 410/rejoin path:
+// -store-dir is the segmented result store (a live tail plus sealed,
+// hashed segments); without it results live in memory only. A durable
+// coordinator adds a checkpoint/journal; killed mid-matrix — SIGKILL,
+// OOM, a pulled plug — and restarted on the same state, it replays the
+// journal, resumes unfinished matrices under their original ids
+// (completed cells replay as store hits), and re-adopts the live worker
+// fleet through the 410/rejoin path:
 //
 //	krum-scenariod -addr :8080 -store-dir ./cells -journal ./coordinator.journal
 //
@@ -78,6 +79,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -90,29 +93,31 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable body of main (exit-once rule).
-func run() int {
-	addrFlag := flag.String("addr", ":8080", "coordinator listen address")
-	workersFlag := flag.Int("workers", 0, "coordinator: shared pool width across all matrices; worker: concurrent cell slots (0 = NumCPU)")
-	storeFlag := flag.String("store", "", "content-addressed result store JSONL path (empty = in-memory only)")
-	storeDirFlag := flag.String("store-dir", "", "segmented result store directory (live tail + sealed, hashed segments); mutually exclusive with -store")
-	journalFlag := flag.String("journal", "", "coordinator checkpoint/journal path: a restarted coordinator replays it and resumes unfinished matrices")
-	leaseFlag := flag.Duration("lease", 10*time.Second, "coordinator: worker liveness lease (a worker silent this long is presumed dead)")
-	maxPendingFlag := flag.Int("max-pending-cells", 0, "coordinator: per-tenant cap on outstanding cells; over-quota submissions get 429 + Retry-After (0 = default, negative = unlimited)")
-	maxActiveFlag := flag.Int("max-active-matrices", 0, "coordinator: per-tenant cap on live matrices (0 = default, negative = unlimited)")
-	workerFlag := flag.Bool("worker", false, "run as a fleet worker instead of a coordinator")
-	joinFlag := flag.String("join", "", "worker: coordinator base URL to join, e.g. http://host:8080")
-	flag.Parse()
-
-	if *storeFlag != "" && *storeDirFlag != "" {
-		fmt.Fprintln(os.Stderr, "-store and -store-dir are mutually exclusive")
-		return 2
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("krum-scenariod", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addrFlag := fs.String("addr", ":8080", "coordinator listen address")
+	workersFlag := fs.Int("workers", 0, "coordinator: shared pool width across all matrices; worker: concurrent cell slots (0 = NumCPU)")
+	storeDirFlag := fs.String("store-dir", "", "segmented result store directory (live tail + sealed, hashed segments; empty = in-memory only)")
+	journalFlag := fs.String("journal", "", "coordinator checkpoint/journal path: a restarted coordinator replays it and resumes unfinished matrices")
+	leaseFlag := fs.Duration("lease", 10*time.Second, "coordinator: worker liveness lease (a worker silent this long is presumed dead)")
+	maxPendingFlag := fs.Int("max-pending-cells", 0, "coordinator: per-tenant cap on outstanding cells; over-quota submissions get 429 + Retry-After (0 = default, negative = unlimited)")
+	maxActiveFlag := fs.Int("max-active-matrices", 0, "coordinator: per-tenant cap on live matrices (0 = default, negative = unlimited)")
+	workerFlag := fs.Bool("worker", false, "run as a fleet worker instead of a coordinator")
+	joinFlag := fs.String("join", "", "worker: coordinator base URL to join, e.g. http://host:8080")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
 	}
+
 	if *workerFlag && *journalFlag != "" {
-		fmt.Fprintln(os.Stderr, "-journal is a coordinator flag (workers keep no matrix state)")
+		fmt.Fprintln(stderr, "-journal is a coordinator flag (workers keep no matrix state)")
 		return 2
 	}
 
@@ -120,34 +125,24 @@ func run() int {
 	if *storeDirFlag != "" {
 		dirStore, err := store.OpenDir(*storeDirFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "store: %v\n", err)
+			fmt.Fprintf(stderr, "store: %v\n", err)
 			return 2
 		}
 		defer dirStore.Close()
-		fmt.Printf("store %s (segmented): %s\n", *storeDirFlag, dirStore.Stats())
+		fmt.Fprintf(stdout, "store %s (segmented): %s\n", *storeDirFlag, dirStore.Stats())
 		st = dirStore
-	} else if *storeFlag != "" {
-		fileStore, err := store.Open(*storeFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "store: %v\n", err)
-			return 2
-		}
-		defer fileStore.Close()
-		stats := fileStore.Stats()
-		fmt.Printf("store %s: %s\n", *storeFlag, stats)
-		st = fileStore
 	} else if *workerFlag {
 		st = nil // workers need no cache; the coordinator persists results
 	} else {
 		st = store.NewMemory()
-		fmt.Println("store: in-memory (pass -store to persist results across restarts)")
+		fmt.Fprintln(stdout, "store: in-memory (pass -store-dir to persist results across restarts)")
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
 	if *workerFlag {
-		return runWorker(ctx, *joinFlag, *workersFlag, st)
+		return runWorker(ctx, stdout, stderr, *joinFlag, *workersFlag, st)
 	}
 	opts := Options{
 		Workers:           *workersFlag,
@@ -156,14 +151,14 @@ func run() int {
 		MaxPendingCells:   *maxPendingFlag,
 		MaxActiveMatrices: *maxActiveFlag,
 	}
-	return runCoordinator(ctx, *addrFlag, opts, *journalFlag)
+	return runCoordinator(ctx, stdout, stderr, *addrFlag, opts, *journalFlag)
 }
 
 // runWorker is the -worker role: join the fleet and execute dispatched
 // cells until interrupted.
-func runWorker(ctx context.Context, join string, slots int, st scenario.ResultStore) int {
+func runWorker(ctx context.Context, stdout, stderr io.Writer, join string, slots int, st scenario.ResultStore) int {
 	if join == "" {
-		fmt.Fprintln(os.Stderr, "-worker requires -join <coordinator URL>")
+		fmt.Fprintln(stderr, "-worker requires -join <coordinator URL>")
 		return 2
 	}
 	if slots <= 0 {
@@ -174,53 +169,60 @@ func runWorker(ctx context.Context, join string, slots int, st scenario.ResultSt
 		Slots:       slots,
 		Store:       st,
 		Logf: func(format string, args ...any) {
-			fmt.Printf("worker: "+format+"\n", args...)
+			fmt.Fprintf(stdout, "worker: "+format+"\n", args...)
 		},
 	}
-	fmt.Printf("krum-scenariod worker: %d slots, joining %s\n", slots, join)
+	fmt.Fprintf(stdout, "krum-scenariod worker: %d slots, joining %s\n", slots, join)
 	if err := w.Run(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
+		fmt.Fprintf(stderr, "worker: %v\n", err)
 		return 1
 	}
-	fmt.Println("bye (in-flight cells were abandoned; the coordinator reassigns them)")
+	fmt.Fprintln(stdout, "bye (in-flight cells were abandoned; the coordinator reassigns them)")
 	return 0
 }
 
-// runCoordinator is the default role: serve matrices and the fleet,
-// resuming journaled matrices first when a journal is configured.
-func runCoordinator(ctx context.Context, addr string, opts Options, journalPath string) int {
+// runCoordinator is the default role: bind addr, resume journaled
+// matrices when a journal is configured, then serve matrices and the
+// fleet. The address is bound before anything else so a taken port
+// fails before the journal is touched, and the "listening" line
+// reports the address actually held (":0" prints the kernel's pick).
+func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, opts Options, journalPath string) int {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "listen: %v\n", err)
+		return 1
+	}
 	srv := NewServerOptions(opts)
 	if journalPath != "" {
 		resumed, err := srv.UseJournal(journalPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "journal: %v\n", err)
+			ln.Close()
+			fmt.Fprintf(stderr, "journal: %v\n", err)
 			return 2
 		}
-		fmt.Printf("journal %s: %d unfinished matrices resumed\n", journalPath, resumed)
+		fmt.Fprintf(stdout, "journal %s: %d unfinished matrices resumed\n", journalPath, resumed)
 	}
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := &http.Server{Handler: srv}
+	fmt.Fprintf(stdout, "krum-scenariod listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("krum-scenariod listening on %s\n", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	go func() { errc <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+		fmt.Fprintf(stderr, "serve: %v\n", err)
 		return 1
 	case <-ctx.Done():
 	}
 
-	fmt.Println("shutting down: waiting for in-flight cells to finish and persist...")
+	fmt.Fprintln(stdout, "shutting down: waiting for in-flight cells to finish and persist...")
 	srv.Stop() // stop scheduling, drain in-flight cells into the store
 	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelShutdown()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "shutdown: %v\n", err)
 		return 1
 	}
-	fmt.Println("bye (interrupted matrices resume by resubmission — the store holds their completed cells)")
+	fmt.Fprintln(stdout, "bye (interrupted matrices resume by resubmission — the store holds their completed cells)")
 	return 0
 }

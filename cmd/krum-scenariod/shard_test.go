@@ -112,10 +112,10 @@ func loadExampleMatrix(t *testing.T) scenario.Matrix {
 	return m
 }
 
-// runTopology executes the matrix on a fresh coordinator + n-worker
-// fleet (fresh in-memory store, so nothing is served from cache) and
-// returns the per-cell stable encodings.
-func runTopology(t *testing.T, m scenario.Matrix, workers int) []string {
+// runTopology executes the matrix on a fresh coordinator + fleet of
+// workers × slots (fresh in-memory store, so nothing is served from
+// cache) and returns the per-cell stable encodings.
+func runTopology(t *testing.T, m scenario.Matrix, workers, slots int) []string {
 	t.Helper()
 	st := store.NewMemory()
 	srv := NewServer(4, st, 0)
@@ -123,7 +123,7 @@ func runTopology(t *testing.T, m scenario.Matrix, workers int) []string {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	fleet := startWorkers(t, ts, workers, nil)
+	fleet := startWorkers(t, ts, workers, func(_ int, w *Worker) { w.Slots = slots })
 	defer fleet.stop()
 
 	body, err := json.Marshal(m)
@@ -161,35 +161,44 @@ func runTopology(t *testing.T, m scenario.Matrix, workers int) []string {
 	return out
 }
 
-// TestShardEndToEndByteIdentical is the issue's acceptance criterion:
-// 1 coordinator + 3 in-process workers run examples/matrix-only.json
-// and the results are byte-identical to a direct scenario.Runner run
-// of the same grid AND to a 1-worker topology.
-func TestShardEndToEndByteIdentical(t *testing.T) {
-	m := loadExampleMatrix(t)
+// shardTopologies is the byte-identity table: every fleet shape here
+// must reproduce a direct scenario.Runner run byte for byte. Slots = 1
+// workers poll with max_tasks 1 and receive batches of one; the
+// multi-slot worker receives real batches — the one wire form carries
+// both.
+var shardTopologies = []struct{ workers, slots int }{
+	{workers: 3, slots: 1},
+	{workers: 1, slots: 1},
+	{workers: 1, slots: 4},
+}
 
+// assertTopologiesMatchDirect runs m directly and on every
+// shardTopologies fleet and requires identical per-cell bytes.
+func assertTopologiesMatchDirect(t *testing.T, m scenario.Matrix) {
+	t.Helper()
 	direct, err := (&scenario.Runner{Workers: 4}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]string, len(direct))
-	for i, cr := range direct {
-		want[i] = encodeResult(t, cr.Result)
+	for _, top := range shardTopologies {
+		got := runTopology(t, m, top.workers, top.slots)
+		if len(got) != len(direct) {
+			t.Fatalf("%d×%d-slot fleet: %d cells, direct run %d", top.workers, top.slots, len(got), len(direct))
+		}
+		for i, cr := range direct {
+			if got[i] != encodeResult(t, cr.Result) {
+				t.Errorf("cell %d (%s): %d×%d-slot fleet result differs from direct run", i, cr.Spec.Label(), top.workers, top.slots)
+			}
+		}
 	}
+}
 
-	three := runTopology(t, m, 3)
-	one := runTopology(t, m, 1)
-	if len(three) != len(want) || len(one) != len(want) {
-		t.Fatalf("cell counts: direct %d, 3-worker %d, 1-worker %d", len(want), len(three), len(one))
-	}
-	for i := range want {
-		if three[i] != want[i] {
-			t.Errorf("cell %d (%s): 3-worker result differs from direct run", i, direct[i].Spec.Label())
-		}
-		if one[i] != want[i] {
-			t.Errorf("cell %d (%s): 1-worker result differs from direct run", i, direct[i].Spec.Label())
-		}
-	}
+// TestShardEndToEndByteIdentical is the sharding layer's acceptance
+// criterion: examples/matrix-only.json run on every shardTopologies
+// fleet is byte-identical to a direct scenario.Runner run of the same
+// grid.
+func TestShardEndToEndByteIdentical(t *testing.T) {
+	assertTopologiesMatchDirect(t, loadExampleMatrix(t))
 }
 
 // asyncShardMatrix is a compact asynchronous grid: incremental cells
@@ -217,34 +226,11 @@ func asyncShardMatrix() scenario.Matrix {
 
 // TestShardAsyncMatrixByteIdentical extends the byte-identity contract
 // to asynchronous cells: an arrivals-swept incremental matrix produces
-// identical results on a direct run, a 3-worker fleet and a 1-worker
+// identical results on a direct run and on every shardTopologies
 // fleet. The arrival trace is a pure function of the cell spec, so
 // WHERE an async cell runs still never changes WHAT it produces.
 func TestShardAsyncMatrixByteIdentical(t *testing.T) {
-	m := asyncShardMatrix()
-
-	direct, err := (&scenario.Runner{Workers: 4}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(direct))
-	for i, cr := range direct {
-		want[i] = encodeResult(t, cr.Result)
-	}
-
-	three := runTopology(t, m, 3)
-	one := runTopology(t, m, 1)
-	if len(three) != len(want) || len(one) != len(want) {
-		t.Fatalf("cell counts: direct %d, 3-worker %d, 1-worker %d", len(want), len(three), len(one))
-	}
-	for i := range want {
-		if three[i] != want[i] {
-			t.Errorf("cell %d (%s): 3-worker async result differs from direct run", i, direct[i].Spec.Label())
-		}
-		if one[i] != want[i] {
-			t.Errorf("cell %d (%s): 1-worker async result differs from direct run", i, direct[i].Spec.Label())
-		}
-	}
+	assertTopologiesMatchDirect(t, asyncShardMatrix())
 }
 
 // TestShardFleetEndpointsRejectHostileInput pins the coordinator's
@@ -258,7 +244,7 @@ func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
 
 	for path, body := range map[string]string{
 		"/fleet/join":      `{"slots": -4}`,
-		"/fleet/poll":      `{"worker_id": "", "token": "t"}`,
+		"/fleet/poll":      `{"worker_id": "w1", "token": "t"}`, // no max_tasks
 		"/fleet/heartbeat": `not json`,
 		"/fleet/result":    `{"worker_id": "w1", "token": "t", "task_id": "t1"}`,
 	} {
@@ -312,7 +298,7 @@ func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
 
 	// Valid messages from a never-joined worker: 410 Gone (rejoin).
 	for path, body := range map[string]string{
-		"/fleet/poll":      `{"worker_id": "w999", "token": "deadbeef"}`,
+		"/fleet/poll":      `{"worker_id": "w999", "token": "deadbeef", "max_tasks": 1}`,
 		"/fleet/heartbeat": `{"worker_id": "w999", "token": "deadbeef"}`,
 	} {
 		resp, err := ts.Client().Post(ts.URL+path, "application/json", jsonBody(body))
@@ -329,7 +315,7 @@ func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
 	// properly, then impersonate with a guessed token.
 	grant := joinFleet(t, ts)
 	resp, err := ts.Client().Post(ts.URL+"/fleet/poll", "application/json",
-		jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "deadbeef"}`))
+		jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "deadbeef", "max_tasks": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +324,7 @@ func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
 		t.Errorf("poll with forged token: status %d, want 410", resp.StatusCode)
 	}
 	resp, err = ts.Client().Post(ts.URL+"/fleet/poll", "application/json",
-		jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "`+grant.Token+`"}`))
+		jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "`+grant.Token+`", "max_tasks": 1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +393,7 @@ func TestShardRejectsGarbageResultPayload(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for task == nil && time.Now().Before(deadline) {
 		resp, err := ts.Client().Post(ts.URL+"/fleet/poll", "application/json",
-			jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "`+grant.Token+`"}`))
+			jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "`+grant.Token+`", "max_tasks": 1}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +406,9 @@ func TestShardRejectsGarbageResultPayload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		task = poll.Task
+		if len(poll.Tasks) > 0 {
+			task = &poll.Tasks[0]
+		}
 	}
 	if task == nil {
 		t.Fatal("never received a task")

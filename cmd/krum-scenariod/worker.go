@@ -370,11 +370,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // poll is shutdown, not an error to log and back off from.
 func (w *Worker) pollBatch(ctx context.Context, max int) []shardproto.Task {
 	id, token, lease := w.identity()
-	req := shardproto.PollRequest{WorkerID: id, Token: token}
-	if max > 1 {
-		req.MaxTasks = max
-	}
-	status, body, err := w.post(ctx, "/fleet/poll", req)
+	status, body, err := w.post(ctx, "/fleet/poll",
+		shardproto.PollRequest{WorkerID: id, Token: token, MaxTasks: max})
 	if err != nil {
 		if ctx.Err() == nil {
 			w.logf("poll: %v (retrying)", err)
@@ -406,7 +403,7 @@ func (w *Worker) pollBatch(ctx context.Context, max int) []shardproto.Task {
 		}
 		return nil
 	}
-	return poll.All()
+	return poll.Tasks
 }
 
 // jittered spreads a retry delay uniformly over [d/2, 3d/2), so

@@ -7,10 +7,10 @@
 // full-knowledge threat model), applies the configured choice function
 // F, and performs the SGD step x_{t+1} = x_t − γ_t·F(V_1, ..., V_n).
 //
-// The engine is substrate-agnostic: correct gradients come from a
-// GradientSource, which is an in-process concurrent worker pool by
-// default (package sim) and a real TCP cluster when driven through
-// package transport's ServerPool.
+// Correct gradients come from a GradientSource: an in-process
+// concurrent worker pool by default (sim.Pool), or whatever
+// Config.Source supplies — the non-IID experiment (E7) substitutes
+// sim's heterogeneous pool, and tests substitute fakes.
 package distsgd
 
 import (
@@ -32,7 +32,7 @@ import (
 var ErrConfig = errors.New("distsgd: bad configuration")
 
 // GradientSource produces the correct workers' proposals for one round.
-// It is satisfied by *sim.Pool and by transport.ServerPool.
+// It is satisfied by *sim.Pool.
 type GradientSource interface {
 	// Gradients broadcasts params and returns one gradient estimate per
 	// correct worker plus the mean training loss. Returned slices are
@@ -184,9 +184,9 @@ type Config struct {
 	// distance matrix with aggregation, so the O(n²·d) cost is paid
 	// once; only the O(n²) score extraction runs twice.
 	TrackSelection bool
-	// Source overrides the default in-process pool of N−F workers —
-	// used to train over the TCP substrate. When set, Source.N() must
-	// equal N−F.
+	// Source overrides the default in-process pool of N−F workers
+	// (e.g. sim.NewHeterogeneousPool for non-IID data). When set,
+	// Source.N() must equal N−F.
 	Source GradientSource
 	// OnRound, when non-nil, observes every RoundStats as it is
 	// produced (streaming output in the experiment binaries).

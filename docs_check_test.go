@@ -9,13 +9,17 @@ package krum_test
 // TestDocsExportedIdentifiers is a doc-comment lint over the packages
 // this repository added most recently (scenario/store,
 // scenario/shardproto and cmd/krum-scenariod): every exported
-// identifier, struct field included, must carry a doc comment.
+// identifier, struct field included, must carry a doc comment;
+// TestDocsPathsExist pins that every cmd/, examples/ and internal/
+// path the docs name is on disk and every binary and example is listed
+// in the README, so a deletion cannot leave its documentation behind.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -223,6 +227,57 @@ func lintFields(t *testing.T, fset *token.FileSet, typeName string, st *ast.Stru
 			if name.IsExported() && field.Doc == nil && field.Comment == nil {
 				t.Errorf("%s: exported field %s.%s has no doc comment",
 					fset.Position(field.Pos()), typeName, name.Name)
+			}
+		}
+	}
+}
+
+// docPath matches a repository path under cmd/, examples/ or internal/
+// down to its first component below that directory.
+var docPath = regexp.MustCompile(`\b(cmd|examples|internal)/[A-Za-z0-9_.-]+`)
+
+// TestDocsPathsExist is the path drift guard: every cmd/<name>,
+// examples/<name> and internal/<name> written in the user-facing docs
+// and the verify skill must exist, and every directory under cmd/ and
+// examples/ must be named in README's "Binaries & examples". The one
+// exemption is a deletion-ledger row (a table line whose verdict is
+// **deleted**, as in EXPERIMENTS.md), which names what it removed.
+func TestDocsPathsExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		blob, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("reading %s (run from the repository root): %v", doc, err)
+		}
+		for i, line := range strings.Split(string(blob), "\n") {
+			if strings.HasPrefix(line, "|") && strings.Contains(line, "**deleted**") {
+				continue
+			}
+			for _, path := range docPath.FindAllString(line, -1) {
+				path = strings.TrimRight(path, ".")
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, path)
+				}
+			}
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, found := strings.Cut(string(readme), "\n## Binaries & examples\n")
+	if !found {
+		t.Fatal(`README.md has no "Binaries & examples" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, dir := range []string{"cmd", "examples"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() && !strings.Contains(section, dir+"/"+e.Name()) {
+				t.Errorf(`%s/%s is not named in README.md "Binaries & examples"`, dir, e.Name())
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 // (one goroutine each per round, joined before the round returns), hold
 // independent model replicas and independent RNG substreams, and share
 // no mutable state — the same isolation real worker processes would
-// have, minus the network (package transport provides that).
+// have, minus the network.
 package sim
 
 import (

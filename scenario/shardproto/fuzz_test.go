@@ -10,9 +10,11 @@ import (
 // and re-decode to the same message (decode is a retraction of
 // encode, so a coordinator and a worker can never disagree about an
 // accepted message's meaning). The committed corpus seeds valid
-// messages of each type plus truncations and hostile shapes.
+// messages of each type plus truncations and hostile shapes — among
+// them the deleted single-task wire forms (singleFormSeeds and the
+// seed-task* corpus files), which every decoder must now refuse.
 func FuzzDecodeMessage(f *testing.F) {
-	for _, seed := range []string{
+	for _, seed := range append([]string{
 		`{"slots": 4}`,
 		`{"slots": 4, "version": "krum-store-v1"}`,
 		`{"slots": 4, "version": "krum-store-v2", "kernel": "fma4"}`,
@@ -21,18 +23,14 @@ func FuzzDecodeMessage(f *testing.F) {
 		`{"worker_id": "w1", "token": "c0ffee"}`,
 		`{"worker_id": "w1"}`,
 		`{}`,
-		`{"task": {"id": "t1", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7}}}`,
 		// Hostile: "screened" is a deleted spec field, so these two (and the
 		// seed-task-screened corpus file) are unknown-field messages every
 		// decoder must refuse (TestDecodeRejectsHostileInput pins the error).
 		`{"task": {"id": "t2", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "screened": true}}}`,
 		`{"task": {"id": "t3", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "screened": false}}}`,
-		`{"task": {"id": "t4", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "arrival": "bounded(tau=3)"}}}`,
 		`{"worker_id": "w1", "token": "c0ffee", "max_tasks": 8}`,
 		`{"worker_id": "w1", "token": "c0ffee", "max_tasks": -1}`,
 		`{"tasks": [{"id": "t1", "spec": {"rule": "krum", "n": 9, "f": 2}}, {"id": "t2", "spec": {"rule": "krum", "n": 9, "f": 2}}]}`,
-		`{"task": {"id": "t1", "spec": {"rule": "krum", "n": 9, "f": 2}}, "tasks": [{"id": "t2", "spec": {"rule": "krum", "n": 9, "f": 2}}]}`,
-		`{"worker_id": "w1", "token": "c0ffee", "task_id": "t1"}`,
 		`{"worker_id": "w1", "token": "c0ffee", "task_ids": ["t1", "t2", "t3"]}`,
 		`{"worker_id": "w1", "token": "c0ffee", "task_ids": [""]}`,
 		`{"worker_id": "w1", "token": "c0ffee", "task_id": "t1", "result": {"history": []}}`,
@@ -42,7 +40,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		`[1,2,3]`,
 		`null`,
 		"\x00\xff\xfe",
-	} {
+	}, singleFormSeeds...) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -65,6 +63,20 @@ func FuzzDecodeMessage(f *testing.F) {
 			reDecode(t, m, func(b []byte) (ResultRequest, error) { return DecodeResultRequest(b) })
 		}
 	})
+}
+
+// singleFormSeeds are messages in the deleted one-task-per-message
+// wire forms — PollResponse "task" (the last two are the seed-task and
+// seed-task-arrival corpus files) and HeartbeatRequest "task_id" — kept
+// as hostile seeds: TestDecodeRejectsHostileInput pins that every
+// decoder refuses each of them.
+var singleFormSeeds = []string{
+	`{"task": {"id": "t1", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7}}}`,
+	`{"task": {"id": "t4", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "arrival": "bounded(tau=3)"}}}`,
+	`{"task": {"id": "t1", "spec": {"rule": "krum", "n": 9, "f": 2}}, "tasks": [{"id": "t2", "spec": {"rule": "krum", "n": 9, "f": 2}}]}`,
+	`{"worker_id": "w1", "token": "c0ffee", "task_id": "t1"}`,
+	`{"task": {"id": "t1", "spec": {"rule": "krum", "n": 9, "f": 2}}}`,
+	`{"task": {"id": "t4", "spec": {"rule": "krum", "n": 9, "f": 2, "incremental": true, "arrival": "bounded(tau=3)"}}}`,
 }
 
 // reDecode asserts the accepted message survives encode → decode →

@@ -37,13 +37,13 @@
 // poll is answered with HTTP 410 — the signal to rejoin under a fresh
 // identity.
 //
-// Batching: a worker with several free slots sets PollRequest.MaxTasks
-// and receives up to that many tasks in PollResponse.Tasks; a worker
-// executing several cells names them all in HeartbeatRequest.TaskIDs.
-// Both fields are optional — zero values speak the original
-// one-task-per-message protocol — so mixed-version fleets interoperate,
-// and coordinator request rate scales with heartbeat intervals rather
-// than with total slot count.
+// Batching is the only wire form: a poll names its free slots in
+// PollRequest.MaxTasks (≥ 1) and receives up to that many tasks in
+// PollResponse.Tasks; a worker names every cell it is executing in
+// HeartbeatRequest.TaskIDs. A one-slot worker speaks the same messages
+// with a batch of one, so there is a single encoding to fuzz, and
+// coordinator request rate scales with heartbeat intervals rather than
+// with total slot count.
 package shardproto
 
 import (
@@ -72,8 +72,7 @@ var ErrBadMessage = errors.New("shardproto: bad message")
 // JoinRequest asks the coordinator for fleet membership.
 type JoinRequest struct {
 	// Slots is the worker's concurrent cell capacity (informational —
-	// the coordinator dispatches one task per outstanding poll, so a
-	// worker consumes exactly as many tasks as it has poll loops).
+	// each poll states how many tasks it can take in MaxTasks).
 	Slots int `json:"slots"`
 	// Version is the worker's result-semantics version (the store salt,
 	// scenario/store.Version). The coordinator rejects a mismatch with
@@ -116,11 +115,10 @@ type PollRequest struct {
 	// Token is the membership secret granted by JoinResponse.
 	Token string `json:"token"`
 	// MaxTasks is how many tasks the worker can accept from this poll —
-	// its currently-free slots. 0 means 1 (the pre-batching protocol),
-	// so old workers keep working against new coordinators. Batched
-	// polls are what keep coordinator RPS flat as fleets grow: one
-	// round trip fills a whole worker instead of one slot.
-	MaxTasks int `json:"max_tasks,omitempty"`
+	// its currently-free slots, at least 1. Batched polls are what keep
+	// coordinator RPS flat as fleets grow: one round trip fills a whole
+	// worker instead of one slot.
+	MaxTasks int `json:"max_tasks"`
 }
 
 // Task is one dispatched cell.
@@ -132,27 +130,17 @@ type Task struct {
 	Spec scenario.Spec `json:"spec"`
 }
 
-// PollResponse answers a poll: one task, a batch of tasks, or nothing
-// (the poll window elapsed idle — the worker just polls again; the
-// exchange doubled as a heartbeat).
+// PollResponse answers a poll: a batch of tasks, or nothing (the poll
+// window elapsed idle — the worker just polls again; the exchange
+// doubled as a heartbeat).
 type PollResponse struct {
-	// Task is the dispatched cell, nil when the poll came up empty or
-	// the batch is carried in Tasks. At most one of Task and Tasks is
-	// set; a response carrying both is rejected.
-	Task *Task `json:"task,omitempty"`
-	// Tasks is the batched answer to a MaxTasks > 1 poll: up to
-	// MaxTasks dispatched cells. Empty means the same as a nil Task.
+	// Tasks is up to PollRequest.MaxTasks dispatched cells; empty when
+	// the poll came up idle.
 	Tasks []Task `json:"tasks,omitempty"`
 }
 
-// All returns the response's tasks as one slice whichever wire form
-// carried them — the single Task, the batched Tasks, or neither.
-func (m PollResponse) All() []Task {
-	if m.Task != nil {
-		return []Task{*m.Task}
-	}
-	return m.Tasks
-}
+// All returns the response's tasks.
+func (m PollResponse) All() []Task { return m.Tasks }
 
 // HeartbeatRequest keeps a worker's lease alive while it executes a
 // long cell (polling is blocked during execution, so heartbeats are
@@ -162,15 +150,10 @@ type HeartbeatRequest struct {
 	WorkerID string `json:"worker_id"`
 	// Token is the membership secret granted by JoinResponse.
 	Token string `json:"token"`
-	// TaskID optionally names the task being executed; a heartbeat
-	// carrying it refreshes that task's own deadline as well as the
-	// worker's lease.
-	TaskID string `json:"task_id,omitempty"`
-	// TaskIDs is the batched form of TaskID: every task the worker is
-	// executing right now, so a multi-slot worker keeps all of its
-	// assignments' deadlines fresh with ONE request per heartbeat
-	// interval instead of one per slot. TaskID and TaskIDs may be used
-	// together; each named task's deadline is refreshed.
+	// TaskIDs names every task the worker is executing right now; each
+	// named task's own deadline is refreshed along with the worker's
+	// lease, so a multi-slot worker keeps all of its assignments fresh
+	// with ONE request per heartbeat interval instead of one per slot.
 	TaskIDs []string `json:"task_ids,omitempty"`
 }
 
@@ -297,7 +280,7 @@ func DecodePollRequest(data []byte) (PollRequest, error) {
 	if err := checkID("token", m.Token); err != nil {
 		return PollRequest{}, err
 	}
-	if m.MaxTasks < 0 || m.MaxTasks > MaxBatchTasks {
+	if m.MaxTasks < 1 || m.MaxTasks > MaxBatchTasks {
 		return PollRequest{}, fmt.Errorf("max_tasks = %d out of range: %w", m.MaxTasks, ErrBadMessage)
 	}
 	return m, nil
@@ -309,16 +292,8 @@ func DecodePollResponse(data []byte) (PollResponse, error) {
 	if err := decodeStrict(data, &m); err != nil {
 		return PollResponse{}, err
 	}
-	if m.Task != nil && len(m.Tasks) > 0 {
-		return PollResponse{}, fmt.Errorf("both task and tasks set: %w", ErrBadMessage)
-	}
 	if len(m.Tasks) > MaxBatchTasks {
 		return PollResponse{}, fmt.Errorf("tasks has %d entries (max %d): %w", len(m.Tasks), MaxBatchTasks, ErrBadMessage)
-	}
-	if m.Task != nil {
-		if err := checkID("task id", m.Task.ID); err != nil {
-			return PollResponse{}, err
-		}
 	}
 	for _, task := range m.Tasks {
 		if err := checkID("task id", task.ID); err != nil {
@@ -339,9 +314,6 @@ func DecodeHeartbeatRequest(data []byte) (HeartbeatRequest, error) {
 	}
 	if err := checkID("token", m.Token); err != nil {
 		return HeartbeatRequest{}, err
-	}
-	if m.TaskID != "" && len(m.TaskID) > MaxIDBytes {
-		return HeartbeatRequest{}, fmt.Errorf("task_id exceeds %d bytes: %w", MaxIDBytes, ErrBadMessage)
 	}
 	if len(m.TaskIDs) > MaxBatchTasks {
 		return HeartbeatRequest{}, fmt.Errorf("task_ids has %d entries (max %d): %w", len(m.TaskIDs), MaxBatchTasks, ErrBadMessage)

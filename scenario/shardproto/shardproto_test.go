@@ -29,7 +29,7 @@ func sampleSpec() scenario.Spec {
 // type: what one side marshals, the other side's strict decoder
 // accepts and reproduces exactly.
 func TestDecodeRoundTrips(t *testing.T) {
-	task := &Task{ID: "t1", Spec: sampleSpec()}
+	tasks := []Task{{ID: "t1", Spec: sampleSpec()}}
 	for name, tc := range map[string]struct {
 		msg    any
 		decode func([]byte) (any, error)
@@ -37,10 +37,10 @@ func TestDecodeRoundTrips(t *testing.T) {
 		"join request": {JoinRequest{Slots: 4, Version: "krum-store-v1", Kernel: "pair2"}, func(b []byte) (any, error) { return DecodeJoinRequest(b) }},
 		"join response": {JoinResponse{WorkerID: "w1", Token: "c0ffee", LeaseMillis: 10_000},
 			func(b []byte) (any, error) { return DecodeJoinResponse(b) }},
-		"poll request":        {PollRequest{WorkerID: "w1", Token: "c0ffee"}, func(b []byte) (any, error) { return DecodePollRequest(b) }},
+		"poll request":        {PollRequest{WorkerID: "w1", Token: "c0ffee", MaxTasks: 1}, func(b []byte) (any, error) { return DecodePollRequest(b) }},
 		"poll response empty": {PollResponse{}, func(b []byte) (any, error) { return DecodePollResponse(b) }},
-		"poll response task":  {PollResponse{Task: task}, func(b []byte) (any, error) { return DecodePollResponse(b) }},
-		"heartbeat": {HeartbeatRequest{WorkerID: "w1", Token: "c0ffee", TaskID: "t1"},
+		"poll response task":  {PollResponse{Tasks: tasks}, func(b []byte) (any, error) { return DecodePollResponse(b) }},
+		"heartbeat": {HeartbeatRequest{WorkerID: "w1", Token: "c0ffee", TaskIDs: []string{"t1"}},
 			func(b []byte) (any, error) { return DecodeHeartbeatRequest(b) }},
 		"result ok": {ResultRequest{WorkerID: "w1", Token: "c0ffee", TaskID: "t1", Result: json.RawMessage(`{"history":[]}`)},
 			func(b []byte) (any, error) { return DecodeResultRequest(b) }},
@@ -86,7 +86,10 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		"oversized kernel": {`{"slots": 1, "version": "v1", "kernel": "` + long + `"}`, func(b []byte) error { _, err := DecodeJoinRequest(b); return err }},
 		"zero lease":       {`{"worker_id": "w1", "token": "t", "lease_millis": 0}`, func(b []byte) error { _, err := DecodeJoinResponse(b); return err }},
 		"grant sans token": {`{"worker_id": "w1", "lease_millis": 1000}`, func(b []byte) error { _, err := DecodeJoinResponse(b); return err }},
-		"task without id":  {`{"task": {"spec": {}}}`, func(b []byte) error { _, err := DecodePollResponse(b); return err }},
+		"task without id":  {`{"tasks": [{"spec": {}}]}`, func(b []byte) error { _, err := DecodePollResponse(b); return err }},
+		"no max_tasks":     {`{"worker_id": "w1", "token": "t"}`, func(b []byte) error { _, err := DecodePollRequest(b); return err }},
+		"zero max_tasks":   {`{"worker_id": "w1", "token": "t", "max_tasks": 0}`, func(b []byte) error { _, err := DecodePollRequest(b); return err }},
+		"neg max_tasks":    {`{"worker_id": "w1", "token": "t", "max_tasks": -1}`, func(b []byte) error { _, err := DecodePollRequest(b); return err }},
 		"legacy screened task": {`{"task": {"id": "t2", "spec": {"rule": "krum", "n": 9, "f": 2, "incremental": true, "screened": true}}}`,
 			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
 		"legacy screened=false in a batch": {`{"tasks": [{"id": "t3", "spec": {"rule": "krum", "n": 9, "f": 2, "screened": false}}]}`,
@@ -104,6 +107,22 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadMessage) {
 			t.Errorf("%s: error %v does not wrap ErrBadMessage", name, err)
+		}
+	}
+	// The single-task wire forms are gone: no decoder may read one as
+	// any message type.
+	for name, decode := range map[string]func([]byte) error{
+		"join request":  func(b []byte) error { _, err := DecodeJoinRequest(b); return err },
+		"join response": func(b []byte) error { _, err := DecodeJoinResponse(b); return err },
+		"poll request":  func(b []byte) error { _, err := DecodePollRequest(b); return err },
+		"poll response": func(b []byte) error { _, err := DecodePollResponse(b); return err },
+		"heartbeat":     func(b []byte) error { _, err := DecodeHeartbeatRequest(b); return err },
+		"result":        func(b []byte) error { _, err := DecodeResultRequest(b); return err },
+	} {
+		for _, seed := range singleFormSeeds {
+			if err := decode([]byte(seed)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("single-form seed %s as %s: error %v, want ErrBadMessage", seed, name, err)
+			}
 		}
 	}
 }

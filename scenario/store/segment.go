@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -146,46 +145,16 @@ func OpenSegmented(backend Backend, tailPath string, opts SegmentedOptions) (*St
 	if sealBytes <= 0 {
 		sealBytes = DefaultSealBytes
 	}
-	s, err := Open(tailPath)
-	if err != nil {
-		return nil, err
-	}
-	// Open loaded the tail; graft the backend on and replay the sealed
-	// segments UNDER it by rebuilding the index in replay order.
-	s.backend = backend
-	s.sealBytes = sealBytes
-	if err := s.reloadSegmented(); err != nil {
-		s.file.Close()
-		return nil, err
-	}
-	return s, nil
+	return open(backend, sealBytes, tailPath)
 }
 
-// reloadSegmented rebuilds the index as segments-then-tail. The tail
-// was already loaded (and its torn tail truncated) by Open; its lines
-// must win over segment lines, so the index is cleared and the whole
-// replay redone in order. Counters for the tail's skipped/tampered
-// lines were set by the tail load and are preserved.
-func (s *Store) reloadSegmented() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// loadSegments indexes every sealed segment in sequence order; open
+// scans the tail after it, so tail lines win over segment lines.
+func (s *Store) loadSegments() error {
 	names, err := s.backend.ListSegments()
 	if err != nil {
 		return err
 	}
-	// Reset index and re-count: segment records first, then the tail's
-	// lines replayed from the (already truncated) file. The tail's
-	// skip/tamper counters from the initial single-file load are reset
-	// too — the tail lines run through indexLine again below, and
-	// counting them twice would misreport the damage (DroppedTailBytes
-	// stands: the truncation happened exactly once).
-	s.index = make(map[string]json.RawMessage)
-	s.diskKeys = make(map[string]struct{})
-	s.stats.SkippedRecords = 0
-	s.stats.Tampered = 0
-	s.tailRecords = 0
-	s.segRecords = 0
-	s.segments = nil
 	for _, name := range names {
 		if seq, _, ok := parseSegmentName(name); ok && seq > s.segSeq {
 			s.segSeq = seq
@@ -207,33 +176,11 @@ func (s *Store) reloadSegmented() error {
 			s.indexLine(line, &s.segRecords)
 		}
 	}
-	if err := s.replayTailLocked(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// replayTailLocked re-indexes the tail file's intact lines after the
-// segments have been indexed; callers hold s.mu. The file was already
-// truncated to whole lines by load, so a plain read to offset is a
-// read of intact records.
-func (s *Store) replayTailLocked() error {
-	if s.offset == 0 {
-		return nil
-	}
-	data := make([]byte, s.offset)
-	if _, err := s.file.ReadAt(data, 0); err != nil && err != io.EOF {
-		return fmt.Errorf("rereading tail %s: %w: %w", s.path, err, ErrStore)
-	}
-	for _, line := range splitLines(data) {
-		s.indexLine(line, &s.tailRecords)
-	}
 	return nil
 }
 
 // splitLines cuts a blob of newline-terminated records into lines,
-// dropping a trailing fragment (sealed segments never have one; the
-// tail was truncated to whole lines at load).
+// dropping a trailing fragment (sealed segments never have one).
 func splitLines(data []byte) [][]byte {
 	var lines [][]byte
 	for len(data) > 0 {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"krum/distsgd"
+	"krum/internal/vec"
 	"krum/scenario"
 )
 
@@ -244,6 +245,71 @@ func TestSegmentedTornTailAfterSeal(t *testing.T) {
 	}
 	if got := st2.Stats().Entries; got != 3 {
 		t.Errorf("entries after repair = %d, want 3", got)
+	}
+}
+
+// TestSegmentedTailCountedOnce pins the single-pass open: a segmented
+// store's tail is decoded once, so the damage it reports for a tail
+// holding a good record, a malformed line and another kernel family's
+// record is exactly what a single-file Open of the same bytes reports.
+func TestSegmentedTailCountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(seededSpec(0), fakeResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	other := "fma4"
+	if vec.KernelOrder() == other {
+		other = "pair2"
+	}
+	c, err := Canonical(seededSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := keyOfCanonicalWith(other, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(fakeResult(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := json.Marshal(record{Key: key, Version: Version, Kernel: other, Spec: c, Result: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(tailPathOf(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = append(blob, "not json\n"+string(foreign)+"\n"...)
+	single := filepath.Join(t.TempDir(), "cells.jsonl")
+	for _, path := range []string{tailPathOf(dir), single} {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, err := Open(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	got, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if w, g := want.Stats(), got.Stats(); g != w {
+		t.Errorf("segmented open reports %+v, single-file open of the same tail %+v", g, w)
+	}
+	if s := got.Stats(); s.Entries != 1 || s.SkippedRecords != 2 || s.Foreign != 1 || s.Tampered != 0 {
+		t.Errorf("tail damage %s; want 1 entry, 2 skipped, 1 foreign, 0 tampered", s)
 	}
 }
 

@@ -381,7 +381,7 @@ type Store struct {
 
 // NewMemory returns a store with no backing file — the index lives and
 // dies with the process. It is the default for krum-scenariod when no
-// -store path is given, and convenient in tests and examples.
+// -store-dir is given, and convenient in tests and examples.
 func NewMemory() *Store {
 	return &Store{
 		index:    make(map[string]json.RawMessage),
@@ -397,6 +397,14 @@ func NewMemory() *Store {
 // are skipped, duplicate keys resolve last-write-wins. The returned
 // Stats (via Stats) report what was skipped.
 func Open(path string) (*Store, error) {
+	return open(nil, 0, path)
+}
+
+// open is the one open path behind Open and OpenSegmented: sealed
+// segments first when a backend is present, then a single scan of the
+// file at path — so every record is decoded once, in the order it was
+// appended, and last write wins across the whole replay.
+func open(backend Backend, sealBytes int64, path string) (*Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("empty path (use NewMemory for an in-memory store): %w", ErrStore)
 	}
@@ -405,13 +413,21 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("opening %s: %w: %w", path, err, ErrStore)
 	}
 	s := &Store{
-		path:     path,
-		file:     f,
-		index:    make(map[string]json.RawMessage),
-		flights:  make(map[string]*flight),
-		diskKeys: make(map[string]struct{}),
+		path:      path,
+		file:      f,
+		index:     make(map[string]json.RawMessage),
+		flights:   make(map[string]*flight),
+		diskKeys:  make(map[string]struct{}),
+		backend:   backend,
+		sealBytes: sealBytes,
 	}
-	if err := s.load(); err != nil {
+	if backend != nil {
+		err = s.loadSegments()
+	}
+	if err == nil {
+		err = s.load()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
