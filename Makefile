@@ -66,12 +66,14 @@ race:
 # matrices), the chaos tests (worker killed mid-cell, delayed
 # heartbeats — over sync and async cells — AND the coordinator itself
 # killed mid-matrix and recovered from its journal), the journal
-# replay/checkpoint suite, the segmented-store crash-window suite, the
-# single-flight property suite and the Monte-Carlo warm-rerun proofs,
-# all under the race detector. Blocking in CI as its own job — the
-# sharding layer's byte-identity contract is the whole point.
+# replay/checkpoint suite, the fleet's dispatch-order, fair-share and
+# ring tests and the worker's heartbeat-cadence test, the
+# segmented-store crash-window suite, the single-flight property suite
+# and the Monte-Carlo warm-rerun proofs, all under the race detector.
+# Blocking in CI as its own job — the sharding layer's byte-identity
+# contract is the whole point.
 shard-tests:
-	$(GO) test -race -count 1 -run 'TestShard|TestChaos|TestJournal|TestSegment|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
+	$(GO) test -race -count 1 -run 'TestShard|TestChaos|TestJournal|TestFleet|TestWorker|TestSegment|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
 	$(GO) test -race -count 1 ./scenario/shardproto
 
 # tier-tests is the kernel-tier matrix: the full vec suite under the
@@ -93,10 +95,10 @@ tier-tests:
 # worker slots against thousands of small cells from several tenants,
 # asserting fair-share dispatch ratios (50% ± 10% between two
 # equal-priority tenants), strict priority precedence, quota
-# backpressure (real 429s, Retry-After honored, zero lost work),
-# worker-cache affinity hits and byte-identity against a direct
-# in-process Runner. Deliberately saturates the machine for tens of
-# seconds, so it is env-gated and runs as a non-blocking CI job.
+# backpressure (real 429s, Retry-After honored, zero lost work) and
+# byte-identity against a direct in-process Runner. Deliberately
+# saturates the machine for tens of seconds, so it is env-gated and
+# runs as a non-blocking CI job.
 load-test:
 	KRUM_LOAD_TEST=1 $(GO) test -count 1 -run 'TestLoadMultiTenant' -timeout 20m -v ./cmd/krum-scenariod
 

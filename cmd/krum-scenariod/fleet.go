@@ -29,14 +29,14 @@ import (
 // highest-priority non-empty queues the tenant with the fewest
 // in-flight tasks goes next (least-recently-picked breaks ties), so
 // two tenants submitting equal work each hold ~half the fleet however
-// lopsided their queue depths are. Within the chosen queue a small
-// affinity window prefers a task whose workload×seed matches what the
-// polling worker ran last, so the worker's workload cache keeps
-// hitting. A worker silent for longer than the lease is presumed dead:
-// its tasks are requeued and picked up by the next poll. When no live
-// workers remain (none ever joined, or the fleet died mid-matrix),
-// execution falls back to the local in-process path — a coordinator
-// without a fleet is exactly the PR-4 single-process service.
+// lopsided their queue depths are. The chosen queue gives up its head:
+// workers are interchangeable and keep no state between cells, so
+// nothing about the polling worker enters the choice. A worker silent
+// for longer than the lease is presumed dead: its tasks are requeued
+// and picked up by the next poll. When no live workers remain (none
+// ever joined, or the fleet died mid-matrix), execution falls back to
+// the local in-process path — a coordinator without a fleet is exactly
+// the PR-4 single-process service.
 
 // errNoWorkers resolves a task the fleet cannot execute; execute
 // answers it by computing locally, so matrices always complete.
@@ -45,12 +45,6 @@ var errNoWorkers = errors.New("fleet: no live workers")
 // maxTaskAttempts bounds how many workers may die holding one task
 // before the coordinator stops re-dispatching and computes it locally.
 const maxTaskAttempts = 3
-
-// affinityWindow is how deep into the chosen queue tryAssign looks for
-// a task matching the polling worker's last workload×seed. Small on
-// purpose: affinity is a cache optimization, and scanning deeper would
-// trade queue fairness (and O(1) dispatch) for marginal hit rate.
-const affinityWindow = 8
 
 // fleetTask is one dispatched cell.
 type fleetTask struct {
@@ -62,10 +56,6 @@ type fleetTask struct {
 	// single-flight, so attribution goes to the first caller).
 	tenant   string
 	priority int
-	// affinity groups tasks that share workload construction (the
-	// workload spec × seed), so dispatch can aim them at a worker whose
-	// cache already holds the bundle.
-	affinity string
 	attempts int
 	// worker is the current assignee ("" while queued).
 	worker string
@@ -79,13 +69,6 @@ type fleetTask struct {
 	done chan struct{}
 	raw  json.RawMessage
 	err  error
-}
-
-// affinityKey derives a task's affinity group from its spec: cells
-// sharing a workload spec and seed share exactly the bundle a
-// scenario.WorkloadCache memoizes.
-func affinityKey(spec scenario.Spec) string {
-	return fmt.Sprintf("%s|%d", spec.Workload, spec.Seed)
 }
 
 // taskRing is a FIFO queue over a reusable ring buffer. Unlike the
@@ -121,22 +104,13 @@ func (r *taskRing) push(t *fleetTask) {
 	r.n++
 }
 
-// pop removes and returns the oldest task, clearing its slot.
+// pop removes and returns the oldest task, clearing its slot. Panics
+// on an empty ring, like indexing an empty slice would.
 func (r *taskRing) pop() *fleetTask {
-	return r.removeAt(0)
-}
-
-// removeAt removes the i-th queued task, shifting the (at most
-// affinityWindow) older entries forward one slot and clearing the
-// vacated head. Panics on out-of-range i, like a slice would.
-func (r *taskRing) removeAt(i int) *fleetTask {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("taskRing.removeAt(%d) with %d queued", i, r.n))
+	if r.n == 0 {
+		panic("taskRing.pop on an empty ring")
 	}
-	t := r.at(i)
-	for j := i; j > 0; j-- {
-		r.buf[(r.head+j)%len(r.buf)] = r.buf[(r.head+j-1)%len(r.buf)]
-	}
+	t := r.buf[r.head]
 	r.buf[r.head] = nil
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
@@ -175,9 +149,6 @@ type fleetWorker struct {
 	// joined and lastSeen bound the member's lease.
 	joined   time.Time
 	lastSeen time.Time
-	// affinity is the workload×seed of the member's most recent
-	// assignment — what the affinity window matches against.
-	affinity string
 	// tasks are the member's in-flight assignments, by task id.
 	tasks map[string]*fleetTask
 }
@@ -187,10 +158,6 @@ type fleetWorker struct {
 type fleet struct {
 	lease    time.Duration
 	pollWait time.Duration
-	// localCache amortizes workload construction across cells computed
-	// on the coordinator itself (the no-workers fallback path). It has
-	// its own locking.
-	localCache *scenario.WorkloadCache
 
 	mu      sync.Mutex
 	workers map[string]*fleetWorker
@@ -224,14 +191,13 @@ func newFleet(lease time.Duration) *fleet {
 		pollWait = 20 * time.Millisecond
 	}
 	return &fleet{
-		lease:      lease,
-		pollWait:   pollWait,
-		localCache: scenario.NewWorkloadCache(0),
-		workers:    make(map[string]*fleetWorker),
-		queues:     make(map[qkey]*taskRing),
-		tenants:    make(map[string]*tenantStats),
-		assigned:   make(map[string]*fleetTask),
-		notify:     make(chan struct{}, 1),
+		lease:    lease,
+		pollWait: pollWait,
+		workers:  make(map[string]*fleetWorker),
+		queues:   make(map[qkey]*taskRing),
+		tenants:  make(map[string]*tenantStats),
+		assigned: make(map[string]*fleetTask),
+		notify:   make(chan struct{}, 1),
 	}
 }
 
@@ -246,13 +212,13 @@ func (fl *fleet) tenantLocked(tenant string) *tenantStats {
 	return ts
 }
 
-// computeLocal is the coordinator's in-process compute path, routed
-// through the local workload cache.
+// computeLocal is the coordinator's in-process compute path (no live
+// workers, or a task that exhausted its attempts), counted for /fleet.
 func (fl *fleet) computeLocal(spec scenario.Spec) (*distsgd.Result, error) {
 	fl.mu.Lock()
 	fl.localFallbacks++
 	fl.mu.Unlock()
-	return fl.localCache.ComputeCell(spec)
+	return scenario.ComputeCell(spec)
 }
 
 // execute runs one cell through the fleet on behalf of a tenant and
@@ -295,7 +261,6 @@ func (fl *fleet) enqueue(spec scenario.Spec, tenant string, priority int) (*flee
 		spec:     spec,
 		tenant:   tenant,
 		priority: priority,
-		affinity: affinityKey(spec),
 		done:     make(chan struct{}),
 	}
 	fl.pushLocked(t)
@@ -401,11 +366,10 @@ func (fl *fleet) betterLocked(a, b qkey) bool {
 	return a.tenant < b.tenant
 }
 
-// pickLocked chooses and removes the next task for worker w, or nil
-// when nothing is queued: best queue by betterLocked, then an affinity
-// scan of that queue's first affinityWindow entries for a task whose
-// workload×seed matches w's last assignment. Callers hold fl.mu.
-func (fl *fleet) pickLocked(w *fleetWorker) *fleetTask {
+// pickLocked chooses and removes the next task, or nil when nothing is
+// queued: the best queue by betterLocked gives up its head. Callers
+// hold fl.mu.
+func (fl *fleet) pickLocked() *fleetTask {
 	if fl.queued == 0 {
 		return nil
 	}
@@ -423,16 +387,7 @@ func (fl *fleet) pickLocked(w *fleetWorker) *fleetTask {
 		return nil
 	}
 	r := fl.queues[bestKey]
-	idx := 0
-	if w.affinity != "" {
-		for i := 0; i < r.len() && i < affinityWindow; i++ {
-			if r.at(i).affinity == w.affinity {
-				idx = i
-				break
-			}
-		}
-	}
-	t := r.removeAt(idx)
+	t := r.pop()
 	if r.len() == 0 {
 		delete(fl.queues, bestKey)
 	}
@@ -443,7 +398,6 @@ func (fl *fleet) pickLocked(w *fleetWorker) *fleetTask {
 	ts.dispatches++
 	fl.pickSeq++
 	ts.lastPick = fl.pickSeq
-	w.affinity = t.affinity
 	return t
 }
 
@@ -463,7 +417,7 @@ func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask,
 		return nil, true
 	}
 	for len(tasks) < max {
-		t := fl.pickLocked(w)
+		t := fl.pickLocked()
 		if t == nil {
 			break
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // fleetSpec builds a distinct (but never-executed) cell for fleet
-// dispatch unit tests; seed differentiates the affinity group.
+// dispatch unit tests; seed tells the cells apart.
 func fleetSpec(seed uint64) scenario.Spec {
 	return scenario.Spec{
 		Workload:  "gmm(k=3,dim=4,radius=4,sigma=0.5)",
@@ -131,32 +131,50 @@ func TestFleetPriorityDispatch(t *testing.T) {
 	}
 }
 
-// TestFleetAffinityDispatch pins the affinity window: a worker that
-// just ran a workload×seed is preferentially handed another task of
-// the same group, even when it is not at the head of the queue.
-func TestFleetAffinityDispatch(t *testing.T) {
+// TestFleetStrictFIFO pins that a tenant×priority queue dispatches in
+// enqueue order whoever polls: two workload×seed groups interleaved in
+// one ring, polled by a worker that just ran a cell of the first group,
+// come out exactly as they went in — nothing about the poller's history
+// reorders the queue.
+func TestFleetStrictFIFO(t *testing.T) {
 	fl := newFleet(time.Minute)
 	grant := fl.join(64)
-	// Interleave two affinity groups (seeds 1 and 2) in one queue:
-	// 1, 2, 1, 2.
-	for _, seed := range []uint64{1, 2, 1, 2} {
-		if _, ok := fl.enqueue(fleetSpec(seed), defaultTenant, 0); !ok {
+	groupA, groupB := fleetSpec(1), fleetSpec(2)
+	groupB.Workload = "gmm(k=3,dim=6,radius=4,sigma=0.5)"
+	// The worker's history: one cell of group A, assigned and finished.
+	if _, ok := fl.enqueue(groupA, defaultTenant, 0); !ok {
+		t.Fatal("enqueue refused")
+	}
+	first, _ := fl.tryAssign(grant.WorkerID, grant.Token, 1)
+	if len(first) != 1 {
+		t.Fatalf("warm-up assign: got %d tasks", len(first))
+	}
+	if accepted, _ := fl.complete(grant.WorkerID, grant.Token, first[0].id, nil, "unit test"); !accepted {
+		t.Fatal("warm-up complete not accepted")
+	}
+
+	var want []string
+	for i, spec := range []scenario.Spec{groupB, groupA, groupB, groupA, groupA, groupB} {
+		spec.Rounds += i // distinct cells, same groups
+		task, ok := fl.enqueue(spec, defaultTenant, 0)
+		if !ok {
 			t.Fatal("enqueue refused")
 		}
+		want = append(want, task.id)
 	}
-	var seeds []uint64
-	for i := 0; i < 4; i++ {
-		assigned, _ := fl.tryAssign(grant.WorkerID, grant.Token, 1)
-		if len(assigned) != 1 {
-			t.Fatalf("assign %d: got %d tasks", i, len(assigned))
+	var got []string
+	// Singly and in a batch: both walk the ring from its head.
+	for _, max := range []int{1, 1, 4} {
+		assigned, _ := fl.tryAssign(grant.WorkerID, grant.Token, max)
+		if len(assigned) != max {
+			t.Fatalf("assign(max=%d): got %d tasks", max, len(assigned))
 		}
-		seeds = append(seeds, assigned[0].spec.Seed)
+		for _, task := range assigned {
+			got = append(got, task.id)
+		}
 	}
-	want := []uint64{1, 1, 2, 2}
-	for i := range want {
-		if seeds[i] != want[i] {
-			t.Fatalf("affinity dispatch order %v, want %v (runs of one workload×seed)", seeds, want)
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dispatch order %v, want enqueue order %v", got, want)
 	}
 }
 
@@ -240,35 +258,42 @@ func TestFleetStatusTenantCounters(t *testing.T) {
 	}
 }
 
-// TestFleetRingRemoveAt pins the ring's affinity-removal arithmetic
-// across wraparound, which index math makes easy to get wrong.
-func TestFleetRingRemoveAt(t *testing.T) {
+// TestFleetRingWrapAround pins the ring's push/pop arithmetic across
+// wraparound and growth, which index math makes easy to get wrong:
+// FIFO order holds and every vacated slot is cleared.
+func TestFleetRingWrapAround(t *testing.T) {
 	r := &taskRing{}
 	mk := func(n int) *fleetTask { return &fleetTask{id: fmt.Sprintf("t%d", n)} }
-	// Force wraparound: fill, drain a prefix, refill.
-	for i := 0; i < 6; i++ {
+	// Force wraparound: fill, drain a prefix, refill past the old tail.
+	for i := 0; i < 4; i++ {
 		r.push(mk(i))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if got := r.pop(); got.id != fmt.Sprintf("t%d", i) {
 			t.Fatalf("pop %d: got %s", i, got.id)
 		}
 	}
-	for i := 6; i < 10; i++ {
+	for i := 4; i < 7; i++ {
 		r.push(mk(i))
 	}
-	// Queue now: 4 5 6 7 8 9. Remove index 3 (t7); FIFO order of the
-	// rest must hold.
-	if got := r.removeAt(3); got.id != "t7" {
-		t.Fatalf("removeAt(3): got %s, want t7", got.id)
+	if r.head+r.len() <= len(r.buf) {
+		t.Fatalf("ring did not wrap: head %d, %d queued, %d slots", r.head, r.len(), len(r.buf))
 	}
-	want := []string{"t4", "t5", "t6", "t8", "t9"}
-	for _, id := range want {
-		if got := r.pop(); got.id != id {
-			t.Fatalf("after removeAt: got %s, want %s", got.id, id)
+	// Queue now: 3 4 5 6, wrapped and full. Grow it while wrapped.
+	for i := 7; i < 10; i++ {
+		r.push(mk(i))
+	}
+	for i := 3; i < 10; i++ {
+		if got := r.pop(); got.id != fmt.Sprintf("t%d", i) {
+			t.Fatalf("after wrap and growth: got %s, want t%d", got.id, i)
 		}
 	}
 	if r.len() != 0 {
 		t.Fatalf("ring not drained: %d left", r.len())
+	}
+	for i, slot := range r.buf {
+		if slot != nil {
+			t.Fatalf("slot %d still pins %s after the ring drained", i, slot.id)
+		}
 	}
 }

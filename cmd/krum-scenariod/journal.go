@@ -1,18 +1,18 @@
 package main
 
 // The coordinator checkpoint/journal: an append-only JSONL event log
-// that makes the coordinator's in-memory state — which matrices exist,
-// which cells completed, how far the id sequences ran — recoverable
-// after a crash. It deliberately journals NO results: every result
-// byte lives in the content-addressed store, so recovery re-executes a
-// resurrected matrix's cells and the completed prefix replays as store
-// hits for free. The journal only has to remember which grids were
-// promised to clients.
+// that makes the coordinator's in-memory state — which matrices are
+// live, how far the id sequences ran — recoverable after a crash. It
+// deliberately journals NO results and no per-cell progress: every
+// result byte lives in the content-addressed store, so recovery
+// re-executes a resurrected matrix's cells and the completed prefix
+// replays as store hits for free. The journal only has to remember
+// which grids were promised to clients — two appends per matrix,
+// however many cells it has.
 //
-// Format: one JSON event per line. Five event types —
+// Format: one JSON event per line. Four event types —
 //
 //	submit      a matrix was accepted (id + expanded cells)
-//	cell        a cell of a matrix completed
 //	done        a matrix reached a terminal state (finished/aborted)
 //	join        a fleet member was granted an id (bumps the id sequence)
 //	checkpoint  a full-state snapshot REPLACING everything before it
@@ -26,10 +26,13 @@ package main
 // Corruption tolerance matches the store's tail rules: a torn final
 // line (the append the crash interrupted) is ignored, malformed
 // interior lines are skipped, and unknown matrix references are
-// dropped. Losing a cell event is always safe (recovery re-executes);
-// losing a submit event loses only a matrix the client was never
-// acknowledged... and the client retries. The lost-update analysis for
-// the checkpoint rewrite is in (*journal).rewrite.
+// dropped. Losing a submit event loses only a matrix the client was
+// never acknowledged... and the client retries. The lost-update
+// analysis for the checkpoint rewrite is in (*journal).rewrite.
+//
+// Journals written before per-cell progress was dropped carry one line
+// per completed cell and completed-index arrays inside checkpoints;
+// both were only ever informational, and replay reads past them.
 //
 // Lock order: journal.mu is taken BEFORE server/run locks (rewrite
 // snapshots server state while holding mu); no journal caller may hold
@@ -55,9 +58,9 @@ const defaultCheckpointEvery = 64
 // journalEvent is one journal line; Type selects which other fields
 // are meaningful.
 type journalEvent struct {
-	// Type is "submit", "cell", "done", "join" or "checkpoint".
+	// Type is "submit", "done", "join" or "checkpoint".
 	Type string `json:"type"`
-	// Matrix is the matrix id for submit/cell/done events.
+	// Matrix is the matrix id for submit/done events.
 	Matrix string `json:"matrix,omitempty"`
 	// Cells is the submit event's expanded grid.
 	Cells []scenario.Spec `json:"cells,omitempty"`
@@ -66,12 +69,6 @@ type journalEvent struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Priority is the submit event's dispatch tier.
 	Priority int `json:"priority,omitempty"`
-	// Index is the cell event's position in the matrix.
-	Index int `json:"index,omitempty"`
-	// Cached marks a cell event served from the store.
-	Cached bool `json:"cached,omitempty"`
-	// CellError is the cell event's failure, if any.
-	CellError string `json:"cell_error,omitempty"`
 	// Aborted marks a done event cut short by shutdown.
 	Aborted bool `json:"aborted,omitempty"`
 	// Worker is the join event's granted member id.
@@ -104,9 +101,6 @@ type checkpointMatrix struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Priority is the matrix's dispatch tier.
 	Priority int `json:"priority,omitempty"`
-	// Done lists completed cell indices — informational: recovery
-	// re-executes every cell and lets the store answer the done ones.
-	Done []int `json:"done,omitempty"`
 }
 
 // journalState is what replaying a journal file yields.
@@ -225,13 +219,9 @@ func replayJournal(blob []byte, state *journalState) {
 			}
 			state.events++
 		case "cell":
-			idx, ok := byID[ev.Matrix]
-			if !ok {
-				state.skipped++
-				continue
-			}
-			state.matrices[idx].Done = append(state.matrices[idx].Done, ev.Index)
-			state.events++
+			// Per-cell progress from an older binary's journal: recovery
+			// re-executes every cell and the store answers the finished
+			// ones, so the line carries nothing replay needs.
 		case "done":
 			idx, ok := byID[ev.Matrix]
 			if !ok {

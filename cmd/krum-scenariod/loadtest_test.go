@@ -13,8 +13,7 @@ package main
 //   - quota backpressure: a small-quota tenant sees real 429s with
 //     Retry-After, retries, and loses nothing;
 //   - byte identity: every served result equals a direct in-process
-//     scenario.Runner run of the same specs;
-//   - affinity: worker workload caches actually hit.
+//     scenario.Runner run of the same specs.
 //
 // Gated behind KRUM_LOAD_TEST=1 because it deliberately saturates the
 // machine for tens of seconds; CI runs it in a non-blocking job.
@@ -34,8 +33,7 @@ import (
 	"krum/scenario/store"
 )
 
-// loadMatrix builds one small two-cell matrix (a rules sweep sharing
-// workload×seed, so worker affinity has something to cache).
+// loadMatrix builds one small two-cell matrix (a rules sweep).
 func loadMatrix(seed uint64) scenario.Matrix {
 	return scenario.Matrix{
 		Base: scenario.Spec{
@@ -278,18 +276,7 @@ func TestLoadMultiTenant(t *testing.T) {
 		t.Errorf("workers executed %d cells, want at least %d (the whole grid)", executed, totalCells)
 	}
 
-	// Affinity actually pays: across the fleet, workload-cache hits.
-	hits := 0
-	for _, fleet := range []*testFleet{starter, big} {
-		for _, w := range fleet.workers {
-			h, _ := w.CacheStats()
-			hits += h
-		}
-	}
-	if hits == 0 {
-		t.Error("no worker workload-cache hits — affinity dispatch never grouped cells")
-	}
-	t.Logf("workers executed %d cells, %d workload-cache hits", executed, hits)
+	t.Logf("workers executed %d cells", executed)
 
 	// Byte identity at scale: a direct in-process Runner over tenant-a's
 	// and tenant-b's specs must match the served results exactly.

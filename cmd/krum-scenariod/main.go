@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addrFlag := fs.String("addr", ":8080", "coordinator listen address")
 	workersFlag := fs.Int("workers", 0, "coordinator: shared pool width across all matrices; worker: concurrent cell slots (0 = NumCPU)")
-	storeDirFlag := fs.String("store-dir", "", "segmented result store directory (live tail + sealed, hashed segments; empty = in-memory only)")
+	storeDirFlag := fs.String("store-dir", "", "coordinator: segmented result store directory (live tail + sealed, hashed segments; empty = in-memory only)")
 	journalFlag := fs.String("journal", "", "coordinator checkpoint/journal path: a restarted coordinator replays it and resumes unfinished matrices")
 	leaseFlag := fs.Duration("lease", 10*time.Second, "coordinator: worker liveness lease (a worker silent this long is presumed dead)")
 	maxPendingFlag := fs.Int("max-pending-cells", 0, "coordinator: per-tenant cap on outstanding cells; over-quota submissions get 429 + Retry-After (0 = default, negative = unlimited)")
@@ -120,6 +120,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-journal is a coordinator flag (workers keep no matrix state)")
 		return 2
 	}
+	if *workerFlag && *storeDirFlag != "" {
+		fmt.Fprintln(stderr, "-store-dir is a coordinator flag (workers keep no results)")
+		return 2
+	}
+
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+
+	if *workerFlag {
+		return runWorker(ctx, stdout, stderr, *joinFlag, *workersFlag)
+	}
 
 	var st scenario.ResultStore
 	if *storeDirFlag != "" {
@@ -131,18 +142,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer dirStore.Close()
 		fmt.Fprintf(stdout, "store %s (segmented): %s\n", *storeDirFlag, dirStore.Stats())
 		st = dirStore
-	} else if *workerFlag {
-		st = nil // workers need no cache; the coordinator persists results
 	} else {
 		st = store.NewMemory()
 		fmt.Fprintln(stdout, "store: in-memory (pass -store-dir to persist results across restarts)")
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	if *workerFlag {
-		return runWorker(ctx, stdout, stderr, *joinFlag, *workersFlag, st)
 	}
 	opts := Options{
 		Workers:           *workersFlag,
@@ -156,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runWorker is the -worker role: join the fleet and execute dispatched
 // cells until interrupted.
-func runWorker(ctx context.Context, stdout, stderr io.Writer, join string, slots int, st scenario.ResultStore) int {
+func runWorker(ctx context.Context, stdout, stderr io.Writer, join string, slots int) int {
 	if join == "" {
 		fmt.Fprintln(stderr, "-worker requires -join <coordinator URL>")
 		return 2
@@ -167,7 +169,6 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer, join string, slots
 	w := &Worker{
 		Coordinator: join,
 		Slots:       slots,
-		Store:       st,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "worker: "+format+"\n", args...)
 		},

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -92,6 +93,31 @@ func TestRunUnknownStoreFlag(t *testing.T) {
 	for _, line := range strings.Split(stderr.String(), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "-store") && !strings.Contains(line, "-store-dir") {
 			t.Errorf("usage still lists a -store flag: %q", line)
+		}
+	}
+}
+
+// TestRunWorkerRefusesCoordinatorFlags pins that a worker refuses the
+// flags that configure state it does not keep — exit 2 with a message
+// naming the flag, before anything is opened or joined.
+func TestRunWorkerRefusesCoordinatorFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-journal", dir + "/j", "-journal is a coordinator flag (workers keep no matrix state)"},
+		{"-store-dir", dir + "/cells", "-store-dir is a coordinator flag (workers keep no results)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-worker", "-join", "http://127.0.0.1:1", tc.flag, tc.value}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-worker %s: exit code %d, want 2", tc.flag, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("-worker %s: stderr %q lacks %q", tc.flag, stderr.String(), tc.want)
+		}
+		if _, err := os.Stat(tc.value); err == nil {
+			t.Errorf("-worker %s created %s before refusing", tc.flag, tc.value)
 		}
 	}
 }

@@ -124,9 +124,9 @@ const (
 	defaultMaxActiveMatrices = 1024
 )
 
-// Options configures NewServerOptions. The zero value is a sensible
-// service: NumCPU pool, in-memory-less store must still be supplied by
-// the caller, 10s fleet lease, default admission limits.
+// Options configures NewServerOptions. Every zero field takes a
+// sensible default (NumCPU pool, 10s fleet lease, default admission
+// limits) except Store, which the caller must always supply.
 type Options struct {
 	// Workers is the shared cell pool width (0 means runtime.NumCPU()).
 	Workers int
@@ -361,7 +361,6 @@ func (s *Server) snapshot() checkpoint {
 			Cells:    run.cells,
 			Tenant:   run.tenant,
 			Priority: run.priority,
-			Done:     append([]int(nil), run.order...),
 		})
 		run.mu.Unlock()
 	}
@@ -697,13 +696,7 @@ loop:
 				<-s.sem
 				cellWG.Done()
 			}()
-			cr := s.executeCell(i, run.cells[i], run.tenant, run.priority)
-			run.record(cr)
-			ev := journalEvent{Type: "cell", Matrix: run.id, Index: cr.Index, Cached: cr.Cached}
-			if cr.Err != nil {
-				ev.CellError = cr.Err.Error()
-			}
-			s.journalAppend(ev)
+			run.record(s.executeCell(i, run.cells[i], run.tenant, run.priority))
 		}(i)
 	}
 	// The terminal flag is only set AFTER the in-flight cells drain:

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"krum/distsgd"
 	"krum/internal/vec"
 	"krum/scenario"
 	"krum/scenario/shardproto"
@@ -29,15 +28,15 @@ var errVersionMismatch = errors.New("worker: coordinator rejected our version")
 // (krum-scenariod -worker -join <coordinator>): it joins a
 // coordinator's fleet, long-polls for cell tasks — one batched poll
 // asking for as many tasks as it has free slots, instead of one poll
-// per slot — executes each against the local engine through a shared
-// workload cache (affinity dispatch sends it runs of cells sharing a
-// workload×seed, so dataset/model construction amortizes), heartbeats
-// all in-flight tasks in one batched message while cells train, and
-// reports each stable-JSON distsgd.Result back. Because cells are pure
-// functions of their specs and the cache only reuses immutable
-// workload bundles, a worker adds capacity without adding any source
-// of nondeterminism — results are byte-identical wherever a cell
-// lands.
+// per slot — runs scenario.ComputeCell on each, heartbeats all
+// in-flight tasks in one batched message while cells train, and
+// reports each stable-JSON distsgd.Result back. A worker keeps nothing
+// between cells — no result store (the coordinator's single-flight
+// store only ever sends it cells nobody holds) and no workload cache
+// (construction is under a quarter of a percent of any cell; see
+// EXPERIMENTS.md's deletion ledger) — so, cells being pure functions of
+// their specs, it adds capacity without adding any source of
+// nondeterminism: results are byte-identical wherever a cell lands.
 //
 // A worker whose lease expired (a long GC pause, a partition, a
 // delayed heartbeat) is told so by HTTP 410 on its next message; it
@@ -52,20 +51,12 @@ type Worker struct {
 	Coordinator string
 	// Slots is the number of cells executed concurrently (0 means 1).
 	Slots int
-	// Store, when non-nil, is the worker's local result cache: hits
-	// skip training, fresh results are written through. It is
-	// independent of the coordinator's store (which persists every
-	// accepted result regardless).
-	Store scenario.ResultStore
 	// Client is the HTTP client used for all coordinator calls (nil
 	// means a default with no overall timeout — polls are long).
 	Client *http.Client
 	// HeartbeatEvery overrides the heartbeat cadence (0 means a third
-	// of the coordinator's lease).
+	// of the lease the coordinator granted at the latest join).
 	HeartbeatEvery time.Duration
-	// WorkloadCacheSize bounds the worker's workload-bundle LRU (0
-	// means scenario.DefaultWorkloadCacheSize).
-	WorkloadCacheSize int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 
@@ -79,9 +70,10 @@ type Worker struct {
 	// inflight holds the task ids currently executing — what the
 	// shared heartbeat names in each batched message.
 	inflight map[string]struct{}
-	// cache memoizes workload construction across tasks (lazily built
-	// so the zero-value Worker stays usable).
-	cache *scenario.WorkloadCache
+	// joined is signalled (capacity one, never blocking) by every
+	// successful join, so the heartbeat loop re-arms on the lease the
+	// new grant carries. Run creates it; nil before that.
+	joined chan struct{}
 }
 
 // Executed reports how many dispatched cells this worker has finished
@@ -91,28 +83,6 @@ func (w *Worker) Executed() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.executed
-}
-
-// CacheStats reports the worker's workload-cache hits and misses —
-// how often affinity dispatch actually saved a bundle construction.
-func (w *Worker) CacheStats() (hits, misses int) {
-	w.mu.Lock()
-	c := w.cache
-	w.mu.Unlock()
-	if c == nil {
-		return 0, 0
-	}
-	return c.Stats()
-}
-
-// workloadCache returns the worker's cache, building it on first use.
-func (w *Worker) workloadCache() *scenario.WorkloadCache {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cache == nil {
-		w.cache = scenario.NewWorkloadCache(w.WorkloadCacheSize)
-	}
-	return w.cache
 }
 
 // logf forwards to Logf when set.
@@ -184,6 +154,10 @@ func (w *Worker) join(ctx context.Context, stale string) error {
 	w.token = grant.Token
 	w.lease = time.Duration(grant.LeaseMillis) * time.Millisecond
 	w.mu.Unlock()
+	select {
+	case w.joined <- struct{}{}:
+	default:
+	}
 	w.logf("joined %s as %s (lease %dms)", w.Coordinator, grant.WorkerID, grant.LeaseMillis)
 	return nil
 }
@@ -248,6 +222,7 @@ func (w *Worker) inflightIDs() []string {
 // batched message, so a worker's coordinator traffic stays O(1) per
 // interval however many slots it runs.
 func (w *Worker) Run(ctx context.Context) error {
+	w.joined = make(chan struct{}, 1)
 	for {
 		err := w.join(ctx, "")
 		if err == nil {
@@ -321,25 +296,37 @@ dispatch:
 	return nil
 }
 
+// heartbeatEvery is the heartbeat cadence under the current identity:
+// HeartbeatEvery when set, else a third of the lease granted at the
+// latest join.
+func (w *Worker) heartbeatEvery() time.Duration {
+	if w.HeartbeatEvery > 0 {
+		return w.HeartbeatEvery
+	}
+	_, _, lease := w.identity()
+	if every := lease / 3; every > 0 {
+		return every
+	}
+	return time.Second
+}
+
 // heartbeatLoop periodically sends ONE batched heartbeat naming every
 // in-flight task (nothing when idle — the polls themselves refresh the
 // lease then). A 410 triggers an immediate rejoin so executing cells
-// get a live identity to report under.
+// get a live identity to report under. Every join, whichever loop made
+// it, re-arms the ticker: a coordinator restarted with a shorter -lease
+// must not find this loop still sleeping on a third of the old one
+// while its tasks' deadlines lapse.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	_, _, lease := w.identity()
-	every := w.HeartbeatEvery
-	if every <= 0 {
-		every = lease / 3
-		if every <= 0 {
-			every = time.Second
-		}
-	}
-	ticker := time.NewTicker(every)
+	ticker := time.NewTicker(w.heartbeatEvery())
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
+		case <-w.joined:
+			ticker.Reset(w.heartbeatEvery())
+			continue
 		case <-ticker.C:
 		}
 		ids := w.inflightIDs()
@@ -428,16 +415,12 @@ func (w *Worker) pause(ctx context.Context, d time.Duration) {
 	}
 }
 
-// executeTask runs one dispatched cell (through the worker's store
-// protocol and workload cache) and reports the outcome; the shared
-// heartbeat loop keeps the task's deadline fresh meanwhile.
+// executeTask computes one dispatched cell and reports the outcome; the
+// shared heartbeat loop keeps the task's deadline fresh meanwhile.
 func (w *Worker) executeTask(ctx context.Context, task shardproto.Task) {
 	id, token, lease := w.identity()
 	w.logf("executing %s (%s)", task.ID, task.Spec.Label())
-	cache := w.workloadCache()
-	cr := scenario.RunCellWith(w.Store, 0, task.Spec, func() (*distsgd.Result, error) {
-		return cache.ComputeCell(task.Spec)
-	})
+	res, runErr := scenario.ComputeCell(task.Spec)
 	w.mu.Lock()
 	w.executed++
 	w.mu.Unlock()
@@ -446,10 +429,10 @@ func (w *Worker) executeTask(ctx context.Context, task shardproto.Task) {
 	}
 
 	report := shardproto.ResultRequest{WorkerID: id, Token: token, TaskID: task.ID}
-	if cr.Err != nil {
-		report.Error = cr.Err.Error()
+	if runErr != nil {
+		report.Error = runErr.Error()
 	} else {
-		raw, err := json.Marshal(cr.Result)
+		raw, err := json.Marshal(res)
 		if err != nil {
 			report.Error = fmt.Sprintf("encoding result: %v", err)
 		} else {

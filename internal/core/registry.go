@@ -63,13 +63,6 @@ func Usage() string { return registry.Usage() }
 // items are not validated (ParseRuleIn does that).
 func SplitSpecs(list string) []string { return spec.SplitSpecs(list) }
 
-// ParseSpec splits a rule spec into its lower-cased name and parameter
-// map without consulting the registry. Malformed specs are reported as
-// wrapped ErrBadParameter.
-func ParseSpec(s string) (string, Args, error) {
-	return spec.Parse("rule", ErrBadParameter, s)
-}
-
 // ParseRuleIn constructs the rule described by spec, with cluster-shape
 // defaults from ctx. Unknown names, unknown parameter keys, and
 // malformed values are all reported as wrapped ErrBadParameter.

@@ -59,10 +59,6 @@ func (w *Welford) StdErr() float64 {
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
 
-// CI95 returns the half-width of a 95% normal-approximation confidence
-// interval on the mean.
-func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
-
 // Moments accumulates the raw moments E[X^r] for r = 1..4 in one pass.
 // These are exactly the quantities condition (ii) of Definition 3.2
 // bounds: E‖F‖^r for r = 2, 3, 4 against products of moments of the

@@ -1,18 +1,13 @@
 package scenario
 
-import (
-	"container/list"
-	"sync"
-
-	"krum/distsgd"
-	"krum/workload"
-)
+import "krum/distsgd"
 
 // CellExecutor runs one matrix cell and returns its outcome. It is the
-// seam that lets a Runner (and the krum-scenariod service) execute
-// cells somewhere other than the calling process: the default
-// LocalExecutor compiles and trains in-process, while the scenariod
-// coordinator's executor dispatches cells over HTTP to a worker fleet.
+// seam that lets a Runner execute cells some other way than the default
+// LocalExecutor, which compiles and trains in-process (the repo
+// benchmark plugs in an executor that records spans around the same
+// steps; the scenariod coordinator does not use this seam — it calls
+// RunCellWith with a compute function that dispatches to its fleet).
 // Implementations must be safe for concurrent use (Runner calls
 // ExecuteCell from multiple goroutines) and must preserve the cell
 // purity contract: the returned Result depends only on the Spec, so
@@ -65,114 +60,6 @@ func ComputeCell(cell Spec) (*distsgd.Result, error) {
 		return nil, err
 	}
 	return distsgd.Run(cfg)
-}
-
-// DefaultWorkloadCacheSize is the WorkloadCache capacity used when the
-// caller passes 0 — big enough to cover the handful of workload×seed
-// combinations an affinity window keeps on one worker, small enough
-// that even large-dataset bundles stay cheap to retain.
-const DefaultWorkloadCacheSize = 8
-
-// workloadKey identifies one constructed workload bundle: the raw
-// registry spec string plus the seed that drove its construction.
-// The RAW string (not the canonical form) is deliberate: two spellings
-// of the same workload miss each other, which only costs a rebuild —
-// never a wrong bundle.
-type workloadKey struct {
-	spec string
-	seed uint64
-}
-
-// WorkloadCache memoizes workload construction (dataset + model
-// synthesis) across cells that share a workload spec and seed — the
-// expensive half of compiling a cell, and pure waste to repeat when a
-// scenariod worker receives a run of affine cells (same workload+seed,
-// different rules/attacks). Reuse cannot affect results: construction
-// is deterministic in (spec, seed), distsgd.Run clones the model
-// before training, and datasets are stateless sample streams, so a
-// cached bundle and a fresh one produce byte-identical Results.
-//
-// The cache is a bounded LRU, safe for concurrent use. Concurrent
-// misses on one key may build the bundle more than once; both builds
-// being identical, last-in wins harmlessly.
-type WorkloadCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[workloadKey]*list.Element
-	order    *list.List // front = most recently used
-	hits     int
-	misses   int
-}
-
-// cacheEntry is one LRU slot: the key (for eviction) plus the bundle.
-type cacheEntry struct {
-	key workloadKey
-	wl  *workload.Workload
-}
-
-// NewWorkloadCache builds a cache holding up to capacity workload
-// bundles (0 or negative means DefaultWorkloadCacheSize).
-func NewWorkloadCache(capacity int) *WorkloadCache {
-	if capacity <= 0 {
-		capacity = DefaultWorkloadCacheSize
-	}
-	return &WorkloadCache{
-		capacity: capacity,
-		entries:  make(map[workloadKey]*list.Element),
-		order:    list.New(),
-	}
-}
-
-// workload returns the cell's workload bundle, building and caching it
-// on a miss.
-func (c *WorkloadCache) workload(cell Spec) (*workload.Workload, error) {
-	key := workloadKey{spec: cell.Workload, seed: cell.Seed}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		wl := el.Value.(*cacheEntry).wl
-		c.mu.Unlock()
-		return wl, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	wl, err := cell.buildWorkload()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, wl: wl})
-		for c.order.Len() > c.capacity {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	return wl, nil
-}
-
-// ComputeCell compiles and trains one cell like the package-level
-// ComputeCell, but reuses the cached workload bundle when the cell's
-// (workload spec, seed) pair was built before. Results are
-// byte-identical to uncached computation — see the type comment.
-func (c *WorkloadCache) ComputeCell(cell Spec) (*distsgd.Result, error) {
-	wl, err := c.workload(cell)
-	if err != nil {
-		return nil, err
-	}
-	return distsgd.Run(cell.configWith(wl))
-}
-
-// Stats reports cache hits and misses since construction — the
-// observability hook worker affinity is judged by.
-func (c *WorkloadCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // RunCellWith executes one cell through the store protocol with a

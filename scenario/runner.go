@@ -82,9 +82,9 @@ type Runner struct {
 	// write wins).
 	Store ResultStore
 	// Executor, when non-nil, runs cells in place of the default local
-	// path (LocalExecutor{Store: r.Store}) — e.g. the scenariod
-	// coordinator's fleet dispatcher. A custom Executor owns its own
-	// store consultation, so Store is ignored when it is set.
+	// path (LocalExecutor{Store: r.Store}) — e.g. the repo benchmark's
+	// span-recording executor. A custom Executor owns its own store
+	// consultation, so Store is ignored when it is set.
 	Executor CellExecutor
 }
 

@@ -175,29 +175,13 @@ func (s Spec) Validate() error {
 // attack and schedule specs are handed to distsgd.Run, which constructs
 // them with the cluster shape as defaults.
 func (s Spec) Compile() (distsgd.Config, error) {
-	wl, err := s.buildWorkload()
+	if s.Workload == "" {
+		return distsgd.Config{}, fmt.Errorf("empty workload spec: %w", ErrBadSpec)
+	}
+	wl, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
 	if err != nil {
 		return distsgd.Config{}, err
 	}
-	return s.configWith(wl), nil
-}
-
-// buildWorkload constructs the spec's workload bundle through the
-// registry, seeded by Spec.Seed — the expensive half of Compile, and
-// the part a WorkloadCache memoizes.
-func (s Spec) buildWorkload() (*workload.Workload, error) {
-	if s.Workload == "" {
-		return nil, fmt.Errorf("empty workload spec: %w", ErrBadSpec)
-	}
-	return workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
-}
-
-// configWith assembles the distsgd.Config around an already-built
-// workload bundle. Sharing a bundle across cells is sound because
-// training never mutates it: distsgd.Run clones the model before
-// touching it and datasets are stateless sample streams (all
-// randomness comes from caller-provided RNGs).
-func (s Spec) configWith(wl *workload.Workload) distsgd.Config {
 	return distsgd.Config{
 		Model:          wl.Model,
 		Dataset:        wl.Dataset,
@@ -215,7 +199,7 @@ func (s Spec) configWith(wl *workload.Workload) distsgd.Config {
 		Parallel:       s.Parallel,
 		Incremental:    s.Incremental,
 		ArrivalSpec:    s.Arrival,
-	}
+	}, nil
 }
 
 // MarshalIndent renders the spec as the JSON accepted by config files.
