@@ -4,10 +4,12 @@ GO ?= go
 # BENCH_scenario.json: the memoized Bulyan kernel, the concurrent
 # scenario-matrix runner throughput, the blocked/incremental/large-n
 # distance-matrix kernels, the result store's warm-vs-cold grid
-# economics, and the async incremental-cache win under
-# bounded-staleness arrival traffic. The BenchmarkDistanceMatrix
-# pattern also matches the Incremental and LargeN variants.
-TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkDistanceMatrix|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync
+# economics, the async incremental-cache win under bounded-staleness
+# arrival traffic, and the four hot loops of the gradient path (digit
+# render, MLP and tiny-softmax gradients, coordinate median). The
+# BenchmarkDistanceMatrix pattern also matches the Incremental and
+# LargeN variants.
+TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkDistanceMatrix|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkGradientPath
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
 # it up locally for a real hunt).
@@ -113,6 +115,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime $(FUZZTIME) ./workload
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) ./internal/arrival
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./scenario/shardproto
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulOrder$$' -fuzztime $(FUZZTIME) ./internal/vec
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnMedian$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # bench runs the tracked benchmarks and emits BENCH_scenario.json:
 # parsed metrics plus the raw `go test -bench` text in the "raw" field

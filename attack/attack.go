@@ -6,7 +6,7 @@
 //
 // Each Strategy receives that omniscient view through a Context and
 // returns exactly f proposals. Strategies must not mutate the Context's
-// slices.
+// exported slices.
 package attack
 
 import (
@@ -19,7 +19,10 @@ import (
 // ErrConfig is returned for invalid attack configurations.
 var ErrConfig = errors.New("attack: bad configuration")
 
-// Context is the omniscient view handed to a Strategy each round.
+// Context is the omniscient view handed to a Strategy each round. A
+// caller may build a fresh one per round or keep one and update its
+// fields; keeping it lets the built-in strategies reuse its proposal
+// vectors (see Strategy.Propose).
 type Context struct {
 	// Round is the current synchronous round t.
 	Round int
@@ -32,6 +35,26 @@ type Context struct {
 	F int
 	// RNG is the adversary's private randomness.
 	RNG *vec.RNG
+
+	// arena holds the F vectors lend hands out.
+	arena [][]float64
+}
+
+// lend returns F vectors of the proposal dimension with arbitrary
+// contents for a strategy to fill and return. They belong to the
+// Context and are handed out again by its next lend, so a round loop
+// that keeps one Context allocates its Byzantine proposals once (at
+// d = 12 826 and f = 6 they were a third of everything a training cell
+// allocated).
+func (c *Context) lend() [][]float64 {
+	d := c.dim()
+	if len(c.arena) != c.F || (c.F > 0 && len(c.arena[0]) != d) {
+		c.arena = make([][]float64, c.F)
+		for i := range c.arena {
+			c.arena[i] = make([]float64, d)
+		}
+	}
+	return c.arena
 }
 
 // dim returns the proposal dimension.
@@ -42,22 +65,56 @@ func (c *Context) dim() int {
 	return len(c.Params)
 }
 
-// correctMean computes the mean of the correct proposals — the
-// adversary's best estimate of the true gradient.
-func (c *Context) correctMean() []float64 {
-	m := make([]float64, c.dim())
+// correctMean writes the mean of the correct proposals — the
+// adversary's best estimate of the true gradient — into dst (zero when
+// there are none).
+func (c *Context) correctMean(dst []float64) {
 	if len(c.Correct) == 0 {
-		return m
+		vec.Zero(dst)
+		return
 	}
-	vec.Mean(m, c.Correct)
-	return m
+	vec.Mean(dst, c.Correct)
+}
+
+// replay fills dst with the correct proposal src, or with zeros when
+// there are no correct workers to imitate.
+func (c *Context) replay(dst []float64, src int) {
+	if len(c.Correct) == 0 {
+		vec.Zero(dst)
+		return
+	}
+	copy(dst, c.Correct[src%len(c.Correct)])
+}
+
+// replicate copies out[0] into every other vector of out: colluders
+// proposing one common vector.
+func replicate(out [][]float64) [][]float64 {
+	for i := 1; i < len(out); i++ {
+		copy(out[i], out[0])
+	}
+	return out
+}
+
+// scaledMean is the proposal set of colluders who all submit
+// scale × the mean of the correct proposals.
+func (c *Context) scaledMean(scale float64) [][]float64 {
+	out := c.lend()
+	if len(out) > 0 {
+		c.correctMean(out[0])
+		vec.Scale(scale, out[0])
+	}
+	return replicate(out)
 }
 
 // Strategy produces the Byzantine proposals for one round.
 type Strategy interface {
 	// Name identifies the attack in experiment tables.
 	Name() string
-	// Propose returns exactly ctx.F freshly allocated vectors.
+	// Propose returns exactly ctx.F vectors. The caller may read them
+	// until the next Propose on the same Context and must copy what it
+	// keeps longer: the built-in strategies fill vectors the Context
+	// owns and hand the same ones out again next round. With a fresh
+	// Context per call the vectors are fresh too.
 	Propose(ctx *Context) [][]float64
 }
 
@@ -73,13 +130,9 @@ func (None) Name() string { return "none" }
 
 // Propose implements Strategy.
 func (None) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		if len(ctx.Correct) > 0 {
-			out[i] = vec.Clone(ctx.Correct[i%len(ctx.Correct)])
-		} else {
-			out[i] = make([]float64, ctx.dim())
-		}
+	out := ctx.lend()
+	for i, v := range out {
+		ctx.replay(v, i)
 	}
 	return out
 }
@@ -110,9 +163,9 @@ func (g Gaussian) effSigma() float64 {
 
 // Propose implements Strategy.
 func (g Gaussian) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		out[i] = ctx.RNG.NewNormal(ctx.dim(), 0, g.effSigma())
+	out := ctx.lend()
+	for _, v := range out {
+		ctx.RNG.FillNormal(v, 0, g.effSigma())
 	}
 	return out
 }
@@ -142,13 +195,7 @@ func (o Omniscient) effScale() float64 {
 
 // Propose implements Strategy.
 func (o Omniscient) Propose(ctx *Context) [][]float64 {
-	m := ctx.correctMean()
-	vec.Scale(-o.effScale(), m)
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		out[i] = vec.Clone(m)
-	}
-	return out
+	return ctx.scaledMean(-o.effScale())
 }
 
 // SignFlip proposes the exact negation of the gradient estimate without
@@ -163,13 +210,7 @@ func (SignFlip) Name() string { return "signflip" }
 
 // Propose implements Strategy.
 func (SignFlip) Propose(ctx *Context) [][]float64 {
-	m := ctx.correctMean()
-	vec.Scale(-1, m)
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		out[i] = vec.Clone(m)
-	}
-	return out
+	return ctx.scaledMean(-1)
 }
 
 // LinearTakeover is the constructive proof of Lemma 3.1: against a
@@ -207,19 +248,19 @@ func (*LinearTakeover) Name() string { return "lineartakeover" }
 
 // Propose implements Strategy.
 func (a *LinearTakeover) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
+	out := ctx.lend()
 	// Benign camouflage for all but the last Byzantine slot.
 	for i := 0; i < ctx.F-1; i++ {
-		if len(ctx.Correct) > 0 {
-			out[i] = vec.Clone(ctx.Correct[i%len(ctx.Correct)])
-		} else {
-			out[i] = make([]float64, ctx.dim())
-		}
+		ctx.replay(out[i], i)
 	}
 	// The proposals will occupy slots n−f .. n−1 in order; slot n−1
 	// carries the takeover vector:
 	// V_b = (U − Σ_{i<n−1} λ_i·V_i) / λ_{n−1}.
-	forced := vec.Clone(a.Target)
+	forced := out[ctx.F-1]
+	if len(a.Target) != len(forced) {
+		panic(fmt.Sprintf("attack: lineartakeover target has dimension %d, proposals have %d", len(a.Target), len(forced)))
+	}
+	copy(forced, a.Target)
 	idx := 0
 	for _, v := range ctx.Correct {
 		vec.Axpy(-a.Weights[idx], v, forced)
@@ -230,7 +271,6 @@ func (a *LinearTakeover) Propose(ctx *Context) [][]float64 {
 		idx++
 	}
 	vec.Scale(1/a.Weights[idx], forced)
-	out[ctx.F-1] = forced
 	return out
 }
 
@@ -265,19 +305,18 @@ func (m MedoidCollusion) effOffset() float64 {
 
 // Propose implements Strategy.
 func (m MedoidCollusion) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
-	d := ctx.dim()
-	mean := ctx.correctMean()
-	for i := 0; i < ctx.F-1; i++ {
-		decoy := vec.Clone(mean)
-		for j := range decoy {
-			decoy[j] += m.effOffset()
+	out := ctx.lend()
+	if decoys := out[:ctx.F-1]; len(decoys) > 0 {
+		ctx.correctMean(decoys[0])
+		for j := range decoys[0] {
+			decoys[0][j] += m.effOffset()
 		}
-		out[i] = decoy
+		replicate(decoys)
 	}
 	// The last proposal is the fixpoint barycenter of all n proposals:
 	// b = (Σ correct + Σ decoys)/(n−1) solves b = (Σ others + b)/n.
-	bary := make([]float64, d)
+	bary := out[ctx.F-1]
+	vec.Zero(bary)
 	for _, v := range ctx.Correct {
 		vec.Axpy(1, v, bary)
 	}
@@ -286,7 +325,6 @@ func (m MedoidCollusion) Propose(ctx *Context) [][]float64 {
 	}
 	n := len(ctx.Correct) + ctx.F
 	vec.Scale(1/float64(n-1), bary)
-	out[ctx.F-1] = bary
 	return out
 }
 
@@ -304,13 +342,9 @@ func (Mimic) Name() string { return "mimic" }
 
 // Propose implements Strategy.
 func (Mimic) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		if len(ctx.Correct) > 0 {
-			out[i] = vec.Clone(ctx.Correct[0])
-		} else {
-			out[i] = make([]float64, ctx.dim())
-		}
+	out := ctx.lend()
+	for _, v := range out {
+		ctx.replay(v, 0)
 	}
 	return out
 }
@@ -332,12 +366,12 @@ func (c Crash) Name() string { return fmt.Sprintf("crash(after=%d)", c.After) }
 
 // Propose implements Strategy.
 func (c Crash) Propose(ctx *Context) [][]float64 {
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		if ctx.Round < c.After && len(ctx.Correct) > 0 {
-			out[i] = vec.Clone(ctx.Correct[i%len(ctx.Correct)])
+	out := ctx.lend()
+	for i, v := range out {
+		if ctx.Round < c.After {
+			ctx.replay(v, i)
 		} else {
-			out[i] = make([]float64, ctx.dim())
+			vec.Zero(v)
 		}
 	}
 	return out

@@ -205,6 +205,60 @@ func TestMimicCopiesFirstCorrect(t *testing.T) {
 	}
 }
 
+// TestProposeLendsContextVectors pins the ownership rule of
+// Strategy.Propose for every built-in strategy: on a kept Context the
+// second call hands out the vectors of the first (so the caller must be
+// done with them), what they held before never shows in the result, and
+// a fresh Context still yields fresh vectors that alias nothing.
+func TestProposeLendsContextVectors(t *testing.T) {
+	takeover, err := NewLinearTakeover([]float64{1, 2, 3, 4}, []float64{1, 1, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Strategy{
+		None{}, Gaussian{Sigma: 200}, Omniscient{}, SignFlip{}, takeover, MedoidCollusion{},
+		Mimic{}, Crash{After: 5}, Crash{After: 0}, HiddenCoordinate{Coordinate: 2}, LittleIsEnough{},
+	} {
+		t.Run(s.Name(), func(t *testing.T) {
+			fresh := vec.CloneAll(s.Propose(testCtx(3, 42)))
+
+			kept := testCtx(3, 42)
+			kept.arena = make([][]float64, 3)
+			for i := range kept.arena {
+				kept.arena[i] = []float64{math.NaN(), math.Inf(1), -7, math.NaN()}
+			}
+			lent := kept.arena[0]
+			out := s.Propose(kept)
+			for i := range fresh {
+				for j := range fresh[i] {
+					if math.Float64bits(out[i][j]) != math.Float64bits(fresh[i][j]) {
+						t.Fatalf("proposal %d[%d] = %v on a kept context, %v on a fresh one", i, j, out[i][j], fresh[i][j])
+					}
+				}
+			}
+			if &out[0][0] != &lent[0] {
+				t.Error("proposal 0 is not the context's vector")
+			}
+			if again := s.Propose(kept); &again[0][0] != &lent[0] {
+				t.Error("second Propose on the same context did not reuse its vectors")
+			}
+			for _, v := range out {
+				for _, c := range kept.Correct {
+					if &v[0] == &c[0] {
+						t.Error("proposal aliases a correct worker's vector")
+					}
+				}
+			}
+
+			// A different shape gets vectors of its own.
+			kept.F = 2
+			if out := s.Propose(kept); len(out) != 2 || &out[0][0] == &lent[0] {
+				t.Errorf("after F changed: %d proposals, reused = %v", len(out), len(out) > 0 && &out[0][0] == &lent[0])
+			}
+		})
+	}
+}
+
 func TestCrashTiming(t *testing.T) {
 	ctx := testCtx(2, 7)
 	ctx.Round = 3

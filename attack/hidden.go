@@ -43,7 +43,8 @@ func (h HiddenCoordinate) effMargin() float64 {
 // Propose implements Strategy.
 func (h HiddenCoordinate) Propose(ctx *Context) [][]float64 {
 	d := ctx.dim()
-	mean := ctx.correctMean()
+	mean := make([]float64, d)
+	ctx.correctMean(mean)
 	// Estimate the correct proposals' total spread: the spike hides as
 	// long as its squared magnitude is comparable to the natural
 	// squared distance between two correct proposals.
@@ -57,9 +58,9 @@ func (h HiddenCoordinate) Propose(ctx *Context) [][]float64 {
 	spike := h.effMargin() * math.Sqrt(2*spread2+1e-12)
 	j := ((h.Coordinate % d) + d) % d
 
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		v := vec.Clone(mean)
+	out := ctx.lend()
+	for _, v := range out {
+		copy(v, mean)
 		// Small per-attacker jitter keeps the colluders from being
 		// exact duplicates (exact duplicates have score 0 against each
 		// other once f ≥ 2, which would make the attack easier, not
@@ -68,7 +69,6 @@ func (h HiddenCoordinate) Propose(ctx *Context) [][]float64 {
 			v[k] += 0.01 * spike * ctx.RNG.NormFloat64() / math.Sqrt(float64(d))
 		}
 		v[j] = mean[j] + spike
-		out[i] = v
 	}
 	return out
 }

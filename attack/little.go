@@ -3,8 +3,6 @@ package attack
 import (
 	"fmt"
 	"math"
-
-	"krum/internal/vec"
 )
 
 // LittleIsEnough is the "a little is enough" attack (Baruch, Baruch,
@@ -39,7 +37,8 @@ func (l LittleIsEnough) effZ() float64 {
 // Propose implements Strategy.
 func (l LittleIsEnough) Propose(ctx *Context) [][]float64 {
 	d := ctx.dim()
-	mean := ctx.correctMean()
+	mean := make([]float64, d)
+	ctx.correctMean(mean)
 	// Per-coordinate standard deviation of the correct proposals.
 	std := make([]float64, d)
 	if len(ctx.Correct) > 1 {
@@ -55,7 +54,11 @@ func (l LittleIsEnough) Propose(ctx *Context) [][]float64 {
 		}
 	}
 	z := l.effZ()
-	proposal := make([]float64, d)
+	out := ctx.lend()
+	if len(out) == 0 {
+		return out
+	}
+	proposal := out[0]
 	for j := range proposal {
 		// Shift against the gradient estimate's sign, coordinate-wise.
 		dir := 1.0
@@ -64,9 +67,5 @@ func (l LittleIsEnough) Propose(ctx *Context) [][]float64 {
 		}
 		proposal[j] = mean[j] + dir*z*std[j]
 	}
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		out[i] = vec.Clone(proposal)
-	}
-	return out
+	return replicate(out)
 }

@@ -18,8 +18,10 @@ import (
 	"testing"
 
 	"krum"
+	"krum/data"
 	"krum/internal/harness"
 	"krum/internal/vec"
+	"krum/model"
 	"krum/scenario"
 	"krum/scenario/store"
 )
@@ -405,6 +407,77 @@ func BenchmarkScenarioMatrixRunner(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
+}
+
+// BenchmarkGradientPath tracks the four loops a training cell spends
+// its time in, each at the shape that is hot: rendering one 16×16
+// digit, one MLP mini-batch gradient at the paper's experiment shape
+// (d = 12 826), the coordinate-wise median at n = 20 over that d — and
+// the grid_small softmax gradient, whose matrices are so small that a
+// per-call fixed cost in the matmuls (a zeroed stack scratch array once
+// cost it 25 %) shows here and nowhere else.
+func BenchmarkGradientPath(b *testing.B) {
+	ds, err := data.NewSyntheticMNIST(16, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("render16", func(b *testing.B) {
+		rng := vec.NewRNG(benchSeed)
+		img := make([]float64, ds.Dim())
+		for i := 0; i < b.N; i++ {
+			ds.Render(rng, i%10, img)
+		}
+	})
+	gradient := func(m model.Model, ds data.Dataset, batch int) func(b *testing.B) {
+		return func(b *testing.B) {
+			x, y, err := data.NewBatch(ds, vec.NewRNG(benchSeed), batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grad := make([]float64, m.Dim())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Gradient(grad, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	mlp, err := model.NewMLP(ds.Dim(), []int{48}, 10, model.ActReLU, model.SoftmaxCrossEntropy{}, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("mlp-gradient-16x256x48", gradient(mlp, ds, 16))
+	gmm, err := data.NewGaussianMixture(3, 6, 4, 0.5, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	softmax, err := model.NewSoftmaxClassifier(6, 3, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("softmax-gradient-8x6x3", gradient(softmax, gmm, 8))
+	b.Run("coordmedian-n20-d12826", func(b *testing.B) {
+		// 14 honest proposals and 6 Gaussian-attack ones, as in the
+		// train_mnist_attack cells.
+		const n, f, d = 20, 6, 12826
+		rng := vec.NewRNG(benchSeed)
+		vs := make([][]float64, n)
+		for i := range vs {
+			sigma := 1.0
+			if i >= n-f {
+				sigma = 200
+			}
+			vs[i] = rng.NewNormal(d, 0, sigma)
+		}
+		dst := make([]float64, d)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := (krum.CoordMedian{}).Aggregate(dst, vs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRunnerWithStore measures the content-addressed result

@@ -22,6 +22,9 @@ type SyntheticMNIST struct {
 	size    int
 	noise   float64
 	classes int
+	// centres[i] is the coordinate of pixel row/column i's centre in
+	// the unit square.
+	centres []float64
 }
 
 // NewSyntheticMNIST returns a generator of size×size digit images with
@@ -34,7 +37,11 @@ func NewSyntheticMNIST(size int, noise float64) (*SyntheticMNIST, error) {
 	if noise < 0 || noise > 1 {
 		return nil, fmt.Errorf("noise %g outside [0, 1]: %w", noise, ErrConfig)
 	}
-	return &SyntheticMNIST{size: size, noise: noise, classes: 10}, nil
+	centres := make([]float64, size)
+	for i := range centres {
+		centres[i] = (float64(i) + 0.5) / float64(size)
+	}
+	return &SyntheticMNIST{size: size, noise: noise, classes: 10, centres: centres}, nil
 }
 
 // Dim implements Dataset.
@@ -45,6 +52,9 @@ func (m *SyntheticMNIST) OutDim() int { return m.classes }
 
 // Size returns the image side length.
 func (m *SyntheticMNIST) Size() int { return m.size }
+
+// colBlock is how many pixel columns pass 1 of Render handles at a time.
+const colBlock = 32
 
 // segment is a stroke in the unit square (y grows downward).
 type segment struct {
@@ -121,6 +131,9 @@ func (m *SyntheticMNIST) Sample(rng *vec.RNG, x, y []float64) {
 
 // Render draws one randomized instance of the given digit into img
 // (len Size²), overwriting it. Pixels are in [0, 1].
+//
+// The RNG stream is part of the result: five geometry draws, then one
+// NormFloat64 per pixel in raster order when noise > 0.
 func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 	if digit < 0 || digit >= m.classes {
 		panic(fmt.Sprintf("data: digit %d out of range", digit))
@@ -137,46 +150,81 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 	thickness := 0.035 + 0.03*rng.Float64()
 	soft := 0.5 * thickness
 
-	// Transform the skeleton once.
-	strokes := digitStrokes[digit]
-	txs := make([]segment, len(strokes))
-	for i, s := range strokes {
-		txs[i] = segment{
-			x1: transformX(s.x1, s.y1, scale, sin, cos) + dx,
-			y1: transformY(s.x1, s.y1, scale, sin, cos) + dy,
-			x2: transformX(s.x2, s.y2, scale, sin, cos) + dx,
-			y2: transformY(s.x2, s.y2, scale, sin, cos) + dy,
+	// Pass 1: img holds the squared distance from each pixel centre to
+	// the nearest stroke, one stroke at a time so that whatever depends
+	// on the stroke alone, on the stroke and the column, or on the
+	// stroke and the row is computed once. The closest point of a
+	// stroke to p is p1 + t·v with t = ⟨p − p1, v⟩/|v|² clamped to
+	// [0, 1]. The quotient is only formed where the projection falls
+	// strictly inside the stroke: a numerator ≤ 0 clamps to t = 0 and
+	// one ≥ |v|² to t = 1 however the division rounds, and p1 + 0·v and
+	// p1 + 1·v are the two ends (the latter as the sum p1 + v, which is
+	// not bit for bit the stroke's other end point).
+	vec.Fill(img, math.Inf(1))
+	var wxvx, wx2, ex2 [colBlock]float64
+	for c0 := 0; c0 < m.size; c0 += colBlock {
+		cols := m.centres[c0:min(c0+colBlock, m.size)]
+		for _, s := range digitStrokes[digit] {
+			x1 := transformX(s.x1, s.y1, scale, sin, cos) + dx
+			y1 := transformY(s.x1, s.y1, scale, sin, cos) + dy
+			x2 := transformX(s.x2, s.y2, scale, sin, cos) + dx
+			y2 := transformY(s.x2, s.y2, scale, sin, cos) + dy
+			vx, vy := x2-x1, y2-y1
+			len2 := vx*vx + vy*vy
+			ex, ey := x1+vx, y1+vy
+			for j, cx := range cols {
+				wx := cx - x1
+				wxvx[j], wx2[j] = wx*vx, wx*wx
+				ex2[j] = (cx - ex) * (cx - ex)
+			}
+			for py, cy := range m.centres {
+				row := img[py*m.size+c0:]
+				wy := cy - y1
+				wyvy, wy2 := wy*vy, wy*wy
+				ey2 := (cy - ey) * (cy - ey)
+				for j, cx := range cols {
+					var d2 float64
+					switch num := wxvx[j] + wyvy; {
+					case num <= 0:
+						d2 = wx2[j] + wy2
+					case num >= len2:
+						d2 = ex2[j] + ey2
+					default:
+						t := num / len2
+						qx := cx - (x1 + t*vx)
+						qy := cy - (y1 + t*vy)
+						d2 = qx*qx + qy*qy
+					}
+					if d2 < row[j] {
+						row[j] = d2
+					}
+				}
+			}
 		}
 	}
 
-	sz := float64(m.size)
-	for py := 0; py < m.size; py++ {
-		cy := (float64(py) + 0.5) / sz
-		for px := 0; px < m.size; px++ {
-			cx := (float64(px) + 0.5) / sz
-			d := math.Inf(1)
-			for _, s := range txs {
-				if sd := segmentDist(cx, cy, s); sd < d {
-					d = sd
-				}
-			}
-			var intensity float64
-			switch {
-			case d <= thickness:
-				intensity = 1
-			default:
-				t := (d - thickness) / soft
-				intensity = math.Exp(-t * t)
-			}
-			if m.noise > 0 {
-				intensity += m.noise * rng.NormFloat64()
-			}
+	// Pass 2: distance to intensity. Correctly rounded sqrt is monotone,
+	// so the root of the smallest square is the smallest root.
+	for i, d2 := range img {
+		d := math.Sqrt(d2)
+		if d <= thickness {
+			img[i] = 1
+		} else {
+			t := (d - thickness) / soft
+			img[i] = math.Exp(-t * t)
+		}
+	}
+
+	// Pass 3: pixel noise, in raster order.
+	if m.noise > 0 {
+		for i, intensity := range img {
+			intensity += m.noise * rng.NormFloat64()
 			if intensity < 0 {
 				intensity = 0
 			} else if intensity > 1 {
 				intensity = 1
 			}
-			img[py*m.size+px] = intensity
+			img[i] = intensity
 		}
 	}
 }
@@ -191,24 +239,4 @@ func transformX(x, y, scale, sin, cos float64) float64 {
 func transformY(x, y, scale, sin, cos float64) float64 {
 	rx, ry := x-0.5, y-0.5
 	return 0.5 + scale*(rx*sin+ry*cos)
-}
-
-// segmentDist returns the Euclidean distance from point (px, py) to the
-// segment s.
-func segmentDist(px, py float64, s segment) float64 {
-	vx, vy := s.x2-s.x1, s.y2-s.y1
-	wx, wy := px-s.x1, py-s.y1
-	len2 := vx*vx + vy*vy
-	var t float64
-	if len2 > 0 {
-		t = (wx*vx + wy*vy) / len2
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
-	}
-	dx := px - (s.x1 + t*vx)
-	dy := py - (s.y1 + t*vy)
-	return math.Sqrt(dx*dx + dy*dy)
 }

@@ -25,7 +25,6 @@ import (
 
 	"krum/attack"
 	"krum/internal/arrival"
-	"krum/internal/vec"
 )
 
 // asyncState holds one run's bounded-staleness machinery: the arrival
@@ -79,12 +78,14 @@ func newAsyncState(proc arrival.Process, seed uint64, n, f, dim int) *asyncState
 // from every correct worker — they are all computed regardless of
 // arrival so the per-worker data RNG streams match the synchronous
 // run exactly; non-arriving workers' fresh values are simply never
-// submitted. The attack runs every round (identical attackRNG
-// consumption) against the effective correct proposals — the
-// full-knowledge threat model under asynchrony: the adversary sees
-// what the server is about to see, and its own Byzantine submissions
-// are subject to the same arrival process as everyone else's.
-func (a *asyncState) round(t int, proposals, correct [][]float64, atk attack.Strategy, params []float64, attackRNG *vec.RNG) ([]int, error) {
+// submitted. The attack runs every round (identical attack-RNG
+// consumption, through the run's one ctx) against the effective
+// correct proposals — the full-knowledge threat model under
+// asynchrony: the adversary sees what the server is about to see, and
+// its own Byzantine submissions are subject to the same arrival
+// process as everyone else's (which is also why the vectors ctx lends
+// are copied into the replay buffers, never kept).
+func (a *asyncState) round(t int, proposals, correct [][]float64, atk attack.Strategy, params []float64, ctx *attack.Context) ([]int, error) {
 	arrivals := a.trace.Next()
 	nc := a.n - a.f
 	for _, i := range arrivals {
@@ -96,13 +97,7 @@ func (a *asyncState) round(t int, proposals, correct [][]float64, atk attack.Str
 		proposals[i] = a.effective(i)
 	}
 	if a.f > 0 {
-		ctx := &attack.Context{
-			Round:   t,
-			Params:  params,
-			Correct: proposals[:nc],
-			F:       a.f,
-			RNG:     attackRNG,
-		}
+		ctx.Round, ctx.Params, ctx.Correct = t, params, proposals[:nc]
 		byz := atk.Propose(ctx)
 		if len(byz) != a.f {
 			return nil, fmt.Errorf("attack returned %d proposals, want %d: %w", len(byz), a.f, ErrConfig)

@@ -315,6 +315,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Incremental {
 		engine.EnableCache()
 	}
+	// One attack.Context for the whole run, so the strategy reuses its
+	// proposal vectors: both paths are done with round t's Byzantine
+	// vectors (aggregated, or copied into the replay buffers) before
+	// round t+1 asks for new ones.
+	atkCtx := &attack.Context{F: cfg.F, RNG: attackRNG}
 	// The async state is seeded from cfg.Seed directly (not from a
 	// rootRNG draw), so enabling an arrival process never shifts the
 	// pool/eval/attack RNG streams — load-bearing for the sync≡async
@@ -342,21 +347,15 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var changed []int
 		if async != nil {
-			changed, err = async.round(t, proposals, correct, atk, params, attackRNG)
+			changed, err = async.round(t, proposals, correct, atk, params, atkCtx)
 			if err != nil {
 				return nil, fmt.Errorf("round %d: %w", t, err)
 			}
 		} else {
 			copy(proposals, correct)
 			if cfg.F > 0 {
-				ctx := &attack.Context{
-					Round:   t,
-					Params:  params,
-					Correct: correct,
-					F:       cfg.F,
-					RNG:     attackRNG,
-				}
-				byz := atk.Propose(ctx)
+				atkCtx.Round, atkCtx.Params, atkCtx.Correct = t, params, correct
+				byz := atk.Propose(atkCtx)
 				if len(byz) != cfg.F {
 					return nil, fmt.Errorf("round %d: attack returned %d proposals, want %d: %w", t, len(byz), cfg.F, ErrConfig)
 				}

@@ -180,12 +180,8 @@ func (b *Bulyan) Aggregate(dst []float64, vectors [][]float64) error {
 	return b.AggregateContext(dst, NewRoundContext(vectors))
 }
 
-// medianOf returns the median of vals; it scrambles the slice order.
+// medianOf returns the median of vals, which it leaves sorted.
 func medianOf(vals []float64) float64 {
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return 0.5 * (vals[n/2-1] + vals[n/2])
+	sortColumn(vals)
+	return medianOfSorted(vals)
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"krum/internal/vec"
-)
+import "krum/internal/vec"
 
 // ClippedMean is the norm-clipping baseline from the practical
 // robust-aggregation literature: every proposal is rescaled to at most
@@ -31,14 +27,7 @@ func (ClippedMean) Aggregate(dst []float64, vectors [][]float64) error {
 	for i, v := range vectors {
 		norms[i] = vec.Norm(v)
 	}
-	sorted := append([]float64(nil), norms...)
-	sort.Float64s(sorted)
-	var clip float64
-	if n%2 == 1 {
-		clip = sorted[n/2]
-	} else {
-		clip = 0.5 * (sorted[n/2-1] + sorted[n/2])
-	}
+	clip := medianOf(append([]float64(nil), norms...))
 	vec.Zero(dst)
 	for i, v := range vectors {
 		w := 1.0

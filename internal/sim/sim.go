@@ -41,6 +41,9 @@ type worker struct {
 type Pool struct {
 	workers []*worker
 	dim     int
+	// proposals is the slice Gradients returns, allocated by its first
+	// call and refilled by every later one.
+	proposals [][]float64
 }
 
 // NewPool creates nWorkers replicas of template, each drawing
@@ -84,9 +87,9 @@ func (p *Pool) Dim() int { return p.dim }
 // Gradients runs one synchronous round: every worker receives params,
 // draws a fresh mini-batch and computes its gradient estimate
 // V_i = G(x_t, ξ_i). It returns the n proposals and the mean mini-batch
-// loss across workers. The returned slices are owned by the pool and
-// remain valid only until the next call — the engine copies what it
-// keeps (copy-at-boundary).
+// loss across workers. The returned slices — the outer one included —
+// are owned by the pool and remain valid only until the next call: the
+// engine copies what it keeps (copy-at-boundary).
 func (p *Pool) Gradients(params []float64) ([][]float64, float64, error) {
 	if len(params) != p.dim {
 		return nil, 0, fmt.Errorf("params dim %d, want %d: %w", len(params), p.dim, ErrConfig)
@@ -101,16 +104,18 @@ func (p *Pool) Gradients(params []float64) ([][]float64, float64, error) {
 	}
 	wg.Wait()
 
-	proposals := make([][]float64, len(p.workers))
+	if p.proposals == nil {
+		p.proposals = make([][]float64, len(p.workers))
+	}
 	var lossSum float64
 	for i, w := range p.workers {
 		if w.err != nil {
 			return nil, 0, fmt.Errorf("worker %d: %w", i, w.err)
 		}
-		proposals[i] = w.grad
+		p.proposals[i] = w.grad
 		lossSum += w.loss
 	}
-	return proposals, lossSum / float64(len(p.workers)), nil
+	return p.proposals, lossSum / float64(len(p.workers)), nil
 }
 
 // round is one worker's round-t computation.

@@ -163,3 +163,74 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 		t.Errorf("Shuffle changed elements: %v", v)
 	}
 }
+
+// normFloat64Reference is NormFloat64 as it stood before Sincos, kept
+// verbatim: separate Sin and Cos calls, each with its own range
+// reduction.
+func normFloat64Reference(r *RNG) float64 {
+	if r.hasGauss {
+		r.hasGauss = false
+		return r.gauss
+	}
+	var u, v float64
+	for {
+		u = r.Float64()
+		if u > 0 {
+			break
+		}
+	}
+	v = r.Float64()
+	radius := math.Sqrt(-2 * math.Log(u))
+	theta := 2 * math.Pi * v
+	r.gauss = radius * math.Sin(theta)
+	r.hasGauss = true
+	return radius * math.Cos(theta)
+}
+
+// TestSincosMatchesSinCos: over Box–Muller's angle range θ = 2π·v,
+// v ∈ [0, 1) on the 2⁻⁵³ grid Float64 draws from, math.Sincos returns
+// the bits math.Sin and math.Cos do — random angles plus the octant
+// boundaries and both ends of the range, where the reductions differ if
+// anywhere.
+func TestSincosMatchesSinCos(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		theta := 2 * math.Pi * v
+		s, c := math.Sincos(theta)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(theta)) ||
+			math.Float64bits(c) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("θ = 2π·%v: Sincos (%v, %v), Sin %v, Cos %v", v, s, c, math.Sin(theta), math.Cos(theta))
+		}
+	}
+	const ulp = 1.0 / (1 << 53)
+	for k := 0; k <= 8; k++ {
+		for _, dv := range []float64{-2 * ulp, -ulp, 0, ulp, 2 * ulp} {
+			if v := float64(k)/8 + dv; v >= 0 && v < 1 {
+				check(v)
+			}
+		}
+	}
+	draws := 2_000_000
+	if testing.Short() {
+		draws = 200_000
+	}
+	rng := NewRNG(99)
+	for i := 0; i < draws; i++ {
+		check(rng.Float64())
+	}
+}
+
+// TestNormFloat64MatchesReference: the stream itself, cached second
+// variate included, is bit-identical to the Sin/Cos formulation.
+func TestNormFloat64MatchesReference(t *testing.T) {
+	got, want := NewRNG(5), NewRNG(5)
+	for i := 0; i < 100_001; i++ {
+		g, w := got.NormFloat64(), normFloat64Reference(want)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("draw %d: %v, reference %v", i, g, w)
+		}
+	}
+	if got.Uint64() != want.Uint64() {
+		t.Error("generators diverged")
+	}
+}

@@ -48,7 +48,10 @@ func NewConv2D(inC, inH, inW, outC, k int) (*Conv2D, error) {
 	return c, nil
 }
 
-var _ Layer = (*Conv2D)(nil)
+var (
+	_ Layer      = (*Conv2D)(nil)
+	_ paramLayer = (*Conv2D)(nil)
+)
 
 // OutDim implements Layer.
 func (c *Conv2D) OutDim(inDim int) (int, error) {
@@ -101,13 +104,26 @@ func (c *Conv2D) Backward(dout *vec.Dense) *vec.Dense {
 	if c.dxBuf == nil || c.dxBuf.Rows != dout.Rows {
 		c.dxBuf = vec.NewDense(dout.Rows, c.InC*c.InH*c.InW)
 	}
+	c.dxBuf.Zero()
+	c.backward(dout, c.dxBuf)
+	return c.dxBuf
+}
+
+// backwardParams implements paramLayer.
+func (c *Conv2D) backwardParams(dout *vec.Dense) { c.backward(dout, nil) }
+
+// backward accumulates the weight and bias gradients and, when dxBuf is
+// non-nil, adds the input gradient into it.
+func (c *Conv2D) backward(dout, dxBuf *vec.Dense) {
 	vec.Zero(c.gw)
 	vec.Zero(c.gb)
-	c.dxBuf.Zero()
 	for s := 0; s < dout.Rows; s++ {
 		in := c.lastX.Row(s)
 		dO := dout.Row(s)
-		dx := c.dxBuf.Row(s)
+		var dx []float64
+		if dxBuf != nil {
+			dx = dxBuf.Row(s)
+		}
 		for oc := 0; oc < c.OutC; oc++ {
 			for oy := 0; oy < c.outH; oy++ {
 				for ox := 0; ox < c.outW; ox++ {
@@ -123,7 +139,11 @@ func (c *Conv2D) Backward(dout *vec.Dense) *vec.Dense {
 							wOff := c.wAt(oc, ic, ky, 0)
 							for kx := 0; kx < c.K; kx++ {
 								c.gw[wOff+kx] += in[rowOff+kx] * g
-								dx[rowOff+kx] += c.w[wOff+kx] * g
+							}
+							if dx != nil {
+								for kx := 0; kx < c.K; kx++ {
+									dx[rowOff+kx] += c.w[wOff+kx] * g
+								}
 							}
 						}
 					}
@@ -131,7 +151,6 @@ func (c *Conv2D) Backward(dout *vec.Dense) *vec.Dense {
 			}
 		}
 	}
-	return c.dxBuf
 }
 
 // ParamCount implements Layer.

@@ -31,6 +31,16 @@ type Layer interface {
 	CloneLayer() Layer
 }
 
+// paramLayer is a Layer that can accumulate its parameter gradients
+// without also computing dL/din. Network.Gradient uses it on the first
+// layer, whose input gradient nothing reads: for a Dense layer that is
+// the whole dout·Wᵀ product, a third of a linear model's backward pass.
+type paramLayer interface {
+	// backwardParams does what Backward does to the parameter
+	// gradients, bit for bit, and nothing else.
+	backwardParams(dout *vec.Dense)
+}
+
 // Dense is the fully connected layer y = x·W + b with W (in×out) and
 // bias b (out). Construct with NewDense; weights are initialized by the
 // Network with He/Xavier scaling.
@@ -57,7 +67,10 @@ func NewDense(in, out int) *Dense {
 	}
 }
 
-var _ Layer = (*Dense)(nil)
+var (
+	_ Layer      = (*Dense)(nil)
+	_ paramLayer = (*Dense)(nil)
+)
 
 // OutDim implements Layer.
 func (l *Dense) OutDim(inDim int) (int, error) {
@@ -81,13 +94,18 @@ func (l *Dense) Forward(x *vec.Dense) *vec.Dense {
 // Backward implements Layer.
 func (l *Dense) Backward(dout *vec.Dense) *vec.Dense {
 	// dW = xᵀ·dout, db = Σ rows(dout), dx = dout·Wᵀ.
-	vec.MatMulATB(l.gw, l.lastX, dout)
-	vec.SumRows(l.gb, dout)
+	l.backwardParams(dout)
 	if l.dxBuf == nil || l.dxBuf.Rows != dout.Rows {
 		l.dxBuf = vec.NewDense(dout.Rows, l.In)
 	}
 	vec.MatMulABT(l.dxBuf, dout, l.w)
 	return l.dxBuf
+}
+
+// backwardParams implements paramLayer.
+func (l *Dense) backwardParams(dout *vec.Dense) {
+	vec.MatMulATB(l.gw, l.lastX, dout)
+	vec.SumRows(l.gb, dout)
 }
 
 // ParamCount implements Layer.

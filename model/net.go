@@ -17,6 +17,7 @@ type Network struct {
 	loss    Loss
 	offsets []int // offsets[i] is the flat index of layer i's params
 	dim     int
+	dout    *vec.Dense // Gradient's dL/doutputs, reused across calls
 }
 
 var _ Model = (*Network)(nil)
@@ -132,14 +133,21 @@ func (n *Network) Gradient(dst []float64, x, y *vec.Dense) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	dout := vec.NewDense(out.Rows, out.Cols)
-	loss, err := n.loss.Grad(dout, out, y)
+	if n.dout == nil || n.dout.Rows != out.Rows {
+		n.dout = vec.NewDense(out.Rows, out.Cols)
+	}
+	loss, err := n.loss.Grad(n.dout, out, y)
 	if err != nil {
 		return 0, err
 	}
-	cur := dout
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	cur := n.dout
+	for i := len(n.layers) - 1; i > 0; i-- {
 		cur = n.layers[i].Backward(cur)
+	}
+	if first, ok := n.layers[0].(paramLayer); ok {
+		first.backwardParams(cur)
+	} else {
+		n.layers[0].Backward(cur)
 	}
 	for i, l := range n.layers {
 		if c := l.ParamCount(); c > 0 {
