@@ -245,13 +245,13 @@ func BenchmarkBulyanMemoized(b *testing.B) {
 // subtract-square loop ("naive") against the blocked Gram-trick kernel
 // (2×4 tiles of the active tier), serial and parallel. The
 // blocked/naive ratio is the tracked speedup (≥3× on amd64).
-// blocked-parallel8 equals blocked here BY DESIGN, not because the
-// parallel builder fails to scale: the working set (~7.8 Mflop) sits
-// under the kernel's minParallelFlops threshold, so
-// NewDistanceMatrixParallel runs the serial build rather than pay
-// goroutine overhead for no win. The row says the threshold works; the
-// builder's scaling is BenchmarkDistanceMatrixLargeN's parallel8 row
-// (≈2× at n = 1000 on 2 vCPUs) and BenchmarkKrumParallel at d = 100000.
+// blocked-parallel8 runs on 3 goroutines here: the working set
+// (~7.8 Mflop) is worth three shares of the kernel's minParallelFlops,
+// and with no serial prefix left in the build that reads ≈ 1.3× over
+// blocked on 2 vCPUs (EXPERIMENTS.md "minParallelFlops re-tried"). The
+// builder's scaling proper is BenchmarkDistanceMatrixLargeN's parallel8
+// row (≈2× at n = 1000 on 2 vCPUs) and BenchmarkKrumParallel at
+// d = 100000.
 func BenchmarkDistanceMatrix(b *testing.B) {
 	const n, d = 40, 10000
 	vs := benchVectors(n, d)
@@ -330,7 +330,8 @@ func BenchmarkDistanceMatrixIncremental(b *testing.B) {
 // round-0 build, then UpdateRows over each round's arrival set). Both
 // arms walk the identical proposal history, so the
 // full-rebuild/incremental ns/op ratio is the tracked async cache win
-// (acceptance: ≥ 2× under this traffic).
+// (2.7× while a rebuild copied the proposals; 1.9× since PR 22 made the
+// rebuild 2.3× cheaper and the updates 8–17 % — both arms got faster).
 func BenchmarkRunIncrementalAsync(b *testing.B) {
 	const n, d, rounds = 40, 10000, 32
 	proc, err := krum.ParseArrival("bernoulli(p=0.25,tau=8)")

@@ -137,7 +137,7 @@ type Config struct {
 	// Incremental carries the distance matrix across rounds through the
 	// engine's RoundCache: each round the engine recomputes only the
 	// rows of proposals that actually changed (exact comparison against
-	// the cached copies), turning the steady-state distance cost from
+	// the cache's own copies), turning the steady-state distance cost from
 	// O(n²·d) into O(c·n·d) for c changed proposals. Results are
 	// bit-identical with or without the flag — reused cells equal what
 	// a rebuild would recompute — so this is purely a time/space trade:
@@ -310,7 +310,11 @@ func Run(cfg Config) (*Result, error) {
 	// proposal slice and the pooled update buffer are reused across all
 	// rounds (every rule fully overwrites dst). With Incremental set
 	// the engine additionally carries the matrix across rounds,
-	// diffing each round's proposals lazily on first use.
+	// diffing each round's proposals lazily on first use. Either way the
+	// proposals are only lent to the engine for the round: it reads the
+	// pool's, the attack's and the replay buffers where they lie, and
+	// the cache copies the rows it keeps, so all of them may be
+	// rewritten as soon as the round's aggregate is out.
 	engine := core.NewEngine(cfg.Parallel)
 	if cfg.Incremental {
 		engine.EnableCache()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"krum/internal/vec"
@@ -183,5 +185,168 @@ func TestRoundCacheParallelBuild(t *testing.T) {
 				t.Fatalf("cell (%d,%d): parallel %v, serial %v", i, j, a.At(i, j), b.At(i, j))
 			}
 		}
+	}
+}
+
+// sameMatrix fails unless got equals, bit for bit, a fresh build over
+// the round's proposals.
+func sameMatrix(t *testing.T, what string, got *vec.DistanceMatrix, vs [][]float64) {
+	t.Helper()
+	want := NewRoundContext(vs).Distances()
+	for i := range vs {
+		for j := range vs {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: cell (%d,%d): cached %v, rebuild %v", what, i, j, g, w)
+			}
+		}
+	}
+}
+
+// TestRoundCacheUnservedRoundVoidsDeclaration: a declared change-set is
+// relative to the previous ROUND, the cache's arena to the last round
+// that asked for distances. When those differ — FiniteGuard re-ran its
+// inner rule on a sanitized copy, or the round's rule needed no
+// distances — taking the next declaration at face value leaves the rows
+// that changed in the unserved round stale. The cache must notice the
+// gap and diff for itself.
+func TestRoundCacheUnservedRoundVoidsDeclaration(t *testing.T) {
+	const n, d, f = 9, 24, 2
+	t.Run("finiteguard", func(t *testing.T) {
+		e := NewEngine(0).EnableCache()
+		rule := FiniteGuard{Inner: NewKrum(f)}
+		dst := make([]float64, d)
+		round := func(vs [][]float64, changed []int) *RoundContext {
+			ctx := e.Round(vs).SetChanged(changed)
+			if err := rule.AggregateContext(dst, ctx); err != nil {
+				t.Fatal(err)
+			}
+			return ctx
+		}
+		vs := engineTestVectors(n, d, 21)
+		round(vs, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+		// Round 2: row 3 goes non-finite, so the guard aggregates on a
+		// fresh context and the cache never sees row 5 move.
+		vs = vec.CloneAll(vs)
+		finite := vs[3][0]
+		vs[3][0] = math.NaN()
+		vec.Fill(vs[5], 1e3)
+		round(vs, []int{3, 5})
+		// Round 3: only row 3 changes, and says so.
+		vs = vec.CloneAll(vs)
+		vs[3][0] = finite
+		ctx := round(vs, []int{3})
+		sameMatrix(t, "round after a guarded round", ctx.Distances(), vs)
+		want := make([]float64, d)
+		if err := rule.Aggregate(want, vs); err != nil {
+			t.Fatal(err)
+		}
+		if !vec.ApproxEqual(dst, want, 0) {
+			t.Error("aggregate after a guarded round differs from the uncached rule's")
+		}
+	})
+	t.Run("average-then-krum", func(t *testing.T) {
+		e := NewEngine(0).EnableCache()
+		rules := []Rule{Average{}, NewKrum(f)}
+		dst := make([]float64, d)
+		vs := engineTestVectors(n, d, 22)
+		for r := 0; r < 12; r++ {
+			// Every round moves two rows and declares exactly those;
+			// only every other round asks the cache for distances.
+			vs = vec.CloneAll(vs)
+			changed := []int{r % n, (r + 4) % n}
+			for _, i := range changed {
+				vs[i] = engineTestVectors(1, d, uint64(100+10*r+i))[0]
+			}
+			ctx := e.Round(vs).SetChanged(changed)
+			if err := AggregateContext(rules[r%2], dst, ctx); err != nil {
+				t.Fatal(err)
+			}
+			if r%2 == 1 {
+				sameMatrix(t, "alternating rules", ctx.Distances(), vs)
+			}
+		}
+	})
+}
+
+// TestRoundCacheOwnsItsCopies is the owning half of the ownership rule
+// (vec's TestBorrowedBuildMatchesDeepCopy is the borrowing half): the
+// caller overwrites and recycles every proposal buffer between rounds —
+// declared and undeclared change-sets, partial and full-change rounds —
+// and every round's matrix still equals a fresh rebuild bit for bit,
+// out of the one arena and the one matrix the cache allocated on its
+// first round.
+func TestRoundCacheOwnsItsCopies(t *testing.T) {
+	const n, d, rounds = 10, 40, 60
+	rng := vec.NewRNG(31)
+	e := NewEngine(0).EnableCache()
+	bufs := engineTestVectors(n, d, 30)
+	first := e.Round(bufs).Distances()
+	arena := &e.Cache().rows[0][0]
+	for r := 1; r <= rounds; r++ {
+		var changed []int
+		for i := range bufs {
+			// Every third round rewrites every buffer; the others a
+			// random third of them. A recycled buffer changes hands too.
+			if r%3 == 0 || rng.Intn(3) == 0 {
+				for k := range bufs[i] {
+					bufs[i][k] = rng.NormFloat64()
+				}
+				changed = append(changed, i)
+			}
+		}
+		if j := rng.Intn(n); r%5 == 0 && len(changed) > 0 && j != changed[0] {
+			i := changed[0]
+			bufs[i], bufs[j] = bufs[j], bufs[i]
+			changed = append(changed, j)
+		}
+		ctx := e.Round(bufs)
+		if r%2 == 0 {
+			ctx.SetChanged(changed)
+		}
+		got := ctx.Distances()
+		if got != first || &e.Cache().rows[0][0] != arena {
+			t.Fatalf("round %d: the cache allocated a second matrix or arena", r)
+		}
+		sameMatrix(t, "recycled buffers", got, bufs)
+	}
+	if st := e.Cache().Stats(); st.Builds < rounds/3 || st.Reuses == 0 || st.Builds+st.Reuses != rounds+1 {
+		t.Errorf("stats = %+v: want full-change rebuilds and incremental rounds over %d rounds", st, rounds+1)
+	}
+}
+
+// allocPerRound returns the heap bytes one call of round allocates,
+// averaged over count calls (runtime.MemStats.TotalAlloc is cumulative
+// and exact, so the figure does not depend on the host's speed or on
+// when the collector runs).
+func allocPerRound(count int, round func(r int)) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < count; r++ {
+		round(r)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(count)
+}
+
+// TestDistanceBuildAllocations is the counted twin of the benchmark's
+// proc.alloc_kb_per_op at the n = 40, d = 10⁴ stress shape: an uncached
+// round allocates its n² cells plus O(n) — no n·d term, the proposals
+// are read where they lie — and a cached full-change round, which
+// rebuilds in place inside the cache's arena, next to nothing.
+func TestDistanceBuildAllocations(t *testing.T) {
+	const n, d, slack = 40, 10_000, 4 << 10
+	sets := [2][][]float64{engineTestVectors(n, d, 41), engineTestVectors(n, d, 42)}
+	uncached := NewEngine(0)
+	if got := allocPerRound(100, func(r int) { uncached.Round(sets[r%2]).Distances() }); got > 8*n*n+slack {
+		t.Errorf("uncached build allocates %d B, want ≤ 8·n² + 4 KB = %d (n·d·8 = %d)", got, 8*n*n+slack, 8*n*d)
+	}
+	cached := NewEngine(0).EnableCache()
+	cached.Round(sets[1]).Distances()
+	builds := cached.Cache().Stats().Builds
+	if got := allocPerRound(100, func(r int) { cached.Round(sets[r%2]).Distances() }); got > slack {
+		t.Errorf("cached full-change round allocates %d B, want ≤ 4 KB", got)
+	}
+	if got := cached.Cache().Stats().Builds - builds; got != 100 {
+		t.Errorf("%d of 100 full-change rounds were counted as builds", got)
 	}
 }

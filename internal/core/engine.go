@@ -24,6 +24,8 @@ type RoundContext struct {
 	// changedKnown distinguishes "nothing changed" from "unknown".
 	changed      []int
 	changedKnown bool
+	// stamp numbers a cached engine's rounds (RoundCache.distances).
+	stamp uint64
 }
 
 // NewRoundContext returns a context over one round's proposals.
@@ -51,10 +53,11 @@ func (c *RoundContext) EnsureParallel(workers int) {
 }
 
 // SetChanged declares the change-set for a cached round: the indices
-// of proposals whose contents differ from the previous round's (as
-// held by the engine's RoundCache). The contract is one-sided — every
-// changed index MUST be listed, extra indices merely waste work. Rounds
-// through an uncached engine ignore the declaration. Callers that do
+// of proposals whose contents differ from the previous round's. The
+// contract is one-sided — every changed index MUST be listed, extra
+// indices merely waste work. Rounds through an uncached engine ignore
+// the declaration, and so does a cache that was not asked for the
+// previous round's distances (it holds an older round). Callers that do
 // not know their change-set should not call SetChanged at all: the
 // cache then diffs the proposals itself. It returns the context for
 // chaining.
@@ -76,13 +79,15 @@ func (c *RoundContext) Vectors() [][]float64 { return c.vectors }
 // which recomputes only the rows of changed proposals when it can.
 //
 // Aliasing: on a cache-enabled engine the returned matrix is the
-// cache's long-lived instance — the NEXT round's update rewrites its
-// cells in place. Use it within the round it was obtained for; callers
-// that need to retain distances across rounds must copy them out.
+// cache's long-lived instance — the NEXT round's update or rebuild
+// rewrites its cells in place. Use it within the round it was obtained
+// for; callers that need to retain distances across rounds must copy
+// them out. An uncached engine's matrix borrows the proposals (no
+// copy): its cells stay valid, updating it needs the proposals intact.
 func (c *RoundContext) Distances() *vec.DistanceMatrix {
 	if c.dm == nil {
 		if c.cache != nil {
-			c.dm = c.cache.distances(c.vectors, c.changed, c.changedKnown, c.parallel)
+			c.dm = c.cache.distances(c)
 		} else {
 			c.dm = buildMatrix(c.vectors, c.parallel)
 		}
@@ -139,17 +144,24 @@ func AggregateContext(rule Rule, dst []float64, ctx *RoundContext) error {
 // only c of n proposals changed needs only those c rows recomputed —
 // Θ(c·n·d) instead of the full Θ(n²·d) rebuild (Lemma 4.1's bill).
 //
-// The cache holds its own copies of the previous round's vectors
-// (inside vec.DistanceMatrix), so callers may freely recycle proposal
-// buffers between rounds. It falls back to a full rebuild when there
-// is nothing to reuse: the first round, a shape change (different n or
-// d), or a change-set covering every proposal.
+// The cache is the one place proposals are copied: it owns one n·d
+// arena for the engine's life, holding the proposals of the last round
+// it served. Each round copies only the changed rows into it and the
+// matrix reads the arena in place, so callers may freely recycle
+// proposal buffers between rounds. A change-set covering every proposal
+// is a full build over the arena, in place; only a shape change
+// (different n or d) allocates again.
 //
 // A RoundCache is owned by one Engine and is NOT goroutine-safe: it
 // serves the strictly sequential round loop of a single training run
 // (concurrent scenario cells each own their engine).
 type RoundCache struct {
 	dm *vec.DistanceMatrix
+	// rows are the arena's n row views — the vectors dm is built over.
+	rows [][]float64
+	// handed counts the rounds the engine handed out, served is the
+	// stamp of the last one that asked for distances.
+	handed, served uint64
 	// stats, exposed through Stats for tests and diagnostics.
 	builds  uint64
 	reuses  uint64
@@ -209,28 +221,41 @@ func (rc *RoundCache) reusable(vectors [][]float64) bool {
 	return rc.dm.Dim() == len(vectors[0])
 }
 
-// distances serves one round's matrix: full rebuild when the cache is
-// cold, the shape changed, or (nearly) everything changed; otherwise
-// incremental row updates for the changed set. An unknown change-set
-// is diffed here, so cached engines stay transparent to callers that
-// never declare one.
-func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown bool, parallel int) *vec.DistanceMatrix {
+// distances serves one round's matrix: a full build when the cache is
+// cold, the shape changed, or everything changed; otherwise incremental
+// row updates for the changed set. A declared change-set is relative to
+// the round before c, so it is taken at face value only when the cache
+// served that round; after a round that never asked for distances (a
+// rule that needs none, FiniteGuard re-running on a sanitized copy),
+// and whenever none was declared, the cache diffs against its arena,
+// which is exact whatever happened in between.
+func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
+	vectors, changed := c.vectors, c.changed
+	declared := c.changedKnown && rc.served+1 == c.stamp
+	rc.served = c.stamp
 	if !rc.reusable(vectors) {
-		rc.dm = buildMatrix(vectors, parallel)
+		rc.rows = vec.CloneAll(vectors)
+		rc.dm = buildMatrix(rc.rows, c.parallel)
 		rc.builds++
 		return rc.dm
 	}
-	if !changedKnown {
+	if !declared {
 		changed = rc.Changed(vectors)
 	}
+	for _, i := range changed {
+		if len(vectors[i]) != len(rc.rows[i]) {
+			panic("core: proposals of unequal dimension")
+		}
+		copy(rc.rows[i], vectors[i])
+	}
 	if len(changed) >= len(vectors) {
-		rc.dm = buildMatrix(vectors, parallel)
+		rc.dm.Rebuild(c.parallel)
 		rc.builds++
 		return rc.dm
 	}
 	rc.reuses++
 	if len(changed) > 0 {
-		rc.rowUpds += uint64(rc.dm.UpdateRows(changed, vectors))
+		rc.rowUpds += uint64(rc.dm.UpdateRows(changed, rc.rows))
 	}
 	return rc.dm
 }
@@ -278,6 +303,10 @@ func (e *Engine) Cache() *RoundCache { return e.cache }
 func (e *Engine) Round(vectors [][]float64) *RoundContext {
 	ctx := NewRoundContext(vectors).SetParallel(e.Parallel)
 	ctx.cache = e.cache
+	if e.cache != nil {
+		e.cache.handed++
+		ctx.stamp = e.cache.handed
+	}
 	return ctx
 }
 

@@ -88,8 +88,10 @@ func (p *Pool) Dim() int { return p.dim }
 // draws a fresh mini-batch and computes its gradient estimate
 // V_i = G(x_t, ξ_i). It returns the n proposals and the mean mini-batch
 // loss across workers. The returned slices — the outer one included —
-// are owned by the pool and remain valid only until the next call: the
-// engine copies what it keeps (copy-at-boundary).
+// are owned by the pool and remain valid only until the next call. The
+// engine reads them in place for the round (a RoundContext borrows its
+// proposals and copies nothing); the one thing that outlives a round,
+// core.RoundCache, copies the rows it keeps into its own arena.
 func (p *Pool) Gradients(params []float64) ([][]float64, float64, error) {
 	if len(params) != p.dim {
 		return nil, 0, fmt.Errorf("params dim %d, want %d: %w", len(params), p.dim, ErrConfig)

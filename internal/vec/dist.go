@@ -29,18 +29,22 @@ func MatrixRowUpdateCount() uint64 { return matrixRowUpdates.Load() }
 // Distances are assembled through the Gram trick
 // ‖a−b‖² = ‖a‖² + ‖b‖² − 2·⟨a,b⟩ over a register-blocked inner-product
 // kernel (see gram.go), with a clamp to zero against the small negative
-// values floating-point cancellation can produce. The matrix owns a
-// contiguous copy of the input vectors and their squared norms, which
-// is what makes the incremental UpdateRow path self-contained: callers
-// may mutate or recycle their proposal buffers between rounds without
-// corrupting the cache.
+// values floating-point cancellation can produce.
+//
+// OWNERSHIP: the matrix is a view over the vectors — it reads them in
+// place and never copies one; only the cells and norms are its own. A
+// build reads the vectors only while it runs, so a matrix built once
+// and then read (one round's RoundContext) borrows them for that call
+// alone. UpdateRow(s) and Rebuild re-read every row the matrix still
+// holds: whoever keeps a matrix across rounds must keep those rows
+// unmodified in between, which is what core.RoundCache's arena is for.
 type DistanceMatrix struct {
 	n    int
 	dim  int
-	gram bool      // Gram-trick kernel (large dim) vs exact subtract-square
-	vecs []float64 // n*dim vector copies, row major
-	nrm  []float64 // n squared norms ‖v_i‖²
-	d    []float64 // n*n squared distances, row major
+	gram bool        // Gram-trick kernel (large dim) vs exact subtract-square
+	rows [][]float64 // the n vectors, borrowed (the header list is the matrix's)
+	nrm  []float64   // n squared norms ‖v_i‖², taken from the staged diagonal
+	d    []float64   // n*n squared distances, row major
 }
 
 // naiveDimMax is the dimension at or below which NewDistanceMatrix
@@ -55,14 +59,12 @@ const naiveDimMax = 16
 // NewDistanceMatrix computes all pairwise squared distances between the
 // given vectors with the blocked Gram-trick kernel (dimensions above
 // naiveDimMax; tiny dimensions keep the exact subtract-square loop).
-// Cost: Θ(n·d) for the norms plus n·(n−1)/2 inner products of d
-// multiply-adds each, i.e. Θ(n²·d) — the same asymptotic bill as the
-// naive kernel, paid at a much higher arithmetic throughput. The build
-// is the tile walker (fill) over "all rows, strict upper triangle".
+// Cost: n·(n+1)/2 inner products of d multiply-adds each (the pairs
+// and the norms), i.e. Θ(n²·d), in n² + O(n) floats: the vectors are
+// borrowed, not copied (see DistanceMatrix). The build is the tile
+// walker (fill) over "all rows, upper triangle".
 func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
-	m := newShell(vectors)
-	m.fill(stridedRows(m.n, 0, 1), true)
-	return m
+	return newShell(vectors).build(1)
 }
 
 // NewDistanceMatrixNaive computes the same matrix with the reference
@@ -74,34 +76,36 @@ func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
 func NewDistanceMatrixNaive(vectors [][]float64) *DistanceMatrix {
 	m := newShell(vectors)
 	m.gram = false
-	m.fill(stridedRows(m.n, 0, 1), true)
-	return m
+	return m.build(1)
 }
 
-// newShell validates dimensions, copies the vectors into contiguous
-// storage, computes the squared norms, and allocates the zeroed
-// distance matrix. Both constructors and the parallel builder share it.
+// newShell validates dimensions and allocates the zeroed cells and
+// norms around a borrowed view of the vectors.
 func newShell(vectors [][]float64) *DistanceMatrix {
-	matrixBuilds.Add(1)
 	n := len(vectors)
 	dim := 0
 	if n > 0 {
 		dim = len(vectors[0])
 	}
-	m := &DistanceMatrix{
+	for _, v := range vectors {
+		checkLen("NewDistanceMatrix", len(v), dim)
+	}
+	return &DistanceMatrix{
 		n:    n,
 		dim:  dim,
 		gram: dim > naiveDimMax,
-		vecs: make([]float64, n*dim),
+		rows: append([][]float64(nil), vectors...),
 		nrm:  make([]float64, n),
 		d:    make([]float64, n*n),
 	}
-	for i, v := range vectors {
-		checkLen("NewDistanceMatrix", len(v), dim)
-		copy(m.vector(i), v)
-		m.nrm[i] = dotPair(v, v)
-	}
-	return m
+}
+
+// Rebuild recomputes every cell and norm in place from the rows the
+// matrix holds, on up to workers goroutines (≤ 1 = serial): a full,
+// counted build without the allocations, for the rows' owner.
+func (m *DistanceMatrix) Rebuild(workers int) {
+	clear(m.d)
+	m.build(workers)
 }
 
 // stridedRows returns worker w's share of a full build's row-set: the
@@ -119,97 +123,100 @@ func stridedRows(n, w, workers int) []int {
 	return rows
 }
 
-// vector returns the matrix's own copy of vector i.
-func (m *DistanceMatrix) vector(i int) []float64 {
-	return m.vecs[i*m.dim : (i+1)*m.dim]
-}
-
 // fill is the one tile walker behind every distance the matrix ever
-// computes. It walks (row pair × column start × k-block) depth-first
-// and turns the accumulated inner products into clamped distances:
-//
-//   - rows is the row-set, consumed two rows at a time so the inner loop
-//     runs the 2×4 tile (each streamed column slice feeds two rows); a
-//     trailing odd row runs the 1×4 tile.
-//   - upper selects the column range. A full build sets it and passes
-//     adjacent row pairs (stridedRows): each row covers only its strict
-//     upper triangle — the pair's cross cell, then every column right
-//     of the pair — and assembly mirrors the value below the diagonal.
-//     Row u then owns cells (u, j>u) and their mirrors (j>u, u), so
-//     disjoint row-sets write disjoint cells: the parallel builder is
-//     this walker over a partition of the rows, sharing nothing but the
-//     buffer. An update clears it and passes the changed rows: each row
-//     covers all n columns (the self cell rides through the tile walk
-//     and is zeroed at assembly), so a changed–changed pair is simply
-//     staged from both sides with the same canonical value.
-//
-// The staged cells must be zero on entry (fresh from newShell, or
-// zeroed by recompute): each k-block of gramBlock coordinates adds its
-// per-block tile results into them in ascending k, which is exactly
-// the canonical blocked order of gram.go, so a cell's bits never depend
-// on the row-set, the partition, or the tile that happened to cover it.
-// The k-block loop is outermost for locality: all n slices of one block
-// (n·gramBlock·8 bytes, 640 KB at n = 40) stay L2-resident while every
-// row pair consumes them, instead of each pair streaming the full n·d
-// working set — measured ~30% off the pair-outer wall clock at n = 40,
-// d = 10⁴ on one core. At d ≤ gramBlock the walk is a single block.
+// computes, in its two phases: stage accumulates inner products into
+// the rows' cells, assemble turns them into clamped distances (the
+// parallel builder puts a barrier between the two).
 func (m *DistanceMatrix) fill(rows []int, upper bool) {
 	if !m.gram {
 		m.fillExact(rows, upper)
 		return
 	}
+	m.stage(rows, upper)
+	m.assemble(rows, upper)
+}
+
+// stage walks (row pair × column tile × k-block) depth-first, adding
+// each k-block's tile results into the rows' cells, and then reads the
+// rows' norms off the diagonal:
+//
+//   - rows is the row-set, consumed two rows at a time so the inner loop
+//     runs the 2×4 tile (each streamed column slice feeds two rows); a
+//     trailing odd row runs the 1×4 tile.
+//   - upper selects the column range. A full build sets it and passes
+//     adjacent row pairs (stridedRows): the pair (r0, r0+1) starts its
+//     first tile AT column r0, so that tile yields the self products
+//     ⟨v0,v0⟩ and ⟨v1,v1⟩ (the norms), the cross cell ⟨v0,v1⟩, and the
+//     walk continues to the right. (The tile's ⟨v1,v0⟩ lands below the
+//     diagonal in cell (r0+1, r0); assembly overwrites it with the
+//     mirror of (r0, r0+1).) Row u then owns cells (u, j≥u) and the
+//     mirrors (j>u, u), so disjoint row-sets write disjoint cells: the
+//     parallel builder is this walker over a partition of the rows,
+//     sharing nothing but the buffer. An update clears it and passes the
+//     changed rows: each row covers all n columns, so a changed–changed
+//     pair is simply staged from both sides with the same canonical
+//     value.
+//   - a row's last tile clamps its column indices to n−1 and keeps only
+//     the columns that exist, so every product comes from a tile. Each
+//     tile column is bit-identical to dotPairBlock by gram.go's per-tier
+//     contract, and a diagonal cell sums its k-blocks in ascending k
+//     from +0: the blocked composition of ⟨v,v⟩ (the tests' dotPair).
+//
+// The staged cells must be zero on entry (fresh from newShell, or
+// cleared by Rebuild / recompute): each k-block of gramBlock
+// coordinates adds its per-block tile results into them in ascending k,
+// which is exactly the canonical blocked order of gram.go, so a cell's
+// bits never depend on the row-set, the partition, or the tile that
+// happened to cover it. The k-block loop is outermost for locality: all
+// n slices of one block (n·gramBlock·8 bytes, 640 KB at n = 40) stay
+// L2-resident while every row pair consumes them, instead of each pair
+// streaming the full n·d working set — measured ~30% off the pair-outer
+// wall clock at n = 40, d = 10⁴ on one core. At d ≤ gramBlock the walk
+// is a single block.
+func (m *DistanceMatrix) stage(rows []int, upper bool) {
 	n, d := m.n, m.dim
 	var t [8]float64
 	for k0 := 0; k0 < d; k0 += gramBlock {
 		k1 := min(k0+gramBlock, d)
-		slice := func(i int) []float64 { return m.vecs[i*d+k0 : i*d+k1] }
+		slice := func(i int) []float64 { return m.rows[min(i, n-1)][k0:k1] }
 		for k := 0; k < len(rows); k += 2 {
 			r0 := rows[k]
 			v0, row0 := slice(r0), m.d[r0*n:(r0+1)*n]
 			j := 0
+			if upper {
+				j = r0
+			}
 			if k+1 == len(rows) {
-				if upper {
-					j = r0 + 1
-				}
-				for ; j+4 <= n; j += 4 {
-					p0, p1, p2, p3 := dot4Block(v0, slice(j), slice(j+1), slice(j+2), slice(j+3))
-					row0[j] += p0
-					row0[j+1] += p1
-					row0[j+2] += p2
-					row0[j+3] += p3
-				}
-				for ; j < n; j++ {
-					row0[j] += dotPairBlock(v0, slice(j))
+				for ; j < n; j += 4 {
+					t[0], t[1], t[2], t[3] = dot4Block(v0, slice(j), slice(j+1), slice(j+2), slice(j+3))
+					for c := range min(4, n-j) {
+						row0[j+c] += t[c]
+					}
 				}
 				break
 			}
 			r1 := rows[k+1]
 			v1, row1 := slice(r1), m.d[r1*n:(r1+1)*n]
-			if upper {
-				row0[r1] += dotPairBlock(v0, v1)
-				j = r1 + 1
-			}
-			for ; j+4 <= n; j += 4 {
+			for ; j < n; j += 4 {
 				dot24Block(v0, v1, slice(j), slice(j+1), slice(j+2), slice(j+3), &t)
-				row0[j] += t[0]
-				row0[j+1] += t[1]
-				row0[j+2] += t[2]
-				row0[j+3] += t[3]
-				row1[j] += t[4]
-				row1[j+1] += t[5]
-				row1[j+2] += t[6]
-				row1[j+3] += t[7]
-			}
-			for ; j < n; j++ {
-				vj := slice(j)
-				row0[j] += dotPairBlock(v0, vj)
-				row1[j] += dotPairBlock(v1, vj)
+				for c := range min(4, n-j) {
+					row0[j+c] += t[c]
+					row1[j+c] += t[4+c]
+				}
 			}
 		}
 	}
+	for _, i := range rows {
+		m.nrm[i] = m.d[i*n+i]
+	}
+}
+
+// assemble turns the rows' staged inner products into distances. It
+// reads every norm, so all of stage must have finished first.
+func (m *DistanceMatrix) assemble(rows []int, upper bool) {
 	if upper {
 		for _, i := range rows {
-			m.assembleRow(i, i+1, true)
+			m.assembleRow(i, i, true)
 		}
 		return
 	}
@@ -223,8 +230,8 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 		m.assembleRow(i, 0, false)
 	}
 	for _, i := range rows {
-		for j := 0; j < n; j++ {
-			m.d[j*n+i] = m.d[i*n+j]
+		for j := 0; j < m.n; j++ {
+			m.d[j*m.n+i] = m.d[i*m.n+j]
 		}
 	}
 }
@@ -235,7 +242,7 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 func (m *DistanceMatrix) fillExact(rows []int, upper bool) {
 	n := m.n
 	for _, i := range rows {
-		vi := m.vector(i)
+		vi := m.rows[i]
 		j := 0
 		if upper {
 			j = i + 1
@@ -243,7 +250,7 @@ func (m *DistanceMatrix) fillExact(rows []int, upper bool) {
 		for ; j < n; j++ {
 			dist := 0.0
 			if j != i {
-				dist = Dist2(vi, m.vector(j))
+				dist = Dist2(vi, m.rows[j])
 			}
 			m.d[i*n+j] = dist
 			m.d[j*n+i] = dist
@@ -274,20 +281,21 @@ func (m *DistanceMatrix) assembleRow(i, from int, mirror bool) {
 	}
 }
 
-// UpdateRow replaces vector i with v and recomputes row and column i of
-// the matrix in Θ(n·d) — the incremental alternative to a Θ(n²·d)
-// rebuild when few vectors changed between rounds. The result is
-// bit-identical to NewDistanceMatrix over the updated vector set: the
-// recomputed pairs go through the same walker, hence the same canonical
+// UpdateRow makes v vector i and recomputes row and column i of the
+// matrix in Θ(n·d) — the incremental alternative to a Θ(n²·d) rebuild
+// when few vectors changed between rounds. The result is bit-identical
+// to NewDistanceMatrix over the updated vector set: the recomputed
+// pairs go through the same walker, hence the same canonical
 // inner-product order, as a full build, and untouched cells are exactly
-// the values a full build would recompute for unchanged vectors.
+// the values a full build would recompute for unchanged vectors. Like
+// a build, the update borrows v: every later update re-reads it.
 func (m *DistanceMatrix) UpdateRow(i int, v []float64) {
 	m.setVector(i, v)
 	m.recompute([]int{i})
 }
 
-// UpdateRows replaces every vector named in changed with its entry in
-// vectors (the caller's full current vector set) and recomputes the
+// UpdateRows makes vectors[i] vector i for every i named in changed
+// (vectors is the caller's full current vector set) and recomputes the
 // affected rows and columns in Θ(c·n·d) for c distinct changed vectors.
 // All replacements are installed before any row is recomputed, so
 // changed–changed pairs use both new vectors. Duplicate indices are
@@ -303,7 +311,7 @@ func (m *DistanceMatrix) UpdateRows(changed []int, vectors [][]float64) int {
 }
 
 // recompute re-derives every distance involving the given duplicate-free
-// rows from the stored vectors: zero the rows' staged cells, then run
+// rows from the current vectors: zero the rows' staged cells, then run
 // the walker over "these rows, all columns" (rows accumulate in place,
 // so a repeated index would double-count itself).
 func (m *DistanceMatrix) recompute(rows []int) {
@@ -339,16 +347,15 @@ func dedupChanged(changed []int) []int {
 	return changed
 }
 
-// setVector installs a copy of v as vector i and refreshes its norm.
+// setVector points row i at v (borrowed, not copied).
 func (m *DistanceMatrix) setVector(i int, v []float64) {
 	checkLen("UpdateRow", len(v), m.dim)
-	copy(m.vector(i), v)
-	m.nrm[i] = dotPair(v, v)
+	m.rows[i] = v
 }
 
-// VectorEqual reports whether v is element-for-element identical to the
-// matrix's stored copy of vector i — the exact comparison the
-// cross-round cache uses to detect unchanged proposals. "Exact" is
+// VectorEqual reports whether v is element-for-element identical to
+// vector i as the matrix sees it — the exact comparison the cross-round
+// cache uses to detect unchanged proposals. "Exact" is
 // IEEE ==, deliberately NOT a bit-pattern comparison: NaN ≠ NaN, so a
 // NaN-carrying proposal always counts as changed and a poisoned round
 // can never be served from the cache (TestVectorEqual pins this; in
@@ -359,7 +366,7 @@ func (m *DistanceMatrix) VectorEqual(i int, v []float64) bool {
 	if len(v) != m.dim {
 		return false
 	}
-	w := m.vector(i)
+	w := m.rows[i]
 	for k, x := range v {
 		if x != w[k] {
 			return false

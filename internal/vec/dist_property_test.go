@@ -25,8 +25,8 @@ func naiveDist2(a, b []float64) float64 {
 // arbitrarily small while both computed values still carry
 // O(d·ε·(‖a‖²+‖b‖²)) noise.
 func gramTol(m *DistanceMatrix, i, j int) float64 {
-	const eps = 2.22e-16 // 2^-52
-	scale := m.nrm[i] + m.nrm[j]
+	const eps = 2.22e-16                         // 2^-52
+	scale := Norm2(m.rows[i]) + Norm2(m.rows[j]) // nrm is the Gram kernel's only
 	return 8 * float64(m.dim+1) * eps * (scale + 1)
 }
 
@@ -339,19 +339,58 @@ func TestUpdateRowDimensionPanic(t *testing.T) {
 	m.UpdateRow(0, []float64{1, 2, 3})
 }
 
-// TestDistanceMatrixDoesNotAliasInput: the matrix must own copies —
-// mutating the caller's vectors after construction must not change
-// results (the property the cross-round cache depends on when callers
-// recycle gradient buffers).
-func TestDistanceMatrixDoesNotAliasInput(t *testing.T) {
-	vs := [][]float64{{0, 0}, {3, 4}}
-	m := NewDistanceMatrix(vs)
-	vs[0][0] = 100
-	vs[1][1] = -100
-	if got := m.At(0, 1); got != 25 {
-		t.Errorf("At(0,1) = %v after caller mutation, want 25", got)
+// TestBorrowedBuildMatchesDeepCopy is the borrowing half of the
+// ownership rule (core's TestRoundCacheOwnsItsCopies is the owning
+// half): a build reads the caller's vectors where they lie — separately
+// allocated, at odd offsets inside larger buffers — without copying or
+// modifying them, and its cells and norms equal, bit for bit, those of
+// a build over contiguous deep copies, serial and on 2, 3 and 8
+// goroutines. n covers no tile, one tile, every clamped last-tile width
+// and the odd trailing row; d covers one block, both sides of the block
+// seam, two full blocks and the n = 40, d = 10⁴ stress shape (the one
+// that clears minParallelFlops here, so the parallel builds really fan
+// out; smaller shapes are capped to the serial path).
+func TestBorrowedBuildMatchesDeepCopy(t *testing.T) {
+	rng := NewRNG(611)
+	for _, d := range []int{17, 2047, 2048, 2049, 4100, 10_000} {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 40, 41} {
+			vs := make([][]float64, n)
+			for i := range vs {
+				off := 1 + rng.Intn(7)
+				buf := rng.NewNormal(off+d+3, 0, 2)
+				vs[i] = buf[off : off+d]
+			}
+			copies := CloneAll(vs)
+			want := NewDistanceMatrix(copies)
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := NewDistanceMatrixParallel(vs, workers)
+				for i := range vs {
+					if &got.rows[i][0] != &vs[i][0] {
+						t.Fatalf("n=%d d=%d workers=%d: row %d was copied, not borrowed", n, d, workers, i)
+					}
+					if math.Float64bits(got.nrm[i]) != math.Float64bits(want.nrm[i]) {
+						t.Fatalf("n=%d d=%d workers=%d: norm %d = %v, over copies %v", n, d, workers, i, got.nrm[i], want.nrm[i])
+					}
+				}
+				for c := range want.d {
+					if math.Float64bits(got.d[c]) != math.Float64bits(want.d[c]) {
+						t.Fatalf("n=%d d=%d workers=%d: cell (%d,%d) = %v, over copies %v", n, d, workers, c/n, c%n, got.d[c], want.d[c])
+					}
+				}
+			}
+			for i := range vs {
+				if !want.VectorEqual(i, vs[i]) {
+					t.Fatalf("n=%d d=%d: the build modified borrowed row %d", n, d, i)
+				}
+			}
+		}
 	}
-	if !m.VectorEqual(0, []float64{0, 0}) {
-		t.Error("stored copy changed when caller mutated input")
+	// The header list is the matrix's own: re-pointing a row of a built
+	// matrix must not write through to the caller's slice of vectors.
+	vs := [][]float64{rng.NewNormal(20, 0, 1), rng.NewNormal(20, 0, 1)}
+	first := vs[0]
+	NewDistanceMatrix(vs).UpdateRow(0, rng.NewNormal(20, 0, 1))
+	if &vs[0][0] != &first[0] {
+		t.Error("UpdateRow re-pointed the caller's vector list")
 	}
 }

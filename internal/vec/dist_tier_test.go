@@ -103,11 +103,14 @@ func TestBuildBlockedMatchesRowPair(t *testing.T) {
 				check("build", NewDistanceMatrix(vs), vs)
 				check("parallel build", NewDistanceMatrixParallel(vs, 3), vs)
 				// The shapes sit below minParallelFlops, so also run the
-				// three workers' shares directly.
+				// three workers' shares directly, in the builder's two
+				// phases (assembly reads norms every share staged).
 				shares := newShell(vs)
-				matrixBuilds.Add(^uint64(0)) // uncount the shell: not a public build
 				for w := 0; w < 3; w++ {
-					shares.fill(stridedRows(shape.n, w, 3), true)
+					shares.stage(stridedRows(shape.n, w, 3), true)
+				}
+				for w := 0; w < 3; w++ {
+					shares.assemble(stridedRows(shape.n, w, 3), true)
 				}
 				check("strided shares", shares, vs)
 

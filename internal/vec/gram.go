@@ -12,13 +12,14 @@ package vec
 //
 // BIT-STABILITY CONTRACT (per tier — ROADMAP decision (a)): every
 // kernel TIER (tier.go) defines its own canonical accumulation order
-// for an inner product, and WITHIN a tier both entry points — dotPair
-// (the norms) and DistanceMatrix.fill (every build and update, serial
-// or parallel) — reproduce exactly that order. IEEE-754 multiplication
-// is commutative bit for bit and the k-order never changes within a
-// tier, so ⟨a,b⟩ is bit-identical whichever tile shape, goroutine
-// count, or tile alignment computes it. This is what lets DistanceMatrix.UpdateRow promise results
-// identical to a full rebuild, and the scenario runner promise
+// for an inner product, and WITHIN a tier every product the walker
+// (DistanceMatrix.fill: every build and update, serial or parallel,
+// pairs and norms alike) takes from a tile reproduces exactly that
+// order. IEEE-754 multiplication is commutative bit for bit and the
+// k-order never changes within a tier, so ⟨a,b⟩ is bit-identical
+// whichever tile shape, tile column, goroutine count, or tile alignment
+// computes it. This is what lets DistanceMatrix.UpdateRow promise
+// results identical to a full rebuild, and the scenario runner promise
 // identical results across worker counts — all per tier.
 //
 // The canonical order has two levels:
@@ -53,14 +54,14 @@ package vec
 // id (Tier.Order): the scenario store salts keys with it, distsgd
 // records it in Result.Kernel, and the fleet join handshake pins it.
 //
-// dotPair below is the blocked composition for one pair; the walker
-// composes the tiles the same way in place. The per-block primitives
-// dotPairBlock, dot4Block and dot24Block dispatch on the active tier
-// (gram_amd64.go on amd64, this package's pure-Go references
-// elsewhere). gram_test.go pins every tier to its reference order, to
-// fixed golden vectors, and to the blocked composition at multi-block
-// dimensions (through the dot4/dot24 compositions of
-// gram_blocked_test.go).
+// The walker composes the tiles across blocks in place; the per-block
+// primitives dotPairBlock (one pair: the order's definition, which
+// every tile column must match), dot4Block and dot24Block dispatch on
+// the active tier (gram_amd64.go on amd64, this package's pure-Go
+// references elsewhere). gram_test.go pins every tier to its reference
+// order, to fixed golden vectors, and to the blocked composition at
+// multi-block dimensions (through the dotPair/dot4/dot24 compositions
+// of gram_blocked_test.go).
 
 // gramBlock is the depth-blocking factor of the canonical accumulation
 // order: inner products accumulate in k-blocks of this many elements
@@ -74,25 +75,6 @@ package vec
 // families. Tuned on BenchmarkDistanceMatrix at n = 40, d = 10⁴
 // against 1024/4096/unblocked.
 const gramBlock = 2048
-
-// dotPair returns ⟨a,b⟩ in the active tier's canonical blocked
-// accumulation order.
-func dotPair(a, b []float64) float64 {
-	n := len(a)
-	if n <= gramBlock {
-		return dotPairBlock(a, b)
-	}
-	b = b[:n]
-	var s float64
-	for k := 0; k < n; k += gramBlock {
-		e := k + gramBlock
-		if e > n {
-			e = n
-		}
-		s += dotPairBlock(a[k:e], b[k:e])
-	}
-	return s
-}
 
 // dotPairGo returns ⟨a,b⟩ using the canonical two-accumulator order.
 // The two independent chains break the add-latency dependency that

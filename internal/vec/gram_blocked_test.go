@@ -1,10 +1,30 @@
 package vec
 
-// The blocked compositions of the 1×4 and 2×4 tiles over full-length
-// vectors: what DistanceMatrix.fill computes per cell, written out for
-// one tile so gram_test.go can pin it against dotPair at multi-block
-// dimensions. Production code composes the tiles in place (fill), so
-// these live with the tests.
+// The blocked compositions of one pair and of the 1×4 and 2×4 tiles
+// over full-length vectors: what DistanceMatrix.fill computes per cell,
+// written out for one pair and one tile so gram_test.go can pin the
+// tiles against dotPair at multi-block dimensions. Production code
+// composes the tiles in place (fill) and takes even the norms from
+// them, so these live with the tests.
+
+// dotPair returns ⟨a,b⟩ in the active tier's canonical blocked
+// accumulation order.
+func dotPair(a, b []float64) float64 {
+	n := len(a)
+	if n <= gramBlock {
+		return dotPairBlock(a, b)
+	}
+	b = b[:n]
+	var s float64
+	for k := 0; k < n; k += gramBlock {
+		e := k + gramBlock
+		if e > n {
+			e = n
+		}
+		s += dotPairBlock(a[k:e], b[k:e])
+	}
+	return s
+}
 
 // dot4 returns ⟨a,b0⟩, ⟨a,b1⟩, ⟨a,b2⟩, ⟨a,b3⟩ in the active tier's
 // canonical blocked order; every column is bit-identical to

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrDimensionMismatch is returned (or caused panics in must-variants)
@@ -137,14 +138,17 @@ func Clone(v []float64) []float64 {
 	return out
 }
 
-// CloneAll deep-copies a slice of vectors.
+// CloneAll deep-copies a slice of vectors into one contiguous arena
+// (each copy capped at its own length, so appending to one reallocates
+// instead of running into its neighbour).
 func CloneAll(vs [][]float64) [][]float64 {
 	if vs == nil {
 		return nil
 	}
+	arena := slices.Concat(vs...)
 	out := make([][]float64, len(vs))
 	for i, v := range vs {
-		out[i] = Clone(v)
+		out[i], arena = arena[:len(v):len(v)], arena[len(v):]
 	}
 	return out
 }

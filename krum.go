@@ -185,12 +185,15 @@ type RuleArgs = core.Args
 type Engine = core.Engine
 
 // RoundContext carries one round's proposals plus the lazily-built,
-// memoized pairwise distance matrix shared by distance-based rules.
+// memoized pairwise distance matrix shared by distance-based rules. It
+// borrows the proposals — nothing is copied, so they must not be
+// mutated while the context is in use and are the caller's again after.
 type RoundContext = core.RoundContext
 
 // RoundCache carries the distance matrix across rounds on a
 // cache-enabled Engine (Engine.EnableCache), recomputing only the rows
-// of proposals that changed between rounds.
+// of proposals that changed between rounds. It keeps its own copy of
+// the last round it served, so proposal buffers may be recycled.
 type RoundCache = core.RoundCache
 
 // CacheStats summarizes how a RoundCache served its rounds.
