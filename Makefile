@@ -70,12 +70,17 @@ race:
 # killed mid-matrix and recovered from its journal), the journal
 # replay/checkpoint suite, the fleet's dispatch-order, fair-share and
 # ring tests and the worker's heartbeat-cadence test, the
-# segmented-store crash-window suite, the single-flight property suite
+# segmented-store crash-window suite, the cold-index suite (sealed
+# records read back and re-verified), the single-flight property suite
 # and the Monte-Carlo warm-rerun proofs, all under the race detector.
-# Blocking in CI as its own job — the sharding layer's byte-identity
-# contract is the whole point.
+# The chaos and stream tests run three times over: their assertions are
+# causal, and a timing premise that creeps back in (as "a cell outlives
+# the lease" did when cells got faster) should rot here, in CI, not in
+# a reviewer's scratch run. Blocking in CI as its own job — the
+# sharding layer's byte-identity contract is the whole point.
 shard-tests:
-	$(GO) test -race -count 1 -run 'TestShard|TestChaos|TestJournal|TestFleet|TestWorker|TestSegment|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
+	$(GO) test -race -count 1 -run 'TestShard|TestJournal|TestFleet|TestWorker|TestSegment|TestCold|TestReplayed|TestDropped|TestLookupsAnswer|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
+	$(GO) test -race -count 3 -run 'TestChaos|TestStream' ./cmd/krum-scenariod
 	$(GO) test -race -count 1 ./scenario/shardproto
 
 # tier-tests is the kernel-tier matrix: the full vec suite under the

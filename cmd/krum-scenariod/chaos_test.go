@@ -9,6 +9,7 @@ package main
 // job and the repo-wide race job).
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
@@ -18,14 +19,15 @@ import (
 	"krum/scenario/store"
 )
 
-// chaosLease is deliberately short so lease expiry happens inside a
-// cell's execution time (chaosMatrix cells run ~0.5s without the race
-// detector, several seconds with it).
+// chaosLease is short so the test's two expiries cost little wall
+// clock. Nothing depends on how it compares with a cell's execution
+// time: the murdered worker never reports at all, and the silent one
+// holds its finished cell until the coordinator has expired it (see
+// runChaos).
 const chaosLease = 250 * time.Millisecond
 
-// chaosMatrix is a 6-cell grid whose cells each run well past
-// chaosLease, so a worker that stops heartbeating mid-cell reliably
-// expires before finishing.
+// chaosMatrix is a 6-cell grid of cells long enough that the three
+// workers are all busy at once.
 func chaosMatrix() scenario.Matrix {
 	return scenario.Matrix{
 		Base: scenario.Spec{
@@ -124,11 +126,19 @@ func runChaos(t *testing.T, m scenario.Matrix) {
 	defer ts.Close()
 
 	// workers[0] (fleet id w1) is the murder victim; workers[1] (w2)
-	// heartbeats far too slowly to survive a single cell; workers[2]
-	// (w3) is healthy.
+	// never heartbeats and sits on its first finished cell — no report,
+	// and so no next poll either — until the coordinator has expired it;
+	// workers[2] (w3) is healthy.
+	w2Expired := make(chan struct{})
 	fleet := startWorkers(t, ts, 3, func(i int, w *Worker) {
 		if i == 1 {
 			w.HeartbeatEvery = time.Hour
+			w.beforeReport = func(ctx context.Context) {
+				select {
+				case <-w2Expired:
+				case <-ctx.Done():
+				}
+			}
 		}
 	})
 	defer fleet.stop()
@@ -147,10 +157,11 @@ func runChaos(t *testing.T, m scenario.Matrix) {
 	fleet.kill(0)
 
 	// The coordinator must expire both the corpse and the silent
-	// heartbeater (w2's first cell outlives the lease), requeueing
-	// their cells onto the survivors.
+	// worker, requeueing their cells onto the survivor. Only then is w2
+	// let go: its late report is answered 410 and it rejoins.
 	waitWorkerGone(t, ts, "w1")
 	waitWorkerGone(t, ts, "w2")
+	close(w2Expired)
 
 	status := waitFinished(t, ts, sub.ID)
 	if status.Failed != 0 {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"krum/distsgd"
 	"krum/internal/vec"
 	"krum/scenario"
 	"krum/scenario/shardproto"
@@ -65,7 +63,9 @@ type fleetTask struct {
 	// covering a lost poll response and a lost result report, the two
 	// failures worker-lease expiry cannot see.
 	deadline time.Time
-	// done closes when the task resolves; raw/err are valid after.
+	// done closes when the task resolves; raw/err are valid after. raw
+	// is the worker's report as it passed the canonical-bytes check —
+	// the bytes the store keeps and the stream serves.
 	done chan struct{}
 	raw  json.RawMessage
 	err  error
@@ -175,6 +175,10 @@ type fleet struct {
 	localFallbacks int
 	// notify wakes one idle long-poll when a queue gains a task.
 	notify chan struct{}
+	// canonical is the admission rule for reported result bytes
+	// (scenario.CanonicalResult; a field so a test can make it slow).
+	// complete runs it WITHOUT mu held.
+	canonical func(json.RawMessage) (json.RawMessage, bool)
 }
 
 // newFleet builds a fleet with the given liveness lease (0 means 10s);
@@ -191,13 +195,14 @@ func newFleet(lease time.Duration) *fleet {
 		pollWait = 20 * time.Millisecond
 	}
 	return &fleet{
-		lease:    lease,
-		pollWait: pollWait,
-		workers:  make(map[string]*fleetWorker),
-		queues:   make(map[qkey]*taskRing),
-		tenants:  make(map[string]*tenantStats),
-		assigned: make(map[string]*fleetTask),
-		notify:   make(chan struct{}, 1),
+		lease:     lease,
+		pollWait:  pollWait,
+		workers:   make(map[string]*fleetWorker),
+		queues:    make(map[qkey]*taskRing),
+		tenants:   make(map[string]*tenantStats),
+		assigned:  make(map[string]*fleetTask),
+		notify:    make(chan struct{}, 1),
+		canonical: scenario.CanonicalResult,
 	}
 }
 
@@ -214,11 +219,16 @@ func (fl *fleet) tenantLocked(tenant string) *tenantStats {
 
 // computeLocal is the coordinator's in-process compute path (no live
 // workers, or a task that exhausted its attempts), counted for /fleet.
-func (fl *fleet) computeLocal(spec scenario.Spec) (*distsgd.Result, error) {
+// It encodes the result the way a worker would before reporting it.
+func (fl *fleet) computeLocal(spec scenario.Spec) (json.RawMessage, error) {
 	fl.mu.Lock()
 	fl.localFallbacks++
 	fl.mu.Unlock()
-	return scenario.ComputeCell(spec)
+	res, err := scenario.ComputeCell(spec)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(res)
 }
 
 // execute runs one cell through the fleet on behalf of a tenant and
@@ -226,8 +236,10 @@ func (fl *fleet) computeLocal(spec scenario.Spec) (*distsgd.Result, error) {
 // reassignments it takes), falling back to local computation when no
 // live workers exist. It is the compute function the store's
 // single-flight invokes, so identical concurrent cells reach it
-// exactly once — under the first caller's tenant and priority.
-func (fl *fleet) execute(spec scenario.Spec, tenant string, priority int) (*distsgd.Result, error) {
+// exactly once — under the first caller's tenant and priority. The
+// result is its canonical bytes: a worker's report is handed on as it
+// arrived, never decoded here.
+func (fl *fleet) execute(spec scenario.Spec, tenant string, priority int) (json.RawMessage, error) {
 	t, ok := fl.enqueue(spec, tenant, priority)
 	if !ok {
 		return fl.computeLocal(spec)
@@ -236,14 +248,7 @@ func (fl *fleet) execute(spec scenario.Spec, tenant string, priority int) (*dist
 	if errors.Is(t.err, errNoWorkers) {
 		return fl.computeLocal(spec)
 	}
-	if t.err != nil {
-		return nil, t.err
-	}
-	res := new(distsgd.Result)
-	if err := json.Unmarshal(t.raw, res); err != nil {
-		return nil, fmt.Errorf("decoding worker result: %w", err)
-	}
-	return res, nil
+	return t.raw, t.err
 }
 
 // enqueue appends a task to its tenant×priority queue; ok is false
@@ -454,25 +459,6 @@ func (fl *fleet) heartbeat(workerID, token string, taskIDs []string) bool {
 	return true
 }
 
-// validResultBytes reports that a reported payload is a stable-encoded
-// distsgd.Result: it must decode AND re-encode to the identical bytes.
-// That is exactly what an honest same-version worker produces
-// (Marshal∘Unmarshal∘Marshal ≡ Marshal, the serialize.go contract), so
-// the check costs honest reports nothing while rejecting arbitrary
-// JSON that would otherwise decode to a zero-value Result and be
-// persisted as the cell's permanent store entry.
-func validResultBytes(raw json.RawMessage) bool {
-	res := new(distsgd.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		return false
-	}
-	again, err := json.Marshal(res)
-	if err != nil {
-		return false
-	}
-	return bytes.Equal(bytes.TrimSpace(raw), again)
-}
-
 // unassignLocked removes a task from the assignment maps and releases
 // its tenant's in-flight slot; callers hold fl.mu. Every task that
 // entered the assigned state passes through here exactly once, however
@@ -497,29 +483,35 @@ func (fl *fleet) unassignLocked(t *fleetTask) {
 // byte-identical, so dropping the stale copy loses nothing and keeps
 // the store to one save per key — while a malformed payload requeues
 // the task, treating its sender as faulty.
+//
+// The check decodes and re-encodes the whole payload, so it runs with
+// fl.mu RELEASED — polls, enqueues, heartbeats and /fleet reads do not
+// queue behind it — and the assignment is looked up again afterwards:
+// a lease sweep may have taken the task back meanwhile, which makes
+// this an ordinary stale report.
 func (fl *fleet) complete(workerID, token, taskID string, raw json.RawMessage, errMsg string) (accepted, known bool) {
-	fl.mu.Lock()
-	w := fl.member(workerID, token)
-	if w == nil {
-		fl.mu.Unlock()
-		return false, false
+	t, known := fl.assignment(workerID, token, taskID)
+	if t == nil {
+		return false, known
 	}
-	w.lastSeen = time.Now()
-	t, ok := fl.assigned[taskID]
-	if !ok || t.worker != workerID {
+	valid := true
+	if errMsg == "" {
+		raw, valid = fl.canonical(raw)
+	}
+	fl.mu.Lock()
+	if fl.assigned[taskID] != t || t.worker != workerID {
 		fl.mu.Unlock()
 		return false, true
 	}
-	if errMsg == "" && !validResultBytes(raw) {
+	fl.unassignLocked(t)
+	if !valid {
 		// The worker is alive but talking garbage: take the task away
 		// from it and let someone else compute.
-		fl.unassignLocked(t)
 		resolve := fl.requeueLocked(t)
 		fl.mu.Unlock()
 		resolveAll(resolve)
 		return false, true
 	}
-	fl.unassignLocked(t)
 	fl.mu.Unlock()
 	if errMsg != "" {
 		t.err = errors.New(errMsg)
@@ -528,6 +520,23 @@ func (fl *fleet) complete(workerID, token, taskID string, raw json.RawMessage, e
 	}
 	close(t.done)
 	return true, true
+}
+
+// assignment authenticates a reporter, refreshes its lease and returns
+// the named task if it is assigned to that worker (nil otherwise);
+// known is false when the reporter does not authenticate.
+func (fl *fleet) assignment(workerID, token, taskID string) (t *fleetTask, known bool) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	w := fl.member(workerID, token)
+	if w == nil {
+		return nil, false
+	}
+	w.lastSeen = time.Now()
+	if t := fl.assigned[taskID]; t != nil && t.worker == workerID {
+		return t, true
+	}
+	return nil, true
 }
 
 // requeueLocked returns an unassigned-again task to its queue, or —

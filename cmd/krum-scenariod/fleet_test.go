@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"krum/distsgd"
 	"krum/scenario"
 )
 
@@ -295,5 +297,92 @@ func TestFleetRingWrapAround(t *testing.T) {
 		if slot != nil {
 			t.Fatalf("slot %d still pins %s after the ring drained", i, slot.id)
 		}
+	}
+}
+
+// TestFleetValidationOutsideLock pins complete's lock scope: the
+// canonical-bytes check of one report (a full decode and re-encode,
+// milliseconds at mnist size) runs with fl.mu released, so a poll,
+// status read and lease sweep all go through while it is held open; and
+// a report whose task the sweep took back meanwhile is answered like
+// any stale report — not accepted, nothing resolved, the task still
+// queued for the next poll.
+func TestFleetValidationOutsideLock(t *testing.T) {
+	fl := newFleet(time.Minute)
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	fl.canonical = func(raw json.RawMessage) (json.RawMessage, bool) {
+		entered <- struct{}{}
+		<-release
+		return scenario.CanonicalResult(raw)
+	}
+	slow, other := fl.join(2), fl.join(1)
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, ok := fl.enqueue(fleetSpec(seed), defaultTenant, 0); !ok {
+			t.Fatal("enqueue refused with live workers")
+		}
+	}
+	held, _ := fl.tryAssign(slow.WorkerID, slow.Token, 2)
+	if len(held) != 2 {
+		t.Fatalf("assigned %d tasks, want 2", len(held))
+	}
+	payload, err := json.Marshal(&distsgd.Result{FinalParams: []float64{1, 2}, FinalTestAccuracy: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(append([]byte(" "), payload...), '\n')
+
+	accepted := make(chan bool, 2)
+	for _, task := range held {
+		go func() {
+			ok, _ := fl.complete(slow.WorkerID, slow.Token, task.id, padded, "")
+			accepted <- ok
+		}()
+		<-entered
+	}
+
+	// Both validations are in progress. Everything else that takes fl.mu
+	// must still be served.
+	unblocked := make(chan []*fleetTask, 1)
+	go func() {
+		fl.status()
+		fl.heartbeat(other.WorkerID, other.Token, nil)
+		got, _ := fl.tryAssign(other.WorkerID, other.Token, 1)
+		unblocked <- got
+	}()
+	select {
+	case got := <-unblocked:
+		if len(got) != 1 {
+			t.Fatalf("concurrent poll got %d tasks, want 1", len(got))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a poll waited behind a result validation: fl.mu is held across the check")
+	}
+
+	// Take held[1] back the way a task-deadline sweep does, while its
+	// report is still being validated.
+	fl.mu.Lock()
+	held[1].deadline = time.Now().Add(-time.Second)
+	fl.mu.Unlock()
+	fl.sweep(time.Now())
+	close(release)
+	if a, b := <-accepted, <-accepted; a == b {
+		t.Fatalf("reports accepted: %v and %v, want exactly the one whose task was still assigned", a, b)
+	}
+
+	select {
+	case <-held[0].done:
+	default:
+		t.Fatal("the accepted report did not resolve its task")
+	}
+	if held[0].err != nil || string(held[0].raw) != string(payload) {
+		t.Fatalf("resolved with err=%v raw=%q, want the report's canonical bytes %q", held[0].err, held[0].raw, payload)
+	}
+	select {
+	case <-held[1].done:
+		t.Fatal("the stale report resolved a task that had been requeued")
+	default:
+	}
+	if st := fl.status(); st.Queued != 1 || st.Tenants[0].Requeues != 1 {
+		t.Fatalf("after the sweep: %d queued, %d requeues; want the swept task queued once", st.Queued, st.Tenants[0].Requeues)
 	}
 }

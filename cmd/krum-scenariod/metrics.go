@@ -154,6 +154,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}{
 			{"krum_scenariod_store_entries", "Result-store entries resident.", "gauge", stats.Entries},
 			{"krum_scenariod_store_hits_total", "Result-store lookup hits.", "counter", stats.Hits},
+			{"krum_scenariod_store_cold_reads_total", "Result-store hits served from a sealed segment rather than from memory.", "counter", stats.ColdReads},
 			{"krum_scenariod_store_misses_total", "Result-store lookup misses.", "counter", stats.Misses},
 			{"krum_scenariod_store_flight_waits_total", "Lookups that waited on an identical in-flight computation.", "counter", stats.FlightWaits},
 			{"krum_scenariod_store_saves_total", "Result-store writes.", "counter", stats.Saves},

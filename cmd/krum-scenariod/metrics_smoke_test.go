@@ -53,7 +53,13 @@ func postMatrix(t *testing.T, ts *httptest.Server, body string) (*http.Response,
 // any work, and GET /metrics exposes the tenant counters in the
 // Prometheus text format.
 func TestShardMetricsAndBackpressure(t *testing.T) {
-	st := store.NewMemory()
+	// A segmented store that seals after every append: every later hit
+	// is served from a sealed segment, which is what cold_reads counts.
+	st, err := store.OpenDirOptions(t.TempDir(), store.SegmentedOptions{SealBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	srv := NewServerOptions(Options{
 		Workers:            1, // serialize cells so the first matrix stays pending
 		Store:              st,
@@ -146,6 +152,8 @@ func TestShardMetricsAndBackpressure(t *testing.T) {
 		`# TYPE krum_scenariod_queue_depth gauge`,
 		`krum_scenariod_fleet_workers 0`,
 		`krum_scenariod_store_entries`,
+		`krum_scenariod_store_hits_total`,
+		`# TYPE krum_scenariod_store_cold_reads_total counter`,
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("metrics page missing %q", want)
@@ -171,5 +179,13 @@ func TestShardMetricsAndBackpressure(t *testing.T) {
 	}
 	if final.Cached != final.Total {
 		t.Errorf("resubmitted matrix recomputed %d cells — the deferred work was lost from the store", final.Total-final.Cached)
+	}
+
+	// Those replays were read back from sealed segments, and /store says
+	// so next to hits.
+	var stats map[string]int
+	getJSON(t, ts, "/store", &stats)
+	if stats["cold_reads"] < final.Total || stats["cold_reads"] != stats["hits"] || stats["tampered"] != 0 {
+		t.Errorf("/store = %v, want every one of its hits (at least %d) to be a cold read", stats, final.Total)
 	}
 }

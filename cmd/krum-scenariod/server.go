@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"krum/distsgd"
 	"krum/internal/vec"
 	"krum/scenario"
 	"krum/scenario/store"
@@ -27,7 +26,12 @@ import (
 // results, and runs every cell through a shared
 // scenario.ResultStore's single-flight — a stored cell is a hit, an
 // in-flight identical cell is waited on, and only genuinely new work
-// executes. Execution itself goes through the fleet (fleet.go): cells
+// executes. A result travels as its canonical bytes the whole way: a
+// worker's report is verified once where it arrives (fleet.complete)
+// and the same json.RawMessage is what the store indexes, the matrix
+// run holds and the stream and results encoders embed — the
+// coordinator never decodes a result. Execution itself goes through
+// the fleet (fleet.go): cells
 // dispatch to joined workers when any are live and run in-process
 // otherwise, with identical bytes either way. Because cells are pure
 // functions of their spec and every computed cell is written through
@@ -94,10 +98,14 @@ type matrixRun struct {
 	// results is indexed by cell position (results[i] answers cells[i]);
 	// entries are nil until their cell completes — the same positional
 	// guarantee scenario.Runner.RunCells documents.
-	results []*scenario.CellResult
+	results []*scenario.RawCellResult
 	// order lists completed cell indices in completion order, which is
 	// what the streaming endpoint replays.
-	order     []int
+	order []int
+	// changed, when non-nil, is closed by the next record or finish: the
+	// wake-up a stream handler that has caught up waits on (see
+	// changedLocked), so a line leaves when its cell completes.
+	changed   chan struct{}
 	cached    int
 	failed    int
 	storeErrs int
@@ -301,7 +309,7 @@ func (s *Server) UseJournal(path string) (resumed int, err error) {
 			cells:    cm.Cells,
 			tenant:   tenant,
 			priority: cm.Priority,
-			results:  make([]*scenario.CellResult, len(cm.Cells)),
+			results:  make([]*scenario.RawCellResult, len(cm.Cells)),
 		}
 		s.matrices[run.id] = run
 		s.wg.Add(1)
@@ -560,9 +568,10 @@ type cellJSON struct {
 	// Result is still the valid computed outcome, only its persistence
 	// failed.
 	StoreError string `json:"store_error,omitempty"`
-	// Result is the training outcome (absent when Error is set),
-	// encoded with distsgd.Result's stable JSON encoding.
-	Result *distsgd.Result `json:"result,omitempty"`
+	// Result is the training outcome (absent when Error is set) in
+	// distsgd.Result's stable JSON encoding — the cell's canonical
+	// bytes, embedded as they are.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // resultsJSON is the GET /matrices/{id}/results reply: the status plus
@@ -645,7 +654,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cells:    cells,
 		tenant:   tenant,
 		priority: req.Priority,
-		results:  make([]*scenario.CellResult, len(cells)),
+		results:  make([]*scenario.RawCellResult, len(cells)),
 	}
 	s.matrices[run.id] = run
 	s.wg.Add(1)
@@ -714,19 +723,19 @@ loop:
 // tenant and priority place the dispatch in its fleet queue; when the
 // single-flight collapses identical cells across tenants, the first
 // caller's attribution wins (the others wait on its result).
-func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority int) scenario.CellResult {
-	return scenario.RunCellWith(s.store, i, cell, func() (*distsgd.Result, error) {
+func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority int) scenario.RawCellResult {
+	return scenario.RunCellRawWith(s.store, i, cell, func() (json.RawMessage, error) {
 		return s.fleet.execute(cell, tenant, priority)
 	})
 }
 
-// record stores one completed cell.
-func (r *matrixRun) record(cr scenario.CellResult) {
+// record stores one completed cell and wakes the run's streams.
+func (r *matrixRun) record(cr scenario.RawCellResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := cr
-	r.results[cr.Index] = &c
+	r.results[cr.Index] = &cr
 	r.order = append(r.order, cr.Index)
+	r.wakeLocked()
 	if cr.Cached {
 		r.cached++
 	}
@@ -749,6 +758,27 @@ func (r *matrixRun) finish(aborted bool) {
 		r.aborted = true
 	} else {
 		r.finished = true
+	}
+	r.wakeLocked()
+}
+
+// changedLocked returns the channel the next record or finish closes;
+// callers hold r.mu. A stream handler takes it in the same critical
+// section in which it read order and terminal(), so no completion can
+// fall between what it saw and what it waits for.
+func (r *matrixRun) changedLocked() <-chan struct{} {
+	if r.changed == nil {
+		r.changed = make(chan struct{})
+	}
+	return r.changed
+}
+
+// wakeLocked releases every handler waiting on changedLocked's channel;
+// callers hold r.mu. Costs nothing while nobody streams.
+func (r *matrixRun) wakeLocked() {
+	if r.changed != nil {
+		close(r.changed)
+		r.changed = nil
 	}
 }
 
@@ -783,7 +813,7 @@ func (r *matrixRun) statusLocked() statusJSON {
 }
 
 // cellWire converts a completed cell to its wire form.
-func cellWire(cr *scenario.CellResult) *cellJSON {
+func cellWire(cr *scenario.RawCellResult) *cellJSON {
 	if cr == nil {
 		return nil
 	}
@@ -885,9 +915,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream writes completed cells as NDJSON in completion order,
-// flushing each line as it happens, and returns when the matrix
-// finishes (or the client goes away). A client that connects late
-// first replays everything already completed.
+// flushing each batch of lines as its cells complete, and returns when
+// the matrix turns terminal (or the client goes away). A client that
+// connects late first replays everything already completed. There is
+// no polling: a handler that has caught up sleeps on the run's changed
+// channel, which record and finish close.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	run := s.lookup(w, r)
 	if run == nil {
@@ -897,8 +929,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	cursor := 0
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
 	for {
 		run.mu.Lock()
 		pending := run.order[cursor:]
@@ -908,6 +938,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		cursor += len(pending)
 		done := run.terminal()
+		var changed <-chan struct{}
+		if !done {
+			changed = run.changedLocked()
+		}
 		run.mu.Unlock()
 
 		for _, c := range batch {
@@ -924,7 +958,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-ticker.C:
+		case <-changed:
 		}
 	}
 }
@@ -948,6 +982,7 @@ func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]int{
 		"entries":            stats.Entries,
 		"hits":               stats.Hits,
+		"cold_reads":         stats.ColdReads,
 		"misses":             stats.Misses,
 		"flight_waits":       stats.FlightWaits,
 		"saves":              stats.Saves,

@@ -93,8 +93,9 @@ func waitFinished(t *testing.T, ts *httptest.Server, id string) statusJSON {
 	return statusJSON{}
 }
 
-// encodeResult is the stable-encoding comparison helper.
-func encodeResult(t *testing.T, r *distsgd.Result) string {
+// encodeResult is the stable-encoding comparison helper; r is a
+// *distsgd.Result or a served cell's raw result bytes.
+func encodeResult(t *testing.T, r any) string {
 	t.Helper()
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -389,30 +389,7 @@ func TestShardRejectsGarbageResultPayload(t *testing.T) {
 	// Submit a one-cell matrix so a task gets assigned to our raw
 	// "worker" on its next poll.
 	sub := submit(t, ts, matrixBody(t, 97, "krum"))
-	var task *shardproto.Task
-	deadline := time.Now().Add(30 * time.Second)
-	for task == nil && time.Now().Before(deadline) {
-		resp, err := ts.Client().Post(ts.URL+"/fleet/poll", "application/json",
-			jsonBody(`{"worker_id": "`+grant.WorkerID+`", "token": "`+grant.Token+`", "max_tasks": 1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		poll, err := shardproto.DecodePollResponse(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(poll.Tasks) > 0 {
-			task = &poll.Tasks[0]
-		}
-	}
-	if task == nil {
-		t.Fatal("never received a task")
-	}
+	task := manualWorker{t, ts, grant}.poll()
 
 	// Report garbage that IS valid JSON but not a canonical Result.
 	resp, err := ts.Client().Post(ts.URL+"/fleet/result", "application/json",

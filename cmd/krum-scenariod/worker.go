@@ -60,6 +60,12 @@ type Worker struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 
+	// beforeReport, when non-nil, runs between a cell's computation and
+	// its report. It is the chaos tests' seam for a worker that goes
+	// silent with a finished cell in hand: nothing else can keep a
+	// one-slot worker from polling, and every poll renews its lease.
+	beforeReport func(ctx context.Context)
+
 	mu    sync.Mutex
 	id    string
 	token string
@@ -424,6 +430,9 @@ func (w *Worker) executeTask(ctx context.Context, task shardproto.Task) {
 	w.mu.Lock()
 	w.executed++
 	w.mu.Unlock()
+	if w.beforeReport != nil {
+		w.beforeReport(ctx)
+	}
 	if ctx.Err() != nil {
 		return // dying mid-cell: report nothing, let the lease expire
 	}

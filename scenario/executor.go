@@ -1,6 +1,11 @@
 package scenario
 
-import "krum/distsgd"
+import (
+	"bytes"
+	"encoding/json"
+
+	"krum/distsgd"
+)
 
 // CellExecutor runs one matrix cell and returns its outcome. It is the
 // seam that lets a Runner execute cells some other way than the default
@@ -85,6 +90,90 @@ func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.
 	cr.Result, cr.Err = compute()
 	if cr.Err == nil && st != nil {
 		cr.StoreErr = st.Save(cell, cr.Result)
+	}
+	return cr
+}
+
+// CanonicalResult reports whether raw is a stable-encoded
+// distsgd.Result — it must decode AND re-encode to the identical bytes
+// — and returns those bytes (raw without surrounding whitespace). That
+// is exactly what json.Marshal of a Result produces
+// (Marshal∘Unmarshal∘Marshal ≡ Marshal, the serialize.go contract), so
+// honest payloads always pass, while arbitrary JSON that would decode
+// to a zero-value Result does not. It is the one admission rule for
+// result bytes that arrive from outside the process (a fleet worker's
+// report, a store record replayed from disk); bytes that passed it can
+// be stored and served as they are, with no further decode.
+func CanonicalResult(raw json.RawMessage) (json.RawMessage, bool) {
+	res := new(distsgd.Result)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return nil, false
+	}
+	again, err := json.Marshal(res)
+	if err != nil {
+		return nil, false
+	}
+	raw = bytes.TrimSpace(raw)
+	return raw, bytes.Equal(raw, again)
+}
+
+// RawSingleFlighter is SingleFlighter over canonical result bytes
+// (implemented by scenario/store's Store, whose DoCell is a typed
+// wrapper over it): the scenariod coordinator moves a result from a
+// worker's report to the store and on to its clients without ever
+// decoding it.
+type RawSingleFlighter interface {
+	// DoCellRaw is DoCell with the result as its stable JSON encoding.
+	// compute must return canonical bytes (json.Marshal of a
+	// distsgd.Result, or bytes that passed CanonicalResult); the
+	// returned bytes may be shared with the store and other callers
+	// and must not be modified.
+	DoCellRaw(spec Spec, compute func() (json.RawMessage, error)) (raw json.RawMessage, shared bool, storeErr, runErr error)
+}
+
+// RawCellResult is CellResult with the outcome carried as canonical
+// bytes; the fields mean what CellResult's do.
+type RawCellResult struct {
+	// Index is the cell's position in the expansion order.
+	Index int
+	// Spec is the cell that ran.
+	Spec Spec
+	// Result is the stable JSON encoding of the training outcome (nil
+	// when Err is set). Read-only: it may be the store's own copy.
+	Result json.RawMessage
+	// Err is the cell's failure, if any.
+	Err error
+	// Cached reports that Result was served without invoking compute in
+	// this call (see CellResult.Cached).
+	Cached bool
+	// StoreErr records a failed write-through (see CellResult.StoreErr).
+	StoreErr error
+}
+
+// RunCellRawWith is RunCellWith for callers that carry results as
+// canonical bytes: a RawSingleFlighter store is driven directly, and
+// any other ResultStore through a typed adapter at this edge — marshal
+// after Lookup, unmarshal before Save — so the caller has one path.
+func RunCellRawWith(st ResultStore, index int, cell Spec, compute func() (json.RawMessage, error)) RawCellResult {
+	cr := RawCellResult{Index: index, Spec: cell}
+	if sf, ok := st.(RawSingleFlighter); ok {
+		cr.Result, cr.Cached, cr.StoreErr, cr.Err = sf.DoCellRaw(cell, compute)
+		return cr
+	}
+	if st != nil {
+		if res, ok := st.Lookup(cell); ok {
+			if raw, err := json.Marshal(res); err == nil {
+				cr.Result, cr.Cached = raw, true
+				return cr
+			}
+		}
+	}
+	cr.Result, cr.Err = compute()
+	if cr.Err == nil && st != nil {
+		res := new(distsgd.Result)
+		if cr.StoreErr = json.Unmarshal(cr.Result, res); cr.StoreErr == nil {
+			cr.StoreErr = st.Save(cell, res)
+		}
 	}
 	return cr
 }

@@ -121,20 +121,18 @@ func keyOfAuxCanonicalWith(order, kind string, c scenario.Spec, params string) (
 func (s *Store) LookupAux(kind string, spec scenario.Spec, params string) (json.RawMessage, bool) {
 	key, err := KeyAux(kind, spec, params)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
+		s.countLookup(false, false)
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, ok := s.index[key]
+	raw, cold, ok := s.get(key)
+	s.countLookup(ok, cold)
 	if !ok {
-		s.stats.Misses++
 		return nil, false
 	}
-	s.stats.Hits++
-	return append(json.RawMessage(nil), raw...), true
+	if !cold {
+		raw = append(json.RawMessage(nil), raw...) // a cold read is private already
+	}
+	return raw, true
 }
 
 // SaveAux persists an auxiliary payload (any valid JSON) under its

@@ -10,8 +10,8 @@ import (
 
 // Backend is the segment blob interface of a segmented store: sealed
 // segments are immutable, individually-hashed JSONL blobs, and a
-// backend only needs to list, fetch, publish and delete them — no
-// appends, no partial reads, no locking. That shape is deliberate:
+// backend only needs to list, fetch (whole, or one byte range), publish
+// and delete them — no appends, no locking. That shape is deliberate:
 // because the store is content-addressed and every segment is
 // self-verifying (its name carries the SHA-256 of its bytes),
 // replication is just shipping immutable blobs, and an object-store
@@ -29,6 +29,11 @@ type Backend interface {
 	ListSegments() ([]string, error)
 	// ReadSegment returns a segment's complete bytes.
 	ReadSegment(name string) ([]byte, error)
+	// ReadSegmentAt returns exactly the n bytes at offset off of a
+	// segment — one record's line, when a lookup hits a record the store
+	// no longer keeps in memory (an object store serves it as a ranged
+	// GET). A short read is an error.
+	ReadSegmentAt(name string, off int64, n int) ([]byte, error)
 	// WriteSegment publishes an immutable segment atomically: after it
 	// returns, ListSegments includes name and ReadSegment returns
 	// exactly data; on a crash mid-call, neither.
@@ -99,6 +104,23 @@ func (b *DirBackend) ReadSegment(name string) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(b.dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("reading segment %s: %w: %w", name, err, ErrStore)
+	}
+	return data, nil
+}
+
+// ReadSegmentAt implements Backend.
+func (b *DirBackend) ReadSegmentAt(name string, off int64, n int) ([]byte, error) {
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(filepath.Join(b.dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("reading segment %s: %w: %w", name, err, ErrStore)
+	}
+	defer f.Close()
+	data := make([]byte, n)
+	if _, err := f.ReadAt(data, off); err != nil {
+		return nil, fmt.Errorf("reading %d bytes at %d of segment %s: %w: %w", n, off, name, err, ErrStore)
 	}
 	return data, nil
 }

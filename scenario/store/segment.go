@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"path/filepath"
 	"strconv"
@@ -29,6 +30,15 @@ import (
 //   - duplicate keys resolve last-write-wins across the whole replay
 //     (segments in sequence order, then the tail), matching the order
 //     the records were originally appended in.
+//
+// Only the tail's results stay in memory. A record in a sealed segment
+// is indexed by (segment, offset, length, digest) and read back through
+// Backend.ReadSegmentAt when a lookup hits it; the line must then match
+// the digest taken while its verified bytes were in hand and pass the
+// same acceptance rule Open applies (Store.resolve), so a segment
+// altered on disk AFTER Open is never served either — the cell
+// recomputes. The heap holds at most SealBytes of results however many
+// were ever saved.
 //
 // Compact merges every sealed segment into one: last write per key
 // wins, superseded records and records that fail their integrity
@@ -172,8 +182,10 @@ func (s *Store) loadSegments() error {
 			continue
 		}
 		s.segments = append(s.segments, name)
+		var off int64
 		for _, line := range splitLines(data) {
-			s.indexLine(line, &s.segRecords)
+			s.indexLine(line, name, off)
+			off += int64(len(line))
 		}
 	}
 	return nil
@@ -211,7 +223,10 @@ func (s *Store) Seal() error {
 // sealLocked moves the tail's bytes into a new sealed segment; callers
 // hold s.mu. The publish happens BEFORE the tail truncate, so a crash
 // between the two duplicates records (resolved by last-write-wins at
-// the next Open) instead of losing them.
+// the next Open) instead of losing them. The tail's entries then turn
+// cold: the segment IS the tail's bytes, so each keeps its offset and
+// length, takes the digest of its line while the blob is in hand, and
+// lets its resident payload go.
 func (s *Store) sealLocked() error {
 	if s.offset == 0 || s.file == nil {
 		return nil
@@ -236,6 +251,17 @@ func (s *Store) sealLocked() error {
 	s.segRecords += s.tailRecords
 	s.tailRecords = 0
 	s.stats.Seals++
+	for _, id := range s.tailKeys {
+		// A key saved twice into this tail is listed twice and indexed
+		// once, at its last line; the second visit finds it cold. A key
+		// whose replayed record was dropped since is not indexed at all.
+		if e, ok := s.index[id]; ok && e.seg == "" {
+			e.seg, e.raw = name, nil
+			e.digest = maphash.Bytes(s.seed, data[e.off:e.off+int64(e.n)])
+			s.index[id] = e
+		}
+	}
+	s.tailKeys = s.tailKeys[:0]
 	return nil
 }
 
@@ -246,9 +272,10 @@ func (s *Store) sealLocked() error {
 // integrity failures and merge through, so compacting under one family
 // never loses the other family's results. Lookups are unchanged by
 // construction — compaction rewrites where bytes live, never which
-// bytes a key resolves to. The tail is untouched. A store without a
-// backend errors; a store whose segments are already fully compacted
-// is a no-op.
+// bytes a key resolves to: cold entries are re-pointed at their line in
+// the merged segment as it is laid out. The tail is untouched. A store
+// without a backend errors; a store whose segments are already fully
+// compacted is a no-op.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,8 +330,9 @@ func (s *Store) Compact() error {
 	for _, key := range order {
 		merged = append(merged, final[key]...)
 	}
+	name := "" // of the merged segment; none when nothing survived
 	if len(merged) > 0 {
-		name := segmentName(s.segSeq+1, merged)
+		name = segmentName(s.segSeq+1, merged)
 		if err := s.backend.WriteSegment(name, merged); err != nil {
 			return err
 		}
@@ -313,6 +341,7 @@ func (s *Store) Compact() error {
 	} else {
 		s.segments = nil
 	}
+	s.repointLocked(name, order, final)
 	// Inputs go only after the merged segment is durable; a failed
 	// Remove leaves a lower-sequence duplicate that the next Open
 	// resolves identically, so removal is best-effort but reported.
@@ -325,6 +354,39 @@ func (s *Store) Compact() error {
 	s.segRecords = len(final)
 	s.stats.Compactions++
 	return removeErr
+}
+
+// repointLocked moves every cold entry to its line in the merged
+// segment name, whose layout is final's lines in order; callers hold
+// s.mu. A key shadowed by a newer tail record is resident and stays
+// put. A cold entry the merge did not carry — its segment failed the
+// whole-segment hash and is about to be removed — has no bytes left to
+// read and is dropped; its cell recomputes.
+func (s *Store) repointLocked(name string, order []string, final map[string][]byte) {
+	var off int64
+	for _, key := range order {
+		line := final[key]
+		id := idOf(key) // a foreign family's key parses too, and is not indexed
+		if e, ok := s.index[id]; ok && e.seg != "" {
+			digest := maphash.Bytes(s.seed, line)
+			// The merge keeps a key's last intact line, which is the line
+			// the entry described unless a later copy was lost with a
+			// tampered segment; a different line has not been through
+			// the canonical check yet.
+			e.verified = e.verified && digest == e.digest
+			e.seg, e.off, e.n, e.digest = name, off, int32(len(line)), digest
+			s.index[id] = e
+		}
+		off += int64(len(line))
+	}
+	for id, e := range s.index {
+		if e.seg != "" && e.seg != name {
+			delete(s.index, id)
+			if e.durable {
+				s.durableKeys--
+			}
+		}
+	}
 }
 
 // Segments returns the names of the sealed segments currently backing

@@ -16,8 +16,8 @@ import (
 // of scenariod workers pulling from one coordinator), exactly one
 // "leader" computes and every "follower" waits for the leader's bytes.
 // The result a follower receives is byte-identical to the leader's
-// under distsgd.Result's stable encoding, because both decode the same
-// stored raw message.
+// under distsgd.Result's stable encoding, because it IS the leader's
+// raw message.
 
 // flight is one in-progress execution. The leader publishes raw (or
 // err) before closing done; followers block on done and then read —
@@ -31,18 +31,24 @@ type flight struct {
 	err error
 }
 
-// DoCell implements scenario.SingleFlighter: it returns the cell's
-// result, computing it via compute at most once per key across
-// concurrent callers. The decision sequence under one lock acquisition
-// is index (stored result → hit), then flights (someone is computing →
-// wait), then leader (register a flight and compute). The leader
-// encodes its result once, persists it through the ordinary append
+// DoCellRaw implements scenario.RawSingleFlighter — the store's one
+// single-flight. It returns the cell's canonical result bytes,
+// computing them via compute at most once per key across concurrent
+// callers. The decision sequence under one lock acquisition is index
+// (stored result → hit), then flights (someone is computing → wait),
+// then leader (register a flight and compute). A hit returns the
+// indexed bytes as they are — no decode — with one exception: a record
+// replayed from disk has only had its key checked, so its first hit
+// here applies scenario.CanonicalResult; a payload that fails (or a
+// sealed line that no longer reads back, see resolve) is dropped and
+// the lookup starts over as a miss, so the cell recomputes and the
+// fresh record heals the corruption instead of taxing every future
+// warm run. The leader persists its bytes through the ordinary append
 // path (a failure is reported as storeErr, never as a result error)
-// and hands the same bytes to every follower, so all callers decode
-// identical raw messages. Compute failures are not cached: the flight
-// is removed before waiters are released, so a later submission of the
-// same key re-executes.
-func (s *Store) DoCell(spec scenario.Spec, compute func() (*distsgd.Result, error)) (res *distsgd.Result, shared bool, storeErr, runErr error) {
+// and hands the same bytes to every follower. Compute failures are not
+// cached: the flight is removed before waiters are released, so a
+// later submission of the same key re-executes.
+func (s *Store) DoCellRaw(spec scenario.Spec, compute func() (json.RawMessage, error)) (raw json.RawMessage, shared bool, storeErr, runErr error) {
 	c, err := Canonical(spec)
 	var key string
 	if err == nil {
@@ -52,69 +58,43 @@ func (s *Store) DoCell(spec scenario.Spec, compute func() (*distsgd.Result, erro
 		// Unkeyable specs cannot be deduplicated or persisted: compute
 		// directly, and surface the key failure as a store problem only
 		// when there is a result whose persistence it prevented.
-		res, runErr = compute()
+		raw, runErr = compute()
 		if runErr != nil {
 			return nil, false, nil, runErr
 		}
-		return res, false, err, nil
+		return raw, false, err, nil
 	}
 
-	s.mu.Lock()
-	if raw, ok := s.index[key]; ok {
-		s.mu.Unlock()
-		if res, shared, _, err := decodeShared(raw); err == nil {
-			s.mu.Lock()
-			s.stats.Hits++
-			s.mu.Unlock()
-			return res, shared, nil, nil
-		}
-		// An undecodable index entry is a miss, same as Lookup's
-		// contract: recompute (without dedup — the entry shadows the
-		// flight table for this key anyway) and write the repaired
-		// result back so the corruption heals instead of taxing every
-		// future warm run.
+	for {
 		s.mu.Lock()
-		s.stats.Misses++
+		e, line, ok := s.fetchLocked(key)
+		if !ok {
+			break // not stored; s.mu stays held for the flight table
+		}
 		s.mu.Unlock()
-		res, runErr = compute()
-		if runErr != nil {
-			return nil, false, nil, runErr
+		if raw, ok := s.resolve(key, e, line); ok && s.admit(key, e, raw) {
+			s.countLookup(true, e.seg != "")
+			return raw, true, nil, nil
 		}
-		fresh, err := json.Marshal(res)
-		if err != nil {
-			return res, false, fmt.Errorf("encoding result: %w: %w", err, ErrStore), nil
-		}
-		return res, false, s.appendRecord(record{Key: key, Version: Version, Spec: c, Result: fresh}), nil
+		// The entry was bad and is gone: look again.
 	}
 	if f, ok := s.flights[key]; ok {
 		s.stats.FlightWaits++
 		s.mu.Unlock()
 		<-f.done
-		if f.err != nil {
-			return nil, false, nil, f.err
-		}
-		return decodeShared(f.raw)
+		return f.raw, true, nil, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.stats.Misses++
 	s.mu.Unlock()
 
-	res, runErr = compute()
+	raw, runErr = compute()
 	if runErr != nil {
 		f.err = runErr
 		s.removeFlight(key)
 		close(f.done)
 		return nil, false, nil, runErr
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		// The result exists but cannot be encoded, so neither the store
-		// nor the followers can be served; the leader still returns it.
-		f.err = fmt.Errorf("encoding result: %w: %w", err, ErrStore)
-		s.removeFlight(key)
-		close(f.done)
-		return res, false, f.err, nil
 	}
 	storeErr = s.appendRecord(record{Key: key, Version: Version, Spec: c, Result: raw})
 	// Publish to followers only after the index holds the result (via
@@ -125,7 +105,65 @@ func (s *Store) DoCell(spec scenario.Spec, compute func() (*distsgd.Result, erro
 	f.raw = raw
 	s.removeFlight(key)
 	close(f.done)
-	return res, false, storeErr, nil
+	return raw, false, storeErr, nil
+}
+
+// admit reports whether a fetched payload may be served by the
+// single-flight: at once when the entry is verified, otherwise after
+// the canonical check, which marks the entry on success and drops it
+// on failure.
+func (s *Store) admit(key string, e entry, raw json.RawMessage) bool {
+	if e.verified {
+		return true
+	}
+	_, ok := scenario.CanonicalResult(raw)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !ok {
+		s.dropLocked(key, e)
+		return false
+	}
+	id := idOf(key)
+	if cur, ok := s.index[id]; ok && cur.sameRecord(e) {
+		cur.verified = true
+		s.index[id] = cur
+	}
+	return true
+}
+
+// DoCell implements scenario.SingleFlighter as a typed wrapper over
+// DoCellRaw: the caller that computes keeps its own result (encoded
+// once, for the store and the followers), every other caller decodes
+// the shared bytes into a private one.
+func (s *Store) DoCell(spec scenario.Spec, compute func() (*distsgd.Result, error)) (res *distsgd.Result, shared bool, storeErr, runErr error) {
+	var encErr error
+	raw, shared, storeErr, runErr := s.DoCellRaw(spec, func() (json.RawMessage, error) {
+		var err error
+		if res, err = compute(); err != nil {
+			return nil, err
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			encErr = fmt.Errorf("encoding result: %w: %w", err, ErrStore)
+			return nil, encErr
+		}
+		return raw, nil
+	})
+	switch {
+	case encErr != nil:
+		// The result exists but cannot be encoded, so neither the store
+		// nor the followers can be served; the leader still returns it.
+		return res, false, encErr, nil
+	case runErr != nil:
+		return nil, false, nil, runErr
+	case !shared:
+		return res, false, storeErr, nil
+	}
+	res = new(distsgd.Result)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return nil, false, nil, fmt.Errorf("decoding shared result: %w: %w", err, ErrStore)
+	}
+	return res, true, nil, nil
 }
 
 // removeFlight drops a finished flight from the in-flight table.
@@ -133,14 +171,4 @@ func (s *Store) removeFlight(key string) {
 	s.mu.Lock()
 	delete(s.flights, key)
 	s.mu.Unlock()
-}
-
-// decodeShared decodes a stored raw message into a caller-private
-// result, with the shared flag set: the caller did not compute it.
-func decodeShared(raw json.RawMessage) (*distsgd.Result, bool, error, error) {
-	res := new(distsgd.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, false, nil, fmt.Errorf("decoding shared result: %w: %w", err, ErrStore)
-	}
-	return res, true, nil, nil
 }

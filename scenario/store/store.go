@@ -52,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"strings"
@@ -222,6 +223,24 @@ func hashKeyWith(order string, blob []byte) string {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
+// keyID is a content address in binary: the 32 digest bytes behind a
+// "sha256:<hex>" key string. Keys travel as strings (Key's result,
+// record.Key); the index is keyed by keyID because the string form
+// costs three times the bytes per record, and the index is the part of
+// a segmented store that grows with everything ever saved.
+type keyID [sha256.Size]byte
+
+// idOf parses a key string. Only hashKeyWith's renderings ever reach
+// the index (a record's stored key is indexed only once it equals a
+// derived one), so anything else maps to the zero id, which nothing is
+// stored under.
+func idOf(key string) (id keyID) {
+	if digits := strings.TrimPrefix(key, "sha256:"); len(digits) == hex.EncodedLen(len(id)) {
+		hex.Decode(id[:], []byte(digits))
+	}
+	return id
+}
+
 // record is one JSONL line.
 type record struct {
 	// Key is the content address the record was stored under.
@@ -286,6 +305,10 @@ type Stats struct {
 	Entries int
 	// Hits and Misses count Lookup outcomes since Open.
 	Hits, Misses int
+	// ColdReads counts the Hits that were served from a sealed segment —
+	// read back from the backend and re-verified — rather than from the
+	// resident tail (always 0 for single-file and in-memory stores).
+	ColdReads int
 	// FlightWaits counts single-flight followers since Open: DoCell
 	// calls that found the same key already executing and waited for
 	// its result instead of computing (see DoCell).
@@ -307,11 +330,13 @@ type Stats struct {
 	Superseded int
 	// Tampered counts integrity-check failures observed since Open:
 	// records whose stored key did not re-derive from their stored
-	// identity, plus whole sealed segments whose content hash did not
-	// match the hash in their name (each such segment counts once and
-	// is skipped wholesale). Tampered data is never served; the
-	// affected cells recompute. Records written under a DIFFERENT
-	// kernel-order family are not tampered — see Foreign.
+	// identity, whole sealed segments whose content hash did not match
+	// the hash in their name (each such segment counts once and is
+	// skipped wholesale), plus sealed records that no longer read back
+	// as the bytes that were indexed (each counts once and is dropped
+	// from the index). Tampered data is never served; the affected
+	// cells recompute. Records written under a DIFFERENT kernel-order
+	// family are not tampered — see Foreign.
 	Tampered int
 	// Foreign counts intact records observed since Open that belong to
 	// another kernel-order family (their key re-derives under their own
@@ -337,14 +362,52 @@ func (s Stats) String() string {
 		line += fmt.Sprintf(", %d foreign-family", s.Foreign)
 	}
 	if s.Segments > 0 || s.Seals > 0 || s.Compactions > 0 {
-		line += fmt.Sprintf(", %d segments (%d seals, %d compactions)", s.Segments, s.Seals, s.Compactions)
+		line += fmt.Sprintf(", %d segments (%d seals, %d compactions, %d cold reads)", s.Segments, s.Seals, s.Compactions, s.ColdReads)
 	}
 	return line
 }
 
+// entry is one indexed record: where its bytes live and what is known
+// about them. A record is RESIDENT (raw holds its result payload) while
+// it lives in memory only, in a single-file store or in a segmented
+// store's tail, and COLD (seg names its sealed segment, raw is nil) once
+// its tail has sealed — then a hit reads the line back (see fetchLocked
+// and resolve). That split is what bounds a segmented store's heap by
+// SealBytes plus this struct per record, whatever it has ever saved.
+type entry struct {
+	// raw is the resident result payload; nil when cold.
+	raw json.RawMessage
+	// seg is the sealed segment holding the record's line ("" while
+	// resident); off and n locate the line — in seg when cold, in the
+	// live file when resident in a file-backed store. A tail's bytes
+	// become its segment's bytes, so off and n carry over a seal.
+	seg string
+	off int64
+	n   int32
+	// verified records that the payload is a canonical result encoding:
+	// true from birth for records this process appended, set on the
+	// first single-flight hit for records replayed from disk (DoCellRaw).
+	verified bool
+	// durable records that the key has at least one record on disk (it
+	// outlives the record itself when a store that lost its file
+	// re-saves the key in memory only).
+	durable bool
+	// digest is the seeded hash of the line, taken when the entry went
+	// cold — the bytes were in hand and verified then, and a cold read
+	// must find them unchanged.
+	digest uint64
+}
+
+// sameRecord reports that two snapshots of one key's entry describe the
+// same stored line (the key was not re-saved, sealed or compacted in
+// between).
+func (e entry) sameRecord(o entry) bool { return e.seg == o.seg && e.off == o.off }
+
 // Store is a content-addressed scenario result store: an in-memory
-// key → result index, optionally backed by an append-only JSONL file.
-// It implements scenario.ResultStore and is safe for concurrent use.
+// index from key to result — the result's bytes, or where they lie in
+// a sealed segment (see entry) — optionally backed by an append-only
+// JSONL file. It implements scenario.ResultStore and is safe for
+// concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	path string
@@ -353,7 +416,10 @@ type Store struct {
 	// append position. After a failed write the file is rolled back to
 	// it so a torn fragment can never fuse with the next record.
 	offset int64
-	index  map[string]json.RawMessage
+	index  map[keyID]entry
+	// seed keys entry.digest. It is drawn per process, so someone who
+	// can only write the disk cannot craft bytes that keep a digest.
+	seed maphash.Seed
 	// flights tracks in-progress single-flight executions by key (see
 	// singleflight.go); entries exist only while a leader is computing.
 	flights map[string]*flight
@@ -370,13 +436,17 @@ type Store struct {
 	segments []string
 	// segRecords / tailRecords count the valid indexed records living
 	// in sealed segments and in the tail respectively; together with
-	// diskKeys they make Stats.Superseded exact: superseded =
-	// segRecords + tailRecords − len(diskKeys).
+	// durableKeys they make Stats.Superseded exact: superseded =
+	// segRecords + tailRecords − durableKeys.
 	segRecords  int
 	tailRecords int
-	// diskKeys is the set of distinct keys with at least one durable
-	// record (subset of index for stores that dropped to memory-only).
-	diskKeys map[string]struct{}
+	// durableKeys counts the distinct keys with at least one durable
+	// record — the index entries flagged durable (all of them, unless
+	// the store dropped to memory-only).
+	durableKeys int
+	// tailKeys lists, in append order, the keys of the records in a
+	// segmented store's tail — the entries a seal turns cold.
+	tailKeys []keyID
 }
 
 // NewMemory returns a store with no backing file — the index lives and
@@ -384,9 +454,8 @@ type Store struct {
 // -store-dir is given, and convenient in tests and examples.
 func NewMemory() *Store {
 	return &Store{
-		index:    make(map[string]json.RawMessage),
-		flights:  make(map[string]*flight),
-		diskKeys: make(map[string]struct{}),
+		index:   make(map[keyID]entry),
+		flights: make(map[string]*flight),
 	}
 }
 
@@ -415,9 +484,9 @@ func open(backend Backend, sealBytes int64, path string) (*Store, error) {
 	s := &Store{
 		path:      path,
 		file:      f,
-		index:     make(map[string]json.RawMessage),
+		index:     make(map[keyID]entry),
+		seed:      maphash.MakeSeed(),
 		flights:   make(map[string]*flight),
-		diskKeys:  make(map[string]struct{}),
 		backend:   backend,
 		sealBytes: sealBytes,
 	}
@@ -455,8 +524,8 @@ func (s *Store) load() error {
 		if err != nil {
 			return fmt.Errorf("reading %s: %w: %w", s.path, err, ErrStore)
 		}
+		s.indexLine(line, "", offset)
 		offset += int64(len(line))
-		s.indexLine(line, &s.tailRecords)
 	}
 	if _, err := s.file.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("seeking %s: %w: %w", s.path, err, ErrStore)
@@ -522,10 +591,12 @@ func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 	return rec, key, lineOK
 }
 
-// indexLine validates one complete line and indexes it, counting (not
-// failing on) records that cannot be served safely; counter is the
-// location tally (segment vs tail records) a servable line bumps.
-func (s *Store) indexLine(line []byte, counter *int) {
+// indexLine validates one complete line found at off in seg ("" for the
+// live file) and indexes it, counting (not failing on) records that
+// cannot be served safely. A live-file record stays resident; a
+// segment's is indexed cold, by location and digest, and its bytes are
+// let go.
+func (s *Store) indexLine(line []byte, seg string, off int64) {
 	rec, key, v := decodeLine(line)
 	switch v {
 	case lineEmpty:
@@ -542,9 +613,118 @@ func (s *Store) indexLine(line []byte, counter *int) {
 		s.stats.Foreign++
 		return
 	}
-	s.index[key] = rec.Result // duplicate keys: last write wins
-	s.diskKeys[key] = struct{}{}
-	*counter++
+	id := idOf(key)
+	e := entry{seg: seg, off: off, n: int32(len(line)), durable: true}
+	if seg != "" {
+		e.digest = maphash.Bytes(s.seed, line)
+		s.segRecords++
+	} else {
+		e.raw = rec.Result
+		s.tailRecords++
+		if s.backend != nil {
+			s.tailKeys = append(s.tailKeys, id)
+		}
+	}
+	s.setLocked(id, e) // duplicate keys: last write wins
+}
+
+// setLocked indexes e under id, keeping the durable-key count; callers
+// hold s.mu.
+func (s *Store) setLocked(id keyID, e entry) {
+	if s.index[id].durable {
+		e.durable = true
+	} else if e.durable {
+		s.durableKeys++
+	}
+	s.index[id] = e
+}
+
+// fetchLocked snapshots key's entry and, for a cold one, reads its line
+// back from the sealed segment. Callers hold s.mu — the read happens
+// under it so Compact cannot remove the segment mid-read — and pass
+// what they got to resolve after releasing it.
+func (s *Store) fetchLocked(key string) (e entry, line []byte, ok bool) {
+	e, ok = s.index[idOf(key)]
+	if ok && e.seg != "" {
+		// A failed read leaves line nil, which resolve rejects like any
+		// other line that is not the one indexed.
+		line, _ = s.backend.ReadSegmentAt(e.seg, e.off, int(e.n))
+	}
+	return e, line, ok
+}
+
+// resolve turns fetchLocked's snapshot into the record's result
+// payload; callers do not hold s.mu. A resident entry answers from
+// memory. A cold line must still be the bytes that were indexed (the
+// seeded digest taken while they were in hand) AND pass decodeLine —
+// the acceptance rule Open applied — under the same key; otherwise it
+// was altered on disk after Open: the entry is dropped, Tampered counts
+// it, and the caller sees a miss, so the cell recomputes and its fresh
+// record heals the store.
+func (s *Store) resolve(key string, e entry, line []byte) (json.RawMessage, bool) {
+	if e.seg == "" {
+		return e.raw, true
+	}
+	if maphash.Bytes(s.seed, line) == e.digest {
+		if rec, got, v := decodeLine(line); v == lineOK && got == key {
+			return rec.Result, true
+		}
+	}
+	s.mu.Lock()
+	s.stats.Tampered++
+	s.dropLocked(key, e)
+	s.mu.Unlock()
+	return nil, false
+}
+
+// dropLocked removes key's entry if it still describes the record the
+// caller examined (e); callers hold s.mu. Only records replayed from
+// disk or read back from a segment are ever dropped, so a durable line
+// goes out of the location tallies with it.
+func (s *Store) dropLocked(key string, e entry) {
+	id := idOf(key)
+	cur, ok := s.index[id]
+	if !ok || !cur.sameRecord(e) {
+		return
+	}
+	delete(s.index, id)
+	if cur.durable {
+		s.durableKeys--
+	}
+	if e.seg != "" {
+		s.segRecords--
+	} else {
+		s.tailRecords--
+	}
+}
+
+// get is the whole read path for callers that need nothing from the
+// lock afterwards (Lookup, LookupAux): the payload under key, whether
+// it came from a sealed segment, and whether there is one.
+func (s *Store) get(key string) (raw json.RawMessage, cold, ok bool) {
+	s.mu.Lock()
+	e, line, ok := s.fetchLocked(key)
+	s.mu.Unlock()
+	if !ok {
+		return nil, false, false
+	}
+	raw, ok = s.resolve(key, e, line)
+	return raw, e.seg != "", ok
+}
+
+// countLookup tallies one lookup outcome.
+func (s *Store) countLookup(hit, cold bool) {
+	s.mu.Lock()
+	switch {
+	case !hit:
+		s.stats.Misses++
+	case cold:
+		s.stats.ColdReads++
+		fallthrough
+	default:
+		s.stats.Hits++
+	}
+	s.mu.Unlock()
 }
 
 // Lookup implements scenario.ResultStore. Any internal failure — a
@@ -553,29 +733,19 @@ func (s *Store) indexLine(line []byte, counter *int) {
 func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 	key, err := Key(spec)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
+		s.countLookup(false, false)
 		return nil, false
 	}
-	s.mu.Lock()
-	raw, ok := s.index[key]
+	raw, cold, ok := s.get(key)
+	var res *distsgd.Result
+	if ok {
+		res = new(distsgd.Result)
+		ok = json.Unmarshal(raw, res) == nil
+	}
+	s.countLookup(ok, cold)
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
 		return nil, false
 	}
-	s.mu.Unlock()
-	res := new(distsgd.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.mu.Lock()
-	s.stats.Hits++
-	s.mu.Unlock()
 	return res, true
 }
 
@@ -618,6 +788,11 @@ func (s *Store) appendRecord(rec record) error {
 	}
 	line = append(line, '\n')
 
+	id := idOf(rec.Key)
+	// Cell callers hand over bytes they encoded themselves or that passed
+	// the canonical check, so the entry is born verified (aux payloads
+	// never meet that check).
+	e := entry{raw: rec.Result, verified: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.file != nil {
@@ -635,11 +810,14 @@ func (s *Store) appendRecord(rec record) error {
 			}
 			return fmt.Errorf("appending to %s: %w: %w", s.path, err, ErrStore)
 		}
+		e.off, e.n, e.durable = s.offset, int32(len(line)), true
 		s.offset += int64(len(line))
 		s.tailRecords++
-		s.diskKeys[rec.Key] = struct{}{}
+		if s.backend != nil {
+			s.tailKeys = append(s.tailKeys, id)
+		}
 	}
-	s.index[rec.Key] = rec.Result
+	s.setLocked(id, e)
 	s.stats.Saves++
 	// The record is durable; sealing is opportunistic on top of it — a
 	// failed seal leaves the tail to keep growing and the next append
@@ -667,7 +845,7 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.Entries = len(s.index)
 	st.Segments = len(s.segments)
-	st.Superseded = s.segRecords + s.tailRecords - len(s.diskKeys)
+	st.Superseded = s.segRecords + s.tailRecords - s.durableKeys
 	return st
 }
 
