@@ -6,10 +6,14 @@ GO ?= go
 # distance-matrix kernels, the result store's warm-vs-cold grid
 # economics, the async incremental-cache win under bounded-staleness
 # arrival traffic, and the four hot loops of the gradient path (digit
-# render, MLP and tiny-softmax gradients, coordinate median). The
-# BenchmarkDistanceMatrix pattern also matches the Incremental and
-# LargeN variants.
-TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkDistanceMatrix|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkGradientPath
+# render, MLP and tiny-softmax gradients, coordinate median).
+# COUNTED_BENCHES are the rows run at -count 6 so that each carries a
+# [min, max] band (krum-benchjson folds the repeats): the
+# distance-matrix kernels — the pattern also matches the Incremental
+# and LargeN variants — which are the rows kernel changes are judged
+# by. The rest stay at -count 1.
+COUNTED_BENCHES ?= BenchmarkDistanceMatrix
+TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkGradientPath
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
 # it up locally for a real hunt).
@@ -131,7 +135,8 @@ fuzz-smoke:
 # The intermediate file (not a pipe) makes a bench failure fail the
 # target instead of silently recording an empty trajectory.
 bench:
-	$(GO) test -run '^$$' -bench '$(TRACKED_BENCHES)' -benchmem -count 1 . > BENCH_scenario.txt
+	$(GO) test -run '^$$' -bench '$(COUNTED_BENCHES)' -benchmem -count 6 . > BENCH_scenario.txt
+	$(GO) test -run '^$$' -bench '$(TRACKED_BENCHES)' -benchmem -count 1 . >> BENCH_scenario.txt
 	$(GO) run ./cmd/krum-benchjson < BENCH_scenario.txt > BENCH_scenario.json
 	@rm -f BENCH_scenario.txt
 	@cat BENCH_scenario.json

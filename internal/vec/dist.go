@@ -45,6 +45,10 @@ type DistanceMatrix struct {
 	rows [][]float64 // the n vectors, borrowed (the header list is the matrix's)
 	nrm  []float64   // n squared norms ‖v_i‖², taken from the staged diagonal
 	d    []float64   // n*n squared distances, row major
+	// panel is the walker's column-panel width (panelWidth; n when one
+	// panel holds every column). Tests force it to cross panel seams at
+	// small n; no result bit depends on it.
+	panel int
 }
 
 // naiveDimMax is the dimension at or below which NewDistanceMatrix
@@ -79,6 +83,14 @@ func NewDistanceMatrixNaive(vectors [][]float64) *DistanceMatrix {
 	return m.build(1)
 }
 
+// panelWidth returns the walker's column-panel width for n vectors of
+// the given dimension: all n columns when their k-block slices fit
+// panelBytes, else the widest multiple of 4 (the tile width) that does
+// — never fewer than 64, a full gramBlock slice being 16 KB.
+func panelWidth(n, dim int) int {
+	return min(n, panelBytes/(8*min(max(dim, 1), gramBlock))&^3)
+}
+
 // newShell validates dimensions and allocates the zeroed cells and
 // norms around a borrowed view of the vectors.
 func newShell(vectors [][]float64) *DistanceMatrix {
@@ -91,12 +103,13 @@ func newShell(vectors [][]float64) *DistanceMatrix {
 		checkLen("NewDistanceMatrix", len(v), dim)
 	}
 	return &DistanceMatrix{
-		n:    n,
-		dim:  dim,
-		gram: dim > naiveDimMax,
-		rows: append([][]float64(nil), vectors...),
-		nrm:  make([]float64, n),
-		d:    make([]float64, n*n),
+		n:     n,
+		dim:   dim,
+		gram:  dim > naiveDimMax,
+		rows:  append([][]float64(nil), vectors...),
+		nrm:   make([]float64, n),
+		d:     make([]float64, n*n),
+		panel: panelWidth(n, dim),
 	}
 }
 
@@ -136,9 +149,9 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 	m.assemble(rows, upper)
 }
 
-// stage walks (row pair × column tile × k-block) depth-first, adding
-// each k-block's tile results into the rows' cells, and then reads the
-// rows' norms off the diagonal:
+// stage walks k-block → column panel → row pair → tile, adding each
+// k-block's tile results into the rows' cells, and then reads the rows'
+// norms off the diagonal:
 //
 //   - rows is the row-set, consumed two rows at a time so the inner loop
 //     runs the 2×4 tile (each streamed column slice feeds two rows); a
@@ -156,52 +169,64 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 //     changed rows: each row covers all n columns, so a changed–changed
 //     pair is simply staged from both sides with the same canonical
 //     value.
-//   - a row's last tile clamps its column indices to n−1 and keeps only
-//     the columns that exist, so every product comes from a tile. Each
-//     tile column is bit-identical to dotPairBlock by gram.go's per-tier
-//     contract, and a diagonal cell sums its k-blocks in ascending k
-//     from +0: the blocked composition of ⟨v,v⟩ (the tests' dotPair).
+//   - the last tile of a panel clamps its column indices to the panel's
+//     last column and keeps only the columns inside it (at the last
+//     panel: the columns that exist), so every product comes from a
+//     tile. Each tile column is bit-identical to dotPairBlock by
+//     gram.go's per-tier contract, and a diagonal cell sums its k-blocks
+//     in ascending k from +0: the blocked composition of ⟨v,v⟩ (the
+//     tests' dotPair).
 //
 // The staged cells must be zero on entry (fresh from newShell, or
 // cleared by Rebuild / recompute): each k-block of gramBlock
 // coordinates adds its per-block tile results into them in ascending k,
 // which is exactly the canonical blocked order of gram.go, so a cell's
-// bits never depend on the row-set, the partition, or the tile that
-// happened to cover it. The k-block loop is outermost for locality: all
-// n slices of one block (n·gramBlock·8 bytes, 640 KB at n = 40) stay
-// L2-resident while every row pair consumes them, instead of each pair
-// streaming the full n·d working set — measured ~30% off the pair-outer
-// wall clock at n = 40, d = 10⁴ on one core. At d ≤ gramBlock the walk
-// is a single block.
+// bits never depend on the row-set, the partition, the panel width, or
+// the tile that happened to cover it.
+//
+// The two outer levels exist for locality alone. The k-block loop is
+// outermost so that the slices the inner loops touch are at most
+// gramBlock long; the panel loop bounds how many of them there are: the
+// panel's slices (≤ panelBytes) stay L2-resident while every row pair
+// streams its own two slices past them, so the pairs re-read the
+// columns from L2 rather than from L3 or memory. Without it the
+// residency held only while all n slices fit (640 KB at n = 40; 8 MB at
+// n = 1000, where the same tile ran at two thirds of its n = 100 rate).
+// A shape whose n slices fit the budget is one panel [0, n) — the
+// pair-inside-k-block loop of every shape with n ≤ 64, or n ≤ 128 at
+// d ≤ 1024 — and at d ≤ gramBlock the walk is a single block.
 func (m *DistanceMatrix) stage(rows []int, upper bool) {
 	n, d := m.n, m.dim
 	var t [8]float64
 	for k0 := 0; k0 < d; k0 += gramBlock {
 		k1 := min(k0+gramBlock, d)
-		slice := func(i int) []float64 { return m.rows[min(i, n-1)][k0:k1] }
-		for k := 0; k < len(rows); k += 2 {
-			r0 := rows[k]
-			v0, row0 := slice(r0), m.d[r0*n:(r0+1)*n]
-			j := 0
-			if upper {
-				j = r0
-			}
-			if k+1 == len(rows) {
-				for ; j < n; j += 4 {
-					t[0], t[1], t[2], t[3] = dot4Block(v0, slice(j), slice(j+1), slice(j+2), slice(j+3))
-					for c := range min(4, n-j) {
-						row0[j+c] += t[c]
-					}
+		for c0 := 0; c0 < n; c0 += m.panel {
+			c1 := min(c0+m.panel, n)
+			col := func(j int) []float64 { return m.rows[min(j, c1-1)][k0:k1] }
+			for k := 0; k < len(rows); k += 2 {
+				r0 := rows[k]
+				v0, row0 := m.rows[r0][k0:k1], m.d[r0*n:(r0+1)*n]
+				j := c0
+				if upper {
+					j = max(c0, r0)
 				}
-				break
-			}
-			r1 := rows[k+1]
-			v1, row1 := slice(r1), m.d[r1*n:(r1+1)*n]
-			for ; j < n; j += 4 {
-				dot24Block(v0, v1, slice(j), slice(j+1), slice(j+2), slice(j+3), &t)
-				for c := range min(4, n-j) {
-					row0[j+c] += t[c]
-					row1[j+c] += t[4+c]
+				if k+1 == len(rows) {
+					for ; j < c1; j += 4 {
+						t[0], t[1], t[2], t[3] = dot4Block(v0, col(j), col(j+1), col(j+2), col(j+3))
+						for c := range min(4, c1-j) {
+							row0[j+c] += t[c]
+						}
+					}
+					break
+				}
+				r1 := rows[k+1]
+				v1, row1 := m.rows[r1][k0:k1], m.d[r1*n:(r1+1)*n]
+				for ; j < c1; j += 4 {
+					dot24Block(v0, v1, col(j), col(j+1), col(j+2), col(j+3), &t)
+					for c := range min(4, c1-j) {
+						row0[j+c] += t[c]
+						row1[j+c] += t[4+c]
+					}
 				}
 			}
 		}

@@ -14,7 +14,9 @@ import (
 // takes 0.49 ms against 0.63 serial and n = 100, d = 10³ 0.27 against
 // 0.33; 1 << 20 gives part of that back to goroutines the host has no
 // core for (0.55, 0.30); at 8 << 20, tuned when the copy-and-norms
-// prefix made parallel a wash, both shapes ran serial.
+// prefix made parallel a wash, both shapes ran serial. Re-tried on the
+// panelled walker with the same ordering (1 / 2 / 4 Mi: 0.54 / 0.51 /
+// 0.68 and 0.35 / 0.32 / 0.43 ms; n = 1000 indifferent at ≈ 24 ms).
 const minParallelFlops = 2 << 20
 
 // NewDistanceMatrixParallel computes the same matrix as

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -166,40 +168,113 @@ func walkerVectors(rng *RNG, n, d int, special uint16) [][]float64 {
 	return vs
 }
 
-// checkWalkerCells builds over vs on the production walker and on the
-// reference, then applies the same three update rounds to both —
-// changed names the rows of each round as a bitmask, so the sets are
-// duplicate-free and changed–changed pairs occur — and rebuilds in
-// place after each, comparing every cell and norm by bits at each step.
-func checkWalkerCells(t *testing.T, rng *RNG, vs [][]float64, special uint16, changed [3]uint16) {
-	t.Helper()
+// walkerScript is one scenario both walkers are run through — a build
+// and three update rounds, each followed by a rebuild — with the
+// reference walker's cells and norms after every step, so that one run
+// of the reference serves every (panel width, worker count) the
+// production walker is replayed under.
+type walkerScript struct {
+	vs    [][]float64
+	built *refMatrix
+	steps [3]struct {
+		rows    []int       // the round's change-set, duplicate-free
+		cur     [][]float64 // the vector set after the round
+		updated *refMatrix  // the reference after its incremental update
+		rebuilt *refMatrix  // the reference built afresh over cur
+	}
+}
+
+// newWalkerScript runs the reference over vs and the three change-sets.
+// Changed rows take fresh walkerVectors draws (special shifted by the
+// step, so special rows come and go); odd steps list their set in
+// descending order: the walker may not depend on the order a change-set
+// is listed in.
+func newWalkerScript(rng *RNG, vs [][]float64, special uint16, changed [3][]int) *walkerScript {
 	n, d := len(vs), len(vs[0])
+	s := &walkerScript{vs: vs, built: refBuild(vs)}
 	ref := refBuild(vs)
-	m := NewDistanceMatrix(vs)
-	sameWalkerBits(t, "build", m, ref)
 	cur := append([][]float64(nil), vs...)
-	for step, mask := range changed {
-		var rows []int
+	for step, rows := range changed {
+		rows = append([]int(nil), rows...)
 		next := walkerVectors(rng, n, d, special>>step)
-		for i := range cur {
-			if mask>>i&1 == 1 {
-				rows = append(rows, i)
-				cur[i] = next[i]
-			}
+		for _, i := range rows {
+			cur[i] = next[i]
 		}
-		// Descending on odd steps: the walker may not depend on the
-		// order a change-set is listed in.
 		if step%2 == 1 {
 			for a, b := 0, len(rows)-1; a < b; a, b = a+1, b-1 {
 				rows[a], rows[b] = rows[b], rows[a]
 			}
 		}
-		m.UpdateRows(rows, cur)
 		ref.updateRows(rows, cur)
-		sameWalkerBits(t, "update", m, ref)
-		m.Rebuild(1)
-		sameWalkerBits(t, "rebuild in place", m, refBuild(cur))
+		st := &s.steps[step]
+		st.rows, st.cur = rows, append([][]float64(nil), cur...)
+		st.updated = &refMatrix{n: n, nrm: append([]float64(nil), ref.nrm...), d: append([]float64(nil), ref.d...)}
+		st.rebuilt = refBuild(cur)
 	}
+	return s
+}
+
+// replay runs the production walker through the script, comparing every
+// cell and norm with the reference by bits at each step. panel > 0
+// forces the column-panel width (0 keeps panelWidth's). Serially
+// (workers ≤ 1) that is the build, then per round UpdateRows and an
+// in-place Rebuild. Updates never fan out and a rebuild is a build over
+// cleared cells, so workers > 1 replays only the build, on that many
+// concurrent strided shares (buildShares).
+func (s *walkerScript) replay(t *testing.T, panel, workers int) {
+	t.Helper()
+	what := func(step string) string {
+		return fmt.Sprintf("n=%d d=%d panel=%d workers=%d: %s", len(s.vs), len(s.vs[0]), panel, workers, step)
+	}
+	m := newShell(s.vs)
+	if panel > 0 {
+		m.panel = panel
+	}
+	if workers > 1 {
+		buildShares(m, workers)
+		sameWalkerBits(t, what("build"), m, s.built)
+		return
+	}
+	m.build(1)
+	sameWalkerBits(t, what("build"), m, s.built)
+	for _, st := range s.steps {
+		m.UpdateRows(st.rows, st.cur)
+		sameWalkerBits(t, what("update"), m, st.updated)
+		m.Rebuild(1)
+		sameWalkerBits(t, what("rebuild in place"), m, st.rebuilt)
+	}
+}
+
+// buildShares is DistanceMatrix.build's fan-out over zeroed cells
+// without its minParallelFlops cap (which would run every small shape
+// serially): each of workers goroutines stages its strided share of the
+// rows, waits at the one barrier and assembles its share.
+func buildShares(m *DistanceMatrix, workers int) {
+	var staged, done sync.WaitGroup
+	staged.Add(workers)
+	done.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer done.Done()
+			rows := stridedRows(m.n, w, workers)
+			m.stage(rows, true)
+			staged.Done()
+			staged.Wait()
+			m.assemble(rows, true)
+		}(w)
+	}
+	done.Wait()
+}
+
+// maskRows lists the rows < n whose bit is set in mask, ascending.
+func maskRows(mask uint16, n int) []int {
+	var rows []int
+	for i := 0; i < min(n, 16); i++ {
+		if mask>>i&1 == 1 {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 // TestWalkerMatchesReference runs the reference comparison over every
@@ -210,27 +285,95 @@ func TestWalkerMatchesReference(t *testing.T) {
 	for n := 1; n <= 13; n++ {
 		for _, d := range []int{17, 100, gramBlock - 1, gramBlock, gramBlock + 1, 2*gramBlock + 5} {
 			vs := walkerVectors(rng, n, d, 0)
-			checkWalkerCells(t, rng, vs, 0, [3]uint16{1 << (n / 2), 0b1010101010101, 0b0011001100110})
+			changed := [3][]int{{n / 2}, maskRows(0b1010101010101, n), maskRows(0b0011001100110, n)}
+			newWalkerScript(rng, vs, 0, changed).replay(t, 0, 1)
 		}
 	}
 	vs := walkerVectors(rng, 9, gramBlock+3, 0b100100100)
-	checkWalkerCells(t, rng, vs, 0b010010010, [3]uint16{0b111, 0b110000000, 0b1})
+	newWalkerScript(rng, vs, 0b010010010, [3][]int{{0, 1, 2}, {7, 8}, {0}}).replay(t, 0, 1)
+}
+
+// TestPanelSeamUnobservable holds the walker to the reference across
+// column-panel seams, which no production shape small enough to test
+// quickly would cross: n odd, ≢ 0 (mod 4) and with a trailing odd row,
+// d on both sides of one and two k-blocks, the panel forced to one,
+// two and three tiles, to n − 1 (a last panel of one column, and a
+// width that is no multiple of the tile's), to n and beyond (one
+// panel), serial and on 2, 3 and 7 strided shares. One script per shape:
+// a single row, every other row (changed–changed pairs straddling every
+// seam), and adjacent pairs.
+func TestPanelSeamUnobservable(t *testing.T) {
+	rng := NewRNG(2025)
+	for _, n := range []int{5, 13, 33, 65, 70} {
+		var alternate, pairs []int
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				alternate = append(alternate, i)
+			}
+			if i%4 == 1 || i%4 == 2 {
+				pairs = append(pairs, i)
+			}
+		}
+		for _, d := range []int{17, gramBlock - 1, gramBlock + 1, 2*gramBlock + 5} {
+			script := newWalkerScript(rng, walkerVectors(rng, n, d, 0), 0, [3][]int{{n / 2}, alternate, pairs})
+			for _, panel := range []int{4, 8, 12, n - 1, n, n + 3} {
+				for _, workers := range []int{1, 2, 3, 7} {
+					script.replay(t, panel, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestPanelBudgetCrossed is the un-forced case: n = 70 vectors of one
+// full k-block each are 1.1 MB of slices, so panelWidth itself cuts the
+// columns in two (64 + 6), and the shape is large enough for the real
+// parallel builder to fan out.
+func TestPanelBudgetCrossed(t *testing.T) {
+	const n, d = 70, gramBlock
+	if w := panelWidth(n, d); w >= n || w%4 != 0 {
+		t.Fatalf("panelWidth(%d, %d) = %d: want a multiple of 4 below n", n, d, w)
+	}
+	for _, shape := range []struct{ n, d int }{{40, 10000}, {20, 12826}, {9, 6}, {100, 1000}} {
+		if w := panelWidth(shape.n, shape.d); w != shape.n {
+			t.Errorf("panelWidth(%d, %d) = %d: the tracked shape no longer fits one panel", shape.n, shape.d, w)
+		}
+	}
+	rng := NewRNG(2026)
+	vs := walkerVectors(rng, n, d, 0)
+	script := newWalkerScript(rng, vs, 0, [3][]int{{63, 64}, {0, 69}, {5, 62, 65, 66}})
+	for _, workers := range []int{1, 3} {
+		script.replay(t, 0, workers)
+	}
+	for _, workers := range []int{2, 8} {
+		m := NewDistanceMatrixParallel(vs, workers)
+		sameWalkerBits(t, "parallel build", m, script.built)
+		last := script.steps[len(script.steps)-1]
+		m.UpdateRows(stridedRows(n, 0, 1), last.cur)
+		sameWalkerBits(t, "full-change update", m, last.rebuilt)
+		m.Rebuild(workers)
+		sameWalkerBits(t, "parallel rebuild", m, last.rebuilt)
+	}
 }
 
 // FuzzWalkerCells derives the shape (n ≤ 13, d on either side of one
-// and two gramBlocks), the special rows and three change-sets from the
-// fuzz input and holds the production walker — full build, in-place
-// rebuild, updates — to the reference walker bit for bit.
+// and two gramBlocks), the special rows, three change-sets and the
+// column-panel width (0: panelWidth's own; 1…15, multiples of the tile
+// width or not) from the fuzz input and holds the production walker —
+// full build, in-place rebuild, updates — to the reference walker bit
+// for bit.
 func FuzzWalkerCells(f *testing.F) {
-	f.Add(uint64(1), uint8(12), uint16(20), uint16(0), uint16(0b101), uint16(0b1111111111111), uint16(0))
-	f.Add(uint64(2), uint8(0), uint16(2047), uint16(1), uint16(1), uint16(1), uint16(1))
-	f.Add(uint64(3), uint8(6), uint16(2049), uint16(0b1001001), uint16(0b0110), uint16(0b1000001), uint16(0b11))
-	f.Add(uint64(4), uint8(4), uint16(4099), uint16(0xffff), uint16(0b10000), uint16(0b01111), uint16(0b10101))
-	f.Fuzz(func(t *testing.T, seed uint64, n8 uint8, d16, special, c0, c1, c2 uint16) {
+	f.Add(uint64(1), uint8(12), uint16(20), uint16(0), uint16(0b101), uint16(0b1111111111111), uint16(0), uint8(0))
+	f.Add(uint64(2), uint8(0), uint16(2047), uint16(1), uint16(1), uint16(1), uint16(1), uint8(1))
+	f.Add(uint64(3), uint8(6), uint16(2049), uint16(0b1001001), uint16(0b0110), uint16(0b1000001), uint16(0b11), uint8(4))
+	f.Add(uint64(4), uint8(4), uint16(4099), uint16(0xffff), uint16(0b10000), uint16(0b01111), uint16(0b10101), uint8(3))
+	f.Add(uint64(5), uint8(12), uint16(2050), uint16(0b1000100010001), uint16(0b110011), uint16(0b1111111111111), uint16(0b1000000000000), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, n8 uint8, d16, special, c0, c1, c2 uint16, panel uint8) {
 		n := int(n8%13) + 1
 		// Three bands around the block seams: 17…, gramBlock−8…, 2·gramBlock−8….
 		d := []int{naiveDimMax + 1, gramBlock - 8, 2*gramBlock - 8}[d16%3] + int(d16/3%64)
 		rng := NewRNG(seed)
-		checkWalkerCells(t, rng, walkerVectors(rng, n, d, special), special, [3]uint16{c0, c1, c2})
+		changed := [3][]int{maskRows(c0, n), maskRows(c1, n), maskRows(c2, n)}
+		newWalkerScript(rng, walkerVectors(rng, n, d, special), special, changed).replay(t, int(panel%16), 1+int(panel>>4)%3)
 	})
 }

@@ -17,10 +17,10 @@ package vec
 // pairs and norms alike) takes from a tile reproduces exactly that
 // order. IEEE-754 multiplication is commutative bit for bit and the
 // k-order never changes within a tier, so ⟨a,b⟩ is bit-identical
-// whichever tile shape, tile column, goroutine count, or tile alignment
-// computes it. This is what lets DistanceMatrix.UpdateRow promise
-// results identical to a full rebuild, and the scenario runner promise
-// identical results across worker counts — all per tier.
+// whichever tile shape, tile column, column panel, goroutine count, or
+// tile alignment computes it. This is what lets DistanceMatrix.UpdateRow
+// promise results identical to a full rebuild, and the scenario runner
+// promise identical results across worker counts — all per tier.
 //
 // The canonical order has two levels:
 //
@@ -75,6 +75,20 @@ package vec
 // families. Tuned on BenchmarkDistanceMatrix at n = 40, d = 10⁴
 // against 1024/4096/unblocked.
 const gramBlock = 2048
+
+// panelBytes is the walker's column-panel budget: stage keeps the
+// k-block slices of one panel of columns — at most this many bytes —
+// cache-resident while every row pair streams past them, so the budget
+// is sized to sit in a 2 MB L2 beside the streaming rows. Unlike
+// gramBlock it needs no order-family id: it decides only WHICH tile
+// call produces a cell's product, never the k-sequence that product's
+// lanes consume, and by the contract above a cell's bits depend on the
+// latter alone — so it can be retuned freely. Measured at n = 1000,
+// d = 1000 from 250 KB to 2 MB (EXPERIMENTS.md "Distance build at large
+// n: one panel in L2"): flat between 500 KB and 1 MB, slower on either
+// side, and 1 MB leaves every shape with n ≤ 64, or n ≤ 128 at
+// d ≤ 1024, on a single panel.
+const panelBytes = 1 << 20
 
 // dotPairGo returns ⟨a,b⟩ using the canonical two-accumulator order.
 // The two independent chains break the add-latency dependency that
