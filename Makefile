@@ -11,8 +11,12 @@ GO ?= go
 # [min, max] band (krum-benchjson folds the repeats): the
 # distance-matrix kernels — the pattern also matches the Incremental
 # and LargeN variants — which are the rows kernel changes are judged
-# by. The rest stay at -count 1.
+# by. They run at -cpu 1,$(NPROC): a distance build picks its own
+# goroutine count from its shape and GOMAXPROCS, so the unsuffixed row
+# is the serial constant of Lemma 4.1 and the -$(NPROC) row the
+# fanned-out build. The rest stay at -count 1.
 COUNTED_BENCHES ?= BenchmarkDistanceMatrix
+NPROC ?= $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
 TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkGradientPath
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
@@ -61,11 +65,15 @@ bench-module-test:
 	cd benchmark && $(GO) test ./...
 
 # race runs the full suite under the race detector — the concurrent
-# scenario runner, the parallel distance kernel, and the cross-round
+# scenario runner, the fanned-out distance build, and the cross-round
 # cache all carry determinism contracts that only mean something if
-# they are also data-race-free.
+# they are also data-race-free. The build fans out only where
+# GOMAXPROCS allows, so the second, seconds-long pass runs the two
+# packages that own it at -cpu 1,4: both sides of that choice, whatever
+# the runner's core count.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count 1 -cpu 1,4 ./internal/vec ./internal/core
 
 # shard-tests is the distributed-execution gate: the coordinator +
 # in-process-worker-fleet integration tests (sync and async-arrival
@@ -135,7 +143,7 @@ fuzz-smoke:
 # The intermediate file (not a pipe) makes a bench failure fail the
 # target instead of silently recording an empty trajectory.
 bench:
-	$(GO) test -run '^$$' -bench '$(COUNTED_BENCHES)' -benchmem -count 6 . > BENCH_scenario.txt
+	$(GO) test -run '^$$' -bench '$(COUNTED_BENCHES)' -benchmem -count 6 -cpu 1,$(NPROC) . > BENCH_scenario.txt
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCHES)' -benchmem -count 1 . >> BENCH_scenario.txt
 	$(GO) run ./cmd/krum-benchjson < BENCH_scenario.txt > BENCH_scenario.json
 	@rm -f BENCH_scenario.txt

@@ -243,15 +243,13 @@ func BenchmarkBulyanMemoized(b *testing.B) {
 // BenchmarkDistanceMatrix contrasts the distance-matrix kernels at the
 // Lemma 4.1 stress point (n = 40, d = 10000): the seed's per-pair
 // subtract-square loop ("naive") against the blocked Gram-trick kernel
-// (2×4 tiles of the active tier), serial and parallel. The
-// blocked/naive ratio is the tracked speedup (≥3× on amd64).
-// blocked-parallel8 runs on 3 goroutines here: the working set
-// (~7.8 Mflop) is worth three shares of the kernel's minParallelFlops,
-// and with no serial prefix left in the build that reads ≈ 1.3× over
-// blocked on 2 vCPUs (EXPERIMENTS.md "minParallelFlops re-tried"). The
-// builder's scaling proper is BenchmarkDistanceMatrixLargeN's parallel8
-// row (≈2× at n = 1000 on 2 vCPUs) and BenchmarkKrumParallel at
-// d = 100000.
+// (2×4 tiles of the active tier). The blocked/naive ratio at -cpu 1 is
+// the tracked speedup (≥3× on amd64). The build picks its own goroutine
+// count — min(GOMAXPROCS, 3) here, the working set (~7.8 Mflop) being
+// worth three shares of the kernel's minParallelFlops — so `make bench`
+// runs the rows at -cpu 1,NPROC and the -N suffix tells the serial
+// constant of Lemma 4.1 from the fanned-out build; naive, on the exact
+// kernel, is serial at any -cpu.
 func BenchmarkDistanceMatrix(b *testing.B) {
 	const n, d = 40, 10000
 	vs := benchVectors(n, d)
@@ -263,11 +261,6 @@ func BenchmarkDistanceMatrix(b *testing.B) {
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vec.NewDistanceMatrix(vs)
-		}
-	})
-	b.Run("blocked-parallel8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vec.NewDistanceMatrixParallel(vs, 8)
 		}
 	})
 	// Per-kernel-tier variants of the blocked build (the "blocked"
@@ -337,8 +330,9 @@ func benchUpdateRows(b *testing.B, vs [][]float64, c, stride int) {
 // round-0 build, then UpdateRows over each round's arrival set). Both
 // arms walk the identical proposal history, so the
 // full-rebuild/incremental ns/op ratio is the tracked async cache win
-// (2.7× while a rebuild copied the proposals; 1.9× since PR 22 made the
-// rebuild 2.3× cheaper and the updates 8–17 % — both arms got faster).
+// (2.7× while a rebuild copied the proposals; ≈ 2× at -cpu 1 since PR 22
+// made the rebuild 2.3× cheaper and the updates 8–17 %; less on more
+// cores, where the rebuild arm fans out and the row updates do not).
 func BenchmarkRunIncrementalAsync(b *testing.B) {
 	const n, d, rounds = 40, 10000, 32
 	proc, err := krum.ParseArrival("bernoulli(p=0.25,tau=8)")
@@ -570,25 +564,6 @@ func boolMetric(v bool) float64 {
 	return 0
 }
 
-// BenchmarkKrumParallel contrasts the serial and goroutine-parallel
-// distance matrix in the deep-learning regime d ≫ n (the Lemma 4.1
-// cost lives almost entirely there).
-func BenchmarkKrumParallel(b *testing.B) {
-	const n, d, f = 30, 100000, 8
-	vs := benchVectors(n, d)
-	dst := make([]float64, d)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rule := &krum.Krum{F: f, Parallel: workers}
-			for i := 0; i < b.N; i++ {
-				if err := rule.Aggregate(dst, vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationHiddenCoordinate regenerates the E6 extension table.
 func BenchmarkAblationHiddenCoordinate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -640,15 +615,16 @@ var largeNTiers = []struct {
 
 // BenchmarkDistanceMatrixLargeN measures the full-matrix kernels at
 // the large-n tier, where — unlike the n = 40 stress point of
-// BenchmarkDistanceMatrix — the total work clears the kernel's
-// minParallelFlops threshold and the parallel build genuinely engages,
-// and (n ≥ 1000) the k-block slices no longer fit L2 together, so the
+// BenchmarkDistanceMatrix — the total work is worth a share per core
+// on any host (n = 1000: 238 shares of minParallelFlops), and
+// (n ≥ 1000) the k-block slices no longer fit L2 together, so the
 // walker's column panels engage too. Every row reports ns/(n²·d), the
 // constant of Lemma 4.1 as the paper counts it (a full build does
 // n²/2 products, changed=c does c·n): the blocked rows at n = 100 and
-// n = 1000 within 25 % of each other is the tracked claim, with the
-// blocked/parallel8 ratio at n ≥ 1000. changed=50 is the update path
-// (UpdateRows over 5 % of the rows) at n ≫ 40, measured nowhere else.
+// n = 1000 within 25 % of each other at -cpu 1 is the tracked claim,
+// with the -cpu 1 / -cpu NPROC ratio at n ≥ 1000 the fan-out's.
+// changed=50 is the update path (UpdateRows over 5 % of the rows, which
+// never fans out) at n ≫ 40, measured nowhere else.
 func BenchmarkDistanceMatrixLargeN(b *testing.B) {
 	for _, tier := range largeNTiers {
 		if tier.large && os.Getenv("KRUM_LARGE_BENCH") == "" {
@@ -662,12 +638,6 @@ func BenchmarkDistanceMatrixLargeN(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/d=%d/blocked", n, d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				vec.NewDistanceMatrix(vs)
-			}
-			perN2D(b)
-		})
-		b.Run(fmt.Sprintf("n=%d/d=%d/parallel8", n, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vec.NewDistanceMatrixParallel(vs, 8)
 			}
 			perN2D(b)
 		})

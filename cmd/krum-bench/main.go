@@ -1,7 +1,8 @@
 // Command krum-bench measures aggregation-rule cost: the Lemma 4.1
 // sweep over (n, d) for Krum, plus the same grid for the baselines
 // (including the exponential minimal-diameter rule on small n, which is
-// exactly the cost argument the paper makes for Krum).
+// exactly the cost argument the paper makes for Krum). Timings are
+// taken on a single core, so ns/(n²·d) counts work at every shape.
 //
 // Rules are registry specs; parameters omitted from a spec default to
 // the sweep's per-n cluster shape:
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -48,7 +50,7 @@ func run() int {
 	}
 
 	rng := vec.NewRNG(*seedFlag)
-	tbl := metrics.NewTable("rule", "n", "d", "ns/op", "ns/(n²·d)")
+	tbl := metrics.NewTable("rule", "n", "d", "ns/op (single core)", "ns/(n²·d)")
 	for _, n := range ns {
 		f := (n - 3) / 2
 		if f < 0 {
@@ -92,8 +94,11 @@ func run() int {
 }
 
 // timeRule measures one rule's aggregation latency with calibrated
-// repetitions.
+// repetitions, under GOMAXPROCS 1 (restored on return) so that a shape
+// whose distance build would fan out is charged its work, not its
+// elapsed time on however many cores the host has.
 func timeRule(rule krum.Rule, dst []float64, vectors [][]float64) (float64, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	start := time.Now()
 	if err := rule.Aggregate(dst, vectors); err != nil {
 		return 0, err

@@ -433,25 +433,28 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 }
 
 // TestServerRejectsLegacyScreenedField: "screened" was a spec field
-// until screened selection was deleted; a submission still carrying it
-// is refused with the unknown-field error instead of silently running
-// dense under a key the client did not ask for.
+// until screened selection was deleted, "parallel" until the distance
+// build chose its own goroutine count; a submission still carrying
+// either is refused with the unknown-field error instead of silently
+// running under a spec the client did not ask for.
 func TestServerRejectsLegacyScreenedField(t *testing.T) {
 	srv := NewServer(1, store.NewMemory(), 0)
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body := strings.Replace(matrixBody(t, 7, "krum"), `"base":{`, `"base":{"screened":true,`, 1)
-	if !strings.Contains(body, `"screened":true`) {
-		t.Fatalf("could not plant the legacy field in %s", body)
-	}
-	resp, msg := postMatrix(t, ts, body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(string(msg), `unknown field "screened"`) {
-		t.Errorf("message %q does not name the unknown field", msg)
+	for field, planted := range map[string]string{"screened": `"screened":true`, "parallel": `"parallel":4`} {
+		body := strings.Replace(matrixBody(t, 7, "krum"), `"base":{`, `"base":{`+planted+`,`, 1)
+		if !strings.Contains(body, planted) {
+			t.Fatalf("could not plant the legacy field in %s", body)
+		}
+		resp, msg := postMatrix(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), fmt.Sprintf("unknown field %q", field)) {
+			t.Errorf("%s: message %q does not name the unknown field", field, msg)
+		}
 	}
 }
 

@@ -130,10 +130,6 @@ type Config struct {
 	// (sgd.ParseSchedule) — e.g. "inverset(gamma=0.5,power=0.75,t0=200)".
 	// Exactly one of Schedule and ScheduleSpec must be set.
 	ScheduleSpec string
-	// Parallel is the number of goroutines used for the shared
-	// per-round distance matrix (0 = serial); see
-	// vec.NewDistanceMatrixParallel for the d ≫ n crossover.
-	Parallel int
 	// Incremental carries the distance matrix across rounds through the
 	// engine's RoundCache: each round the engine recomputes only the
 	// rows of proposals that actually changed (exact comparison against
@@ -315,7 +311,7 @@ func Run(cfg Config) (*Result, error) {
 	// pool's, the attack's and the replay buffers where they lie, and
 	// the cache copies the rows it keeps, so all of them may be
 	// rewritten as soon as the round's aggregate is out.
-	engine := core.NewEngine(cfg.Parallel)
+	engine := new(core.Engine)
 	if cfg.Incremental {
 		engine.EnableCache()
 	}

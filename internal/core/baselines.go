@@ -92,17 +92,10 @@ func (Medoid) Name() string { return "medoid" }
 
 // SelectContext implements ContextSelector against a shared round.
 func (Medoid) SelectContext(ctx *RoundContext) ([]int, error) {
-	vectors := ctx.Vectors()
-	n := len(vectors)
-	if n == 0 {
-		return nil, ErrNoVectors
+	if _, err := checkVectors(ctx.Vectors()); err != nil {
+		return nil, err
 	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return nil, fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
-		}
-	}
+	n := ctx.N()
 	dm := ctx.Distances()
 	scores := vec.GetFloats(n)
 	defer vec.PutFloats(scores)

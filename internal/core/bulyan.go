@@ -71,11 +71,8 @@ func (b *Bulyan) SelectContext(ctx *RoundContext) ([]int, error) {
 	if err := b.validate(n); err != nil {
 		return nil, err
 	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return nil, fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
-		}
+	if _, err := checkVectors(vectors); err != nil {
+		return nil, err
 	}
 	theta := n - 2*b.F
 	active := vec.NewActiveSet(ctx.Distances())

@@ -18,7 +18,7 @@ func cacheRound(e *Engine, vs [][]float64) *vec.DistanceMatrix {
 // proposals builds nothing and recomputes no rows.
 func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 	vs := engineTestVectors(9, 24, 7)
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	first := cacheRound(e, vs)
 	builds := vec.MatrixBuildCount()
 	rows := vec.MatrixRowUpdateCount()
@@ -45,7 +45,7 @@ func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 	const n, d = 11, 40
 	vs := engineTestVectors(n, d, 3)
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	cacheRound(e, vs)
 
 	next := vec.CloneAll(vs)
@@ -74,7 +74,7 @@ func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 // round, a shape change (n or d), and a change-set covering every
 // proposal — must all build rather than update.
 func TestRoundCacheBypasses(t *testing.T) {
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	before := vec.MatrixBuildCount()
 	cacheRound(e, engineTestVectors(6, 20, 1)) // first round
 	cacheRound(e, engineTestVectors(7, 20, 2)) // n changed
@@ -95,7 +95,7 @@ func TestRoundCacheBypasses(t *testing.T) {
 func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 	const n, d = 8, 30
 	vs := engineTestVectors(n, d, 5)
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	e.Round(vs).Distances()
 	next := vec.CloneAll(vs)
 	next[4] = engineTestVectors(1, d, 50)[0]
@@ -120,7 +120,7 @@ func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 func TestRoundCacheCountsDistinctRows(t *testing.T) {
 	const n, d = 8, 30
 	vs := engineTestVectors(n, d, 6)
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	e.Round(vs).Distances()
 	next := vec.CloneAll(vs)
 	next[3] = engineTestVectors(1, d, 60)[0]
@@ -138,7 +138,7 @@ func TestRoundCacheCountsDistinctRows(t *testing.T) {
 // TestRoundCacheChangedReportsAll: Changed on a cold or shape-mismatched
 // cache names every index.
 func TestRoundCacheChangedReportsAll(t *testing.T) {
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	vs := engineTestVectors(5, 10, 8)
 	changed := e.Cache().Changed(vs)
 	if len(changed) != 5 {
@@ -158,7 +158,7 @@ func TestRoundCacheChangedReportsAll(t *testing.T) {
 // behavior is unchanged).
 func TestUncachedEngineIgnoresSetChanged(t *testing.T) {
 	vs := engineTestVectors(6, 12, 11)
-	e := NewEngine(0)
+	e := new(Engine)
 	if e.Cache() != nil {
 		t.Fatal("plain engine has a cache")
 	}
@@ -170,22 +170,21 @@ func TestUncachedEngineIgnoresSetChanged(t *testing.T) {
 	}
 }
 
-// TestRoundCacheParallelBuild: the cache's full rebuilds honor the
-// engine's parallelism and stay bit-identical to serial ones.
+// TestRoundCacheParallelBuild: the cache's full builds — the first
+// round's and a full-change round's in-place rebuild — fan out like any
+// other and stay bit-identical to single-goroutine ones.
 func TestRoundCacheParallelBuild(t *testing.T) {
-	const n, d = 10, 64
-	vs := engineTestVectors(n, d, 13)
-	par := NewEngine(4).EnableCache()
-	ser := NewEngine(0).EnableCache()
-	a := cacheRound(par, vs)
-	b := cacheRound(ser, vs)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("cell (%d,%d): parallel %v, serial %v", i, j, a.At(i, j), b.At(i, j))
-			}
+	first := engineTestVectors(fanOutN, fanOutD, 13)
+	second := engineTestVectors(fanOutN, fanOutD, 14)
+	sameBitsAcrossProcs(t, "two full-change rounds", []int{1, 4}, func() []float64 {
+		e := new(Engine).EnableCache()
+		out := cells(cacheRound(e, first))
+		out = append(out, cells(cacheRound(e, second))...)
+		if st := e.Cache().Stats(); st.Builds != 2 {
+			t.Fatalf("%d full builds, want 2", st.Builds)
 		}
-	}
+		return out
+	})
 }
 
 // sameMatrix fails unless got equals, bit for bit, a fresh build over
@@ -212,7 +211,7 @@ func sameMatrix(t *testing.T, what string, got *vec.DistanceMatrix, vs [][]float
 func TestRoundCacheUnservedRoundVoidsDeclaration(t *testing.T) {
 	const n, d, f = 9, 24, 2
 	t.Run("finiteguard", func(t *testing.T) {
-		e := NewEngine(0).EnableCache()
+		e := new(Engine).EnableCache()
 		rule := FiniteGuard{Inner: NewKrum(f)}
 		dst := make([]float64, d)
 		round := func(vs [][]float64, changed []int) *RoundContext {
@@ -245,7 +244,7 @@ func TestRoundCacheUnservedRoundVoidsDeclaration(t *testing.T) {
 		}
 	})
 	t.Run("average-then-krum", func(t *testing.T) {
-		e := NewEngine(0).EnableCache()
+		e := new(Engine).EnableCache()
 		rules := []Rule{Average{}, NewKrum(f)}
 		dst := make([]float64, d)
 		vs := engineTestVectors(n, d, 22)
@@ -278,7 +277,7 @@ func TestRoundCacheUnservedRoundVoidsDeclaration(t *testing.T) {
 func TestRoundCacheOwnsItsCopies(t *testing.T) {
 	const n, d, rounds = 10, 40, 60
 	rng := vec.NewRNG(31)
-	e := NewEngine(0).EnableCache()
+	e := new(Engine).EnableCache()
 	bufs := engineTestVectors(n, d, 30)
 	first := e.Round(bufs).Distances()
 	arena := &e.Cache().rows[0][0]
@@ -336,11 +335,11 @@ func allocPerRound(count int, round func(r int)) uint64 {
 func TestDistanceBuildAllocations(t *testing.T) {
 	const n, d, slack = 40, 10_000, 4 << 10
 	sets := [2][][]float64{engineTestVectors(n, d, 41), engineTestVectors(n, d, 42)}
-	uncached := NewEngine(0)
+	uncached := new(Engine)
 	if got := allocPerRound(100, func(r int) { uncached.Round(sets[r%2]).Distances() }); got > 8*n*n+slack {
 		t.Errorf("uncached build allocates %d B, want ≤ 8·n² + 4 KB = %d (n·d·8 = %d)", got, 8*n*n+slack, 8*n*d)
 	}
-	cached := NewEngine(0).EnableCache()
+	cached := new(Engine).EnableCache()
 	cached.Round(sets[1]).Distances()
 	builds := cached.Cache().Stats().Builds
 	if got := allocPerRound(100, func(r int) { cached.Round(sets[r%2]).Distances() }); got > slack {

@@ -57,17 +57,27 @@ type Selector interface {
 	Select(vectors [][]float64) ([]int, error)
 }
 
-// checkInputs validates the common preconditions of every rule: at least
-// one vector, consistent dimensions, and dst of matching length.
-func checkInputs(dst []float64, vectors [][]float64) error {
+// checkVectors validates one round's proposals — at least one vector,
+// all of one dimension — and returns that dimension.
+func checkVectors(vectors [][]float64) (dim int, err error) {
 	if len(vectors) == 0 {
-		return ErrNoVectors
+		return 0, ErrNoVectors
 	}
 	d := len(vectors[0])
 	for i, v := range vectors {
 		if len(v) != d {
-			return fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
+			return 0, fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
 		}
+	}
+	return d, nil
+}
+
+// checkInputs validates the common preconditions of every rule:
+// checkVectors, and dst of matching length.
+func checkInputs(dst []float64, vectors [][]float64) error {
+	d, err := checkVectors(vectors)
+	if err != nil {
+		return err
 	}
 	if len(dst) != d {
 		return fmt.Errorf("dst has dimension %d, want %d: %w", len(dst), d, ErrDimensionMismatch)

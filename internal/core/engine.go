@@ -14,9 +14,8 @@ import (
 // first asks for it. Contexts are single-round objects: the proposals
 // must not be mutated while a context referencing them is in use.
 type RoundContext struct {
-	vectors  [][]float64
-	parallel int
-	dm       *vec.DistanceMatrix
+	vectors [][]float64
+	dm      *vec.DistanceMatrix
 	// cache, when non-nil, serves Distances through the engine's
 	// cross-round cache instead of building a fresh matrix.
 	cache *RoundCache
@@ -31,25 +30,6 @@ type RoundContext struct {
 // NewRoundContext returns a context over one round's proposals.
 func NewRoundContext(vectors [][]float64) *RoundContext {
 	return &RoundContext{vectors: vectors}
-}
-
-// SetParallel sets the number of goroutines used if/when the distance
-// matrix is built (0 = serial) and returns the context for chaining. It
-// must be called before the first Distances call to have any effect.
-func (c *RoundContext) SetParallel(workers int) *RoundContext {
-	c.parallel = workers
-	return c
-}
-
-// EnsureParallel raises the worker count used for the not-yet-built
-// distance matrix; once the matrix exists it is a no-op. Rules that
-// carry their own parallelism knob (Krum.Parallel) call this so the
-// knob keeps working when the rule runs against an engine-provided
-// context.
-func (c *RoundContext) EnsureParallel(workers int) {
-	if c.dm == nil && workers > c.parallel {
-		c.parallel = workers
-	}
 }
 
 // SetChanged declares the change-set for a cached round: the indices
@@ -89,18 +69,10 @@ func (c *RoundContext) Distances() *vec.DistanceMatrix {
 		if c.cache != nil {
 			c.dm = c.cache.distances(c)
 		} else {
-			c.dm = buildMatrix(c.vectors, c.parallel)
+			c.dm = vec.NewDistanceMatrix(c.vectors)
 		}
 	}
 	return c.dm
-}
-
-// buildMatrix is the one place a fresh distance matrix is constructed.
-func buildMatrix(vectors [][]float64, parallel int) *vec.DistanceMatrix {
-	if parallel > 1 {
-		return vec.NewDistanceMatrixParallel(vectors, parallel)
-	}
-	return vec.NewDistanceMatrix(vectors)
 }
 
 // ContextSelector is implemented by selection rules whose Select can
@@ -235,7 +207,7 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 	rc.served = c.stamp
 	if !rc.reusable(vectors) {
 		rc.rows = vec.CloneAll(vectors)
-		rc.dm = buildMatrix(rc.rows, c.parallel)
+		rc.dm = vec.NewDistanceMatrix(rc.rows)
 		rc.builds++
 		return rc.dm
 	}
@@ -249,7 +221,7 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 		copy(rc.rows[i], vectors[i])
 	}
 	if len(changed) >= len(vectors) {
-		rc.dm.Rebuild(c.parallel)
+		rc.dm.Rebuild()
 		rc.builds++
 		return rc.dm
 	}
@@ -263,21 +235,12 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 // Engine is the shared aggregation engine of the parameter server: it
 // hands out one RoundContext per round so that selection tracking,
 // aggregation, and any diagnostics all share a single distance matrix.
-// The zero value is ready to use (serial matrix construction, no
-// cross-round cache).
+// The zero value is ready to use (no cross-round cache).
 type Engine struct {
-	// Parallel is the number of goroutines used for each round's
-	// distance matrix (0 = serial); see vec.NewDistanceMatrixParallel
-	// for the d ≫ n crossover.
-	Parallel int
 	// cache, when enabled, reuses the previous round's matrix through
 	// incremental row updates; see RoundCache.
 	cache *RoundCache
 }
-
-// NewEngine returns an engine building distance matrices with the given
-// number of goroutines (0 = serial).
-func NewEngine(parallel int) *Engine { return &Engine{Parallel: parallel} }
 
 // EnableCache switches the engine to cross-round incremental distance
 // updates (idempotent) and returns the engine for chaining. Enabling
@@ -301,7 +264,7 @@ func (e *Engine) Cache() *RoundCache { return e.cache }
 // cache; pass the round's change-set with RoundContext.SetChanged to
 // skip the cache's own diff.
 func (e *Engine) Round(vectors [][]float64) *RoundContext {
-	ctx := NewRoundContext(vectors).SetParallel(e.Parallel)
+	ctx := NewRoundContext(vectors)
 	ctx.cache = e.cache
 	if e.cache != nil {
 		e.cache.handed++

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"krum/internal/vec"
@@ -15,6 +17,45 @@ func engineTestVectors(n, d int, seed uint64) [][]float64 {
 	return vs
 }
 
+// fanOutN × fanOutD is the tracked aggregate_dense shape: 7.8 Mflop of
+// distance build, which vec fans out on min(GOMAXPROCS, 3) goroutines —
+// so a computation run under GOMAXPROCS 1 and 3 has been on both sides
+// of the build's one decision.
+const fanOutN, fanOutD = 40, 10_000
+
+// sameBitsAcrossProcs runs compute under each GOMAXPROCS setting in
+// turn and fails unless every run returns the first one's floats, bit
+// for bit.
+func sameBitsAcrossProcs(t *testing.T, what string, procs []int, compute func() []float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []float64
+	for k, p := range procs {
+		runtime.GOMAXPROCS(p)
+		got := compute()
+		if k == 0 {
+			want = got
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s under GOMAXPROCS %d: %d values, under %d: %d", what, p, len(got), procs[0], len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s under GOMAXPROCS %d: value %d = %v, under %d: %v", what, p, i, got[i], procs[0], want[i])
+			}
+		}
+	}
+}
+
+// cells returns a copy of every cell of the matrix, row major.
+func cells(dm *vec.DistanceMatrix) []float64 {
+	var out []float64
+	for i := 0; i < dm.N(); i++ {
+		out = append(out, dm.Row(i)...)
+	}
+	return out
+}
+
 // TestRoundContextMemoizesMatrix: selection tracking plus aggregation
 // through one shared context builds exactly one distance matrix.
 func TestRoundContextMemoizesMatrix(t *testing.T) {
@@ -22,7 +63,7 @@ func TestRoundContextMemoizesMatrix(t *testing.T) {
 	vs := engineTestVectors(n, d, 1)
 	dst := make([]float64, d)
 	rule := NewKrum(f)
-	engine := NewEngine(0)
+	engine := new(Engine)
 
 	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)
@@ -56,7 +97,7 @@ func TestEngineMatchesDirectRules(t *testing.T) {
 	const n, d = 15, 7
 	ctx := SpecContext{N: n, F: 3}
 	vs := engineTestVectors(n, d, 2)
-	engine := NewEngine(0)
+	engine := new(Engine)
 	for _, name := range Names() {
 		spec := name
 		if name == "krumk" {
@@ -100,23 +141,20 @@ func TestEngineMatchesDirectRules(t *testing.T) {
 	}
 }
 
-// TestEngineParallelMatrixMatchesSerial: a parallel engine must select
-// identically to a serial one (the matrix entries are the same pairs).
+// TestEngineParallelMatrixMatchesSerial: an engine whose builds fan out
+// must produce the matrix, bit for bit, and so the selection of one
+// held to a single goroutine.
 func TestEngineParallelMatrixMatchesSerial(t *testing.T) {
-	const n, d, f = 13, 32, 3
-	vs := engineTestVectors(n, d, 3)
-	rule := NewKrum(f)
-	serial, err := NewEngine(0).Select(rule, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewEngine(4).Select(rule, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial[0] != parallel[0] {
-		t.Fatalf("parallel engine selected %d, serial %d", parallel[0], serial[0])
-	}
+	vs := engineTestVectors(fanOutN, fanOutD, 3)
+	rule := NewKrum(10)
+	sameBitsAcrossProcs(t, "selection and cells", []int{1, 2, 4}, func() []float64 {
+		ctx := new(Engine).Round(vs)
+		sel, err := SelectContext(rule, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64{float64(sel[0])}, cells(ctx.Distances())...)
+	})
 }
 
 // TestFiniteGuardContextSharesMatrixWhenClean: a guard wrapping a
@@ -127,7 +165,7 @@ func TestFiniteGuardContextSharesMatrixWhenClean(t *testing.T) {
 	vs := engineTestVectors(n, d, 4)
 	dst := make([]float64, d)
 	guard := FiniteGuard{Inner: NewKrum(f)}
-	engine := NewEngine(0)
+	engine := new(Engine)
 
 	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)

@@ -73,7 +73,7 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 	sanitized, changed := sanitize(ctx.Vectors(), len(dst))
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized).SetParallel(ctx.parallel)
+		inner = NewRoundContext(sanitized)
 	}
 	if err := AggregateContext(g.Inner, dst, inner); err != nil {
 		return fmt.Errorf("guarded %s: %w", g.Inner.Name(), err)
@@ -100,7 +100,7 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 	sanitized, changed := sanitize(ctx.Vectors(), dim)
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized).SetParallel(ctx.parallel)
+		inner = NewRoundContext(sanitized)
 	}
 	return SelectContext(sel, inner)
 }

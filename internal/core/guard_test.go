@@ -117,27 +117,35 @@ func TestFiniteGuardErrors(t *testing.T) {
 }
 
 func TestKrumParallelMatchesSerial(t *testing.T) {
-	rng := vec.NewRNG(3)
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(10)
-		d := 1 + rng.Intn(50)
-		f := rng.Intn(n - 3)
-		vs := make([][]float64, n)
-		for i := range vs {
-			vs[i] = rng.NewNormal(d, 0, 2)
-		}
-		serial := Krum{F: f}
-		parallel := Krum{F: f, Parallel: 4}
-		s1, err := serial.Scores(vs)
+	vs := engineTestVectors(fanOutN, fanOutD, 5)
+	rule := Krum{F: 10}
+	sameBitsAcrossProcs(t, "krum scores", []int{1, 2, 4}, func() []float64 {
+		scores, err := rule.Scores(vs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := parallel.Scores(vs)
-		if err != nil {
+		return scores
+	})
+}
+
+// TestFiniteGuardSanitizedBuildAnyProcs: the context FiniteGuard makes
+// over a sanitized round builds like any other — a fan-out shape with
+// one NaN proposal aggregates to the same bits under GOMAXPROCS 1, 2
+// and 3. (finiteguard is not a registry spec, so no scenario cell
+// reaches this path.)
+func TestFiniteGuardSanitizedBuildAnyProcs(t *testing.T) {
+	vs := engineTestVectors(fanOutN, fanOutD, 6)
+	vs[7][123] = math.NaN()
+	guard := FiniteGuard{Inner: NewKrum(10)}
+	sameBitsAcrossProcs(t, "guarded krum", []int{1, 2, 3}, func() []float64 {
+		got := make([]float64, fanOutD)
+		before := vec.MatrixBuildCount()
+		if err := new(Engine).Aggregate(guard, got, vs); err != nil {
 			t.Fatal(err)
 		}
-		if !vec.ApproxEqual(s1, s2, 0) {
-			t.Fatalf("trial %d: parallel scores differ", trial)
+		if builds := vec.MatrixBuildCount() - before; builds != 1 {
+			t.Fatalf("%d matrices built, want the sanitized round's one", builds)
 		}
-	}
+		return got
+	})
 }

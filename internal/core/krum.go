@@ -29,11 +29,6 @@ type Krum struct {
 	// resilience precondition) instead of merely requiring the score to
 	// be well defined (n ≥ F + 3).
 	Strict bool
-	// Parallel sets the number of goroutines used for the O(n²·d)
-	// distance matrix (0 = serial). Worth enabling for the
-	// deep-learning regime d ≫ n; see BenchmarkKrumParallel for the
-	// crossover.
-	Parallel int
 }
 
 // NewKrum returns a Krum rule tolerating f Byzantine workers.
@@ -76,11 +71,8 @@ func (k *Krum) prepare(ctx *RoundContext) (int, error) {
 	if err := k.validateN(n); err != nil {
 		return 0, err
 	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return 0, fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
-		}
+	if _, err := checkVectors(vectors); err != nil {
+		return 0, err
 	}
 	return n - k.F - 2, nil
 }
@@ -94,7 +86,6 @@ func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
 		return err
 	}
 	n := ctx.N()
-	ctx.EnsureParallel(k.Parallel)
 	dm := ctx.Distances()
 	scratch := vec.GetFloats(neighbours)
 	defer vec.PutFloats(scratch)
@@ -108,16 +99,10 @@ func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
 // returned slice is freshly allocated.
 func (k *Krum) Scores(vectors [][]float64) ([]float64, error) {
 	scores := make([]float64, len(vectors))
-	if err := k.scoresInto(k.round(vectors), scores); err != nil {
+	if err := k.scoresInto(NewRoundContext(vectors), scores); err != nil {
 		return nil, err
 	}
 	return scores, nil
-}
-
-// round builds the standalone context used by the plain (non-engine)
-// entry points.
-func (k *Krum) round(vectors [][]float64) *RoundContext {
-	return NewRoundContext(vectors).SetParallel(k.Parallel)
 }
 
 // SelectContext implements ContextSelector against a shared round.
@@ -134,7 +119,7 @@ func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
 // minimiser (a single-element slice). Ties resolve to the smallest index
 // because Argmin keeps the first minimum.
 func (k *Krum) Select(vectors [][]float64) ([]int, error) {
-	return k.SelectContext(k.round(vectors))
+	return k.SelectContext(NewRoundContext(vectors))
 }
 
 // AggregateContext implements ContextRule: dst = V_{i*} with the score
@@ -153,7 +138,7 @@ func (k *Krum) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule: dst = V_{i*}.
 func (k *Krum) Aggregate(dst []float64, vectors [][]float64) error {
-	return k.AggregateContext(dst, k.round(vectors))
+	return k.AggregateContext(dst, NewRoundContext(vectors))
 }
 
 // MultiKrum is the m-Krum variant discussed in the full version of the

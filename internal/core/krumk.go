@@ -47,11 +47,8 @@ func (k *KrumK) SelectContext(ctx *RoundContext) ([]int, error) {
 	if k.K < 1 || k.K > n-2 {
 		return nil, fmt.Errorf("k = %d with n = %d (need 1 ≤ k ≤ n−2): %w", k.K, n, ErrBadParameter)
 	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return nil, fmt.Errorf("vector %d has dimension %d, want %d: %w", i, len(v), d, ErrDimensionMismatch)
-		}
+	if _, err := checkVectors(vectors); err != nil {
+		return nil, err
 	}
 	dm := ctx.Distances()
 	scores := vec.GetFloats(n)

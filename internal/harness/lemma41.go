@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"krum"
@@ -35,8 +36,12 @@ type Lemma41Result struct {
 // scale the grid (n ≤ 80: every shape's vectors fit L2 together) is
 // followed by n = 200 and n = 1000 at d = 1000, where they do not: a
 // constant that holds only while the working set is cache-resident is
-// not the constant of the lemma, and a fit over n ≤ 80 cannot tell.
+// not the constant of the lemma, and a fit over n ≤ 80 cannot tell. The
+// sweep runs on a single core (GOMAXPROCS 1, restored on return): the
+// lemma counts work, and the larger Full shapes' builds would otherwise
+// fan out and put a step in the elapsed-time column.
 func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := vec.NewRNG(seed)
 	var ns, ds []int
 	if scale == Full {
@@ -98,7 +103,7 @@ func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 	res.R2 = r2
 	res.NanosPerN2D = slope
 
-	section(w, "E3 / Lemma 4.1 — Krum cost is O(n²·d)")
+	section(w, "E3 / Lemma 4.1 — Krum cost is O(n²·d) (single core)")
 	tbl := metrics.NewTable("n", "d", "ns/op", "ns/(n²·d)", "÷ fitted c")
 	for _, p := range res.Points {
 		c := p.NanosPerOp / (float64(p.N) * float64(p.N) * float64(p.D))

@@ -120,7 +120,7 @@ func TestMatrixBuildCountIncrements(t *testing.T) {
 	vs := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}}
 	before := MatrixBuildCount()
 	NewDistanceMatrix(vs)
-	NewDistanceMatrixParallel(vs, 2)
+	newShell(vs).buildOn(2)
 	if got := MatrixBuildCount() - before; got != 2 {
 		t.Fatalf("build count delta = %d, want 2", got)
 	}

@@ -66,9 +66,11 @@ const naiveDimMax = 16
 // Cost: n·(n+1)/2 inner products of d multiply-adds each (the pairs
 // and the norms), i.e. Θ(n²·d), in n² + O(n) floats: the vectors are
 // borrowed, not copied (see DistanceMatrix). The build is the tile
-// walker (fill) over "all rows, upper triangle".
+// walker (fill) over "all rows, upper triangle", on as many goroutines
+// as the shape is worth on this host (shares) — a choice that moves no
+// bit of the result.
 func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
-	return newShell(vectors).build(1)
+	return newShell(vectors).build()
 }
 
 // NewDistanceMatrixNaive computes the same matrix with the reference
@@ -80,7 +82,7 @@ func NewDistanceMatrix(vectors [][]float64) *DistanceMatrix {
 func NewDistanceMatrixNaive(vectors [][]float64) *DistanceMatrix {
 	m := newShell(vectors)
 	m.gram = false
-	return m.build(1)
+	return m.build()
 }
 
 // panelWidth returns the walker's column-panel width for n vectors of
@@ -114,11 +116,11 @@ func newShell(vectors [][]float64) *DistanceMatrix {
 }
 
 // Rebuild recomputes every cell and norm in place from the rows the
-// matrix holds, on up to workers goroutines (≤ 1 = serial): a full,
-// counted build without the allocations, for the rows' owner.
-func (m *DistanceMatrix) Rebuild(workers int) {
+// matrix holds: a full, counted build without the allocations, for the
+// rows' owner.
+func (m *DistanceMatrix) Rebuild() {
 	clear(m.d)
-	m.build(workers)
+	m.build()
 }
 
 // stridedRows returns worker w's share of a full build's row-set: the
@@ -138,8 +140,8 @@ func stridedRows(n, w, workers int) []int {
 
 // fill is the one tile walker behind every distance the matrix ever
 // computes, in its two phases: stage accumulates inner products into
-// the rows' cells, assemble turns them into clamped distances (the
-// parallel builder puts a barrier between the two).
+// the rows' cells, assemble turns them into clamped distances (a
+// fanned-out build, buildOn, puts a barrier between the two).
 func (m *DistanceMatrix) fill(rows []int, upper bool) {
 	if !m.gram {
 		m.fillExact(rows, upper)
@@ -164,7 +166,7 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 //     diagonal in cell (r0+1, r0); assembly overwrites it with the
 //     mirror of (r0, r0+1).) Row u then owns cells (u, j≥u) and the
 //     mirrors (j>u, u), so disjoint row-sets write disjoint cells: the
-//     parallel builder is this walker over a partition of the rows,
+//     fanned-out build is this walker over a partition of the rows,
 //     sharing nothing but the buffer. An update clears it and passes the
 //     changed rows: each row covers all n columns, so a changed–changed
 //     pair is simply staged from both sides with the same canonical

@@ -158,7 +158,7 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 3, 8, 100} {
 			vs := adversarialVectors(rng, n, 129)
 			serial := NewDistanceMatrix(vs)
-			par := NewDistanceMatrixParallel(vs, workers)
+			par := newShell(vs).buildOn(workers)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if serial.At(i, j) != par.At(i, j) {
@@ -172,23 +172,24 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 }
 
 // TestParallelFanOutBitIdenticalToSerial is the same contract at a
-// shape that clears minParallelFlops, so the build really runs on
-// several goroutines (every shape above is capped to the serial path):
-// an odd n for the trailing single row, three k-blocks deep. Under
-// -race this is the data-race check of the workers' disjoint-cell
-// claim.
+// shape that clears minParallelFlops, so NewDistanceMatrix itself fans
+// out wherever GOMAXPROCS allows (every shape above it builds on one
+// share): an odd n for the trailing single row, three k-blocks deep.
+// Under -race this is the data-race check of the workers'
+// disjoint-cell claim.
 func TestParallelFanOutBitIdenticalToSerial(t *testing.T) {
 	const n, d, workers = 97, 2*gramBlock + 2053, 3
 	if fanOut := n * (n - 1) / 2 * d / minParallelFlops; fanOut < workers {
 		t.Fatalf("shape allows only %d goroutines, want %d: the test would be vacuous", fanOut, workers)
 	}
 	vs := adversarialVectors(NewRNG(7), n, d)
-	serial := NewDistanceMatrix(vs)
-	par := NewDistanceMatrixParallel(vs, workers)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if serial.At(i, j) != par.At(i, j) {
-				t.Fatalf("cell (%d,%d) differs: serial %v, parallel %v", i, j, serial.At(i, j), par.At(i, j))
+	serial := newShell(vs).buildOn(1)
+	for _, par := range []*DistanceMatrix{newShell(vs).buildOn(workers), NewDistanceMatrix(vs)} {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if serial.At(i, j) != par.At(i, j) {
+					t.Fatalf("cell (%d,%d) differs: serial %v, fanned out %v", i, j, serial.At(i, j), par.At(i, j))
+				}
 			}
 		}
 	}
@@ -348,8 +349,8 @@ func TestUpdateRowDimensionPanic(t *testing.T) {
 // goroutines. n covers no tile, one tile, every clamped last-tile width
 // and the odd trailing row; d covers one block, both sides of the block
 // seam, two full blocks and the n = 40, d = 10⁴ stress shape (the one
-// that clears minParallelFlops here, so the parallel builds really fan
-// out; smaller shapes are capped to the serial path).
+// that clears minParallelFlops here, so the build over the copies picks
+// more than one share itself wherever GOMAXPROCS allows).
 func TestBorrowedBuildMatchesDeepCopy(t *testing.T) {
 	rng := NewRNG(611)
 	for _, d := range []int{17, 2047, 2048, 2049, 4100, 10_000} {
@@ -363,7 +364,7 @@ func TestBorrowedBuildMatchesDeepCopy(t *testing.T) {
 			copies := CloneAll(vs)
 			want := NewDistanceMatrix(copies)
 			for _, workers := range []int{1, 2, 3, 8} {
-				got := NewDistanceMatrixParallel(vs, workers)
+				got := newShell(vs).buildOn(workers)
 				for i := range vs {
 					if &got.rows[i][0] != &vs[i][0] {
 						t.Fatalf("n=%d d=%d workers=%d: row %d was copied, not borrowed", n, d, workers, i)

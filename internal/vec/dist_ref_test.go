@@ -3,7 +3,6 @@ package vec
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -216,11 +215,11 @@ func newWalkerScript(rng *RNG, vs [][]float64, special uint16, changed [3][]int)
 
 // replay runs the production walker through the script, comparing every
 // cell and norm with the reference by bits at each step. panel > 0
-// forces the column-panel width (0 keeps panelWidth's). Serially
-// (workers ≤ 1) that is the build, then per round UpdateRows and an
-// in-place Rebuild. Updates never fan out and a rebuild is a build over
-// cleared cells, so workers > 1 replays only the build, on that many
-// concurrent strided shares (buildShares).
+// forces the column-panel width (0 keeps panelWidth's). The build runs
+// on exactly workers strided shares (buildOn); serially (workers ≤ 1)
+// each round then replays UpdateRows and an in-place Rebuild. Updates
+// never fan out and a rebuild is a build over cleared cells, so
+// workers > 1 replays only the build.
 func (s *walkerScript) replay(t *testing.T, panel, workers int) {
 	t.Helper()
 	what := func(step string) string {
@@ -230,40 +229,17 @@ func (s *walkerScript) replay(t *testing.T, panel, workers int) {
 	if panel > 0 {
 		m.panel = panel
 	}
+	m.buildOn(workers)
+	sameWalkerBits(t, what("build"), m, s.built)
 	if workers > 1 {
-		buildShares(m, workers)
-		sameWalkerBits(t, what("build"), m, s.built)
 		return
 	}
-	m.build(1)
-	sameWalkerBits(t, what("build"), m, s.built)
 	for _, st := range s.steps {
 		m.UpdateRows(st.rows, st.cur)
 		sameWalkerBits(t, what("update"), m, st.updated)
-		m.Rebuild(1)
+		m.Rebuild()
 		sameWalkerBits(t, what("rebuild in place"), m, st.rebuilt)
 	}
-}
-
-// buildShares is DistanceMatrix.build's fan-out over zeroed cells
-// without its minParallelFlops cap (which would run every small shape
-// serially): each of workers goroutines stages its strided share of the
-// rows, waits at the one barrier and assembles its share.
-func buildShares(m *DistanceMatrix, workers int) {
-	var staged, done sync.WaitGroup
-	staged.Add(workers)
-	done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer done.Done()
-			rows := stridedRows(m.n, w, workers)
-			m.stage(rows, true)
-			staged.Done()
-			staged.Wait()
-			m.assemble(rows, true)
-		}(w)
-	}
-	done.Wait()
 }
 
 // maskRows lists the rows < n whose bit is set in mask, ascending.
@@ -327,8 +303,9 @@ func TestPanelSeamUnobservable(t *testing.T) {
 
 // TestPanelBudgetCrossed is the un-forced case: n = 70 vectors of one
 // full k-block each are 1.1 MB of slices, so panelWidth itself cuts the
-// columns in two (64 + 6), and the shape is large enough for the real
-// parallel builder to fan out.
+// columns in two (64 + 6), and the shape is large enough for build's
+// own share count to exceed one (so the serial script's Rebuild fans
+// out wherever GOMAXPROCS allows).
 func TestPanelBudgetCrossed(t *testing.T) {
 	const n, d = 70, gramBlock
 	if w := panelWidth(n, d); w >= n || w%4 != 0 {
@@ -346,13 +323,14 @@ func TestPanelBudgetCrossed(t *testing.T) {
 		script.replay(t, 0, workers)
 	}
 	for _, workers := range []int{2, 8} {
-		m := NewDistanceMatrixParallel(vs, workers)
-		sameWalkerBits(t, "parallel build", m, script.built)
+		m := newShell(vs).buildOn(workers)
+		sameWalkerBits(t, "fanned-out build", m, script.built)
 		last := script.steps[len(script.steps)-1]
 		m.UpdateRows(stridedRows(n, 0, 1), last.cur)
 		sameWalkerBits(t, "full-change update", m, last.rebuilt)
-		m.Rebuild(workers)
-		sameWalkerBits(t, "parallel rebuild", m, last.rebuilt)
+		clear(m.d)
+		m.buildOn(workers)
+		sameWalkerBits(t, "fanned-out rebuild", m, last.rebuilt)
 	}
 }
 

@@ -240,7 +240,7 @@ func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
 				vs[i] = rng.NewNormal(24, 0, 3)
 			}
 			serial := NewDistanceMatrix(vs)
-			par := NewDistanceMatrixParallel(vs, workers)
+			par := newShell(vs).buildOn(workers)
 			if par.N() != serial.N() {
 				t.Fatalf("n=%d workers=%d: N mismatch", n, workers)
 			}
@@ -253,8 +253,31 @@ func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSharesFromShape pins the one decision build makes: how many
+// goroutines a shape is worth on a host running procs of them — both
+// sides of it, at the tracked workloads' shapes.
+func TestSharesFromShape(t *testing.T) {
+	for _, c := range []struct{ n, d, procs, want int }{
+		{40, 10_000, 1, 1}, {40, 10_000, 2, 2}, {40, 10_000, 8, 3}, // 7.8 Mflop: the work cap binds at 3
+		{20, 12_826, 1, 1}, {20, 12_826, 8, 1}, {20, 12_826, 64, 1}, // 2.4 Mflop: one share's worth
+		{1000, 1000, 2, 2}, {1000, 1000, 8, 8}, // procs binds
+		{6, 1 << 20, 64, 3},                     // the (n+1)/2 row pairs bind
+		{1000, naiveDimMax, 8, 1}, {9, 6, 8, 1}, // exact kernel
+		{0, 0, 8, 1}, {1, 1 << 20, 8, 1}, {3, 1 << 20, 8, 1}, // n < 4
+	} {
+		vs := make([][]float64, c.n)
+		row := make([]float64, c.d)
+		for i := range vs {
+			vs[i] = row
+		}
+		if got := newShell(vs).shares(c.procs); got != c.want {
+			t.Errorf("n=%d d=%d procs=%d: shares = %d, want %d", c.n, c.d, c.procs, got, c.want)
+		}
+	}
+}
+
 func TestDistanceMatrixParallelSingleVector(t *testing.T) {
-	m := NewDistanceMatrixParallel([][]float64{{1, 2}}, 4)
+	m := newShell([][]float64{{1, 2}}).buildOn(4)
 	if m.N() != 1 || m.At(0, 0) != 0 {
 		t.Error("single-vector matrix wrong")
 	}

@@ -36,7 +36,7 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 
 				// Parallel ≡ serial, bit for bit.
 				for _, workers := range []int{2, 5} {
-					par := NewDistanceMatrixParallel(vs, workers)
+					par := newShell(vs).buildOn(workers)
 					for i := 0; i < shape.n; i++ {
 						for j := 0; j < shape.n; j++ {
 							if m.At(i, j) != par.At(i, j) {
@@ -72,8 +72,8 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 
 // TestBuildBlockedMatchesRowPair pins the walker to the canonical
 // blocked order directly, one pair at a time: at multi-block dimensions
-// every cell the walker produces — full build, parallel build (the
-// public entry point and each strided share of the row pairs run on its
+// every cell the walker produces — full build, fanned-out build (three
+// concurrent shares, and each strided share of the row pairs run on its
 // own), and UpdateRows — must be bit-identical to
 // clamp(dotPair(vᵢ,vᵢ) + dotPair(vⱼ,vⱼ) − 2·dotPair(vᵢ,vⱼ)) under every
 // tier. Each pair's lanes consume the same k-sequence whichever tile,
@@ -101,10 +101,10 @@ func TestBuildBlockedMatchesRowPair(t *testing.T) {
 					}
 				}
 				check("build", NewDistanceMatrix(vs), vs)
-				check("parallel build", NewDistanceMatrixParallel(vs, 3), vs)
-				// The shapes sit below minParallelFlops, so also run the
-				// three workers' shares directly, in the builder's two
-				// phases (assembly reads norms every share staged).
+				check("fanned-out build", newShell(vs).buildOn(3), vs)
+				// The same three shares one after another, in the
+				// builder's two phases (assembly reads norms every share
+				// staged): the schedule no scheduler would pick.
 				shares := newShell(vs)
 				for w := 0; w < 3; w++ {
 					shares.stage(stridedRows(shape.n, w, 3), true)

@@ -269,9 +269,12 @@ func SplitRuleSpecs(list string) []string { return core.SplitSpecs(list) }
 // rule with its parameters — CLI help text is built from this.
 func RuleUsage() string { return core.Usage() }
 
-// NewEngine returns a shared aggregation engine building each round's
-// distance matrix with the given number of goroutines (0 = serial).
-func NewEngine(parallel int) *Engine { return core.NewEngine(parallel) }
+// NewEngine returns a shared aggregation engine. Its argument is
+// ignored — a distance build works out its own goroutine count from n,
+// d and GOMAXPROCS, and the count moves no bit of any result — and the
+// parameter stays only because existing callers (the repo benchmark's
+// krum.NewEngine(0)) pass one.
+func NewEngine(_ int) *Engine { return new(core.Engine) }
 
 // NewRoundContext returns a context over one round's proposals; rules
 // invoked through it (core.SelectContext / core.AggregateContext) share

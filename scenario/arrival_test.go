@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,6 +87,44 @@ func TestRunnerAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range serial {
 		if encodeCell(t, serial[i]) != encodeCell(t, parallel[i]) {
 			t.Errorf("cell %d (%s): bytes differ across worker counts", i, serial[i].Spec.Label())
+		}
+	}
+}
+
+// TestCellBytesIndependentOfGOMAXPROCS is the whole-cell end of the
+// distance build's one decision: n = 40 proposals of d = 10 001 are
+// 7.8 Mflop a round, which vec fans out on min(GOMAXPROCS, 3)
+// goroutines (internal/vec's TestSharesFromShape), so the three settings
+// run the serial walk, two shares and three. The canonical result bytes
+// must not move — synchronous, and on the incremental cache under a
+// bernoulli arrival trace, where full-change rounds rebuild in place
+// and the rest update rows.
+func TestCellBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cell := Spec{
+		Workload:  "regression(in=10000)",
+		Rule:      "krum",
+		Attack:    "gaussian(sigma=200)",
+		Schedule:  "const(gamma=0.01)",
+		N:         40,
+		F:         10,
+		Rounds:    3,
+		BatchSize: 4,
+		Seed:      17,
+	}
+	async := cell
+	async.Arrival, async.Incremental = "bernoulli(p=0.5,tau=4)", true
+	for _, c := range []Spec{cell, async} {
+		var serial string
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			got := encodeCell(t, RunCell(nil, 0, c))
+			if procs == 1 {
+				serial = got
+			}
+			if got != serial {
+				t.Errorf("%s: result bytes under GOMAXPROCS %d differ from GOMAXPROCS 1", c.Label(), procs)
+			}
 		}
 	}
 }

@@ -83,9 +83,6 @@ type Spec struct {
 	// TrackSelection additionally records Byzantine-selection
 	// histograms (see distsgd.Config.TrackSelection).
 	TrackSelection bool `json:"track_selection,omitempty"`
-	// Parallel is the per-run distance-matrix goroutine count
-	// (0 = serial); cell-level concurrency belongs to Runner.Workers.
-	Parallel int `json:"parallel,omitempty"`
 	// Incremental enables the cross-round incremental distance cache
 	// (see distsgd.Config.Incremental). Results are bit-identical
 	// either way; the flag trades memory for skipped recomputation when
@@ -196,7 +193,6 @@ func (s Spec) Compile() (distsgd.Config, error) {
 		EvalEvery:      s.EvalEvery,
 		EvalBatch:      s.EvalBatch,
 		TrackSelection: s.TrackSelection,
-		Parallel:       s.Parallel,
 		Incremental:    s.Incremental,
 		ArrivalSpec:    s.Arrival,
 	}, nil

@@ -311,19 +311,23 @@ func TestSpecIncrementalRoundTrip(t *testing.T) {
 }
 
 // TestLegacyScreenedFieldRejected: "screened" was a spec field until
-// screened selection was deleted. Configs still carrying it — true or
-// false, in a spec or a matrix base — must fail strict decoding with
-// the unknown-field error rather than be silently run dense.
+// screened selection was deleted, "parallel" until the distance build
+// took its goroutine count from its own shape. Configs still carrying
+// either — set or zero, in a spec or a matrix base — must fail strict
+// decoding with the unknown-field error rather than be silently run
+// without it.
 func TestLegacyScreenedFieldRejected(t *testing.T) {
-	spec := `{"workload":"gmm(k=3,dim=6)","rule":"krum","schedule":"const(gamma=0.1)","n":9,"f":2,"rounds":8,"batch_size":8,"seed":7,"screened":%s}`
-	for _, v := range []string{"true", "false"} {
-		one := fmt.Sprintf(spec, v)
-		if _, err := ParseSpecJSON([]byte(one)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `unknown field "screened"`) {
-			t.Errorf("ParseSpecJSON(screened=%s) = %v, want the unknown-field ErrBadSpec", v, err)
+	spec := `{"workload":"gmm(k=3,dim=6)","rule":"krum","schedule":"const(gamma=0.1)","n":9,"f":2,"rounds":8,"batch_size":8,"seed":7,%q:%s}`
+	for _, legacy := range [][2]string{{"screened", "true"}, {"screened", "false"}, {"parallel", "4"}, {"parallel", "0"}} {
+		field, v := legacy[0], legacy[1]
+		unknown := fmt.Sprintf("unknown field %q", field)
+		one := fmt.Sprintf(spec, field, v)
+		if _, err := ParseSpecJSON([]byte(one)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), unknown) {
+			t.Errorf("ParseSpecJSON(%s=%s) = %v, want the unknown-field ErrBadSpec", field, v, err)
 		}
 		matrix := `{"base":` + one + `,"seeds":[1,2]}`
-		if _, err := ParseMatrixJSON([]byte(matrix)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `unknown field "screened"`) {
-			t.Errorf("ParseMatrixJSON(base.screened=%s) = %v, want the unknown-field ErrBadSpec", v, err)
+		if _, err := ParseMatrixJSON([]byte(matrix)); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), unknown) {
+			t.Errorf("ParseMatrixJSON(base.%s=%s) = %v, want the unknown-field ErrBadSpec", field, v, err)
 		}
 	}
 }

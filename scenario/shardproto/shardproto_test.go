@@ -94,6 +94,8 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
 		"legacy screened=false in a batch": {`{"tasks": [{"id": "t3", "spec": {"rule": "krum", "n": 9, "f": 2, "screened": false}}]}`,
 			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
+		"legacy parallel in a batch": {`{"tasks": [{"id": "t4", "spec": {"rule": "krum", "n": 9, "f": 2, "parallel": 4}}]}`,
+			func(b []byte) error { _, err := DecodePollResponse(b); return err }},
 		"result and error": {`{"worker_id": "w1", "token": "t", "task_id": "t1", "result": {}, "error": "x"}`, func(b []byte) error { _, err := DecodeResultRequest(b); return err }},
 		"neither result nor error": {`{"worker_id": "w1", "token": "t", "task_id": "t1"}`,
 			func(b []byte) error { _, err := DecodeResultRequest(b); return err }},

@@ -26,11 +26,10 @@ import (
 // auxiliary keys hash. Unlike Canonical it tolerates specs without a
 // workload or schedule (harness Monte-Carlo grids sweep only rules and
 // attacks), and like Canonical it is idempotent and clears the
-// cosmetic fields (Name, Parallel).
+// cosmetic Name.
 func CanonicalAux(s scenario.Spec) (scenario.Spec, error) {
 	c := s
 	c.Name = ""
-	c.Parallel = 0
 	if strings.TrimSpace(s.Rule) != "" {
 		rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
 		if err != nil {

@@ -14,10 +14,10 @@
 // object's canonical Name()/Spec form, so spelling variants collapse
 // to one key — "krum" at n=15, f=3 and "krum(f=3)" hit the same
 // entry, as do "Gaussian(sigma=200)" and "gaussian(sigma=200)". The
-// cosmetic fields (Name label, Parallel worker count) are excluded:
-// they cannot change a result. Everything else — including Seed,
-// EvalEvery/EvalBatch/TrackSelection (they change Result contents) and
-// the Incremental flag — is hashed, together with the Version salt.
+// cosmetic Name label is excluded: it cannot change a result.
+// Everything else — including Seed, EvalEvery/EvalBatch/TrackSelection
+// (they change Result contents) and the Incremental flag — is hashed,
+// together with the Version salt.
 //
 // # Invalidation
 //
@@ -108,13 +108,12 @@ func canonicalWorkload(raw string, seed uint64) (string, error) {
 // Canonical returns the fully-resolved form of a spec — the identity
 // the store hashes. Axis spec strings are replaced by their registry
 // round-trip canonical forms (an empty attack becomes "none"), and the
-// result-irrelevant fields (Name, Parallel) are cleared. Canonical is
-// idempotent: Canonical(Canonical(s)) == Canonical(s), because every
-// registry guarantees Parse(x.Name()) ≡ x.
+// result-irrelevant Name is cleared. Canonical is idempotent:
+// Canonical(Canonical(s)) == Canonical(s), because every registry
+// guarantees Parse(x.Name()) ≡ x.
 func Canonical(s scenario.Spec) (scenario.Spec, error) {
 	c := s
 	c.Name = ""
-	c.Parallel = 0
 	rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
 	if err != nil {
 		return scenario.Spec{}, err

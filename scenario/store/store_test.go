@@ -58,7 +58,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	variants[1].Rule = "krum(f=2)"                              // explicit default
 	variants[1].Attack = "Gaussian(sigma=200)"                  // case-insensitive name
 	variants[2].Name = "some label"                             // cosmetic
-	variants[2].Parallel = 4                                    // wall-clock only
 	variants[3].Workload = " gmm(k=3,dim=6,radius=4,sigma=0.5)" // whitespace
 
 	want, err := Key(base)
