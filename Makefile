@@ -5,19 +5,22 @@ GO ?= go
 # scenario-matrix runner throughput, the blocked/incremental/large-n
 # distance-matrix kernels, the result store's warm-vs-cold grid
 # economics, the async incremental-cache win under bounded-staleness
-# arrival traffic, and the four hot loops of the gradient path (digit
-# render, MLP and tiny-softmax gradients, coordinate median).
+# arrival traffic, and the hot loops of the gradient path (digit
+# render, MLP and tiny-softmax gradients, coordinate median, and the
+# matmul / axpy row kernels on their own).
 # COUNTED_BENCHES are the rows run at -count 6 so that each carries a
 # [min, max] band (krum-benchjson folds the repeats): the
 # distance-matrix kernels — the pattern also matches the Incremental
-# and LargeN variants — which are the rows kernel changes are judged
-# by. They run at -cpu 1,$(NPROC): a distance build picks its own
-# goroutine count from its shape and GOMAXPROCS, so the unsuffixed row
-# is the serial constant of Lemma 4.1 and the -$(NPROC) row the
-# fanned-out build. The rest stay at -count 1.
-COUNTED_BENCHES ?= BenchmarkDistanceMatrix
+# and LargeN variants — and the gradient-path loops, which are the rows
+# kernel changes are judged by. They run at -cpu 1,$(NPROC): a distance
+# build picks its own goroutine count from its shape and GOMAXPROCS, so
+# the unsuffixed row is the serial constant of Lemma 4.1 and the
+# -$(NPROC) row the fanned-out build (the gradient-path loops are serial
+# either way; their two rows are an A/A reading of the host). The rest
+# stay at -count 1.
+COUNTED_BENCHES ?= BenchmarkDistanceMatrix|BenchmarkGradientPath
 NPROC ?= $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
-TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkGradientPath
+TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
 # it up locally for a real hunt).
@@ -95,8 +98,9 @@ shard-tests:
 	$(GO) test -race -count 3 -run 'TestChaos|TestStream' ./cmd/krum-scenariod
 	$(GO) test -race -count 1 ./scenario/shardproto
 
-# tier-tests is the kernel-tier matrix: the full vec suite under the
-# race detector plus a -short pass over the whole tree, once per
+# tier-tests is the kernel-tier matrix: the full vec, core and model
+# suites under the race detector (model: the gradient path's bits must
+# not depend on the tier) plus a -short pass over the whole tree, once per
 # KRUM_KERNEL_TIER value. Forcing the knob re-runs every within-tier
 # bit-identity proof, the golden vectors, and the store/fleet salting
 # under the forced tier; an unavailable tier (e.g. avx2 on a
@@ -106,7 +110,7 @@ shard-tests:
 tier-tests:
 	for tier in go sse2 avx2; do \
 		echo "=== KRUM_KERNEL_TIER=$$tier ==="; \
-		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ || exit 1; \
+		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ ./model/ || exit 1; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -short -count 1 ./... || exit 1; \
 	done
 

@@ -417,7 +417,12 @@ func BenchmarkScenarioMatrixRunner(b *testing.B) {
 // (d = 12 826), the coordinate-wise median at n = 20 over that d — and
 // the grid_small softmax gradient, whose matrices are so small that a
 // per-call fixed cost in the matmuls (a zeroed stack scratch array once
-// cost it 25 %) shows here and nowhere else.
+// cost it 25 %) shows here and nowhere else. The last three rows are
+// the row kernels under that MLP gradient on their own — its two large
+// products (forward x·W₁ and the strided backward xᵀ·dh, x at 45 %
+// zeros like a rendered batch) and the d-long axpy of the SGD step and
+// of every averaging rule — each reporting ns per multiply-add
+// performed (zero coefficients, which are skipped, not counted).
 func BenchmarkGradientPath(b *testing.B) {
 	ds, err := data.NewSyntheticMNIST(16, 0.05)
 	if err != nil {
@@ -479,6 +484,43 @@ func BenchmarkGradientPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	perMadd := func(b *testing.B, madds int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(madds), "ns/madd")
+	}
+	rng := vec.NewRNG(benchSeed)
+	x := vec.NewDenseFrom(16, 256, rng.NewNormal(16*256, 0, 1))
+	nonzero := 0
+	for i := range x.Data {
+		if rng.Float64() < 0.45 {
+			x.Data[i] = 0
+		} else {
+			nonzero++
+		}
+	}
+	w := vec.NewDenseFrom(256, 48, rng.NewNormal(256*48, 0, 1))
+	dh := vec.NewDenseFrom(16, 48, rng.NewNormal(16*48, 0, 1))
+	b.Run("matmul-16x256x48", func(b *testing.B) {
+		dst := vec.NewDense(16, 48)
+		for i := 0; i < b.N; i++ {
+			vec.MatMul(dst, x, w)
+		}
+		perMadd(b, nonzero*48)
+	})
+	b.Run("matmulATB-256x16x48", func(b *testing.B) {
+		dst := vec.NewDense(256, 48)
+		for i := 0; i < b.N; i++ {
+			vec.MatMulATB(dst, x, dh)
+		}
+		perMadd(b, nonzero*48)
+	})
+	b.Run("axpy-d12826", func(b *testing.B) {
+		const d = 12826
+		g, params := rng.NewNormal(d, 0, 1), rng.NewNormal(d, 0, 1)
+		for i := 0; i < b.N; i++ {
+			vec.Axpy(-1e-3, g, params)
+		}
+		perMadd(b, d)
 	})
 }
 

@@ -101,11 +101,7 @@ func (md *MinimalDiameter) AggregateContext(dst []float64, ctx *RoundContext) er
 	if err != nil {
 		return err
 	}
-	vec.Zero(dst)
-	for _, i := range sel {
-		vec.Axpy(1, ctx.Vectors()[i], dst)
-	}
-	vec.Scale(1/float64(len(sel)), dst)
+	vec.MeanOf(dst, ctx.Vectors(), sel)
 	return nil
 }
 

@@ -59,6 +59,17 @@ func (m *Dense) Zero() { Zero(m.Data) }
 // outright — so a NaN or ±Inf in row k of b does not reach row i of dst
 // when a[i][k] == 0. ReLU activations and clamped image pixels make
 // those zeros common (≈ 45 % on the mnist workload).
+//
+// The contract is per element and says nothing about j, which is what
+// lets one implementation use SIMD without becoming an order family:
+// lanes run across j, never across k; multiply and add are separately
+// rounded on every tier (no FMA); and a zero (or −0) coefficient skips
+// its term before any lane is loaded. One thing is left unspecified:
+// when a multiply or an add meets two NaNs of different payloads, which
+// payload survives (the hardware keeps its first operand's, and the
+// compiler orders the operands of the Go loop term by term). That the
+// element is NaN is guaranteed; its payload is only when every NaN in
+// a and b carries the same one.
 func MatMul(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("vec: MatMul: shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
@@ -94,8 +105,15 @@ func MatMulATB(dst, a, b *Dense) {
 // at ≈ 45 % zeros a branch on the coefficient mispredicts every other
 // k — and its four-entry index buffer is all the scratch there is: a
 // buffer sized to the row would be zeroed on every call, which the
-// 8×6·6×3 products of the small workloads cannot afford.
+// 8×6·6×3 products of the small workloads cannot afford. That is also
+// why the AVX2 path is a separate function: its gather scratch (512
+// bytes, zeroed on entry) lives in accumulateRowsLanes' frame and is
+// paid for only by rows wide enough to take it.
 func accumulateRows(drow, coef []float64, first, stride int, b *Dense) {
+	if useLanes(len(drow)) {
+		accumulateRowsLanes(drow, coef, first, stride, b)
+		return
+	}
 	var ks [4]int
 	n := 0
 	for k := 0; k < b.Rows; k++ {

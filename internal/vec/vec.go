@@ -72,9 +72,16 @@ func Dist(a, b []float64) float64 {
 	return math.Sqrt(Dist2(a, b))
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place: y[i] += alpha·x[i], a rounded
+// multiply then a rounded add, on every tier (see MatMul for the NaN
+// clause). x and y may be the same vector; a partial overlap is not
+// supported.
 func Axpy(alpha float64, x, y []float64) {
 	checkLen("Axpy", len(x), len(y))
+	if useLanes(len(x)) {
+		axpyLanes(alpha, x, y)
+		return
+	}
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}
@@ -156,14 +163,31 @@ func CloneAll(vs [][]float64) [][]float64 {
 // Mean computes dst = the arithmetic mean of the vectors vs.
 // It panics if vs is empty or dimensions disagree.
 func Mean(dst []float64, vs [][]float64) {
-	if len(vs) == 0 {
+	MeanOf(dst, vs, nil)
+}
+
+// MeanOf computes dst = the arithmetic mean of vs[i] over i in idx,
+// summed from zero in idx order and scaled once by 1/len(idx) — the one
+// home of every averaging rule. A nil idx means all of vs, in order.
+// It panics if that is zero vectors or dimensions disagree.
+func MeanOf(dst []float64, vs [][]float64, idx []int) {
+	n := len(idx)
+	if idx == nil {
+		n = len(vs)
+	}
+	if n == 0 {
 		panic("vec: Mean of zero vectors")
 	}
 	Zero(dst)
-	for _, v := range vs {
-		Axpy(1, v, dst)
+	if idx == nil {
+		for _, v := range vs {
+			Axpy(1, v, dst)
+		}
 	}
-	Scale(1/float64(len(vs)), dst)
+	for _, i := range idx {
+		Axpy(1, vs[i], dst)
+	}
+	Scale(1/float64(n), dst)
 }
 
 // WeightedSum computes dst = Σ w[i]·vs[i].

@@ -99,15 +99,26 @@ func TestMean(t *testing.T) {
 	if !ApproxEqual(dst, []float64{3, 4}, 1e-15) {
 		t.Errorf("Mean = %v, want [3 4]", dst)
 	}
+	MeanOf(dst, vs, []int{2, 1})
+	if !ApproxEqual(dst, []float64{4, 5}, 1e-15) {
+		t.Errorf("MeanOf(…, [2 1]) = %v, want [4 5]", dst)
+	}
 }
 
 func TestMeanEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Mean of zero vectors did not panic")
-		}
-	}()
-	Mean(make([]float64, 1), nil)
+	for name, mean := range map[string]func(){
+		"no vectors": func() { Mean(make([]float64, 1), nil) },
+		"no indices": func() { MeanOf(make([]float64, 1), [][]float64{{1}}, []int{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: mean of zero vectors did not panic", name)
+				}
+			}()
+			mean()
+		}()
+	}
 }
 
 func TestWeightedSum(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"krum/data"
 	"krum/internal/vec"
 )
 
@@ -141,6 +142,75 @@ func TestGradientMatchesReference(t *testing.T) {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("batch %d: gradient[%d] = %x, reference %x",
 							batch, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGradientBitsTierIndependent: distances differ between order
+// families, the gradient path must not. Network.Gradient at the two
+// shapes the tracked workloads train — the mnist MLP (batch 16,
+// 256 → 48 → 10; rows wide enough for the AVX2 row kernels) and the gmm
+// softmax (batch 8, 6 → 3; never leaves the Go loops) — returns the same
+// loss and gradient bits under every kernel tier.
+func TestGradientBitsTierIndependent(t *testing.T) {
+	mnist, err := data.NewSyntheticMNIST(16, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp, err := NewMLP(mnist.Dim(), []int{48}, 10, ActReLU, SoftmaxCrossEntropy{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmm, err := data.NewGaussianMixture(3, 6, 4, 0.5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	softmax, err := NewSoftmaxClassifier(6, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		m     Model
+		ds    data.Dataset
+		batch int
+	}{{"mnist-16x256x48x10", mlp, mnist, 16}, {"gmm-8x6x3", softmax, gmm, 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := vec.NewRNG(5)
+			for round := 0; round < 3; round++ {
+				x, y, err := data.NewBatch(c.ds, rng, c.batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first vec.Tier
+				var want []float64
+				var wantLoss float64
+				for _, tier := range vec.AvailableTiers() {
+					restore, err := vec.SetKernelTier(tier)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]float64, c.m.Dim())
+					loss, err := c.m.Gradient(got, x, y)
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						first, want, wantLoss = tier, got, loss
+						continue
+					}
+					if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+						t.Fatalf("round %d: loss %v under %v, %v under %v", round, loss, tier, wantLoss, first)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("round %d: gradient[%d] = %x under %v, %x under %v",
+								round, i, math.Float64bits(got[i]), tier, math.Float64bits(want[i]), first)
+						}
 					}
 				}
 			}
