@@ -102,8 +102,11 @@ shard-tests:
 # suites under the race detector (model: the gradient path's bits must
 # not depend on the tier) plus a -short pass over the whole tree, once per
 # KRUM_KERNEL_TIER value. Forcing the knob re-runs every within-tier
-# bit-identity proof, the golden vectors, and the store/fleet salting
-# under the forced tier; an unavailable tier (e.g. avx2 on a
+# bit-identity proof and the store/fleet salting under the forced tier
+# (the batteries that pin kernels and walker to the order's definition
+# in spec_test.go — TestWalkerMatchesSpec, TestPanelSeamUnobservable,
+# TestDotKernelsBitIdentical, TestDotGoldenVectors — loop over every
+# available tier themselves, whatever the knob says); an unavailable tier (e.g. avx2 on a
 # pre-Haswell box or a non-amd64 host) degrades to the auto-detected
 # one with a stderr note, so the matrix is green everywhere and only
 # gains coverage on capable hosts. Blocking in CI as its own job.

@@ -175,34 +175,3 @@ func (l *LinearRegressionStream) TruthParams() []float64 {
 	copy(p[in*out:], l.b)
 	return p
 }
-
-// LabelFlip wraps a classification dataset and flips every label —
-// the data-poisoning behaviour a "biased" worker exhibits in the
-// paper's motivation (Section 1: "biases in the way the data samples
-// are distributed among the processes"). For one-hot targets the label
-// rotates by one class; for binary targets it complements.
-type LabelFlip struct {
-	// Base is the wrapped dataset.
-	Base Dataset
-}
-
-var _ Dataset = LabelFlip{}
-
-// Dim implements Dataset.
-func (l LabelFlip) Dim() int { return l.Base.Dim() }
-
-// OutDim implements Dataset.
-func (l LabelFlip) OutDim() int { return l.Base.OutDim() }
-
-// Sample implements Dataset.
-func (l LabelFlip) Sample(rng *vec.RNG, x, y []float64) {
-	l.Base.Sample(rng, x, y)
-	if len(y) == 1 {
-		y[0] = 1 - y[0]
-		return
-	}
-	// Rotate the one-hot position by one.
-	hot := vec.Argmax(y)
-	y[hot] = 0
-	y[(hot+1)%len(y)] = 1
-}

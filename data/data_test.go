@@ -115,54 +115,6 @@ func TestFillBatchValidation(t *testing.T) {
 	}
 }
 
-func TestLabelFlipBinary(t *testing.T) {
-	s, err := NewSyntheticSpambase(0.4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := LabelFlip{Base: s}
-	if flipped.Dim() != s.Dim() || flipped.OutDim() != 1 {
-		t.Error("LabelFlip changed shape")
-	}
-	rng1 := vec.NewRNG(9)
-	rng2 := vec.NewRNG(9)
-	x1 := make([]float64, s.Dim())
-	x2 := make([]float64, s.Dim())
-	y1 := make([]float64, 1)
-	y2 := make([]float64, 1)
-	for i := 0; i < 100; i++ {
-		s.Sample(rng1, x1, y1)
-		flipped.Sample(rng2, x2, y2)
-		if !vec.ApproxEqual(x1, x2, 0) {
-			t.Fatal("LabelFlip changed features")
-		}
-		if y2[0] != 1-y1[0] {
-			t.Fatalf("label not flipped: %v vs %v", y1[0], y2[0])
-		}
-	}
-}
-
-func TestLabelFlipOneHot(t *testing.T) {
-	g, err := NewGaussianMixture(3, 2, 1, 0.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := LabelFlip{Base: g}
-	rng1 := vec.NewRNG(4)
-	rng2 := vec.NewRNG(4)
-	x := make([]float64, 2)
-	y1 := make([]float64, 3)
-	y2 := make([]float64, 3)
-	for i := 0; i < 100; i++ {
-		g.Sample(rng1, x, y1)
-		flipped.Sample(rng2, x, y2)
-		want := (vec.Argmax(y1) + 1) % 3
-		if vec.Argmax(y2) != want || math.Abs(vec.Sum(y2)-1) > 1e-12 {
-			t.Fatalf("one-hot flip wrong: %v -> %v", y1, y2)
-		}
-	}
-}
-
 func TestDatasetsAreRNGDeterministic(t *testing.T) {
 	datasets := map[string]Dataset{}
 	g, err := NewGaussianMixture(3, 4, 2, 0.3, 5)

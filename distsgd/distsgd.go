@@ -283,17 +283,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("source dim %d, model dim %d: %w", source.Dim(), dim, ErrConfig)
 	}
 
-	opt, err := sgd.NewOptimizer(cfg.Schedule, dim, 0)
-	if err != nil {
-		return nil, fmt.Errorf("building optimizer: %w", err)
-	}
-
 	evalBatch := cfg.EvalBatch
 	if evalBatch <= 0 {
 		evalBatch = 512
 	}
 	var evalX, evalY *vec.Dense
 	if cfg.EvalEvery > 0 {
+		var err error
 		evalX, evalY, err = data.NewBatch(cfg.Dataset, rootRNG.Split(), evalBatch)
 		if err != nil {
 			return nil, fmt.Errorf("building eval batch: %w", err)
@@ -363,7 +359,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		stats := RoundStats{Round: t, TrainLoss: trainLoss, LearningRate: opt.CurrentRate()}
+		gamma := cfg.Schedule.Rate(t)
+		stats := RoundStats{Round: t, TrainLoss: trainLoss, LearningRate: gamma}
 
 		// With Incremental set, the engine's RoundCache diffs the
 		// proposals against the previous round lazily, on the first
@@ -402,9 +399,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("round %d aggregation: %w", t, err)
 		}
 		stats.UpdateNorm = vec.Norm(update)
-		if err := opt.Step(params, update); err != nil {
-			return nil, fmt.Errorf("round %d step: %w", t, err)
-		}
+		// The paper's step, x_{t+1} = x_t − γ_t·F(V_1 … V_n).
+		vec.Axpy(-gamma, update, params)
 
 		if !vec.AllFinite(params) {
 			res.Diverged = true

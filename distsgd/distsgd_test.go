@@ -471,3 +471,49 @@ func TestFinalTestMetricsNaNWhenNeverEvaluated(t *testing.T) {
 		t.Error("evaluated run still reports NaN sentinels")
 	}
 }
+
+// recordingRule keeps a copy of every round's aggregate F(V_1 … V_n).
+type recordingRule struct {
+	krum.Rule
+	updates *[][]float64
+}
+
+func (r recordingRule) Aggregate(dst []float64, vectors [][]float64) error {
+	err := r.Rule.Aggregate(dst, vectors)
+	*r.updates = append(*r.updates, vec.Clone(dst))
+	return err
+}
+
+// TestStepIsOneAxpy pins the server's step to the paper's recurrence and
+// nothing else: the final parameters of a run equal, bit for bit, the
+// initial ones put through x ← x − γ_t·F(V_1 … V_n) by hand with
+// γ_t = Schedule.Rate(t), which is also what every round reports.
+func TestStepIsOneAxpy(t *testing.T) {
+	cfg := quickConfig(t)
+	cfg.Rounds, cfg.EvalEvery = 5, 0
+	cfg.Schedule = krum.ScheduleInverseTStretched(0.5, 0.75, 2)
+	var updates [][]float64
+	cfg.Rule = recordingRule{cfg.Rule, &updates}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(updates) != cfg.Rounds || len(res.History) != cfg.Rounds {
+		t.Fatalf("%d aggregations, %d history entries, want %d of each", len(updates), len(res.History), cfg.Rounds)
+	}
+	x := cfg.Model.Params(nil)
+	for round, f := range updates {
+		gamma := cfg.Schedule.Rate(round)
+		if got := res.History[round].LearningRate; got != gamma {
+			t.Errorf("round %d reports γ = %v, schedule says %v", round, got, gamma)
+		}
+		for i := range x {
+			x[i] -= float64(gamma * f[i])
+		}
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(res.FinalParams[i]) {
+			t.Fatalf("parameter %d = %v, the hand-rolled recurrence gives %v", i, res.FinalParams[i], x[i])
+		}
+	}
+}

@@ -6,6 +6,8 @@ import (
 
 	"krum"
 	"krum/attack"
+	"krum/data"
+	"krum/internal/sim"
 	"krum/internal/vec"
 )
 
@@ -106,12 +108,16 @@ func TestUnguardedAverageIsPoisonedByNaN(t *testing.T) {
 
 func TestLabelFlipPoisoningDegradesAverageNotKrum(t *testing.T) {
 	// Data poisoning at the worker level: Byzantine workers compute
-	// honest-looking gradients on flipped labels. This is the
-	// "biased data distribution" failure of the paper's introduction.
+	// honest gradients on flipped labels. This is the "biased data
+	// distribution" failure of the paper's introduction.
 	cfg := quickConfig(t)
 	cfg.Rounds = 100
 	cfg.EvalEvery = 25
-	cfg.Attack = labelFlipAttack{cfg: cfg}
+	poisoned, err := sim.NewPool(cfg.Model, labelFlip{cfg.Dataset}, cfg.F, cfg.BatchSize, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Attack = labelFlipAttack{poisoned}
 
 	krumCfg := cfg
 	krumCfg.Rule = krum.NewKrum(2)
@@ -124,28 +130,80 @@ func TestLabelFlipPoisoningDegradesAverageNotKrum(t *testing.T) {
 	}
 }
 
-// labelFlipAttack simulates poisoned workers by training a shadow model
-// replica on label-flipped data each round.
-type labelFlipAttack struct {
-	cfg Config
-}
+// labelFlipAttack is the poisoned workers: a pool of model replicas
+// computing their round's gradients at the broadcast parameters, on
+// label-flipped samples.
+type labelFlipAttack struct{ pool *sim.Pool }
 
 func (labelFlipAttack) Name() string { return "labelflip" }
 
 func (a labelFlipAttack) Propose(ctx *attack.Context) [][]float64 {
-	// The poisoned gradient is approximated as the negation of the mean
-	// honest gradient on the flipped-label objective; for symmetric
-	// flips this is statistically equivalent and keeps the test fast.
-	out := make([][]float64, ctx.F)
-	for i := range out {
-		v := make([]float64, len(ctx.Params))
-		if len(ctx.Correct) > 0 {
-			vec.Mean(v, ctx.Correct)
-			vec.Scale(-1, v)
-		}
-		out[i] = v
+	grads, _, err := a.pool.Gradients(ctx.Params)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return grads
+}
+
+// labelFlip wraps a classification dataset and flips every label — the
+// data-poisoning behaviour a "biased" worker exhibits in the paper's
+// motivation (Section 1: "biases in the way the data samples are
+// distributed among the processes"). For one-hot targets the label
+// rotates by one class; for binary targets it complements.
+type labelFlip struct{ data.Dataset }
+
+func (l labelFlip) Sample(rng *vec.RNG, x, y []float64) {
+	l.Dataset.Sample(rng, x, y)
+	if len(y) == 1 {
+		y[0] = 1 - y[0]
+		return
+	}
+	hot := vec.Argmax(y)
+	y[hot] = 0
+	y[(hot+1)%len(y)] = 1
+}
+
+func TestLabelFlipBinary(t *testing.T) {
+	s, err := data.NewSyntheticSpambase(0.4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := labelFlip{s}
+	if flipped.Dim() != s.Dim() || flipped.OutDim() != 1 {
+		t.Error("labelFlip changed shape")
+	}
+	rng1, rng2 := vec.NewRNG(9), vec.NewRNG(9)
+	x1, x2 := make([]float64, s.Dim()), make([]float64, s.Dim())
+	y1, y2 := make([]float64, 1), make([]float64, 1)
+	for i := 0; i < 100; i++ {
+		s.Sample(rng1, x1, y1)
+		flipped.Sample(rng2, x2, y2)
+		if !vec.ApproxEqual(x1, x2, 0) {
+			t.Fatal("labelFlip changed features")
+		}
+		if y2[0] != 1-y1[0] {
+			t.Fatalf("label not flipped: %v vs %v", y1[0], y2[0])
+		}
+	}
+}
+
+func TestLabelFlipOneHot(t *testing.T) {
+	g, err := data.NewGaussianMixture(3, 2, 1, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := labelFlip{g}
+	rng1, rng2 := vec.NewRNG(4), vec.NewRNG(4)
+	x := make([]float64, 2)
+	y1, y2 := make([]float64, 3), make([]float64, 3)
+	for i := 0; i < 100; i++ {
+		g.Sample(rng1, x, y1)
+		flipped.Sample(rng2, x, y2)
+		want := (vec.Argmax(y1) + 1) % 3
+		if vec.Argmax(y2) != want || math.Abs(vec.Sum(y2)-1) > 1e-12 {
+			t.Fatalf("one-hot flip wrong: %v -> %v", y1, y2)
+		}
+	}
 }
 
 func TestKrumUnderLittleIsEnoughDegradesGracefully(t *testing.T) {

@@ -185,7 +185,7 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 	if err := inner.scoresInto(ctx, scores); err != nil {
 		return nil, err
 	}
-	return vec.KSmallestIndices(scores, -1, mk.M), nil
+	return vec.KSmallestIndices(scores, mk.M), nil
 }
 
 // Select returns the indices of the M smallest-score vectors ordered by

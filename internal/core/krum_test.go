@@ -135,10 +135,10 @@ func TestKrumPermutationInvarianceProperty(t *testing.T) {
 		if err := k.Aggregate(a, vs); err != nil {
 			return false
 		}
-		perm := rng.Perm(n)
-		shuffled := make([][]float64, n)
-		for i, p := range perm {
-			shuffled[i] = vs[p]
+		shuffled := append([][]float64(nil), vs...)
+		for i := n - 1; i > 0; i-- { // Fisher–Yates
+			j := rng.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
 		b := make([]float64, d)
 		if err := k.Aggregate(b, shuffled); err != nil {

@@ -1,16 +1,14 @@
-// Package sgd implements the optimizer substrate of the paper's Section 2:
-// the parameter-server update rule x_{t+1} = x_t − γ_t·F(V_1,...,V_n),
-// learning-rate schedules satisfying the Robbins–Monro conditions of
-// Proposition 4.3 (Σγ_t = ∞, Σγ_t² < ∞), and gradient-norm based
-// stopping diagnostics.
+// Package sgd holds the learning-rate schedules γ_t of the paper's
+// Section 2 update rule x_{t+1} = x_t − γ_t·F(V_1,...,V_n), including
+// the family satisfying the Robbins–Monro conditions of Proposition 4.3
+// (Σγ_t = ∞, Σγ_t² < ∞), and their spec registry. The step itself is
+// the one vec.Axpy in distsgd.Run.
 package sgd
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"krum/internal/vec"
 )
 
 // ErrBadSchedule is returned for schedules with invalid parameters.
@@ -112,61 +110,4 @@ func (s Step) Rate(t int) float64 {
 // Name implements Schedule.
 func (s Step) Name() string {
 	return fmt.Sprintf("step(gamma=%g,every=%d,factor=%g)", s.Gamma, s.Every, s.Factor)
-}
-
-// Optimizer applies the parameter-server SGD recurrence with an optional
-// classical momentum term (momentum is off, Mu = 0, in all
-// paper-faithful experiments; it exists for the ablation benches).
-// Construct with NewOptimizer.
-type Optimizer struct {
-	schedule Schedule
-	mu       float64
-	velocity []float64
-	t        int
-}
-
-// NewOptimizer returns an optimizer over parameters of dimension d.
-func NewOptimizer(schedule Schedule, d int, mu float64) (*Optimizer, error) {
-	if schedule == nil {
-		return nil, fmt.Errorf("nil schedule: %w", ErrBadSchedule)
-	}
-	if d <= 0 {
-		return nil, fmt.Errorf("dimension %d: %w", d, ErrBadSchedule)
-	}
-	if mu < 0 || mu >= 1 {
-		return nil, fmt.Errorf("momentum %g outside [0, 1): %w", mu, ErrBadSchedule)
-	}
-	return &Optimizer{schedule: schedule, mu: mu, velocity: make([]float64, d)}, nil
-}
-
-// Round returns the number of steps applied so far.
-func (o *Optimizer) Round() int { return o.t }
-
-// CurrentRate returns γ_t for the upcoming step.
-func (o *Optimizer) CurrentRate() float64 { return o.schedule.Rate(o.t) }
-
-// Step applies x ← x − γ_t·(update + momentum) in place and advances t.
-// update is the aggregated choice-function output F(V_1..V_n).
-func (o *Optimizer) Step(x, update []float64) error {
-	if len(x) != len(o.velocity) || len(update) != len(o.velocity) {
-		return fmt.Errorf("dimension mismatch (x=%d, update=%d, want %d): %w",
-			len(x), len(update), len(o.velocity), ErrBadSchedule)
-	}
-	gamma := o.schedule.Rate(o.t)
-	o.t++
-	if o.mu == 0 {
-		vec.Axpy(-gamma, update, x)
-		return nil
-	}
-	for i := range o.velocity {
-		o.velocity[i] = o.mu*o.velocity[i] + update[i]
-	}
-	vec.Axpy(-gamma, o.velocity, x)
-	return nil
-}
-
-// Reset rewinds the optimizer to round zero and clears momentum state.
-func (o *Optimizer) Reset() {
-	o.t = 0
-	vec.Zero(o.velocity)
 }

@@ -2,10 +2,7 @@ package sgd
 
 import (
 	"errors"
-	"math"
 	"testing"
-
-	"krum/internal/vec"
 )
 
 func TestConstantSchedule(t *testing.T) {
@@ -100,109 +97,5 @@ func TestStepSchedule(t *testing.T) {
 	// Every <= 0 degrades to constant.
 	if (Step{Gamma: 2}).Rate(100) != 2 {
 		t.Error("Every=0 should be constant")
-	}
-}
-
-func TestNewOptimizerValidation(t *testing.T) {
-	if _, err := NewOptimizer(nil, 3, 0); !errors.Is(err, ErrBadSchedule) {
-		t.Error("nil schedule accepted")
-	}
-	if _, err := NewOptimizer(Constant{Gamma: 1}, 0, 0); !errors.Is(err, ErrBadSchedule) {
-		t.Error("zero dimension accepted")
-	}
-	if _, err := NewOptimizer(Constant{Gamma: 1}, 3, 1.0); !errors.Is(err, ErrBadSchedule) {
-		t.Error("momentum 1.0 accepted")
-	}
-	if _, err := NewOptimizer(Constant{Gamma: 1}, 3, -0.1); !errors.Is(err, ErrBadSchedule) {
-		t.Error("negative momentum accepted")
-	}
-}
-
-func TestOptimizerStepNoMomentum(t *testing.T) {
-	o, err := NewOptimizer(Constant{Gamma: 0.5}, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1, 1}
-	if err := o.Step(x, []float64{2, -2}); err != nil {
-		t.Fatal(err)
-	}
-	if !vec.ApproxEqual(x, []float64{0, 2}, 1e-15) {
-		t.Errorf("x = %v", x)
-	}
-	if o.Round() != 1 {
-		t.Errorf("Round = %d", o.Round())
-	}
-}
-
-func TestOptimizerScheduleAdvances(t *testing.T) {
-	o, err := NewOptimizer(InverseT{Gamma: 1, Power: 1}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0}
-	grad := []float64{1}
-	_ = o.Step(x, grad) // γ_0 = 1
-	_ = o.Step(x, grad) // γ_1 = 0.5
-	_ = o.Step(x, grad) // γ_2 = 1/3
-	want := -(1 + 0.5 + 1.0/3.0)
-	if math.Abs(x[0]-want) > 1e-12 {
-		t.Errorf("x = %v, want %v", x[0], want)
-	}
-	if o.CurrentRate() != 0.25 {
-		t.Errorf("CurrentRate = %v, want 0.25", o.CurrentRate())
-	}
-}
-
-func TestOptimizerMomentum(t *testing.T) {
-	o, err := NewOptimizer(Constant{Gamma: 1}, 1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0}
-	_ = o.Step(x, []float64{1}) // v = 1,   x = -1
-	_ = o.Step(x, []float64{1}) // v = 1.9, x = -2.9
-	if math.Abs(x[0]+2.9) > 1e-12 {
-		t.Errorf("x = %v, want -2.9", x[0])
-	}
-	o.Reset()
-	if o.Round() != 0 {
-		t.Error("Reset did not rewind rounds")
-	}
-	x = []float64{0}
-	_ = o.Step(x, []float64{1})
-	if math.Abs(x[0]+1) > 1e-12 {
-		t.Error("Reset did not clear momentum")
-	}
-}
-
-func TestOptimizerDimensionMismatch(t *testing.T) {
-	o, err := NewOptimizer(Constant{Gamma: 1}, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Step([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrBadSchedule) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-// Integration: plain SGD on a convex quadratic converges to the minimum.
-func TestOptimizerConvergesOnQuadratic(t *testing.T) {
-	o, err := NewOptimizer(InverseT{Gamma: 0.5, Power: 0.75}, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q(x) = ½‖x − c‖², ∇Q = x − c.
-	c := []float64{3, -2}
-	x := []float64{10, 10}
-	grad := make([]float64, 2)
-	for i := 0; i < 2000; i++ {
-		vec.Sub(grad, x, c)
-		if err := o.Step(x, grad); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if vec.Dist(x, c) > 0.01 {
-		t.Errorf("x = %v did not converge to %v", x, c)
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"krum/model"
 )
 
-// NewHeterogeneousPool is NewPool with one dataset per worker — the
-// substrate for the non-i.i.d. experiments (E7): worker i draws its
-// mini-batches from datasets[i], so the paper's assumption of i.i.d.
-// unbiased gradient estimates across workers is deliberately violated
-// while everything else (synchronous rounds, honest computation) stays
+// NewHeterogeneousPool builds the pool with one dataset per worker (the
+// one constructor; NewPool repeats a single dataset) — the substrate
+// for the non-i.i.d. experiments (E7): worker i draws its mini-batches
+// from datasets[i], so the paper's assumption of i.i.d. unbiased
+// gradient estimates across workers is deliberately violated while
+// everything else (synchronous rounds, honest computation) stays
 // intact.
 func NewHeterogeneousPool(template model.Model, datasets []data.Dataset, batch int, seed uint64) (*Pool, error) {
 	if template == nil {
@@ -24,16 +25,18 @@ func NewHeterogeneousPool(template model.Model, datasets []data.Dataset, batch i
 	if batch < 1 {
 		return nil, fmt.Errorf("batch = %d: %w", batch, ErrConfig)
 	}
-	dim0, out0 := datasets[0].Dim(), datasets[0].OutDim()
+	// datasets[0] is nil-checked by the loop's first pass before any
+	// later pass reads its shape.
 	for i, ds := range datasets {
 		if ds == nil {
 			return nil, fmt.Errorf("dataset %d is nil: %w", i, ErrConfig)
 		}
-		if ds.Dim() != dim0 || ds.OutDim() != out0 {
+		if first := datasets[0]; ds.Dim() != first.Dim() || ds.OutDim() != first.OutDim() {
 			return nil, fmt.Errorf("dataset %d shape (%d, %d) differs from (%d, %d): %w",
-				i, ds.Dim(), ds.OutDim(), dim0, out0, ErrConfig)
+				i, ds.Dim(), ds.OutDim(), first.Dim(), first.OutDim(), ErrConfig)
 		}
 	}
+	dim0, out0 := datasets[0].Dim(), datasets[0].OutDim()
 	root := vec.NewRNG(seed)
 	p := &Pool{workers: make([]*worker, len(datasets)), dim: template.Dim()}
 	for i := range p.workers {

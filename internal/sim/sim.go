@@ -29,8 +29,8 @@ type worker struct {
 	grad []float64
 	loss float64
 	err  error
-	// ds is this worker's sample stream (shared in the homogeneous
-	// NewPool case, distinct under NewHeterogeneousPool).
+	// ds is this worker's sample stream (NewPool hands every worker
+	// the same one).
 	ds data.Dataset
 }
 
@@ -47,35 +47,19 @@ type Pool struct {
 }
 
 // NewPool creates nWorkers replicas of template, each drawing
-// batch-sized mini-batches from ds. Randomness is split from seed so
+// batch-sized mini-batches from ds: the heterogeneous pool over
+// nWorkers copies of one dataset. Randomness is split from seed so
 // worker streams are mutually independent and the whole pool is
 // reproducible.
 func NewPool(template model.Model, ds data.Dataset, nWorkers, batch int, seed uint64) (*Pool, error) {
-	if template == nil {
-		return nil, fmt.Errorf("nil model: %w", ErrConfig)
-	}
-	if ds == nil {
-		return nil, fmt.Errorf("nil dataset: %w", ErrConfig)
-	}
 	if nWorkers < 1 {
 		return nil, fmt.Errorf("nWorkers = %d: %w", nWorkers, ErrConfig)
 	}
-	if batch < 1 {
-		return nil, fmt.Errorf("batch = %d: %w", batch, ErrConfig)
+	datasets := make([]data.Dataset, nWorkers)
+	for i := range datasets {
+		datasets[i] = ds
 	}
-	root := vec.NewRNG(seed)
-	p := &Pool{workers: make([]*worker, nWorkers), dim: template.Dim()}
-	for i := range p.workers {
-		p.workers[i] = &worker{
-			m:    template.Clone(),
-			rng:  root.Split(),
-			x:    vec.NewDense(batch, ds.Dim()),
-			y:    vec.NewDense(batch, ds.OutDim()),
-			grad: make([]float64, template.Dim()),
-			ds:   ds,
-		}
-	}
-	return p, nil
+	return NewHeterogeneousPool(template, datasets, batch, seed)
 }
 
 // N returns the number of workers.

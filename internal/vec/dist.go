@@ -174,10 +174,10 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 //   - the last tile of a panel clamps its column indices to the panel's
 //     last column and keeps only the columns inside it (at the last
 //     panel: the columns that exist), so every product comes from a
-//     tile. Each tile column is bit-identical to dotPairBlock by
+//     tile. Each tile column runs its pair's canonical lane order by
 //     gram.go's per-tier contract, and a diagonal cell sums its k-blocks
 //     in ascending k from +0: the blocked composition of ⟨v,v⟩ (the
-//     tests' dotPair).
+//     tests' specNorm).
 //
 // The staged cells must be zero on entry (fresh from newShell, or
 // cleared by Rebuild / recompute): each k-block of gramBlock
@@ -457,11 +457,11 @@ func sumKSmallest(row []float64, skip, k int, scratch []float64) float64 {
 	return s
 }
 
-// KSmallestIndices returns the indices of the k smallest entries of vals,
-// skipping index skip (pass skip = -1 to consider every index). Ties are
-// broken in favour of the smaller index, matching the paper's footnote 3
-// tie-break rule. The result is sorted by (value, index).
-func KSmallestIndices(vals []float64, skip, k int) []int {
+// KSmallestIndices returns the indices of the k smallest entries of
+// vals. Ties are broken in favour of the smaller index, matching the
+// paper's footnote 3 tie-break rule. The result is sorted by (value,
+// index).
+func KSmallestIndices(vals []float64, k int) []int {
 	if k <= 0 {
 		return nil
 	}
@@ -474,9 +474,6 @@ func KSmallestIndices(vals []float64, skip, k int) []int {
 	// tie-break deterministic without a full sort.
 	best := make([]entry, 0, k)
 	for i, v := range vals {
-		if i == skip {
-			continue
-		}
 		if len(best) == k && !lessEntry(v, i, best[k-1].v, best[k-1].i) {
 			continue
 		}

@@ -176,19 +176,17 @@ func TestKSmallestIndices(t *testing.T) {
 	vals := []float64{5, 1, 3, 1, 0}
 	tests := []struct {
 		name string
-		skip int
 		k    int
 		want []int
 	}{
-		{name: "k=0", skip: -1, k: 0, want: nil},
-		{name: "k=2 no skip", skip: -1, k: 2, want: []int{4, 1}},
-		{name: "tie broken by index", skip: -1, k: 3, want: []int{4, 1, 3}},
-		{name: "skip smallest", skip: 4, k: 2, want: []int{1, 3}},
-		{name: "k larger than n", skip: -1, k: 10, want: []int{4, 1, 3, 2, 0}},
+		{name: "k=0", k: 0, want: nil},
+		{name: "k=2 no skip", k: 2, want: []int{4, 1}},
+		{name: "tie broken by index", k: 3, want: []int{4, 1, 3}},
+		{name: "k larger than n", k: 10, want: []int{4, 1, 3, 2, 0}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := KSmallestIndices(vals, tt.skip, tt.k)
+			got := KSmallestIndices(vals, tt.k)
 			if len(got) != len(tt.want) {
 				t.Fatalf("got %v, want %v", got, tt.want)
 			}
@@ -209,7 +207,7 @@ func TestKSmallestIndicesOracle(t *testing.T) {
 		k := int(k8)%n + 1
 		rng := NewRNG(seed)
 		vals := rng.NewNormal(n, 0, 5)
-		got := KSmallestIndices(vals, -1, k)
+		got := KSmallestIndices(vals, k)
 		if len(got) != k {
 			return false
 		}

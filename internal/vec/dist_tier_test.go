@@ -70,31 +70,32 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 	}
 }
 
-// TestBuildBlockedMatchesRowPair pins the walker to the canonical
-// blocked order directly, one pair at a time: at multi-block dimensions
+// TestBuildBlockedMatchesRowPair pins the walker to the definition
+// directly, one pair at a time, on adversarial magnitudes: at
+// multi-block dimensions (and at naiveDimMax, the exact kernel's last)
 // every cell the walker produces — full build, fanned-out build (three
 // concurrent shares, and each strided share of the row pairs run on its
-// own), and UpdateRows — must be bit-identical to
-// clamp(dotPair(vᵢ,vᵢ) + dotPair(vⱼ,vⱼ) − 2·dotPair(vᵢ,vⱼ)) under every
-// tier. Each pair's lanes consume the same k-sequence whichever tile,
-// row-set or partition covered it, so any difference is a seam bug.
+// own), and UpdateRows — must be bit-identical to specCell(vᵢ, vⱼ) under
+// every tier. Each pair's lanes consume the same k-sequence whichever
+// tile, row-set or partition covered it, so any difference is a seam
+// bug.
 func TestBuildBlockedMatchesRowPair(t *testing.T) {
 	for _, tier := range AvailableTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
 			rng := NewRNG(uint64(4000 + tier))
-			for _, shape := range []struct{ n, d int }{{2, gramBlock + 1}, {9, 2 * gramBlock}, {12, 2*gramBlock + 1807}} {
+			for _, shape := range []struct{ n, d int }{{5, naiveDimMax}, {2, gramBlock + 1}, {9, 2 * gramBlock}, {12, 2*gramBlock + 1807}} {
 				vs := adversarialVectors(rng, shape.n, shape.d)
 				check := func(what string, m *DistanceMatrix, vs [][]float64) {
 					t.Helper()
 					for i := range vs {
 						for j := range vs {
-							want := dotPair(vs[i], vs[i]) + dotPair(vs[j], vs[j]) - 2*dotPair(vs[i], vs[j])
-							if want < 0 || i == j {
-								want = 0
+							want := 0.0
+							if i != j {
+								want = specCell(tier.Order(), vs[i], vs[j])
 							}
 							if m.At(i, j) != want {
-								t.Fatalf("n=%d d=%d %s cell (%d,%d): walker %v ≠ per-pair reference %v",
+								t.Fatalf("n=%d d=%d %s cell (%d,%d): walker %v ≠ specCell %v",
 									shape.n, shape.d, what, i, j, m.At(i, j), want)
 							}
 						}
@@ -105,14 +106,15 @@ func TestBuildBlockedMatchesRowPair(t *testing.T) {
 				// The same three shares one after another, in the
 				// builder's two phases (assembly reads norms every share
 				// staged): the schedule no scheduler would pick.
-				shares := newShell(vs)
-				for w := 0; w < 3; w++ {
-					shares.stage(stridedRows(shape.n, w, 3), true)
+				if shares := newShell(vs); shares.gram {
+					for w := 0; w < 3; w++ {
+						shares.stage(stridedRows(shape.n, w, 3), true)
+					}
+					for w := 0; w < 3; w++ {
+						shares.assemble(stridedRows(shape.n, w, 3), true)
+					}
+					check("strided shares", shares, vs)
 				}
-				for w := 0; w < 3; w++ {
-					shares.assemble(stridedRows(shape.n, w, 3), true)
-				}
-				check("strided shares", shares, vs)
 
 				// Update one row, a pair, and an odd batch with a repeat.
 				m := NewDistanceMatrix(vs)
@@ -135,14 +137,7 @@ func TestBuildBlockedMatchesRowPair(t *testing.T) {
 func crossTierMatrices(t *testing.T, vs [][]float64) map[Tier]*DistanceMatrix {
 	t.Helper()
 	out := make(map[Tier]*DistanceMatrix, len(AvailableTiers()))
-	for _, tier := range AvailableTiers() {
-		restore, err := SetKernelTier(tier)
-		if err != nil {
-			t.Fatalf("SetKernelTier(%v): %v", tier, err)
-		}
-		out[tier] = NewDistanceMatrix(CloneAll(vs))
-		restore()
-	}
+	underEachTier(t, func(tier Tier) { out[tier] = NewDistanceMatrix(CloneAll(vs)) })
 	return out
 }
 

@@ -39,14 +39,18 @@ package vec
 //
 // LANE ORDER (the order families):
 //
-//   - "pair2" (TierGo here, TierSSE2 in gram_amd64.s): dotPairGo's two
-//     interleaved even/odd partial sums, reduced as s0+s1. The SSE2
-//     assembly's two 64-bit XMM lanes ARE the (s0, s1) pair, so the go
-//     and sse2 tiers agree bit for bit on every input.
-//   - "fma4" (TierAVX2, reference dotFMAGo in gram_fma.go): four
-//     interleaved fused-multiply-add partial sums, reduced as
-//     (s0+s2)+(s1+s3). Fusing drops the per-term product rounding, so
-//     fma4 results differ from pair2 in the low bits.
+//   - "pair2" (TierGo: dot4Go below; TierSSE2: gram_amd64.s): two
+//     interleaved partial sums, lane j taking the terms with k ≡ j
+//     (mod 2) as a rounded multiply then a rounded add, reduced as
+//     s0+s1. The SSE2 assembly's two 64-bit XMM lanes ARE the (s0, s1)
+//     pair, so the go and sse2 tiers agree bit for bit on every input.
+//   - "fma4" (TierAVX2: gram_avx2_amd64.s): four interleaved partial
+//     sums, lane j taking the terms with k ≡ j (mod 4) through fused
+//     multiply-adds, reduced as (s0+s2)+(s1+s3) — the four lanes of one
+//     YMM accumulator, a masked load feeding the tail lanes (a
+//     masked-out lane contributes fma(0, 0, s) = s, bit for bit).
+//     Fusing drops the per-term product rounding, so fma4 results
+//     differ from pair2 in the low bits.
 //
 // ACROSS tiers equality is only promised to the norm-relative
 // tolerance of dist_property_test.go's error model; anything that
@@ -55,13 +59,14 @@ package vec
 // records it in Result.Kernel, and the fleet join handshake pins it.
 //
 // The walker composes the tiles across blocks in place; the per-block
-// primitives dotPairBlock (one pair: the order's definition, which
-// every tile column must match), dot4Block and dot24Block dispatch on
-// the active tier (gram_amd64.go on amd64, this package's pure-Go
-// references elsewhere). gram_test.go pins every tier to its reference
-// order, to fixed golden vectors, and to the blocked composition at
-// multi-block dimensions (through the dotPair/dot4/dot24 compositions
-// of gram_blocked_test.go).
+// tiles dot4Block and dot24Block dispatch on the active tier
+// (gram_amd64.go on amd64, this file's pure-Go pair2 tiles elsewhere).
+// The order itself is defined once, as code, in spec_test.go — a lane
+// function per family, specDot (the blocked composition) and specCell
+// (the clamped Gram identity) — and the tests pin to it by bits every
+// tile column of every tier at every tail residue, at multi-block
+// dimensions and on fixed golden vectors (gram_test.go), and every cell
+// and norm the walker produces (walker_test.go).
 
 // gramBlock is the depth-blocking factor of the canonical accumulation
 // order: inner products accumulate in k-blocks of this many elements
@@ -90,28 +95,13 @@ const gramBlock = 2048
 // d ≤ 1024, on a single panel.
 const panelBytes = 1 << 20
 
-// dotPairGo returns ⟨a,b⟩ using the canonical two-accumulator order.
-// The two independent chains break the add-latency dependency that
-// bounds the naive loop; the final reduction is s0 + s1.
-func dotPairGo(a, b []float64) float64 {
-	b = b[:len(a)]
-	var s0, s1 float64
-	k := 0
-	for ; k+2 <= len(a); k += 2 {
-		s0 += a[k] * b[k]
-		s1 += a[k+1] * b[k+1]
-	}
-	if k < len(a) {
-		s0 += a[k] * b[k]
-	}
-	return s0 + s1
-}
-
 // dot4Go returns ⟨a,b0⟩, ⟨a,b1⟩, ⟨a,b2⟩, ⟨a,b3⟩ in one pass over a:
-// the 1×4 register tile of the blocked kernel. Each load of a[k] feeds
-// four independent multiply-add chains, and every column keeps its own
-// even/odd accumulator pair, so each result is bit-identical to
-// dotPairGo(a, bi).
+// the 1×4 register tile of the blocked kernel, in the pair2 lane order.
+// Each load of a[k] feeds four independent multiply-add chains, and
+// every column keeps its own even/odd accumulator pair (a tail element
+// joins the even one), reduced as even + odd; the two independent
+// chains per column break the add-latency dependency that bounds the
+// naive loop.
 func dot4Go(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	n := len(a)
 	b0 = b0[:n]
@@ -146,8 +136,8 @@ func dot4Go(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 // [⟨a0,b0⟩..⟨a0,b3⟩, ⟨a1,b0⟩..⟨a1,b3⟩]. The tile exists for memory
 // traffic, not arithmetic: each streamed b column is reused by two
 // rows, cutting the bandwidth per pair to 6/8 of a vector where the
-// 1×4 tile pays 5/4. Every pair keeps the canonical dotPairGo order —
-// the reference implementation simply runs dot4Go twice.
+// 1×4 tile pays 5/4. Every pair keeps the canonical pair2 order — the
+// pure-Go tile simply runs dot4Go twice.
 func dot24Go(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64) {
 	out[0], out[1], out[2], out[3] = dot4Go(a0, b0, b1, b2, b3)
 	out[4], out[5], out[6], out[7] = dot4Go(a1, b0, b1, b2, b3)

@@ -3,19 +3,15 @@
 package vec
 
 // amd64 dispatch for the Gram microkernels. Three tiers share the seam
-// (see tier.go): TierGo runs the pure-Go pair2 references, TierSSE2
-// the baseline SSE2 assembly (bit-identical to TierGo — the two 64-bit
-// XMM lanes ARE dotPairGo's even/odd accumulator pair), and TierAVX2
+// (see tier.go): TierGo runs the pure-Go pair2 tiles, TierSSE2 the
+// baseline SSE2 assembly (bit-identical to TierGo — the two 64-bit XMM
+// lanes ARE the pair2 order's even/odd accumulator pair), and TierAVX2
 // the AVX2+FMA assembly in gram_avx2_amd64.s, whose four fused YMM
-// lanes implement the distinct "fma4" canonical order defined by
-// dotFMAGo. The tier is chosen once at init (CPUID probe + the
-// KRUM_KERNEL_TIER knob) and read here as one atomic load per call —
-// noise against the O(d) inner product each call performs.
-// gram_test.go pins every tier to its pure-Go reference order and to
-// fixed golden vectors.
-
-//go:noescape
-func dotSSE2(a, b *float64, n int) float64
+// lanes implement the distinct "fma4" canonical order. The tier is
+// chosen once at init (CPUID probe + the KRUM_KERNEL_TIER knob) and
+// read here as one atomic load per call — noise against the O(d) inner
+// product each call performs. gram_test.go pins every tier's tiles to
+// its order's definition (spec_test.go) and to fixed golden vectors.
 
 //go:noescape
 func dot4SSE2(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
@@ -24,35 +20,14 @@ func dot4SSE2(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
 func dot24SSE2(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
 
 //go:noescape
-func dotAVX2(a, b *float64, n int) float64
-
-//go:noescape
 func dot4AVX2(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
 
 //go:noescape
 func dot24AVX2(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
 
-// dotPairBlock returns ⟨a,b⟩ over one depth block (len ≤ gramBlock) in
-// the active tier's canonical lane order; the blocked wrapper in
-// gram.go composes it across blocks (see the contract there).
-func dotPairBlock(a, b []float64) float64 {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	b = b[:n]
-	switch KernelTier() {
-	case TierAVX2:
-		return dotAVX2(&a[0], &b[0], n)
-	case TierGo:
-		return dotPairGo(a, b)
-	default:
-		return dotSSE2(&a[0], &b[0], n)
-	}
-}
-
-// dot4Block is the one-depth-block 1×4 tile in the active tier's lane
-// order; every column is bit-identical to dotPairBlock(a, bi).
+// dot4Block is the 1×4 tile over one depth block (len ≤ gramBlock) in
+// the active tier's lane order; the walker composes it across blocks
+// (see the contract in gram.go).
 func dot4Block(a, b0, b1, b2, b3 []float64) (float64, float64, float64, float64) {
 	n := len(a)
 	if n == 0 {

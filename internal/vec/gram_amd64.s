@@ -2,48 +2,16 @@
 
 #include "textflag.h"
 
-// SSE2 Gram microkernels. Both functions keep ONE [even, odd]
-// accumulator pair per inner product (the two lanes of an XMM
-// register), reduced low+high at the end — the exact accumulation
-// order of dotPairGo, so the assembly and the pure-Go reference agree
-// bit for bit on every input (see gram.go for the contract and
-// gram_test.go for the pin). The speed comes from dot4SSE2's four
+// SSE2 Gram microkernels. Both tiles keep ONE [even, odd] accumulator
+// pair per inner product (the two lanes of an XMM register; an
+// odd-length remainder joins the even, low, lane), reduced low+high at
+// the end — the pair2 lane order, so the assembly and the pure-Go tiles
+// agree bit for bit on every input (see gram.go for the contract;
+// gram_test.go pins every column to the order's definition in
+// spec_test.go). The speed comes from dot4SSE2's four
 // independent column chains: one 128-bit load of a[k:k+2] feeds four
 // MULPD/ADDPD pairs, where the scalar loop was bound by its single
 // add-latency chain.
-
-// func dotSSE2(a, b *float64, n int) float64
-TEXT ·dotSSE2(SB), NOSPLIT, $0-32
-	MOVQ  a+0(FP), SI
-	MOVQ  b+8(FP), DI
-	MOVQ  n+16(FP), CX
-	XORPS X0, X0
-	XORQ  DX, DX
-	MOVQ  CX, AX
-	ANDQ  $-2, AX        // AX = n &^ 1: the even prefix handled two at a time
-	CMPQ  DX, AX
-	JGE   tail
-loop:
-	MOVUPD (SI)(DX*8), X1
-	MOVUPD (DI)(DX*8), X2
-	MULPD  X2, X1
-	ADDPD  X1, X0        // lanes accumulate (even k, odd k) partial sums
-	ADDQ   $2, DX
-	CMPQ   DX, AX
-	JLT    loop
-tail:
-	CMPQ DX, CX
-	JGE  reduce
-	MOVSD (SI)(DX*8), X1
-	MOVSD (DI)(DX*8), X2
-	MULSD X2, X1
-	ADDSD X1, X0         // odd-length remainder joins the even (low) lane
-reduce:
-	MOVAPD   X0, X1
-	UNPCKHPD X1, X1
-	ADDSD    X1, X0      // s0 + s1, same final reduction as dotPairGo
-	MOVSD    X0, ret+24(FP)
-	RET
 
 // func dot4SSE2(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
 TEXT ·dot4SSE2(SB), NOSPLIT, $0-56

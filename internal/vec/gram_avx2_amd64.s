@@ -5,15 +5,15 @@
 // AVX2+FMA Gram microkernels — the TierAVX2 implementations dispatched
 // by gram_amd64.go when the CPU supports them (tier_amd64.go probe).
 //
-// Accumulation order ("fma4", defined by dotFMAGo in gram_fma.go):
+// Accumulation order ("fma4", defined by dotFMAGo in spec_test.go):
 // each inner product keeps ONE four-lane YMM accumulator — lane j
 // holds the fused partial sum of terms k ≡ j (mod 4) — and reduces as
 // (s0 + s2) + (s1 + s3) via VEXTRACTF128 + VADDPD + ADDSD. The tail
 // (n mod 4 elements) is folded with a VMASKMOVPD masked load of both
 // operands: lane i < tail gets its fused term, masked-out lanes load
 // zero and contribute fma(0, 0, s) = s, bit for bit. gram_test.go pins
-// every function here to the pure-Go fma4 reference and to fixed
-// golden vectors across all tail residues.
+// every column of both tiles to that definition and to fixed golden
+// vectors across all tail residues.
 //
 // laneidx is the [0,1,2,3] qword vector the tail mask is built from:
 // mask = (broadcast(tail) > laneidx), signed qword compare.
@@ -24,51 +24,11 @@ DATA laneidx<>+16(SB)/8, $2
 DATA laneidx<>+24(SB)/8, $3
 GLOBL laneidx<>(SB), RODATA|NOPTR, $32
 
-// func dotAVX2(a, b *float64, n int) float64
-TEXT ·dotAVX2(SB), NOSPLIT, $0-32
-	MOVQ   a+0(FP), SI
-	MOVQ   b+8(FP), DI
-	MOVQ   n+16(FP), CX
-	VXORPD Y0, Y0, Y0    // accumulator lanes (s0, s1, s2, s3)
-	XORQ   DX, DX
-	MOVQ   CX, AX
-	ANDQ   $-4, AX       // AX = n &^ 3: the full-vector prefix
-	CMPQ   DX, AX
-	JGE    tail
-loop:
-	VMOVUPD     (SI)(DX*8), Y1
-	VMOVUPD     (DI)(DX*8), Y2
-	VFMADD231PD Y2, Y1, Y0    // Y0 += a[k:k+4] * b[k:k+4], fused per lane
-	ADDQ        $4, DX
-	CMPQ        DX, AX
-	JLT         loop
-tail:
-	MOVQ  CX, R12
-	SUBQ  DX, R12        // R12 = n mod 4
-	TESTQ R12, R12
-	JZ    reduce
-	MOVQ         R12, X1
-	VPBROADCASTQ X1, Y1
-	VMOVDQU      laneidx<>(SB), Y2
-	VPCMPGTQ     Y2, Y1, Y3       // mask: lane i live iff i < tail
-	VMASKMOVPD   (SI)(DX*8), Y3, Y1
-	VMASKMOVPD   (DI)(DX*8), Y3, Y2
-	VFMADD231PD  Y2, Y1, Y0       // dead lanes: fma(0, 0, s) = s
-reduce:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0       // (s0+s2, s1+s3)
-	VZEROUPPER
-	MOVAPD   X0, X1
-	UNPCKHPD X1, X1
-	ADDSD    X1, X0               // (s0+s2) + (s1+s3)
-	MOVSD    X0, ret+24(FP)
-	RET
-
 // func dot4AVX2(a, b0, b1, b2, b3 *float64, n int, out *[4]float64)
 //
 // The 1×4 column tile in fma4 order: one 256-bit load of a[k:k+4]
-// feeds four independent fused column chains, each bit-identical to
-// dotAVX2(a, bi) — the tile is an arrangement, never a different sum.
+// feeds four independent fused column chains, each in the fma4 order
+// of its own pair — the tile is an arrangement, never a different sum.
 TEXT ·dot4AVX2(SB), NOSPLIT, $0-56
 	MOVQ   a+0(FP), SI
 	MOVQ   b0+8(FP), R8
@@ -150,7 +110,7 @@ reduce4:
 // The 2×4 tile in fma4 order: Y0..Y3 accumulate a0 against b0..b3,
 // Y4..Y7 accumulate a1 against the same columns, and every streamed
 // 256-bit column load is reused by both rows — the bandwidth saving
-// the blocked builder exists for (see dist.go buildRowPair).
+// the blocked builder exists for (see dist.go stage).
 TEXT ·dot24AVX2(SB), NOSPLIT, $0-64
 	MOVQ   a0+0(FP), SI
 	MOVQ   a1+8(FP), DI

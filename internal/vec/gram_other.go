@@ -3,15 +3,11 @@
 package vec
 
 // Portable dispatch for the Gram microkernels: non-amd64 platforms run
-// the pure-Go pair2 reference implementations — TierGo is the only
+// the pure-Go pair2 tiles — TierGo is the only
 // available tier here (tier_other.go), and its canonical order is
 // exactly what amd64's SSE2 tier reproduces bit for bit, so go and
 // sse2 processes share one accumulation-order family (and therefore
 // one store-key salt; see tier.go).
-
-// dotPairBlock returns ⟨a,b⟩ over one depth block; see dotPairGo for
-// the lane order and gram.go for the blocked composition.
-func dotPairBlock(a, b []float64) float64 { return dotPairGo(a, b) }
 
 // dot4Block is the one-depth-block 1×4 tile; see dot4Go for the lane
 // order.

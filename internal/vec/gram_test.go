@@ -5,29 +5,8 @@ import (
 	"testing"
 )
 
-// tierRefs bundles the pure-Go reference implementations that DEFINE an
-// accumulation-order family (gram.go): the dispatched kernels of every
-// tier in the family must agree with these bit for bit.
-type tierRefs struct {
-	dotPair func(a, b []float64) float64
-	dot4    func(a, b0, b1, b2, b3 []float64) (float64, float64, float64, float64)
-	dot24   func(a0, a1, b0, b1, b2, b3 []float64, out *[8]float64)
-}
-
-func refsFor(t *testing.T, order string) tierRefs {
-	t.Helper()
-	switch order {
-	case "pair2":
-		return tierRefs{dotPairGo, dot4Go, dot24Go}
-	case "fma4":
-		return tierRefs{dotFMAGo, dot4FMAGo, dot24FMAGo}
-	}
-	t.Fatalf("no reference implementation for order family %q", order)
-	return tierRefs{}
-}
-
-// forceTier activates tier and registers the restore; tests below run
-// their whole battery once per available tier.
+// forceTier activates tier until the test (or subtest) ends; restores
+// stack, so forcing one tier after another unwinds to the original.
 func forceTier(t *testing.T, tier Tier) {
 	t.Helper()
 	restore, err := SetKernelTier(tier)
@@ -37,151 +16,89 @@ func forceTier(t *testing.T, tier Tier) {
 	t.Cleanup(restore)
 }
 
-// TestDotKernelsBitIdentical pins the dispatched kernels of EVERY
-// available tier to that tier's pure-Go reference order: all lengths —
-// including the empty, single-element, and every tail residue — must
-// agree bit for bit, not just within tolerance. On non-amd64 platforms
-// the only tier's dispatch IS the reference and the test is trivially
-// green; on amd64 this is the asm ≡ reference proof for SSE2 and AVX2.
-func TestDotKernelsBitIdentical(t *testing.T) {
+// underEachTier calls f once per available tier, with that tier active.
+func underEachTier(t *testing.T, f func(tier Tier)) {
+	t.Helper()
 	for _, tier := range AvailableTiers() {
-		t.Run(tier.String(), func(t *testing.T) {
-			forceTier(t, tier)
-			refs := refsFor(t, tier.Order())
-			rng := NewRNG(7)
-			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 33, 100, 1001} {
-				a := rng.NewNormal(n, 0, 3)
-				bs := make([][]float64, 4)
-				for i := range bs {
-					bs[i] = rng.NewNormal(n, 0, 3)
-				}
-				// Inject magnitude spread so accumulation order actually
-				// matters: a reordered sum would differ in the low bits.
-				for k := range a {
-					if k%3 == 0 {
-						a[k] *= 1e8
-					}
-					if k%5 == 0 {
-						a[k] *= 1e-8
-					}
-				}
-				for i, b := range bs {
-					if got, want := dotPair(a, b), refs.dotPair(a, b); got != want {
-						t.Errorf("n=%d: dotPair(a, b%d) = %v, reference %v", n, i, got, want)
-					}
-				}
-				g0, g1, g2, g3 := dot4(a, bs[0], bs[1], bs[2], bs[3])
-				w0, w1, w2, w3 := refs.dot4(a, bs[0], bs[1], bs[2], bs[3])
-				for i, pair := range [][2]float64{{g0, w0}, {g1, w1}, {g2, w2}, {g3, w3}} {
-					if pair[0] != pair[1] {
-						t.Errorf("n=%d: dot4 column %d = %v, reference %v", n, i, pair[0], pair[1])
-					}
-				}
-				// dot4 columns must equal the pairwise kernel too (the tile
-				// is an arrangement, never a different sum).
-				for i, b := range bs {
-					single := refs.dotPair(a, b)
-					quad := []float64{w0, w1, w2, w3}[i]
-					if single != quad {
-						t.Errorf("n=%d: reference dot4 column %d = %v, dotPair %v", n, i, quad, single)
-					}
-				}
-				// The 2×4 tile: dispatched vs reference vs pairwise, all
-				// exact.
-				a1 := rng.NewNormal(n, 0, 3)
-				var got24, want24 [8]float64
-				dot24(a, a1, bs[0], bs[1], bs[2], bs[3], &got24)
-				refs.dot24(a, a1, bs[0], bs[1], bs[2], bs[3], &want24)
-				if got24 != want24 {
-					t.Errorf("n=%d: dot24 = %v, reference %v", n, got24, want24)
-				}
-				for i, b := range bs {
-					if want24[i] != refs.dotPair(a, b) || want24[4+i] != refs.dotPair(a1, b) {
-						t.Errorf("n=%d: reference dot24 column %d disagrees with dotPair", n, i)
-					}
-				}
-			}
-		})
+		forceTier(t, tier)
+		f(tier)
 	}
 }
 
-// blockedRef composes the canonical blocked order out of a family's
-// single-block reference: per-block reference sums added in ascending-k
-// order — the independent spelling of gram.go's dotPair wrapper the
-// composition test pins the dispatch against.
-func blockedRef(ref func(a, b []float64) float64, a, b []float64) float64 {
-	var s float64
-	for k := 0; k < len(a); k += gramBlock {
-		e := k + gramBlock
-		if e > len(a) {
-			e = len(a)
+// tileDots runs the active tier's two tiles — the 2×4 over rows a0, a1
+// and the 1×4 over a0 — against the columns bs, composed over depth
+// blocks the way the walker composes them: per-block results added in
+// ascending k from +0. out[4r+c] is the 2×4 tile's ⟨a_r,b_c⟩, out[8+c]
+// the 1×4 tile's ⟨a0,b_c⟩. (An empty vector still makes one call, for
+// the dispatchers' n = 0 arm.)
+func tileDots(a0, a1 []float64, bs [4][]float64) (out [12]float64) {
+	for k := 0; k < max(len(a0), 1); k += gramBlock {
+		e := min(k+gramBlock, len(a0))
+		var t [8]float64
+		dot24Block(a0[k:e], a1[k:e], bs[0][k:e], bs[1][k:e], bs[2][k:e], bs[3][k:e], &t)
+		for i, p := range t {
+			out[i] += p
 		}
-		s += ref(a[k:e], b[k:e])
+		p0, p1, p2, p3 := dot4Block(a0[k:e], bs[0][k:e], bs[1][k:e], bs[2][k:e], bs[3][k:e])
+		for c, p := range [4]float64{p0, p1, p2, p3} {
+			out[8+c] += p
+		}
 	}
-	return s
+	return out
 }
 
-// TestDotBlockedComposition pins the depth-blocked accumulation order
-// at multi-block dimensions for every available tier: the dispatched
-// dotPair must equal the per-block reference sums composed in
-// ascending-k order, every dot4/dot24 cell must equal that same value
-// (tile ≡ pairwise across the block seam), and the blocked result must
-// actually DIFFER from a single-pass reference sum on at least one
-// tested length — proving the block seam is an observable part of the
-// order (and therefore of the order-family salt), not a no-op.
-func TestDotBlockedComposition(t *testing.T) {
-	lengths := []int{gramBlock + 1, 2 * gramBlock, 2*gramBlock + 5, 3*gramBlock + 1807}
+// checkTilesAgainstSpec holds every column of both tiles, under every
+// available tier, to specDot over vectors of the given lengths: a tile
+// reference is eight (or four) calls of the one definition, whichever
+// the family. The magnitude spread makes the accumulation order matter:
+// a reordered sum differs in the low bits.
+func checkTilesAgainstSpec(t *testing.T, seed uint64, lengths []int) {
 	for _, tier := range AvailableTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
-			refs := refsFor(t, tier.Order())
-			rng := NewRNG(11)
-			seamObserved := false
+			rng := NewRNG(seed)
 			for _, n := range lengths {
-				a := rng.NewNormal(n, 0, 3)
-				a1 := rng.NewNormal(n, 0, 3)
-				bs := make([][]float64, 4)
-				for i := range bs {
-					bs[i] = rng.NewNormal(n, 0, 3)
-				}
-				for k := range a {
+				a0, a1 := rng.NewNormal(n, 0, 3), rng.NewNormal(n, 0, 3)
+				for k := range a0 {
 					if k%3 == 0 {
-						a[k] *= 1e8
+						a0[k] *= 1e8
 					}
 					if k%5 == 0 {
-						a[k] *= 1e-8
+						a0[k] *= 1e-8
 					}
 				}
-				for i, b := range bs {
-					want := blockedRef(refs.dotPair, a, b)
-					if got := dotPair(a, b); got != want {
-						t.Errorf("n=%d: dotPair(a, b%d) = %v, blocked reference %v", n, i, got, want)
-					}
-					if refs.dotPair(a, b) != want {
-						seamObserved = true
+				var bs [4][]float64
+				for c := range bs {
+					bs[c] = rng.NewNormal(n, 0, 3)
+				}
+				got := tileDots(a0, a1, bs)
+				for c, b := range bs {
+					w0, w1 := specDot(tier.Order(), a0, b), specDot(tier.Order(), a1, b)
+					if got[c] != w0 || got[4+c] != w1 || got[8+c] != w0 {
+						t.Errorf("n=%d column %d: 2×4 tile (%v, %v), 1×4 tile %v; spec (%v, %v)",
+							n, c, got[c], got[4+c], got[8+c], w0, w1)
 					}
 				}
-				g0, g1, g2, g3 := dot4(a, bs[0], bs[1], bs[2], bs[3])
-				var g24 [8]float64
-				dot24(a, a1, bs[0], bs[1], bs[2], bs[3], &g24)
-				for i, b := range bs {
-					want := blockedRef(refs.dotPair, a, b)
-					if got := []float64{g0, g1, g2, g3}[i]; got != want {
-						t.Errorf("n=%d: dot4 column %d = %v, blocked reference %v", n, i, got, want)
-					}
-					if g24[i] != want {
-						t.Errorf("n=%d: dot24 row 0 column %d = %v, blocked reference %v", n, i, g24[i], want)
-					}
-					if want1 := blockedRef(refs.dotPair, a1, b); g24[4+i] != want1 {
-						t.Errorf("n=%d: dot24 row 1 column %d = %v, blocked reference %v", n, i, g24[4+i], want1)
-					}
-				}
-			}
-			if !seamObserved {
-				t.Error("blocked and single-pass reference sums agreed on every input; the seam test is vacuous")
 			}
 		})
 	}
+}
+
+// TestDotKernelsBitIdentical pins the dispatched tiles of EVERY
+// available tier to that tier's order as spec_test.go defines it: all
+// lengths — including the empty, single-element, and every tail
+// residue — must agree bit for bit, not just within tolerance. This is
+// the asm ≡ definition proof for SSE2 and AVX2, and the pure-Go tiles'.
+func TestDotKernelsBitIdentical(t *testing.T) {
+	checkTilesAgainstSpec(t, 7, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 33, 100, 1001})
+}
+
+// TestDotBlockedComposition is the same pin at multi-block dimensions:
+// every tile column, composed across the block seam as the walker
+// composes it, must equal the per-block lane sums added in ascending k
+// (TestSpecFamiliesPortable shows the seam is observable).
+func TestDotBlockedComposition(t *testing.T) {
+	checkTilesAgainstSpec(t, 11, []int{gramBlock + 1, 2 * gramBlock, 2*gramBlock + 5, 3*gramBlock + 1807})
 }
 
 // goldenVec deterministically builds a golden input vector from pure
@@ -208,17 +125,23 @@ func goldenVec(seed uint64, n int) []float64 {
 }
 
 // goldenLens covers every AVX2 tail residue twice over (n mod 8 ∈ 0..7
-// and n mod 4 ∈ 0..3 for each) plus a long vector.
-var goldenLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 100}
+// and n mod 4 ∈ 0..3 for each), a long vector, and two multi-block ones
+// (a block and one element; two blocks and a tail of 5).
+var goldenLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 100, gramBlock + 1, 2*gramBlock + 5}
+
+// goldenSeedA and goldenSeedB seed the two golden operands.
+const goldenSeedA, goldenSeedB = 0x9e3779b97f4a7c15, 0xd1b54a32d192ed03
 
 // dotGoldens pins ⟨goldenVec(A,n), goldenVec(B,n)⟩ per order family as
 // raw bit patterns, one per entry of goldenLens. These were computed
-// once from the pure-Go references and hardcoded: they freeze each
-// family's canonical accumulation order forever — an "optimization"
-// that reorders a sum, a tail-handling bug, or an asm/reference drift
-// all land here as a bit mismatch. Note the families agree on short
-// vectors and split from n=8 on: fused rounding only shows once enough
-// terms accumulate.
+// once (the single-block ones from the pure-Go lane functions, the
+// multi-block ones from the spec and every tier's tiles, which agreed)
+// and hardcoded: they freeze each family's canonical accumulation
+// order, block length included, forever — an "optimization" that
+// reorders a sum, a tail-handling bug, or an asm/definition drift all
+// land here as a bit mismatch. Note the families agree on short vectors
+// and split from n=8 on: fused rounding only shows once enough terms
+// accumulate.
 var dotGoldens = map[string][]uint64{
 	"pair2": {
 		0x0000000000000000, 0x3fc2a21dbd18ab28, 0xc0ebcd8cb90888a1,
@@ -227,6 +150,7 @@ var dotGoldens = map[string][]uint64{
 		0xc101d3e72360947e, 0xc101d3e6cf3455c6, 0xc0f4db754097c82c,
 		0xc0f4db754097d87a, 0xc0f4db75bbbf74e2, 0xc0fa6f69ce58f496,
 		0xc0fa6f69ce58f76e, 0xc0fa6f6b8b5840e6, 0x412c4cc48c4cd262,
+		0xc1080f4943ea4137, 0xc1465f4e1617c108,
 	},
 	"fma4": {
 		0x0000000000000000, 0x3fc2a21dbd18ab28, 0xc0ebcd8cb90888a1,
@@ -235,50 +159,65 @@ var dotGoldens = map[string][]uint64{
 		0xc101d3e72360947e, 0xc101d3e6cf3455c8, 0xc0f4db754097c82e,
 		0xc0f4db754097d87c, 0xc0f4db75bbbf74e4, 0xc0fa6f69ce58f496,
 		0xc0fa6f69ce58f76c, 0xc0fa6f6b8b5840e4, 0x412c4cc48c4cd261,
+		0xc1080f4943ea413d, 0xc1465f4e1617c119,
 	},
 }
 
-// TestDotGoldenVectors checks every order family's reference against
-// the frozen goldens (portable — both references are pure Go, so this
-// runs on every platform), then forces each available tier and checks
-// the DISPATCHED kernels against the same goldens. Together with
-// TestDotKernelsBitIdentical this pins asm ≡ reference ≡ golden.
-func TestDotGoldenVectors(t *testing.T) {
-	const seedA, seedB = 0x9e3779b97f4a7c15, 0xd1b54a32d192ed03
-	for order, goldens := range dotGoldens {
-		t.Run("reference/"+order, func(t *testing.T) {
-			refs := refsFor(t, order)
-			for i, n := range goldenLens {
-				a, b := goldenVec(seedA, n), goldenVec(seedB, n)
-				if got := math.Float64bits(refs.dotPair(a, b)); got != goldens[i] {
-					t.Errorf("n=%d: reference dot = %#016x, golden %#016x", n, got, goldens[i])
+// checkGoldens holds every product dots returns to the family's frozen
+// golden, at every golden length up to maxLen.
+func checkGoldens(t *testing.T, what, order string, maxLen int, dots func(a, b []float64) []float64) {
+	t.Helper()
+	for i, n := range goldenLens {
+		if n > maxLen {
+			continue
+		}
+		for c, got := range dots(goldenVec(goldenSeedA, n), goldenVec(goldenSeedB, n)) {
+			if want := dotGoldens[order][i]; math.Float64bits(got) != want {
+				t.Errorf("n=%d: %s %d = %#016x, golden %#016x", n, what, c, math.Float64bits(got), want)
+			}
+		}
+	}
+}
+
+// TestSpecFamiliesPortable checks the definition itself, for BOTH
+// families on every host (math.FMA is correctly rounded everywhere, so
+// an fma4 regression shows without AVX2): specDot reproduces every
+// frozen golden, the multi-block ones included, and at those the
+// blocked sum DIFFERS from one lane pass over the whole vector — the
+// block seam is an observable part of the order (and therefore of the
+// order-family salt), not a no-op.
+func TestSpecFamiliesPortable(t *testing.T) {
+	for order, lane := range specLanes {
+		t.Run(order, func(t *testing.T) {
+			checkGoldens(t, "specDot", order, math.MaxInt, func(a, b []float64) []float64 { return []float64{specDot(order, a, b)} })
+			for _, n := range goldenLens {
+				a, b := goldenVec(goldenSeedA, n), goldenVec(goldenSeedB, n)
+				if n > gramBlock && lane(a, b) == specDot(order, a, b) {
+					t.Errorf("n=%d: blocked and single-pass sums agree; the seam check is vacuous", n)
 				}
 			}
+		})
+	}
+}
+
+// TestDotGoldenVectors checks every family's lane function against the
+// frozen single-block goldens (portable, like the test above), then
+// forces each available tier and checks every column of the DISPATCHED
+// tiles against all of them. Together with TestDotKernelsBitIdentical
+// this pins asm ≡ definition ≡ golden.
+func TestDotGoldenVectors(t *testing.T) {
+	for order, lane := range specLanes {
+		t.Run("reference/"+order, func(t *testing.T) {
+			checkGoldens(t, "lane function", order, gramBlock, func(a, b []float64) []float64 { return []float64{lane(a, b)} })
 		})
 	}
 	for _, tier := range AvailableTiers() {
 		t.Run("dispatch/"+tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
-			goldens := dotGoldens[tier.Order()]
-			for i, n := range goldenLens {
-				a, b := goldenVec(seedA, n), goldenVec(seedB, n)
-				if got := math.Float64bits(dotPair(a, b)); got != goldens[i] {
-					t.Errorf("n=%d: dotPair = %#016x, golden %#016x", n, got, goldens[i])
-				}
-				g0, g1, g2, g3 := dot4(a, b, b, b, b)
-				for col, g := range []float64{g0, g1, g2, g3} {
-					if math.Float64bits(g) != goldens[i] {
-						t.Errorf("n=%d: dot4 column %d = %#016x, golden %#016x", n, col, math.Float64bits(g), goldens[i])
-					}
-				}
-				var out [8]float64
-				dot24(a, a, b, b, b, b, &out)
-				for col, g := range out {
-					if math.Float64bits(g) != goldens[i] {
-						t.Errorf("n=%d: dot24 column %d = %#016x, golden %#016x", n, col, math.Float64bits(g), goldens[i])
-					}
-				}
-			}
+			checkGoldens(t, "tile product", tier.Order(), math.MaxInt, func(a, b []float64) []float64 {
+				out := tileDots(a, a, [4][]float64{b, b, b, b})
+				return out[:]
+			})
 		})
 	}
 }

@@ -108,40 +108,10 @@ func (r *RNG) FillNormal(dst []float64, mean, sigma float64) {
 	}
 }
 
-// FillUniform fills dst with i.i.d. Uniform[lo, hi) samples.
-func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
-	w := hi - lo
-	for i := range dst {
-		dst[i] = lo + w*r.Float64()
-	}
-}
-
 // NewNormal returns a freshly allocated vector of n i.i.d. N(mean, sigma²)
 // samples.
 func (r *RNG) NewNormal(n int, mean, sigma float64) []float64 {
 	v := make([]float64, n)
 	r.FillNormal(v, mean, sigma)
 	return v
-}
-
-// Perm returns a uniformly random permutation of {0, ..., n-1}
-// (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n indices using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -119,51 +119,6 @@ func TestFillNormalParameters(t *testing.T) {
 	}
 }
 
-func TestFillUniformRange(t *testing.T) {
-	r := NewRNG(7)
-	v := make([]float64, 10000)
-	r.FillUniform(v, -2, 5)
-	for _, x := range v {
-		if x < -2 || x >= 5 {
-			t.Fatalf("uniform sample out of [-2,5): %v", x)
-		}
-	}
-	mean := Sum(v) / float64(len(v))
-	if math.Abs(mean-1.5) > 0.1 {
-		t.Errorf("uniform mean = %v, want ~1.5", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(8)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, idx := range p {
-			if idx < 0 || idx >= n || seen[idx] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[idx] = true
-		}
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(9)
-	v := []int{1, 2, 3, 4, 5}
-	sum := 0
-	r.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	for _, x := range v {
-		sum += x
-	}
-	if sum != 15 {
-		t.Errorf("Shuffle changed elements: %v", v)
-	}
-}
-
 // normFloat64Reference is NormFloat64 as it stood before Sincos, kept
 // verbatim: separate Sin and Cos calls, each with its own range
 // reduction.

@@ -8,7 +8,7 @@ import (
 )
 
 // Kernel tiers. The Gram microkernels behind DistanceMatrix
-// (dotPairBlock / dot4Block / dot24Block, see gram.go) exist in several
+// (dot4Block / dot24Block, see gram.go) exist in several
 // implementations of increasing ISA requirements; exactly one — the
 // tier — is active in a process at a time, selected once at init from
 // CPU feature detection and the KRUM_KERNEL_TIER environment knob.
@@ -30,15 +30,15 @@ import (
 type Tier int32
 
 const (
-	// TierGo is the portable pure-Go tier: dotPairGo's interleaved
-	// even/odd two-accumulator order. Always available.
+	// TierGo is the portable pure-Go tier: the "pair2" order's
+	// interleaved even/odd two-accumulator sums. Always available.
 	TierGo Tier = iota
 	// TierSSE2 is the amd64 SSE2 assembly tier. Its two 64-bit XMM
-	// lanes ARE dotPairGo's (even, odd) accumulator pair, so TierSSE2
-	// and TierGo share the "pair2" order and agree bit for bit.
+	// lanes ARE TierGo's (even, odd) accumulator pair, so TierSSE2 and
+	// TierGo share the "pair2" order and agree bit for bit.
 	TierSSE2
 	// TierAVX2 is the amd64 AVX2+FMA assembly tier: four YMM lanes of
-	// fused multiply-adds (the "fma4" order — see dotFMAGo). Fusing
+	// fused multiply-adds (the "fma4" order — see gram.go). Fusing
 	// removes the per-step product rounding, so TierAVX2 results differ
 	// from pair2 tiers in the low bits (by less error, not more).
 	TierAVX2

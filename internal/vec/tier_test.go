@@ -1,11 +1,77 @@
 package vec
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// TestEveryAsmKernelHasAProductionCaller keeps kernels only tests can
+// reach out of the package: every TEXT ·name of the .s files must be
+// reachable, by name, from the package's non-test surface — exported
+// functions, methods, init and package-level initialisers — through
+// unexported functions of non-test files. A caller that is itself only
+// called by tests does not count.
+func TestEveryAsmKernelHasAProductionCaller(t *testing.T) {
+	uses := map[string][]string{} // unexported function → identifiers it mentions
+	var pending []string          // identifiers the surface mentions
+	sources, _ := filepath.Glob("*.go")
+	for _, name := range sources {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			var ids []string
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					ids = append(ids, id.Name)
+				}
+				return true
+			})
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && !fn.Name.IsExported() && fn.Name.Name != "init" {
+				uses[fn.Name.Name] = append(uses[fn.Name.Name], ids...)
+			} else {
+				pending = append(pending, ids...)
+			}
+		}
+	}
+	reached := map[string]bool{}
+	for len(pending) > 0 {
+		id := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if !reached[id] {
+			reached[id] = true
+			pending = append(pending, uses[id]...)
+		}
+	}
+	asm, _ := filepath.Glob("*.s")
+	kernels := 0
+	for _, name := range asm {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`(?m)^TEXT ·(\w+)\(SB\)`).FindAllSubmatch(src, -1) {
+			kernels++
+			if !reached[string(m[1])] {
+				t.Errorf("%s: TEXT ·%s is not reachable from non-test code", name, m[1])
+			}
+		}
+	}
+	if kernels == 0 {
+		t.Fatal("no TEXT symbol found: the scan is vacuous")
+	}
+}
 
 // TestParseTier pins the spec names round-tripping through String, the
 // case/whitespace tolerance, and rejection of unknown names.

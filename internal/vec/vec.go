@@ -199,17 +199,6 @@ func WeightedSum(dst []float64, w []float64, vs [][]float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element of v, or 0 for an empty vector.
-func MaxAbs(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // AllFinite reports whether every element of v is finite (no NaN or Inf).
 func AllFinite(v []float64) bool {
 	for _, x := range v {
@@ -232,17 +221,6 @@ func ApproxEqual(a, b []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Clamp limits every element of v to [lo, hi] in place.
-func Clamp(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }
 
 // Argmin returns the index of the smallest element of v (first occurrence

@@ -183,18 +183,7 @@ func TestAllFinite(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	v := []float64{-5, 0.5, 7}
-	Clamp(v, 0, 1)
-	if !ApproxEqual(v, []float64{0, 0.5, 1}, 0) {
-		t.Errorf("Clamp = %v", v)
-	}
-}
-
-func TestMaxAbsSum(t *testing.T) {
-	if got := MaxAbs([]float64{-3, 2}); got != 3 {
-		t.Errorf("MaxAbs = %v", got)
-	}
+func TestSum(t *testing.T) {
 	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
 		t.Errorf("Sum = %v", got)
 	}

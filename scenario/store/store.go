@@ -193,9 +193,10 @@ func keyOfCanonicalWith(order string, c scenario.Spec) (string, error) {
 	return hashKeyWith(order, blob), nil
 }
 
-// hashKey renders the content address of a hashed identity blob,
-// salted with Version AND the active kernel accumulation-order family
-// (vec.KernelOrder). Cell keys hash a canonical spec's JSON and aux
+// hashKeyWith renders the content address of a hashed identity blob,
+// salted with Version AND a kernel accumulation-order family (the
+// active one, vec.KernelOrder, for everything this process computes).
+// Cell keys hash a canonical spec's JSON and aux
 // keys an auxIdentity's JSON — the two preimage families start with
 // different JSON structure, so they cannot collide.
 //
@@ -207,11 +208,6 @@ func keyOfCanonicalWith(order string, c scenario.Spec) (string, error) {
 // cold run would produce different low bits. A tier switch (new CPU,
 // KRUM_KERNEL_TIER change) across order families therefore orphans
 // entries exactly like a Version bump, per order family.
-func hashKey(blob []byte) string {
-	return hashKeyWith(vec.KernelOrder(), blob)
-}
-
-// hashKeyWith is hashKey under an explicit order-family salt.
 func hashKeyWith(order string, blob []byte) string {
 	h := sha256.New()
 	h.Write([]byte(Version))
