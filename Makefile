@@ -6,8 +6,8 @@ GO ?= go
 # distance-matrix kernels, the result store's warm-vs-cold grid
 # economics, the async incremental-cache win under bounded-staleness
 # arrival traffic, and the hot loops of the gradient path (digit
-# render, MLP and tiny-softmax gradients, coordinate median, and the
-# matmul / axpy row kernels on their own).
+# render, MLP and tiny-softmax gradients, coordinate median, the
+# matmul / axpy row kernels on their own, and the normal sampler).
 # COUNTED_BENCHES are the rows run at -count 6 so that each carries a
 # [min, max] band (krum-benchjson folds the repeats): the
 # distance-matrix kernels — the pattern also matches the Incremental
@@ -98,9 +98,10 @@ shard-tests:
 	$(GO) test -race -count 3 -run 'TestChaos|TestStream' ./cmd/krum-scenariod
 	$(GO) test -race -count 1 ./scenario/shardproto
 
-# tier-tests is the kernel-tier matrix: the full vec, core and model
-# suites under the race detector (model: the gradient path's bits must
-# not depend on the tier) plus a -short pass over the whole tree, once per
+# tier-tests is the kernel-tier matrix: the full vec, core, model and
+# data suites under the race detector (model: the gradient path's bits
+# must not depend on the tier; data: nor the rasteriser's) plus a -short
+# pass over the whole tree, once per
 # KRUM_KERNEL_TIER value. Forcing the knob re-runs every within-tier
 # bit-identity proof and the store/fleet salting under the forced tier
 # (the batteries that pin kernels and walker to the order's definition
@@ -113,7 +114,7 @@ shard-tests:
 tier-tests:
 	for tier in go sse2 avx2; do \
 		echo "=== KRUM_KERNEL_TIER=$$tier ==="; \
-		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ ./model/ || exit 1; \
+		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ ./model/ ./data/ || exit 1; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -short -count 1 ./... || exit 1; \
 	done
 

@@ -422,7 +422,9 @@ func BenchmarkScenarioMatrixRunner(b *testing.B) {
 // products (forward x·W₁ and the strided backward xᵀ·dh, x at 45 %
 // zeros like a rendered batch) and the d-long axpy of the SGD step and
 // of every averaging rule — each reporting ns per multiply-add
-// performed (zero coefficients, which are skipped, not counted).
+// performed (zero coefficients, which are skipped, not counted). The
+// last row is the sampler: one Gaussian-attack proposal's FillNormal at
+// that d, in ns per normal.
 func BenchmarkGradientPath(b *testing.B) {
 	ds, err := data.NewSyntheticMNIST(16, 0.05)
 	if err != nil {
@@ -521,6 +523,15 @@ func BenchmarkGradientPath(b *testing.B) {
 			vec.Axpy(-1e-3, g, params)
 		}
 		perMadd(b, d)
+	})
+	b.Run("fillnormal-d12826", func(b *testing.B) {
+		// One Gaussian-attack proposal at the MLP's d.
+		const d = 12826
+		v := make([]float64, d)
+		for i := 0; i < b.N; i++ {
+			rng.FillNormal(v, 0, 200)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/d, "ns/normal")
 	})
 }
 

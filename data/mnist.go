@@ -160,7 +160,11 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 	// one ≥ |v|² to t = 1 however the division rounds, and p1 + 0·v and
 	// p1 + 1·v are the two ends (the latter as the sum p1 + v, which is
 	// not bit for bit the stroke's other end point).
+	//
+	// Under TierAVX2 the rows of a stroke run on strokeLanes instead,
+	// four columns to a vector.
 	vec.Fill(img, math.Inf(1))
+	lanes := rasterLanes()
 	var wxvx, wx2, ex2 [colBlock]float64
 	for c0 := 0; c0 < m.size; c0 += colBlock {
 		cols := m.centres[c0:min(c0+colBlock, m.size)]
@@ -176,6 +180,10 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 				wx := cx - x1
 				wxvx[j], wx2[j] = wx*vx, wx*wx
 				ex2[j] = (cx - ex) * (cx - ex)
+			}
+			if lanes {
+				strokeLanes(img[c0:], m.size, m.centres, cols, &wxvx, &wx2, &ex2, &[6]float64{x1, y1, vx, vy, len2, ey})
+				continue
 			}
 			for py, cy := range m.centres {
 				row := img[py*m.size+c0:]
@@ -215,16 +223,22 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 		}
 	}
 
-	// Pass 3: pixel noise, in raster order.
+	// Pass 3: pixel noise, in raster order, drawn by FillNormal a chunk
+	// at a time — one NormFloat64 per pixel, the same draws in the same
+	// order. The chunk holds 0 + noise·z where noise·z is meant; the two
+	// differ only in the sign of a zero, and the intensity it is added to
+	// is never −0, so the sum is the same. Nor is the sum ever −0, the
+	// one input on which min(max(x, 0), 1) and renderReference's clamp
+	// `if x < 0 { x = 0 } else if x > 1 { x = 1 }` part.
 	if m.noise > 0 {
-		for i, intensity := range img {
-			intensity += m.noise * rng.NormFloat64()
-			if intensity < 0 {
-				intensity = 0
-			} else if intensity > 1 {
-				intensity = 1
+		var noise [64]float64
+		for px := img; len(px) > 0; {
+			z := noise[:min(len(px), len(noise))]
+			rng.FillNormal(z, 0, m.noise)
+			for i, nz := range z {
+				px[i] = min(max(px[i]+nz, 0), 1)
 			}
-			img[i] = intensity
+			px = px[len(z):]
 		}
 	}
 }

@@ -87,45 +87,87 @@ func segmentDist(px, py float64, s segment) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// TestRenderMatchesReference: every digit, several sizes (9 leaves a
-// cached Box–Muller variate behind), with and without noise — the
+// forEachTier runs f as one subtest per available kernel tier, with that
+// tier forced: Render's Go loop under go and sse2, its AVX2 kernel
+// (raster_avx2_amd64.s) and FillNormal's under avx2.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for _, tier := range vec.AvailableTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			restore, err := vec.SetKernelTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(restore)
+			f(t)
+		})
+	}
+}
+
+// TestRasterLanesGate is what "the go and sse2 tiers run the Go loops"
+// rests on for Render: rasterLanes is the only way into the assembly,
+// and it opens under avx2 and nothing else.
+func TestRasterLanesGate(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		if got, want := rasterLanes(), vec.KernelTier() == vec.TierAVX2; got != want {
+			t.Errorf("rasterLanes() = %v under %v", got, vec.KernelTier())
+		}
+	})
+}
+
+// TestRenderMatchesReference: every digit, several sizes, under every
+// tier — 9 leaves a cached Box–Muller variate behind; 9, 11, 12 and 70
+// leave column tails of every length mod 4 in the lanes, 33 a second
+// column block of one column — without noise, with the default noise,
+// with noise 1 (heavy clamping at both ends) and with noise 5e-324,
+// whose products underflow to ±0 and the smallest subnormals. The
 // images agree bit for bit and both generators end in the same state,
 // observed through the next normal and the next raw words.
 func TestRenderMatchesReference(t *testing.T) {
-	instances := 100
-	if testing.Short() {
-		instances = 10
-	}
-	for _, size := range []int{8, 9, 16, 28} {
-		for _, noise := range []float64{0, 0.05} {
+	for _, size := range []int{8, 9, 11, 12, 16, 28, 33, 70} {
+		// A hundred instances of each digit at the sizes up to 28×28;
+		// at 33 and 70 as many pixels as thirty instances at 28×28.
+		instances := 100
+		if size > 28 {
+			instances = 30 * 28 * 28 / (size * size)
+		}
+		if testing.Short() {
+			instances = max(1, instances/10)
+		}
+		for _, noise := range []float64{0, 0.05, 1, 5e-324} {
 			t.Run(fmt.Sprintf("size=%d/noise=%g", size, noise), func(t *testing.T) {
-				m, err := NewSyntheticMNIST(size, noise)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
-				rngGot, rngWant := vec.NewRNG(uint64(size)), vec.NewRNG(uint64(size))
-				for k := 0; k < instances; k++ {
-					for digit := 0; digit < 10; digit++ {
-						m.Render(rngGot, digit, got)
-						renderReference(m, rngWant, digit, want)
-						for i := range want {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("instance %d digit %d pixel %d: %x, reference %x",
-									k, digit, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-							}
-						}
-						if g, w := rngGot.NormFloat64(), rngWant.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("instance %d digit %d: next normal %v, reference %v", k, digit, g, w)
-						}
-						for j := 0; j < 4; j++ {
-							if g, w := rngGot.Uint64(), rngWant.Uint64(); g != w {
-								t.Fatalf("instance %d digit %d: RNG word %d is %x, reference %x", k, digit, j, g, w)
-							}
-						}
-					}
-				}
+				forEachTier(t, func(t *testing.T) {
+					renderMatchesReference(t, size, noise, instances)
+				})
 			})
+		}
+	}
+}
+
+func renderMatchesReference(t *testing.T, size int, noise float64, instances int) {
+	m, err := NewSyntheticMNIST(size, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
+	rngGot, rngWant := vec.NewRNG(uint64(size)), vec.NewRNG(uint64(size))
+	for k := 0; k < instances; k++ {
+		for digit := 0; digit < 10; digit++ {
+			m.Render(rngGot, digit, got)
+			renderReference(m, rngWant, digit, want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("instance %d digit %d pixel %d: %x, reference %x",
+						k, digit, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if g, w := rngGot.NormFloat64(), rngWant.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("instance %d digit %d: next normal %v, reference %v", k, digit, g, w)
+			}
+			for j := 0; j < 4; j++ {
+				if g, w := rngGot.Uint64(), rngWant.Uint64(); g != w {
+					t.Fatalf("instance %d digit %d: RNG word %d is %x, reference %x", k, digit, j, g, w)
+				}
+			}
 		}
 	}
 }

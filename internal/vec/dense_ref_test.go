@@ -140,8 +140,9 @@ func TestMatMulOrderMatchesReference(t *testing.T) {
 }
 
 // TestLanesGate is what "the go and sse2 tiers run the Go loops" rests
-// on: useLanes is the only way into the assembly, and it opens for
-// rows of at least 8 under avx2 and for nothing else.
+// on: useLanes is the only way into the assembly — the row kernels and
+// FillNormal's Box–Muller kernel alike — and it opens for widths of at
+// least 8 under avx2 and for nothing else.
 func TestLanesGate(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		for width := 0; width <= 70; width++ {

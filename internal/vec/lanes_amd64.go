@@ -5,11 +5,13 @@ package vec
 import "math"
 
 // amd64 dispatch for the gradient path's two row kernels
-// (lanes_avx2_amd64.s). Unlike the Gram microkernels these define no
-// accumulation order of their own — SIMD lanes run across the output
-// columns j and every element sees the scalar loop's rounded multiply
-// and rounded add in the scalar loop's order — so only TierAVX2 has
-// them, and TierGo / TierSSE2 run the Go loops in dense.go and vec.go.
+// (lanes_avx2_amd64.s) and the Box–Muller kernel behind FillNormal
+// (boxmuller_avx2_amd64.s). Unlike the Gram microkernels these define
+// no accumulation order of their own — SIMD lanes run across the output
+// columns j, or across independent samples, and every element sees the
+// scalar code's rounded operations in the scalar code's order — so only
+// TierAVX2 has them, and TierGo / TierSSE2 run the Go loops in dense.go,
+// vec.go and rng.go.
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
@@ -17,16 +19,26 @@ func axpyAVX2(alpha float64, x, y *float64, n int)
 //go:noescape
 func accum4AVX2(d *float64, n int, b *float64, offs *int, coefs *float64, groups int)
 
+//go:noescape
+func boxMullerAVX2(u, v, c, s *float64, n int)
+
 // lanesMinWidth is the narrowest row worth a call into the assembly:
 // two full vectors. The 3- and 6-wide products of the small softmax
 // workloads stay on the Go loops.
 const lanesMinWidth = 8
 
-// useLanes reports whether a row of the given width goes to the AVX2
-// kernels. It is the only gate: under TierGo and TierSSE2 no assembly
-// in this file is reached.
+// useLanes reports whether a row (or a FillNormal destination) of the
+// given width goes to the AVX2 kernels. It is the only gate: under
+// TierGo and TierSSE2 no assembly in this file is reached.
 func useLanes(width int) bool {
 	return width >= lanesMinWidth && KernelTier() == TierAVX2
+}
+
+// boxMullerLanes sets c[p], s[p] to NormFloat64's cos and sin variates
+// of the uniforms (u[p], v[p]) for p < n; the lanes up to the next
+// multiple of four are transformed too, whatever they hold, and ignored.
+func boxMullerLanes(u, v, c, s *[normalBatch]float64, n int) {
+	boxMullerAVX2(&u[0], &v[0], &c[0], &s[0], (n+3)&^3)
 }
 
 // axpyLanes is Axpy's loop on the AVX2 kernel; len(x) == len(y) > 0.

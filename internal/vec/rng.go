@@ -101,10 +101,50 @@ func (r *RNG) NormFloat64() float64 {
 	return radius * cos
 }
 
-// FillNormal fills dst with i.i.d. N(mean, sigma²) samples.
+// FillNormal fills dst with i.i.d. N(mean, sigma²) samples: element i
+// is mean + sigma·(the (i+1)-th NormFloat64 call), and r ends in the
+// state those len(dst) calls leave, cached variate included.
 func (r *RNG) FillNormal(dst []float64, mean, sigma float64) {
+	if useLanes(len(dst)) {
+		r.fillNormalLanes(dst, mean, sigma)
+		return
+	}
 	for i := range dst {
 		dst[i] = mean + sigma*r.NormFloat64()
+	}
+}
+
+// normalBatch is how many Box–Muller pairs one kernel call transforms.
+const normalBatch = 32
+
+// fillNormalLanes is FillNormal's loop with the transform on the AVX2
+// kernel; len(dst) > 0. The cached variate goes first; then the
+// uniforms of up to normalBatch pairs are drawn in NormFloat64's order
+// (u, redrawn while 0, then v), transformed in one call and written cos
+// variate, sin variate; an odd last element goes through NormFloat64,
+// which leaves its sin variate cached as the scalar loop would.
+func (r *RNG) fillNormalLanes(dst []float64, mean, sigma float64) {
+	if r.hasGauss {
+		dst[0] = mean + sigma*r.NormFloat64()
+		dst = dst[1:]
+	}
+	var u, v, c, s [normalBatch]float64
+	for len(dst) >= 2 {
+		pairs := min(len(dst)/2, normalBatch)
+		for p := range pairs {
+			for u[p] = r.Float64(); u[p] == 0; u[p] = r.Float64() {
+			}
+			v[p] = r.Float64()
+		}
+		boxMullerLanes(&u, &v, &c, &s, pairs)
+		for p := range pairs {
+			dst[2*p] = mean + sigma*c[p]
+			dst[2*p+1] = mean + sigma*s[p]
+		}
+		dst = dst[2*pairs:]
+	}
+	if len(dst) == 1 {
+		dst[0] = mean + sigma*r.NormFloat64()
 	}
 }
 

@@ -22,9 +22,13 @@ import (
 // for avx2), the store salts every content-addressed key with it
 // (scenario/store), distsgd records it in Result.Kernel, and the
 // coordinator join handshake pins it exactly like store.Version — a
-// heterogeneous fleet can share cached results between order-identical
-// tiers (a pure-Go arm64 worker and an SSE2 amd64 worker agree bit for
-// bit) but can never alias results across order families.
+// fleet can share cached results between order-identical tiers but can
+// never alias results across order families. An order family does not
+// yet fix every bit of a cell, though: Go's amd64 math.Exp takes an FMA
+// path on CPUs that have FMA whatever the tier, and the compiler may
+// fuse x*y + z on other GOARCHes, so a go/sse2 worker on an FMA-less
+// amd64 CPU or on arm64 can write different bytes under the same key as
+// one on an FMA host (ROADMAP item 1 is the fix).
 
 // Tier identifies one kernel implementation tier.
 type Tier int32

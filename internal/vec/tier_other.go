@@ -3,6 +3,6 @@
 package vec
 
 // Non-amd64 platforms run only the portable pure-Go tier. Its "pair2"
-// order is shared with amd64's SSE2 tier, so results (and store keys)
-// agree bit for bit across a mixed go/sse2 fleet.
+// order is amd64's SSE2 tier's, but a cell's bits are not yet fixed by
+// the order alone (see tier.go; ROADMAP item 1).
 func availableTiers() []Tier { return []Tier{TierGo} }

@@ -12,16 +12,26 @@ import (
 	"testing"
 )
 
+// asmDirs are the packages holding assembly: this one and the
+// rasteriser's.
+var asmDirs = []string{".", filepath.Join("..", "..", "data")}
+
 // TestEveryAsmKernelHasAProductionCaller keeps kernels only tests can
-// reach out of the package: every TEXT ·name of the .s files must be
-// reachable, by name, from the package's non-test surface — exported
+// reach out of the packages: every TEXT ·name of a package's .s files
+// must be reachable, by name, from its non-test surface — exported
 // functions, methods, init and package-level initialisers — through
 // unexported functions of non-test files. A caller that is itself only
 // called by tests does not count.
 func TestEveryAsmKernelHasAProductionCaller(t *testing.T) {
+	for _, dir := range asmDirs {
+		checkAsmReachable(t, dir)
+	}
+}
+
+func checkAsmReachable(t *testing.T, dir string) {
 	uses := map[string][]string{} // unexported function → identifiers it mentions
 	var pending []string          // identifiers the surface mentions
-	sources, _ := filepath.Glob("*.go")
+	sources, _ := filepath.Glob(filepath.Join(dir, "*.go"))
 	for _, name := range sources {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -54,7 +64,7 @@ func TestEveryAsmKernelHasAProductionCaller(t *testing.T) {
 			pending = append(pending, uses[id]...)
 		}
 	}
-	asm, _ := filepath.Glob("*.s")
+	asm, _ := filepath.Glob(filepath.Join(dir, "*.s"))
 	kernels := 0
 	for _, name := range asm {
 		src, err := os.ReadFile(name)
@@ -69,7 +79,35 @@ func TestEveryAsmKernelHasAProductionCaller(t *testing.T) {
 		}
 	}
 	if kernels == 0 {
-		t.Fatal("no TEXT symbol found: the scan is vacuous")
+		t.Fatalf("%s: no TEXT symbol found: the scan is vacuous", dir)
+	}
+}
+
+// TestLaneKernelsUnfused: the lane kernels promise the scalar loops'
+// bits because every multiply and every add is rounded on its own, so
+// no assembly of these packages may hold a fused multiply-add — except
+// gram_avx2_amd64.s, whose fma4 order family is defined by them.
+func TestLaneKernelsUnfused(t *testing.T) {
+	fused := regexp.MustCompile(`(?m)^\s*(VFMADD|VFMSUB|VFNMADD|VFNMSUB)\w*`)
+	scanned := 0
+	for _, dir := range asmDirs {
+		asm, _ := filepath.Glob(filepath.Join(dir, "*.s"))
+		for _, name := range asm {
+			if filepath.Base(name) == "gram_avx2_amd64.s" {
+				continue
+			}
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned++
+			for _, m := range fused.FindAll(src, -1) {
+				t.Errorf("%s: fused multiply-add %s", name, strings.TrimSpace(string(m)))
+			}
+		}
+	}
+	if scanned < 4 {
+		t.Fatalf("scanned %d assembly files: the scan is vacuous", scanned)
 	}
 }
 
