@@ -168,6 +168,7 @@ bench-large:
 	@rm -f BENCH_scenario.txt
 	@cat BENCH_scenario.json
 
-# bench-all is the full local benchmark sweep (figures + kernels).
+# bench-all is the full local benchmark sweep (kernels, rules, gradient
+# path, runner and store; the experiments are tests, not benchmarks).
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -1,25 +1,21 @@
 package krum_test
 
-// Benchmarks regenerating every table and figure of the reproduction
-// (see EXPERIMENTS.md): one testing.B per artifact, each running the
-// quick-scale experiment end to end, plus microbenchmarks of the Krum
-// kernel across the Lemma 4.1 (n, d) grid. Run with
+// Benchmarks of the kernels, the rules, the gradient path, the scenario
+// runner and the result store. Run with
 //
 //	go test -bench=. -benchmem
 //
-// The figure benches report the headline metric of their artifact as a
-// custom b.ReportMetric value so the bench log doubles as a results
-// table.
+// The experiments themselves are not benchmarked here: their shape tests
+// (internal/harness) run them and pin what they render, and the Lemma 4.1
+// cost sweep is `krum-experiments -exp lemma41`.
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"testing"
 
 	"krum"
 	"krum/data"
-	"krum/internal/harness"
 	"krum/internal/vec"
 	"krum/model"
 	"krum/scenario"
@@ -29,134 +25,6 @@ import (
 // benchSeed keeps bench results stable across runs.
 const benchSeed = 42
 
-// BenchmarkLemma31 regenerates E1 (one Byzantine worker vs linear
-// rules).
-func BenchmarkLemma31(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunLemma31(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.KrumFinalAccuracy, "krum-acc")
-		b.ReportMetric(boolMetric(res.AverageDiverged || res.AverageFinalAccuracy < 0.6), "avg-destroyed")
-	}
-}
-
-// BenchmarkFig2Medoid regenerates E2 (medoid collusion).
-func BenchmarkFig2Medoid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig2(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Row for f=2 carries the headline claim.
-		b.ReportMetric(res.Rows[1].MedoidByzRate, "medoid-captured")
-		b.ReportMetric(res.Rows[1].KrumByzRate, "krum-captured")
-	}
-}
-
-// BenchmarkLemma41Fit regenerates E3 (cost-model fit quality).
-func BenchmarkLemma41Fit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunLemma41(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.R2, "n2d-fit-r2")
-	}
-}
-
-// BenchmarkProp42 regenerates E4 (resilience Monte Carlo).
-func BenchmarkProp42(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunProp42(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pass := 0
-		for _, row := range res.Rows {
-			if row.SinAlpha < 1 && row.KrumConditionI && row.KrumConditionII {
-				pass++
-			}
-		}
-		b.ReportMetric(float64(pass), "krum-resilient-rows")
-	}
-}
-
-// BenchmarkProp43 regenerates E5 (convergence under attack).
-func BenchmarkProp43(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunProp43(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionFactor, "gradnorm-reduction")
-	}
-}
-
-// BenchmarkFig4Gaussian regenerates F4 (Gaussian attack curves).
-func BenchmarkFig4Gaussian(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig4(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.KrumByzFinal, "krum-byz-acc")
-		b.ReportMetric(res.AvgByzFinal, "avg-byz-acc")
-	}
-}
-
-// BenchmarkFig5Omniscient regenerates F5 (omniscient attack curves).
-func BenchmarkFig5Omniscient(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig5(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.KrumByzFinal, "krum-byz-acc")
-		b.ReportMetric(boolMetric(res.AvgByzDiverged || res.AvgByzFinal < 0.3), "avg-destroyed")
-	}
-}
-
-// BenchmarkFig6MultiKrum regenerates F6 (Multi-Krum trade-off).
-func BenchmarkFig6MultiKrum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig6(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].ByzFinal, "m1-byz-acc")
-		b.ReportMetric(res.Rows[len(res.Rows)-1].ByzFinal, "mn-byz-acc")
-	}
-}
-
-// BenchmarkFig7Batch regenerates F7 (cost of resilience).
-func BenchmarkFig7Batch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFig7(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(res.AverageCleanFinal-last.KrumByzFinal, "residual-gap")
-	}
-}
-
-// BenchmarkTable1Selection regenerates T1 (selection-rate matrix).
-func BenchmarkTable1Selection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTable1(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cell := res.Cell("gaussian(sigma=200)", "krum"); cell != nil {
-			b.ReportMetric(cell.ByzSelectedRate, "krum-gauss-selrate")
-		}
-	}
-}
-
-// --- Kernel microbenchmarks: the Lemma 4.1 grid -----------------------
-
 // benchVectors builds n random d-dimensional proposals.
 func benchVectors(n, d int) [][]float64 {
 	rng := vec.NewRNG(benchSeed)
@@ -165,27 +33,6 @@ func benchVectors(n, d int) [][]float64 {
 		vs[i] = rng.NewNormal(d, 0, 1)
 	}
 	return vs
-}
-
-// BenchmarkKrumScaling measures the Krum kernel across the (n, d) grid;
-// ns/op should scale as n²·d (Lemma 4.1).
-func BenchmarkKrumScaling(b *testing.B) {
-	for _, n := range []int{5, 10, 20, 40, 80} {
-		for _, d := range []int{100, 1000, 10000} {
-			b.Run(fmt.Sprintf("n=%d/d=%d", n, d), func(b *testing.B) {
-				vs := benchVectors(n, d)
-				rule := krum.NewKrum((n - 3) / 2)
-				dst := make([]float64, d)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rule.Aggregate(dst, vs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n*n*d), "n2d")
-			})
-		}
-	}
 }
 
 // BenchmarkRules compares every aggregation rule at one operating
@@ -606,46 +453,6 @@ func BenchmarkResilienceVerifier(b *testing.B) {
 			Trials: 200, Seed: benchSeed,
 		}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func boolMetric(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// BenchmarkAblationHiddenCoordinate regenerates the E6 extension table.
-func BenchmarkAblationHiddenCoordinate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunAblation(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r := res.Row("bulyan"); r != nil {
-			b.ReportMetric(r.CoordError, "bulyan-coord-err")
-		}
-		if r := res.Row("average"); r != nil {
-			b.ReportMetric(r.CoordError, "avg-coord-err")
-		}
-	}
-}
-
-// BenchmarkNonIID regenerates the E7 extension table (the i.i.d.
-// assumption stress test).
-func BenchmarkNonIID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.RunNonIID(io.Discard, harness.Quick, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r := res.Row("krum"); r != nil {
-			b.ReportMetric(r.Gap, "krum-skew-gap")
-		}
-		if r := res.Row("average"); r != nil {
-			b.ReportMetric(r.Gap, "avg-skew-gap")
 		}
 	}
 }

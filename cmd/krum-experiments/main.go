@@ -28,12 +28,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"krum"
@@ -78,9 +81,9 @@ func experiments() []experiment {
 	}
 }
 
-// fileConfig is the -config JSON schema. The named experiments run
-// through exactly the code path the flags use, so a config file
-// reproduces a flag-driven invocation byte for byte; the optional
+// fileConfig is the -config JSON schema, and what the flags build when
+// there is no config file: either way runConfig runs it, so a config
+// file reproduces a flag-driven invocation byte for byte. The optional
 // matrix then runs on the concurrent scenario runner.
 type fileConfig struct {
 	// Experiments names harness experiments to run in order.
@@ -99,162 +102,154 @@ type fileConfig struct {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable body of main (exit-once rule).
-func run() int {
-	expFlag := flag.String("exp", "all", "experiment to run (or 'all')")
-	scaleFlag := flag.String("scale", "quick", "quick | full")
-	seedFlag := flag.Uint64("seed", 42, "master random seed")
-	listFlag := flag.Bool("list", false, "list experiments and registry specs, then exit")
-	configFlag := flag.String("config", "", "JSON scenario config (experiments + matrix; see EXPERIMENTS.md); overrides -exp/-scale/-seed")
-	storeFlag := flag.String("store", "", "result-store JSONL path: scenario cells (figure grids, config matrices) are served from it when present and written through when computed")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("krum-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	expFlag := fs.String("exp", "all", "experiment to run (or 'all')")
+	scaleFlag := fs.String("scale", "quick", "quick | full")
+	seedFlag := fs.Uint64("seed", 42, "master random seed")
+	listFlag := fs.Bool("list", false, "list experiments and registry specs, then exit")
+	configFlag := fs.String("config", "", "JSON scenario config (experiments + matrix; see EXPERIMENTS.md); overrides -exp/-scale/-seed")
+	storeFlag := fs.String("store", "", "result-store JSONL path: scenario cells (figure grids, config matrices) are served from it when present and written through when computed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package already printed the error and usage
+	}
 
 	exps := experiments()
 	if *listFlag {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range exps {
-			fmt.Printf("  %-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.name, e.desc)
 		}
 		// Generated from the registries, so this list can never drift
 		// from the implemented set.
-		fmt.Println("\nregistry specs (usable in -config matrix files):")
-		fmt.Printf("  rules:     %s\n", krum.RuleUsage())
-		fmt.Printf("  attacks:   %s\n", attack.Usage())
-		fmt.Printf("  schedules: %s\n", krum.ScheduleUsage())
-		fmt.Printf("  workloads: %s\n", workload.Usage())
-		fmt.Printf("  arrivals:  %s\n", krum.ArrivalUsage())
+		fmt.Fprintln(stdout, "\nregistry specs (usable in -config matrix files):")
+		fmt.Fprintf(stdout, "  rules:     %s\n", krum.RuleUsage())
+		fmt.Fprintf(stdout, "  attacks:   %s\n", attack.Usage())
+		fmt.Fprintf(stdout, "  schedules: %s\n", krum.ScheduleUsage())
+		fmt.Fprintf(stdout, "  workloads: %s\n", workload.Usage())
+		fmt.Fprintf(stdout, "  arrivals:  %s\n", krum.ArrivalUsage())
 		return 0
 	}
 
-	if *configFlag != "" {
-		return runConfig(*configFlag, *storeFlag, exps)
-	}
-
-	st, code := openStore(*storeFlag)
-	if code != 0 {
-		return code
-	}
-	defer closeStore(st)
-
-	scale, ok := parseScale(*scaleFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q (quick|full)\n", *scaleFlag)
-		return 2
-	}
-	want := strings.Split(*expFlag, ",")
-	ran := 0
-	for _, e := range exps {
-		if !selected(want, e.name) {
-			continue
-		}
-		if err := e.run(os.Stdout, scale, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.name, err)
-			return 1
-		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; use -list\n", *expFlag)
-		return 2
-	}
-	return 0
-}
-
-// openStore opens the optional result store and routes harness
-// scenario runs through it; an empty path is a no-op. The non-zero
-// return code reports a failure to the caller.
-func openStore(path string) (*store.Store, int) {
-	if path == "" {
-		return nil, 0
-	}
-	st, err := store.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "store: %v\n", err)
-		return nil, 2
-	}
-	harness.SetStore(st)
-	return st, 0
-}
-
-// closeStore prints the session's cache economics and releases the
-// store (no-op when no store is configured).
-func closeStore(st *store.Store) {
-	if st == nil {
-		return
-	}
-	fmt.Printf("\nresult store %s: %s\n", st.Path(), st.Stats())
-	harness.SetStore(nil)
-	st.Close()
-}
-
-// runConfig executes a JSON scenario config: named experiments first
-// (identical code path to the flags), then the optional matrix on the
-// concurrent runner. storePath (the -store flag) overrides the
-// config's "store" key.
-func runConfig(path, storePath string, exps []experiment) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "config: %v\n", err)
-		return 2
-	}
 	var cfg fileConfig
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "config %s: %v\n", path, err)
+	if *configFlag != "" {
+		var code int
+		if cfg, code = readConfig(*configFlag, stderr); code != 0 {
+			return code
+		}
+	} else {
+		cfg = fileConfig{Experiments: selected(*expFlag, exps), Scale: *scaleFlag, Seed: seedFlag}
+		if len(cfg.Experiments) == 0 {
+			fmt.Fprintf(stderr, "no experiment matched %q; use -list\n", *expFlag)
+			return 2
+		}
+	}
+	if *storeFlag != "" {
+		cfg.Store = *storeFlag
+	}
+	return runConfig(cfg, exps, stdout, stderr)
+}
+
+// selected expands a comma-separated -exp value into experiment names in
+// registry order; "all" selects every experiment. Unknown names match
+// nothing.
+func selected(exp string, exps []experiment) []string {
+	want := strings.Split(exp, ",")
+	for i := range want {
+		want[i] = strings.TrimSpace(want[i])
+	}
+	var names []string
+	for _, e := range exps {
+		if slices.Contains(want, "all") || slices.Contains(want, e.name) {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// readConfig decodes a -config file strictly: an unknown field, or
+// anything but whitespace after the JSON object, is an error.
+func readConfig(path string, stderr io.Writer) (fileConfig, int) {
+	var cfg fileConfig
+	data, err := os.ReadFile(path)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(&cfg); err == nil {
+			if _, trailing := dec.Token(); trailing != io.EOF {
+				err = errors.New("trailing content after the JSON object")
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "config %s: %v\n", path, err)
+		return cfg, 2
+	}
+	return cfg, 0
+}
+
+// runConfig runs the named experiments in order, then the optional
+// matrix on the concurrent runner, with every scenario cell going
+// through the configured result store.
+func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int {
+	if len(cfg.Experiments) == 0 && cfg.Matrix == nil {
+		fmt.Fprintln(stderr, "nothing to run (no experiments, no matrix)")
 		return 2
 	}
-	scaleName := cfg.Scale
-	if scaleName == "" {
-		scaleName = "quick"
+	if cfg.Scale == "" {
+		cfg.Scale = "quick"
 	}
-	scale, ok := parseScale(scaleName)
+	scale, ok := map[string]harness.Scale{"quick": harness.Quick, "full": harness.Full}[cfg.Scale]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "config %s: unknown scale %q (quick|full)\n", path, scaleName)
+		fmt.Fprintf(stderr, "unknown scale %q (quick|full)\n", cfg.Scale)
 		return 2
 	}
 	seed := uint64(42)
 	if cfg.Seed != nil {
 		seed = *cfg.Seed
 	}
-	if storePath == "" {
-		storePath = cfg.Store
-	}
-	st, code := openStore(storePath)
-	if code != 0 {
-		return code
-	}
-	defer closeStore(st)
-
-	for _, name := range cfg.Experiments {
-		found := false
-		for _, e := range exps {
-			if e.name == name {
-				found = true
-				if err := e.run(os.Stdout, scale, seed); err != nil {
-					fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.name, err)
-					return 1
-				}
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "config %s: unknown experiment %q; use -list\n", path, name)
+	runs := make([]experiment, len(cfg.Experiments))
+	for i, name := range cfg.Experiments {
+		j := slices.IndexFunc(exps, func(e experiment) bool { return e.name == name })
+		if j < 0 {
+			fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", name)
 			return 2
 		}
+		runs[i] = exps[j]
 	}
 
-	if cfg.Matrix != nil {
-		if code := runMatrix(*cfg.Matrix, cfg.Workers, st); code != 0 {
-			return code
+	var st *store.Store
+	if cfg.Store != "" {
+		var err error
+		if st, err = store.Open(cfg.Store); err != nil {
+			fmt.Fprintf(stderr, "store: %v\n", err)
+			return 2
+		}
+		harness.SetStore(st)
+		// The closing line reports the session's cache economics.
+		defer func() {
+			fmt.Fprintf(stdout, "\nresult store %s: %s\n", st.Path(), st.Stats())
+			harness.SetStore(nil)
+			st.Close()
+		}()
+	}
+
+	for _, e := range runs {
+		if err := e.run(stdout, scale, seed); err != nil {
+			fmt.Fprintf(stderr, "experiment %s: %v\n", e.name, err)
+			return 1
 		}
 	}
-	if len(cfg.Experiments) == 0 && cfg.Matrix == nil {
-		fmt.Fprintf(os.Stderr, "config %s: nothing to run (no experiments, no matrix)\n", path)
-		return 2
+	if cfg.Matrix != nil {
+		return runMatrix(*cfg.Matrix, cfg.Workers, st, stdout, stderr)
 	}
 	return 0
 }
@@ -263,13 +258,13 @@ func runConfig(path, storePath string, exps []experiment) int {
 // progress and rendering a deterministic summary table. When st is
 // non-nil, cells already in the store are served from it (marked
 // "cached" in the stream) and fresh cells are written through.
-func runMatrix(m scenario.Matrix, workers int, st *store.Store) int {
+func runMatrix(m scenario.Matrix, workers int, st *store.Store, stdout, stderr io.Writer) int {
 	if err := m.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "matrix: %v\n", err)
+		fmt.Fprintf(stderr, "matrix: %v\n", err)
 		return 2
 	}
 	total := m.Size()
-	fmt.Printf("\n===== scenario matrix — %d cells =====\n", total)
+	fmt.Fprintf(stdout, "\n===== scenario matrix — %d cells =====\n", total)
 	done := 0
 	runner := &scenario.Runner{
 		Workers: workers,
@@ -289,7 +284,7 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store) int {
 					status += " (cached)"
 				}
 			}
-			fmt.Printf("[%d/%d] %s — %s\n", done, total, cr.Spec.Label(), status)
+			fmt.Fprintf(stdout, "[%d/%d] %s — %s\n", done, total, cr.Spec.Label(), status)
 		},
 	}
 	if st != nil {
@@ -297,11 +292,11 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store) int {
 	}
 	results, err := runner.Run(m)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "matrix: %v\n", err)
+		fmt.Fprintf(stderr, "matrix: %v\n", err)
 		return 1
 	}
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	tbl := metrics.NewTable("workload", "rule", "attack", "f", "seed", "final acc", "final loss", "diverged", "byz sel rate")
 	for _, cr := range results {
 		s, r := cr.Spec, cr.Result
@@ -312,29 +307,9 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store) int {
 		tbl.AddRowf(s.Workload, s.Rule, atk, s.F, s.Seed,
 			r.FinalTestAccuracy, r.FinalTestLoss, r.Diverged, r.ByzantineSelectionRate())
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "matrix table: %v\n", err)
+	if err := tbl.Render(stdout); err != nil {
+		fmt.Fprintf(stderr, "matrix table: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-func parseScale(name string) (harness.Scale, bool) {
-	switch name {
-	case "quick":
-		return harness.Quick, true
-	case "full":
-		return harness.Full, true
-	default:
-		return 0, false
-	}
-}
-
-func selected(want []string, name string) bool {
-	for _, w := range want {
-		if w == "all" || strings.TrimSpace(w) == name {
-			return true
-		}
-	}
-	return false
 }

@@ -81,8 +81,8 @@ func (r ablationCellRecord) row() AblationRow {
 func RunAblation(w io.Writer, scale Scale, seed uint64) (*AblationResult, error) {
 	const n, f, d = 11, 2, 60 // n ≥ 4f+3 for Bulyan
 	const coord = 7
-	trials := pick(scale, 300, 2000)
-	auxParams := fmt.Sprintf("d=%d,coord=%d,trials=%d", d, coord, trials)
+	count := pick(scale, 300, 2000)
+	auxParams := fmt.Sprintf("d=%d,coord=%d,trials=%d", d, coord, count)
 
 	// The rule sweep is a scenario matrix over registry specs; the
 	// hidden-coordinate attack is a spec too, so this path contains no
@@ -115,69 +115,52 @@ func RunAblation(w io.Writer, scale Scale, seed uint64) (*AblationResult, error)
 		if err != nil {
 			return nil, fmt.Errorf("attack %q: %w", cell.Attack, err)
 		}
-		var cached ablationCellRecord
-		if lookupAuxCell(auxKindAblation, cell, auxParams, &cached) {
-			res.Rows = append(res.Rows, cached.row())
-			continue
-		}
-		rng := vec.NewRNG(cell.Seed)
-		var coordErr, restErr float64
-		hits, tracked := 0, 0
-		for trial := 0; trial < trials; trial++ {
-			g := rng.NewNormal(d, 0, 1)
-			correct := make([][]float64, n-f)
-			for i := range correct {
-				v := vec.Clone(g)
-				for j := range v {
-					v[j] += 0.3 * rng.NormFloat64()
+		rec, err := monteCarloCell(w, auxKindAblation, cell, auxParams, func() (ablationCellRecord, error) {
+			var coordErr, restErr float64
+			hits := 0
+			sel, tracked := rule.(core.Selector)
+			err := trials(vec.NewRNG(cell.Seed), n, f, d, 0.3, atk, count, func(g []float64, proposals [][]float64) error {
+				if err := rule.Aggregate(out, proposals); err != nil {
+					return fmt.Errorf("%s: %w", rule.Name(), err)
 				}
-				correct[i] = v
-			}
-			ctx := &attack.Context{Round: trial, Params: g, Correct: correct, F: f, RNG: rng}
-			byz := atk.Propose(ctx)
-			proposals := make([][]float64, 0, n)
-			proposals = append(proposals, correct...)
-			proposals = append(proposals, byz...)
-
-			if err := rule.Aggregate(out, proposals); err != nil {
-				return nil, fmt.Errorf("%s: %w", rule.Name(), err)
-			}
-			coordErr += math.Abs(out[coord] - g[coord])
-			for j := 0; j < d; j++ {
-				if j != coord {
-					restErr += math.Abs(out[j] - g[j])
-				}
-			}
-			if sel, ok := rule.(core.Selector); ok {
-				indices, err := sel.Select(proposals)
-				if err != nil {
-					return nil, fmt.Errorf("%s select: %w", rule.Name(), err)
-				}
-				tracked++
-				for _, idx := range indices {
-					if idx >= n-f {
-						hits++
-						break
+				coordErr += math.Abs(out[coord] - g[coord])
+				for j := 0; j < d; j++ {
+					if j != coord {
+						restErr += math.Abs(out[j] - g[j])
 					}
 				}
+				if !tracked {
+					return nil
+				}
+				indices, err := sel.Select(proposals)
+				if err != nil {
+					return fmt.Errorf("%s select: %w", rule.Name(), err)
+				}
+				if selectsByzantine(indices, n-f) {
+					hits++
+				}
+				return nil
+			})
+			rec := ablationCellRecord{
+				Rule:       rule.Name(),
+				CoordError: coordErr / float64(count),
+				RestError:  restErr / float64(count*(d-1)),
+				Tracked:    tracked,
 			}
+			if tracked {
+				rec.ByzSelectedRate = float64(hits) / float64(count)
+			}
+			return rec, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		rec := ablationCellRecord{
-			Rule:       rule.Name(),
-			CoordError: coordErr / float64(trials),
-			RestError:  restErr / float64(trials*(d-1)),
-		}
-		if tracked > 0 {
-			rec.Tracked = true
-			rec.ByzSelectedRate = float64(hits) / float64(tracked)
-		}
-		saveAuxCell(w, auxKindAblation, cell, auxParams, rec)
 		res.Rows = append(res.Rows, rec.row())
 	}
 
 	section(w, "E6 (extension) — hidden-coordinate attack: Krum vs Bulyan ablation")
 	fmt.Fprintf(w, "n = %d, f = %d, d = %d, attacked coordinate %d, %d trials;\nattackers match the correct mean except for a spike hidden inside Krum's selection radius\n\n",
-		n, f, d, coord, trials)
+		n, f, d, coord, count)
 	tbl := metrics.NewTable("rule", "attacked-coord error", "other-coord error", "byz selected")
 	for _, r := range res.Rows {
 		tbl.AddRowf(r.Rule, r.CoordError, r.RestError, r.ByzSelectedRate)

@@ -1,16 +1,18 @@
 package harness
 
 import (
-	"io"
+	"crypto/sha256"
 	"math"
 	"testing"
 )
 
 func TestRunAblationShape(t *testing.T) {
-	res, err := RunAblation(io.Discard, Quick, 5)
+	h := sha256.New()
+	res, err := RunAblation(h, Quick, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "8947bfda081d0886e1d7f4bb0818010c7fff236ede4dccb34a01ba62b070e24c")
 	bulyan := res.Row("bulyan")
 	avg := res.Row("average")
 	krumRow := res.Row("krum")
@@ -36,10 +38,12 @@ func TestRunAblationShape(t *testing.T) {
 }
 
 func TestRunNonIIDShape(t *testing.T) {
-	res, err := RunNonIID(io.Discard, Quick, 6)
+	h := sha256.New()
+	res, err := RunNonIID(h, Quick, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "3cc77e628a14354c89570422483c42c4ab4ba4fc4d2ff02eba73c7351c8418d3")
 	avg := res.Row("average")
 	krumRow := res.Row("krum")
 	if avg == nil || krumRow == nil {

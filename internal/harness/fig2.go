@@ -46,7 +46,7 @@ type Fig2Result struct {
 // from the true gradient.
 func RunFig2(w io.Writer, scale Scale, seed uint64) (*Fig2Result, error) {
 	const n, d = 13, 10
-	trials := pick(scale, 300, 3000)
+	count := pick(scale, 300, 3000)
 	rng := vec.NewRNG(seed)
 	res := &Fig2Result{N: n}
 
@@ -54,34 +54,12 @@ func RunFig2(w io.Writer, scale Scale, seed uint64) (*Fig2Result, error) {
 		medoidHits, krumHits := 0, 0
 		var medoidDist, krumDist float64
 		krumRule := krum.NewKrum(f)
-		collusion := attack.MedoidCollusion{Offset: 1e4}
 		out := make([]float64, d)
-		for trial := 0; trial < trials; trial++ {
-			// Correct gradients: tight cluster around a random center.
-			center := rng.NewNormal(d, 0, 1)
-			correct := make([][]float64, n-f)
-			for i := range correct {
-				v := vec.Clone(center)
-				for j := range v {
-					v[j] += 0.05 * rng.NormFloat64()
-				}
-				correct[i] = v
-			}
-			ctx := &attack.Context{
-				Round:   trial,
-				Params:  center,
-				Correct: correct,
-				F:       f,
-				RNG:     rng,
-			}
-			byz := collusion.Propose(ctx)
-			proposals := make([][]float64, 0, n)
-			proposals = append(proposals, correct...)
-			proposals = append(proposals, byz...)
-
+		// Correct gradients: a tight cluster around a random center.
+		err := trials(rng, n, f, d, 0.05, attack.MedoidCollusion{Offset: 1e4}, count, func(center []float64, proposals [][]float64) error {
 			medSel, err := (krum.Medoid{}).Select(proposals)
 			if err != nil {
-				return nil, fmt.Errorf("medoid select: %w", err)
+				return fmt.Errorf("medoid select: %w", err)
 			}
 			if medSel[0] >= n-f {
 				medoidHits++
@@ -90,27 +68,31 @@ func RunFig2(w io.Writer, scale Scale, seed uint64) (*Fig2Result, error) {
 
 			krumSel, err := krumRule.Select(proposals)
 			if err != nil {
-				return nil, fmt.Errorf("krum select: %w", err)
+				return fmt.Errorf("krum select: %w", err)
 			}
 			if krumSel[0] >= n-f {
 				krumHits++
 			}
 			if err := krumRule.Aggregate(out, proposals); err != nil {
-				return nil, fmt.Errorf("krum aggregate: %w", err)
+				return fmt.Errorf("krum aggregate: %w", err)
 			}
 			krumDist += vec.Dist(out, center)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig2Row{
 			F:                f,
-			MedoidByzRate:    float64(medoidHits) / float64(trials),
-			KrumByzRate:      float64(krumHits) / float64(trials),
-			MedoidDistortion: medoidDist / float64(trials),
-			KrumDistortion:   krumDist / float64(trials),
+			MedoidByzRate:    float64(medoidHits) / float64(count),
+			KrumByzRate:      float64(krumHits) / float64(count),
+			MedoidDistortion: medoidDist / float64(count),
+			KrumDistortion:   krumDist / float64(count),
 		})
 	}
 
 	section(w, "E2 / Figure 2 — collusion defeats the medoid rule, not Krum")
-	fmt.Fprintf(w, "n = %d workers, %d trials per row; 'byz sel' = P[Byzantine proposal selected],\n'dist' = E‖output − true gradient‖ (correct spread ≈ 0.16)\n\n", n, trials)
+	fmt.Fprintf(w, "n = %d workers, %d trials per row; 'byz sel' = P[Byzantine proposal selected],\n'dist' = E‖output − true gradient‖ (correct spread ≈ 0.16)\n\n", n, count)
 	tbl := metrics.NewTable("f", "medoid byz sel", "medoid dist", "krum byz sel", "krum dist")
 	for _, r := range res.Rows {
 		tbl.AddRowf(r.F, r.MedoidByzRate, r.MedoidDistortion, r.KrumByzRate, r.KrumDistortion)

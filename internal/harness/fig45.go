@@ -52,26 +52,12 @@ func RunAttackFigure(w io.Writer, scale Scale, seed uint64, attackSpec, figName 
 	if err != nil {
 		return nil, fmt.Errorf("attack spec %q: %w", attackSpec, err)
 	}
-	const n = 15
-	f := 4 // 4/15 ≈ 27%, satisfying 2f+2 < n; the paper uses 33% of n=?
-	rounds := pick(scale, 150, 600)
-	evalEvery := pick(scale, 10, 20)
-
 	work, err := newImageWorkload(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-
-	base := scenario.Spec{
-		Workload:  imageWorkloadSpec(scale),
-		Schedule:  figSchedule,
-		N:         n,
-		Rounds:    rounds,
-		BatchSize: pick(scale, 16, 32),
-		Seed:      seed,
-		EvalEvery: evalEvery,
-		EvalBatch: pick(scale, 300, 1000),
-	}
+	base := figBase(scale, seed, 600)
+	n, f := base.N, 4 // 4/15 ≈ 27%, satisfying 2f+2 < n
 	ruleSpecs := []string{"average", fmt.Sprintf("krum(f=%d)", f)}
 	clean := scenario.Matrix{Base: base, Rules: ruleSpecs, Fs: []int{0}}
 	byz := scenario.Matrix{Base: base, Rules: ruleSpecs, Attacks: []string{attackSpec}, Fs: []int{f}}
@@ -106,14 +92,10 @@ func RunAttackFigure(w io.Writer, scale Scale, seed uint64, attackSpec, figName 
 
 	section(w, fmt.Sprintf("%s — %s attack on %s", figName, atk.Name(), work.Description))
 	fmt.Fprintf(w, "n = %d workers, f = %d (%.0f%%) Byzantine when attacked\n\n", n, f, 100*float64(f)/float64(n))
-	xs := make([]float64, len(axis))
-	for i, r := range axis {
-		xs[i] = float64(r)
-	}
 	fig := &metrics.Figure{
 		Title:  "test accuracy vs round",
 		XLabel: "round",
-		X:      xs,
+		X:      xValues(axis),
 		Series: []metrics.Series{
 			{Name: "average 0% byz", Y: curves.AvgClean},
 			{Name: fmt.Sprintf("average %d byz", f), Y: curves.AvgByz},

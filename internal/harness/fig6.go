@@ -39,25 +39,13 @@ type Fig6Result struct {
 // scenario matrices — a clean arm and a Gaussian-attacked arm — run
 // concurrently through one Runner; every axis is a registry spec.
 func RunFig6(w io.Writer, scale Scale, seed uint64) (*Fig6Result, error) {
-	const n, f = 15, 4
-	rounds := pick(scale, 150, 500)
-	evalEvery := pick(scale, 10, 20)
-	target := 0.75
-
+	const f, target = 4, 0.75
 	work, err := newImageWorkload(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	base := scenario.Spec{
-		Workload:  imageWorkloadSpec(scale),
-		Schedule:  figSchedule,
-		N:         n,
-		Rounds:    rounds,
-		BatchSize: pick(scale, 16, 32),
-		Seed:      seed,
-		EvalEvery: evalEvery,
-		EvalBatch: pick(scale, 300, 1000),
-	}
+	base := figBase(scale, seed, 500)
+	n := base.N
 	ms := []int{1, 4, 8, 11, 15}
 	ruleSpecs := make([]string, len(ms))
 	for i, m := range ms {

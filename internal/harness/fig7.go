@@ -34,25 +34,16 @@ type Fig7Result struct {
 // gradient). Batch size is not a matrix axis, so the sweep is an
 // explicit scenario cell list run concurrently through the Runner.
 func RunFig7(w io.Writer, scale Scale, seed uint64) (*Fig7Result, error) {
-	const n, f = 15, 4
-	rounds := pick(scale, 150, 500)
-	evalEvery := pick(scale, 10, 20)
-	smallBatch := 3
+	const f, smallBatch = 4, 3
 	batches := []int{3, 10, 30, 100}
 
 	work, err := newImageWorkload(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	base := scenario.Spec{
-		Workload:  imageWorkloadSpec(scale),
-		Schedule:  figSchedule,
-		N:         n,
-		Rounds:    rounds,
-		Seed:      seed,
-		EvalEvery: evalEvery,
-		EvalBatch: pick(scale, 300, 1000),
-	}
+	// Every cell sets its own batch size.
+	base := figBase(scale, seed, 500)
+	n := base.N
 
 	ref := base
 	ref.Rule = "average"

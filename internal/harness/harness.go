@@ -2,9 +2,9 @@
 // regenerator per lemma/proposition/figure of the paper (and of its full
 // version's evaluation section), as indexed in EXPERIMENTS.md at the
 // repository root (experiment name → paper claim → command). Each
-// experiment returns a machine-checkable summary — the benches and
-// integration tests assert the paper's qualitative claims on it — and
-// renders the tables/series the paper reports.
+// experiment returns a machine-checkable summary — the shape tests
+// assert the paper's qualitative claims on it — and renders the
+// tables/series the paper reports.
 //
 // The experiment grids (rules × attacks × f × seeds) are declared as
 // scenario.Matrix values and executed through scenario.Runner, so the
@@ -18,8 +18,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
+	"krum/attack"
 	"krum/distsgd"
+	"krum/internal/vec"
 	"krum/scenario"
 	"krum/workload"
 )
@@ -59,37 +62,26 @@ type auxResultStore interface {
 	SaveAux(kind string, spec scenario.Spec, params string, result json.RawMessage) error
 }
 
-// auxStore returns the configured store's Monte-Carlo surface, or nil.
-func auxStore() auxResultStore {
-	if as, ok := cellStore.(auxResultStore); ok {
-		return as
-	}
-	return nil
-}
-
-// lookupAuxCell decodes a cached Monte-Carlo cell into out, reporting
-// whether a valid entry existed. Any failure is a miss: the cell
-// recomputes, which is always safe.
-func lookupAuxCell(kind string, spec scenario.Spec, params string, out any) bool {
-	as := auxStore()
-	if as == nil {
-		return false
-	}
-	raw, ok := as.LookupAux(kind, spec, params)
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, out) == nil
-}
-
-// saveAuxCell persists a freshly-computed Monte-Carlo cell. A store
-// failure is reported on the experiment's writer — the result is still
-// valid, only its persistence failed (the same non-fatal treatment
+// monteCarloCell returns the Monte-Carlo cell (kind, spec, params):
+// the configured store's payload when it holds a decodable one (any
+// failure is a miss, and recomputing is always safe), otherwise
+// compute's result, written through. A store failure is reported on
+// the experiment's writer — the result is still valid, only its
+// persistence failed (the same non-fatal treatment
 // scenario.CellResult.StoreErr gets).
-func saveAuxCell(w io.Writer, kind string, spec scenario.Spec, params string, v any) {
-	as := auxStore()
-	if as == nil {
-		return
+func monteCarloCell[T any](w io.Writer, kind string, spec scenario.Spec, params string, compute func() (T, error)) (T, error) {
+	as, _ := cellStore.(auxResultStore)
+	if as != nil {
+		if raw, ok := as.LookupAux(kind, spec, params); ok {
+			var cached T
+			if json.Unmarshal(raw, &cached) == nil {
+				return cached, nil
+			}
+		}
+	}
+	v, err := compute()
+	if err != nil || as == nil {
+		return v, err
 	}
 	raw, err := json.Marshal(v)
 	if err == nil {
@@ -98,10 +90,69 @@ func saveAuxCell(w io.Writer, kind string, spec scenario.Spec, params string, v 
 	if err != nil {
 		fmt.Fprintf(w, "warning: storing %s cell: %v\n", kind, err)
 	}
+	return v, nil
 }
 
-// Scale selects experiment size: Quick runs in seconds (CI, tests,
-// benches), Full approaches the paper's operating point (minutes).
+// trials runs count aggregation-level Monte-Carlo trials. Each draws a
+// centre from N(0, I_d), then n−f correct proposals around it (every
+// coordinate perturbed by sigma·N(0, 1)), then atk's f proposals, all
+// from rng in that order, and hands observe the centre and the n
+// proposals, correct ones first.
+func trials(rng *vec.RNG, n, f, d int, sigma float64, atk attack.Strategy, count int, observe func(center []float64, proposals [][]float64) error) error {
+	for trial := 0; trial < count; trial++ {
+		center := rng.NewNormal(d, 0, 1)
+		proposals := make([][]float64, n-f, n)
+		for i := range proposals {
+			v := vec.Clone(center)
+			for j := range v {
+				v[j] += sigma * rng.NormFloat64()
+			}
+			proposals[i] = v
+		}
+		byz := atk.Propose(&attack.Context{Round: trial, Params: center, Correct: proposals, F: f, RNG: rng})
+		if err := observe(center, append(proposals, byz...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selectsByzantine reports whether a selection includes a Byzantine
+// proposal (index ≥ honest: trials puts the correct ones first).
+func selectsByzantine(indices []int, honest int) bool {
+	return slices.ContainsFunc(indices, func(i int) bool { return i >= honest })
+}
+
+// segmented runs cfg for rounds rounds, every rounds at a time from
+// cfg.Model's parameters, seeding the segment that starts at round done
+// with seed+done, and calls measure on the parameters before the first
+// segment and after each one.
+func segmented(cfg distsgd.Config, rounds, every int, seed uint64, measure func(params []float64, round int) error) error {
+	params := cfg.Model.Params(nil)
+	if err := measure(params, 0); err != nil {
+		return err
+	}
+	cur := cfg.Model.Clone()
+	cfg.Model, cfg.Rounds = cur, every
+	for done := 0; done < rounds; done += every {
+		if err := cur.SetParams(params); err != nil {
+			return err
+		}
+		cfg.Seed = seed + uint64(done)
+		out, err := distsgd.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("segment at round %d: %w", done, err)
+		}
+		params = out.FinalParams
+		if err := measure(params, done+every); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Scale selects experiment size: Quick runs in seconds (CI, tests),
+// Full approaches the paper's operating point (minutes).
 type Scale int
 
 // Supported scales (start at 1 per the style guide).
@@ -142,6 +193,32 @@ const figSchedule = "inverset(gamma=0.5,power=0.75,t0=200)"
 // width scale with the experiment scale.
 func imageWorkloadSpec(s Scale) string {
 	return fmt.Sprintf("mnist(size=%d,hidden=%d)", pick(s, 10, 16), pick(s, 16, 48))
+}
+
+// figBase is the cell the image-workload figures (fig4/5, fig6, fig7,
+// staleness) build their arms from: n = 15 workers on the image
+// workload under figSchedule, 150 rounds at Quick scale and fullRounds
+// at Full.
+func figBase(s Scale, seed uint64, fullRounds int) scenario.Spec {
+	return scenario.Spec{
+		Workload:  imageWorkloadSpec(s),
+		Schedule:  figSchedule,
+		N:         15,
+		Rounds:    pick(s, 150, fullRounds),
+		BatchSize: pick(s, 16, 32),
+		Seed:      seed,
+		EvalEvery: pick(s, 10, 20),
+		EvalBatch: pick(s, 300, 1000),
+	}
+}
+
+// xValues converts a round axis to figure X values.
+func xValues(rounds []int) []float64 {
+	xs := make([]float64, len(rounds))
+	for i, r := range rounds {
+		xs[i] = float64(r)
+	}
+	return xs
 }
 
 // newImageWorkload builds the figure experiments' workload through the

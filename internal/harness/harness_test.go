@@ -1,19 +1,39 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"hash"
 	"io"
 	"strings"
 	"testing"
 )
 
 // The harness tests ARE the reproduction's shape checks: each asserts
-// the paper's qualitative claim on the quick-scale experiment.
+// the paper's qualitative claim on the quick-scale experiment. Every
+// deterministic one also pins what the experiment renders (checkRendered);
+// lemma41's output is timings, so it has no golden.
+
+// checkRendered fails t unless h, the SHA-256 of everything an
+// experiment wrote, is want. The hashes were taken from the
+// krum-experiments binary's -scale quick output at each test's seed, and
+// go, sse2 and avx2 kernel tiers render the same bytes there. There is
+// no update flag: a change that means to move an experiment's output
+// re-pins its hash by hand, and says why.
+func checkRendered(t *testing.T, h hash.Hash, want string) {
+	t.Helper()
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("rendered output sha256 %s, want %s", got, want)
+	}
+}
 
 func TestRunLemma31Shape(t *testing.T) {
-	res, err := RunLemma31(io.Discard, Quick, 1)
+	h := sha256.New()
+	res, err := RunLemma31(h, Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "5787d23f17b318283b03bb05aa865109b34aa7d43623d547a7a0469739df858b")
 	// The attacker controls the linear rule's output exactly.
 	if res.ForcedUpdateError > 1e-6 {
 		t.Errorf("forced update error %v, want ≈ 0", res.ForcedUpdateError)
@@ -31,10 +51,12 @@ func TestRunLemma31Shape(t *testing.T) {
 }
 
 func TestRunFig2Shape(t *testing.T) {
-	res, err := RunFig2(io.Discard, Quick, 2)
+	h := sha256.New()
+	res, err := RunFig2(h, Quick, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "9f0ab241af791c999915db5946ff8ff057e6f5362d4a85ec28be2c26ac26fa94")
 	if len(res.Rows) != 4 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -102,10 +124,12 @@ func TestRunLemma41Shape(t *testing.T) {
 }
 
 func TestRunProp42Shape(t *testing.T) {
-	res, err := RunProp42(io.Discard, Quick, 4)
+	h := sha256.New()
+	res, err := RunProp42(h, Quick, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "3705f730572f13cc401a8decdb6ff85f5954e8398f398c478cb306998b321c53")
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -131,10 +155,12 @@ func TestRunProp42Shape(t *testing.T) {
 }
 
 func TestRunProp43Shape(t *testing.T) {
-	res, err := RunProp43(io.Discard, Quick, 5)
+	h := sha256.New()
+	res, err := RunProp43(h, Quick, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "4eb4deac98336408ade830afe4075e3882014c7af773edaa9c0f368f4e3d8ccc")
 	if len(res.GradNorm) < 5 {
 		t.Fatalf("%d measurements", len(res.GradNorm))
 	}
@@ -158,18 +184,22 @@ func TestRunProp43Shape(t *testing.T) {
 }
 
 func TestRunFig4Shape(t *testing.T) {
-	res, err := RunFig4(io.Discard, Quick, 6)
+	h := sha256.New()
+	res, err := RunFig4(h, Quick, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "f84809d3759a5eb00b91edb27df6d6a0518a6ed173ab37c7d2fe080a2bcfd95e")
 	assertAttackCurves(t, res)
 }
 
 func TestRunFig5Shape(t *testing.T) {
-	res, err := RunFig5(io.Discard, Quick, 7)
+	h := sha256.New()
+	res, err := RunFig5(h, Quick, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "c893b6b7c53493c2cd470f1800fe4070c63b7381fed06e1bb45df1bd80e19af2")
 	assertAttackCurves(t, res)
 }
 
@@ -201,10 +231,12 @@ func assertAttackCurves(t *testing.T, res *AttackCurves) {
 }
 
 func TestRunFig6Shape(t *testing.T) {
-	res, err := RunFig6(io.Discard, Quick, 8)
+	h := sha256.New()
+	res, err := RunFig6(h, Quick, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "c078f8a5d698100ab2b710ca12d2613c5204cf95110ca750f1f5f2ae05c3b5af")
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -229,10 +261,12 @@ func TestRunFig6Shape(t *testing.T) {
 }
 
 func TestRunFig7Shape(t *testing.T) {
-	res, err := RunFig7(io.Discard, Quick, 9)
+	h := sha256.New()
+	res, err := RunFig7(h, Quick, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "94ee7c46c567f8d11ffa48b5676306cd9c5e915618f113985ec67d4a72d8e02b")
 	if len(res.Rows) != 4 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -252,10 +286,12 @@ func TestRunFig7Shape(t *testing.T) {
 }
 
 func TestRunTable1Shape(t *testing.T) {
-	res, err := RunTable1(io.Discard, Quick, 10)
+	h := sha256.New()
+	res, err := RunTable1(h, Quick, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "bc436edf2c78588030973aadf5dedeacf232b0df7cc9034d25837d21a307cb04")
 	// Krum rejects every value-distorting attack.
 	for _, atk := range []string{"gaussian(sigma=200)", "omniscient(scale=20)", "signflip", "medoidcollusion(offset=10000)"} {
 		cell := res.Cell(atk, "krum")
@@ -274,21 +310,6 @@ func TestRunTable1Shape(t *testing.T) {
 	// the cells must exist.
 	if res.Cell("mimic", "krum") == nil {
 		t.Error("missing mimic cell")
-	}
-}
-
-func TestExperimentOutputRenders(t *testing.T) {
-	// The textual output paths (tables, figures, ASCII charts) must not
-	// error and must mention the key labels.
-	var sb strings.Builder
-	if _, err := RunFig2(&sb, Quick, 11); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Figure 2", "medoid", "krum"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"krum"
 	"krum/attack"
@@ -33,8 +34,7 @@ type Lemma31Result struct {
 	KrumDiverged bool
 }
 
-// RunLemma31 executes E1 and renders its table to w (pass io.Discard
-// for benches).
+// RunLemma31 executes E1 and renders its table to w.
 func RunLemma31(w io.Writer, scale Scale, seed uint64) (*Lemma31Result, error) {
 	const n, f = 11, 1
 	rounds := pick(scale, 120, 400)
@@ -74,32 +74,28 @@ func RunLemma31(w io.Writer, scale Scale, seed uint64) (*Lemma31Result, error) {
 		EvalEvery: rounds / 4,
 	}
 
-	res := &Lemma31Result{}
-
-	avgCfg := base
-	avgCfg.Rule = krum.Average{}
-	avgRun, err := distsgd.Run(avgCfg)
-	if err != nil {
-		return nil, fmt.Errorf("averaging run: %w", err)
+	// The same takeover against the linear rule, then against Krum.
+	var runs []*distsgd.Result
+	for _, rule := range []krum.Rule{krum.Average{}, krum.NewKrum(f)} {
+		cfg := base
+		cfg.Rule = rule
+		run, err := distsgd.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s run: %w", rule.Name(), err)
+		}
+		runs = append(runs, run)
 	}
-	res.AverageDiverged = avgRun.Diverged
-	res.AverageFinalAccuracy = avgRun.FinalTestAccuracy
+	avgRun, krumRun := runs[0], runs[1]
 	// The forced output has norm ‖U‖ = 1e6·√d; measure relative error
 	// on round 0.
 	forcedNorm := vec.Norm(target)
-	res.ForcedUpdateError = (avgRun.History[0].UpdateNorm - forcedNorm) / forcedNorm
-	if res.ForcedUpdateError < 0 {
-		res.ForcedUpdateError = -res.ForcedUpdateError
+	res := &Lemma31Result{
+		ForcedUpdateError:    math.Abs(avgRun.History[0].UpdateNorm-forcedNorm) / forcedNorm,
+		AverageDiverged:      avgRun.Diverged,
+		AverageFinalAccuracy: avgRun.FinalTestAccuracy,
+		KrumFinalAccuracy:    krumRun.FinalTestAccuracy,
+		KrumDiverged:         krumRun.Diverged,
 	}
-
-	krumCfg := base
-	krumCfg.Rule = krum.NewKrum(f)
-	krumRun, err := distsgd.Run(krumCfg)
-	if err != nil {
-		return nil, fmt.Errorf("krum run: %w", err)
-	}
-	res.KrumDiverged = krumRun.Diverged
-	res.KrumFinalAccuracy = krumRun.FinalTestAccuracy
 
 	section(w, "E1 / Lemma 3.1 — one Byzantine worker controls any linear rule")
 	fmt.Fprintf(w, "n = %d workers, f = %d Byzantine, attack = forced U with ‖U‖ = %.3g\n\n", n, f, forcedNorm)

@@ -72,7 +72,8 @@ func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 		rule := krum.NewKrum((n - 3) / 2)
 		dst := make([]float64, d)
 
-		// Calibrate repetitions to ≈ 20ms of work.
+		// Calibrate repetitions to ≈ 20ms of work (a call under the
+		// clock's resolution times as 0, hence the extra nanosecond).
 		reps := 1
 		start := time.Now()
 		if err := rule.Aggregate(dst, vectors); err != nil {
@@ -80,10 +81,7 @@ func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 		}
 		per := time.Since(start)
 		if per < 20*time.Millisecond {
-			reps = int(20*time.Millisecond/per.Round(time.Nanosecond)) + 1
-			if reps > 2000 {
-				reps = 2000
-			}
+			reps = min(int(20*time.Millisecond/(per+time.Nanosecond))+1, 2000)
 		}
 		start = time.Now()
 		for r := 0; r < reps; r++ {

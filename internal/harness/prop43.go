@@ -57,29 +57,17 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 	truth := stream.TruthParams()
 
 	// Large reference batch to measure the true gradient ∇Q(x_t).
-	refRNG := vec.NewRNG(seed + 99)
-	refX, refY, err := data.NewBatch(stream, refRNG, 4000)
+	refX, refY, err := data.NewBatch(stream, vec.NewRNG(seed+99), 4000)
 	if err != nil {
 		return nil, err
 	}
-	probe := m.Clone()
-	gradBuf := make([]float64, m.Dim())
+	gradNorm := refGradNorm(m, refX, refY)
 
+	// Segmented execution: run evalEvery rounds at a time (fresh
+	// randomness per segment), measuring ∇Q exactly between segments
+	// on the reference batch.
 	res := &Prop43Result{}
-	measure := func(params []float64, round int) error {
-		if err := probe.SetParams(params); err != nil {
-			return err
-		}
-		if _, err := probe.Gradient(gradBuf, refX, refY); err != nil {
-			return err
-		}
-		res.Rounds = append(res.Rounds, round)
-		res.GradNorm = append(res.GradNorm, vec.Norm(gradBuf))
-		res.ParamError = append(res.ParamError, vec.Dist(params, truth))
-		return nil
-	}
-
-	cfg := distsgd.Config{
+	err = segmented(distsgd.Config{
 		Model:     m,
 		Dataset:   stream,
 		Rule:      krum.NewKrum(f),
@@ -87,33 +75,16 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 		F:         f,
 		BatchSize: 16,
 		Schedule:  krum.ScheduleInverseTStretched(0.3, 0.75, 40),
-		Rounds:    rounds,
 		Attack:    attack.Omniscient{Scale: 25},
-		Seed:      seed,
-	}
-	// Segmented execution: run evalEvery rounds at a time, measuring
-	// ∇Q exactly between segments on the reference batch.
-	params := m.Params(nil)
-	if err := measure(params, 0); err != nil {
+	}, rounds, evalEvery, seed, func(params []float64, round int) error {
+		g, err := gradNorm(params)
+		res.Rounds = append(res.Rounds, round)
+		res.GradNorm = append(res.GradNorm, g)
+		res.ParamError = append(res.ParamError, vec.Dist(params, truth))
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	seg := cfg
-	seg.Rounds = evalEvery
-	cur := m.Clone()
-	for done := 0; done < rounds; done += evalEvery {
-		if err := cur.SetParams(params); err != nil {
-			return nil, err
-		}
-		seg.Model = cur
-		seg.Seed = seed + uint64(done) // fresh randomness per segment
-		out, err := distsgd.Run(seg)
-		if err != nil {
-			return nil, fmt.Errorf("segment at round %d: %w", done, err)
-		}
-		params = out.FinalParams
-		if err := measure(params, done+evalEvery); err != nil {
-			return nil, err
-		}
 	}
 
 	res.InitialGradNorm = res.GradNorm[0]
@@ -137,19 +108,8 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mlpProbe := mlp.Clone()
-	mlpGrad := make([]float64, mlp.Dim())
-	measureMLP := func(params []float64) error {
-		if err := mlpProbe.SetParams(params); err != nil {
-			return err
-		}
-		if _, err := mlpProbe.Gradient(mlpGrad, mlpRefX, mlpRefY); err != nil {
-			return err
-		}
-		res.NonConvexGradNorm = append(res.NonConvexGradNorm, vec.Norm(mlpGrad))
-		return nil
-	}
-	mlpSeg := distsgd.Config{
+	mlpGradNorm := refGradNorm(mlp, mlpRefX, mlpRefY)
+	err = segmented(distsgd.Config{
 		Model:     mlp,
 		Dataset:   mix,
 		Rule:      krum.NewKrum(f),
@@ -157,28 +117,14 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 		F:         f,
 		BatchSize: 16,
 		Schedule:  krum.ScheduleInverseTStretched(0.5, 0.75, 60),
-		Rounds:    evalEvery,
 		Attack:    attack.Omniscient{Scale: 25},
-	}
-	mlpParams := mlp.Params(nil)
-	if err := measureMLP(mlpParams); err != nil {
-		return nil, err
-	}
-	mlpCur := mlp.Clone()
-	for done := 0; done < rounds; done += evalEvery {
-		if err := mlpCur.SetParams(mlpParams); err != nil {
-			return nil, err
-		}
-		mlpSeg.Model = mlpCur
-		mlpSeg.Seed = seed + 100 + uint64(done)
-		out, err := distsgd.Run(mlpSeg)
-		if err != nil {
-			return nil, fmt.Errorf("MLP segment at round %d: %w", done, err)
-		}
-		mlpParams = out.FinalParams
-		if err := measureMLP(mlpParams); err != nil {
-			return nil, err
-		}
+	}, rounds, evalEvery, seed+100, func(params []float64, _ int) error {
+		g, err := mlpGradNorm(params)
+		res.NonConvexGradNorm = append(res.NonConvexGradNorm, g)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("MLP: %w", err)
 	}
 	first := res.NonConvexGradNorm[0]
 	last := res.NonConvexGradNorm[len(res.NonConvexGradNorm)-1]
@@ -188,14 +134,10 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 
 	section(w, "E5 / Proposition 4.3 — convergence to the flat basin under attack")
 	fmt.Fprintf(w, "quadratic cost (linear regression d=%d), n = %d, f = %d omniscient attackers,\nγ_t = 0.3/(1+t/40)^0.75 (Robbins–Monro)\n\n", m.Dim(), n, f)
-	xs := make([]float64, len(res.Rounds))
-	for i, r := range res.Rounds {
-		xs[i] = float64(r)
-	}
 	fig := &metrics.Figure{
 		Title:  "‖∇Q(x_t)‖ and ‖x_t − x*‖ vs round",
 		XLabel: "round",
-		X:      xs,
+		X:      xValues(res.Rounds),
 		Series: []metrics.Series{
 			{Name: "grad norm", Y: res.GradNorm},
 			{Name: "param error", Y: res.ParamError},
@@ -209,4 +151,18 @@ func RunProp43(w io.Writer, scale Scale, seed uint64) (*Prop43Result, error) {
 	fmt.Fprintf(w, "non-convex (MLP, d=%d, tanh): ‖∇Q‖ %.4g → %.4g (×%.3g) under the same attack —\nthe parameter vector reaches the \"almost flat\" basin the proposition promises.\n",
 		mlp.Dim(), res.NonConvexGradNorm[0], res.NonConvexGradNorm[len(res.NonConvexGradNorm)-1], res.NonConvexReduction)
 	return res, nil
+}
+
+// refGradNorm returns ‖∇Q(params)‖ for m's architecture on the fixed
+// reference batch (x, y), measured on a private clone of m.
+func refGradNorm(m model.Model, x, y *vec.Dense) func(params []float64) (float64, error) {
+	probe := m.Clone()
+	grad := make([]float64, m.Dim())
+	return func(params []float64) (float64, error) {
+		if err := probe.SetParams(params); err != nil {
+			return 0, err
+		}
+		_, err := probe.Gradient(grad, x, y)
+		return vec.Norm(grad), err
+	}
 }

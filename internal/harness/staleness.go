@@ -50,21 +50,12 @@ func stalenessArrivals() []string {
 // replay is exactly the partial-update traffic the cache converts into
 // row updates, and the sweep reports the observed build/update split.
 func RunStaleness(w io.Writer, scale Scale, seed uint64) (*StalenessSweep, error) {
-	const n = 15
-	f := 4
+	const f = 4
 	arrivals := stalenessArrivals()
 
-	base := scenario.Spec{
-		Workload:    imageWorkloadSpec(scale),
-		Schedule:    figSchedule,
-		N:           n,
-		Rounds:      pick(scale, 150, 600),
-		BatchSize:   pick(scale, 16, 32),
-		Seed:        seed,
-		EvalEvery:   pick(scale, 10, 20),
-		EvalBatch:   pick(scale, 300, 1000),
-		Incremental: true,
-	}
+	base := figBase(scale, seed, 600)
+	base.Incremental = true
+	n := base.N
 	avgArm := scenario.Matrix{Base: base, Rules: []string{"average"}, Arrivals: arrivals, Fs: []int{0}}
 	krumBase := base
 	krumBase.TrackSelection = true

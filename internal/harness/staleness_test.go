@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"io"
+	"crypto/sha256"
 	"testing"
 )
 
@@ -10,10 +10,12 @@ import (
 // staleness does not destroy Krum's resilience outright, and the async
 // cells actually drove the incremental cache's row-update path.
 func TestRunStalenessShape(t *testing.T) {
-	res, err := RunStaleness(io.Discard, Quick, 9)
+	h := sha256.New()
+	res, err := RunStaleness(h, Quick, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRendered(t, h, "c942a171f67cba27587ed6da9c6f5360e664393a584b58c35cc4dd11f85013da")
 	if len(res.Arrivals) < 4 || res.Arrivals[0] != "sync" {
 		t.Fatalf("arrival grid %v, want sync first and at least 4 entries", res.Arrivals)
 	}

@@ -34,12 +34,10 @@ type Table1Result struct {
 	Cells []Table1Cell
 }
 
-// Table1Matrix declares the T1 grid — every selection rule against
-// every attack — as a scenario matrix of registry spec strings. Both
-// the flag-driven table1 experiment and JSON config files expand this
-// same matrix, so the two invocation paths are literally one code path.
+// table1Matrix declares the T1 grid — every selection rule against
+// every attack — as a scenario matrix of registry spec strings.
 // DeriveSeeds decorrelates the cells' Monte-Carlo streams.
-func Table1Matrix(seed uint64) scenario.Matrix {
+func table1Matrix(seed uint64) scenario.Matrix {
 	return scenario.Matrix{
 		Base:  scenario.Spec{Name: "table1", N: 13, F: 3, Seed: seed},
 		Rules: []string{"krum", "multikrum(m=4)", "medoid", "minimaldiameter", "bulyan"},
@@ -58,17 +56,17 @@ func Table1Matrix(seed uint64) scenario.Matrix {
 
 // RunTable1 measures how often each selection rule picks a Byzantine
 // proposal under each attack, at the aggregation level (tight correct
-// cluster, unit-scale gradients). The grid comes from Table1Matrix;
+// cluster, unit-scale gradients). The grid comes from table1Matrix;
 // each cell runs its own deterministically-seeded Monte-Carlo loop —
 // a pure function of its spec plus (d, trials), which is what lets a
 // configured result store (SetStore) cache the cells: a warm rerun
 // replays every cell with zero Monte-Carlo work.
 func RunTable1(w io.Writer, scale Scale, seed uint64) (*Table1Result, error) {
 	const d = 12
-	trials := pick(scale, 200, 2000)
-	auxParams := fmt.Sprintf("d=%d,trials=%d", d, trials)
+	count := pick(scale, 200, 2000)
+	auxParams := fmt.Sprintf("d=%d,trials=%d", d, count)
 
-	m := Table1Matrix(seed)
+	m := table1Matrix(seed)
 	n, f := m.Base.N, m.Base.F
 	res := &Table1Result{N: n, F: f}
 	for _, cell := range m.Cells() {
@@ -84,52 +82,28 @@ func RunTable1(w io.Writer, scale Scale, seed uint64) (*Table1Result, error) {
 		if !ok {
 			continue
 		}
-		var cached Table1Cell
-		if lookupAuxCell(auxKindTable1, cell, auxParams, &cached) {
-			res.Cells = append(res.Cells, cached)
-			continue
-		}
-		rng := vec.NewRNG(cell.Seed)
-		hits := 0
-		for trial := 0; trial < trials; trial++ {
-			center := rng.NewNormal(d, 0, 1)
-			correct := make([][]float64, n-f)
-			for i := range correct {
-				v := vec.Clone(center)
-				for j := range v {
-					v[j] += 0.1 * rng.NormFloat64()
+		c, err := monteCarloCell(w, auxKindTable1, cell, auxParams, func() (Table1Cell, error) {
+			hits := 0
+			err := trials(vec.NewRNG(cell.Seed), n, f, d, 0.1, atk, count, func(_ []float64, proposals [][]float64) error {
+				indices, err := sel.Select(proposals)
+				if err != nil {
+					return fmt.Errorf("%s under %s: %w", rule.Name(), atk.Name(), err)
 				}
-				correct[i] = v
-			}
-			ctx := &attack.Context{
-				Round: trial, Params: center, Correct: correct, F: f, RNG: rng,
-			}
-			byz := atk.Propose(ctx)
-			proposals := make([][]float64, 0, n)
-			proposals = append(proposals, correct...)
-			proposals = append(proposals, byz...)
-			indices, err := sel.Select(proposals)
-			if err != nil {
-				return nil, fmt.Errorf("%s under %s: %w", rule.Name(), atk.Name(), err)
-			}
-			for _, idx := range indices {
-				if idx >= n-f {
+				if selectsByzantine(indices, n-f) {
 					hits++
-					break
 				}
-			}
+				return nil
+			})
+			return Table1Cell{Attack: atk.Name(), Rule: rule.Name(), ByzSelectedRate: float64(hits) / float64(count)}, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		computed := Table1Cell{
-			Attack:          atk.Name(),
-			Rule:            rule.Name(),
-			ByzSelectedRate: float64(hits) / float64(trials),
-		}
-		saveAuxCell(w, auxKindTable1, cell, auxParams, computed)
-		res.Cells = append(res.Cells, computed)
+		res.Cells = append(res.Cells, c)
 	}
 
 	section(w, "T1 — Byzantine-selection rate per (attack × rule)")
-	fmt.Fprintf(w, "n = %d, f = %d, %d trials per cell; entries are P[rule selects a Byzantine proposal]\n", n, f, trials)
+	fmt.Fprintf(w, "n = %d, f = %d, %d trials per cell; entries are P[rule selects a Byzantine proposal]\n", n, f, count)
 	fmt.Fprintf(w, "(mimic replays honest values — selecting it is harmless, which the table makes visible)\n\n")
 	tbl := metrics.NewTable("attack", "rule", "byz selected")
 	for _, c := range res.Cells {

@@ -1,5 +1,5 @@
 // Package metrics provides the reporting primitives for the experiment
-// harness: aligned text tables, CSV output, shared-axis series blocks
+// harness: aligned text tables, shared-axis series blocks
 // (the textual equivalent of the paper's figures) and a minimal ASCII
 // chart for quick terminal inspection.
 package metrics
@@ -27,14 +27,9 @@ func NewTable(headers ...string) *Table {
 	return &Table{headers: append([]string(nil), headers...)}
 }
 
-// AddRow appends a row; missing cells render empty, extra cells are an
-// error at render time.
-func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, append([]string(nil), cells...))
-}
-
 // AddRowf appends a row of formatted values: each argument is rendered
-// with %v for strings/ints and %.4g for floats.
+// with %v for strings/ints and %.4g for floats. Missing cells render
+// empty, extra cells are an error at render time.
 func (t *Table) AddRowf(values ...interface{}) {
 	row := make([]string, len(values))
 	for i, v := range values {
@@ -96,31 +91,6 @@ func (t *Table) Render(w io.Writer) error {
 		sb.WriteString(strings.Repeat("-", w))
 	}
 	sb.WriteString("\n")
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// RenderCSV writes the table as comma-separated values (cells are
-// quoted when they contain commas or quotes).
-func (t *Table) RenderCSV(w io.Writer) error {
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				sb.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				sb.WriteString(c)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(t.headers)
 	for _, row := range t.rows {
 		writeRow(row)
 	}

@@ -9,8 +9,8 @@ import (
 
 func TestTableRenderAlignment(t *testing.T) {
 	tbl := NewTable("rule", "accuracy")
-	tbl.AddRow("krum", "0.95")
-	tbl.AddRow("average", "0.12")
+	tbl.AddRowf("krum", "0.95")
+	tbl.AddRowf("average", "0.12")
 	var sb strings.Builder
 	if err := tbl.Render(&sb); err != nil {
 		t.Fatal(err)
@@ -55,23 +55,9 @@ func TestTableAddRowf(t *testing.T) {
 
 func TestTableTooManyCells(t *testing.T) {
 	tbl := NewTable("one")
-	tbl.AddRow("a", "b")
+	tbl.AddRowf("a", "b")
 	if err := tbl.Render(&strings.Builder{}); !errors.Is(err, ErrBadSeries) {
 		t.Errorf("extra cells accepted: %v", err)
-	}
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tbl := NewTable("name", "value")
-	tbl.AddRow("plain", "1")
-	tbl.AddRow("with,comma", `with"quote`)
-	var sb strings.Builder
-	if err := tbl.RenderCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "name,value\nplain,1\n\"with,comma\",\"with\"\"quote\"\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
 	}
 }
 
