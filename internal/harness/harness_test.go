@@ -313,6 +313,21 @@ func TestRunTable1Shape(t *testing.T) {
 	}
 }
 
+func TestExperimentOutputRenders(t *testing.T) {
+	// The textual output paths (tables, figures, ASCII charts) must not
+	// error and must mention the key labels.
+	var sb strings.Builder
+	if _, err := RunFig2(&sb, Quick, 11); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"Figure 2", "medoid", "krum"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
 func TestScaleString(t *testing.T) {
 	if Quick.String() != "quick" || Full.String() != "full" {
 		t.Error("scale names")
