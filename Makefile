@@ -71,12 +71,13 @@ bench-module-test:
 # scenario runner, the fanned-out distance build, and the cross-round
 # cache all carry determinism contracts that only mean something if
 # they are also data-race-free. The build fans out only where
-# GOMAXPROCS allows, so the second, seconds-long pass runs the two
-# packages that own it at -cpu 1,4: both sides of that choice, whatever
-# the runner's core count.
+# GOMAXPROCS allows, so the second pass runs the packages that own it
+# and its one caller at -cpu 1,4 — both sides of that choice, whatever
+# the runner's core count — in shuffled order: each test's distance
+# counts are its own engine's, so no test may depend on another's.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 1 -cpu 1,4 ./internal/vec ./internal/core
+	$(GO) test -race -count 1 -shuffle on -cpu 1,4 ./internal/vec ./internal/core ./distsgd
 
 # shard-tests is the distributed-execution gate: the coordinator +
 # in-process-worker-fleet integration tests (sync and async-arrival

@@ -120,7 +120,7 @@ func runChaos(t *testing.T, m scenario.Matrix) {
 	}
 
 	st := store.NewMemory()
-	srv := NewServer(4, st, chaosLease)
+	srv := NewServer(Options{Workers: 4, Store: st, Lease: chaosLease})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -175,7 +175,7 @@ func TestChaosCoordinatorKillMidMatrix(t *testing.T) {
 	addr := ln1.Addr().String()
 	base := "http://" + addr
 	st1 := openStore()
-	srv1 := NewServer(3, st1, chaosLease)
+	srv1 := NewServer(Options{Workers: 3, Store: st1, Lease: chaosLease})
 	if _, err := srv1.UseJournal(journalPath); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChaosCoordinatorKillMidMatrix(t *testing.T) {
 	}
 	st2 := openStore()
 	defer st2.Close()
-	srv2 := NewServer(3, st2, chaosLease)
+	srv2 := NewServer(Options{Workers: 3, Store: st2, Lease: chaosLease})
 	resumed, err := srv2.UseJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)

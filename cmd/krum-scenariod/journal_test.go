@@ -188,7 +188,7 @@ func TestJournalParentFormatReplays(t *testing.T) {
 	if err := os.WriteFile(path, []byte(parentJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	defer srv.Stop()
 	resumed, err := srv.UseJournal(path)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestJournalParentFormatReplays(t *testing.T) {
 // of reach the lag is exactly 2.
 func TestJournalTwoEventsPerMatrix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coordinator.journal")
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	defer srv.Stop()
 	if _, err := srv.UseJournal(path); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestJournalServerResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	resumed, err := srv.UseJournal(path)
 	if err != nil {
 		t.Fatal(err)

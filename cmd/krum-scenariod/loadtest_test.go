@@ -111,7 +111,7 @@ func TestLoadMultiTenant(t *testing.T) {
 	}
 
 	st := store.NewMemory()
-	srv := NewServerOptions(Options{
+	srv := NewServer(Options{
 		// A pool far wider than the cell count, so every cell reaches
 		// the fleet queues instead of waiting on the coordinator's own
 		// semaphore — the fleet's scheduling is what this test measures.

@@ -193,7 +193,7 @@ func runCoordinator(ctx context.Context, stdout, stderr io.Writer, addr string, 
 		fmt.Fprintf(stderr, "listen: %v\n", err)
 		return 1
 	}
-	srv := NewServerOptions(opts)
+	srv := NewServer(opts)
 	if journalPath != "" {
 		resumed, err := srv.UseJournal(journalPath)
 		if err != nil {

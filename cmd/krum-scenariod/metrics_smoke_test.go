@@ -60,7 +60,7 @@ func TestShardMetricsAndBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := NewServerOptions(Options{
+	srv := NewServer(Options{
 		Workers:            1, // serialize cells so the first matrix stays pending
 		Store:              st,
 		TenantPendingCells: map[string]int{"quota-tenant": 1},

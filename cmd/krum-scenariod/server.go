@@ -132,7 +132,7 @@ const (
 	defaultMaxActiveMatrices = 1024
 )
 
-// Options configures NewServerOptions. Every zero field takes a
+// Options configures NewServer. Every zero field takes a
 // sensible default (NumCPU pool, 10s fleet lease, default admission
 // limits) except Store, which the caller must always supply.
 type Options struct {
@@ -160,17 +160,8 @@ type Options struct {
 	TenantPendingCells map[string]int
 }
 
-// NewServer builds a Server with the given shared pool width (0 means
-// runtime.NumCPU()), result store (use store.NewMemory() for a
-// non-persistent service) and fleet liveness lease (0 means 10s; only
-// relevant once workers join). Admission limits take their defaults;
-// use NewServerOptions to set them.
-func NewServer(workers int, st scenario.ResultStore, lease time.Duration) *Server {
-	return NewServerOptions(Options{Workers: workers, Store: st, Lease: lease})
-}
-
-// NewServerOptions builds a Server from the full option set.
-func NewServerOptions(opts Options) *Server {
+// NewServer builds a Server from its options.
+func NewServer(opts Options) *Server {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -389,24 +380,6 @@ func (s *Server) snapshot() checkpoint {
 // that the expanded spec slice cannot threaten the process.
 const maxCells = 100_000
 
-// tooManyCells reports whether the matrix would expand past maxCells,
-// without expanding it (overflow-safe: the running product exits as
-// soon as it crosses the cap).
-func tooManyCells(m scenario.Matrix) bool {
-	size := 1
-	for _, axis := range []int{
-		len(m.Workloads), len(m.Rules), len(m.Attacks), len(m.Fs), len(m.Seeds),
-	} {
-		if axis > 0 {
-			size *= axis
-		}
-		if size > maxCells {
-			return true
-		}
-	}
-	return false
-}
-
 // submitRequest is the POST /matrices body: a scenario.Matrix plus the
 // optional multi-tenancy envelope. The Matrix embeds, so its fields
 // stay top-level and every pre-tenancy submission body parses
@@ -607,10 +580,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bound the grid BEFORE expanding it: a few KB of JSON can declare
 	// a cartesian product of billions of cells, and materializing it
-	// would take the whole service down. The product is computed with
-	// early exit, so oversized (even int-overflowing) axis combinations
+	// would take the whole service down. Size saturates instead of
+	// wrapping, so oversized (even int-overflowing) axis combinations
 	// are rejected without allocating anything.
-	if tooManyCells(m) {
+	if m.Size() > maxCells {
 		http.Error(w, fmt.Sprintf("matrix expands to more than %d cells", maxCells), http.StatusBadRequest)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func encodeResult(t *testing.T, r any) string {
 // the interleaving across matrices changes nothing.
 func TestServerConcurrentMatricesShareStoreAndPool(t *testing.T) {
 	st := store.NewMemory()
-	srv := NewServer(2, st, 0)
+	srv := NewServer(Options{Workers: 2, Store: st})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -169,7 +170,7 @@ func TestServerConcurrentMatricesShareStoreAndPool(t *testing.T) {
 // TestServerStreamReplaysCompletionOrder reads the NDJSON stream of a
 // finished matrix and expects every cell exactly once.
 func TestServerStreamReplaysCompletionOrder(t *testing.T) {
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -210,7 +211,7 @@ func TestServerResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := NewServer(2, st1, 0)
+	srv1 := NewServer(Options{Workers: 2, Store: st1})
 	ts1 := httptest.NewServer(srv1)
 	body := matrixBody(t, 47, "krum", "average")
 	sub1 := submit(t, ts1, body)
@@ -228,7 +229,7 @@ func TestServerResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := NewServer(2, st2, 0)
+	srv2 := NewServer(Options{Workers: 2, Store: st2})
 	defer srv2.Stop()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
@@ -250,7 +251,7 @@ func TestServerResumeAfterRestart(t *testing.T) {
 // server must not deadlock, and each matrix must end either finished
 // or aborted with only completed cells recorded.
 func TestServerStopAbortsCleanly(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -295,7 +296,7 @@ func TestServerStopAbortsCleanly(t *testing.T) {
 // its cells, and still-running matrices cannot be deleted... the
 // resubmission after deletion is served from the store.
 func TestServerDeleteEvictsFinishedMatrix(t *testing.T) {
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -348,7 +349,7 @@ var errDiskFull = fmt.Errorf("disk full")
 // the operator's signal that resume-by-resubmission will NOT find
 // these cells in the store.
 func TestServerSurfacesStoreErrors(t *testing.T) {
-	srv := NewServer(2, failingSaveStore{}, 0)
+	srv := NewServer(Options{Workers: 2, Store: failingSaveStore{}})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -375,7 +376,7 @@ func TestServerSurfacesStoreErrors(t *testing.T) {
 
 // TestServerRejectsBadSubmissions pins the validation surface.
 func TestServerRejectsBadSubmissions(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -405,30 +406,36 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 
 	// A small JSON body declaring a huge cartesian product must be
-	// rejected before expansion, not OOM the service.
-	huge := scenario.Matrix{Base: scenario.Spec{}}
-	for i := 0; i < 1000; i++ {
-		huge.Seeds = append(huge.Seeds, uint64(i))
+	// rejected before expansion, not OOM the service — along every
+	// axis, the arrivals axis included (10⁸ cells: expanding it would
+	// take the process down, so a pass here means it was not expanded).
+	seeds := func(k int) []uint64 {
+		out := make([]uint64, k)
+		for i := range out {
+			out[i] = uint64(i)
+		}
+		return out
 	}
-	for i := 0; i < 200; i++ {
-		huge.Rules = append(huge.Rules, "krum")
-	}
-	huge.Attacks = []string{"none", "signflip", "gaussian", "mimic", "crash"}
-	blob, err := json.Marshal(huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/matrices", "application/json", strings.NewReader(string(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized matrix: status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(string(msg), "cells") {
-		t.Errorf("oversized matrix: message %q does not mention the cell cap", msg)
+	for _, huge := range []scenario.Matrix{
+		{Rules: slices.Repeat([]string{"krum"}, 200), Attacks: []string{"none", "signflip", "gaussian", "mimic", "crash"}, Seeds: seeds(1000)},
+		{Rules: slices.Repeat([]string{"krum"}, 1000), Arrivals: slices.Repeat([]string{"sync"}, 1000), Seeds: seeds(100)},
+	} {
+		blob, err := json.Marshal(huge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.Post(ts.URL+"/matrices", "application/json", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("oversized matrix (%d cells): status %d, want 400", huge.Size(), resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), "cells") {
+			t.Errorf("oversized matrix: message %q does not mention the cell cap", msg)
+		}
 	}
 }
 
@@ -438,7 +445,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 // either is refused with the unknown-field error instead of silently
 // running under a spec the client did not ask for.
 func TestServerRejectsLegacyScreenedField(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -461,7 +468,7 @@ func TestServerRejectsLegacyScreenedField(t *testing.T) {
 // TestServerStoreStats checks the /store endpoint against the expected
 // counters after a cold and a warm matrix.
 func TestServerStoreStats(t *testing.T) {
-	srv := NewServer(2, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 2, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

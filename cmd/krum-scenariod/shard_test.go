@@ -118,7 +118,7 @@ func loadExampleMatrix(t *testing.T) scenario.Matrix {
 func runTopology(t *testing.T, m scenario.Matrix, workers, slots int) []string {
 	t.Helper()
 	st := store.NewMemory()
-	srv := NewServer(4, st, 0)
+	srv := NewServer(Options{Workers: 4, Store: st})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -237,7 +237,7 @@ func TestShardAsyncMatrixByteIdentical(t *testing.T) {
 // protocol trust boundary at the HTTP layer: malformed fleet messages
 // are 400s, unknown identities are 410s.
 func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), 0)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory()})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -380,7 +380,7 @@ func TestShardRejectsGarbageResultPayload(t *testing.T) {
 	// A short lease so the test's hand-rolled worker, which stops
 	// polling after its one garbage report, expires quickly and the
 	// requeued task falls back to local execution.
-	srv := NewServer(2, st, 500*time.Millisecond)
+	srv := NewServer(Options{Workers: 2, Store: st, Lease: 500 * time.Millisecond})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -253,7 +253,7 @@ func waitStreamHandlers(t *testing.T, want int) {
 // handler then returns because the matrix finished, and a client that
 // connects afterwards replays the same bytes.
 func TestStreamLineLeavesWhenItsCellCompletes(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), time.Minute)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory(), Lease: time.Minute})
 	defer srv.Stop()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -303,7 +303,7 @@ func TestStreamLineLeavesWhenItsCellCompletes(t *testing.T) {
 // second client — when Stop aborts the matrix, after delivering the
 // cell Stop drained. No handler goroutine is left either way.
 func TestStreamHandlerReturns(t *testing.T) {
-	srv := NewServer(1, store.NewMemory(), time.Minute)
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory(), Lease: time.Minute})
 	stopped := false
 	defer func() {
 		if !stopped {
@@ -368,7 +368,7 @@ func TestStreamGoldenBytes(t *testing.T) {
 		}
 	}
 	for name, st := range map[string]scenario.ResultStore{"bytes carried": raw, "typed result re-marshalled": typed} {
-		srv := NewServer(1, st, 0)
+		srv := NewServer(Options{Workers: 1, Store: st})
 		ts := httptest.NewServer(srv)
 		sub := submit(t, ts, body)
 		waitFinished(t, ts, sub.ID)

@@ -9,7 +9,6 @@ import (
 
 	"krum/attack"
 	"krum/internal/arrival"
-	"krum/internal/vec"
 )
 
 // stableBytes encodes a Result through the store's stable JSON
@@ -68,6 +67,7 @@ func TestRunArrivalSyncByteIdentical(t *testing.T) {
 // than rounds) — async replay is exactly the steady-state partial-
 // update workload the cache was built for.
 func TestRunAsyncIncrementalBitIdentical(t *testing.T) {
+	t.Parallel()
 	base := quickConfig(t)
 	base.Attack = attack.Gaussian{Sigma: 200}
 	base.Rounds = 40
@@ -81,16 +81,14 @@ func TestRunAsyncIncrementalBitIdentical(t *testing.T) {
 	}
 	inc := base
 	inc.Incremental = true
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	cached, err := Run(inc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := vec.MatrixRowUpdateCount() - rows; got == 0 {
+	if cached.Stats.RowUpdates == 0 {
 		t.Error("async incremental run never recomputed a row: cache path not exercised")
 	}
-	if got := vec.MatrixBuildCount() - builds; got >= uint64(base.Rounds) {
+	if got := cached.Stats.Builds; got >= uint64(base.Rounds) {
 		t.Errorf("async incremental run built %d matrices over %d rounds: cache never reused", got, base.Rounds)
 	}
 	if !bytes.Equal(stableBytes(t, plain), stableBytes(t, cached)) {
@@ -100,13 +98,14 @@ func TestRunAsyncIncrementalBitIdentical(t *testing.T) {
 
 // TestRunAsyncRowUpdateCountMatchesTrace audits the honest change-set
 // property: over a full async run with a distance-consuming rule, the
-// global MatrixRowUpdateCount delta equals the sum of the arrival
-// process's changed-worker counts on exactly the rounds where the
-// cache takes the incremental path (0 < changed < n after the cold
-// start), and MatrixBuildCount accounts for the rest. The expected
-// trace is replayed independently via arrival.Process.NewTrace — the
-// same pure function of (Seed, N) the engine used.
+// run's Stats.RowUpdates equals the sum of the arrival process's
+// changed-worker counts on exactly the rounds where the cache takes the
+// incremental path (0 < changed < n after the cold start), and
+// Stats.Builds accounts for the rest. The expected trace is replayed
+// independently via arrival.Process.NewTrace — the same pure function
+// of (Seed, N) the engine used.
 func TestRunAsyncRowUpdateCountMatchesTrace(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig(t)
 	cfg.Rounds = 50
 	cfg.EvalEvery = 0
@@ -129,8 +128,6 @@ func TestRunAsyncRowUpdateCountMatchesTrace(t *testing.T) {
 		}
 	}
 
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +135,10 @@ func TestRunAsyncRowUpdateCountMatchesTrace(t *testing.T) {
 	if res.Diverged {
 		t.Fatal("run diverged; the audit assumes all rounds executed")
 	}
-	if got := vec.MatrixRowUpdateCount() - rows; got != wantRows {
+	if got := res.Stats.RowUpdates; got != wantRows {
 		t.Errorf("row updates = %d, want %d (sum of arrival change-sets)", got, wantRows)
 	}
-	if got := vec.MatrixBuildCount() - builds; got != wantBuilds {
+	if got := res.Stats.Builds; got != wantBuilds {
 		t.Errorf("matrix builds = %d, want %d (cold start + full-arrival rounds)", got, wantBuilds)
 	}
 }

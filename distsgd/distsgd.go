@@ -102,6 +102,11 @@ type Result struct {
 	// only norm-relative agreement holds (see internal/vec/gram.go), so
 	// anything comparing Results bit-for-bit must first compare Kernels.
 	Kernel string
+	// Stats is the distance work the run's engine did (core.Engine.Stats).
+	// It describes this execution, not the outcome: it is not part of
+	// the stable encoding, so a decoded or store-served Result has zero
+	// Stats and no store key covers it.
+	Stats core.CacheStats
 }
 
 // Config parameterizes Run.
@@ -375,11 +380,11 @@ func Run(cfg Config) (*Result, error) {
 			// The arrival trace knows exactly which rows changed, so
 			// declare it instead of letting the cache pay the O(n·d)
 			// self-diff — the honest change-set the property tests
-			// audit through vec.MatrixRowUpdateCount.
+			// audit through Result.Stats.RowUpdates.
 			round.SetChanged(changed)
 		}
 		if cfg.TrackSelection {
-			if sel, ok := cfg.Rule.(core.Selector); ok {
+			if sel, ok := selector(cfg.Rule); ok {
 				indices, err := core.SelectContext(sel, round)
 				if err != nil {
 					return nil, fmt.Errorf("round %d selection: %w", t, err)
@@ -438,7 +443,21 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res.FinalParams = vec.Clone(params)
+	res.Stats = engine.Stats()
 	return res, nil
+}
+
+// selector returns rule as a Selector when it selects. A FiniteGuard
+// has Select whatever it wraps, but selects only when its inner rule
+// does.
+func selector(rule core.Rule) (core.Selector, bool) {
+	if g, ok := rule.(core.FiniteGuard); ok {
+		if _, ok := selector(g.Inner); !ok {
+			return nil, false
+		}
+	}
+	sel, ok := rule.(core.Selector)
+	return sel, ok
 }
 
 // ByzantineSelectionRate returns the fraction of tracked rounds in

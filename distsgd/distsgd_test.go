@@ -49,6 +49,7 @@ func quickConfig(t *testing.T) Config {
 // updates observed, fewer full builds than rounds) rather than
 // trivially rebuilding every round.
 func TestRunIncrementalBitIdentical(t *testing.T) {
+	t.Parallel()
 	base := quickConfig(t)
 	base.Attack = attack.Crash{After: 5}
 	base.Rounds = 20
@@ -60,19 +61,15 @@ func TestRunIncrementalBitIdentical(t *testing.T) {
 	}
 	inc := base
 	inc.Incremental = true
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	cached, err := Run(inc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBuilds := vec.MatrixBuildCount() - builds
-	gotRows := vec.MatrixRowUpdateCount() - rows
-	if gotRows == 0 {
+	if cached.Stats.RowUpdates == 0 {
 		t.Error("incremental run never recomputed a row: cache path not exercised")
 	}
-	if gotBuilds >= uint64(base.Rounds) {
-		t.Errorf("incremental run built %d matrices over %d rounds: cache never reused", gotBuilds, base.Rounds)
+	if got := cached.Stats.Builds; got >= uint64(base.Rounds) {
+		t.Errorf("incremental run built %d matrices over %d rounds: cache never reused", got, base.Rounds)
 	}
 
 	if !reflect.DeepEqual(plain.FinalParams, cached.FinalParams) {

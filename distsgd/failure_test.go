@@ -86,6 +86,30 @@ func TestFiniteGuardContainsNaNAttackEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFiniteGuardTracksSelectionOnlyOverASelector: a guard selects
+// exactly when its inner rule does, so TrackSelection skips a guarded
+// average instead of failing its first round, and tracks every round of
+// a guarded krum.
+func TestFiniteGuardTracksSelectionOnlyOverASelector(t *testing.T) {
+	for _, tc := range []struct {
+		inner krum.Rule
+		want  int
+	}{{krum.Average{}, 0}, {krum.NewKrum(2), 10}} {
+		cfg := quickConfig(t)
+		cfg.Rounds = 10
+		cfg.EvalEvery = 0
+		cfg.TrackSelection = true
+		cfg.Rule = krum.FiniteGuard{Inner: tc.inner}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Rule.Name(), err)
+		}
+		if got := res.SelectionTrackedRounds; got != tc.want {
+			t.Errorf("%s: %d tracked rounds, want %d", cfg.Rule.Name(), got, tc.want)
+		}
+	}
+}
+
 func TestUnguardedAverageIsPoisonedByNaN(t *testing.T) {
 	// Control: without the guard, averaging NaN proposals corrupts the
 	// parameters immediately and the engine reports divergence.

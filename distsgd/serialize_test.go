@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"krum/internal/core"
 )
 
 // sampleResult builds a Result exercising every serialization hazard:
 // non-finite history floats, NaN sentinels, a diverged parameter
-// vector with NaN/±Inf/-0 entries, and NaN payload bits.
+// vector with NaN/±Inf/-0 entries, NaN payload bits, and Stats, which
+// must not be encoded at all.
 func sampleResult() *Result {
 	return &Result{
 		History: []RoundStats{
@@ -28,18 +31,25 @@ func sampleResult() *Result {
 		SelectionTrackedRounds:  2,
 		FinalTestAccuracy:       math.NaN(),
 		FinalTestLoss:           math.NaN(),
+		Stats:                   core.CacheStats{Builds: 3, Reuses: 5, RowUpdates: 7},
 	}
 }
 
 // TestResultJSONRoundTripBitExact checks the store's core contract:
 // Marshal ∘ Unmarshal ∘ Marshal is the identity on bytes, and the
 // decoded FinalParams are bit-identical to the original (NaN payloads
-// and signed zeros included).
+// and signed zeros included). Stats is a sidecar: it changes no byte
+// and decodes to zero.
 func TestResultJSONRoundTripBitExact(t *testing.T) {
 	orig := sampleResult()
 	enc1, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
+	}
+	noStats := *orig
+	noStats.Stats = core.CacheStats{}
+	if enc, err := json.Marshal(noStats); err != nil || !bytes.Equal(enc, enc1) {
+		t.Fatalf("Stats moved the encoding (err %v):\n with: %s\n zero: %s", err, enc1, enc)
 	}
 	var back Result
 	if err := json.Unmarshal(enc1, &back); err != nil {
@@ -78,6 +88,9 @@ func TestResultJSONRoundTripBitExact(t *testing.T) {
 	}
 	if !back.History[1].ByzantineChosen || !back.History[1].Evaluated {
 		t.Errorf("bool flags lost: %+v", back.History[1])
+	}
+	if back.Stats != (core.CacheStats{}) {
+		t.Errorf("decoded Stats = %+v, want zero", back.Stats)
 	}
 }
 

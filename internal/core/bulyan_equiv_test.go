@@ -10,8 +10,8 @@ import (
 // bulyanSelectSeed is the seed (pre-memoization) formulation of the
 // Bulyan selection phase, kept verbatim as the equivalence oracle: run
 // Krum over a physically shrinking pool, rebuilding the distance matrix
-// from scratch every round — Θ(θ·n²·d).
-func bulyanSelectSeed(f int, vectors [][]float64) ([]int, error) {
+// from scratch every pass (each pass is one round of e) — Θ(θ·n²·d).
+func bulyanSelectSeed(e *Engine, f int, vectors [][]float64) ([]int, error) {
 	n := len(vectors)
 	if n == 0 {
 		return nil, ErrNoVectors
@@ -37,7 +37,7 @@ func bulyanSelectSeed(f int, vectors [][]float64) ([]int, error) {
 			innerF = maxF
 		}
 		inner := Krum{F: innerF}
-		sel, err := inner.Select(pool)
+		sel, err := e.Select(&inner, pool)
 		if err != nil {
 			return nil, fmt.Errorf("iterated krum at |pool|=%d: %w", len(pool), err)
 		}
@@ -74,7 +74,7 @@ func TestBulyanMemoizedMatchesSeedSelection(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed=%d f=%d n=%d d=%d: memoized: %v", seed, f, n, d, err)
 				}
-				want, err := bulyanSelectSeed(f, vs)
+				want, err := bulyanSelectSeed(new(Engine), f, vs)
 				if err != nil {
 					t.Fatalf("seed=%d f=%d n=%d d=%d: reference: %v", seed, f, n, d, err)
 				}
@@ -95,6 +95,7 @@ func TestBulyanMemoizedMatchesSeedSelection(t *testing.T) {
 // contract directly: one full Aggregate (selection phase included)
 // constructs exactly one distance matrix.
 func TestBulyanAggregateBuildsExactlyOneMatrix(t *testing.T) {
+	t.Parallel()
 	rng := vec.NewRNG(7)
 	const n, f, d = 15, 3, 40
 	vs := make([][]float64, n)
@@ -102,20 +103,20 @@ func TestBulyanAggregateBuildsExactlyOneMatrix(t *testing.T) {
 		vs[i] = rng.NewNormal(d, 0, 1)
 	}
 	dst := make([]float64, d)
-	before := vec.MatrixBuildCount()
-	if err := NewBulyan(f).Aggregate(dst, vs); err != nil {
+	e := new(Engine)
+	if err := e.Aggregate(NewBulyan(f), dst, vs); err != nil {
 		t.Fatal(err)
 	}
-	if got := vec.MatrixBuildCount() - before; got != 1 {
+	if got := e.Stats().Builds; got != 1 {
 		t.Fatalf("aggregate built %d distance matrices, want exactly 1", got)
 	}
 	// The seed formulation built θ of them — make sure the oracle in
 	// this test really is the expensive one.
-	before = vec.MatrixBuildCount()
-	if _, err := bulyanSelectSeed(f, vs); err != nil {
+	seed := new(Engine)
+	if _, err := bulyanSelectSeed(seed, f, vs); err != nil {
 		t.Fatal(err)
 	}
-	if got, theta := vec.MatrixBuildCount()-before, uint64(n-2*f); got != theta {
+	if got, theta := seed.Stats().Builds, uint64(n-2*f); got != theta {
 		t.Fatalf("seed reference built %d matrices, want θ = %d", got, theta)
 	}
 }
@@ -150,7 +151,7 @@ func BenchmarkBulyanSelectSeedReference(b *testing.B) {
 	vs := benchBulyanVectors(n, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bulyanSelectSeed(f, vs); err != nil {
+		if _, err := bulyanSelectSeed(new(Engine), f, vs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,24 +17,16 @@ func cacheRound(e *Engine, vs [][]float64) *vec.DistanceMatrix {
 // TestRoundCacheReusesUnchangedRound: a second round over bit-identical
 // proposals builds nothing and recomputes no rows.
 func TestRoundCacheReusesUnchangedRound(t *testing.T) {
+	t.Parallel()
 	vs := engineTestVectors(9, 24, 7)
 	e := new(Engine).EnableCache()
 	first := cacheRound(e, vs)
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	second := cacheRound(e, vec.CloneAll(vs)) // equal contents, different buffers
 	if second != first {
 		t.Error("unchanged round did not return the cached matrix")
 	}
-	if got := vec.MatrixBuildCount() - builds; got != 0 {
-		t.Errorf("unchanged round built %d matrices", got)
-	}
-	if got := vec.MatrixRowUpdateCount() - rows; got != 0 {
-		t.Errorf("unchanged round recomputed %d rows", got)
-	}
-	st := e.Cache().Stats()
-	if st.Builds != 1 || st.Reuses != 1 || st.RowUpdates != 0 {
-		t.Errorf("stats = %+v, want 1 build / 1 reuse / 0 row updates", st)
+	if st := e.Stats(); st.Builds != 1 || st.Reuses != 1 || st.RowUpdates != 0 {
+		t.Errorf("stats = %+v, want 1 build / 1 reuse / 0 row updates: the unchanged round built or recomputed", st)
 	}
 }
 
@@ -43,6 +35,7 @@ func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 // build over the new proposals, having recomputed only the changed
 // rows.
 func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
+	t.Parallel()
 	const n, d = 11, 40
 	vs := engineTestVectors(n, d, 3)
 	e := new(Engine).EnableCache()
@@ -51,13 +44,12 @@ func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 	next := vec.CloneAll(vs)
 	next[2] = engineTestVectors(1, d, 99)[0]
 	next[7] = engineTestVectors(1, d, 100)[0]
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
+	before := e.Stats()
 	got := cacheRound(e, next)
-	if b := vec.MatrixBuildCount() - builds; b != 0 {
+	if b := e.Stats().Builds - before.Builds; b != 0 {
 		t.Errorf("incremental round built %d matrices", b)
 	}
-	if r := vec.MatrixRowUpdateCount() - rows; r != 2 {
+	if r := e.Stats().RowUpdates - before.RowUpdates; r != 2 {
 		t.Errorf("incremental round recomputed %d rows, want 2", r)
 	}
 	want := vec.NewDistanceMatrix(next)
@@ -74,17 +66,13 @@ func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 // round, a shape change (n or d), and a change-set covering every
 // proposal — must all build rather than update.
 func TestRoundCacheBypasses(t *testing.T) {
+	t.Parallel()
 	e := new(Engine).EnableCache()
-	before := vec.MatrixBuildCount()
 	cacheRound(e, engineTestVectors(6, 20, 1)) // first round
 	cacheRound(e, engineTestVectors(7, 20, 2)) // n changed
 	cacheRound(e, engineTestVectors(7, 21, 3)) // d changed
 	cacheRound(e, engineTestVectors(7, 21, 4)) // everything changed
-	if got := vec.MatrixBuildCount() - before; got != 4 {
-		t.Errorf("bypass rounds built %d matrices, want 4", got)
-	}
-	st := e.Cache().Stats()
-	if st.Builds != 4 || st.Reuses != 0 || st.RowUpdates != 0 {
+	if st := e.Stats(); st.Builds != 4 || st.Reuses != 0 || st.RowUpdates != 0 {
 		t.Errorf("stats = %+v, want 4 builds / 0 reuses / 0 row updates", st)
 	}
 }
@@ -93,15 +81,15 @@ func TestRoundCacheBypasses(t *testing.T) {
 // that never calls SetChanged must still serve correct matrices — the
 // cache diffs the proposals itself.
 func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
+	t.Parallel()
 	const n, d = 8, 30
 	vs := engineTestVectors(n, d, 5)
 	e := new(Engine).EnableCache()
 	e.Round(vs).Distances()
 	next := vec.CloneAll(vs)
 	next[4] = engineTestVectors(1, d, 50)[0]
-	rows := vec.MatrixRowUpdateCount()
 	got := e.Round(next).Distances()
-	if r := vec.MatrixRowUpdateCount() - rows; r != 1 {
+	if r := e.Stats().RowUpdates; r != 1 {
 		t.Errorf("auto-diffed round recomputed %d rows, want 1", r)
 	}
 	want := vec.NewDistanceMatrix(next)
@@ -115,9 +103,10 @@ func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 }
 
 // TestRoundCacheCountsDistinctRows: a declared change-set may repeat an
-// index (the contract only forbids omissions); the row is recomputed
-// once and CacheStats.RowUpdates agrees with vec's process counter.
+// index (the contract only forbids omissions); the row is recomputed,
+// and counted, once.
 func TestRoundCacheCountsDistinctRows(t *testing.T) {
+	t.Parallel()
 	const n, d = 8, 30
 	vs := engineTestVectors(n, d, 6)
 	e := new(Engine).EnableCache()
@@ -125,13 +114,9 @@ func TestRoundCacheCountsDistinctRows(t *testing.T) {
 	next := vec.CloneAll(vs)
 	next[3] = engineTestVectors(1, d, 60)[0]
 	next[5] = engineTestVectors(1, d, 61)[0]
-	rows := vec.MatrixRowUpdateCount()
 	e.Round(next).SetChanged([]int{3, 5, 3}).Distances()
-	if r := vec.MatrixRowUpdateCount() - rows; r != 2 {
-		t.Errorf("round recomputed %d rows, want 2 distinct", r)
-	}
-	if st := e.Cache().Stats(); st.RowUpdates != 2 {
-		t.Errorf("stats = %+v, want 2 row updates", st)
+	if st := e.Stats(); st.RowUpdates != 2 {
+		t.Errorf("stats = %+v, want 2 row updates (distinct rows)", st)
 	}
 }
 
@@ -154,19 +139,19 @@ func TestRoundCacheChangedReportsAll(t *testing.T) {
 }
 
 // TestUncachedEngineIgnoresSetChanged: declaring a change-set on a
-// plain engine is inert — every round builds fresh (the PR-1 memoized
-// behavior is unchanged).
+// plain engine is inert — every round builds fresh, and the engine
+// counts each build.
 func TestUncachedEngineIgnoresSetChanged(t *testing.T) {
+	t.Parallel()
 	vs := engineTestVectors(6, 12, 11)
 	e := new(Engine)
 	if e.Cache() != nil {
 		t.Fatal("plain engine has a cache")
 	}
-	before := vec.MatrixBuildCount()
 	e.Round(vs).SetChanged(nil).Distances()
 	e.Round(vs).SetChanged(nil).Distances()
-	if got := vec.MatrixBuildCount() - before; got != 2 {
-		t.Errorf("uncached engine built %d matrices, want 2", got)
+	if st := e.Stats(); st.Builds != 2 || st.Reuses != 0 || st.RowUpdates != 0 {
+		t.Errorf("stats = %+v, want the uncached engine's 2 builds", st)
 	}
 }
 
@@ -180,7 +165,7 @@ func TestRoundCacheParallelBuild(t *testing.T) {
 		e := new(Engine).EnableCache()
 		out := cells(cacheRound(e, first))
 		out = append(out, cells(cacheRound(e, second))...)
-		if st := e.Cache().Stats(); st.Builds != 2 {
+		if st := e.Stats(); st.Builds != 2 {
 			t.Fatalf("%d full builds, want 2", st.Builds)
 		}
 		return out
@@ -275,6 +260,7 @@ func TestRoundCacheUnservedRoundVoidsDeclaration(t *testing.T) {
 // out of the one arena and the one matrix the cache allocated on its
 // first round.
 func TestRoundCacheOwnsItsCopies(t *testing.T) {
+	t.Parallel()
 	const n, d, rounds = 10, 40, 60
 	rng := vec.NewRNG(31)
 	e := new(Engine).EnableCache()
@@ -308,7 +294,7 @@ func TestRoundCacheOwnsItsCopies(t *testing.T) {
 		}
 		sameMatrix(t, "recycled buffers", got, bufs)
 	}
-	if st := e.Cache().Stats(); st.Builds < rounds/3 || st.Reuses == 0 || st.Builds+st.Reuses != rounds+1 {
+	if st := e.Stats(); st.Builds < rounds/3 || st.Reuses == 0 || st.Builds+st.Reuses != rounds+1 {
 		t.Errorf("stats = %+v: want full-change rebuilds and incremental rounds over %d rounds", st, rounds+1)
 	}
 }
@@ -316,7 +302,8 @@ func TestRoundCacheOwnsItsCopies(t *testing.T) {
 // allocPerRound returns the heap bytes one call of round allocates,
 // averaged over count calls (runtime.MemStats.TotalAlloc is cumulative
 // and exact, so the figure does not depend on the host's speed or on
-// when the collector runs).
+// when the collector runs). TotalAlloc is process-wide, so its callers
+// do not run in parallel with other tests.
 func allocPerRound(count int, round func(r int)) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -341,11 +328,11 @@ func TestDistanceBuildAllocations(t *testing.T) {
 	}
 	cached := new(Engine).EnableCache()
 	cached.Round(sets[1]).Distances()
-	builds := cached.Cache().Stats().Builds
+	builds := cached.Stats().Builds
 	if got := allocPerRound(100, func(r int) { cached.Round(sets[r%2]).Distances() }); got > slack {
 		t.Errorf("cached full-change round allocates %d B, want ≤ 4 KB", got)
 	}
-	if got := cached.Cache().Stats().Builds - builds; got != 100 {
+	if got := cached.Stats().Builds - builds; got != 100 {
 		t.Errorf("%d of 100 full-change rounds were counted as builds", got)
 	}
 }

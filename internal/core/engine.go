@@ -16,6 +16,9 @@ import (
 type RoundContext struct {
 	vectors [][]float64
 	dm      *vec.DistanceMatrix
+	// stats, when non-nil, is the handing engine's tally (Engine.Stats):
+	// the distance work this context does is added to it.
+	stats *CacheStats
 	// cache, when non-nil, serves Distances through the engine's
 	// cross-round cache instead of building a fresh matrix.
 	cache *RoundCache
@@ -27,9 +30,18 @@ type RoundContext struct {
 	stamp uint64
 }
 
-// NewRoundContext returns a context over one round's proposals.
+// NewRoundContext returns a context over one round's proposals. It
+// belongs to no engine, so the matrix it builds is counted nowhere.
 func NewRoundContext(vectors [][]float64) *RoundContext {
 	return &RoundContext{vectors: vectors}
+}
+
+// derive returns a context over vectors a rule derived from c's (the
+// only one is FiniteGuard's sanitized view): it counts its distance work
+// on c's engine but never touches the cross-round cache, whose arena
+// describes the round's proposals, not the derived ones.
+func (c *RoundContext) derive(vectors [][]float64) *RoundContext {
+	return &RoundContext{vectors: vectors, stats: c.stats}
 }
 
 // SetChanged declares the change-set for a cached round: the indices
@@ -70,6 +82,9 @@ func (c *RoundContext) Distances() *vec.DistanceMatrix {
 			c.dm = c.cache.distances(c)
 		} else {
 			c.dm = vec.NewDistanceMatrix(c.vectors)
+			if c.stats != nil {
+				c.stats.Builds++
+			}
 		}
 	}
 	return c.dm
@@ -126,7 +141,8 @@ func AggregateContext(rule Rule, dst []float64, ctx *RoundContext) error {
 //
 // A RoundCache is owned by one Engine and is NOT goroutine-safe: it
 // serves the strictly sequential round loop of a single training run
-// (concurrent scenario cells each own their engine).
+// (concurrent scenario cells each own their engine). What it does is
+// counted in the engine's Stats.
 type RoundCache struct {
 	dm *vec.DistanceMatrix
 	// rows are the arena's n row views — the vectors dm is built over.
@@ -134,28 +150,22 @@ type RoundCache struct {
 	// handed counts the rounds the engine handed out, served is the
 	// stamp of the last one that asked for distances.
 	handed, served uint64
-	// stats, exposed through Stats for tests and diagnostics.
-	builds  uint64
-	reuses  uint64
-	rowUpds uint64
 }
 
-// CacheStats summarizes how a RoundCache served its rounds.
+// CacheStats counts the distance work of an Engine's rounds (Engine.Stats)
+// — Lemma 4.1's bill: Θ(n²·d) per build, Θ(n·d) per row update.
 type CacheStats struct {
-	// Builds counts full matrix (re)builds, including the first round.
+	// Builds counts full matrix (re)builds: every distance-consuming
+	// round of an uncached engine, and a cached engine's first round,
+	// shape changes and full-change rounds.
 	Builds uint64
-	// Reuses counts rounds served without building: fully unchanged
-	// rounds plus rounds served by incremental row updates.
+	// Reuses counts cached rounds served without building: fully
+	// unchanged rounds plus rounds served by incremental row updates.
 	Reuses uint64
 	// RowUpdates counts individual row recomputations across all
 	// incremental rounds (a row named twice in one change-set is
 	// recomputed, and counted, once).
 	RowUpdates uint64
-}
-
-// Stats returns the cache's serving counters.
-func (rc *RoundCache) Stats() CacheStats {
-	return CacheStats{Builds: rc.builds, Reuses: rc.reuses, RowUpdates: rc.rowUpds}
 }
 
 // Changed returns the indices of vectors that differ from the cache's
@@ -200,7 +210,8 @@ func (rc *RoundCache) reusable(vectors [][]float64) bool {
 // served that round; after a round that never asked for distances (a
 // rule that needs none, FiniteGuard re-running on a sanitized copy),
 // and whenever none was declared, the cache diffs against its arena,
-// which is exact whatever happened in between.
+// which is exact whatever happened in between. The work is added to the
+// engine's stats, which c carries.
 func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 	vectors, changed := c.vectors, c.changed
 	declared := c.changedKnown && rc.served+1 == c.stamp
@@ -208,7 +219,7 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 	if !rc.reusable(vectors) {
 		rc.rows = vec.CloneAll(vectors)
 		rc.dm = vec.NewDistanceMatrix(rc.rows)
-		rc.builds++
+		c.stats.Builds++
 		return rc.dm
 	}
 	if !declared {
@@ -222,12 +233,12 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 	}
 	if len(changed) >= len(vectors) {
 		rc.dm.Rebuild()
-		rc.builds++
+		c.stats.Builds++
 		return rc.dm
 	}
-	rc.reuses++
+	c.stats.Reuses++
 	if len(changed) > 0 {
-		rc.rowUpds += uint64(rc.dm.UpdateRows(changed, rc.rows))
+		c.stats.RowUpdates += uint64(rc.dm.UpdateRows(changed, rc.rows))
 	}
 	return rc.dm
 }
@@ -236,10 +247,15 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 // hands out one RoundContext per round so that selection tracking,
 // aggregation, and any diagnostics all share a single distance matrix.
 // The zero value is ready to use (no cross-round cache).
+//
+// An Engine counts the distance work of its rounds in plain counters
+// (Stats), so like its cache it is owned by one goroutine: concurrent
+// round loops each own their engine.
 type Engine struct {
 	// cache, when enabled, reuses the previous round's matrix through
 	// incremental row updates; see RoundCache.
 	cache *RoundCache
+	stats CacheStats
 }
 
 // EnableCache switches the engine to cross-round incremental distance
@@ -259,13 +275,16 @@ func (e *Engine) EnableCache() *Engine {
 // not enabled.
 func (e *Engine) Cache() *RoundCache { return e.cache }
 
+// Stats returns the distance work of every round the engine handed out,
+// cached or not, including the contexts rules derived from them.
+func (e *Engine) Stats() CacheStats { return e.stats }
+
 // Round returns the shared context for one round's proposals. On a
 // cache-enabled engine the context serves Distances through the
 // cache; pass the round's change-set with RoundContext.SetChanged to
 // skip the cache's own diff.
 func (e *Engine) Round(vectors [][]float64) *RoundContext {
-	ctx := NewRoundContext(vectors)
-	ctx.cache = e.cache
+	ctx := &RoundContext{vectors: vectors, stats: &e.stats, cache: e.cache}
 	if e.cache != nil {
 		e.cache.handed++
 		ctx.stamp = e.cache.handed

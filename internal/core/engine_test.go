@@ -25,7 +25,8 @@ const fanOutN, fanOutD = 40, 10_000
 
 // sameBitsAcrossProcs runs compute under each GOMAXPROCS setting in
 // turn and fails unless every run returns the first one's floats, bit
-// for bit.
+// for bit. GOMAXPROCS is process-wide, so its callers do not run in
+// parallel with other tests.
 func sameBitsAcrossProcs(t *testing.T, what string, procs []int, compute func() []float64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -59,13 +60,13 @@ func cells(dm *vec.DistanceMatrix) []float64 {
 // TestRoundContextMemoizesMatrix: selection tracking plus aggregation
 // through one shared context builds exactly one distance matrix.
 func TestRoundContextMemoizesMatrix(t *testing.T) {
+	t.Parallel()
 	const n, d, f = 11, 8, 2
 	vs := engineTestVectors(n, d, 1)
 	dst := make([]float64, d)
 	rule := NewKrum(f)
 	engine := new(Engine)
 
-	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)
 	if _, err := SelectContext(rule, ctx); err != nil {
 		t.Fatal(err)
@@ -73,20 +74,19 @@ func TestRoundContextMemoizesMatrix(t *testing.T) {
 	if err := AggregateContext(rule, dst, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := vec.MatrixBuildCount() - before; got != 1 {
+	if got := engine.Stats().Builds; got != 1 {
 		t.Fatalf("shared context built %d matrices for select+aggregate, want 1", got)
 	}
 
-	// The plain path pays twice — that is exactly what the engine saves.
-	before = vec.MatrixBuildCount()
-	if _, err := rule.Select(vs); err != nil {
+	// A context per call pays twice — that is exactly what sharing saves.
+	if _, err := engine.Select(rule, vs); err != nil {
 		t.Fatal(err)
 	}
-	if err := rule.Aggregate(dst, vs); err != nil {
+	if err := engine.Aggregate(rule, dst, vs); err != nil {
 		t.Fatal(err)
 	}
-	if got := vec.MatrixBuildCount() - before; got != 2 {
-		t.Fatalf("plain path built %d matrices, want 2", got)
+	if got := engine.Stats().Builds - 1; got != 2 {
+		t.Fatalf("a context per call built %d matrices, want 2", got)
 	}
 }
 
@@ -161,13 +161,13 @@ func TestEngineParallelMatrixMatchesSerial(t *testing.T) {
 // context-aware rule reuses the shared matrix when no proposal needs
 // sanitization, and still neutralizes NaNs when one does.
 func TestFiniteGuardContextSharesMatrixWhenClean(t *testing.T) {
+	t.Parallel()
 	const n, d, f = 11, 6, 2
 	vs := engineTestVectors(n, d, 4)
 	dst := make([]float64, d)
 	guard := FiniteGuard{Inner: NewKrum(f)}
 	engine := new(Engine)
 
-	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)
 	if _, err := SelectContext(guard, ctx); err != nil {
 		t.Fatal(err)
@@ -175,16 +175,19 @@ func TestFiniteGuardContextSharesMatrixWhenClean(t *testing.T) {
 	if err := AggregateContext(guard, dst, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := vec.MatrixBuildCount() - before; got != 1 {
+	if got := engine.Stats().Builds; got != 1 {
 		t.Fatalf("clean guard built %d matrices, want 1", got)
 	}
 
 	// Poison one proposal: the guard must rebuild over the sanitized
-	// view and still aggregate finitely.
+	// view, counted on the engine, and still aggregate finitely.
 	poisoned := vec.CloneAll(vs)
 	poisoned[0][0] = nan()
 	if err := engine.Aggregate(guard, dst, poisoned); err != nil {
 		t.Fatal(err)
+	}
+	if got := engine.Stats().Builds - 1; got != 1 {
+		t.Fatalf("sanitized guard built %d matrices, want the sanitized round's one", got)
 	}
 	if !vec.AllFinite(dst) {
 		t.Fatal("guard let a NaN through")

@@ -60,7 +60,7 @@ func (g FiniteGuard) Name() string {
 
 // AggregateContext implements ContextRule: when no proposal needs
 // replacement the inner rule runs against the SHARED context (and its
-// memoized distance matrix); otherwise a fresh context over the
+// memoized distance matrix); otherwise a context derived over the
 // sanitized view is used, since the shared matrix no longer describes
 // the sanitized proposals.
 func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
@@ -73,7 +73,7 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 	sanitized, changed := sanitize(ctx.Vectors(), len(dst))
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized)
+		inner = ctx.derive(sanitized)
 	}
 	if err := AggregateContext(g.Inner, dst, inner); err != nil {
 		return fmt.Errorf("guarded %s: %w", g.Inner.Name(), err)
@@ -88,6 +88,8 @@ func (g FiniteGuard) Aggregate(dst []float64, vectors [][]float64) error {
 
 // SelectContext implements ContextSelector semantics when the inner
 // rule is a Selector, with the same context reuse as AggregateContext.
+// A guard selects only when its inner rule does: over any other rule it
+// fails, and distsgd does not track its selection.
 func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 	sel, ok := g.Inner.(Selector)
 	if !ok {
@@ -100,7 +102,7 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 	sanitized, changed := sanitize(ctx.Vectors(), dim)
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized)
+		inner = ctx.derive(sanitized)
 	}
 	return SelectContext(sel, inner)
 }

@@ -139,12 +139,8 @@ func TestFiniteGuardSanitizedBuildAnyProcs(t *testing.T) {
 	guard := FiniteGuard{Inner: NewKrum(10)}
 	sameBitsAcrossProcs(t, "guarded krum", []int{1, 2, 3}, func() []float64 {
 		got := make([]float64, fanOutD)
-		before := vec.MatrixBuildCount()
 		if err := new(Engine).Aggregate(guard, got, vs); err != nil {
 			t.Fatal(err)
-		}
-		if builds := vec.MatrixBuildCount() - before; builds != 1 {
-			t.Fatalf("%d matrices built, want the sanitized round's one", builds)
 		}
 		return got
 	})

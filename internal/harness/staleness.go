@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"krum/internal/vec"
 	"krum/scenario"
 )
 
@@ -23,9 +22,9 @@ type StalenessSweep struct {
 	// KrumByzRate is attacked Krum's Byzantine-selection rate per
 	// arrival (NaN when selection was never tracked).
 	KrumByzRate []float64
-	// Builds and RowUpdates are the global distance-matrix counter
-	// deltas over the whole sweep: async replay should convert most
-	// per-round work from full builds into row updates.
+	// Builds and RowUpdates sum the cells' Result.Stats over the sweep:
+	// async replay should convert most per-round work from full builds
+	// into row updates. Cells served from a store did no work and add 0.
 	Builds, RowUpdates uint64
 }
 
@@ -68,8 +67,6 @@ func RunStaleness(w io.Writer, scale Scale, seed uint64) (*StalenessSweep, error
 	}
 	cells := append(avgArm.Cells(), krumArm.Cells()...)
 
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	results, err := newRunner().RunCells(cells)
 	if err != nil {
 		return nil, err
@@ -79,8 +76,10 @@ func RunStaleness(w io.Writer, scale Scale, seed uint64) (*StalenessSweep, error
 		AvgFinal:    make([]float64, len(arrivals)),
 		KrumFinal:   make([]float64, len(arrivals)),
 		KrumByzRate: make([]float64, len(arrivals)),
-		Builds:      vec.MatrixBuildCount() - builds,
-		RowUpdates:  vec.MatrixRowUpdateCount() - rows,
+	}
+	for _, cr := range results {
+		sweep.Builds += cr.Result.Stats.Builds
+		sweep.RowUpdates += cr.Result.Stats.RowUpdates
 	}
 	for i := range arrivals {
 		sweep.AvgFinal[i] = finalOrChance(results[i].Result)

@@ -4,16 +4,15 @@ package harness
 // functions of (partial spec, parameter string), so a configured
 // scenario/store caches them like any distsgd cell. The warm-rerun
 // test is the ROADMAP acceptance proof: a second run performs ZERO
-// Monte-Carlo recomputation (witnessed by the distance-matrix build
-// counter staying flat — every selector rule's Select builds matrices
-// when it actually runs) and reproduces the cold results exactly.
+// Monte-Carlo recomputation (witnessed by the store: every cell a hit,
+// nothing saved — these rules run outside any Engine, so no distance
+// count can see them) and reproduces the cold results exactly.
 
 import (
 	"io"
 	"math"
 	"testing"
 
-	"krum/internal/vec"
 	"krum/scenario/store"
 )
 
@@ -31,7 +30,6 @@ func TestMonteCarloCellsWarmRerun(t *testing.T) {
 	SetStore(st)
 	defer SetStore(nil)
 
-	coldBuilds := vec.MatrixBuildCount()
 	coldT1, err := RunTable1(io.Discard, Quick, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -40,16 +38,12 @@ func TestMonteCarloCellsWarmRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := vec.MatrixBuildCount() - coldBuilds; d == 0 {
-		t.Fatal("cold Monte-Carlo runs built no distance matrices — the warm zero-rebuild assertion below would be vacuous")
-	}
 	stats := st.Stats()
 	if stats.Entries != len(coldT1.Cells)+len(coldE6.Rows) {
 		t.Fatalf("cold runs stored %d entries, want %d cells + %d rows",
 			stats.Entries, len(coldT1.Cells), len(coldE6.Rows))
 	}
 
-	builds := vec.MatrixBuildCount()
 	warmT1, err := RunTable1(io.Discard, Quick, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +52,12 @@ func TestMonteCarloCellsWarmRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := vec.MatrixBuildCount() - builds; d != 0 {
-		t.Errorf("warm rerun built %d distance matrices, want 0 (cells recomputed)", d)
-	}
 	if hits := st.Stats().Hits - stats.Hits; hits != len(coldT1.Cells)+len(coldE6.Rows) {
 		t.Errorf("warm rerun hit the store %d times, want every cell (%d)",
 			hits, len(coldT1.Cells)+len(coldE6.Rows))
+	}
+	if saves := st.Stats().Saves - stats.Saves; saves != 0 {
+		t.Errorf("warm rerun saved %d cells, want 0 (cells recomputed)", saves)
 	}
 
 	if len(warmT1.Cells) != len(coldT1.Cells) {
@@ -115,13 +109,12 @@ func TestMonteCarloCellsSurviveReload(t *testing.T) {
 		t.Fatalf("reload skipped %d records", skipped)
 	}
 	SetStore(st2)
-	builds := vec.MatrixBuildCount()
 	warm, err := RunAblation(io.Discard, Quick, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := vec.MatrixBuildCount() - builds; d != 0 {
-		t.Errorf("reloaded store recomputed (built %d matrices)", d)
+	if got := st2.Stats(); got.Hits != len(cold.Rows) || got.Saves != 0 {
+		t.Errorf("reloaded store: %d hits, %d saves, want %d hits and 0 saves (cells recomputed)", got.Hits, got.Saves, len(cold.Rows))
 	}
 	for i, c := range cold.Rows {
 		w := warm.Rows[i]

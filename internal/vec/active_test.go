@@ -115,13 +115,3 @@ func TestFloatPoolRoundTrip(t *testing.T) {
 	PutFloats(s2)
 	PutFloats(nil) // must not panic
 }
-
-func TestMatrixBuildCountIncrements(t *testing.T) {
-	vs := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}}
-	before := MatrixBuildCount()
-	NewDistanceMatrix(vs)
-	newShell(vs).buildOn(2)
-	if got := MatrixBuildCount() - before; got != 2 {
-		t.Fatalf("build count delta = %d, want 2", got)
-	}
-}

@@ -1,26 +1,5 @@
 package vec
 
-import "sync/atomic"
-
-// matrixBuilds counts DistanceMatrix constructions process-wide; tests
-// use it to assert memoization ("exactly one matrix per aggregation").
-var matrixBuilds atomic.Uint64
-
-// matrixRowUpdates counts incremental row recomputations process-wide;
-// tests use it to assert that the cross-round cache actually took the
-// incremental path instead of silently rebuilding.
-var matrixRowUpdates atomic.Uint64
-
-// MatrixBuildCount returns the number of distance matrices built since
-// process start. It is test instrumentation: take a snapshot, run the
-// code under test, and diff.
-func MatrixBuildCount() uint64 { return matrixBuilds.Load() }
-
-// MatrixRowUpdateCount returns the number of incremental row
-// recomputations (UpdateRow / UpdateRows rows) since process start —
-// the same snapshot-and-diff instrumentation as MatrixBuildCount.
-func MatrixRowUpdateCount() uint64 { return matrixRowUpdates.Load() }
-
 // DistanceMatrix holds the full symmetric matrix of pairwise squared
 // Euclidean distances between n vectors, stored densely (n×n, row
 // major). The diagonal is zero. It is the O(n²·d) object at the heart
@@ -327,7 +306,7 @@ func (m *DistanceMatrix) UpdateRow(i int, v []float64) {
 // All replacements are installed before any row is recomputed, so
 // changed–changed pairs use both new vectors. Duplicate indices are
 // recomputed once; the return value is the number of distinct rows
-// recomputed — what MatrixRowUpdateCount advanced by.
+// recomputed.
 func (m *DistanceMatrix) UpdateRows(changed []int, vectors [][]float64) int {
 	for _, i := range changed {
 		m.setVector(i, vectors[i])
@@ -342,7 +321,6 @@ func (m *DistanceMatrix) UpdateRows(changed []int, vectors [][]float64) int {
 // the walker over "these rows, all columns" (rows accumulate in place,
 // so a repeated index would double-count itself).
 func (m *DistanceMatrix) recompute(rows []int) {
-	matrixRowUpdates.Add(uint64(len(rows)))
 	for _, i := range rows {
 		clear(m.d[i*m.n : (i+1)*m.n])
 	}

@@ -60,7 +60,6 @@ func (m *DistanceMatrix) build() *DistanceMatrix {
 // linear in the deep-learning regime (d ≫ n) the paper targets —
 // Lemma 4.1's cost lives almost entirely here.
 func (m *DistanceMatrix) buildOn(workers int) *DistanceMatrix {
-	matrixBuilds.Add(1)
 	n := m.n
 	if workers <= 1 || !m.gram {
 		m.fill(stridedRows(n, 0, 1), true)

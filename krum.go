@@ -57,9 +57,10 @@
 //	sel, _ := engine.Select(rule, proposals)      // builds the matrix
 //	_ = engine.Aggregate(rule, out, proposals)    // rebuilds it (new round)
 //
-// distsgd.Run uses the engine internally; Bulyan's iterated-Krum phase
-// is memoized on the same machinery (Θ(n²·d + θ·n²) instead of
-// Θ(θ·n²·d)).
+// engine.Stats() counts the builds (here 2) and row updates its rounds
+// did. distsgd.Run uses the engine internally and reports its count as
+// Result.Stats; Bulyan's iterated-Krum phase is memoized on the same
+// machinery (Θ(n²·d + θ·n²) instead of Θ(θ·n²·d)).
 //
 // or train end to end against an attack with package
 // krum/distsgd:
@@ -196,7 +197,9 @@ type RoundContext = core.RoundContext
 // the last round it served, so proposal buffers may be recycled.
 type RoundCache = core.RoundCache
 
-// CacheStats summarizes how a RoundCache served its rounds.
+// CacheStats counts the distance work of an Engine's rounds
+// (Engine.Stats, distsgd.Result.Stats): full builds, cached rounds
+// served without one, and rows recomputed.
 type CacheStats = core.CacheStats
 
 // ContextSelector is implemented by selection rules that can run

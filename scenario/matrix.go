@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -43,11 +44,16 @@ type Matrix struct {
 	DeriveSeeds bool `json:"derive_seeds,omitempty"`
 }
 
-// Size returns the number of cells the matrix expands to.
+// Size returns the number of cells the matrix expands to, without
+// expanding it. It saturates at math.MaxInt instead of wrapping, so a
+// size bound holds for any axis lengths a decoded submission declares.
 func (m Matrix) Size() int {
 	n := 1
 	for _, axis := range []int{len(m.Workloads), len(m.Rules), len(m.Attacks), len(m.Arrivals), len(m.Fs), len(m.Seeds)} {
 		if axis > 0 {
+			if n > math.MaxInt/axis {
+				return math.MaxInt
+			}
 			n *= axis
 		}
 	}

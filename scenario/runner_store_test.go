@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"krum/distsgd"
-	"krum/internal/vec"
+	"krum/internal/core"
 	"krum/scenario"
 	"krum/scenario/store"
 )
@@ -61,6 +61,7 @@ func encodeResult(t *testing.T, r *distsgd.Result) string {
 // is byte-identical to the cold run — at a different worker count, to
 // pin that hits preserve the determinism contract too.
 func TestRunnerWarmStoreZeroRebuildsByteIdentical(t *testing.T) {
+	t.Parallel()
 	st := store.NewMemory()
 	m := storeMatrix()
 
@@ -74,17 +75,9 @@ func TestRunnerWarmStoreZeroRebuildsByteIdentical(t *testing.T) {
 		}
 	}
 
-	builds := vec.MatrixBuildCount()
-	rows := vec.MatrixRowUpdateCount()
 	warm, err := (&scenario.Runner{Workers: 4, Store: st}).Run(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d := vec.MatrixBuildCount() - builds; d != 0 {
-		t.Errorf("warm matrix built %d distance matrices, want 0", d)
-	}
-	if d := vec.MatrixRowUpdateCount() - rows; d != 0 {
-		t.Errorf("warm matrix performed %d row updates, want 0", d)
 	}
 	if len(warm) != len(cold) {
 		t.Fatalf("warm run returned %d cells, want %d", len(warm), len(cold))
@@ -92,6 +85,9 @@ func TestRunnerWarmStoreZeroRebuildsByteIdentical(t *testing.T) {
 	for i := range warm {
 		if !warm[i].Cached {
 			t.Errorf("warm cell %d not served from store", i)
+		}
+		if st := warm[i].Result.Stats; st != (core.CacheStats{}) {
+			t.Errorf("warm cell %d did distance work %+v, want none", i, st)
 		}
 		if warm[i].Index != i || cold[i].Index != i {
 			t.Errorf("cell %d carries index %d/%d; want positional indexing", i, cold[i].Index, warm[i].Index)

@@ -126,6 +126,17 @@ func TestMatrixCellsExpansion(t *testing.T) {
 	}
 }
 
+// TestMatrixSizeSaturates: six axes of 2¹¹ entries declare 2⁶⁶ cells,
+// more than an int holds; Size says math.MaxInt instead of wrapping.
+func TestMatrixSizeSaturates(t *testing.T) {
+	const k = 1 << 11
+	specs := make([]string, k)
+	m := Matrix{Workloads: specs, Rules: specs, Attacks: specs, Arrivals: specs, Fs: make([]int, k), Seeds: make([]uint64, k)}
+	if got := m.Size(); got != math.MaxInt {
+		t.Errorf("Size() = %d, want math.MaxInt", got)
+	}
+}
+
 func TestMatrixDeriveSeeds(t *testing.T) {
 	m := Matrix{
 		Base:        quickSpec(),

@@ -2,9 +2,9 @@ package store_test
 
 // Single-flight coverage, including the committed acceptance-criterion
 // property test: N goroutines submitting one cell concurrently execute
-// it exactly once (witnessed by the global distance-matrix build
-// counter matching a single isolated execution) and every caller gets
-// byte-identical results.
+// it exactly once (witnessed by the distance builds their results
+// report summing to a single isolated execution's) and every caller
+// gets byte-identical results.
 
 import (
 	"encoding/json"
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"krum/distsgd"
-	"krum/internal/vec"
 	"krum/scenario"
 	"krum/scenario/store"
 )
@@ -46,15 +45,15 @@ func flightSpec(seed uint64) scenario.Spec {
 // concurrent submissions of one cell → exactly one execution,
 // identical bytes for every caller.
 func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
+	t.Parallel()
 	spec := flightSpec(31)
 
 	// Reference: the build cost of exactly one execution, in isolation.
-	before := vec.MatrixBuildCount()
 	ref := scenario.RunCell(store.NewMemory(), 0, spec)
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
-	perExecution := vec.MatrixBuildCount() - before
+	perExecution := ref.Result.Stats.Builds
 	if perExecution == 0 {
 		t.Fatal("reference execution built no distance matrices; the property below would be vacuous")
 	}
@@ -68,7 +67,6 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 	results := make([]scenario.CellResult, n)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	before = vec.MatrixBuildCount()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -80,14 +78,13 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if d := vec.MatrixBuildCount() - before; d != perExecution {
-		t.Errorf("%d concurrent submissions built %d matrices, want the single-execution cost %d", n, d, perExecution)
-	}
 	leaders := 0
+	var builds uint64
 	for i, cr := range results {
 		if cr.Err != nil {
 			t.Fatalf("caller %d: %v", i, cr.Err)
 		}
+		builds += cr.Result.Stats.Builds
 		if !cr.Cached {
 			leaders++
 		}
@@ -101,6 +98,9 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 	}
 	if leaders != 1 {
 		t.Errorf("%d callers report Cached=false, want exactly the one leader", leaders)
+	}
+	if builds != perExecution {
+		t.Errorf("%d concurrent submissions built %d matrices, want the single-execution cost %d", n, builds, perExecution)
 	}
 
 	stats := st.Stats()
