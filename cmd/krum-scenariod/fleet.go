@@ -33,8 +33,8 @@ import (
 // for longer than the lease is presumed dead: its tasks are requeued
 // and picked up by the next poll. When no live workers remain (none
 // ever joined, or the fleet died mid-matrix), execution falls back to
-// the local in-process path — a coordinator without a fleet is exactly
-// the PR-4 single-process service.
+// the local in-process path, so a coordinator without a fleet runs every
+// cell itself and every matrix completes.
 
 // errNoWorkers resolves a task the fleet cannot execute; execute
 // answers it by computing locally, so matrices always complete.
@@ -71,12 +71,10 @@ type fleetTask struct {
 	err  error
 }
 
-// taskRing is a FIFO queue over a reusable ring buffer. Unlike the
-// fl.queue[1:] slice it replaced, every vacated slot is nilled out, so
-// a dequeued task becomes collectible the moment its result is
-// delivered — the PR-8 leak fix (the old backing array pinned every
-// completed *fleetTask, spec and done channel included, for the life
-// of the process).
+// taskRing is a FIFO queue over a reusable ring buffer. Every vacated
+// slot is nilled out, so the ring never pins a dequeued task: a
+// *fleetTask, spec and done channel included, becomes collectible the
+// moment its result is delivered.
 type taskRing struct {
 	buf  []*fleetTask
 	head int
@@ -614,8 +612,8 @@ func (fl *fleet) sweep(now time.Time) {
 }
 
 // close drains the fleet at shutdown: every pending task resolves to
-// the local fallback (so in-flight cells still finish and persist, the
-// PR-4 shutdown contract), and later polls find an empty queue.
+// the local fallback (so in-flight cells still finish and persist
+// before shutdown completes), and later polls find an empty queue.
 func (fl *fleet) close() {
 	fl.mu.Lock()
 	fl.closed = true

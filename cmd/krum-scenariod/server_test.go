@@ -439,6 +439,32 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerRefusesOversizedWorkload: submission validates every cell,
+// which resolves its workload; a workload spec that would need
+// gigabytes (mnist(size=1000,hidden=1000) is two 10⁹-float matrices)
+// is refused with a 400 before anything is built, and the coordinator
+// keeps answering.
+func TestServerRefusesOversizedWorkload(t *testing.T) {
+	srv := NewServer(Options{Workers: 1, Store: store.NewMemory()})
+	defer srv.Stop()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body := strings.Replace(matrixBody(t, 7, "krum"), "gmm(k=3,dim=6,radius=4,sigma=0.5)", "mnist(size=1000,hidden=1000)", 1)
+	if !strings.Contains(body, "mnist(size=1000") {
+		t.Fatalf("could not plant the workload in %s", body)
+	}
+	resp, msg := postMatrix(t, ts, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	var health map[string]any
+	getJSON(t, ts, "/healthz", &health)
+	if health["status"] != "ok" {
+		t.Errorf("healthz = %v", health)
+	}
+}
+
 // TestServerRejectsLegacyScreenedField: "screened" was a spec field
 // until screened selection was deleted, "parallel" until the distance
 // build chose its own goroutine count; a submission still carrying

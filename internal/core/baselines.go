@@ -244,13 +244,14 @@ func (t TrimmedMean) Aggregate(dst []float64, vectors [][]float64) error {
 // resilience proof for Krum is "reminiscent of the geometric median
 // technique" (Section 4); this rule lets the benches compare against it
 // directly. Unlike Krum it does not output one of the proposals.
-type GeoMedian struct {
-	// MaxIter bounds Weiszfeld iterations; 0 means the default (100).
-	MaxIter int
-	// Tol is the convergence threshold on the step norm; 0 means the
-	// default (1e-8).
-	Tol float64
-}
+type GeoMedian struct{}
+
+// Weiszfeld's iteration bound and its convergence threshold on the step
+// norm.
+const (
+	geoMedianMaxIter = 100
+	geoMedianTol     = 1e-8
+)
 
 var _ Rule = GeoMedian{}
 
@@ -258,22 +259,14 @@ var _ Rule = GeoMedian{}
 func (GeoMedian) Name() string { return "geomedian" }
 
 // Aggregate implements Rule.
-func (g GeoMedian) Aggregate(dst []float64, vectors [][]float64) error {
+func (GeoMedian) Aggregate(dst []float64, vectors [][]float64) error {
 	if err := checkInputs(dst, vectors); err != nil {
 		return err
-	}
-	maxIter := g.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	tol := g.Tol
-	if tol <= 0 {
-		tol = 1e-8
 	}
 	// Start from the barycenter.
 	vec.Mean(dst, vectors)
 	next := make([]float64, len(dst))
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < geoMedianMaxIter; iter++ {
 		var wsum float64
 		vec.Zero(next)
 		exactHit := false
@@ -296,7 +289,7 @@ func (g GeoMedian) Aggregate(dst []float64, vectors [][]float64) error {
 		vec.Scale(1/wsum, next)
 		moved := vec.Dist2(dst, next)
 		copy(dst, next)
-		if moved < tol*tol {
+		if moved < geoMedianTol*geoMedianTol {
 			return nil
 		}
 	}

@@ -21,11 +21,12 @@ type MinimalDiameter struct {
 	// F is the number of Byzantine workers excluded from the chosen
 	// subset.
 	F int
-	// MaxSubsets guards against accidental combinatorial blow-ups: if
-	// C(n, f) exceeds it, Aggregate returns ErrBadParameter instead of
-	// running for hours. 0 means the default (2,000,000).
-	MaxSubsets int
 }
+
+// maxSubsets guards against accidental combinatorial blow-ups: if
+// C(n, f) exceeds it, Aggregate returns ErrBadParameter instead of
+// running for hours.
+const maxSubsets = 2_000_000
 
 // NewMinimalDiameter returns the exponential majority-based rule.
 func NewMinimalDiameter(f int) *MinimalDiameter { return &MinimalDiameter{F: f} }
@@ -54,12 +55,8 @@ func (md *MinimalDiameter) SelectContext(ctx *RoundContext) ([]int, error) {
 		return nil, fmt.Errorf("f = %d with n = %d: %w", md.F, n, ErrTooFewWorkers)
 	}
 	k := n - md.F
-	limit := md.MaxSubsets
-	if limit <= 0 {
-		limit = 2_000_000
-	}
-	if c := binomial(n, k); c < 0 || c > limit {
-		return nil, fmt.Errorf("C(%d, %d) subsets exceed limit %d: %w", n, k, limit, ErrBadParameter)
+	if c := binomial(n, k); c < 0 || c > maxSubsets {
+		return nil, fmt.Errorf("C(%d, %d) subsets exceed limit %d: %w", n, k, maxSubsets, ErrBadParameter)
 	}
 	d := len(vectors[0])
 	for i, v := range vectors {

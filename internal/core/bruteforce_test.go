@@ -60,8 +60,8 @@ func TestMinimalDiameterErrors(t *testing.T) {
 	for i := range big {
 		big[i] = []float64{float64(i)}
 	}
-	bounded := &MinimalDiameter{F: 20, MaxSubsets: 1000}
-	if err := bounded.Aggregate(dst, big); !errors.Is(err, ErrBadParameter) {
+	// C(40, 20) ≈ 1.4·10¹¹ subsets, far past maxSubsets.
+	if err := NewMinimalDiameter(20).Aggregate(dst, big); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("subset explosion not caught: %v", err)
 	}
 }

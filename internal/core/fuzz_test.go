@@ -12,11 +12,13 @@ func FuzzParseRule(f *testing.F) {
 	for _, seed := range []string{
 		"krum", "krum(f=2)", "multikrum(f=2,m=5)", "krumk(k=3)",
 		"average", "medoid", "coordmedian", "trimmedmean(b=1)",
-		"geomedian(maxiter=50,tol=1e-9)", "minimaldiameter(f=2,maxsubsets=100)",
+		"geomedian", "minimaldiameter(f=2)",
 		"bulyan(f=2)", "clippedmean",
 		"KRUM(F=2)", " krum ( f = 2 ) ", "krum()",
 		"", "(", ")", "krum(f=)", "krum(=2)", "krum(f=2", "krum)f=2(",
 		"nosuchrule", "krum(f=2,f=3)", "krum(zzz=1)", "multikrum",
+		// Parameters that became constants: rejected as unknown keys.
+		"geomedian(maxiter=50,tol=1e-9)", "minimaldiameter(f=2,maxsubsets=100)",
 	} {
 		f.Add(seed)
 	}

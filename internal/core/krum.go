@@ -25,10 +25,6 @@ type Krum struct {
 	// F is the number of Byzantine workers tolerated. The resilience
 	// guarantee of Proposition 4.2 requires n > 2F + 2.
 	F int
-	// Strict, when set, makes Aggregate fail unless n > 2F + 2 (the
-	// resilience precondition) instead of merely requiring the score to
-	// be well defined (n ≥ F + 3).
-	Strict bool
 }
 
 // NewKrum returns a Krum rule tolerating f Byzantine workers.
@@ -53,9 +49,6 @@ func (k *Krum) validateN(n int) error {
 	// one vector for the rule to discriminate at all.
 	if n-k.F-2 < 1 {
 		return fmt.Errorf("n = %d with f = %d leaves no neighbours (need n ≥ f+3): %w", n, k.F, ErrTooFewWorkers)
-	}
-	if k.Strict && n <= 2*k.F+2 {
-		return fmt.Errorf("n = %d does not satisfy n > 2f+2 = %d: %w", n, 2*k.F+2, ErrTooFewWorkers)
 	}
 	return nil
 }
@@ -154,8 +147,6 @@ type MultiKrum struct {
 	// resilience guarantee as long as it cannot be majority-captured,
 	// i.e. for M ≤ n − f in the regime n > 2f + 2.
 	M int
-	// Strict has the same meaning as Krum.Strict.
-	Strict bool
 }
 
 // NewMultiKrum returns an m-Krum rule tolerating f Byzantine workers.
@@ -179,7 +170,7 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 	if mk.M > ctx.N() {
 		return nil, fmt.Errorf("m = %d exceeds n = %d: %w", mk.M, ctx.N(), ErrBadParameter)
 	}
-	inner := Krum{F: mk.F, Strict: mk.Strict}
+	inner := Krum{F: mk.F}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
 	if err := inner.scoresInto(ctx, scores); err != nil {

@@ -9,7 +9,7 @@ import (
 // KrumK is the ablation variant of Krum with an explicit neighbour
 // count: the score sums the K smallest squared distances instead of the
 // paper's n − f − 2. It exists to demonstrate WHY the paper picks
-// n − f − 2 (experiment E8 / BenchmarkKrumKAblation):
+// n − f − 2 (krumk_test.go pins each case below):
 //
 //   - K too large (→ n − 1) degenerates to the medoid criterion, which
 //     Figure 2's collusion captures: remote decoys re-enter the sums.

@@ -156,33 +156,18 @@ func init() {
 		},
 	})
 	Register("geomedian", Factory{
-		Params: []string{"maxiter", "tol"},
-		Doc:    "Weiszfeld geometric-median baseline",
-		New: func(ctx SpecContext, a Args) (Rule, error) {
-			maxIter, err := a.Int("maxiter", 0)
-			if err != nil {
-				return nil, err
-			}
-			tol, err := a.Float("tol", 0)
-			if err != nil {
-				return nil, err
-			}
-			return GeoMedian{MaxIter: maxIter, Tol: tol}, nil
-		},
+		Doc: "Weiszfeld geometric-median baseline",
+		New: func(SpecContext, Args) (Rule, error) { return GeoMedian{}, nil },
 	})
 	Register("minimaldiameter", Factory{
-		Params: []string{"f", "maxsubsets"},
+		Params: []string{"f"},
 		Doc:    "exponential minimal-diameter subset rule (cost baseline)",
 		New: func(ctx SpecContext, a Args) (Rule, error) {
 			f, err := a.Int("f", ctx.F)
 			if err != nil {
 				return nil, err
 			}
-			maxSubsets, err := a.Int("maxsubsets", 0)
-			if err != nil {
-				return nil, err
-			}
-			return &MinimalDiameter{F: f, MaxSubsets: maxSubsets}, nil
+			return &MinimalDiameter{F: f}, nil
 		},
 	})
 	Register("bulyan", Factory{

@@ -81,6 +81,10 @@ func TestParseRuleMalformedSpecs(t *testing.T) {
 		"multikrum",        // m required without context
 		"multikrum(m=0)",   // out of range
 		"geomedian(tol=x)", // non-numeric float
+		// Weiszfeld's bounds and the subset guard are constants, not
+		// parameters.
+		"geomedian(maxiter=50,tol=1e-9)",
+		"minimaldiameter(f=2,maxsubsets=100)",
 	}
 	for _, spec := range bad {
 		if _, err := ParseRule(spec); !errors.Is(err, ErrBadParameter) {

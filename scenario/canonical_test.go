@@ -1,0 +1,101 @@
+package scenario
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"testing"
+)
+
+// canonicalForm is one case of testdata/canonical_forms.json: a spec as
+// a caller spells it, and either the canonical JSON the result store's
+// own resolvers produced for it before Canonical moved into this
+// package (a cell, or a Monte-Carlo partial spec), or the fact that
+// they refused to key it. The literals were generated once, by that
+// commit, and are never regenerated: a mismatch means a key moved.
+type canonicalForm struct {
+	Partial   bool            `json:"partial"`
+	Spec      Spec            `json:"spec"`
+	Canonical json.RawMessage `json:"canonical"`
+	Refused   bool            `json:"refused"`
+}
+
+func loadCanonicalForms(tb testing.TB) []canonicalForm {
+	tb.Helper()
+	blob, err := os.ReadFile("testdata/canonical_forms.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var cases []canonicalForm
+	if err := json.Unmarshal(blob, &cases); err != nil {
+		tb.Fatal(err)
+	}
+	return cases
+}
+
+// TestCanonicalForms pins Spec.Canonical to the golden identities:
+// every registry built-in under case, spacing and default-parameter
+// variants, "" and "NONE" attacks, every sync spelling of the arrival
+// axis, and table1/ablation partial specs. A refused full cell fails
+// Validate; a refused partial spec fails Canonical itself.
+func TestCanonicalForms(t *testing.T) {
+	for i, tc := range loadCanonicalForms(t) {
+		c, err := tc.Spec.Canonical()
+		if tc.Refused {
+			if tc.Partial && err == nil {
+				t.Errorf("case %d (%+v): canonicalized to %+v, want an error", i, tc.Spec, c)
+			}
+			if !tc.Partial && tc.Spec.Validate() == nil {
+				t.Errorf("case %d (%+v): validates, want refused", i, tc.Spec)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("case %d (%+v): %v", i, tc.Spec, err)
+			continue
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, tc.Canonical); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(c); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("case %d (%+v):\n got %s\nwant %s", i, tc.Spec, got, want.Bytes())
+		}
+		if again, err := c.Canonical(); err != nil || again != c {
+			t.Errorf("case %d: not a fixed point: %+v → %+v (%v)", i, c, again, err)
+		}
+		if !tc.Partial {
+			if err := tc.Spec.Validate(); err != nil {
+				t.Errorf("case %d (%+v): Validate = %v", i, tc.Spec, err)
+			}
+		}
+	}
+}
+
+// FuzzSpecCanonical: Canonical is idempotent on whatever it accepts,
+// and a spec that validates always canonicalizes. Workload factories
+// refuse oversized specs before allocating, so the fuzzer needs no
+// size guard.
+func FuzzSpecCanonical(f *testing.F) {
+	for _, tc := range loadCanonicalForms(f) {
+		s := tc.Spec
+		f.Add(s.Workload, s.Rule, s.Attack, s.Schedule, s.Arrival, s.N, s.F, s.Seed)
+	}
+	f.Fuzz(func(t *testing.T, wl, rule, atk, sched, arr string, n, fByz int, seed uint64) {
+		s := Spec{Workload: wl, Rule: rule, Attack: atk, Schedule: sched, Arrival: arr, N: n, F: fByz, Rounds: 1, BatchSize: 1, Seed: seed}
+		c, err := s.Canonical()
+		if err != nil {
+			if s.Validate() == nil {
+				t.Fatalf("%+v validates but does not canonicalize: %v", s, err)
+			}
+			return
+		}
+		again, err := c.Canonical()
+		if err != nil {
+			t.Fatalf("canonical form %+v of %+v does not canonicalize: %v", c, s, err)
+		}
+		if again != c {
+			t.Fatalf("Canonical not idempotent for %+v: %+v → %+v", s, c, again)
+		}
+	})
+}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"krum/attack"
 	"krum/distsgd"
@@ -93,7 +94,7 @@ type Spec struct {
 	// distsgd.Config.ArrivalSpec), e.g. "bounded(tau=3)" or
 	// "bernoulli(p=0.5,tau=8)". Empty means synchronous rounds; "sync"
 	// and every tau=0 spec are byte-identical to empty and share its
-	// store key (the store canonicalizes them away), while genuinely
+	// store key (Canonical maps them to empty), while genuinely
 	// asynchronous specs are part of the cell's identity and can never
 	// alias a synchronous cell.
 	Arrival string `json:"arrival,omitempty"`
@@ -123,9 +124,9 @@ func (s Spec) Label() string {
 	return strings.Join(parts, " ")
 }
 
-// Validate eagerly checks the scalar shape and parses all four axis
-// specs, so config files fail fast with registry-grade error messages
-// instead of mid-matrix.
+// Validate eagerly checks the scalar shape and the required axes and
+// resolves every axis through Canonical, so config files fail fast with
+// registry-grade error messages instead of mid-matrix.
 func (s Spec) Validate() error {
 	if s.N < 1 || s.F < 0 || s.F >= s.N {
 		return fmt.Errorf("n = %d, f = %d (need 0 ≤ f < n): %w", s.N, s.F, ErrBadSpec)
@@ -136,35 +137,82 @@ func (s Spec) Validate() error {
 	if s.BatchSize < 1 {
 		return fmt.Errorf("batch_size = %d: %w", s.BatchSize, ErrBadSpec)
 	}
-	if s.Rule == "" {
+	switch "" {
+	case s.Rule:
 		return fmt.Errorf("empty rule spec: %w", ErrBadSpec)
-	}
-	if _, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule); err != nil {
-		return err
-	}
-	if s.Attack != "" {
-		if _, err := attack.Parse(s.Attack); err != nil {
-			return err
-		}
-	}
-	if s.Schedule == "" {
+	case s.Schedule:
 		return fmt.Errorf("empty schedule spec: %w", ErrBadSpec)
-	}
-	if _, err := sgd.ParseSchedule(s.Schedule); err != nil {
-		return err
-	}
-	if s.Workload == "" {
+	case s.Workload:
 		return fmt.Errorf("empty workload spec: %w", ErrBadSpec)
 	}
-	if _, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload); err != nil {
-		return err
+	_, err := s.Canonical()
+	return err
+}
+
+// workloadCanon memoizes raw workload spec → canonical spec for the life
+// of the process. Workload factories build their dataset and model
+// eagerly, but the canonical string depends only on the parsed
+// parameters (the seed only randomizes weights), so one build per
+// distinct spelling serves every cell and every key that names it.
+// Failures are not memoized: they stay cheap and keep their full error.
+var workloadCanon sync.Map
+
+// Canonical returns the spec's identity: every axis that is set,
+// resolved through its registry to the canonical form that reparses to
+// the same object — the rule under SpecContext{N, F}, the attack (""
+// becomes "none"), the schedule, the workload, and the arrival process,
+// where every spelling of sync (any τ = 0 spec) becomes "" and so shares
+// the synchronous identity. Rule, schedule and workload left empty stay
+// empty (the partial specs of Monte-Carlo cells); the cosmetic Name is
+// cleared. Canonical is idempotent and is the one place axis strings
+// become an identity: Validate and the result store's keys both go
+// through it.
+func (s Spec) Canonical() (Spec, error) {
+	c := s
+	c.Name = ""
+	if s.Rule != "" {
+		rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
+		if err != nil {
+			return Spec{}, err
+		}
+		c.Rule = rule.Name()
+	}
+	c.Attack = "none"
+	if s.Attack != "" {
+		atk, err := attack.Parse(s.Attack)
+		if err != nil {
+			return Spec{}, err
+		}
+		c.Attack = atk.Name()
+	}
+	if s.Schedule != "" {
+		sched, err := sgd.ParseSchedule(s.Schedule)
+		if err != nil {
+			return Spec{}, err
+		}
+		c.Schedule = sched.Name()
+	}
+	if s.Workload != "" {
+		wl, ok := workloadCanon.Load(s.Workload)
+		if !ok {
+			built, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
+			if err != nil {
+				return Spec{}, err
+			}
+			wl, _ = workloadCanon.LoadOrStore(s.Workload, built.Spec)
+		}
+		c.Workload = wl.(string)
 	}
 	if s.Arrival != "" {
-		if _, err := arrival.Parse(s.Arrival); err != nil {
-			return err
+		proc, err := arrival.Parse(s.Arrival)
+		if err != nil {
+			return Spec{}, err
+		}
+		if c.Arrival = proc.Name(); c.Arrival == "sync" {
+			c.Arrival = ""
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // Compile materializes the spec into a distsgd.Config: the workload is

@@ -77,11 +77,11 @@ func TestCanonicalArrivalIdempotent(t *testing.T) {
 	for _, arr := range []string{"", "sync", "bounded(tau=0)", "bounded(tau=3)", "bernoulli(tau=4)"} {
 		s := quickSpec()
 		s.Arrival = arr
-		once, err := Canonical(s)
+		once, err := s.Canonical()
 		if err != nil {
 			t.Fatal(err)
 		}
-		twice, err := Canonical(once)
+		twice, err := once.Canonical()
 		if err != nil {
 			t.Fatal(err)
 		}

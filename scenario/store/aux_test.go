@@ -68,14 +68,14 @@ func TestAuxKeyCollapsesSpellingVariants(t *testing.T) {
 	}
 }
 
-// TestCanonicalAuxIdempotent pins CanonicalAux∘CanonicalAux ≡
-// CanonicalAux — the property record reloads rely on.
+// TestCanonicalAuxIdempotent pins Canonical∘Canonical ≡ Canonical on a
+// partial spec — the property aux record reloads rely on.
 func TestCanonicalAuxIdempotent(t *testing.T) {
-	once, err := store.CanonicalAux(partialSpec())
+	once, err := partialSpec().Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := store.CanonicalAux(once)
+	twice, err := once.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,11 +257,7 @@ func TestReplayedRecordMeetsCanonicalCheckOnFirstHit(t *testing.T) {
 	}
 	var blob []byte
 	for i, payload := range payloads {
-		c, err := Canonical(seededSpec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := keyOfCanonical(c)
+		c, key, err := identify("", seededSpec(i), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,11 +317,7 @@ func TestDroppedTailRecordStaysDroppedAcrossSeal(t *testing.T) {
 	dir := t.TempDir()
 	var tail []byte
 	for i, payload := range []json.RawMessage{mustMarshal(t, fakeResult(0)), json.RawMessage(`{"garbage":1}`)} {
-		c, err := Canonical(seededSpec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := keyOfCanonical(c)
+		c, key, err := identify("", seededSpec(i), "")
 		if err != nil {
 			t.Fatal(err)
 		}

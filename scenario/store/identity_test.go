@@ -1,0 +1,76 @@
+package store
+
+import (
+	"encoding/json"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"krum/scenario"
+)
+
+// TestStoreOnlyHashes is the layering guard: a cell's identity is
+// resolved by scenario.Spec.Canonical, so no non-test file of this
+// package may import a registry (or the workload builder behind one).
+func TestStoreOnlyHashes(t *testing.T) {
+	banned := map[string]bool{
+		"krum/attack": true, "krum/internal/core": true, "krum/internal/sgd": true,
+		"krum/internal/arrival": true, "krum/workload": true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
+				t.Errorf("%s imports %s: resolve axes in scenario.Spec.Canonical, not in the store", name, path)
+			}
+		}
+	}
+}
+
+// TestKeysRefuseWhatTheyRefused replays the refused specs of
+// scenario/testdata/canonical_forms.json (written by the commit whose
+// store still resolved axes itself): every spec it could not key —
+// an unparsable axis, or a cell without a rule, schedule or workload —
+// still has no key, and every spec it keyed still has one.
+func TestKeysRefuseWhatTheyRefused(t *testing.T) {
+	blob, err := os.ReadFile("../testdata/canonical_forms.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Partial bool          `json:"partial"`
+		Spec    scenario.Spec `json:"spec"`
+		Refused bool          `json:"refused"`
+	}
+	if err := json.Unmarshal(blob, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range cases {
+		var err error
+		if tc.Partial {
+			_, err = KeyAux("table1", tc.Spec, "p")
+		} else {
+			_, err = Key(tc.Spec)
+		}
+		if tc.Refused && err == nil {
+			t.Errorf("case %d (%+v): keyed, want refused", i, tc.Spec)
+		}
+		if !tc.Refused && err != nil {
+			t.Errorf("case %d (%+v): %v", i, tc.Spec, err)
+		}
+	}
+}

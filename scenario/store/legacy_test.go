@@ -9,10 +9,12 @@ import (
 )
 
 // TestGoldenKeys pins literal content addresses for one dense and one
-// asynchronous spec under both order families. The literals were
-// computed by the commit BEFORE scenario.Spec lost its omitempty
-// "screened" field, so they prove that removing the field moved no
-// key; from here on they pin the whole key recipe (Version salt, order
+// asynchronous spec under both order families, and for one auxiliary
+// record of each harness kind. The cell literals were computed by the
+// commit BEFORE scenario.Spec lost its omitempty "screened" field, the
+// aux literals by the commit before the store's own resolvers gave way
+// to Spec.Canonical, so they prove that neither change moved a key;
+// from here on they pin the whole key recipe (Version salt, order
 // salt, canonical form, field order). A change that makes this test
 // fail orphans every stored result and needs a Version bump.
 func TestGoldenKeys(t *testing.T) {
@@ -25,22 +27,29 @@ func TestGoldenKeys(t *testing.T) {
 	}
 	async := dense
 	async.Arrival = "bounded(tau=2)"
+	// One Monte-Carlo cell of each harness kind, spelled as
+	// table1Matrix and RunAblation expand them (labels included).
+	table1 := scenario.Spec{Name: "table1: rule=multikrum(m=4) attack=hiddencoord(j=3) f=3 seed=1", N: 13, F: 3, Seed: 1, Rule: "multikrum(m=4)", Attack: "hiddencoord(j=3)"}
+	ablation := scenario.Spec{Name: "rule=bulyan attack=hiddencoord(j=7,margin=1) f=2 seed=2", N: 11, F: 2, Seed: 2, Rule: "bulyan", Attack: "hiddencoord(j=7,margin=1)"}
 	for _, tc := range []struct {
-		name  string
-		spec  scenario.Spec
-		order string
-		want  string
+		name         string
+		kind, params string
+		spec         scenario.Spec
+		order        string
+		want         string
 	}{
-		{"dense/pair2", dense, "pair2", "sha256:1b7f4beca3f58e4a913065cdcdd7ba62bef10c20cda2b13a1d3dbf4365f185d6"},
-		{"async/pair2", async, "pair2", "sha256:d87cfeae4f3cc6617e62418160c11e6ded4e5b2d9c27b58d830264efc8bd0ac9"},
-		{"dense/fma4", dense, "fma4", "sha256:9dca064980c16a0dc0fd72dbf37276d6627dc13a60395a922cb7c1ff71ad023d"},
-		{"async/fma4", async, "fma4", "sha256:c9351b723602f1f22307de6d630427b1ff667af8ea73c3bdafadcc6efbae4c5f"},
+		{"dense/pair2", "", "", dense, "pair2", "sha256:1b7f4beca3f58e4a913065cdcdd7ba62bef10c20cda2b13a1d3dbf4365f185d6"},
+		{"async/pair2", "", "", async, "pair2", "sha256:d87cfeae4f3cc6617e62418160c11e6ded4e5b2d9c27b58d830264efc8bd0ac9"},
+		{"dense/fma4", "", "", dense, "fma4", "sha256:9dca064980c16a0dc0fd72dbf37276d6627dc13a60395a922cb7c1ff71ad023d"},
+		{"async/fma4", "", "", async, "fma4", "sha256:c9351b723602f1f22307de6d630427b1ff667af8ea73c3bdafadcc6efbae4c5f"},
+		{"table1/pair2", "table1", "d=12,trials=200", table1, "pair2", "sha256:63154de80d9c0e122c4cf2c2c0a296d4f88c399601fa31f8d7a0b71070a0a747"},
+		{"ablation/fma4", "ablation", "d=60,coord=7,trials=300", ablation, "fma4", "sha256:1bf21c2c389835a325785f351176475353cca81bd5944d5c7def710f686c425f"},
 	} {
-		c, err := Canonical(tc.spec)
+		c, err := tc.spec.Canonical()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, err := keyOfCanonicalWith(tc.order, c)
+		got, err := address(tc.order, tc.kind, tc.params, c)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -267,11 +267,11 @@ func TestSegmentedTailCountedOnce(t *testing.T) {
 	if vec.KernelOrder() == other {
 		other = "pair2"
 	}
-	c, err := Canonical(seededSpec(1))
+	c, err := seededSpec(1).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := keyOfCanonicalWith(other, c)
+	key, err := address(other, "", "", c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,7 @@ type flight struct {
 // cached: the flight is removed before waiters are released, so a
 // later submission of the same key re-executes.
 func (s *Store) DoCellRaw(spec scenario.Spec, compute func() (json.RawMessage, error)) (raw json.RawMessage, shared bool, storeErr, runErr error) {
-	c, err := Canonical(spec)
-	var key string
-	if err == nil {
-		key, err = keyOfCanonical(c)
-	}
+	c, key, err := identify("", spec, "")
 	if err != nil {
 		// Unkeyable specs cannot be deduplicated or persisted: compute
 		// directly, and surface the key failure as a store problem only

@@ -250,7 +250,7 @@ func TestSingleFlightErrorsPropagateUncached(t *testing.T) {
 // forever.
 func TestSingleFlightHealsCorruptIndexEntry(t *testing.T) {
 	spec := flightSpec(13)
-	c, err := store.Canonical(spec)
+	c, err := spec.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,16 @@
 //
 // # Keys
 //
-// Key canonicalizes the spec before hashing: each axis spec string is
-// resolved through its registry and replaced by the constructed
-// object's canonical Name()/Spec form, so spelling variants collapse
-// to one key — "krum" at n=15, f=3 and "krum(f=3)" hit the same
-// entry, as do "Gaussian(sigma=200)" and "gaussian(sigma=200)". The
-// cosmetic Name label is excluded: it cannot change a result.
-// Everything else — including Seed, EvalEvery/EvalBatch/TrackSelection
-// (they change Result contents) and the Incremental flag — is hashed,
-// together with the Version salt.
+// A key hashes the spec's identity, scenario.Spec.Canonical: the store
+// resolves no axis itself, it only hashes. Canonical replaces each
+// axis spec string by its registry's canonical form, so spelling
+// variants collapse to one key — "krum" at n=15, f=3 and "krum(f=3)"
+// hit the same entry, as do "Gaussian(sigma=200)" and
+// "gaussian(sigma=200)". The cosmetic Name label is excluded: it cannot
+// change a result. Everything else — including Seed,
+// EvalEvery/EvalBatch/TrackSelection (they change Result contents) and
+// the Incremental flag — is hashed, together with the Version salt and
+// the kernel order family.
 //
 // # Invalidation
 //
@@ -58,14 +59,9 @@ import (
 	"strings"
 	"sync"
 
-	"krum/attack"
 	"krum/distsgd"
-	"krum/internal/arrival"
-	"krum/internal/core"
-	"krum/internal/sgd"
 	"krum/internal/vec"
 	"krum/scenario"
-	"krum/workload"
 )
 
 // Version is the code-version salt mixed into every key. Bump it
@@ -81,124 +77,37 @@ const Version = "krum-store-v2"
 // ErrStore is the sentinel wrapped by store failures.
 var ErrStore = errors.New("store: error")
 
-// workloadCanon memoizes raw workload spec string → canonical Spec
-// string. Workload factories eagerly construct their dataset and
-// model, which would make every Key computation pay a full dataset
-// build; the canonical spec string depends only on the parsed
-// parameters (never on the seed, which only randomizes weights), so
-// one construction per distinct raw string suffices for the life of
-// the process. Parse failures are not memoized — they stay cheap and
-// keep their full error.
-var workloadCanon sync.Map
-
-// canonicalWorkload resolves a workload spec to its registry-canonical
-// string, via the memo.
-func canonicalWorkload(raw string, seed uint64) (string, error) {
-	if c, ok := workloadCanon.Load(raw); ok {
-		return c.(string), nil
-	}
-	wl, err := workload.Parse(workload.SpecContext{Seed: seed}, raw)
-	if err != nil {
-		return "", err
-	}
-	workloadCanon.Store(raw, wl.Spec)
-	return wl.Spec, nil
-}
-
-// Canonical returns the fully-resolved form of a spec — the identity
-// the store hashes. Axis spec strings are replaced by their registry
-// round-trip canonical forms (an empty attack becomes "none"), and the
-// result-irrelevant Name is cleared. Canonical is idempotent:
-// Canonical(Canonical(s)) == Canonical(s), because every registry
-// guarantees Parse(x.Name()) ≡ x.
-func Canonical(s scenario.Spec) (scenario.Spec, error) {
-	c := s
-	c.Name = ""
-	rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	c.Rule = rule.Name()
-	if strings.TrimSpace(s.Attack) == "" {
-		c.Attack = "none"
-	} else {
-		atk, err := attack.Parse(s.Attack)
-		if err != nil {
-			return scenario.Spec{}, err
-		}
-		c.Attack = atk.Name()
-	}
-	sched, err := sgd.ParseSchedule(s.Schedule)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	c.Schedule = sched.Name()
-	c.Workload, err = canonicalWorkload(s.Workload, s.Seed)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	// Arrival canonicalizes through the registry like the other axes,
-	// with one extra collapse: a spec whose canonical form is Sync
-	// ("sync" itself, or any tau=0 spelling) is byte-identical to the
-	// synchronous protocol, so it maps to the empty string — the JSON
-	// field then omits entirely and the key equals the pre-arrival
-	// sync key (stored results stay warm, no Version bump needed).
-	// Genuinely asynchronous specs keep their canonical Name, making
-	// their keys distinct from every synchronous cell by construction.
-	if strings.TrimSpace(s.Arrival) == "" {
-		c.Arrival = ""
-	} else {
-		proc, err := arrival.Parse(s.Arrival)
-		if err != nil {
-			return scenario.Spec{}, err
-		}
-		if name := proc.Name(); name == "sync" {
-			c.Arrival = ""
-		} else {
-			c.Arrival = name
-		}
-	}
-	return c, nil
-}
-
-// Key returns the spec's content address: "sha256:" plus the hex
-// SHA-256 of the Version salt and the canonical spec's JSON. The key
-// is conservative: two specs sharing a key are guaranteed to produce
-// the same result under the current code version, but not every
-// result-identical pair shares a key — notably Incremental is hashed
-// (it is part of the cell's declared identity even though results are
-// bit-identical either way), so flipping it recomputes.
+// Key returns the spec's content address under the active order family
+// (see address). The key is conservative: two specs sharing a key are
+// guaranteed to produce the same result under the current code
+// version, but not every result-identical pair shares a key — notably
+// Incremental is hashed (it is part of the cell's declared identity
+// even though results are bit-identical either way), so flipping it
+// recomputes.
 func Key(s scenario.Spec) (string, error) {
-	c, err := Canonical(s)
+	_, key, err := identify("", s, "")
+	return key, err
+}
+
+// identify resolves a caller's spec to its identity (Spec.Canonical)
+// and that identity's address under the active order family — the one
+// path from a spec to a key. kind is "" for a cell.
+func identify(kind string, s scenario.Spec, params string) (scenario.Spec, string, error) {
+	c, err := s.Canonical()
 	if err != nil {
-		return "", err
+		return scenario.Spec{}, "", err
 	}
-	return keyOfCanonical(c)
+	key, err := address(vec.KernelOrder(), kind, params, c)
+	return c, key, err
 }
 
-// keyOfCanonical hashes an already-canonical spec under the active
-// order family.
-func keyOfCanonical(c scenario.Spec) (string, error) {
-	return keyOfCanonicalWith(vec.KernelOrder(), c)
-}
-
-// keyOfCanonicalWith hashes an already-canonical spec under an explicit
-// order-family salt — the re-derivation path for records written by
-// ANOTHER family (see decodeLine's foreign verdict).
-func keyOfCanonicalWith(order string, c scenario.Spec) (string, error) {
-	blob, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("marshaling spec for hashing: %w: %w", err, ErrStore)
-	}
-	return hashKeyWith(order, blob), nil
-}
-
-// hashKeyWith renders the content address of a hashed identity blob,
-// salted with Version AND a kernel accumulation-order family (the
-// active one, vec.KernelOrder, for everything this process computes).
-// Cell keys hash a canonical spec's JSON and aux
-// keys an auxIdentity's JSON — the two preimage families start with
-// different JSON structure, so they cannot collide.
+// address renders the content address of one identity: "sha256:" plus
+// the hex SHA-256 of the Version salt, a kernel accumulation-order
+// family and the identity's JSON — the canonical spec for a cell
+// (kind ""), or the auxIdentity for an auxiliary record. The two
+// preimage families start with different JSON structure, so they cannot
+// collide. A cell needs a rule, a schedule and a workload; a spec
+// without them has no cell key.
 //
 // The kernel salt is the order FAMILY, not the tier name: tiers with
 // the same canonical accumulation order produce bit-identical results
@@ -207,15 +116,23 @@ func keyOfCanonicalWith(order string, c scenario.Spec) (string, error) {
 // the fma4 (AVX2) order can never be served to a pair2 process, whose
 // cold run would produce different low bits. A tier switch (new CPU,
 // KRUM_KERNEL_TIER change) across order families therefore orphans
-// entries exactly like a Version bump, per order family.
-func hashKeyWith(order string, blob []byte) string {
+// entries exactly like a Version bump, per order family. Records are
+// re-derived under their own stored family too (see decodeLine's
+// foreign verdict).
+func address(order, kind, params string, c scenario.Spec) (string, error) {
+	var blob []byte
+	switch {
+	case kind != "":
+		blob, _ = json.Marshal(auxIdentity{Kind: kind, Params: params, Spec: c})
+	case c.Rule == "" || c.Schedule == "" || c.Workload == "":
+		return "", fmt.Errorf("a cell needs a rule, a schedule and a workload: %w", ErrStore)
+	default:
+		blob, _ = json.Marshal(c)
+	}
 	h := sha256.New()
-	h.Write([]byte(Version))
-	h.Write([]byte{'\n'})
-	h.Write([]byte(order))
-	h.Write([]byte{'\n'})
+	h.Write([]byte(Version + "\n" + order + "\n"))
 	h.Write(blob)
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // keyID is a content address in binary: the 32 digest bytes behind a
@@ -225,7 +142,7 @@ func hashKeyWith(order string, blob []byte) string {
 // a segmented store that grows with everything ever saved.
 type keyID [sha256.Size]byte
 
-// idOf parses a key string. Only hashKeyWith's renderings ever reach
+// idOf parses a key string. Only address's renderings ever reach
 // the index (a record's stored key is indexed only once it equals a
 // derived one), so anything else maps to the zero id, which nothing is
 // stored under.
@@ -267,31 +184,6 @@ type record struct {
 	// Result is the stable-encoded training outcome (for cell records)
 	// or the kind-specific JSON payload (for auxiliary records).
 	Result json.RawMessage `json:"result"`
-}
-
-// deriveKey recomputes the record's content address from its stored
-// identity under the active order family — the tamper/stale check Open
-// applies to every line.
-func (r record) deriveKey() (string, error) {
-	return r.deriveKeyWith(vec.KernelOrder())
-}
-
-// deriveKeyWith recomputes the record's content address under an
-// explicit order-family salt; decodeLine uses it with the record's own
-// stored Kernel to distinguish foreign records from tampered ones.
-func (r record) deriveKeyWith(order string) (string, error) {
-	if r.Kind == "" {
-		c, err := Canonical(r.Spec)
-		if err != nil {
-			return "", err
-		}
-		return keyOfCanonicalWith(order, c)
-	}
-	c, err := CanonicalAux(r.Spec)
-	if err != nil {
-		return "", err
-	}
-	return keyOfAuxCanonicalWith(order, r.Kind, c, r.Params)
 }
 
 // Stats is a snapshot of a store's counters.
@@ -571,13 +463,16 @@ func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 	if err := json.Unmarshal([]byte(trimmed), &rec); err != nil {
 		return record{}, "", lineMalformed
 	}
-	key, err := rec.deriveKey()
+	c, err := rec.Spec.Canonical()
+	if err == nil {
+		key, err = address(vec.KernelOrder(), rec.Kind, rec.Params, c)
+	}
 	if err != nil || len(rec.Result) == 0 {
 		return record{}, "", lineTampered
 	}
 	if key != rec.Key {
 		if rec.Kernel != "" && rec.Kernel != vec.KernelOrder() {
-			if fk, ferr := rec.deriveKeyWith(rec.Kernel); ferr == nil && fk == rec.Key {
+			if fk, _ := address(rec.Kernel, rec.Kind, rec.Params, c); fk == rec.Key {
 				return rec, rec.Key, lineForeign
 			}
 		}
@@ -759,13 +654,9 @@ func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 // single-flight leader, which has the canonical spec and key in hand
 // already, appends its record directly instead).
 func (s *Store) saveRaw(spec scenario.Spec, raw json.RawMessage) error {
-	c, err := Canonical(spec)
+	c, key, err := identify("", spec, "")
 	if err != nil {
-		return fmt.Errorf("canonicalizing spec: %w", err)
-	}
-	key, err := keyOfCanonical(c)
-	if err != nil {
-		return err
+		return fmt.Errorf("keying spec: %w", err)
 	}
 	return s.appendRecord(record{Key: key, Version: Version, Spec: c, Result: raw})
 }

@@ -1,51 +1,12 @@
 package workload
 
-import (
-	"errors"
-	"math"
-	"strconv"
-	"testing"
-
-	"krum/internal/spec"
-)
-
-// fuzzGuardErr is a throwaway sentinel for the guard's structural
-// pre-parse; the real sentinel checks happen in Parse itself.
-var fuzzGuardErr = errors.New("workload fuzz guard")
-
-// oversizedSpec reports whether any numeric parameter in s (or a
-// nested spec value, noniid-style) exceeds the fuzz budget. Workload
-// factories construct datasets and models EAGERLY, so an unguarded
-// "mnist(size=999999)" would try to allocate a gigapixel dataset —
-// the guard keeps the fuzzer exploring parser behavior instead of
-// OOM-killing the process. Structurally malformed input passes the
-// guard untouched: Parse must reject it gracefully itself.
-func oversizedSpec(s string, depth int) bool {
-	if depth > 3 {
-		return true
-	}
-	_, args, err := spec.Parse("workload", fuzzGuardErr, s)
-	if err != nil {
-		return false
-	}
-	for _, v := range args {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			if math.Abs(f) > 64 {
-				return true
-			}
-			continue
-		}
-		if oversizedSpec(v, depth+1) {
-			return true
-		}
-	}
-	return false
-}
+import "testing"
 
 // FuzzParseWorkload drives the workload-spec parser with arbitrary
-// (size-guarded) input: no input may panic, and any accepted spec must
-// round-trip — the constructed workload's canonical Spec string
-// reparses, under the same seed context, to the same Spec.
+// input: no input may panic, and any accepted spec must round-trip —
+// the constructed workload's canonical Spec string reparses, under the
+// same seed context, to the same Spec. Factories refuse specs over
+// maxFloats before allocating, so the fuzzer needs no size guard.
 func FuzzParseWorkload(f *testing.F) {
 	for _, seed := range []string{
 		"mnist", "mnist(size=10,hidden=16)", "mnistconv(size=12,channels=4)",
@@ -59,9 +20,6 @@ func FuzzParseWorkload(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		if len(s) > 256 || oversizedSpec(s, 0) {
-			t.Skip("outside the fuzz size budget")
-		}
 		ctx := SpecContext{Seed: 1}
 		w, err := Parse(ctx, s) // must not panic, whatever s is
 		if err != nil {

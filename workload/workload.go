@@ -75,6 +75,46 @@ func Names() []string { return registry.Names() }
 // can never drift from the implemented set.
 func Usage() string { return registry.Usage() }
 
+// maxFloats bounds one built-in workload: a spec whose model or dataset
+// would hold more than 2²² floats (32 MiB) is refused with ErrBadSpec
+// before anything is allocated, so no spec string — a scenariod
+// submission included — can make validation allocate without bound. The
+// largest workload any experiment uses, mnist(size=28,hidden=100), has
+// 79 510 parameters.
+const maxFloats = 1 << 22
+
+// floats multiplies spec parameters, saturating just above maxFloats so
+// no parameter value can overflow a count; a non-positive factor yields
+// 0 and is left for the constructors to refuse.
+func floats(factors ...int) int {
+	n := 1
+	for _, x := range factors {
+		if x <= 0 {
+			return 0
+		}
+		if n > maxFloats/x {
+			return maxFloats + 1
+		}
+		n *= x
+	}
+	return n
+}
+
+// checkFloats refuses a workload whose model — the sum of terms, each a
+// floats product or a raw parameter — would hold more than maxFloats
+// floats (no built-in's dataset holds more than its model). Terms are
+// clamped, so the sum cannot overflow either.
+func checkFloats(name string, terms ...int) error {
+	n := 0
+	for _, t := range terms {
+		n += min(max(t, 0), maxFloats+1)
+	}
+	if n > maxFloats {
+		return fmt.Errorf("%s would hold more than %d floats: %w", name, maxFloats, ErrBadSpec)
+	}
+	return nil
+}
+
 // init registers the built-in workloads. Third-party workloads can call
 // Register from their own init functions.
 func init() {
@@ -95,6 +135,9 @@ func init() {
 			}
 			noise, err := a.Float("noise", 0.05)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkFloats("mnist", floats(size, size, hidden), floats(hidden, 11), 10); err != nil {
 				return nil, err
 			}
 			ds, err := data.NewSyntheticMNIST(size, noise)
@@ -133,6 +176,10 @@ func init() {
 			}
 			noise, err := a.Float("noise", 0.05)
 			if err != nil {
+				return nil, err
+			}
+			pooled := (size - 4) / 2 // side after the 5×5 valid conv and 2×2 pool
+			if err := checkFloats("mnistconv", floats(channels, 26), floats(channels, pooled, pooled, hidden), floats(hidden, 11), 10); err != nil {
 				return nil, err
 			}
 			ds, err := data.NewSyntheticMNIST(size, noise)
@@ -199,6 +246,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			if err := checkFloats("gmm", floats(k, dim), k); err != nil {
+				return nil, err
+			}
 			ds, err := data.NewGaussianMixture(k, dim, radius, sigma, ctx.Seed)
 			if err != nil {
 				return nil, err
@@ -231,6 +281,9 @@ func init() {
 			}
 			noise, err := a.Float("noise", 0.2)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkFloats("regression", floats(out, in), out); err != nil {
 				return nil, err
 			}
 			ds, err := data.NewLinearRegressionStream(in, out, noise, ctx.Seed)

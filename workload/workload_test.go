@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,6 +103,41 @@ func TestParseMalformedSpecs(t *testing.T) {
 		if _, err := Parse(ctx, s); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("Parse(%q) = %v, want wrapped ErrBadSpec", s, err)
 		}
+	}
+}
+
+// TestParseRefusesOversizedBeforeAllocating: a spec whose model or
+// dataset would hold more than maxFloats floats is refused with
+// ErrBadSpec by every built-in with a size parameter (spambase has
+// none) — and before the build, so the refusal allocates under 1 MB
+// where building mnist(size=1000,hidden=1000) would take 16 GB. The
+// largest workload in use stays accepted.
+func TestParseRefusesOversizedBeforeAllocating(t *testing.T) {
+	ctx := SpecContext{Seed: 1}
+	for _, s := range []string{
+		"mnist(size=1000,hidden=1000)",
+		"mnist(size=2048,hidden=1)",
+		"mnist(size=9223372036854775807)",
+		"mnistconv(size=1000,channels=8,hidden=32)",
+		"gmm(k=3,dim=2000000)",
+		"gmm(k=9223372036854775807,dim=1)",
+		"regression(in=10000,out=1000)",
+		"regression(in=9223372036854775807)",
+		"noniid(base=mnist(size=1000,hidden=1000),classes=3)",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(ctx, s)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Parse(%q) = %v, want wrapped ErrBadSpec", s, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("Parse(%q) allocated %d bytes before refusing", s, grew)
+		}
+	}
+	if _, err := Parse(ctx, "mnist(size=28,hidden=100)"); err != nil {
+		t.Errorf("the largest workload in use is refused: %v", err)
 	}
 }
 
