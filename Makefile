@@ -1,13 +1,12 @@
 GO ?= go
 
 # The tracked perf-trajectory benchmarks `make bench` records in
-# BENCH_scenario.json: the memoized Bulyan kernel, the concurrent
-# scenario-matrix runner throughput, the blocked/incremental/large-n
-# distance-matrix kernels, the result store's warm-vs-cold grid
-# economics, the async incremental-cache win under bounded-staleness
-# arrival traffic, and the hot loops of the gradient path (digit
-# render, MLP and tiny-softmax gradients, coordinate median, the
-# matmul / axpy row kernels on their own, and the normal sampler).
+# BENCH_scenario.json: the memoized Bulyan kernel, the
+# blocked/incremental/large-n distance-matrix kernels, and the hot
+# loops of the gradient path (digit render, MLP and tiny-softmax
+# gradients, coordinate median, the matmul / axpy row kernels on their
+# own, and the normal sampler). End-to-end numbers — the runner, the
+# store, the async cache — are the benchmark module's (benchmark/).
 # COUNTED_BENCHES are the rows run at -count 6 so that each carries a
 # [min, max] band (krum-benchjson folds the repeats): the
 # distance-matrix kernels — the pattern also matches the Incremental
@@ -20,7 +19,7 @@ GO ?= go
 # stay at -count 1.
 COUNTED_BENCHES ?= BenchmarkDistanceMatrix|BenchmarkGradientPath
 NPROC ?= $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)
-TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync
+TRACKED_BENCHES ?= BenchmarkBulyanMemoized
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
 # it up locally for a real hunt).
@@ -171,6 +170,6 @@ bench-large:
 	@cat BENCH_scenario.json
 
 # bench-all is the full local benchmark sweep (kernels, rules, gradient
-# path, runner and store; the experiments are tests, not benchmarks).
+# path, resilience verifier; the experiments are tests, not benchmarks).
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -1,13 +1,17 @@
 package krum_test
 
-// Benchmarks of the kernels, the rules, the gradient path, the scenario
-// runner and the result store. Run with
+// Benchmarks of the kernels, the rules, the gradient path and the
+// resilience verifier. Run with
 //
 //	go test -bench=. -benchmem
 //
-// The experiments themselves are not benchmarked here: their shape tests
-// (internal/harness) run them and pin what they render, and the Lemma 4.1
-// cost sweep is `krum-experiments -exp lemma41`.
+// End-to-end numbers — the scenario runner, the result store, the async
+// incremental cache — are measured by the repo benchmark module
+// (benchmark/, workloads grid_small and aggregate_replay, store hits as
+// store.lookup_hit_us), not here. The experiments themselves are not
+// benchmarked either: their shape tests (internal/harness) run them and
+// pin what they render, and the Lemma 4.1 cost sweep is
+// `krum-experiments -exp lemma41`.
 
 import (
 	"fmt"
@@ -18,8 +22,6 @@ import (
 	"krum/data"
 	"krum/internal/vec"
 	"krum/model"
-	"krum/scenario"
-	"krum/scenario/store"
 )
 
 // benchSeed keeps bench results stable across runs.
@@ -169,95 +171,6 @@ func benchUpdateRows(b *testing.B, vs [][]float64, c, stride int) {
 	}
 }
 
-// BenchmarkRunIncrementalAsync measures the bounded-staleness mode's
-// steady-state economics at the Lemma 4.1 stress point (n = 40,
-// d = 10000): a round stream driven by a bernoulli(p=0.25,tau=8)
-// arrival trace, with each round's distance work done either as a full
-// blocked rebuild or through the cross-round incremental cache (one
-// round-0 build, then UpdateRows over each round's arrival set). Both
-// arms walk the identical proposal history, so the
-// full-rebuild/incremental ns/op ratio is the tracked async cache win
-// (2.7× while a rebuild copied the proposals; ≈ 2× at -cpu 1 since PR 22
-// made the rebuild 2.3× cheaper and the updates 8–17 %; less on more
-// cores, where the rebuild arm fans out and the row updates do not).
-func BenchmarkRunIncrementalAsync(b *testing.B) {
-	const n, d, rounds = 40, 10000, 32
-	proc, err := krum.ParseArrival("bernoulli(p=0.25,tau=8)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := proc.NewTrace(benchSeed, n)
-	rng := vec.NewRNG(benchSeed)
-
-	// Proposal history: states[r] holds the full n-vector state after
-	// round r's arrivals installed fresh proposals; unchanged rows share
-	// their backing arrays with the previous round.
-	states := make([][][]float64, rounds)
-	changed := make([][]int, rounds)
-	states[0] = benchVectors(n, d)
-	changed[0] = trace.Next()
-	totalChanged := 0
-	for r := 1; r < rounds; r++ {
-		arrivals := trace.Next()
-		states[r] = make([][]float64, n)
-		copy(states[r], states[r-1])
-		for _, i := range arrivals {
-			states[r][i] = rng.NewNormal(d, 0, 1)
-		}
-		changed[r] = arrivals
-		totalChanged += len(arrivals)
-	}
-	frac := float64(totalChanged) / float64((rounds-1)*n)
-
-	b.Run("full-rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rounds; r++ {
-				vec.NewDistanceMatrix(states[r])
-			}
-		}
-		b.ReportMetric(frac, "changed-frac")
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := vec.NewDistanceMatrix(states[0])
-			for r := 1; r < rounds; r++ {
-				m.UpdateRows(changed[r], states[r])
-			}
-		}
-		b.ReportMetric(frac, "changed-frac")
-	})
-}
-
-// BenchmarkScenarioMatrixRunner measures scenario-matrix throughput on
-// the concurrent runner — cells/sec over a 12-cell (rules × attacks ×
-// seeds) grid of short training runs. This is the tracked metric for
-// the many-concurrent-experiments serving path (`make bench`).
-func BenchmarkScenarioMatrixRunner(b *testing.B) {
-	m := scenario.Matrix{
-		Base: scenario.Spec{
-			Workload:  "gmm(k=3,dim=6,radius=4,sigma=0.5)",
-			Rule:      "krum",
-			Schedule:  "inverset(gamma=0.5,power=0.75,t0=50)",
-			N:         9,
-			F:         2,
-			Rounds:    20,
-			BatchSize: 8,
-			Seed:      benchSeed,
-		},
-		Rules:   []string{"krum", "average", "multikrum(m=5)"},
-		Attacks: []string{"none", "gaussian(sigma=200)"},
-		Seeds:   []uint64{1, 2},
-	}
-	cells := m.Size()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&scenario.Runner{}).Run(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
-}
-
 // BenchmarkGradientPath tracks the four loops a training cell spends
 // its time in, each at the shape that is hot: rendering one 16×16
 // digit, one MLP mini-batch gradient at the paper's experiment shape
@@ -379,66 +292,6 @@ func BenchmarkGradientPath(b *testing.B) {
 			rng.FillNormal(v, 0, 200)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/d, "ns/normal")
-	})
-}
-
-// BenchmarkRunnerWithStore measures the content-addressed result
-// store's warm-vs-cold economics on the BenchmarkScenarioMatrixRunner
-// grid (tracked by `make bench`): "cold" runs the matrix into a fresh
-// in-memory store every iteration (training + write-through), "warm"
-// re-runs it against a pre-populated store, where every cell is a hit
-// and no training or distance-matrix work happens. The cold/warm ratio
-// is the speedup a repeated grid enjoys; warm ns/op is the pure
-// store-serving overhead (hashing + decode).
-func BenchmarkRunnerWithStore(b *testing.B) {
-	m := scenario.Matrix{
-		Base: scenario.Spec{
-			Workload:  "gmm(k=3,dim=6,radius=4,sigma=0.5)",
-			Rule:      "krum",
-			Schedule:  "inverset(gamma=0.5,power=0.75,t0=50)",
-			N:         9,
-			F:         2,
-			Rounds:    20,
-			BatchSize: 8,
-			Seed:      benchSeed,
-		},
-		Rules:   []string{"krum", "average", "multikrum(m=5)"},
-		Attacks: []string{"none", "gaussian(sigma=200)"},
-		Seeds:   []uint64{1, 2},
-	}
-	cells := m.Size()
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			st := store.NewMemory()
-			if _, err := (&scenario.Runner{Store: st}).Run(m); err != nil {
-				b.Fatal(err)
-			}
-			if got := st.Stats().Saves; got != cells {
-				b.Fatalf("cold run saved %d cells, want %d", got, cells)
-			}
-		}
-		b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		st := store.NewMemory()
-		if _, err := (&scenario.Runner{Store: st}).Run(m); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			results, err := (&scenario.Runner{Store: st}).Run(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := range results {
-				if !results[j].Cached {
-					b.Fatalf("cell %d missed the warm store", j)
-				}
-			}
-		}
-		b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
 	})
 }
 

@@ -106,3 +106,59 @@ func TestListNamesEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// ruleSpellingsMatrix is a matrix of two rules at their defaults and the
+// same two with f set away from the cell's f = 3: four different rules,
+// so four store entries.
+const ruleSpellingsMatrix = `{"matrix":{"base":{"workload":"gmm(k=3,dim=6)","schedule":"const(gamma=0.1)",
+"n":15,"f":3,"rounds":10,"batch_size":8,"seed":5,"eval_every":10,"eval_batch":64},
+"rules":["krum","krum(f=5)","multikrum(m=5)","multikrum(f=1,m=5)"]}}`
+
+// TestMatrixWithStore drives the -config matrix path through a store: a
+// cold run computes and saves every cell, a warm rerun serves every cell
+// from the store and prints the same summary table, and an invalid
+// matrix is refused with exit status 2.
+func TestMatrixWithStore(t *testing.T) {
+	config := writeConfig(t, ruleSpellingsMatrix)
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	summary := func(stdout string) (table string, cached int) {
+		var kept []string
+		for _, line := range strings.Split(stdout, "\n") {
+			switch {
+			case strings.HasPrefix(line, "["):
+				if strings.HasSuffix(line, "(cached)") {
+					cached++
+				}
+			case !strings.HasPrefix(line, "result store "):
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n"), cached
+	}
+
+	code, cold, stderr := runCLI("-config", config, "-store", path)
+	if code != 0 {
+		t.Fatalf("cold run: exit %d: %s", code, stderr)
+	}
+	coldTable, cached := summary(cold)
+	if cached != 0 || !strings.Contains(cold, ": 4 entries, 0 hits, 4 misses, 0 flight waits, 4 saves,") {
+		t.Errorf("cold run: %d cells cached, want 0 cached and 4 saves:\n%s", cached, cold)
+	}
+
+	code, warm, stderr := runCLI("-config", config, "-store", path)
+	if code != 0 {
+		t.Fatalf("warm run: exit %d: %s", code, stderr)
+	}
+	warmTable, cached := summary(warm)
+	if cached != 4 || !strings.Contains(warm, ": 4 entries, 4 hits, 0 misses,") {
+		t.Errorf("warm run: %d cells cached, want all 4 served by the store:\n%s", cached, warm)
+	}
+	if warmTable != coldTable {
+		t.Errorf("warm summary differs from cold:\n--- cold\n%s\n--- warm\n%s", coldTable, warmTable)
+	}
+
+	invalid := strings.Replace(ruleSpellingsMatrix, `"krum(f=5)"`, `"krum(f=oops)"`, 1)
+	if code, _, stderr := runCLI("-config", writeConfig(t, invalid)); code != 2 || stderr == "" {
+		t.Errorf("invalid matrix: exit %d (stderr %q), want 2 with a diagnostic", code, stderr)
+	}
+}

@@ -36,16 +36,11 @@ func NewConv2D(inC, inH, inW, outC, k int) (*Conv2D, error) {
 	if k > inH || k > inW {
 		return nil, fmt.Errorf("kernel %d exceeds input %dx%d: %w", k, inH, inW, ErrConfig)
 	}
-	c := &Conv2D{
+	return &Conv2D{
 		InC: inC, InH: inH, InW: inW, OutC: outC, K: k,
 		outH: inH - k + 1,
 		outW: inW - k + 1,
-	}
-	c.w = make([]float64, outC*inC*k*k)
-	c.b = make([]float64, outC)
-	c.gw = make([]float64, len(c.w))
-	c.gb = make([]float64, outC)
-	return c, nil
+	}, nil
 }
 
 var (
@@ -153,44 +148,24 @@ func (c *Conv2D) backward(dout, dxBuf *vec.Dense) {
 	}
 }
 
-// ParamCount implements Layer.
-func (c *Conv2D) ParamCount() int { return len(c.w) + len(c.b) }
+// ParamCount implements paramLayer.
+func (c *Conv2D) ParamCount() int { return c.OutC * (c.InC*c.K*c.K + 1) }
 
-// ReadParams implements Layer.
-func (c *Conv2D) ReadParams(dst []float64) {
-	copy(dst, c.w)
-	copy(dst[len(c.w):], c.b)
-}
-
-// WriteParams implements Layer.
-func (c *Conv2D) WriteParams(src []float64) {
-	copy(c.w, src)
-	copy(c.b, src[len(c.w):])
-}
-
-// ReadGrads implements Layer.
-func (c *Conv2D) ReadGrads(dst []float64) {
-	copy(dst, c.gw)
-	copy(dst[len(c.gw):], c.gb)
+// bind implements paramLayer.
+func (c *Conv2D) bind(params, grads []float64) {
+	nw := c.OutC * c.InC * c.K * c.K
+	c.w, c.b = params[:nw:nw], params[nw:]
+	c.gw, c.gb = grads[:nw:nw], grads[nw:]
 }
 
 // CloneLayer implements Layer.
 func (c *Conv2D) CloneLayer() Layer {
-	cp, err := NewConv2D(c.InC, c.InH, c.InW, c.OutC, c.K)
-	if err != nil {
-		// Construction already succeeded once with these dimensions.
-		panic(fmt.Sprintf("model: cloning valid Conv2D failed: %v", err))
-	}
-	copy(cp.w, c.w)
-	copy(cp.b, c.b)
-	return cp
+	return &Conv2D{InC: c.InC, InH: c.InH, InW: c.InW, OutC: c.OutC, K: c.K, outH: c.outH, outW: c.outW}
 }
 
-// initWeights applies fan-in scaled Gaussian initialization.
+// initWeights implements paramLayer.
 func (c *Conv2D) initWeights(rng *vec.RNG, gain float64) {
-	fanIn := float64(c.InC * c.K * c.K)
-	rng.FillNormal(c.w, 0, gain/math.Sqrt(fanIn))
-	vec.Zero(c.b)
+	rng.FillNormal(c.w, 0, gain/math.Sqrt(float64(c.InC*c.K*c.K)))
 }
 
 // MaxPool2D is a non-overlapping P×P max-pooling layer over
@@ -280,25 +255,9 @@ func (m *MaxPool2D) Backward(dout *vec.Dense) *vec.Dense {
 	return m.dxBuf
 }
 
-// ParamCount implements Layer.
-func (m *MaxPool2D) ParamCount() int { return 0 }
-
-// ReadParams implements Layer.
-func (m *MaxPool2D) ReadParams([]float64) {}
-
-// WriteParams implements Layer.
-func (m *MaxPool2D) WriteParams([]float64) {}
-
-// ReadGrads implements Layer.
-func (m *MaxPool2D) ReadGrads([]float64) {}
-
 // CloneLayer implements Layer.
 func (m *MaxPool2D) CloneLayer() Layer {
-	cp, err := NewMaxPool2D(m.C, m.H, m.W, m.P)
-	if err != nil {
-		panic(fmt.Sprintf("model: cloning valid MaxPool2D failed: %v", err))
-	}
-	return cp
+	return &MaxPool2D{C: m.C, H: m.H, W: m.W, P: m.P, outH: m.outH, outW: m.outW}
 }
 
 // NewConvNet builds the small convolutional classifier used by the

@@ -18,7 +18,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		params[i] = 1
 	}
-	conv.WriteParams(params)
+	conv.bind(params, make([]float64, len(params)))
 	x := vec.NewDenseFrom(1, 9, []float64{
 		1, 2, 3,
 		4, 5, 6,
@@ -40,7 +40,7 @@ func TestConv2DBias(t *testing.T) {
 	// zero weights, biases 3 and -1 (last two slots)
 	params[len(params)-2] = 3
 	params[len(params)-1] = -1
-	conv.WriteParams(params)
+	conv.bind(params, make([]float64, len(params)))
 	x := vec.NewDense(1, 4)
 	out := conv.Forward(x)
 	if !vec.ApproxEqual(out.Data, []float64{3, -1}, 0) {
@@ -128,6 +128,25 @@ func TestConvNetGradientCheck(t *testing.T) {
 	}
 	// ReLU + maxpool kinks: slightly relaxed tolerance.
 	checkGradient(t, m, x, y, 2e-4)
+}
+
+// A convolution that is not the first layer runs its full Backward,
+// input gradient included, and reads and writes its parameters through
+// views into the middle of the network's flat vectors. Both must agree
+// with finite differences, on the network and on its clone.
+func TestConvBackwardGradientCheck(t *testing.T) {
+	conv, err := NewConv2D(1, 4, 4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewNetwork(16, SoftmaxCrossEntropy{}, 17,
+		NewDense(16, 16), NewActivation(ActTanh), conv, NewDense(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := randomBatch(vec.NewRNG(23), 3, 16, 2)
+	checkGradient(t, m, x, y, 1e-5)
+	checkGradient(t, m.Clone(), x, y, 1e-5)
 }
 
 func TestConvNetConstructionErrors(t *testing.T) {

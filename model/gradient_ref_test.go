@@ -51,7 +51,9 @@ func conv2DBackwardReference(c *Conv2D, dout *vec.Dense) *vec.Dense {
 // gradientReference is Network.Gradient as it stood before the
 // first-layer skip, kept verbatim except that Conv2D layers go through
 // conv2DBackwardReference: a fresh dout per call and a full Backward —
-// input gradient included — on every layer down to the first.
+// input gradient included — on every layer down to the first. The
+// layers' gradients are read from the network's flat grads, which they
+// write through their views.
 func gradientReference(n *Network, dst []float64, x, y *vec.Dense) (float64, error) {
 	out, err := n.forward(x)
 	if err != nil {
@@ -70,11 +72,7 @@ func gradientReference(n *Network, dst []float64, x, y *vec.Dense) (float64, err
 			cur = n.layers[i].Backward(cur)
 		}
 	}
-	for i, l := range n.layers {
-		if c := l.ParamCount(); c > 0 {
-			l.ReadGrads(dst[n.offsets[i] : n.offsets[i]+c])
-		}
-	}
+	copy(dst, n.grads)
 	return loss, nil
 }
 
@@ -119,7 +117,7 @@ func TestGradientMatchesReference(t *testing.T) {
 			ref := n.Clone().(*Network)
 			rng := vec.NewRNG(11)
 			for _, batch := range []int{5, 5, 3} {
-				x, y := randomBatch(rng, batch, n.inDim, n.outDim)
+				x, y := randomBatch(rng, batch, n.inDim, n.layers[len(n.layers)-1].(*Dense).Out)
 				// ReLU-like sparsity in the input, as image pixels have.
 				for i := range x.Data {
 					if rng.Intn(3) == 0 {

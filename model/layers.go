@@ -8,9 +8,10 @@ import (
 )
 
 // Layer is one stage of a feed-forward network. Forward caches whatever
-// Backward needs; Backward consumes the upstream gradient, accumulates
-// parameter gradients internally, and returns the gradient with respect
-// to its input. Layers are stateful and owned by exactly one Network.
+// Backward needs; Backward consumes the upstream gradient, writes any
+// parameter gradients into the layer's view of the network's grads, and
+// returns the gradient with respect to its input. Layers are stateful
+// and owned by exactly one Network.
 type Layer interface {
 	// OutDim returns the per-sample output width given the input width,
 	// or an error if the layer cannot accept it.
@@ -19,31 +20,34 @@ type Layer interface {
 	Forward(x *vec.Dense) *vec.Dense
 	// Backward propagates: given dL/dout it returns dL/din.
 	Backward(dout *vec.Dense) *vec.Dense
-	// ParamCount returns the number of trainable scalars.
-	ParamCount() int
-	// ReadParams copies the parameters into dst (len == ParamCount).
-	ReadParams(dst []float64)
-	// WriteParams overwrites the parameters from src.
-	WriteParams(src []float64)
-	// ReadGrads copies the accumulated gradients into dst.
-	ReadGrads(dst []float64)
-	// CloneLayer returns an independent deep copy.
+	// CloneLayer returns a layer of the same shape that shares no
+	// state; a parameterized clone is unbound until its Network binds it.
 	CloneLayer() Layer
 }
 
-// paramLayer is a Layer that can accumulate its parameter gradients
-// without also computing dL/din. Network.Gradient uses it on the first
-// layer, whose input gradient nothing reads: for a Dense layer that is
-// the whole dout·Wᵀ product, a third of a linear model's backward pass.
+// paramLayer is a Layer with trainable parameters. It owns none of
+// them: Network.bind hands it views into the network's flat parameter
+// and gradient vectors, weights first, then bias.
 type paramLayer interface {
+	// ParamCount returns the number of trainable scalars.
+	ParamCount() int
+	// bind points the weights and bias at params and their gradients at
+	// grads, both of length ParamCount.
+	bind(params, grads []float64)
+	// initWeights fills the weights with fan-in scaled Gaussians; the
+	// bias keeps the zero it was bound with.
+	initWeights(rng *vec.RNG, gain float64)
 	// backwardParams does what Backward does to the parameter
-	// gradients, bit for bit, and nothing else.
+	// gradients, bit for bit, and nothing else. Network.Gradient uses
+	// it on the first layer, whose input gradient nothing reads: for a
+	// Dense layer that is the whole dout·Wᵀ product, a third of a
+	// linear model's backward pass.
 	backwardParams(dout *vec.Dense)
 }
 
 // Dense is the fully connected layer y = x·W + b with W (in×out) and
-// bias b (out). Construct with NewDense; weights are initialized by the
-// Network with He/Xavier scaling.
+// bias b (out). Construct with NewDense; the owning Network binds and
+// initializes the weights with He/Xavier scaling.
 type Dense struct {
 	In, Out int
 	w       *vec.Dense // In × Out
@@ -55,17 +59,9 @@ type Dense struct {
 	outBuf  *vec.Dense
 }
 
-// NewDense returns a zero-initialized fully connected layer; the owning
-// Network initializes the weights.
-func NewDense(in, out int) *Dense {
-	return &Dense{
-		In: in, Out: out,
-		w:  vec.NewDense(in, out),
-		b:  make([]float64, out),
-		gw: vec.NewDense(in, out),
-		gb: make([]float64, out),
-	}
-}
+// NewDense returns an unbound fully connected layer; the owning Network
+// binds and initializes the weights.
+func NewDense(in, out int) *Dense { return &Dense{In: in, Out: out} }
 
 var (
 	_ Layer      = (*Dense)(nil)
@@ -108,40 +104,22 @@ func (l *Dense) backwardParams(dout *vec.Dense) {
 	vec.SumRows(l.gb, dout)
 }
 
-// ParamCount implements Layer.
+// ParamCount implements paramLayer.
 func (l *Dense) ParamCount() int { return l.In*l.Out + l.Out }
 
-// ReadParams implements Layer.
-func (l *Dense) ReadParams(dst []float64) {
-	copy(dst, l.w.Data)
-	copy(dst[len(l.w.Data):], l.b)
-}
-
-// WriteParams implements Layer.
-func (l *Dense) WriteParams(src []float64) {
-	copy(l.w.Data, src)
-	copy(l.b, src[len(l.w.Data):])
-}
-
-// ReadGrads implements Layer.
-func (l *Dense) ReadGrads(dst []float64) {
-	copy(dst, l.gw.Data)
-	copy(dst[len(l.gw.Data):], l.gb)
+// bind implements paramLayer.
+func (l *Dense) bind(params, grads []float64) {
+	nw := l.In * l.Out
+	l.w, l.b = vec.NewDenseFrom(l.In, l.Out, params[:nw:nw]), params[nw:]
+	l.gw, l.gb = vec.NewDenseFrom(l.In, l.Out, grads[:nw:nw]), grads[nw:]
 }
 
 // CloneLayer implements Layer.
-func (l *Dense) CloneLayer() Layer {
-	c := NewDense(l.In, l.Out)
-	copy(c.w.Data, l.w.Data)
-	copy(c.b, l.b)
-	return c
-}
+func (l *Dense) CloneLayer() Layer { return NewDense(l.In, l.Out) }
 
-// initWeights applies fan-in scaled Gaussian initialization.
+// initWeights implements paramLayer.
 func (l *Dense) initWeights(rng *vec.RNG, gain float64) {
-	std := gain / math.Sqrt(float64(l.In))
-	rng.FillNormal(l.w.Data, 0, std)
-	vec.Zero(l.b)
+	rng.FillNormal(l.w.Data, 0, gain/math.Sqrt(float64(l.In)))
 }
 
 // Activation is a parameter-free element-wise layer. Kind selects the
@@ -252,18 +230,6 @@ func (a *Activation) Backward(dout *vec.Dense) *vec.Dense {
 	}
 	return a.dxBuf
 }
-
-// ParamCount implements Layer.
-func (a *Activation) ParamCount() int { return 0 }
-
-// ReadParams implements Layer.
-func (a *Activation) ReadParams([]float64) {}
-
-// WriteParams implements Layer.
-func (a *Activation) WriteParams([]float64) {}
-
-// ReadGrads implements Layer.
-func (a *Activation) ReadGrads([]float64) {}
 
 // CloneLayer implements Layer.
 func (a *Activation) CloneLayer() Layer { return NewActivation(a.Kind) }

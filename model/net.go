@@ -2,22 +2,22 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"krum/internal/vec"
 )
 
 // Network is a feed-forward composition of Layers trained against a
-// Loss. It implements Model with flat parameters laid out layer by
-// layer in construction order. Construct with NewNetwork or the NewMLP /
-// NewConvNet helpers.
+// Loss. It implements Model over two flat vectors it owns, params and
+// grads; each parameterized layer holds views into both (see bind).
+// Construct with NewNetwork or the NewMLP / NewConvNet helpers.
 type Network struct {
-	inDim   int
-	outDim  int
-	layers  []Layer
-	loss    Loss
-	offsets []int // offsets[i] is the flat index of layer i's params
-	dim     int
-	dout    *vec.Dense // Gradient's dL/doutputs, reused across calls
+	inDim  int
+	layers []Layer
+	loss   Loss
+	params []float64  // x ∈ ℝ^d: every layer's weights then bias, in construction order
+	grads  []float64  // the last Gradient's dL/dx, laid out as params
+	dout   *vec.Dense // Gradient's dL/doutputs, reused across calls
 }
 
 var _ Model = (*Network)(nil)
@@ -36,27 +36,43 @@ func NewNetwork(inDim int, loss Loss, seed uint64, layers ...Layer) (*Network, e
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("no layers: %w", ErrConfig)
 	}
-	n := &Network{inDim: inDim, layers: layers, loss: loss}
 	cur := inDim
-	n.offsets = make([]int, len(layers))
-	rng := vec.NewRNG(seed)
 	for i, l := range layers {
 		out, err := l.OutDim(cur)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", i, err)
 		}
-		n.offsets[i] = n.dim
-		n.dim += l.ParamCount()
 		cur = out
-		switch lt := l.(type) {
-		case *Dense:
-			lt.initWeights(rng.Split(), 1.4142135623730951)
-		case *Conv2D:
-			lt.initWeights(rng.Split(), 1.4142135623730951)
+	}
+	n := &Network{inDim: inDim, layers: layers, loss: loss}
+	rng := vec.NewRNG(seed)
+	for _, p := range n.bind() {
+		p.initWeights(rng.Split(), math.Sqrt2)
+	}
+	return n, nil
+}
+
+// bind allocates params and grads and hands each parameterized layer
+// its views into them, in construction order, each capped so that no
+// layer can grow into its neighbour. It is the one place that decides
+// the flat layout, and it returns the parameterized layers in it.
+func (n *Network) bind() []paramLayer {
+	var ps []paramLayer
+	d := 0
+	for _, l := range n.layers {
+		if p, ok := l.(paramLayer); ok {
+			ps = append(ps, p)
+			d += p.ParamCount()
 		}
 	}
-	n.outDim = cur
-	return n, nil
+	n.params, n.grads = make([]float64, d), make([]float64, d)
+	off := 0
+	for _, p := range ps {
+		end := off + p.ParamCount()
+		p.bind(n.params[off:end:end], n.grads[off:end:end])
+		off = end
+	}
+	return ps
 }
 
 // NewMLP builds inDim → hidden[0] → ... → hidden[k-1] → outDim with the
@@ -77,37 +93,23 @@ func NewMLP(inDim int, hidden []int, outDim int, act ActKind, loss Loss, seed ui
 }
 
 // Dim implements Model.
-func (n *Network) Dim() int { return n.dim }
-
-// OutDim returns the per-sample output width.
-func (n *Network) OutDim() int { return n.outDim }
-
-// LossFunc returns the network's loss.
-func (n *Network) LossFunc() Loss { return n.loss }
+func (n *Network) Dim() int { return len(n.params) }
 
 // Params implements Model.
 func (n *Network) Params(dst []float64) []float64 {
 	if dst == nil {
-		dst = make([]float64, n.dim)
+		dst = make([]float64, len(n.params))
 	}
-	for i, l := range n.layers {
-		if c := l.ParamCount(); c > 0 {
-			l.ReadParams(dst[n.offsets[i] : n.offsets[i]+c])
-		}
-	}
+	copy(dst, n.params)
 	return dst
 }
 
 // SetParams implements Model.
 func (n *Network) SetParams(p []float64) error {
-	if len(p) != n.dim {
-		return fmt.Errorf("got %d params, want %d: %w", len(p), n.dim, ErrShape)
+	if len(p) != len(n.params) {
+		return fmt.Errorf("got %d params, want %d: %w", len(p), len(n.params), ErrShape)
 	}
-	for i, l := range n.layers {
-		if c := l.ParamCount(); c > 0 {
-			l.WriteParams(p[n.offsets[i] : n.offsets[i]+c])
-		}
-	}
+	copy(n.params, p)
 	return nil
 }
 
@@ -126,8 +128,8 @@ func (n *Network) forward(x *vec.Dense) (*vec.Dense, error) {
 
 // Gradient implements Model.
 func (n *Network) Gradient(dst []float64, x, y *vec.Dense) (float64, error) {
-	if len(dst) != n.dim {
-		return 0, fmt.Errorf("gradient buffer %d, want %d: %w", len(dst), n.dim, ErrShape)
+	if len(dst) != len(n.grads) {
+		return 0, fmt.Errorf("gradient buffer %d, want %d: %w", len(dst), len(n.grads), ErrShape)
 	}
 	out, err := n.forward(x)
 	if err != nil {
@@ -149,11 +151,7 @@ func (n *Network) Gradient(dst []float64, x, y *vec.Dense) (float64, error) {
 	} else {
 		n.layers[0].Backward(cur)
 	}
-	for i, l := range n.layers {
-		if c := l.ParamCount(); c > 0 {
-			l.ReadGrads(dst[n.offsets[i] : n.offsets[i]+c])
-		}
-	}
+	copy(dst, n.grads)
 	return loss, nil
 }
 
@@ -181,17 +179,11 @@ func (n *Network) Predict(x *vec.Dense) (*vec.Dense, error) {
 
 // Clone implements Model.
 func (n *Network) Clone() Model {
-	layers := make([]Layer, len(n.layers))
+	c := &Network{inDim: n.inDim, layers: make([]Layer, len(n.layers)), loss: n.loss}
 	for i, l := range n.layers {
-		layers[i] = l.CloneLayer()
+		c.layers[i] = l.CloneLayer()
 	}
-	c := &Network{
-		inDim:   n.inDim,
-		outDim:  n.outDim,
-		layers:  layers,
-		loss:    n.loss,
-		offsets: append([]int(nil), n.offsets...),
-		dim:     n.dim,
-	}
+	c.bind()
+	copy(c.params, n.params)
 	return c
 }

@@ -223,6 +223,45 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestBindTilesTheVectors: bind lays every parameterized layer's
+// weights then bias end to end over the network's params and grads, in
+// construction order, each view capped at its own length so no layer
+// can append into its neighbour.
+func TestBindTilesTheVectors(t *testing.T) {
+	m, err := NewConvNet(8, 8, 2, 5, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	view := func(name string, flat, v []float64) {
+		t.Helper()
+		if len(v) == 0 || &v[0] != &flat[off] || cap(v) != len(v) {
+			t.Fatalf("%s at offset %d: not a capped view of the flat vector (len %d, cap %d)", name, off, len(v), cap(v))
+		}
+	}
+	for _, l := range m.layers {
+		switch l := l.(type) {
+		case *Dense:
+			view("dense w", m.params, l.w.Data)
+			view("dense gw", m.grads, l.gw.Data)
+			off += len(l.w.Data)
+			view("dense b", m.params, l.b)
+			view("dense gb", m.grads, l.gb)
+			off += len(l.b)
+		case *Conv2D:
+			view("conv w", m.params, l.w)
+			view("conv gw", m.grads, l.gw)
+			off += len(l.w)
+			view("conv b", m.params, l.b)
+			view("conv gb", m.grads, l.gb)
+			off += len(l.b)
+		}
+	}
+	if off != m.Dim() {
+		t.Errorf("views cover %d of %d parameters", off, m.Dim())
+	}
+}
+
 func TestPredictTransforms(t *testing.T) {
 	m, err := NewSoftmaxClassifier(3, 4, 2)
 	if err != nil {

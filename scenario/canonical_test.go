@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
+
+	"krum/internal/core"
 )
 
 // canonicalForm is one case of testdata/canonical_forms.json: a spec as
@@ -12,7 +15,10 @@ import (
 // own resolvers produced for it before Canonical moved into this
 // package (a cell, or a Monte-Carlo partial spec), or the fact that
 // they refused to key it. The literals were generated once, by that
-// commit, and are never regenerated: a mismatch means a key moved.
+// commit, and are never regenerated: a mismatch means a key moved. Two
+// entries were corrected by hand since: krum(f=2) and
+// minimaldiameter(f=2) at f = 3 had been given the bare name, the key
+// of f = 3, and now carry their f.
 type canonicalForm struct {
 	Partial   bool            `json:"partial"`
 	Spec      Spec            `json:"spec"`
@@ -73,7 +79,8 @@ func TestCanonicalForms(t *testing.T) {
 }
 
 // FuzzSpecCanonical: Canonical is idempotent on whatever it accepts,
-// and a spec that validates always canonicalizes. Workload factories
+// its rule re-parses to the rule the caller's spelling builds, and a
+// spec that validates always canonicalizes. Workload factories
 // refuse oversized specs before allocating, so the fuzzer needs no
 // size guard.
 func FuzzSpecCanonical(f *testing.F) {
@@ -96,6 +103,13 @@ func FuzzSpecCanonical(f *testing.F) {
 		}
 		if again != c {
 			t.Fatalf("Canonical not idempotent for %+v: %+v → %+v", s, c, again)
+		}
+		if s.Rule != "" {
+			ctx := core.SpecContext{N: s.N, F: s.F}
+			want, _ := core.ParseRuleIn(ctx, s.Rule)
+			if got, err := core.ParseRuleIn(ctx, c.Rule); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("rule %q canonicalized to %q, which builds %#v, not %#v (%v)", s.Rule, c.Rule, got, want, err)
+			}
 		}
 	})
 }

@@ -27,6 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -35,6 +37,7 @@ import (
 	"krum/internal/arrival"
 	"krum/internal/core"
 	"krum/internal/sgd"
+	"krum/internal/spec"
 	"krum/workload"
 )
 
@@ -171,11 +174,11 @@ func (s Spec) Canonical() (Spec, error) {
 	c := s
 	c.Name = ""
 	if s.Rule != "" {
-		rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
+		rule, err := canonicalRule(core.SpecContext{N: s.N, F: s.F}, s.Rule)
 		if err != nil {
 			return Spec{}, err
 		}
-		c.Rule = rule.Name()
+		c.Rule = rule
 	}
 	c.Attack = "none"
 	if s.Attack != "" {
@@ -213,6 +216,56 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 	}
 	return c, nil
+}
+
+// canonicalRule returns the identity of rule spec s under ctx. It is
+// rule.Name() whenever that re-parses to an equal rule, so a spelling
+// of the defaults keeps its name. A Name that drops a parameter set
+// away from its default (krum(f=5) at f = 3 is named "krum") is spelled
+// out instead: the registry's parameters in order, each valued as Name
+// gives it or else as s does. A rule neither spelling rebuilds has no
+// identity and is refused.
+func canonicalRule(ctx core.SpecContext, s string) (string, error) {
+	rule, err := core.ParseRuleIn(ctx, s)
+	if err != nil {
+		return "", err
+	}
+	name := rule.Name()
+	if rebuilds(ctx, name, rule) {
+		return name, nil
+	}
+	base, named, err := spec.Parse("rule", core.ErrBadParameter, name)
+	if err != nil {
+		return "", err
+	}
+	_, given, _ := spec.Parse("rule", core.ErrBadParameter, s)
+	factory, _ := core.Lookup(base)
+	var params []string
+	for _, p := range factory.Params {
+		v, ok := named[p]
+		if !ok {
+			if v, ok = given[p]; ok {
+				if i, err := strconv.Atoi(v); err == nil {
+					v = strconv.Itoa(i)
+				}
+			}
+		}
+		if ok {
+			params = append(params, p+"="+v)
+		}
+	}
+	spelled := base + "(" + strings.Join(params, ",") + ")"
+	if !rebuilds(ctx, spelled, rule) {
+		return "", fmt.Errorf("rule %q: neither %q nor %q re-parses to it: %w", s, name, spelled, ErrBadSpec)
+	}
+	return spelled, nil
+}
+
+// rebuilds reports whether spelling s parses under ctx to a rule equal
+// to rule.
+func rebuilds(ctx core.SpecContext, s string, rule core.Rule) bool {
+	again, err := core.ParseRuleIn(ctx, s)
+	return err == nil && reflect.DeepEqual(again, rule)
 }
 
 // Compile materializes the spec into a distsgd.Config: the workload is

@@ -74,3 +74,53 @@ func TestKeysRefuseWhatTheyRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestKeysSeparateNonDefaultParameters: a rule parameter set away from
+// its cluster-shape default is part of a cell's identity even where the
+// rule's Name leaves it out. At n = 15, f = 3 each pair below builds two
+// different rules whose cells differ in bytes, so they must not share a
+// key; a spelling of the defaults still shares the bare name's key.
+func TestKeysSeparateNonDefaultParameters(t *testing.T) {
+	base := quickSpec()
+	base.N, base.F = 15, 3
+	keyed := func(rule string) (scenario.Spec, string) {
+		s := base
+		s.Rule = rule
+		return s, mustKey(t, s)
+	}
+	for _, pair := range [][2]string{
+		{"krum(f=5)", "krum"},
+		{"multikrum(f=1,m=5)", "multikrum(m=5)"},
+		{"bulyan(f=2)", "bulyan"},
+		{"minimaldiameter(f=2)", "minimaldiameter"},
+	} {
+		a, ka := keyed(pair[0])
+		b, kb := keyed(pair[1])
+		if ka == kb {
+			t.Errorf("%s and %s share key %s", pair[0], pair[1], ka)
+		}
+		ra, err := scenario.ComputeCell(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := scenario.ComputeCell(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ja, _ := json.Marshal(ra)
+		jb, _ := json.Marshal(rb)
+		if string(ja) == string(jb) {
+			t.Errorf("%s and %s computed the same bytes; the pair tests nothing", pair[0], pair[1])
+		}
+	}
+	for _, same := range [][2]string{
+		{"krum(f=3)", "krum"},
+		{"multikrum(f=3,m=5)", "multikrum(m=5)"},
+		{"bulyan(f=3)", "bulyan"},
+	} {
+		_, ka := keyed(same[0])
+		if _, kb := keyed(same[1]); ka != kb {
+			t.Errorf("%s and %s build the same rule but have different keys", same[0], same[1])
+		}
+	}
+}

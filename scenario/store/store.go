@@ -14,11 +14,13 @@
 // axis spec string by its registry's canonical form, so spelling
 // variants collapse to one key — "krum" at n=15, f=3 and "krum(f=3)"
 // hit the same entry, as do "Gaussian(sigma=200)" and
-// "gaussian(sigma=200)". The cosmetic Name label is excluded: it cannot
-// change a result. Everything else — including Seed,
-// EvalEvery/EvalBatch/TrackSelection (they change Result contents) and
-// the Incremental flag — is hashed, together with the Version salt and
-// the kernel order family.
+// "gaussian(sigma=200)". A parameter set away from its default is part
+// of the identity even where the rule's Name omits it: at f=3,
+// "krum(f=5)" keys as krum(f=5), never as krum. The cosmetic Name
+// label is excluded: it cannot change a result. Everything else —
+// including Seed, EvalEvery/EvalBatch/TrackSelection (they change
+// Result contents) and the Incremental flag — is hashed, together with
+// the Version salt and the kernel order family.
 //
 // # Invalidation
 //
