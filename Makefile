@@ -67,13 +67,17 @@ bench-module-test:
 	cd benchmark && $(GO) test ./...
 
 # race runs the full suite under the race detector — the concurrent
-# scenario runner, the fanned-out distance build, and the cross-round
-# cache all carry determinism contracts that only mean something if
-# they are also data-race-free. The build fans out only where
-# GOMAXPROCS allows, so the second pass runs the packages that own it
-# and its one caller at -cpu 1,4 — both sides of that choice, whatever
-# the runner's core count — in shuffled order: each test's distance
-# counts are its own engine's, so no test may depend on another's.
+# scenario runner, the fanned-out distance build, the cross-round
+# cache and distsgd's per-round fan-out of the correct workers all
+# carry determinism contracts that only mean something if they are
+# also data-race-free. The build fans out only where GOMAXPROCS
+# allows, so the second pass runs the packages that own it and its one
+# caller at -cpu 1,4 — both sides of that choice, whatever the
+# runner's core count — in shuffled order: each test's distance counts
+# are its own engine's, so no test may depend on another's. Through
+# ./distsgd that pass also races the correct workers' goroutines
+# against the round loop that reads their buffers, on one core and on
+# four.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count 1 -shuffle on -cpu 1,4 ./internal/vec ./internal/core ./distsgd

@@ -88,9 +88,6 @@ func PartitionClasses(base Dataset, nWorkers int) ([]*ClassFilter, error) {
 		for c := w % k; c < k; c += nWorkers {
 			classes = append(classes, c)
 		}
-		if len(classes) == 0 {
-			classes = []int{w % k}
-		}
 		cf, err := NewClassFilter(base, classes)
 		if err != nil {
 			return nil, fmt.Errorf("worker %d: %w", w, err)

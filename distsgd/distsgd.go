@@ -7,42 +7,31 @@
 // full-knowledge threat model), applies the configured choice function
 // F, and performs the SGD step x_{t+1} = x_t − γ_t·F(V_1, ..., V_n).
 //
-// Correct gradients come from a GradientSource: an in-process
-// concurrent worker pool by default (sim.Pool), or whatever
-// Config.Source supplies — the non-IID experiment (E7) substitutes
-// sim's heterogeneous pool, and tests substitute fakes.
+// The n − f correct workers run in-process, one goroutine each per
+// round, joined before the round aggregates. Each holds its own model
+// replica, RNG substream and batch buffers and shares no mutable state
+// — the isolation real worker processes would have, minus the network.
+// Every worker samples Config.Dataset unless Config.WorkerData gives
+// each its own distribution (the non-IID experiment, E7).
 package distsgd
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"krum/attack"
 	"krum/data"
 	"krum/internal/arrival"
 	"krum/internal/core"
 	"krum/internal/sgd"
-	"krum/internal/sim"
 	"krum/internal/vec"
 	"krum/model"
 )
 
 // ErrConfig is returned for invalid training configurations.
 var ErrConfig = errors.New("distsgd: bad configuration")
-
-// GradientSource produces the correct workers' proposals for one round.
-// It is satisfied by *sim.Pool.
-type GradientSource interface {
-	// Gradients broadcasts params and returns one gradient estimate per
-	// correct worker plus the mean training loss. Returned slices are
-	// only valid until the next call.
-	Gradients(params []float64) ([][]float64, float64, error)
-	// N returns the number of correct workers.
-	N() int
-	// Dim returns the parameter dimension.
-	Dim() int
-}
 
 // RoundStats records one synchronous round.
 type RoundStats struct {
@@ -117,6 +106,11 @@ type Config struct {
 	// Dataset is the sample distribution used by correct workers and
 	// for held-out evaluation.
 	Dataset data.Dataset
+	// WorkerData, when non-nil, gives correct worker i its own sample
+	// distribution WorkerData[i] (e.g. a label-skewed class subset, E7)
+	// while evaluation stays on Dataset. It needs exactly N−F entries,
+	// each with Dataset's Dim and OutDim.
+	WorkerData []data.Dataset
 	// Rule is the parameter server's choice function (krum.Krum,
 	// krum.Average, ...). Leave nil and set RuleSpec to construct it
 	// from the registry instead.
@@ -185,10 +179,6 @@ type Config struct {
 	// distance matrix with aggregation, so the O(n²·d) cost is paid
 	// once; only the O(n²) score extraction runs twice.
 	TrackSelection bool
-	// Source overrides the default in-process pool of N−F workers
-	// (e.g. sim.NewHeterogeneousPool for non-IID data). When set,
-	// Source.N() must equal N−F.
-	Source GradientSource
 	// OnRound, when non-nil, observes every RoundStats as it is
 	// produced (streaming output in the experiment binaries).
 	OnRound func(RoundStats)
@@ -213,13 +203,68 @@ func (c *Config) validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("rounds = %d: %w", c.Rounds, ErrConfig)
 	}
-	if c.Source == nil && c.BatchSize < 1 {
+	if c.BatchSize < 1 {
 		return fmt.Errorf("batch size = %d: %w", c.BatchSize, ErrConfig)
 	}
-	if c.Source != nil && c.Source.N() != c.N-c.F {
-		return fmt.Errorf("source has %d workers, want n−f = %d: %w", c.Source.N(), c.N-c.F, ErrConfig)
+	if c.WorkerData != nil && len(c.WorkerData) != c.N-c.F {
+		return fmt.Errorf("%d worker datasets, want n−f = %d: %w", len(c.WorkerData), c.N-c.F, ErrConfig)
+	}
+	for i, ds := range c.WorkerData {
+		if ds == nil {
+			return fmt.Errorf("worker %d dataset is nil: %w", i, ErrConfig)
+		}
+		if ds.Dim() != c.Dataset.Dim() || ds.OutDim() != c.Dataset.OutDim() {
+			return fmt.Errorf("worker %d dataset shape (%d, %d), want (%d, %d): %w",
+				i, ds.Dim(), ds.OutDim(), c.Dataset.Dim(), c.Dataset.OutDim(), ErrConfig)
+		}
 	}
 	return nil
+}
+
+// worker is one correct worker's private state.
+type worker struct {
+	m    model.Model
+	rng  *vec.RNG
+	ds   data.Dataset
+	x, y *vec.Dense
+	grad []float64
+	loss float64
+	err  error
+}
+
+// round is the worker's round-t computation: it receives params, draws
+// a fresh mini-batch ξ_i and computes V_i = G(x_t, ξ_i) into w.grad.
+func (w *worker) round(params []float64) {
+	if w.err = w.m.SetParams(params); w.err != nil {
+		return
+	}
+	if w.err = data.FillBatch(w.ds, w.rng, w.x, w.y); w.err != nil {
+		return
+	}
+	w.loss, w.err = w.m.Gradient(w.grad, w.x, w.y)
+}
+
+// gradients runs one synchronous round of the correct workers, one
+// goroutine each, and returns their mean mini-batch loss summed in
+// worker order.
+func gradients(workers []*worker, params []float64) (float64, error) {
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.round(params)
+		}()
+	}
+	wg.Wait()
+	var lossSum float64
+	for i, w := range workers {
+		if w.err != nil {
+			return 0, fmt.Errorf("worker %d: %w", i, w.err)
+		}
+		lossSum += w.loss
+	}
+	return lossSum / float64(len(workers)), nil
 }
 
 // Run executes the synchronous training protocol and returns the full
@@ -276,16 +321,26 @@ func Run(cfg Config) (*Result, error) {
 	dim := serverModel.Dim()
 	params := serverModel.Params(nil)
 
-	source := cfg.Source
-	if source == nil {
-		pool, err := sim.NewPool(serverModel, cfg.Dataset, cfg.N-cfg.F, cfg.BatchSize, rootRNG.Uint64())
-		if err != nil {
-			return nil, fmt.Errorf("building worker pool: %w", err)
+	// The correct workers' gradient buffers belong to Run: correct[i]
+	// is worker i's own buffer, rewritten by every round and lent to the
+	// engine and the attack for that round only.
+	workerRNG := vec.NewRNG(rootRNG.Uint64())
+	workers := make([]*worker, cfg.N-cfg.F)
+	correct := make([][]float64, len(workers))
+	for i := range workers {
+		ds := cfg.Dataset
+		if cfg.WorkerData != nil {
+			ds = cfg.WorkerData[i]
 		}
-		source = pool
-	}
-	if source.Dim() != dim {
-		return nil, fmt.Errorf("source dim %d, model dim %d: %w", source.Dim(), dim, ErrConfig)
+		workers[i] = &worker{
+			m:    serverModel.Clone(),
+			rng:  workerRNG.Split(),
+			ds:   ds,
+			x:    vec.NewDense(cfg.BatchSize, ds.Dim()),
+			y:    vec.NewDense(cfg.BatchSize, ds.OutDim()),
+			grad: make([]float64, dim),
+		}
+		correct[i] = workers[i].grad
 	}
 
 	evalBatch := cfg.EvalBatch
@@ -309,7 +364,7 @@ func Run(cfg Config) (*Result, error) {
 	// the engine additionally carries the matrix across rounds,
 	// diffing each round's proposals lazily on first use. Either way the
 	// proposals are only lent to the engine for the round: it reads the
-	// pool's, the attack's and the replay buffers where they lie, and
+	// workers', the attack's and the replay buffers where they lie, and
 	// the cache copies the rows it keeps, so all of them may be
 	// rewritten as soon as the round's aggregate is out.
 	engine := new(core.Engine)
@@ -323,7 +378,7 @@ func Run(cfg Config) (*Result, error) {
 	atkCtx := &attack.Context{F: cfg.F, RNG: attackRNG}
 	// The async state is seeded from cfg.Seed directly (not from a
 	// rootRNG draw), so enabling an arrival process never shifts the
-	// pool/eval/attack RNG streams — load-bearing for the sync≡async
+	// worker/eval/attack RNG streams — load-bearing for the sync≡async
 	// differential and for trace replay in tests.
 	var async *asyncState
 	if arrivalProc != nil {
@@ -342,7 +397,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	for t := 0; t < cfg.Rounds; t++ {
-		correct, trainLoss, err := source.Gradients(params)
+		trainLoss, err := gradients(workers, params)
 		if err != nil {
 			return nil, fmt.Errorf("round %d gradients: %w", t, err)
 		}

@@ -244,48 +244,6 @@ func TestOnRoundHookAndAccuracySeries(t *testing.T) {
 	}
 }
 
-func TestRunRejectsMismatchedSource(t *testing.T) {
-	cfg := quickConfig(t)
-	cfg.Source = fakeSource{n: 3, dim: cfg.Model.Dim()}
-	if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
-		t.Errorf("mismatched source accepted: %v", err)
-	}
-}
-
-func TestRunCustomSource(t *testing.T) {
-	cfg := quickConfig(t)
-	cfg.N, cfg.F = 5, 1
-	cfg.Rule = krum.NewKrum(1)
-	cfg.EvalEvery = 0
-	cfg.Rounds = 10
-	cfg.Source = fakeSource{n: 4, dim: cfg.Model.Dim()}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != 10 {
-		t.Errorf("history %d", len(res.History))
-	}
-}
-
-// fakeSource returns constant unit gradients.
-type fakeSource struct {
-	n, dim int
-}
-
-func (f fakeSource) Gradients(params []float64) ([][]float64, float64, error) {
-	out := make([][]float64, f.n)
-	for i := range out {
-		g := make([]float64, f.dim)
-		vec.Fill(g, 1)
-		out[i] = g
-	}
-	return out, 1, nil
-}
-
-func (f fakeSource) N() int   { return f.n }
-func (f fakeSource) Dim() int { return f.dim }
-
 // Lemma 3.1 at training level: a single Byzantine worker forces the
 // average to a constant huge vector; the run diverges (or is driven to
 // garbage), whereas Krum with the same attack stays finite.

@@ -7,7 +7,6 @@ import (
 	"krum"
 	"krum/attack"
 	"krum/data"
-	"krum/internal/sim"
 	"krum/internal/vec"
 )
 
@@ -130,43 +129,27 @@ func TestUnguardedAverageIsPoisonedByNaN(t *testing.T) {
 	}
 }
 
-func TestLabelFlipPoisoningDegradesAverageNotKrum(t *testing.T) {
-	// Data poisoning at the worker level: Byzantine workers compute
-	// honest gradients on flipped labels. This is the "biased data
-	// distribution" failure of the paper's introduction.
+// TestKrumLearnsUnderLabelFlipPoisoning: data poisoning at the worker
+// level — the last two workers are honest workers computing gradients
+// on flipped labels, the "biased data distribution" failure of the
+// paper's introduction. The protocol sees no Byzantine slot (F = 0);
+// Krum, tolerating f = 2, must still learn.
+func TestKrumLearnsUnderLabelFlipPoisoning(t *testing.T) {
 	cfg := quickConfig(t)
 	cfg.Rounds = 100
 	cfg.EvalEvery = 25
-	poisoned, err := sim.NewPool(cfg.Model, labelFlip{cfg.Dataset}, cfg.F, cfg.BatchSize, 99)
+	cfg.F = 0
+	cfg.Rule = krum.NewKrum(2)
+	cfg.WorkerData = sameData(cfg.Dataset, cfg.N)
+	cfg.WorkerData[cfg.N-2] = labelFlip{cfg.Dataset}
+	cfg.WorkerData[cfg.N-1] = labelFlip{cfg.Dataset}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Attack = labelFlipAttack{poisoned}
-
-	krumCfg := cfg
-	krumCfg.Rule = krum.NewKrum(2)
-	krumRes, err := Run(krumCfg)
-	if err != nil {
-		t.Fatal(err)
+	if res.FinalTestAccuracy < 0.85 {
+		t.Errorf("krum accuracy %v under label-flip poisoning", res.FinalTestAccuracy)
 	}
-	if krumRes.FinalTestAccuracy < 0.85 {
-		t.Errorf("krum accuracy %v under label-flip poisoning", krumRes.FinalTestAccuracy)
-	}
-}
-
-// labelFlipAttack is the poisoned workers: a pool of model replicas
-// computing their round's gradients at the broadcast parameters, on
-// label-flipped samples.
-type labelFlipAttack struct{ pool *sim.Pool }
-
-func (labelFlipAttack) Name() string { return "labelflip" }
-
-func (a labelFlipAttack) Propose(ctx *attack.Context) [][]float64 {
-	grads, _, err := a.pool.Gradients(ctx.Params)
-	if err != nil {
-		panic(err)
-	}
-	return grads
 }
 
 // labelFlip wraps a classification dataset and flips every label — the

@@ -46,9 +46,6 @@ func Register(name string, f Factory) { processes.Register(name, f) }
 // wrapped ErrBadArrival.
 func Parse(s string) (Process, error) { return processes.Parse(struct{}{}, s) }
 
-// Names returns the registered arrival-process names, sorted.
-func Names() []string { return processes.Names() }
-
 // Usage returns a generated one-line summary of every registered
 // arrival process with its parameters — CLI help text is built from
 // this so it can never drift from the implemented set.

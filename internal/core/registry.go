@@ -57,12 +57,6 @@ func Names() []string { return registry.Names() }
 // this so they can never drift from the registry.
 func Usage() string { return registry.Usage() }
 
-// SplitSpecs splits a comma-separated list of rule specs, keeping
-// commas inside parameter parentheses — "krum,multikrum(f=2,m=3)"
-// yields ["krum", "multikrum(f=2,m=3)"]. Empty items are dropped; the
-// items are not validated (ParseRuleIn does that).
-func SplitSpecs(list string) []string { return spec.SplitSpecs(list) }
-
 // ParseRuleIn constructs the rule described by spec, with cluster-shape
 // defaults from ctx. Unknown names, unknown parameter keys, and
 // malformed values are all reported as wrapped ErrBadParameter.

@@ -204,30 +204,3 @@ func TestUsageListsEveryRule(t *testing.T) {
 		t.Errorf("Usage() should document multikrum parameters: %s", usage)
 	}
 }
-
-func TestSplitSpecs(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"krum", []string{"krum"}},
-		{"krum,average", []string{"krum", "average"}},
-		{"krum,multikrum(f=2,m=3)", []string{"krum", "multikrum(f=2,m=3)"}},
-		{" geomedian(maxiter=5,tol=0.1) , bulyan ", []string{"geomedian(maxiter=5,tol=0.1)", "bulyan"}},
-		{"", nil},
-		{",,", nil},
-	}
-	for _, tc := range cases {
-		got := SplitSpecs(tc.in)
-		if len(got) != len(tc.want) {
-			t.Errorf("SplitSpecs(%q) = %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Errorf("SplitSpecs(%q) = %v, want %v", tc.in, got, tc.want)
-				break
-			}
-		}
-	}
-}

@@ -43,7 +43,7 @@ func TestRunNonIIDShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRendered(t, h, "3cc77e628a14354c89570422483c42c4ab4ba4fc4d2ff02eba73c7351c8418d3")
+	checkRendered(t, h, "9d48da881906366b3f6b885725f17f010f99c42dc0db86277b21622a08bf724e")
 	avg := res.Row("average")
 	krumRow := res.Row("krum")
 	if avg == nil || krumRow == nil {

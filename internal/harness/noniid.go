@@ -8,7 +8,6 @@ import (
 	"krum/distsgd"
 	"krum/internal/core"
 	"krum/internal/metrics"
-	"krum/internal/sim"
 )
 
 // NonIIDRow is one rule's outcome under homogeneous and label-skewed
@@ -43,7 +42,6 @@ func RunNonIID(w io.Writer, scale Scale, seed uint64) (*NonIIDResult, error) {
 	const n = 10
 	rounds := pick(scale, 200, 600)
 	evalEvery := pick(scale, 20, 40)
-	batch := pick(scale, 16, 32)
 
 	work, err := newImageWorkload(scale, seed)
 	if err != nil {
@@ -63,7 +61,7 @@ func RunNonIID(w io.Writer, scale Scale, seed uint64) (*NonIIDResult, error) {
 		Dataset:      work.Dataset, // evaluation stays on the full distribution
 		N:            n,
 		F:            0,
-		BatchSize:    batch,
+		BatchSize:    pick(scale, 16, 32),
 		ScheduleSpec: figSchedule,
 		Rounds:       rounds,
 		Seed:         seed,
@@ -92,13 +90,9 @@ func RunNonIID(w io.Writer, scale Scale, seed uint64) (*NonIIDResult, error) {
 			return nil, fmt.Errorf("%s iid: %w", rule.Name(), err)
 		}
 
-		skewPool, err := sim.NewHeterogeneousPool(work.Model, datasets, batch, seed+1)
-		if err != nil {
-			return nil, fmt.Errorf("building heterogeneous pool: %w", err)
-		}
 		skewCfg := base
 		skewCfg.Rule = rule
-		skewCfg.Source = skewPool
+		skewCfg.WorkerData = datasets
 		skewRun, err := distsgd.Run(skewCfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s skew: %w", rule.Name(), err)

@@ -287,20 +287,6 @@ func Parse(kind string, sentinel error, spec string) (string, Args, error) {
 	return strings.ToLower(name), args, nil
 }
 
-// SplitSpecs splits a comma-separated list of specs, keeping commas
-// inside parameter parentheses — "krum,multikrum(f=2,m=3)" yields
-// ["krum", "multikrum(f=2,m=3)"]. Empty items are dropped; the items
-// are not validated (Registry.Parse does that).
-func SplitSpecs(list string) []string {
-	var out []string
-	for _, item := range splitDepthAware(list) {
-		if item = strings.TrimSpace(item); item != "" {
-			out = append(out, item)
-		}
-	}
-	return out
-}
-
 // splitDepthAware splits s on commas at parenthesis depth zero.
 func splitDepthAware(s string) []string {
 	var out []string

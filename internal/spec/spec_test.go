@@ -144,19 +144,3 @@ func TestRegistryUsageAndNames(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 }
-
-func TestSplitSpecsDepthAware(t *testing.T) {
-	got := SplitSpecs(" a , b(x=1,y=2) ,, c ")
-	want := []string{"a", "b(x=1,y=2)", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("SplitSpecs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SplitSpecs = %v", got)
-		}
-	}
-	if SplitSpecs("") != nil || SplitSpecs(",,") != nil {
-		t.Error("empty lists should split to nil")
-	}
-}

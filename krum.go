@@ -41,10 +41,10 @@
 //	rule, err = krum.ParseRuleIn(krum.SpecContext{N: 15, F: 3}, "krum") // f defaults to 3
 //
 // Names and parameters are case-insensitive; omitted parameters fall
-// back to the SpecContext cluster shape. RuleNames lists the registered
-// set, RuleUsage renders a generated help line (the CLI -rule help text
-// is built from it, so it can never drift), and RegisterRule adds
-// custom rules to the same namespace.
+// back to the SpecContext cluster shape. RuleUsage renders a generated
+// help line listing every registered rule (the CLI -rule help text is
+// built from it, so it can never drift), and RegisterRule adds custom
+// rules to the same namespace.
 //
 // # Shared aggregation engine
 //
@@ -260,14 +260,6 @@ func ParseRuleIn(ctx SpecContext, spec string) (Rule, error) { return core.Parse
 // the given (case-insensitive) name; it panics on duplicates.
 func RegisterRule(name string, f RuleFactory) { core.Register(name, f) }
 
-// RuleNames returns the sorted names of every registered rule.
-func RuleNames() []string { return core.Names() }
-
-// SplitRuleSpecs splits a comma-separated list of rule specs, keeping
-// commas inside parameter parentheses: "krum,multikrum(f=2,m=3)" is
-// two specs.
-func SplitRuleSpecs(list string) []string { return core.SplitSpecs(list) }
-
 // RuleUsage returns a generated one-line summary of every registered
 // rule with its parameters — CLI help text is built from this.
 func RuleUsage() string { return core.Usage() }
@@ -373,11 +365,6 @@ func ActiveKernelOrder() string { return vec.KernelOrder() }
 // scenario.Spec.Arrival). See internal/arrival.
 type ArrivalProcess = arrival.Process
 
-// ArrivalTrace is one run's materialized arrival schedule — a stateful
-// per-round iterator minted by ArrivalProcess.NewTrace from the cell
-// seed alone.
-type ArrivalTrace = arrival.Trace
-
 // ArrivalFactory builds an arrival process from a parsed spec; see
 // RegisterArrival.
 type ArrivalFactory = arrival.Factory
@@ -398,10 +385,6 @@ func ParseArrival(spec string) (ArrivalProcess, error) { return arrival.Parse(sp
 // registry under the given (case-insensitive) name; it panics on
 // duplicates.
 func RegisterArrival(name string, f ArrivalFactory) { arrival.Register(name, f) }
-
-// ArrivalNames returns the sorted names of every registered arrival
-// process.
-func ArrivalNames() []string { return arrival.Names() }
 
 // ArrivalUsage returns a generated one-line summary of every registered
 // arrival process with its parameters — CLI help text is built from

@@ -63,9 +63,6 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 	return &DirBackend{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (b *DirBackend) Dir() string { return b.dir }
-
 // checkName rejects names that are not well-formed segment names —
 // both foreign files and path escapes (a name with a separator could
 // otherwise read or delete outside the directory).
