@@ -35,9 +35,9 @@ check: fmt vet build race check-docs
 
 # check-docs is the documentation drift guard: every registry built-in
 # must be named in README/EXPERIMENTS/ARCHITECTURE and still
-# round-trip via its parser, and every exported identifier in the
-# newest packages (scenario/store, scenario/shardproto,
-# cmd/krum-scenariod) must carry a doc comment, and every cmd/,
+# round-trip via its parser, and every exported identifier in
+# scenario, scenario/store, scenario/shardproto, distsgd and
+# cmd/krum-scenariod must carry a doc comment, and every cmd/,
 # examples/ and internal/ path the docs name must exist (with every
 # binary and example listed in README). Blocking in CI — docs rot is a
 # build failure here.

@@ -88,7 +88,6 @@ import (
 	"syscall"
 	"time"
 
-	"krum/scenario"
 	"krum/scenario/store"
 )
 
@@ -132,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runWorker(ctx, stdout, stderr, *joinFlag, *workersFlag)
 	}
 
-	var st scenario.ResultStore
+	var st *store.Store
 	if *storeDirFlag != "" {
 		dirStore, err := store.OpenDir(*storeDirFlag)
 		if err != nil {

@@ -146,25 +146,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.header("krum_scenariod_local_fallbacks_total", "Cells computed in-process on the coordinator (no live workers, or exhausted attempts).", "counter")
 	m.sample("krum_scenariod_local_fallbacks_total", fs.LocalFallbacks)
 
-	if st, ok := s.store.(storeStatser); ok {
-		stats := st.Stats()
-		for _, row := range []struct {
-			name, help, typ string
-			value           int
-		}{
-			{"krum_scenariod_store_entries", "Result-store entries resident.", "gauge", stats.Entries},
-			{"krum_scenariod_store_hits_total", "Result-store lookup hits.", "counter", stats.Hits},
-			{"krum_scenariod_store_cold_reads_total", "Result-store hits served from a sealed segment rather than from memory.", "counter", stats.ColdReads},
-			{"krum_scenariod_store_misses_total", "Result-store lookup misses.", "counter", stats.Misses},
-			{"krum_scenariod_store_flight_waits_total", "Lookups that waited on an identical in-flight computation.", "counter", stats.FlightWaits},
-			{"krum_scenariod_store_saves_total", "Result-store writes.", "counter", stats.Saves},
-			{"krum_scenariod_store_segments", "Persistent store segments.", "gauge", stats.Segments},
-			{"krum_scenariod_store_seals_total", "Segment seals.", "counter", stats.Seals},
-			{"krum_scenariod_store_compactions_total", "Segment compactions.", "counter", stats.Compactions},
-		} {
-			m.header(row.name, row.help, row.typ)
-			m.sample(row.name, row.value)
-		}
+	stats := s.store.Stats()
+	for _, row := range []struct {
+		name, help, typ string
+		value           int
+	}{
+		{"krum_scenariod_store_entries", "Result-store entries resident.", "gauge", stats.Entries},
+		{"krum_scenariod_store_hits_total", "Result-store lookup hits.", "counter", stats.Hits},
+		{"krum_scenariod_store_cold_reads_total", "Result-store hits served from a sealed segment rather than from memory.", "counter", stats.ColdReads},
+		{"krum_scenariod_store_misses_total", "Result-store lookup misses.", "counter", stats.Misses},
+		{"krum_scenariod_store_flight_waits_total", "Lookups that waited on an identical in-flight computation.", "counter", stats.FlightWaits},
+		{"krum_scenariod_store_saves_total", "Result-store writes.", "counter", stats.Saves},
+		{"krum_scenariod_store_segments", "Persistent store segments.", "gauge", stats.Segments},
+		{"krum_scenariod_store_seals_total", "Segment seals.", "counter", stats.Seals},
+		{"krum_scenariod_store_compactions_total", "Segment compactions.", "counter", stats.Compactions},
+	} {
+		m.header(row.name, row.help, row.typ)
+		m.sample(row.name, row.value)
 	}
 
 	if s.journal != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,28 +24,27 @@ import (
 // matrix submissions over HTTP, fans their cells out across ONE shared
 // bounded pool (so concurrent matrices share capacity fairly instead
 // of each spawning its own), serves per-matrix progress and streaming
-// results, and runs every cell through a shared
-// scenario.ResultStore's single-flight — a stored cell is a hit, an
-// in-flight identical cell is waited on, and only genuinely new work
-// executes. A result travels as its canonical bytes the whole way: a
-// worker's report is verified once where it arrives (fleet.complete)
-// and the same json.RawMessage is what the store indexes, the matrix
-// run holds and the stream and results encoders embed — the
-// coordinator never decodes a result. Execution itself goes through
-// the fleet (fleet.go): cells
-// dispatch to joined workers when any are live and run in-process
-// otherwise, with identical bytes either way. Because cells are pure
-// functions of their spec and every computed cell is written through
-// to the store, a service restart loses no work: resubmitting an
-// interrupted matrix replays its completed prefix as store hits and
-// only computes the remainder.
+// results, and runs every cell through a shared store's bytes-level
+// single-flight (DoCellRaw) — a stored cell is a hit, an in-flight
+// identical cell is waited on, and only genuinely new work executes. A
+// result travels as its canonical bytes the whole way: a worker's
+// report is verified once where it arrives (fleet.complete) and the
+// same json.RawMessage is what the store indexes, the matrix run holds
+// and the stream and results encoders embed — the coordinator never
+// decodes a result. Execution itself goes through the fleet
+// (fleet.go): cells dispatch to joined workers when any are live and
+// run in-process otherwise, with identical bytes either way. Because
+// cells are pure functions of their spec and every computed cell is
+// written through to the store, a service restart loses no work:
+// resubmitting an interrupted matrix replays its completed prefix as
+// store hits and only computes the remainder.
 //
 // Completed matrices stay in memory (results included) until a client
 // deletes them (DELETE /matrices/{id}); consumers of many grids should
 // delete what they have read — the persisted cells remain in the
 // store either way.
 type Server struct {
-	store scenario.ResultStore
+	store cellStore
 	// fleet is the coordinator's dispatch queue + membership table (see
 	// fleet.go). With no joined workers every cell runs locally, so a
 	// fleetless coordinator behaves exactly like the single-process
@@ -95,10 +95,11 @@ type matrixRun struct {
 	priority int
 
 	mu sync.Mutex
-	// results is indexed by cell position (results[i] answers cells[i]);
-	// entries are nil until their cell completes — the same positional
-	// guarantee scenario.Runner.RunCells documents.
-	results []*scenario.RawCellResult
+	// results is indexed by cell position (results[i] answers cells[i])
+	// and holds each cell's wire form, built once when it completes;
+	// entries are nil until then — the same positional guarantee
+	// scenario.Runner.RunCells documents.
+	results []*cellJSON
 	// order lists completed cell indices in completion order, which is
 	// what the streaming endpoint replays.
 	order []int
@@ -132,6 +133,14 @@ const (
 	defaultMaxActiveMatrices = 1024
 )
 
+// cellStore is what the coordinator needs of its shared result store:
+// the bytes-level single-flight every cell runs through, and the
+// counters /store and /metrics report. *store.Store satisfies it.
+type cellStore interface {
+	scenario.RawSingleFlighter
+	Stats() store.Stats
+}
+
 // Options configures NewServer. Every zero field takes a
 // sensible default (NumCPU pool, 10s fleet lease, default admission
 // limits) except Store, which the caller must always supply.
@@ -140,7 +149,7 @@ type Options struct {
 	Workers int
 	// Store is the shared result store (use store.NewMemory() for a
 	// non-persistent service).
-	Store scenario.ResultStore
+	Store cellStore
 	// Lease is the fleet liveness lease (0 means 10s).
 	Lease time.Duration
 	// MaxPendingCells caps one tenant's outstanding (not-yet-completed)
@@ -300,7 +309,7 @@ func (s *Server) UseJournal(path string) (resumed int, err error) {
 			cells:    cm.Cells,
 			tenant:   tenant,
 			priority: cm.Priority,
-			results:  make([]*scenario.RawCellResult, len(cm.Cells)),
+			results:  make([]*cellJSON, len(cm.Cells)),
 		}
 		s.matrices[run.id] = run
 		s.wg.Add(1)
@@ -397,13 +406,17 @@ type submitRequest struct {
 }
 
 // parseSubmit decodes a submission envelope, rejecting unknown fields
-// like scenario.ParseMatrixJSON does for bare matrices.
+// and trailing content like scenario.ParseMatrixJSON does for bare
+// matrices.
 func parseSubmit(body []byte) (submitRequest, error) {
 	var req submitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return submitRequest{}, fmt.Errorf("decoding matrix submission: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return submitRequest{}, errors.New("decoding matrix submission: trailing content after the JSON value")
 	}
 	return req, nil
 }
@@ -627,7 +640,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cells:    cells,
 		tenant:   tenant,
 		priority: req.Priority,
-		results:  make([]*scenario.RawCellResult, len(cells)),
+		results:  make([]*cellJSON, len(cells)),
 	}
 	s.matrices[run.id] = run
 	s.wg.Add(1)
@@ -695,27 +708,37 @@ loop:
 // dispatch to workers when any are live and run locally otherwise.
 // tenant and priority place the dispatch in its fleet queue; when the
 // single-flight collapses identical cells across tenants, the first
-// caller's attribution wins (the others wait on its result).
-func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority int) scenario.RawCellResult {
-	return scenario.RunCellRawWith(s.store, i, cell, func() (json.RawMessage, error) {
+// caller's attribution wins (the others wait on its result). It
+// returns the cell's wire form, which embeds the store's bytes as they
+// are.
+func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority int) *cellJSON {
+	raw, cached, storeErr, err := s.store.DoCellRaw(cell, func() (json.RawMessage, error) {
 		return s.fleet.execute(cell, tenant, priority)
 	})
+	c := &cellJSON{Index: i, Spec: cell, Cached: cached, Result: raw}
+	if err != nil {
+		c.Error = err.Error()
+	}
+	if storeErr != nil {
+		c.StoreError = storeErr.Error()
+	}
+	return c
 }
 
 // record stores one completed cell and wakes the run's streams.
-func (r *matrixRun) record(cr scenario.RawCellResult) {
+func (r *matrixRun) record(c *cellJSON) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.results[cr.Index] = &cr
-	r.order = append(r.order, cr.Index)
+	r.results[c.Index] = c
+	r.order = append(r.order, c.Index)
 	r.wakeLocked()
-	if cr.Cached {
+	if c.Cached {
 		r.cached++
 	}
-	if cr.Err != nil {
+	if c.Error != "" {
 		r.failed++
 	}
-	if cr.StoreErr != nil {
+	if c.StoreError != "" {
 		r.storeErrs++
 	}
 }
@@ -783,21 +806,6 @@ func (r *matrixRun) statusLocked() statusJSON {
 		Finished:    r.finished,
 		Aborted:     r.aborted,
 	}
-}
-
-// cellWire converts a completed cell to its wire form.
-func cellWire(cr *scenario.RawCellResult) *cellJSON {
-	if cr == nil {
-		return nil
-	}
-	c := &cellJSON{Index: cr.Index, Spec: cr.Spec, Cached: cr.Cached, Result: cr.Result}
-	if cr.Err != nil {
-		c.Error = cr.Err.Error()
-	}
-	if cr.StoreErr != nil {
-		c.StoreError = cr.StoreErr.Error()
-	}
-	return c
 }
 
 // lookup resolves a matrix id from the request path.
@@ -877,10 +885,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	run.mu.Lock()
-	out := resultsJSON{Results: make([]*cellJSON, len(run.results))}
-	for i, cr := range run.results {
-		out.Results[i] = cellWire(cr)
-	}
+	out := resultsJSON{Results: append([]*cellJSON(nil), run.results...)}
 	out.statusJSON = run.statusLocked()
 	run.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
@@ -907,7 +912,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		pending := run.order[cursor:]
 		batch := make([]*cellJSON, len(pending))
 		for i, idx := range pending {
-			batch[i] = cellWire(run.results[idx])
+			batch[i] = run.results[idx]
 		}
 		cursor += len(pending)
 		done := run.terminal()
@@ -936,21 +941,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// storeStatser is the optional stats surface of the configured store
-// (satisfied by *store.Store).
-type storeStatser interface {
-	Stats() store.Stats
-}
-
-// handleStore reports the shared store's counters when the store
-// exposes them.
+// handleStore reports the shared store's counters.
 func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
-	st, ok := s.store.(storeStatser)
-	if !ok {
-		http.Error(w, "store exposes no stats", http.StatusNotFound)
-		return
-	}
-	stats := st.Stats()
+	stats := s.store.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, map[string]int{
 		"entries":            stats.Entries,

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"krum/distsgd"
 	"krum/scenario"
 	"krum/scenario/store"
 )
@@ -333,13 +332,19 @@ func TestServerDeleteEvictsFinishedMatrix(t *testing.T) {
 	}
 }
 
-// failingSaveStore misses every lookup and fails every save.
+// failingSaveStore misses every lookup and fails every save: each cell
+// computes, and its write-through reports errDiskFull.
 type failingSaveStore struct{}
 
-func (failingSaveStore) Lookup(scenario.Spec) (*distsgd.Result, bool) { return nil, false }
-func (failingSaveStore) Save(scenario.Spec, *distsgd.Result) error {
-	return errDiskFull
+func (failingSaveStore) DoCellRaw(_ scenario.Spec, compute func() (json.RawMessage, error)) (json.RawMessage, bool, error, error) {
+	raw, err := compute()
+	if err != nil {
+		return nil, false, nil, err
+	}
+	return raw, false, errDiskFull, nil
 }
+
+func (failingSaveStore) Stats() store.Stats { return store.Stats{} }
 
 var errDiskFull = fmt.Errorf("disk full")
 
@@ -370,6 +375,27 @@ func TestServerSurfacesStoreErrors(t *testing.T) {
 		}
 		if cell.StoreError == "" {
 			t.Errorf("cell %d: store_error not surfaced", i)
+		}
+	}
+}
+
+// TestParseSubmitRejectsTrailingContent: a submission is exactly one
+// JSON value; only whitespace may follow it.
+func TestParseSubmitRejectsTrailingContent(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"rules":["krum"],"tenant":"alice"}`, true},
+		{"{\"rules\":[\"krum\"]}\r\n", true},
+		{`{"rules":["krum"]} garbage`, false},
+		{`{"rules":["krum"]}]]]`, false},
+		{`{"rules":["krum"]}{"tenant":"bob"}`, false},
+		{`{"rules":["krum"]} "x"`, false},
+	} {
+		_, err := parseSubmit([]byte(tc.body))
+		if tc.ok != (err == nil) {
+			t.Errorf("parseSubmit(%q) = %v, want ok=%v", tc.body, err, tc.ok)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -80,28 +79,6 @@ func goldenGrid(t *testing.T) (body string, cells []scenario.Spec, results []*di
 		}
 	}
 	return string(blob), cells, results
-}
-
-// typedStore is a plain scenario.ResultStore — typed Lookup and Save,
-// no single-flight, no bytes — of the kind the coordinator adapts at
-// its edge.
-type typedStore struct {
-	mu      sync.Mutex
-	results map[string]*distsgd.Result
-}
-
-func (s *typedStore) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, ok := s.results[spec.Label()]
-	return res, ok
-}
-
-func (s *typedStore) Save(spec scenario.Spec, res *distsgd.Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.results[spec.Label()] = res
-	return nil
 }
 
 // getBody fetches one endpoint's whole body.
@@ -352,39 +329,32 @@ func TestStreamHandlerReturns(t *testing.T) {
 
 // TestStreamGoldenBytes pins /stream and /results for goldenGrid,
 // served from a pre-seeded store, to the bytes the parent commit's
-// coordinator produced — HTML escaping and compaction included — on
-// both carriages a stored cell can take: the store's own bytes handed
-// through (store.Store), and a typed result re-marshalled at the edge
-// (any other ResultStore).
+// coordinator produced — HTML escaping and compaction included — with
+// the store's own bytes handed through as they are.
 func TestStreamGoldenBytes(t *testing.T) {
 	body, cells, results := goldenGrid(t)
-	raw := store.NewMemory()
-	typed := &typedStore{results: make(map[string]*distsgd.Result)}
+	st := store.NewMemory()
 	for i, cell := range cells {
-		for _, st := range []scenario.ResultStore{raw, typed} {
-			if err := st.Save(cell, results[i]); err != nil {
-				t.Fatal(err)
-			}
+		if err := st.Save(cell, results[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for name, st := range map[string]scenario.ResultStore{"bytes carried": raw, "typed result re-marshalled": typed} {
-		srv := NewServer(Options{Workers: 1, Store: st})
-		ts := httptest.NewServer(srv)
-		sub := submit(t, ts, body)
-		waitFinished(t, ts, sub.ID)
-		for path, file := range map[string]string{sub.StreamURL: "golden_stream.ndjson", sub.ResultsURL: "golden_results.json"} {
-			want, err := os.ReadFile("testdata/" + file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := getBody(t, ts, path); !bytes.Equal(got, want) {
-				t.Errorf("%s: %s differs from the parent's bytes\n got %s\nwant %s", name, path, got, want)
-			}
+	srv := NewServer(Options{Workers: 1, Store: st})
+	defer srv.Stop()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	sub := submit(t, ts, body)
+	waitFinished(t, ts, sub.ID)
+	for path, file := range map[string]string{sub.StreamURL: "golden_stream.ndjson", sub.ResultsURL: "golden_results.json"} {
+		want, err := os.ReadFile("testdata/" + file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ts.Close()
-		srv.Stop()
+		if got := getBody(t, ts, path); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the parent's bytes\n got %s\nwant %s", path, got, want)
+		}
 	}
-	if hits := raw.Stats().Hits; hits != len(cells) {
-		t.Errorf("the byte store served %d hits, want %d", hits, len(cells))
+	if hits := st.Stats().Hits; hits != len(cells) {
+		t.Errorf("the store served %d hits, want %d", hits, len(cells))
 	}
 }

@@ -156,7 +156,7 @@ func TestDocsRegistryBuiltins(t *testing.T) {
 
 // lintedPackages are the directories held to the every-exported-
 // identifier-documented standard.
-var lintedPackages = []string{"scenario/store", "scenario/shardproto", "cmd/krum-scenariod"}
+var lintedPackages = []string{"scenario", "scenario/store", "scenario/shardproto", "distsgd", "cmd/krum-scenariod"}
 
 // TestDocsExportedIdentifiers fails for any exported declaration in
 // the linted packages — function, method, type, const, var, or struct

@@ -3,16 +3,17 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 
 	"krum/distsgd"
 )
 
 // CellExecutor runs one matrix cell and returns its outcome. It is the
-// seam that lets a Runner execute cells some other way than the default
-// LocalExecutor, which compiles and trains in-process (the repo
-// benchmark plugs in an executor that records spans around the same
-// steps; the scenariod coordinator does not use this seam — it calls
-// RunCellWith with a compute function that dispatches to its fleet).
+// seam that lets a Runner execute cells some other way than RunCell,
+// which compiles and trains in-process (the repo benchmark plugs in an
+// executor that records spans around the same steps; the scenariod
+// coordinator does not use this seam — it drives the store's DoCellRaw
+// with a compute function that dispatches to its fleet).
 // Implementations must be safe for concurrent use (Runner calls
 // ExecuteCell from multiple goroutines) and must preserve the cell
 // purity contract: the returned Result depends only on the Spec, so
@@ -22,38 +23,6 @@ type CellExecutor interface {
 	// ExecuteCell runs cell and returns its CellResult with Index set to
 	// index (the position the caller will slot the result into).
 	ExecuteCell(index int, cell Spec) CellResult
-}
-
-// LocalExecutor is the default CellExecutor: it consults the store,
-// compiles the cell and trains it in-process — exactly the path
-// RunCell implements. The zero value (nil Store) runs every cell cold.
-type LocalExecutor struct {
-	// Store, when non-nil, is consulted before computing and written
-	// through after (see Runner.Store for the full contract).
-	Store ResultStore
-}
-
-// ExecuteCell implements CellExecutor via RunCell.
-func (e LocalExecutor) ExecuteCell(index int, cell Spec) CellResult {
-	return RunCell(e.Store, index, cell)
-}
-
-// SingleFlighter is an optional ResultStore extension (implemented by
-// scenario/store's Store): DoCell collapses concurrent executions of
-// identical cell specs into one compute — when several callers submit
-// the same key while no result is stored yet, exactly one runs compute
-// and the rest wait for its outcome. RunCellWith routes through it
-// automatically, so any Runner or service sharing a single-flight
-// store deduplicates in-flight work across goroutines, matrices and
-// (via the scenariod coordinator) worker processes.
-type SingleFlighter interface {
-	// DoCell returns the cell's result, computing it via compute at most
-	// once per key across concurrent callers. shared reports that the
-	// result arrived without invoking compute in this call (a store hit
-	// or another caller's in-flight execution); storeErr is a failed
-	// write-through (the result is still valid); runErr is compute's
-	// failure, propagated to every waiter.
-	DoCell(spec Spec, compute func() (*distsgd.Result, error)) (res *distsgd.Result, shared bool, storeErr, runErr error)
 }
 
 // ComputeCell compiles and trains one cell in-process, ignoring any
@@ -69,15 +38,41 @@ func ComputeCell(cell Spec) (*distsgd.Result, error) {
 
 // RunCellWith executes one cell through the store protocol with a
 // caller-supplied compute function standing in for local training: it
-// consults the store, invokes compute on a miss (through the store's
-// single-flight when available, so concurrent identical cells collapse
-// to one compute) and writes the result through. It is the shared
-// machinery between local execution (RunCell) and the scenariod
-// coordinator, whose compute dispatches the cell to a worker fleet.
+// consults the store, invokes compute on a miss and writes the result
+// through. When the store is a RawSingleFlighter (scenario/store's
+// Store is), concurrent identical cells collapse to one compute: the
+// caller that computes encodes its result once, for the store and the
+// waiting callers, and keeps its own *Result (Stats included); every
+// other caller decodes the shared bytes into a private one.
 func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.Result, error)) CellResult {
 	cr := CellResult{Index: index, Spec: cell}
-	if sf, ok := st.(SingleFlighter); ok {
-		cr.Result, cr.Cached, cr.StoreErr, cr.Err = sf.DoCell(cell, compute)
+	if sf, ok := st.(RawSingleFlighter); ok {
+		raw, shared, storeErr, err := sf.DoCellRaw(cell, func() (json.RawMessage, error) {
+			var err error
+			if cr.Result, err = compute(); err != nil {
+				return nil, err
+			}
+			raw, err := json.Marshal(cr.Result)
+			if err != nil {
+				// Neither the store nor the waiting callers can be served,
+				// but the result exists: the leader keeps it.
+				cr.StoreErr = fmt.Errorf("encoding result: %w", err)
+				return nil, cr.StoreErr
+			}
+			return raw, nil
+		})
+		switch {
+		case cr.StoreErr != nil: // the encode failure above
+		case err != nil:
+			cr.Result, cr.Err = nil, err
+		case !shared:
+			cr.StoreErr = storeErr
+		default:
+			cr.Result, cr.Cached = new(distsgd.Result), true
+			if err := json.Unmarshal(raw, cr.Result); err != nil {
+				cr.Result, cr.Cached, cr.Err = nil, false, fmt.Errorf("decoding shared result: %w", err)
+			}
+		}
 		return cr
 	}
 	if st != nil {
@@ -117,63 +112,24 @@ func CanonicalResult(raw json.RawMessage) (json.RawMessage, bool) {
 	return raw, bytes.Equal(raw, again)
 }
 
-// RawSingleFlighter is SingleFlighter over canonical result bytes
-// (implemented by scenario/store's Store, whose DoCell is a typed
-// wrapper over it): the scenariod coordinator moves a result from a
-// worker's report to the store and on to its clients without ever
-// decoding it.
+// RawSingleFlighter is an optional ResultStore extension (implemented
+// by scenario/store's Store) over canonical result bytes: DoCellRaw
+// collapses concurrent executions of identical cell specs into one
+// compute — when several callers submit the same key while no result
+// is stored yet, exactly one runs compute and the rest wait for its
+// bytes. RunCellWith drives it for in-process runners; the scenariod
+// coordinator drives it directly, moving a result from a worker's
+// report to the store and on to its clients without ever decoding it.
 type RawSingleFlighter interface {
-	// DoCellRaw is DoCell with the result as its stable JSON encoding.
+	// DoCellRaw returns the cell's stable JSON encoding, computing it
+	// via compute at most once per key across concurrent callers.
 	// compute must return canonical bytes (json.Marshal of a
 	// distsgd.Result, or bytes that passed CanonicalResult); the
 	// returned bytes may be shared with the store and other callers
-	// and must not be modified.
+	// and must not be modified. shared reports that the bytes arrived
+	// without invoking compute in this call (a store hit or another
+	// caller's in-flight execution); storeErr is a failed write-through
+	// (the bytes are still valid); runErr is compute's failure,
+	// propagated to every waiter.
 	DoCellRaw(spec Spec, compute func() (json.RawMessage, error)) (raw json.RawMessage, shared bool, storeErr, runErr error)
-}
-
-// RawCellResult is CellResult with the outcome carried as canonical
-// bytes; the fields mean what CellResult's do.
-type RawCellResult struct {
-	// Index is the cell's position in the expansion order.
-	Index int
-	// Spec is the cell that ran.
-	Spec Spec
-	// Result is the stable JSON encoding of the training outcome (nil
-	// when Err is set). Read-only: it may be the store's own copy.
-	Result json.RawMessage
-	// Err is the cell's failure, if any.
-	Err error
-	// Cached reports that Result was served without invoking compute in
-	// this call (see CellResult.Cached).
-	Cached bool
-	// StoreErr records a failed write-through (see CellResult.StoreErr).
-	StoreErr error
-}
-
-// RunCellRawWith is RunCellWith for callers that carry results as
-// canonical bytes: a RawSingleFlighter store is driven directly, and
-// any other ResultStore through a typed adapter at this edge — marshal
-// after Lookup, unmarshal before Save — so the caller has one path.
-func RunCellRawWith(st ResultStore, index int, cell Spec, compute func() (json.RawMessage, error)) RawCellResult {
-	cr := RawCellResult{Index: index, Spec: cell}
-	if sf, ok := st.(RawSingleFlighter); ok {
-		cr.Result, cr.Cached, cr.StoreErr, cr.Err = sf.DoCellRaw(cell, compute)
-		return cr
-	}
-	if st != nil {
-		if res, ok := st.Lookup(cell); ok {
-			if raw, err := json.Marshal(res); err == nil {
-				cr.Result, cr.Cached = raw, true
-				return cr
-			}
-		}
-	}
-	cr.Result, cr.Err = compute()
-	if cr.Err == nil && st != nil {
-		res := new(distsgd.Result)
-		if cr.StoreErr = json.Unmarshal(cr.Result, res); cr.StoreErr == nil {
-			cr.StoreErr = st.Save(cell, res)
-		}
-	}
-	return cr
 }

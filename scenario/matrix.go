@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -142,9 +141,7 @@ func (m Matrix) Validate() error {
 // ParseMatrixJSON decodes a Matrix from JSON, rejecting unknown fields.
 func ParseMatrixJSON(data []byte) (Matrix, error) {
 	var m Matrix
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeStrict(data, &m); err != nil {
 		return Matrix{}, fmt.Errorf("decoding scenario matrix: %w: %w", err, ErrBadSpec)
 	}
 	return m, nil

@@ -75,16 +75,15 @@ type Runner struct {
 	// cell and writes the result through. Because cells are pure
 	// functions of their Spec, hit results equal computed results; the
 	// runner's ordering and determinism guarantees are unchanged by the
-	// store. When the store implements SingleFlighter (scenario/store's
-	// Store does), two concurrent identical cells collapse to one
-	// execution; with a plain store both may miss and both compute —
-	// results being identical, the duplicate write is harmless (last
-	// write wins).
+	// store. When the store implements RawSingleFlighter
+	// (scenario/store's Store does), two concurrent identical cells
+	// collapse to one execution; with a plain store both may miss and
+	// both compute — results being identical, the duplicate write is
+	// harmless (last write wins).
 	Store ResultStore
-	// Executor, when non-nil, runs cells in place of the default local
-	// path (LocalExecutor{Store: r.Store}) — e.g. the repo benchmark's
-	// span-recording executor. A custom Executor owns its own store
-	// consultation, so Store is ignored when it is set.
+	// Executor, when non-nil, runs cells in place of RunCell — e.g. the
+	// repo benchmark's span-recording executor. A custom Executor owns
+	// its own store consultation, so Store is ignored when it is set.
 	Executor CellExecutor
 }
 
@@ -120,10 +119,6 @@ func (r *Runner) RunCells(cells []Spec) ([]CellResult, error) {
 		workers = len(cells)
 	}
 
-	exec := r.Executor
-	if exec == nil {
-		exec = LocalExecutor{Store: r.Store}
-	}
 	results := make([]CellResult, len(cells))
 	idx := make(chan int)
 	var cbMu sync.Mutex
@@ -133,7 +128,12 @@ func (r *Runner) RunCells(cells []Spec) ([]CellResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				cr := exec.ExecuteCell(i, cells[i])
+				var cr CellResult
+				if r.Executor != nil {
+					cr = r.Executor.ExecuteCell(i, cells[i])
+				} else {
+					cr = RunCell(r.Store, i, cells[i])
+				}
 				results[i] = cr
 				if r.OnCell != nil {
 					cbMu.Lock()
@@ -164,9 +164,8 @@ func (r *Runner) RunCells(cells []Spec) ([]CellResult, error) {
 // RunCell executes one cell exactly as Runner does: consult the store
 // (st may be nil), on a miss compile and train in-process (collapsing
 // concurrent identical cells to one execution when the store
-// single-flights), then write the result through. It is the shared
-// single-cell path between Runner, the krum-scenariod service's
-// cross-matrix pool, and scenariod workers executing dispatched cells.
+// single-flights), then write the result through. It is what Runner
+// runs for each cell when no Executor is set.
 func RunCell(st ResultStore, index int, cell Spec) CellResult {
 	return RunCellWith(st, index, cell, func() (*distsgd.Result, error) {
 		return ComputeCell(cell)

@@ -24,9 +24,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -308,10 +310,22 @@ func (s Spec) MarshalIndent() ([]byte, error) {
 // config-file typos surface as errors instead of silently-ignored keys.
 func ParseSpecJSON(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("decoding scenario spec: %w: %w", err, ErrBadSpec)
 	}
 	return s, nil
+}
+
+// decodeStrict decodes exactly one JSON value into v, rejecting unknown
+// fields and anything but whitespace after the value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing content after the JSON value")
+	}
+	return nil
 }

@@ -56,6 +56,30 @@ func TestParseSpecJSONRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseSpecJSONRejectsTrailingContent: a spec is exactly one JSON
+// value; only whitespace may follow it.
+func TestParseSpecJSONRejectsTrailingContent(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"rule":"krum"}`, true},
+		{" {\"rule\":\"krum\"} \n\t", true},
+		{`{"rule":"krum"}]]]`, false},
+		{`{"rule":"krum"} garbage`, false},
+		{`{"rule":"krum"}{"rule":"average"}`, false},
+		{`{"rule":"krum"} null`, false},
+	} {
+		_, err := ParseSpecJSON([]byte(tc.body))
+		if tc.ok && err != nil {
+			t.Errorf("ParseSpecJSON(%q) = %v, want success", tc.body, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadSpec) {
+			t.Errorf("ParseSpecJSON(%q) = %v, want ErrBadSpec", tc.body, err)
+		}
+	}
+}
+
 // TestValidateWrapsAxisSentinels: each axis failure surfaces the owning
 // registry's sentinel, so callers can tell which layer rejected a
 // config file.
@@ -176,6 +200,30 @@ func TestMatrixJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseMatrixJSON([]byte(`{"base": {}, "rulez": []}`)); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("unknown field accepted: %v", err)
+	}
+}
+
+// TestParseMatrixJSONRejectsTrailingContent: a matrix is exactly one
+// JSON value; only whitespace may follow it.
+func TestParseMatrixJSONRejectsTrailingContent(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"rules":["krum"]}`, true},
+		{"{\"rules\":[\"krum\"]}\n", true},
+		{`{"rules":["krum"]} garbage`, false},
+		{`{"rules":["krum"]}]`, false},
+		{`{"rules":["krum"]}{}`, false},
+		{`{"rules":["krum"]} 1`, false},
+	} {
+		_, err := ParseMatrixJSON([]byte(tc.body))
+		if tc.ok && err != nil {
+			t.Errorf("ParseMatrixJSON(%q) = %v, want success", tc.body, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadSpec) {
+			t.Errorf("ParseMatrixJSON(%q) = %v, want ErrBadSpec", tc.body, err)
+		}
 	}
 }
 

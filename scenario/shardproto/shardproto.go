@@ -126,7 +126,7 @@ type Task struct {
 	// ID names the assignment; the worker echoes it in heartbeats and
 	// in its ResultRequest.
 	ID string `json:"id"`
-	// Spec is the cell to execute via scenario.RunCell.
+	// Spec is the cell to execute via scenario.ComputeCell.
 	Spec scenario.Spec `json:"spec"`
 }
 

@@ -2,9 +2,7 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
 
-	"krum/distsgd"
 	"krum/scenario"
 )
 
@@ -125,41 +123,6 @@ func (s *Store) admit(key string, e entry, raw json.RawMessage) bool {
 		s.index[id] = cur
 	}
 	return true
-}
-
-// DoCell implements scenario.SingleFlighter as a typed wrapper over
-// DoCellRaw: the caller that computes keeps its own result (encoded
-// once, for the store and the followers), every other caller decodes
-// the shared bytes into a private one.
-func (s *Store) DoCell(spec scenario.Spec, compute func() (*distsgd.Result, error)) (res *distsgd.Result, shared bool, storeErr, runErr error) {
-	var encErr error
-	raw, shared, storeErr, runErr := s.DoCellRaw(spec, func() (json.RawMessage, error) {
-		var err error
-		if res, err = compute(); err != nil {
-			return nil, err
-		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			encErr = fmt.Errorf("encoding result: %w: %w", err, ErrStore)
-			return nil, encErr
-		}
-		return raw, nil
-	})
-	switch {
-	case encErr != nil:
-		// The result exists but cannot be encoded, so neither the store
-		// nor the followers can be served; the leader still returns it.
-		return res, false, encErr, nil
-	case runErr != nil:
-		return nil, false, nil, runErr
-	case !shared:
-		return res, false, storeErr, nil
-	}
-	res = new(distsgd.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, false, nil, fmt.Errorf("decoding shared result: %w: %w", err, ErrStore)
-	}
-	return res, true, nil, nil
 }
 
 // removeFlight drops a finished flight from the in-flight table.

@@ -116,9 +116,10 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 	}
 }
 
-// TestSingleFlightSharesComputeWithWaiters drives DoCell directly with
-// an instrumented compute: followers that arrive while the leader is
-// computing wait and share its bytes, and compute runs once.
+// TestSingleFlightSharesComputeWithWaiters drives the single-flight
+// through RunCellWith with an instrumented compute: followers that
+// arrive while the leader is computing wait and share its bytes, and
+// compute runs once.
 func TestSingleFlightSharesComputeWithWaiters(t *testing.T) {
 	st := store.NewMemory()
 	spec := flightSpec(5)

@@ -198,9 +198,9 @@ type Stats struct {
 	// read back from the backend and re-verified — rather than from the
 	// resident tail (always 0 for single-file and in-memory stores).
 	ColdReads int
-	// FlightWaits counts single-flight followers since Open: DoCell
+	// FlightWaits counts single-flight followers since Open: DoCellRaw
 	// calls that found the same key already executing and waited for
-	// its result instead of computing (see DoCell).
+	// its result instead of computing (see DoCellRaw).
 	FlightWaits int
 	// Saves counts successful Save calls since Open.
 	Saves int
@@ -649,13 +649,6 @@ func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 	if err != nil {
 		return fmt.Errorf("encoding result: %w: %w", err, ErrStore)
 	}
-	return s.saveRaw(spec, raw)
-}
-
-// saveRaw persists an already-encoded result under the spec's key (the
-// single-flight leader, which has the canonical spec and key in hand
-// already, appends its record directly instead).
-func (s *Store) saveRaw(spec scenario.Spec, raw json.RawMessage) error {
 	c, key, err := identify("", spec, "")
 	if err != nil {
 		return fmt.Errorf("keying spec: %w", err)
