@@ -89,9 +89,11 @@ race:
 # killed mid-matrix and recovered from its journal), the journal
 # replay/checkpoint suite, the fleet's dispatch-order, fair-share and
 # ring tests and the worker's heartbeat-cadence test, the
-# segmented-store crash-window suite, the cold-index suite (sealed
-# records read back and re-verified), the single-flight property suite
-# and the Monte-Carlo warm-rerun proofs, all under the race detector.
+# store-directory crash-window suite (with the seal and removal
+# failures a fake segment backend injects), the cold-index suite
+# (sealed records read back and re-verified), the single-flight
+# property suite and the Monte-Carlo warm-rerun proofs, all under the
+# race detector.
 # The chaos and stream tests run three times over: their assertions are
 # causal, and a timing premise that creeps back in (as "a cell outlives
 # the lease" did when cells got faster) should rot here, in CI, not in

@@ -15,16 +15,21 @@
 //	krum-experiments -config examples/matrix.json
 //
 // Config schema: {"experiments": ["table1"], "scale": "quick",
-// "seed": 42, "workers": 4, "store": "cells.jsonl", "matrix": {...}} —
+// "seed": 42, "workers": 4, "store": "cells", "matrix": {...}} —
 // the matrix object is a scenario.Matrix; run with -list to see every
 // registered rule, attack, schedule, workload and arrival spec.
 //
 // With -store (or the "store" config key) every scenario cell — the
 // figure-experiment grids and config matrices — is checked against a
-// content-addressed persistent result store before running and written
-// through after (see scenario/store): re-running an experiment with a
-// warm store replays its cells as cache hits, so overlapping grids
-// (e.g. -exp all after -exp fig4) only pay for uncovered cells.
+// content-addressed persistent result store directory before running
+// and written through after (see scenario/store): re-running an
+// experiment with a warm store replays its cells as cache hits, so
+// overlapping grids (e.g. -exp all after -exp fig4) only pay for
+// uncovered cells. The directory has the layout krum-scenariod
+// -store-dir writes, so the two can share one. A store file from before
+// directories keeps its records as the directory's tail:
+//
+//	mkdir cells && mv cells.jsonl cells/tail.jsonl
 package main
 
 import (
@@ -94,7 +99,7 @@ type fileConfig struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers bounds matrix-cell concurrency (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
-	// Store is an optional result-store JSONL path (same as -store; the
+	// Store is an optional result-store directory (same as -store; the
 	// flag wins when both are given).
 	Store string `json:"store,omitempty"`
 	// Matrix is an optional free-form scenario grid.
@@ -114,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seedFlag := fs.Uint64("seed", 42, "master random seed")
 	listFlag := fs.Bool("list", false, "list experiments and registry specs, then exit")
 	configFlag := fs.String("config", "", "JSON scenario config (experiments + matrix; see EXPERIMENTS.md); overrides -exp/-scale/-seed")
-	storeFlag := fs.String("store", "", "result-store JSONL path: scenario cells (figure grids, config matrices) are served from it when present and written through when computed")
+	storeFlag := fs.String("store", "", "result-store directory: scenario cells (figure grids, config matrices) are served from it when present and written through when computed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -183,10 +188,9 @@ func readConfig(path string, stderr io.Writer) (fileConfig, int) {
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
-		if err = dec.Decode(&cfg); err == nil {
-			if _, trailing := dec.Token(); trailing != io.EOF {
-				err = errors.New("trailing content after the JSON object")
-			}
+		err = dec.Decode(&cfg)
+		if _, trailing := dec.Token(); err == nil && trailing != io.EOF {
+			err = errors.New("trailing content after the JSON object")
 		}
 	}
 	if err != nil {
@@ -204,10 +208,7 @@ func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "nothing to run (no experiments, no matrix)")
 		return 2
 	}
-	if cfg.Scale == "" {
-		cfg.Scale = "quick"
-	}
-	scale, ok := map[string]harness.Scale{"quick": harness.Quick, "full": harness.Full}[cfg.Scale]
+	scale, ok := map[string]harness.Scale{"": harness.Quick, "quick": harness.Quick, "full": harness.Full}[cfg.Scale]
 	if !ok {
 		fmt.Fprintf(stderr, "unknown scale %q (quick|full)\n", cfg.Scale)
 		return 2
@@ -228,15 +229,19 @@ func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int 
 
 	var st *store.Store
 	if cfg.Store != "" {
-		var err error
-		if st, err = store.Open(cfg.Store); err != nil {
+		info, err := os.Stat(cfg.Store)
+		if err == nil && info.Mode().IsRegular() {
+			fmt.Fprintf(stderr, "store %[1]s is a file; stores are directories now: mkdir D && mv %[1]s D/tail.jsonl\n", cfg.Store)
+			return 2
+		}
+		if st, err = store.OpenDir(cfg.Store); err != nil {
 			fmt.Fprintf(stderr, "store: %v\n", err)
 			return 2
 		}
 		harness.SetStore(st)
 		// The closing line reports the session's cache economics.
 		defer func() {
-			fmt.Fprintf(stdout, "\nresult store %s: %s\n", st.Path(), st.Stats())
+			fmt.Fprintf(stdout, "\nresult store %s: %s\n", cfg.Store, st.Stats())
 			harness.SetStore(nil)
 			st.Close()
 		}()

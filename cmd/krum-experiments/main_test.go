@@ -120,7 +120,7 @@ const ruleSpellingsMatrix = `{"matrix":{"base":{"workload":"gmm(k=3,dim=6)","sch
 // matrix is refused with exit status 2.
 func TestMatrixWithStore(t *testing.T) {
 	config := writeConfig(t, ruleSpellingsMatrix)
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	path := filepath.Join(t.TempDir(), "cells")
 	summary := func(stdout string) (table string, cached int) {
 		var kept []string
 		for _, line := range strings.Split(stdout, "\n") {
@@ -160,5 +160,65 @@ func TestMatrixWithStore(t *testing.T) {
 	invalid := strings.Replace(ruleSpellingsMatrix, `"krum(f=5)"`, `"krum(f=oops)"`, 1)
 	if code, _, stderr := runCLI("-config", writeConfig(t, invalid)); code != 2 || stderr == "" {
 		t.Errorf("invalid matrix: exit %d (stderr %q), want 2 with a diagnostic", code, stderr)
+	}
+}
+
+// TestFileStoreRefusedWithMigration pins that a store path naming a
+// regular file — a store from before stores were directories — is
+// refused before anything runs, with the command that migrates it.
+func TestFileStoreRefusedWithMigration(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "cells.jsonl")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := "store " + file + " is a file; stores are directories now: mkdir D && mv " + file + " D/tail.jsonl\n"
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"flag", []string{"-exp", "table1", "-store", file}},
+		{"config key", []string{"-config", writeConfig(t, `{"experiments":["table1"],"store":"`+file+`"}`)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(c.args...)
+			if code != 2 || stdout != "" || stderr != want {
+				t.Errorf("exit %d, stdout %q, stderr %q; want exit 2, no output and %q", code, stdout, stderr, want)
+			}
+		})
+	}
+}
+
+// TestMigratedFileStoreRerunsWarm follows the migration message: the
+// lines a store file holds, moved to a directory's tail.jsonl, serve
+// every cell of a rerun — no key or record format changed.
+func TestMigratedFileStoreRerunsWarm(t *testing.T) {
+	config := writeConfig(t, ruleSpellingsMatrix)
+	base := t.TempDir()
+	cold := filepath.Join(base, "cold")
+	if code, _, stderr := runCLI("-config", config, "-store", cold); code != 0 {
+		t.Fatalf("cold run: exit %d: %s", code, stderr)
+	}
+	file := filepath.Join(base, "cells.jsonl")
+	if err := os.Rename(filepath.Join(cold, "tail.jsonl"), file); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := runCLI("-config", config, "-store", file); code != 2 {
+		t.Fatalf("store file accepted: exit %d, want 2", code)
+	}
+
+	migrated := filepath.Join(base, "migrated")
+	if err := os.Mkdir(migrated, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(file, filepath.Join(migrated, "tail.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	code, warm, stderr := runCLI("-config", config, "-store", migrated)
+	if code != 0 {
+		t.Fatalf("migrated rerun: exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(warm, ": 4 entries, 4 hits, 0 misses, 0 flight waits, 0 saves, 0 skipped,") {
+		t.Errorf("migrated rerun did not serve every cell from the moved file:\n%s", warm)
 	}
 }

@@ -142,10 +142,6 @@ func crashCoordinator(t *testing.T, hs *http.Server, srv *Server, st *store.Stor
 	srv.wg.Wait()
 }
 
-// chaosSealBytes keeps segments tiny so the crash lands in a store
-// that has already sealed — recovery replays segments AND a live tail.
-const chaosSealBytes = 4096
-
 // TestChaosCoordinatorKillMidMatrix kills the coordinator mid-matrix
 // under a live 3-worker fleet and proves the durability subsystem
 // end to end; see the package comment above.
@@ -160,7 +156,7 @@ func TestChaosCoordinatorKillMidMatrix(t *testing.T) {
 	storeDir := dir + "/cells"
 	journalPath := dir + "/coordinator.journal"
 	openStore := func() *store.Store {
-		st, err := store.OpenDirOptions(storeDir, store.SegmentedOptions{SealBytes: chaosSealBytes})
+		st, err := store.OpenDir(storeDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +202,14 @@ func TestChaosCoordinatorKillMidMatrix(t *testing.T) {
 	}
 	sub := httpSubmit(t, base, string(body))
 
-	// SIGKILL the coordinator once real progress exists but well before
-	// the matrix finishes.
+	// Seal the tail once the first cell is stored, so the crash lands in
+	// a store with a sealed segment — recovery replays segments AND a
+	// live tail. Then SIGKILL the coordinator once more progress exists
+	// but well before the matrix finishes.
+	waitCompletedAt(t, base, sub.ID, 1)
+	if err := st1.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	progress := waitCompletedAt(t, base, sub.ID, 2)
 	if progress.Finished {
 		t.Fatalf("matrix finished (%d cells) before the kill — chaos cells are too fast", progress.Completed)
@@ -287,7 +289,7 @@ func TestChaosCoordinatorKillMidMatrix(t *testing.T) {
 	// The crash must have landed in a store with sealed segments, or
 	// this test is not exercising segment replay.
 	if st2.Stats().Segments == 0 && st2.Stats().Seals == 0 {
-		t.Error("no segments ever sealed — lower chaosSealBytes")
+		t.Error("no segments ever sealed before the crash")
 	}
 
 	// Byte-identity of the PERSISTED bytes: a completely fresh store

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -202,11 +201,11 @@ func TestServerStreamReplaysCompletionOrder(t *testing.T) {
 }
 
 // TestServerResumeAfterRestart simulates the crash/resume cycle: run a
-// matrix against a file store, "restart" the service on the same file,
-// resubmit, and expect every cell to replay as a store hit.
+// matrix against a store directory, "restart" the service on the same
+// directory, resubmit, and expect every cell to replay as a store hit.
 func TestServerResumeAfterRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st1, err := store.Open(path)
+	dir := t.TempDir()
+	st1, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestServerResumeAfterRestart(t *testing.T) {
 	ts1.Close()
 	st1.Close()
 
-	st2, err := store.Open(path)
+	st2, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,6 @@ type Worker struct {
 	Coordinator string
 	// Slots is the number of cells executed concurrently (0 means 1).
 	Slots int
-	// Client is the HTTP client used for all coordinator calls (nil
-	// means a default with no overall timeout — polls are long).
-	Client *http.Client
 	// HeartbeatEvery overrides the heartbeat cadence (0 means a third
 	// of the lease the coordinator granted at the latest join).
 	HeartbeatEvery time.Duration
@@ -98,14 +95,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// client returns the configured HTTP client.
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return http.DefaultClient
-}
-
 // post sends one protocol message and returns the status code and
 // (bounded) response body.
 func (w *Worker) post(ctx context.Context, path string, msg any) (int, []byte, error) {
@@ -118,7 +107,7 @@ func (w *Worker) post(ctx context.Context, path string, msg any) (int, []byte, e
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,11 +1,13 @@
 // warm-rerun demonstrates the content-addressed result store: the same
-// scenario grid is executed twice against one JSONL store — the cold
-// pass trains every cell and writes it through, the warm pass is
-// served entirely from disk (zero training rounds, zero
-// distance-matrix builds) with byte-identical results. The store file
+// scenario grid is executed twice against one store directory — the
+// cold pass trains every cell and writes it through, the warm pass is
+// served entirely from the store (zero training rounds, zero
+// distance-matrix builds) with byte-identical results. The directory
 // survives the process, so a third run in a NEW process would be just
 // as warm; krum-experiments -store and the krum-scenariod service use
-// exactly this mechanism for resumable experiment grids.
+// exactly this mechanism for resumable experiment grids. Each run
+// stores into a fresh temporary directory of its own and removes it on
+// exit.
 //
 //	go run ./examples/warm-rerun
 package main
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"krum/scenario"
@@ -40,13 +41,15 @@ func main() {
 		Attacks: []string{"none", "gaussian(sigma=200)"},
 	}
 
-	path := filepath.Join(os.TempDir(), "krum-warm-rerun.jsonl")
-	os.Remove(path) // start cold for a clean demonstration
-	st, err := store.Open(path)
+	dir, err := os.MkdirTemp("", "krum-warm-rerun-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(path)
+	defer os.RemoveAll(dir)
+	st, err := store.OpenDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer st.Close()
 
 	runner := &scenario.Runner{Store: st}
@@ -79,8 +82,7 @@ func main() {
 
 	fmt.Printf("grid: %d cells (%d rules × %d attacks)\n", m.Size(), len(m.Rules), len(m.Attacks))
 	fmt.Printf("cold run: %8.1fms — every cell trained and persisted\n", float64(coldTime.Microseconds())/1000)
-	fmt.Printf("warm run: %8.1fms — %d/%d cells served from %s\n",
-		float64(warmTime.Microseconds())/1000, cachedCells, len(warm), path)
+	fmt.Printf("warm run: %8.1fms — %d/%d cells served from %s\n", float64(warmTime.Microseconds())/1000, cachedCells, len(warm), dir)
 	fmt.Printf("byte-identical results: %d/%d\n", identical, len(cold))
 	fmt.Printf("speedup: %.0f×\n", float64(coldTime)/float64(warmTime))
 	fmt.Printf("store: %s\n", st.Stats())

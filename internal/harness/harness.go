@@ -24,6 +24,7 @@ import (
 	"krum/distsgd"
 	"krum/internal/vec"
 	"krum/scenario"
+	"krum/scenario/store"
 	"krum/workload"
 )
 
@@ -31,35 +32,30 @@ import (
 var ErrConfig = errors.New("harness: bad configuration")
 
 // cellStore, when set, backs every scenario.Runner the harness builds
-// (see SetStore).
-var cellStore scenario.ResultStore
+// and every Monte-Carlo cell (see SetStore).
+var cellStore *store.Store
 
 // SetStore routes every harness experiment that executes scenario
-// cells (the figure grids) through the given result store, so repeated
-// invocations — and overlapping grids within one invocation — replay
-// completed cells instead of recomputing them. The CLI wires this to
-// krum-experiments -store. Pass nil to disable. Not safe to call
-// concurrently with running experiments; set it once at startup.
-func SetStore(st scenario.ResultStore) { cellStore = st }
+// cells (the figure grids) or Monte-Carlo cells (table1's selection
+// rates, the ablation's coordinate errors) through the given result
+// store, so repeated invocations — and overlapping grids within one
+// invocation — replay completed cells instead of recomputing them. The
+// CLI wires this to krum-experiments -store. Pass nil to disable. Not
+// safe to call concurrently with running experiments; set it once at
+// startup.
+func SetStore(st *store.Store) { cellStore = st }
 
 // newRunner builds the shared scenario runner, wired to the configured
 // store. Every harness experiment that runs cells must construct its
 // runner here — constructing scenario.Runner directly would silently
-// opt out of the store.
+// opt out of the store. A nil store stays a nil interface: a typed nil
+// in Runner.Store would be called.
 func newRunner() *scenario.Runner {
-	return &scenario.Runner{Store: cellStore}
-}
-
-// auxResultStore is the optional store extension for Monte-Carlo cells
-// (table1's selection rates, the ablation's coordinate errors): pure
-// functions of a partial spec plus a parameter string rather than of a
-// full distsgd run. scenario/store's Store implements it; a plain
-// scenario.ResultStore leaves Monte-Carlo experiments uncached.
-type auxResultStore interface {
-	// LookupAux returns the stored payload for (kind, spec, params).
-	LookupAux(kind string, spec scenario.Spec, params string) (json.RawMessage, bool)
-	// SaveAux persists a payload under (kind, spec, params).
-	SaveAux(kind string, spec scenario.Spec, params string, result json.RawMessage) error
+	r := &scenario.Runner{}
+	if cellStore != nil {
+		r.Store = cellStore
+	}
+	return r
 }
 
 // monteCarloCell returns the Monte-Carlo cell (kind, spec, params):
@@ -70,9 +66,8 @@ type auxResultStore interface {
 // persistence failed (the same non-fatal treatment
 // scenario.CellResult.StoreErr gets).
 func monteCarloCell[T any](w io.Writer, kind string, spec scenario.Spec, params string, compute func() (T, error)) (T, error) {
-	as, _ := cellStore.(auxResultStore)
-	if as != nil {
-		if raw, ok := as.LookupAux(kind, spec, params); ok {
+	if cellStore != nil {
+		if raw, ok := cellStore.LookupAux(kind, spec, params); ok {
 			var cached T
 			if json.Unmarshal(raw, &cached) == nil {
 				return cached, nil
@@ -80,12 +75,12 @@ func monteCarloCell[T any](w io.Writer, kind string, spec scenario.Spec, params 
 		}
 	}
 	v, err := compute()
-	if err != nil || as == nil {
+	if err != nil || cellStore == nil {
 		return v, err
 	}
 	raw, err := json.Marshal(v)
 	if err == nil {
-		err = as.SaveAux(kind, spec, params, raw)
+		err = cellStore.SaveAux(kind, spec, params, raw)
 	}
 	if err != nil {
 		fmt.Fprintf(w, "warning: storing %s cell: %v\n", kind, err)

@@ -82,11 +82,11 @@ func TestMonteCarloCellsWarmRerun(t *testing.T) {
 }
 
 // TestMonteCarloCellsSurviveReload pins that aux records round-trip
-// through the JSONL file: a second process (a fresh Open on the same
-// path) serves the same cells without recomputation.
+// through a store directory: a second process (a fresh OpenDir on the
+// same directory) serves the same cells without recomputation.
 func TestMonteCarloCellsSurviveReload(t *testing.T) {
-	path := t.TempDir() + "/cells.jsonl"
-	st1, err := store.Open(path)
+	dir := t.TempDir()
+	st1, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMonteCarloCellsSurviveReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.Open(path)
+	st2, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,5 +121,28 @@ func TestMonteCarloCellsSurviveReload(t *testing.T) {
 		if w.Rule != c.Rule || !sameFloat(w.CoordError, c.CoordError) || !sameFloat(w.RestError, c.RestError) {
 			t.Errorf("row %d: reloaded %+v != cold %+v", i, w, c)
 		}
+	}
+}
+
+// TestMonteCarloCellsAfterSetStoreNil pins that SetStore(nil) after a
+// stored run detaches the store: the next runner holds a nil
+// interface, not a typed nil it would call, and the next experiment
+// runs without touching the old store.
+func TestMonteCarloCellsAfterSetStoreNil(t *testing.T) {
+	st := store.NewMemory()
+	SetStore(st)
+	if _, err := RunAblation(io.Discard, Quick, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	SetStore(nil)
+	if r := newRunner(); r.Store != nil {
+		t.Fatalf("runner after SetStore(nil) holds store %#v, want a nil interface", r.Store)
+	}
+	if _, err := RunAblation(io.Discard, Quick, 3); err != nil {
+		t.Fatal(err)
+	}
+	if after := st.Stats(); after != before {
+		t.Errorf("detached store moved: %s, was %s", after, before)
 	}
 }

@@ -56,7 +56,7 @@ func ExampleRunner_Run_store() {
 		Rules: []string{"krum", "average"},
 	}
 
-	st := store.NewMemory() // store.Open("cells.jsonl") to persist
+	st := store.NewMemory() // store.OpenDir("cells") to persist
 	runner := &scenario.Runner{Workers: 2, Store: st}
 
 	cold, err := runner.Run(m)

@@ -96,7 +96,7 @@ func TestCanonicalArrivalIdempotent(t *testing.T) {
 // weaken the store's core promise.
 func TestStoreAsyncHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir + "/results.jsonl")
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

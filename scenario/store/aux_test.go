@@ -87,13 +87,14 @@ func TestCanonicalAuxIdempotent(t *testing.T) {
 	}
 }
 
-// TestAuxRecordsPersistAndReload pins the file round trip: aux and
-// cell records share one JSONL file, reload cleanly, and a tampered
+// TestAuxRecordsPersistAndReload pins the round trip through a store
+// directory: aux and cell records share one JSONL tail, reload cleanly, and a tampered
 // aux record is skipped (never served) while intact neighbours
 // survive.
 func TestAuxRecordsPersistAndReload(t *testing.T) {
-	path := t.TempDir() + "/cells.jsonl"
-	st, err := store.Open(path)
+	dir := t.TempDir()
+	path := dir + "/tail.jsonl"
+	st, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAuxRecordsPersistAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := store.Open(path)
+	re, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestAuxRecordsPersistAndReload(t *testing.T) {
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := store.Open(path)
+	re2, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

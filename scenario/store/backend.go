@@ -8,22 +8,19 @@ import (
 	"strings"
 )
 
-// Backend is the segment blob interface of a segmented store: sealed
-// segments are immutable, individually-hashed JSONL blobs, and a
-// backend only needs to list, fetch (whole, or one byte range), publish
-// and delete them — no appends, no locking. That shape is deliberate:
-// because the store is content-addressed and every segment is
-// self-verifying (its name carries the SHA-256 of its bytes),
-// replication is just shipping immutable blobs, and an object-store
-// backend (S3, GCS) is a drop-in behind this interface. DirBackend,
-// the local-filesystem implementation, ships today.
+// backend is the segment blob seam of a store: sealed segments are
+// immutable, individually-hashed JSONL blobs, and a backend only needs
+// to list, fetch (whole, or one byte range), publish and delete them —
+// no appends, no locking. Because the store is content-addressed and
+// every segment is self-verifying (its name carries the SHA-256 of its
+// bytes), replication is just shipping immutable blobs. dirBackend,
+// the local-filesystem implementation behind OpenDir, is the only
+// production one; tests fake it to fail on demand.
 //
-// Implementations must make WriteSegment atomic with respect to
-// ListSegments: a crash mid-write must never surface a half-written
-// blob under a valid segment name (DirBackend writes a temp file and
-// renames). They need not be safe for concurrent use by multiple
-// stores; one Store drives one Backend.
-type Backend interface {
+// WriteSegment must be atomic with respect to ListSegments: a crash
+// mid-write must never surface a half-written blob under a valid
+// segment name. One Store drives one backend.
+type backend interface {
 	// ListSegments returns the names of every stored segment, sorted by
 	// segment sequence (the replay order).
 	ListSegments() ([]string, error)
@@ -31,36 +28,24 @@ type Backend interface {
 	ReadSegment(name string) ([]byte, error)
 	// ReadSegmentAt returns exactly the n bytes at offset off of a
 	// segment — one record's line, when a lookup hits a record the store
-	// no longer keeps in memory (an object store serves it as a ranged
-	// GET). A short read is an error.
+	// no longer keeps in memory. A short read is an error.
 	ReadSegmentAt(name string, off int64, n int) ([]byte, error)
-	// WriteSegment publishes an immutable segment atomically: after it
-	// returns, ListSegments includes name and ReadSegment returns
-	// exactly data; on a crash mid-call, neither.
+	// WriteSegment publishes an immutable segment atomically and
+	// durably: after it returns, ListSegments includes name and
+	// ReadSegment returns exactly data, power cut or not; on a crash
+	// mid-call, neither.
 	WriteSegment(name string, data []byte) error
 	// Remove deletes a segment (compaction removing merged inputs).
 	// Removing an absent segment is not an error.
 	Remove(name string) error
 }
 
-// DirBackend stores segments as files in a local directory — the
-// filesystem implementation of Backend that OpenDir wires up. Segment
-// files live alongside the store's live tail (tail.jsonl); only names
-// matching the segment pattern are ever listed, so the tail and
-// foreign files are invisible to the segment replay.
-type DirBackend struct {
+// dirBackend stores segments as files in the store's directory,
+// alongside its live tail (tail.jsonl); only names matching the segment
+// pattern are ever listed, so the tail and foreign files are invisible
+// to the segment replay.
+type dirBackend struct {
 	dir string
-}
-
-// NewDirBackend creates (if needed) dir and returns a backend over it.
-func NewDirBackend(dir string) (*DirBackend, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("empty backend directory: %w", ErrStore)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("creating backend directory %s: %w: %w", dir, err, ErrStore)
-	}
-	return &DirBackend{dir: dir}, nil
 }
 
 // checkName rejects names that are not well-formed segment names —
@@ -73,9 +58,9 @@ func checkName(name string) error {
 	return nil
 }
 
-// ListSegments implements Backend: segment-pattern files in the
+// ListSegments implements backend: segment-pattern files in the
 // directory, sorted by sequence then name.
-func (b *DirBackend) ListSegments() ([]string, error) {
+func (b dirBackend) ListSegments() ([]string, error) {
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("listing %s: %w: %w", b.dir, err, ErrStore)
@@ -93,8 +78,8 @@ func (b *DirBackend) ListSegments() ([]string, error) {
 	return names, nil
 }
 
-// ReadSegment implements Backend.
-func (b *DirBackend) ReadSegment(name string) ([]byte, error) {
+// ReadSegment implements backend.
+func (b dirBackend) ReadSegment(name string) ([]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
@@ -105,8 +90,8 @@ func (b *DirBackend) ReadSegment(name string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadSegmentAt implements Backend.
-func (b *DirBackend) ReadSegmentAt(name string, off int64, n int) ([]byte, error) {
+// ReadSegmentAt implements backend.
+func (b dirBackend) ReadSegmentAt(name string, off int64, n int) ([]byte, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
@@ -122,26 +107,44 @@ func (b *DirBackend) ReadSegmentAt(name string, off int64, n int) ([]byte, error
 	return data, nil
 }
 
-// WriteSegment implements Backend: the bytes land in a temp file that
-// is renamed into place, so a crash mid-write leaves only a *.tmp the
-// lister ignores — never a torn blob under a valid segment name.
-func (b *DirBackend) WriteSegment(name string, data []byte) error {
+// WriteSegment implements backend: the bytes land in a temp file that
+// is synced and renamed into place, and the directory is synced after
+// the rename — so a crash mid-write leaves only a *.tmp the lister
+// ignores, and once it returns the segment survives a power cut (the
+// seal truncates the tail right after).
+func (b dirBackend) WriteSegment(name string, data []byte) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
 	tmp := filepath.Join(b.dir, name+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("writing segment %s: %w: %w", name, err, ErrStore)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.Write(data); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if err := os.Rename(tmp, filepath.Join(b.dir, name)); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(b.dir, name))
+	}
+	if err == nil {
+		var d *os.File
+		if d, err = os.Open(b.dir); err == nil {
+			err = d.Sync()
+			d.Close()
+		}
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("publishing segment %s: %w: %w", name, err, ErrStore)
 	}
 	return nil
 }
 
-// Remove implements Backend; removing an absent segment succeeds.
-func (b *DirBackend) Remove(name string) error {
+// Remove implements backend; removing an absent segment succeeds.
+func (b dirBackend) Remove(name string) error {
 	if err := checkName(name); err != nil {
 		return err
 	}

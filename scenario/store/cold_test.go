@@ -63,7 +63,7 @@ const auxParams = "trials=3"
 // answers are counted.
 func TestColdHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestColdHitByteIdentical(t *testing.T) {
 // keeps hitting.
 func TestColdReadRejectsBytesAlteredAfterOpen(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestDroppedTailRecordStaysDroppedAcrossSeal(t *testing.T) {
 // never surface as a miss, a wrong answer or a tamper count. It is the
 // race detector's window onto the index.
 func TestColdIndexConcurrent(t *testing.T) {
-	st, err := OpenDirOptions(t.TempDir(), SegmentedOptions{SealBytes: 1500})
+	st, err := openSealAt(t.TempDir(), 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestColdIndexHeapBound(t *testing.T) {
 	if stats.Entries != saves || stats.Seals < 4 {
 		t.Fatalf("fixture drifted: %s", stats)
 	}
-	if limit := int64(DefaultSealBytes + 1<<20); grown > limit {
+	if limit := int64(sealBytes + 1<<20); grown > limit {
 		t.Errorf("heap grew %d bytes over %d saves, want at most SealBytes + 1 MB = %d", grown, saves, limit)
 	}
 	// Spot-check that what left the heap still answers.
@@ -491,12 +491,11 @@ func TestColdIndexHeapBound(t *testing.T) {
 
 // TestLookupsAnswerLastSavedBytes is the model-based property: a seeded
 // sequence of saves (cell and aux, over a small key pool so keys repeat
-// and supersede), seals, compactions and reopens runs against all three
+// and supersede), seals, compactions and reopens runs against both
 // store kinds, and after every step every key answers with exactly the
-// bytes last saved under it — or misses if none were. Seal and Compact
-// are segmented-only and reopen is meaningless in memory; those steps
-// are skipped where they do not apply, so the single-file and in-memory
-// stores double as the reference the segmented one must equal.
+// bytes last saved under it — or misses if none were. Seal, Compact and
+// reopen are meaningless in memory and skipped there, so the in-memory
+// store doubles as the reference the directory one must equal.
 func TestLookupsAnswerLastSavedBytes(t *testing.T) {
 	const (
 		keys  = 7
@@ -507,13 +506,9 @@ func TestLookupsAnswerLastSavedBytes(t *testing.T) {
 		name      string
 		open      func() (*Store, error)
 		segmented bool
-		durable   bool
 	}{
-		{"segmented", func() (*Store, error) {
-			return OpenDirOptions(filepath.Join(base, "seg"), SegmentedOptions{SealBytes: 2000})
-		}, true, true},
-		{"single-file", func() (*Store, error) { return Open(filepath.Join(base, "cells.jsonl")) }, false, true},
-		{"in-memory", func() (*Store, error) { return NewMemory(), nil }, false, false},
+		{"segmented", func() (*Store, error) { return openSealAt(filepath.Join(base, "seg"), 2000) }, true},
+		{"in-memory", func() (*Store, error) { return NewMemory(), nil }, false},
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -548,7 +543,7 @@ func TestLookupsAnswerLastSavedBytes(t *testing.T) {
 					if err := st.Compact(); err != nil {
 						t.Fatal(err)
 					}
-				case op < 20 && kind.durable:
+				case op < 20 && kind.segmented:
 					st.Close()
 					if st, err = kind.open(); err != nil {
 						t.Fatal(err)

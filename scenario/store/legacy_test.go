@@ -2,7 +2,6 @@ package store
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"krum/scenario"
@@ -72,13 +71,14 @@ const legacyScreenedLines = `{"key":"sha256:f56e25add9185c5f2b6fa3b7434a448a2383
 // order family — and they are counted as tampered and never served,
 // not even to the dense twin of their spec. Records after them load.
 func TestLegacyScreenedRecordsSkippedOnOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	dir := t.TempDir()
+	path := tailPathOf(dir)
 	if err := os.WriteFile(path, []byte(legacyScreenedLines), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path)
+	st, err := OpenDir(dir)
 	if err != nil {
-		t.Fatalf("Open over legacy screened records: %v", err)
+		t.Fatalf("OpenDir over legacy screened records: %v", err)
 	}
 	fresh := quickSpec()
 	if cr := scenario.RunCell(st, 0, fresh); cr.Err != nil {
@@ -86,7 +86,7 @@ func TestLegacyScreenedRecordsSkippedOnOpen(t *testing.T) {
 	}
 	st.Close()
 
-	st, err = Open(path)
+	st, err = OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,15 @@ import (
 	"strings"
 )
 
-// Segmented store format. A file-backed Store normally grows one
-// append-only JSONL file forever; a SEGMENTED store bounds the live
-// tail instead: once the tail crosses a size threshold it is sealed —
-// its bytes become an immutable segment published through the Backend
-// under a name that embeds their SHA-256 — and the tail restarts
+// Segmented layout. A store directory holds one append-only live tail
+// (tail.jsonl) and the immutable segments it has sealed: once the tail
+// crosses sealBytes, its bytes become a segment published through the
+// backend under a name that embeds their SHA-256, and the tail restarts
 // empty. Open replays sealed segments in sequence order and then the
-// tail, with exactly today's corruption rules at each level:
+// tail:
 //
-//   - the tail keeps the single-file semantics: a torn final line is
-//     truncated away, malformed or key-mismatched lines are skipped;
+//   - the tail is append-only: a torn final line is truncated away,
+//     malformed or key-mismatched lines are skipped;
 //   - a sealed segment is all-or-nothing: its content hash must match
 //     the hash in its name, and a mismatch skips the WHOLE segment
 //     (counted in Stats.Tampered) — a sealed blob was written
@@ -33,11 +32,11 @@ import (
 //
 // Only the tail's results stay in memory. A record in a sealed segment
 // is indexed by (segment, offset, length, digest) and read back through
-// Backend.ReadSegmentAt when a lookup hits it; the line must then match
+// backend.ReadSegmentAt when a lookup hits it; the line must then match
 // the digest taken while its verified bytes were in hand and pass the
 // same acceptance rule Open applies (Store.resolve), so a segment
 // altered on disk AFTER Open is never served either — the cell
-// recomputes. The heap holds at most SealBytes of results however many
+// recomputes. The heap holds at most sealBytes of results however many
 // were ever saved.
 //
 // Compact merges every sealed segment into one: last write per key
@@ -53,14 +52,15 @@ import (
 // blob (ignored) or a published segment plus an untruncated tail — the
 // same records twice, collapsing under last-write-wins to the same
 // index, with the duplicates visible as Stats.Superseded until the
-// next Compact. A crash mid-append tears only the tail's final line.
-// There is no window in which a record that was acknowledged durable
-// can be lost or a record can be served with bytes other than the ones
-// saved.
+// next Compact. A segment is synced before the tail is truncated, so a
+// power cut cannot empty a segment whose records the tail gave up. A
+// process crash mid-append tears only the tail's final line. Tail
+// appends are not synced: they survive a process crash, not a power
+// cut, which can lose the records appended since the last seal.
 
-// DefaultSealBytes is the tail size that triggers sealing when
-// SegmentedOptions.SealBytes is zero.
-const DefaultSealBytes = 4 << 20
+// sealBytes is the tail size at which an append seals the tail into a
+// segment; in-package tests lower Store.sealAt to force sealing.
+const sealBytes = 4 << 20
 
 // segmentPrefix and segmentSuffix frame every segment name:
 // seg-<8-digit sequence>-<64-hex sha256>.jsonl.
@@ -117,47 +117,6 @@ func verifySegment(name string, data []byte) bool {
 	return hex.EncodeToString(sum[:]) == want
 }
 
-// SegmentedOptions tunes OpenSegmented.
-type SegmentedOptions struct {
-	// SealBytes is the tail size at which an append seals the tail into
-	// a segment (0 means DefaultSealBytes). Tests use tiny values to
-	// force sealing; production leaves the default.
-	SealBytes int64
-}
-
-// OpenDir opens (creating if needed) a segmented store rooted at dir:
-// sealed segments live in dir via a DirBackend and the live tail is
-// dir/tail.jsonl. It is the directory-shaped sibling of Open — same
-// lookup results, same corruption tolerance, bounded live file.
-func OpenDir(dir string) (*Store, error) {
-	return OpenDirOptions(dir, SegmentedOptions{})
-}
-
-// OpenDirOptions is OpenDir with explicit tuning.
-func OpenDirOptions(dir string, opts SegmentedOptions) (*Store, error) {
-	b, err := NewDirBackend(dir)
-	if err != nil {
-		return nil, err
-	}
-	return OpenSegmented(b, filepath.Join(dir, "tail.jsonl"), opts)
-}
-
-// OpenSegmented opens a segmented store: sealed segments through
-// backend, the live append tail at tailPath (a local file — appends
-// need a filesystem even when segments ship to an object store). The
-// replay order is segments by sequence, then the tail; corruption
-// handling is documented at the top of this file.
-func OpenSegmented(backend Backend, tailPath string, opts SegmentedOptions) (*Store, error) {
-	if backend == nil {
-		return nil, fmt.Errorf("nil backend: %w", ErrStore)
-	}
-	sealBytes := opts.SealBytes
-	if sealBytes <= 0 {
-		sealBytes = DefaultSealBytes
-	}
-	return open(backend, sealBytes, tailPath)
-}
-
 // loadSegments indexes every sealed segment in sequence order; open
 // scans the tail after it, so tail lines win over segment lines.
 func (s *Store) loadSegments() error {
@@ -207,15 +166,15 @@ func splitLines(data []byte) [][]byte {
 }
 
 // Seal publishes the current tail as an immutable segment and empties
-// the tail. It is a no-op on an empty tail and an error on a store
-// without a backend. Appends normally trigger sealing automatically at
-// the SealBytes threshold; Seal exists for tests and for operators who
-// want a consistent segment boundary (say, before replicating).
+// the tail. It is a no-op on an empty tail and an error on an in-memory
+// store. Appends seal automatically once the tail reaches sealBytes;
+// Seal exists for tests and for operators who want a consistent
+// segment boundary (say, before replicating).
 func (s *Store) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.backend == nil {
-		return fmt.Errorf("store has no segment backend: %w", ErrStore)
+		return fmt.Errorf("an in-memory store has no segments: %w", ErrStore)
 	}
 	return s.sealLocked()
 }
@@ -235,11 +194,13 @@ func (s *Store) sealLocked() error {
 	if _, err := s.file.ReadAt(data, 0); err != nil && err != io.EOF {
 		return fmt.Errorf("reading tail for seal: %w: %w", err, ErrStore)
 	}
-	name := segmentName(s.segSeq+1, data)
+	// A failed publish still burns its sequence, so a retry's segment
+	// can never tie with a half-published one.
+	s.segSeq++
+	name := segmentName(s.segSeq, data)
 	if err := s.backend.WriteSegment(name, data); err != nil {
 		return err
 	}
-	s.segSeq++
 	s.segments = append(s.segments, name)
 	if err := s.rollbackTo(0); err != nil {
 		// The segment holds every record, so the store is still fully
@@ -273,14 +234,14 @@ func (s *Store) sealLocked() error {
 // never loses the other family's results. Lookups are unchanged by
 // construction — compaction rewrites where bytes live, never which
 // bytes a key resolves to: cold entries are re-pointed at their line in
-// the merged segment as it is laid out. The tail is untouched. A store
-// without a backend errors; a store whose segments are already fully
+// the merged segment as it is laid out. The tail is untouched. An
+// in-memory store errors; a store whose segments are already fully
 // compacted is a no-op.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.backend == nil {
-		return fmt.Errorf("store has no segment backend: %w", ErrStore)
+		return fmt.Errorf("an in-memory store has no segments: %w", ErrStore)
 	}
 	names, err := s.backend.ListSegments()
 	if err != nil {
@@ -332,11 +293,11 @@ func (s *Store) Compact() error {
 	}
 	name := "" // of the merged segment; none when nothing survived
 	if len(merged) > 0 {
-		name = segmentName(s.segSeq+1, merged)
+		s.segSeq++
+		name = segmentName(s.segSeq, merged)
 		if err := s.backend.WriteSegment(name, merged); err != nil {
 			return err
 		}
-		s.segSeq++
 		s.segments = []string{name}
 	} else {
 		s.segments = nil
@@ -390,7 +351,7 @@ func (s *Store) repointLocked(name string, order []string, final map[string][]by
 }
 
 // Segments returns the names of the sealed segments currently backing
-// the store, in replay order (empty for non-segmented stores).
+// the store, in replay order (empty for in-memory stores).
 func (s *Store) Segments() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,7 @@
 package store
 
 // Segmented-store coverage: the seal → compact → Open round-trip must
-// serve bit-for-bit what the single-file JSONL store serves, and every
+// serve bit-for-bit what a store that never sealed serves, and every
 // crash window at a segment boundary — torn tail before a seal, torn
 // tail after a seal, a seal that published its segment but died before
 // truncating the tail — must resolve by today's rules: torn tails
@@ -10,6 +10,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,21 +54,32 @@ func lookupEncoded(t *testing.T, st *Store, s scenario.Spec) string {
 // tailPathOf is the live tail location of an OpenDir store.
 func tailPathOf(dir string) string { return filepath.Join(dir, "tail.jsonl") }
 
-// TestSegmentedRoundTripMatchesSingleFile is the issue's round-trip
-// criterion: the same save sequence — including duplicate keys and an
-// aux record — lands in a single-file store and a segmented store; the
-// segmented one is sealed and compacted; after reopening both, every
-// lookup is bit-for-bit identical across the two.
-func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
+// openSealAt is OpenDir with the tail sealing at sealAt bytes instead
+// of sealBytes, so a test decides where segment boundaries fall.
+func openSealAt(dir string, sealAt int64) (*Store, error) {
+	st, err := OpenDir(dir)
+	if err == nil {
+		st.sealAt = sealAt
+	}
+	return st, err
+}
+
+// TestSegmentedRoundTripMatchesUnsealed is the round-trip criterion:
+// the same save sequence — including duplicate keys and an aux record —
+// lands in a store that never seals (every record stays in its tail)
+// and one that seals after every append; the sealing one is also
+// compacted; after reopening both, every lookup is bit-for-bit
+// identical across the two.
+func TestSegmentedRoundTripMatchesUnsealed(t *testing.T) {
 	base := t.TempDir()
-	filePath := filepath.Join(base, "cells.jsonl")
+	flatDir := filepath.Join(base, "unsealed")
 	segDir := filepath.Join(base, "segmented")
 
-	flat, err := Open(filePath)
+	flat, err := OpenDir(flatDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := OpenDirOptions(segDir, SegmentedOptions{SealBytes: 1}) // seal after every append
+	seg, err := openSealAt(segDir, 1) // seal after every append
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +105,7 @@ func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
 	save(flat)
 	save(seg)
 	if got := seg.Stats().Seals; got == 0 {
-		t.Fatalf("no seals happened at SealBytes=1 (stats: %s)", seg.Stats())
+		t.Fatalf("no seals happened at sealAt=1 (stats: %s)", seg.Stats())
 	}
 	if err := seg.Compact(); err != nil {
 		t.Fatal(err)
@@ -101,7 +113,7 @@ func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
 	flat.Close()
 	seg.Close()
 
-	flat2, err := Open(filePath)
+	flat2, err := OpenDir(flatDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +125,11 @@ func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
 	defer seg2.Close()
 
 	if f, s := flat2.Stats().Entries, seg2.Stats().Entries; f != s {
-		t.Fatalf("entries diverge: single-file %d, segmented %d", f, s)
+		t.Fatalf("entries diverge: unsealed %d, segmented %d", f, s)
 	}
 	for i := 0; i < cells; i++ {
 		if a, b := lookupEncoded(t, flat2, seededSpec(i)), lookupEncoded(t, seg2, seededSpec(i)); a != b {
-			t.Errorf("cell %d: segmented bytes differ from single-file bytes", i)
+			t.Errorf("cell %d: segmented bytes differ from unsealed bytes", i)
 		}
 	}
 	// The duplicate resolved last-write-wins in both worlds.
@@ -127,7 +139,7 @@ func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
 	auxFlat, okF := flat2.LookupAux("table1", scenario.Spec{Rule: "krum", N: 9, F: 2}, "trials=3")
 	auxSeg, okS := seg2.LookupAux("table1", scenario.Spec{Rule: "krum", N: 9, F: 2}, "trials=3")
 	if !okF || !okS || string(auxFlat) != string(auxSeg) {
-		t.Errorf("aux record diverges: single-file (%v) %q, segmented (%v) %q", okF, auxFlat, okS, auxSeg)
+		t.Errorf("aux record diverges: unsealed (%v) %q, segmented (%v) %q", okF, auxFlat, okS, auxSeg)
 	}
 	// Compaction left exactly one sealed segment and zero sealed-side
 	// superseded debt (the duplicate save collapsed).
@@ -143,7 +155,7 @@ func TestSegmentedRoundTripMatchesSingleFile(t *testing.T) {
 // cleanly.
 func TestSegmentedTornTailBeforeSeal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30}) // no auto-seal
+	st, err := OpenDir(dir) // a few records, far below sealBytes: no auto-seal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +208,7 @@ func TestSegmentedTornTailBeforeSeal(t *testing.T) {
 // must keep appending cleanly.
 func TestSegmentedTornTailAfterSeal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,17 +260,20 @@ func TestSegmentedTornTailAfterSeal(t *testing.T) {
 	}
 }
 
-// TestSegmentedTailCountedOnce pins the single-pass open: a segmented
-// store's tail is decoded once, so the damage it reports for a tail
-// holding a good record, a malformed line and another kernel family's
-// record is exactly what a single-file Open of the same bytes reports.
+// TestSegmentedTailCountedOnce pins the single-pass open: a store with
+// a sealed segment replays its tail once, so a segment holding a good
+// record and a tail holding a malformed line and another kernel
+// family's record report exactly that damage, once.
 func TestSegmentedTailCountedOnce(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Save(seededSpec(0), fakeResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -288,28 +303,17 @@ func TestSegmentedTailCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob = append(blob, "not json\n"+string(foreign)+"\n"...)
-	single := filepath.Join(t.TempDir(), "cells.jsonl")
-	for _, path := range []string{tailPathOf(dir), single} {
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want, err := Open(single)
-	if err != nil {
+	if err := os.WriteFile(tailPathOf(dir), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer want.Close()
+
 	got, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if w, g := want.Stats(), got.Stats(); g != w {
-		t.Errorf("segmented open reports %+v, single-file open of the same tail %+v", g, w)
-	}
-	if s := got.Stats(); s.Entries != 1 || s.SkippedRecords != 2 || s.Foreign != 1 || s.Tampered != 0 {
-		t.Errorf("tail damage %s; want 1 entry, 2 skipped, 1 foreign, 0 tampered", s)
+	if s := got.Stats(); s.Entries != 1 || s.Segments != 1 || s.SkippedRecords != 2 || s.Foreign != 1 || s.Tampered != 0 || s.Superseded != 0 {
+		t.Errorf("tail damage %s; want 1 entry in 1 segment, 2 skipped, 1 foreign, 0 tampered, 0 superseded", s)
 	}
 }
 
@@ -321,7 +325,7 @@ func TestSegmentedTailCountedOnce(t *testing.T) {
 // seal + compact must clear the debt.
 func TestSegmentedCrashMidSeal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +343,7 @@ func TestSegmentedCrashMidSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteSegment(segmentName(1, tailBytes), tailBytes); err != nil {
+	if err := (dirBackend{dir: dir}).WriteSegment(segmentName(1, tailBytes), tailBytes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,7 +394,7 @@ func TestSegmentedCrashMidSeal(t *testing.T) {
 // serves.
 func TestSegmentedDuplicatesStraddlingSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestSegmentedDuplicatesStraddlingSegments(t *testing.T) {
 // damage is counted, and compaction removes the corpse from disk.
 func TestSegmentedTamperedSegmentSkippedWholesale(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1 << 30})
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestSegmentedTamperedSegmentSkippedWholesale(t *testing.T) {
 	}
 	st2.Close()
 
-	names, err := (&DirBackend{dir: dir}).ListSegments()
+	names, err := dirBackend{dir: dir}.ListSegments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,11 +568,11 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 }
 
 // TestSegmentedAutoSeal pins the threshold trigger: with a tiny
-// SealBytes every append seals, the tail stays bounded, and lookups
+// threshold every append seals, the tail stays bounded, and lookups
 // are unaffected.
 func TestSegmentedAutoSeal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDirOptions(dir, SegmentedOptions{SealBytes: 1})
+	st, err := openSealAt(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,5 +611,193 @@ func TestSegmentedAutoSeal(t *testing.T) {
 		if got := lookupEncoded(t, st2, seededSpec(i)); got != encode(t, fakeResult(i)) {
 			t.Errorf("cell %d wrong bytes after compact", i)
 		}
+	}
+}
+
+// faultyBackend is the directory backend with switchable failures of
+// WriteSegment and Remove — the seam's stand-in for a full disk or a
+// permission flip. failAfterWrite publishes the segment and then fails,
+// as a directory sync that errors after the rename does.
+type faultyBackend struct {
+	dirBackend
+	failWrite, failAfterWrite, failRemove bool
+}
+
+var errInjected = errors.New("injected backend fault")
+
+func (b *faultyBackend) WriteSegment(name string, data []byte) error {
+	if b.failWrite {
+		return errInjected
+	}
+	if err := b.dirBackend.WriteSegment(name, data); err != nil || !b.failAfterWrite {
+		return err
+	}
+	return errInjected
+}
+
+func (b *faultyBackend) Remove(name string) error {
+	if b.failRemove {
+		return errInjected
+	}
+	return b.dirBackend.Remove(name)
+}
+
+// openFaulty opens a store over dir through a faultyBackend.
+func openFaulty(t *testing.T, dir string) (*Store, *faultyBackend) {
+	t.Helper()
+	b := &faultyBackend{dirBackend: dirBackend{dir: dir}}
+	st, err := open(b, tailPathOf(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, b
+}
+
+// TestSegmentSealFailureRetries pins sealing's "the next append
+// retries": a Save whose seal cannot publish still succeeds — the
+// record is durable in the tail and a hit — while no seal is counted
+// and the tail keeps growing; once the fault clears, one Seal publishes
+// every record, and a reopen serves each with the bytes saved.
+func TestSegmentSealFailureRetries(t *testing.T) {
+	dir := t.TempDir()
+	st, b := openFaulty(t, dir)
+	st.sealAt = 1 // every append tries to seal
+	b.failWrite = true
+	const cells = 3
+	var tail int64
+	for i := 0; i < cells; i++ {
+		if err := st.Save(seededSpec(i), fakeResult(i)); err != nil {
+			t.Fatalf("save %d with a failing seal: %v", i, err)
+		}
+		if got := lookupEncoded(t, st, seededSpec(i)); got != encode(t, fakeResult(i)) {
+			t.Errorf("cell %d served other bytes after a failed seal", i)
+		}
+		info, err := os.Stat(tailPathOf(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() <= tail {
+			t.Errorf("save %d: tail %d bytes, was %d; want it growing", i, info.Size(), tail)
+		}
+		tail = info.Size()
+	}
+	if got := st.Stats(); got.Seals != 0 || got.Segments != 0 {
+		t.Fatalf("after failed seals: %s; want 0 seals, 0 segments", got)
+	}
+
+	b.failWrite = false
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats(); got.Seals != 1 || got.Segments != 1 || got.Entries != cells {
+		t.Fatalf("after the retry: %s; want 1 seal into 1 segment holding %d entries", got, cells)
+	}
+	st.Close()
+
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Stats(); got.Entries != cells || got.Segments != 1 || got.Superseded != 0 {
+		t.Errorf("reopen: %s; want %d entries in 1 segment, 0 superseded", got, cells)
+	}
+	for i := 0; i < cells; i++ {
+		if got := lookupEncoded(t, re, seededSpec(i)); got != encode(t, fakeResult(i)) {
+			t.Errorf("cell %d: reopened store serves other bytes", i)
+		}
+	}
+}
+
+// TestSegmentCompactRemoveFailure pins Compact's best-effort removal: a
+// Remove that fails is reported, and every lookup — in the store and
+// after a reopen, which replays the surviving inputs before the merged
+// segment — still answers with the bytes last saved.
+func TestSegmentCompactRemoveFailure(t *testing.T) {
+	dir := t.TempDir()
+	st, b := openFaulty(t, dir)
+	saves := []int{0, 1, 0} // cell 0 re-saved, so the merge drops a copy
+	for gen, i := range saves {
+		if err := st.Save(seededSpec(i), fakeResult(10*gen+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[int]string{0: encode(t, fakeResult(20)), 1: encode(t, fakeResult(11))}
+	check := func(st *Store, when string) {
+		t.Helper()
+		for i, w := range want {
+			if got := lookupEncoded(t, st, seededSpec(i)); got != w {
+				t.Errorf("%s: cell %d serves other bytes", when, i)
+			}
+		}
+	}
+	check(st, "before compaction")
+
+	b.failRemove = true
+	if err := st.Compact(); !errors.Is(err, errInjected) {
+		t.Fatalf("Compact with a failing Remove returned %v, want the injected fault", err)
+	}
+	check(st, "after the failed removal")
+	st.Close()
+
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "after reopen")
+	if got := re.Stats(); got.Entries != len(want) || got.Tampered != 0 {
+		t.Errorf("reopen: %s; want %d entries, 0 tampered", got, len(want))
+	}
+}
+
+// TestSegmentHalfPublishedSealKeepsOrder: a seal whose segment was
+// published although WriteSegment reported failure leaves its records
+// in the tail, so the retry publishes them again next to newer ones.
+// The retry must take a higher sequence — two segments on one sequence
+// replay in name order, not append order — and a reopen must serve the
+// newest copy of a key saved in between.
+func TestSegmentHalfPublishedSealKeepsOrder(t *testing.T) {
+	dir := t.TempDir()
+	st, b := openFaulty(t, dir)
+	b.failAfterWrite = true
+	spec := seededSpec(0)
+	if err := st.Save(spec, fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); !errors.Is(err, errInjected) {
+		t.Fatalf("half-published seal returned %v, want the injected fault", err)
+	}
+	b.failAfterWrite = false
+	if err := st.Save(spec, fakeResult(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	names, err := dirBackend{dir: dir}.ListSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make(map[int]bool)
+	for _, name := range names {
+		seq, _, _ := parseSegmentName(name)
+		if seqs[seq] {
+			t.Errorf("segments %v share sequence %d", names, seq)
+		}
+		seqs[seq] = true
+	}
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := lookupEncoded(t, re, spec); got != encode(t, fakeResult(2)) {
+		t.Error("reopen served the copy saved before the retried seal")
 	}
 }

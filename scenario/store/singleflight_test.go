@@ -270,11 +270,11 @@ func TestSingleFlightHealsCorruptIndexEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/cells.jsonl"
-	if err := writeFile(path, append(line, '\n')); err != nil {
+	dir := t.TempDir()
+	if err := writeFile(dir+"/tail.jsonl", append(line, '\n')); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(path)
+	st, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package store persists scenario cell results in a content-addressed,
-// append-only JSONL store, keyed by a canonical hash of each cell's
-// fully-resolved Spec. It implements scenario.ResultStore, so a
+// Package store persists scenario cell results in a content-addressed
+// directory of append-only JSONL, keyed by a canonical hash of each
+// cell's fully-resolved Spec. It implements scenario.ResultStore, so a
 // scenario.Runner (or the krum-scenariod service) consults it before
 // running a cell and writes fresh results through — repeated and
 // overlapping experiment grids become near-free, because a cell is a
@@ -30,22 +30,27 @@
 // any key the new code computes, so every cell recomputes — stale
 // results are never served. Bump Version whenever training semantics,
 // spec interpretation, or the Result encoding change. The same
-// mechanism guards individual records: Open re-derives each record's
+// mechanism guards individual records: OpenDir re-derives each record's
 // key from its stored spec and drops mismatches (e.g. a hand-edited
 // spec), so a tampered record triggers recomputation instead of a
 // stale serve.
 //
-// # File format and corruption
+// # Kinds, format and corruption
 //
-// The file holds one JSON record per line: {"key", "version", "spec",
-// "result"}. Writes are append-only; a crash can therefore only tear
-// the final line. Open tolerates exactly that: a truncated tail is
-// dropped (and the file truncated back to the last intact record) so
-// subsequent appends start clean; interior lines that fail to parse or
-// whose key does not re-derive are skipped and counted (Stats), never
-// served. Duplicate keys resolve last-write-wins, matching the append
-// order. One Store is safe for concurrent use within a process; the
-// file itself assumes a single writing process at a time.
+// A store is either in memory (NewMemory) or a directory (OpenDir): a
+// live tail file, tail.jsonl, plus the immutable segments the tail
+// seals into (see segment.go). Every file holds one JSON record per
+// line: {"key", "version", "spec", "result"}. Writes to the tail are
+// append-only; a crash can therefore only tear its final line. OpenDir
+// tolerates exactly that: a truncated tail is dropped (and the file
+// truncated back to the last intact record) so subsequent appends start
+// clean; interior lines that fail to parse or whose key does not
+// re-derive are skipped and counted (Stats), never served. Duplicate
+// keys resolve last-write-wins, matching the append order. Tail appends
+// are not synced, so they survive a process crash but not a power cut;
+// sealed segments survive both. One Store is safe for concurrent use
+// within a process; the directory itself assumes a single writing
+// process at a time.
 package store
 
 import (
@@ -58,6 +63,7 @@ import (
 	"hash/maphash"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 
@@ -196,7 +202,7 @@ type Stats struct {
 	Hits, Misses int
 	// ColdReads counts the Hits that were served from a sealed segment —
 	// read back from the backend and re-verified — rather than from the
-	// resident tail (always 0 for single-file and in-memory stores).
+	// resident tail (always 0 for in-memory stores).
 	ColdReads int
 	// FlightWaits counts single-flight followers since Open: DoCellRaw
 	// calls that found the same key already executing and waited for
@@ -231,11 +237,11 @@ type Stats struct {
 	// another kernel-order family (their key re-derives under their own
 	// stored Kernel salt, not the active one). They are skipped — this
 	// process's kernels cannot reproduce their rounding — but healthy:
-	// a mixed-family fleet sharing one store file reports them here,
+	// a mixed-family fleet sharing one store reports them here,
 	// not as Tampered, and Compact preserves them on disk.
 	Foreign int
 	// Segments is the number of sealed segments currently backing the
-	// store (0 for single-file and in-memory stores).
+	// store (0 for in-memory stores).
 	Segments int
 	// Seals counts tail→segment seals since Open.
 	Seals int
@@ -258,17 +264,17 @@ func (s Stats) String() string {
 
 // entry is one indexed record: where its bytes live and what is known
 // about them. A record is RESIDENT (raw holds its result payload) while
-// it lives in memory only, in a single-file store or in a segmented
-// store's tail, and COLD (seg names its sealed segment, raw is nil) once
-// its tail has sealed — then a hit reads the line back (see fetchLocked
-// and resolve). That split is what bounds a segmented store's heap by
-// SealBytes plus this struct per record, whatever it has ever saved.
+// it lives in memory only or in a store's tail, and COLD (seg names its
+// sealed segment, raw is nil) once its tail has sealed — then a hit
+// reads the line back (see fetchLocked and resolve). That split is what
+// bounds a store's heap by sealBytes plus this struct per record,
+// whatever it has ever saved.
 type entry struct {
 	// raw is the resident result payload; nil when cold.
 	raw json.RawMessage
 	// seg is the sealed segment holding the record's line ("" while
 	// resident); off and n locate the line — in seg when cold, in the
-	// live file when resident in a file-backed store. A tail's bytes
+	// tail when resident in a directory store. A tail's bytes
 	// become its segment's bytes, so off and n carry over a seal.
 	seg string
 	off int64
@@ -278,7 +284,7 @@ type entry struct {
 	// first single-flight hit for records replayed from disk (DoCellRaw).
 	verified bool
 	// durable records that the key has at least one record on disk (it
-	// outlives the record itself when a store that lost its file
+	// outlives the record itself when a store that lost its tail
 	// re-saves the key in memory only).
 	durable bool
 	// digest is the seeded hash of the line, taken when the entry went
@@ -294,13 +300,13 @@ func (e entry) sameRecord(o entry) bool { return e.seg == o.seg && e.off == o.of
 
 // Store is a content-addressed scenario result store: an in-memory
 // index from key to result — the result's bytes, or where they lie in
-// a sealed segment (see entry) — optionally backed by an append-only
-// JSONL file. It implements scenario.ResultStore and is safe for
+// a sealed segment (see entry) — optionally backed by a store
+// directory. It implements scenario.ResultStore and is safe for
 // concurrent use.
 type Store struct {
 	mu   sync.Mutex
-	path string
-	file *os.File // nil for in-memory stores
+	path string   // of the tail
+	file *os.File // the tail; nil for in-memory stores
 	// offset is the end of the last fully-written record — the safe
 	// append position. After a failed write the file is rolled back to
 	// it so a torn fragment can never fuse with the next record.
@@ -314,11 +320,11 @@ type Store struct {
 	flights map[string]*flight
 	stats   Stats
 
-	// backend, when non-nil, makes this a SEGMENTED store (see
-	// segment.go): the tail seals into immutable hashed segments at
-	// sealBytes, replayed before the tail at Open.
-	backend   Backend
-	sealBytes int64
+	// backend holds the sealed segments (see segment.go), nil for
+	// in-memory stores: the tail seals into immutable hashed segments
+	// once it reaches sealAt bytes, replayed before the tail at Open.
+	backend backend
+	sealAt  int64
 	// segSeq is the highest segment sequence in use; segments lists the
 	// sealed segments in replay order.
 	segSeq   int
@@ -333,8 +339,8 @@ type Store struct {
 	// record — the index entries flagged durable (all of them, unless
 	// the store dropped to memory-only).
 	durableKeys int
-	// tailKeys lists, in append order, the keys of the records in a
-	// segmented store's tail — the entries a seal turns cold.
+	// tailKeys lists, in append order, the keys of the records in the
+	// tail — the entries a seal turns cold.
 	tailKeys []keyID
 }
 
@@ -348,41 +354,42 @@ func NewMemory() *Store {
 	}
 }
 
-// Open opens (creating if needed) the JSONL store at path, loads every
-// intact record into the index, and prepares the file for appends. See
+// OpenDir opens (creating if needed) the store directory dir: the
+// sealed segments in it, then its live tail, dir/tail.jsonl, are
+// replayed into the index, and the tail is prepared for appends. See
 // the package comment for the corruption rules: a torn final line is
 // truncated away, records whose key does not re-derive from their spec
 // are skipped, duplicate keys resolve last-write-wins. The returned
 // Stats (via Stats) report what was skipped.
-func Open(path string) (*Store, error) {
-	return open(nil, 0, path)
+func OpenDir(dir string) (*Store, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("empty store directory (use NewMemory for an in-memory store): %w", ErrStore)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("creating store directory %s: %w: %w", dir, err, ErrStore)
+	}
+	return open(dirBackend{dir: dir}, filepath.Join(dir, "tail.jsonl"))
 }
 
-// open is the one open path behind Open and OpenSegmented: sealed
-// segments first when a backend is present, then a single scan of the
-// file at path — so every record is decoded once, in the order it was
-// appended, and last write wins across the whole replay.
-func open(backend Backend, sealBytes int64, path string) (*Store, error) {
-	if path == "" {
-		return nil, fmt.Errorf("empty path (use NewMemory for an in-memory store): %w", ErrStore)
-	}
+// open is the one open path behind OpenDir, and the seam in-package
+// tests drive with a fake backend: sealed segments first, then a single
+// scan of the tail at path — so every record is decoded once, in the
+// order it was appended, and last write wins across the whole replay.
+func open(b backend, path string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("opening %s: %w: %w", path, err, ErrStore)
 	}
 	s := &Store{
-		path:      path,
-		file:      f,
-		index:     make(map[keyID]entry),
-		seed:      maphash.MakeSeed(),
-		flights:   make(map[string]*flight),
-		backend:   backend,
-		sealBytes: sealBytes,
+		path:    path,
+		file:    f,
+		index:   make(map[keyID]entry),
+		seed:    maphash.MakeSeed(),
+		flights: make(map[string]*flight),
+		backend: b,
+		sealAt:  sealBytes,
 	}
-	if backend != nil {
-		err = s.loadSegments()
-	}
-	if err == nil {
+	if err = s.loadSegments(); err == nil {
 		err = s.load()
 	}
 	if err != nil {
@@ -392,8 +399,8 @@ func open(backend Backend, sealBytes int64, path string) (*Store, error) {
 	return s, nil
 }
 
-// load scans the JSONL file, indexing intact records and truncating a
-// torn tail.
+// load scans the tail, indexing intact records and truncating a torn
+// final line.
 func (s *Store) load() error {
 	r := bufio.NewReader(s.file)
 	var offset int64 // end of the last newline-terminated line
@@ -484,10 +491,9 @@ func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 }
 
 // indexLine validates one complete line found at off in seg ("" for the
-// live file) and indexes it, counting (not failing on) records that
-// cannot be served safely. A live-file record stays resident; a
-// segment's is indexed cold, by location and digest, and its bytes are
-// let go.
+// tail) and indexes it, counting (not failing on) records that cannot
+// be served safely. A tail record stays resident; a segment's is
+// indexed cold, by location and digest, and its bytes are let go.
 func (s *Store) indexLine(line []byte, seg string, off int64) {
 	rec, key, v := decodeLine(line)
 	switch v {
@@ -513,9 +519,7 @@ func (s *Store) indexLine(line []byte, seg string, off int64) {
 	} else {
 		e.raw = rec.Result
 		s.tailRecords++
-		if s.backend != nil {
-			s.tailKeys = append(s.tailKeys, id)
-		}
+		s.tailKeys = append(s.tailKeys, id)
 	}
 	s.setLocked(id, e) // duplicate keys: last write wins
 }
@@ -642,7 +646,7 @@ func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 }
 
 // Save implements scenario.ResultStore: it appends one record to the
-// file (when backed by one) and indexes it. The stored spec is the
+// tail (when the store has one) and indexes it. The stored spec is the
 // canonical form, so reloads re-derive the same key.
 func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 	raw, err := json.Marshal(res)
@@ -656,8 +660,8 @@ func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 	return s.appendRecord(record{Key: key, Version: Version, Spec: c, Result: raw})
 }
 
-// appendRecord writes one validated record to the file (when backed by
-// one) and indexes it, stamping the active kernel order family into
+// appendRecord writes one validated record to the tail (when the store
+// has one) and indexes it, stamping the active kernel order family into
 // the record's informational Kernel field.
 func (s *Store) appendRecord(rec record) error {
 	if rec.Kernel == "" {
@@ -682,7 +686,7 @@ func (s *Store) appendRecord(rec record) error {
 			// file back to the last good record so a later successful
 			// Save cannot fuse with it (which would silently lose THAT
 			// record on the next Open). If even the rollback fails, the
-			// file is unusable — drop to memory-only so persistence
+			// tail is unusable — drop to memory-only so persistence
 			// errors stay loud but hits keep working.
 			if terr := s.rollbackTo(s.offset); terr != nil {
 				s.file.Close()
@@ -694,22 +698,20 @@ func (s *Store) appendRecord(rec record) error {
 		e.off, e.n, e.durable = s.offset, int32(len(line)), true
 		s.offset += int64(len(line))
 		s.tailRecords++
-		if s.backend != nil {
-			s.tailKeys = append(s.tailKeys, id)
-		}
+		s.tailKeys = append(s.tailKeys, id)
 	}
 	s.setLocked(id, e)
 	s.stats.Saves++
 	// The record is durable; sealing is opportunistic on top of it — a
 	// failed seal leaves the tail to keep growing and the next append
 	// (or an explicit Seal) retries.
-	if s.backend != nil && s.offset >= s.sealBytes {
+	if s.file != nil && s.offset >= s.sealAt {
 		_ = s.sealLocked()
 	}
 	return nil
 }
 
-// rollbackTo truncates the file to offset and repositions the append
+// rollbackTo truncates the tail to offset and repositions the append
 // cursor there. Callers hold s.mu.
 func (s *Store) rollbackTo(offset int64) error {
 	if err := s.file.Truncate(offset); err != nil {
@@ -730,10 +732,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Path returns the backing file path ("" for in-memory stores).
-func (s *Store) Path() string { return s.path }
-
-// Close releases the backing file (a no-op for in-memory stores). The
+// Close releases the tail file (a no-op for in-memory stores). The
 // store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()

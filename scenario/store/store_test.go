@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -156,12 +155,12 @@ func TestStoreHitByteIdenticalZeroRebuilds(t *testing.T) {
 	}
 }
 
-// TestStorePersistsAcrossOpen writes through a file-backed store, then
+// TestStorePersistsAcrossOpen writes through a directory store, then
 // reopens it and expects a hit — the resume path krum-scenariod and
 // krum-experiments -store rely on.
 func TestStorePersistsAcrossOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st, err := Open(path)
+	dir := t.TempDir()
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(path)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +195,11 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 
 // TestStoreTruncatedTail tears the final record mid-line (the only
 // corruption an append-only writer can produce) and expects Open to
-// drop exactly that record, truncate the file, and keep appends clean.
+// drop exactly that record, truncate the tail, and keep appends clean.
 func TestStoreTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st, err := Open(path)
+	dir := t.TempDir()
+	path := tailPathOf(dir)
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestStoreTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(path)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStoreTruncatedTail(t *testing.T) {
 	}
 	st2.Close()
 
-	st3, err := Open(path)
+	st3, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,8 @@ func TestStoreTruncatedTail(t *testing.T) {
 // TestStoreDuplicateKeysLastWriteWins appends two records under the
 // same key and expects the later one to be served.
 func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st, err := Open(path)
+	dir := t.TempDir()
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 	}
 	st.Close()
 
-	st2, err := Open(path)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,9 @@ func TestStoreDuplicateKeysLastWriteWins(t *testing.T) {
 // and expects the record to be dropped at load so the cell recomputes
 // instead of being stale-served.
 func TestStoreHashMismatchRecomputes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st, err := Open(path)
+	dir := t.TempDir()
+	path := tailPathOf(dir)
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestStoreHashMismatchRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(path)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +377,9 @@ func TestStoreHashMismatchRecomputes(t *testing.T) {
 // intact records is counted and skipped rather than failing the load
 // or being served.
 func TestStoreSkipsMalformedInteriorLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	st, err := Open(path)
+	dir := t.TempDir()
+	path := tailPathOf(dir)
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +398,7 @@ func TestStoreSkipsMalformedInteriorLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(path)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +412,9 @@ func TestStoreSkipsMalformedInteriorLine(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsEmptyPath pins the NewMemory/Open split.
+// TestOpenRejectsEmptyPath pins the NewMemory/OpenDir split.
 func TestOpenRejectsEmptyPath(t *testing.T) {
-	if _, err := Open(""); err == nil {
-		t.Fatal("Open(\"\") succeeded; want an error directing to NewMemory")
+	if _, err := OpenDir(""); err == nil {
+		t.Fatal("OpenDir(\"\") succeeded; want an error directing to NewMemory")
 	}
 }

@@ -130,7 +130,6 @@ func TestForeignFamilyRecordsSurviveCompaction(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spec := quickSpec()
-	noSeal := SegmentedOptions{SealBytes: 1 << 30}
 
 	// Compute, save and seal under pair2.
 	restore, err := vec.SetKernelTier(vec.TierGo)
@@ -138,7 +137,7 @@ func TestForeignFamilyRecordsSurviveCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(restore)
-	st, err := OpenDirOptions(dir, noSeal)
+	st, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestForeignFamilyRecordsSurviveCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenDirOptions(dir, noSeal)
+	st2, err := OpenDir(dir)
 	if err != nil {
 		restoreAVX()
 		t.Fatal(err)
@@ -194,7 +193,7 @@ func TestForeignFamilyRecordsSurviveCompaction(t *testing.T) {
 
 	// Back under pair2 the original record survived the fma4 compaction
 	// bit for bit, and now the fma4 record is the foreign one.
-	st3, err := OpenDirOptions(dir, noSeal)
+	st3, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
