@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) ./internal/arrival
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecCanonical$$' -fuzztime $(FUZZTIME) ./scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./scenario/shardproto
+	$(GO) test -run '^$$' -fuzz '^FuzzResultCodec$$' -fuzztime $(FUZZTIME) ./distsgd
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulOrder$$' -fuzztime $(FUZZTIME) ./internal/vec
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkerCells$$' -fuzztime $(FUZZTIME) ./internal/vec
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnMedian$$' -fuzztime $(FUZZTIME) ./internal/core

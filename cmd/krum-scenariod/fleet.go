@@ -226,7 +226,7 @@ func (fl *fleet) computeLocal(spec scenario.Spec) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(res)
+	return res.AppendJSON(nil), nil
 }
 
 // execute runs one cell through the fleet on behalf of a tenant and
@@ -482,7 +482,7 @@ func (fl *fleet) unassignLocked(t *fleetTask) {
 // the store to one save per key — while a malformed payload requeues
 // the task, treating its sender as faulty.
 //
-// The check decodes and re-encodes the whole payload, so it runs with
+// The check parses and re-encodes the whole payload, so it runs with
 // fl.mu RELEASED — polls, enqueues, heartbeats and /fleet reads do not
 // queue behind it — and the assignment is looked up again afterwards:
 // a lease sweep may have taken the task back meanwhile, which makes

@@ -430,12 +430,7 @@ func (w *Worker) executeTask(ctx context.Context, task shardproto.Task) {
 	if runErr != nil {
 		report.Error = runErr.Error()
 	} else {
-		raw, err := json.Marshal(res)
-		if err != nil {
-			report.Error = fmt.Sprintf("encoding result: %v", err)
-		} else {
-			report.Result = raw
-		}
+		report.Result = res.AppendJSON(nil)
 	}
 	// Retry transient transport failures a few times before giving the
 	// result up: losing it only costs a recompute (the task's deadline

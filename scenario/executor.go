@@ -52,24 +52,16 @@ func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.
 			if cr.Result, err = compute(); err != nil {
 				return nil, err
 			}
-			raw, err := json.Marshal(cr.Result)
-			if err != nil {
-				// Neither the store nor the waiting callers can be served,
-				// but the result exists: the leader keeps it.
-				cr.StoreErr = fmt.Errorf("encoding result: %w", err)
-				return nil, cr.StoreErr
-			}
-			return raw, nil
+			return cr.Result.AppendJSON(nil), nil
 		})
 		switch {
-		case cr.StoreErr != nil: // the encode failure above
 		case err != nil:
 			cr.Result, cr.Err = nil, err
 		case !shared:
 			cr.StoreErr = storeErr
 		default:
 			cr.Result, cr.Cached = new(distsgd.Result), true
-			if err := json.Unmarshal(raw, cr.Result); err != nil {
+			if err := cr.Result.UnmarshalJSON(raw); err != nil {
 				cr.Result, cr.Cached, cr.Err = nil, false, fmt.Errorf("decoding shared result: %w", err)
 			}
 		}
@@ -90,26 +82,23 @@ func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.
 }
 
 // CanonicalResult reports whether raw is a stable-encoded
-// distsgd.Result — it must decode AND re-encode to the identical bytes
-// — and returns those bytes (raw without surrounding whitespace). That
-// is exactly what json.Marshal of a Result produces
-// (Marshal∘Unmarshal∘Marshal ≡ Marshal, the serialize.go contract), so
-// honest payloads always pass, while arbitrary JSON that would decode
-// to a zero-value Result does not. It is the one admission rule for
-// result bytes that arrive from outside the process (a fleet worker's
-// report, a store record replayed from disk); bytes that passed it can
-// be stored and served as they are, with no further decode.
+// distsgd.Result — it must parse (distsgd.Result.UnmarshalJSON's
+// strict grammar) AND re-encode to the identical bytes — and returns
+// those bytes (raw without surrounding JSON whitespace). That is
+// exactly what AppendJSON of a Result produces, so honest payloads
+// always pass, while any other spelling of the same values (a
+// reordered field, a longer number, an escape the encoder would not
+// write) does not. It is the one admission rule for result bytes that
+// arrive from outside the process (a fleet worker's report, a store
+// record replayed from disk); bytes that passed it can be stored and
+// served as they are, with no further decode.
 func CanonicalResult(raw json.RawMessage) (json.RawMessage, bool) {
-	res := new(distsgd.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
+	raw = bytes.Trim(raw, " \t\r\n")
+	var res distsgd.Result
+	if res.UnmarshalJSON(raw) != nil {
 		return nil, false
 	}
-	again, err := json.Marshal(res)
-	if err != nil {
-		return nil, false
-	}
-	raw = bytes.TrimSpace(raw)
-	return raw, bytes.Equal(raw, again)
+	return raw, bytes.Equal(raw, res.AppendJSON(make([]byte, 0, len(raw))))
 }
 
 // RawSingleFlighter is an optional ResultStore extension (implemented
@@ -123,7 +112,7 @@ func CanonicalResult(raw json.RawMessage) (json.RawMessage, bool) {
 type RawSingleFlighter interface {
 	// DoCellRaw returns the cell's stable JSON encoding, computing it
 	// via compute at most once per key across concurrent callers.
-	// compute must return canonical bytes (json.Marshal of a
+	// compute must return canonical bytes (AppendJSON of a
 	// distsgd.Result, or bytes that passed CanonicalResult); the
 	// returned bytes may be shared with the store and other callers
 	// and must not be modified. shared reports that the bytes arrived

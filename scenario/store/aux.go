@@ -59,7 +59,8 @@ func (s *Store) LookupAux(kind string, spec scenario.Spec, params string) (json.
 		s.countLookup(false, false)
 		return nil, false
 	}
-	raw, cold, ok := s.get(key)
+	raw, e, ok := s.get(key)
+	cold := e.seg != ""
 	s.countLookup(ok, cold)
 	if !ok {
 		return nil, false

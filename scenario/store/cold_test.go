@@ -309,6 +309,55 @@ func TestReplayedRecordMeetsCanonicalCheckOnFirstHit(t *testing.T) {
 	}
 }
 
+// TestReplayedRecordLookupMeetsCanonicalCheck: the typed Lookup admits
+// a replayed payload by the single-flight's rule. A tail record whose
+// key checks out but whose result is not canonical — here a case-folded
+// field and an unknown one, which encoding/json would read as accuracy
+// 0.99 with no parameters — is a miss and is dropped, so the cell
+// recomputes; a canonical record is served and marked verified.
+func TestReplayedRecordLookupMeetsCanonicalCheck(t *testing.T) {
+	dir := t.TempDir()
+	good := mustMarshal(t, fakeResult(0))
+	var tail []byte
+	for i, payload := range []json.RawMessage{good, json.RawMessage(`{"history":[],"Final_Test_Accuracy":0.99,"extra":1}`)} {
+		c, key, err := identify("", seededSpec(i), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail = append(append(tail, mustMarshal(t, record{Key: key, Version: Version, Spec: c, Result: payload})...), '\n')
+	}
+	if err := os.WriteFile(tailPathOf(dir), tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	if res, ok := st.Lookup(seededSpec(1)); ok {
+		t.Fatalf("Lookup served the non-canonical record as %+v", *res)
+	}
+	if got := st.Stats(); got.Entries != 1 || got.Misses != 1 || got.Hits != 0 {
+		t.Errorf("after the refused lookup: %s; want the record dropped and one miss", got)
+	}
+	res, ok := st.Lookup(seededSpec(0))
+	if !ok || !bytes.Equal(mustMarshal(t, res), good) {
+		t.Fatalf("the canonical record: ok=%v", ok)
+	}
+	key0, _ := Key(seededSpec(0))
+	if !st.index[idOf(key0)].verified {
+		t.Error("a canonical record served by Lookup is not marked verified")
+	}
+	computes := 0
+	if _, shared, _, _ := st.DoCellRaw(seededSpec(1), func() (json.RawMessage, error) {
+		computes++
+		return mustMarshal(t, fakeResult(1)), nil
+	}); shared || computes != 1 {
+		t.Errorf("the dropped cell: shared=%v computes=%d; want one recompute", shared, computes)
+	}
+}
+
 // TestDroppedTailRecordStaysDroppedAcrossSeal: a replayed tail record
 // that failed the canonical check and was not healed (its recompute
 // failed) is gone from the index; the seal that later turns the tail's

@@ -595,17 +595,18 @@ func (s *Store) dropLocked(key string, e entry) {
 }
 
 // get is the whole read path for callers that need nothing from the
-// lock afterwards (Lookup, LookupAux): the payload under key, whether
-// it came from a sealed segment, and whether there is one.
-func (s *Store) get(key string) (raw json.RawMessage, cold, ok bool) {
+// lock afterwards (Lookup, LookupAux): the payload under key, the entry
+// it was read through (cold when e.seg is set) and whether there is
+// one.
+func (s *Store) get(key string) (raw json.RawMessage, e entry, ok bool) {
 	s.mu.Lock()
 	e, line, ok := s.fetchLocked(key)
 	s.mu.Unlock()
 	if !ok {
-		return nil, false, false
+		return nil, e, false
 	}
 	raw, ok = s.resolve(key, e, line)
-	return raw, e.seg != "", ok
+	return raw, e, ok
 }
 
 // countLookup tallies one lookup outcome.
@@ -623,8 +624,10 @@ func (s *Store) countLookup(hit, cold bool) {
 	s.mu.Unlock()
 }
 
-// Lookup implements scenario.ResultStore. Any internal failure — a
-// spec that cannot be keyed, a result that no longer decodes — is a
+// Lookup implements scenario.ResultStore. A payload replayed from disk
+// meets the single-flight's admission rule (admit) on its first hit
+// here too, and is dropped if it fails it. Any internal failure — a
+// spec that cannot be keyed, a payload that is not canonical — is a
 // miss: the runner recomputes, which is always safe.
 func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 	key, err := Key(spec)
@@ -632,13 +635,13 @@ func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 		s.countLookup(false, false)
 		return nil, false
 	}
-	raw, cold, ok := s.get(key)
+	raw, e, ok := s.get(key)
 	var res *distsgd.Result
-	if ok {
+	if ok = ok && s.admit(key, e, raw); ok {
 		res = new(distsgd.Result)
-		ok = json.Unmarshal(raw, res) == nil
+		ok = res.UnmarshalJSON(raw) == nil
 	}
-	s.countLookup(ok, cold)
+	s.countLookup(ok, e.seg != "")
 	if !ok {
 		return nil, false
 	}
@@ -649,10 +652,7 @@ func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 // tail (when the store has one) and indexes it. The stored spec is the
 // canonical form, so reloads re-derive the same key.
 func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("encoding result: %w: %w", err, ErrStore)
-	}
+	raw := res.AppendJSON(nil)
 	c, key, err := identify("", spec, "")
 	if err != nil {
 		return fmt.Errorf("keying spec: %w", err)
@@ -667,11 +667,14 @@ func (s *Store) appendRecord(rec record) error {
 	if rec.Kernel == "" {
 		rec.Kernel = vec.KernelOrder()
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("encoding record: %w: %w", err, ErrStore)
+	var line []byte
+	if s.path != "" { // only a directory store has a tail to write the line to
+		var err error
+		if line, err = json.Marshal(rec); err != nil {
+			return fmt.Errorf("encoding record: %w: %w", err, ErrStore)
+		}
+		line = append(line, '\n')
 	}
-	line = append(line, '\n')
 
 	id := idOf(rec.Key)
 	// Cell callers hand over bytes they encoded themselves or that passed
