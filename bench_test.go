@@ -177,14 +177,16 @@ func benchUpdateRows(b *testing.B, vs [][]float64, c, stride int) {
 // (d = 12 826), the coordinate-wise median at n = 20 over that d — and
 // the grid_small softmax gradient, whose matrices are so small that a
 // per-call fixed cost in the matmuls (a zeroed stack scratch array once
-// cost it 25 %) shows here and nowhere else. The last three rows are
+// cost it 25 %) shows here and nowhere else. The next three rows are
 // the row kernels under that MLP gradient on their own — its two large
 // products (forward x·W₁ and the strided backward xᵀ·dh, x at 45 %
 // zeros like a rendered batch) and the d-long axpy of the SGD step and
 // of every averaging rule — each reporting ns per multiply-add
 // performed (zero coefficients, which are skipped, not counted). The
-// last row is the sampler: one Gaussian-attack proposal's FillNormal at
-// that d, in ns per normal.
+// sampler follows: one Gaussian-attack proposal's FillNormal at that
+// d, in ns per normal, then two mini-batch draws — grid_small's
+// per-worker 8×6 mixture batch and a 16-row spambase batch (57 normals
+// a row, odd, so a cached variate crosses rows).
 func BenchmarkGradientPath(b *testing.B) {
 	ds, err := data.NewSyntheticMNIST(16, 0.05)
 	if err != nil {
@@ -293,6 +295,23 @@ func BenchmarkGradientPath(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/d, "ns/normal")
 	})
+	fillBatch := func(ds data.Dataset, batch int) func(b *testing.B) {
+		return func(b *testing.B) {
+			rng := vec.NewRNG(benchSeed)
+			x, y := vec.NewDense(batch, ds.Dim()), vec.NewDense(batch, ds.OutDim())
+			for i := 0; i < b.N; i++ {
+				if err := data.FillBatch(ds, rng, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("gmm-fillbatch-8x6", fillBatch(gmm, 8))
+	spam, err := data.NewSyntheticSpambase(0.394, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("spambase-fillbatch-16x57", fillBatch(spam, 16))
 }
 
 // BenchmarkResilienceVerifier measures the Definition 3.2 Monte-Carlo

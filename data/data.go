@@ -14,6 +14,8 @@ package data
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"krum/internal/vec"
 )
@@ -39,6 +41,13 @@ type Dataset interface {
 // FillBatch draws x.Rows i.i.d. samples into the batch matrices. The
 // two matrices must have x.Rows == y.Rows, x.Cols == ds.Dim() and
 // y.Cols == ds.OutDim().
+//
+// Row i is the (i+1)-th of x.Rows Sample calls, and rng ends where they
+// leave it. The built-in mixture, regression and spambase streams get
+// there on a batch path: they draw the whole batch's uniforms in the
+// order the Sample calls would and transform its normals in one
+// vec.NormalRun (TestFillBatchMatchesSample). Every other dataset is
+// sampled row by row.
 func FillBatch(ds Dataset, rng *vec.RNG, x, y *vec.Dense) error {
 	if x.Rows != y.Rows {
 		return fmt.Errorf("x has %d rows, y has %d: %w", x.Rows, y.Rows, ErrConfig)
@@ -47,10 +56,62 @@ func FillBatch(ds Dataset, rng *vec.RNG, x, y *vec.Dense) error {
 		return fmt.Errorf("batch shape (%d, %d), want (%d, %d): %w",
 			x.Cols, y.Cols, ds.Dim(), ds.OutDim(), ErrConfig)
 	}
+	if b, ok := ds.(batchFiller); ok {
+		sc := batchScratches.Get().(*batchScratch)
+		b.fillBatch(rng, x, y, sc)
+		batchScratches.Put(sc)
+		return nil
+	}
 	for i := 0; i < x.Rows; i++ {
 		ds.Sample(rng, x.Row(i), y.Row(i))
 	}
 	return nil
+}
+
+// batchFiller is a Dataset with a batch path: fillBatch fills the
+// (validated) batch exactly as x.Rows Sample calls would, in sc's
+// buffers.
+type batchFiller interface {
+	fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch)
+}
+
+// batchScratch is the reusable state of one fillBatch call: the normal
+// run and the per-row draws that must wait for its normals.
+type batchScratch struct {
+	run     vec.NormalRun
+	classes []int
+	floats  []float64
+}
+
+// batchScratches recycles batchScratch values, so that warm batches do
+// not allocate and nothing lands on the (per-round worker) goroutine's
+// stack.
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// ints returns sc.classes resized to n.
+func (sc *batchScratch) ints(n int) []int {
+	if cap(sc.classes) < n {
+		sc.classes = make([]int, n)
+	}
+	return sc.classes[:n]
+}
+
+// float64s returns sc.floats resized to n.
+func (sc *batchScratch) float64s(n int) []float64 {
+	if cap(sc.floats) < n {
+		sc.floats = make([]float64, n)
+	}
+	return sc.floats[:n]
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewBatch allocates and fills a batch of the given size.
@@ -82,7 +143,7 @@ func NewGaussianMixture(k, dim int, radius, sigma float64, seed uint64) (*Gaussi
 	if k < 2 || dim < 1 {
 		return nil, fmt.Errorf("k=%d dim=%d: %w", k, dim, ErrConfig)
 	}
-	if radius <= 0 || sigma <= 0 {
+	if radius <= 0 || sigma <= 0 || !finite(radius, sigma) {
 		return nil, fmt.Errorf("radius=%g sigma=%g: %w", radius, sigma, ErrConfig)
 	}
 	rng := vec.NewRNG(seed)
@@ -118,6 +179,27 @@ func (g *GaussianMixture) Sample(rng *vec.RNG, x, y []float64) {
 	y[k] = 1
 }
 
+// fillBatch implements batchFiller: each row's class, then its Dim()
+// normals, as Sample draws them.
+func (g *GaussianMixture) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+	classes := sc.ints(x.Rows)
+	sc.run.Begin(rng)
+	for i := range classes {
+		classes[i] = rng.Intn(len(g.centers))
+		sc.run.Draw(x.Cols)
+	}
+	sc.run.End(x.Data)
+	for i, k := range classes {
+		c, row := g.centers[k], x.Row(i)
+		for j, z := range row {
+			row[j] = c[j] + g.sigma*z
+		}
+		yr := y.Row(i)
+		clear(yr)
+		yr[k] = 1
+	}
+}
+
 // LinearRegressionStream is the strongly convex regression workload
 // y = A·x + b + ε used for the Proposition 4.3 convergence experiments:
 // its quadratic cost satisfies every assumption of the theorem with
@@ -134,7 +216,7 @@ func NewLinearRegressionStream(inDim, outDim int, noise float64, seed uint64) (*
 	if inDim < 1 || outDim < 1 {
 		return nil, fmt.Errorf("inDim=%d outDim=%d: %w", inDim, outDim, ErrConfig)
 	}
-	if noise < 0 {
+	if noise < 0 || !finite(noise) {
 		return nil, fmt.Errorf("noise=%g: %w", noise, ErrConfig)
 	}
 	rng := vec.NewRNG(seed)
@@ -158,6 +240,27 @@ func (l *LinearRegressionStream) Sample(rng *vec.RNG, x, y []float64) {
 	rng.FillNormal(x, 0, 1)
 	for o := 0; o < l.a.Rows; o++ {
 		y[o] = l.b[o] + vec.Dot(l.a.Row(o), x) + l.noise*rng.NormFloat64()
+	}
+}
+
+// fillBatch implements batchFiller. Sample draws nothing but normals,
+// Dim() for x and then OutDim() for ε, so a batch is one FillNormal of
+// Rows·(Dim()+OutDim()) normals, then assembly. That FillNormal writes
+// 0 + 1·z where Sample's ε term reads z; the two differ only when z is
+// −0, and no Box–Muller variate is: its radius is positive, its cos
+// never 0, its sin −0 only at the angle −0 and the angle is never
+// negative.
+func (l *LinearRegressionStream) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+	in := x.Cols
+	width := in + y.Cols
+	z := sc.float64s(x.Rows * width)
+	rng.FillNormal(z, 0, 1)
+	for i := 0; i < x.Rows; i++ {
+		xr, yr, zr := x.Row(i), y.Row(i), z[i*width:(i+1)*width]
+		copy(xr, zr[:in])
+		for o := range yr {
+			yr[o] = l.b[o] + vec.Dot(l.a.Row(o), xr) + l.noise*zr[in+o]
+		}
 	}
 }
 

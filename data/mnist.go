@@ -34,7 +34,7 @@ func NewSyntheticMNIST(size int, noise float64) (*SyntheticMNIST, error) {
 	if size < 8 {
 		return nil, fmt.Errorf("size %d too small (min 8): %w", size, ErrConfig)
 	}
-	if noise < 0 || noise > 1 {
+	if !(noise >= 0 && noise <= 1) {
 		return nil, fmt.Errorf("noise %g outside [0, 1]: %w", noise, ErrConfig)
 	}
 	centres := make([]float64, size)

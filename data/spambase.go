@@ -31,7 +31,7 @@ const SpambaseDim = 57
 // seed. spamRate is the class prior for the spam class; the UCI corpus
 // has ≈0.394.
 func NewSyntheticSpambase(spamRate float64, seed uint64) (*SyntheticSpambase, error) {
-	if spamRate <= 0 || spamRate >= 1 {
+	if !(spamRate > 0 && spamRate < 1) {
 		return nil, fmt.Errorf("spamRate %g outside (0, 1): %w", spamRate, ErrConfig)
 	}
 	rng := vec.NewRNG(seed)
@@ -81,19 +81,53 @@ func (s *SyntheticSpambase) Sample(rng *vec.RNG, x, y []float64) {
 	// mimicking document-length effects in real corpora.
 	verbosity := 0.6 + 0.8*rng.Float64()
 	for j := range x {
-		v := profile[j]*verbosity + s.featNoise*rng.NormFloat64()
-		if v < 0 {
-			v = 0
-		}
-		if j >= 54 {
-			// Run lengths are heavy tailed: square the positive part.
-			v = v * v / 2
-		}
-		x[j] = v
+		x[j] = s.feature(j, profile, verbosity, rng.NormFloat64())
 	}
 	if spam {
 		y[0] = 1
 	} else {
 		y[0] = 0
+	}
+}
+
+// feature is feature j of a message with the given class profile and
+// verbosity, whose noise variate is z.
+func (s *SyntheticSpambase) feature(j int, profile []float64, verbosity, z float64) float64 {
+	v := profile[j]*verbosity + s.featNoise*z
+	if v < 0 {
+		v = 0
+	}
+	if j >= 54 {
+		// Run lengths are heavy tailed: square the positive part.
+		v = v * v / 2
+	}
+	return v
+}
+
+// fillBatch implements batchFiller: each row's class and verbosity,
+// then its 57 normals, as Sample draws them. 57 is odd, so every other
+// row starts on the sin variate of the pair the row before began.
+func (s *SyntheticSpambase) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+	verbosity := sc.float64s(x.Rows)
+	sc.run.Begin(rng)
+	for i := range verbosity {
+		spam := rng.Float64() < s.spamRate
+		y.Row(i)[0] = 0
+		if spam {
+			y.Row(i)[0] = 1
+		}
+		verbosity[i] = 0.6 + 0.8*rng.Float64()
+		sc.run.Draw(s.dim)
+	}
+	sc.run.End(x.Data)
+	for i, vb := range verbosity {
+		profile := s.hamFreq
+		if y.Row(i)[0] == 1 {
+			profile = s.spamFreq
+		}
+		row := x.Row(i)
+		for j, z := range row {
+			row[j] = s.feature(j, profile, vb, z)
+		}
 	}
 }

@@ -147,8 +147,11 @@ func VerifyResilience(cfg ResilienceConfig) (*ResilienceReport, error) {
 
 	for t := 0; t < trials; t++ {
 		for _, c := range correct {
-			for j := range c {
-				c[j] = g[j] + cfg.Sigma*rng.NormFloat64()
+			// FillNormal(c, 0, 1) holds 0 + 1·z, which is z: no
+			// Box–Muller variate is −0.
+			rng.FillNormal(c, 0, 1)
+			for j, z := range c {
+				c[j] = g[j] + cfg.Sigma*z
 			}
 			nrm := vec.Norm(c)
 			for r := 2; r <= 4; r++ {

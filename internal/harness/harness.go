@@ -98,9 +98,12 @@ func trials(rng *vec.RNG, n, f, d int, sigma float64, atk attack.Strategy, count
 		center := rng.NewNormal(d, 0, 1)
 		proposals := make([][]float64, n-f, n)
 		for i := range proposals {
-			v := vec.Clone(center)
-			for j := range v {
-				v[j] += sigma * rng.NormFloat64()
+			// FillNormal(v, 0, 1) holds 0 + 1·z, which is z: no
+			// Box–Muller variate is −0.
+			v := make([]float64, d)
+			rng.FillNormal(v, 0, 1)
+			for j, c := range center {
+				v[j] = c + sigma*v[j]
 			}
 			proposals[i] = v
 		}

@@ -23,6 +23,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,16 +83,17 @@ func (a Args) Uint64(key string, def uint64) (uint64, error) {
 }
 
 // Float returns the float value of key, or def when the spec omitted
-// it. A malformed value is reported as a wrapped sentinel error once it
-// passes through Registry.Parse.
+// it. A malformed value — NaN and ±Inf included: no parameter of any
+// registry means anything at either — is reported as a wrapped
+// sentinel error once it passes through Registry.Parse.
 func (a Args) Float(key string, def float64) (float64, error) {
 	s, ok := a[key]
 	if !ok {
 		return def, nil
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s=%q is not a number: %w", key, s, errValue)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("parameter %s=%q is not a finite number: %w", key, s, errValue)
 	}
 	return v, nil
 }

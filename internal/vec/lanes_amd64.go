@@ -5,9 +5,10 @@ package vec
 import "math"
 
 // amd64 dispatch for the gradient path's two row kernels
-// (lanes_avx2_amd64.s) and the Box–Muller kernel behind FillNormal
-// (boxmuller_avx2_amd64.s). Unlike the Gram microkernels these define
-// no accumulation order of their own — SIMD lanes run across the output
+// (lanes_avx2_amd64.s) and the Box–Muller kernel behind NormalRun
+// (boxmuller_avx2_amd64.s), which serves FillNormal and the batch path
+// of data.FillBatch. Unlike the Gram microkernels these define no
+// accumulation order of their own — SIMD lanes run across the output
 // columns j, or across independent samples, and every element sees the
 // scalar code's rounded operations in the scalar code's order — so only
 // TierAVX2 has them, and TierGo / TierSSE2 run the Go loops in dense.go,
@@ -27,18 +28,27 @@ func boxMullerAVX2(u, v, c, s *float64, n int)
 // workloads stay on the Go loops.
 const lanesMinWidth = 8
 
-// useLanes reports whether a row (or a FillNormal destination) of the
-// given width goes to the AVX2 kernels. It is the only gate: under
+// useLanes reports whether a row (or a run of normals) of the given
+// width goes to the AVX2 kernels. It is the only gate: under
 // TierGo and TierSSE2 no assembly in this file is reached.
 func useLanes(width int) bool {
 	return width >= lanesMinWidth && KernelTier() == TierAVX2
 }
 
-// boxMullerLanes sets c[p], s[p] to NormFloat64's cos and sin variates
-// of the uniforms (u[p], v[p]) for p < n; the lanes up to the next
-// multiple of four are transformed too, whatever they hold, and ignored.
-func boxMullerLanes(u, v, c, s *[normalBatch]float64, n int) {
-	boxMullerAVX2(&u[0], &v[0], &c[0], &s[0], (n+3)&^3)
+// boxMullerLanes sets cos[p], sin[p] to NormFloat64's variates of the
+// uniforms (u[p], v[p]) on the AVX2 kernel, four pairs to a vector, for
+// every p below the largest multiple of four that fits in len(u), and
+// returns that count; the pairs above it are the caller's scalar tail.
+// Under TierGo and TierSSE2 it transforms nothing and returns 0 — the
+// count is gated through useLanes as a width of 2·p normals.
+func boxMullerLanes(u, v, cos, sin []float64) int {
+	n := len(u) &^ 3
+	if !useLanes(2 * n) {
+		return 0
+	}
+	_, _, _ = v[n-1], cos[n-1], sin[n-1]
+	boxMullerAVX2(&u[0], &v[0], &cos[0], &sin[0], n)
+	return n
 }
 
 // axpyLanes is Axpy's loop on the AVX2 kernel; len(x) == len(y) > 0.

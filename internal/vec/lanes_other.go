@@ -3,8 +3,9 @@
 package vec
 
 // Non-amd64 platforms have no lane kernels: useLanes is constant false,
-// so Axpy, accumulateRows and FillNormal always run their Go loops and
-// the stubs below are never called.
+// so Axpy, accumulateRows and NormalRun always run their Go loops: the
+// row-kernel stubs below are never called, and boxMullerLanes
+// transforms nothing.
 
 func useLanes(int) bool { return false }
 
@@ -12,4 +13,4 @@ func axpyLanes(float64, []float64, []float64) {}
 
 func accumulateRowsLanes([]float64, []float64, int, int, *Dense) {}
 
-func boxMullerLanes(_, _, _, _ *[normalBatch]float64, _ int) {}
+func boxMullerLanes(_, _, _, _ []float64) int { return 0 }

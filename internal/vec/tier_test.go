@@ -22,10 +22,66 @@ var asmDirs = []string{".", filepath.Join("..", "..", "data")}
 // functions, methods, init and package-level initialisers — through
 // unexported functions of non-test files. A caller that is itself only
 // called by tests does not count.
+//
+// The Box–Muller kernel must also serve mini-batches: it is reached
+// from data.FillBatch through the batch path, with FillNormal — which
+// one dataset's batch path and mnist's pixel noise call — cut out of
+// the graph.
 func TestEveryAsmKernelHasAProductionCaller(t *testing.T) {
 	for _, dir := range asmDirs {
 		checkAsmReachable(t, dir)
 	}
+	if !reachable(t, asmDirs, "FillBatch", "boxMullerAVX2", "FillNormal", "fillNormalLanes") {
+		t.Error("boxMullerAVX2 is not reachable from data.FillBatch but through FillNormal")
+	}
+}
+
+// reachable reports whether the non-test code of dirs reaches to from
+// from, by name: functions and methods (of any receiver, in any of the
+// packages) sharing a name are one node, and the nodes named by cut are
+// never entered.
+func reachable(t *testing.T, dirs []string, from, to string, cut ...string) bool {
+	t.Helper()
+	uses := map[string][]string{} // function or method → identifiers it mentions
+	for _, dir := range dirs {
+		sources, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, name := range sources {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+					ast.Inspect(fn.Body, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							uses[fn.Name.Name] = append(uses[fn.Name.Name], id.Name)
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range cut {
+		seen[c] = true
+	}
+	pending := []string{from}
+	for len(pending) > 0 {
+		id := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if id == to {
+			return true
+		}
+		if !seen[id] {
+			seen[id] = true
+			pending = append(pending, uses[id]...)
+		}
+	}
+	return false
 }
 
 func checkAsmReachable(t *testing.T, dir string) {
