@@ -25,7 +25,7 @@ TRACKED_BENCHES ?= BenchmarkBulyanMemoized
 # it up locally for a real hunt).
 FUZZTIME ?= 10s
 
-.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests load-test fuzz-smoke bench bench-large bench-all
+.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests load-test fuzz-smoke bench bench-large bench-all count-lines
 
 # check is the CI gate: formatting, static analysis, build, the
 # race-detector pass over the full tree (race runs every test, so a
@@ -39,8 +39,9 @@ check: fmt vet build race check-docs
 # scenario, scenario/store, scenario/shardproto, distsgd and
 # cmd/krum-scenariod must carry a doc comment, and every cmd/,
 # examples/ and internal/ path the docs name must exist (with every
-# binary and example listed in README). Blocking in CI — docs rot is a
-# build failure here.
+# binary and example listed in README), and every native fuzz target
+# must be run by fuzz-smoke. Blocking in CI — docs rot is a build
+# failure here.
 check-docs:
 	$(GO) test -run 'TestDocs' .
 
@@ -137,7 +138,9 @@ load-test:
 
 # fuzz-smoke runs each native fuzz target for a short budget (seeds +
 # committed corpus + a few seconds of mutation). One target at a time:
-# `go test -fuzz` accepts a single target per invocation.
+# `go test -fuzz` accepts a single target per invocation. Every
+# `func Fuzz*` in the tree must have its line here, in its own package
+# (TestDocsFuzzTargetsListed, part of check-docs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRuleIn$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -151,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulOrder$$' -fuzztime $(FUZZTIME) ./internal/vec
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkerCells$$' -fuzztime $(FUZZTIME) ./internal/vec
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnMedian$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectionNonFinite$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # bench runs the tracked benchmarks and emits BENCH_scenario.json:
 # parsed metrics plus the raw `go test -bench` text in the "raw" field
@@ -180,3 +184,13 @@ bench-large:
 # path, resilience verifier; the experiments are tests, not benchmarks).
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# count-lines prints the non-test, non-comment, non-blank Go lines of
+# every package outside benchmark/, then their total: the one count the
+# deletion ledger in EXPERIMENTS.md quotes. A comment line is one whose
+# first non-blank characters are //.
+count-lines:
+	@total=0; for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs -n1 dirname | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^\s*//' | grep -cv '^\s*$$'); \
+		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d  total\n' $$total

@@ -47,6 +47,7 @@ func BenchmarkRules(b *testing.B) {
 	rules := map[string]krum.Rule{
 		"krum":            krum.NewKrum(f),
 		"multikrum":       krum.NewMultiKrum(f, n-f),
+		"krumk":           &krum.KrumK{K: n - f - 2},
 		"average":         krum.Average{},
 		"medoid":          krum.Medoid{},
 		"coordmedian":     krum.CoordMedian{},
@@ -56,7 +57,7 @@ func BenchmarkRules(b *testing.B) {
 		"bulyan":          krum.NewBulyan(3), // n = 15 ≥ 4·3+3
 		"clippedmean":     krum.ClippedMean{},
 	}
-	for _, name := range []string{"krum", "multikrum", "average", "medoid", "coordmedian", "trimmedmean", "geomedian", "minimaldiameter", "bulyan", "clippedmean"} {
+	for _, name := range []string{"krum", "multikrum", "krumk", "average", "medoid", "coordmedian", "trimmedmean", "geomedian", "minimaldiameter", "bulyan", "clippedmean"} {
 		rule := rules[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

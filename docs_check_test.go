@@ -12,13 +12,17 @@ package krum_test
 // identifier, struct field included, must carry a doc comment;
 // TestDocsPathsExist pins that every cmd/, examples/ and internal/
 // path the docs name is on disk and every binary and example is listed
-// in the README, so a deletion cannot leave its documentation behind.
+// in the README, so a deletion cannot leave its documentation behind;
+// TestDocsFuzzTargetsListed pins that every native fuzz target runs in
+// `make fuzz-smoke`.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -280,5 +284,62 @@ func TestDocsPathsExist(t *testing.T) {
 				t.Errorf(`%s/%s is not named in README.md "Binaries & examples"`, dir, e.Name())
 			}
 		}
+	}
+}
+
+// fuzzSmokeLine matches one `go test -fuzz` line of the Makefile's
+// fuzz-smoke recipe: the target name and the package it runs in.
+var fuzzSmokeLine = regexp.MustCompile(`-fuzz '\^(Fuzz\w+)\$\$' .* (\./\S*)\s*$`)
+
+// fuzzFunc matches a native fuzz target's declaration.
+var fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(f \*testing\.F\)`)
+
+// TestDocsFuzzTargetsListed fails when a `func Fuzz*` anywhere in the
+// tree is not run, in its own package, by `make fuzz-smoke`: a target
+// nobody runs keeps only its seed corpus.
+func TestDocsFuzzTargetsListed(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, found := strings.Cut(string(makefile), "\nfuzz-smoke:\n")
+	if !found {
+		t.Fatal("Makefile has no fuzz-smoke target")
+	}
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	listed := map[string]string{} // target → package
+	for _, line := range strings.Split(recipe, "\n") {
+		if m := fuzzSmokeLine.FindStringSubmatch(line); m != nil {
+			listed[m[1]] = filepath.Clean(m[2])
+		}
+	}
+	targets := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir // VCS, build caches, fixtures
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			targets++
+			if pkg, ok := listed[m[1]]; !ok || pkg != filepath.Dir(path) {
+				t.Errorf("%s: %s is not run in ./%s by make fuzz-smoke", path, m[1], filepath.Dir(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if targets == 0 {
+		t.Error("found no fuzz targets: the scan is broken")
 	}
 }

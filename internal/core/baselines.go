@@ -78,6 +78,11 @@ func (l *Linear) Aggregate(dst []float64, vectors [][]float64) error {
 // worker: per Figure 2, two colluding attackers defeat it (see
 // attack.MedoidCollusion). It is implemented here as the baseline for
 // experiment E2. The zero value is ready to use.
+//
+// Unlike the Krum family it has no defence against a single non-finite
+// proposal: its score sums every distance, so one NaN or ±Inf proposal
+// makes every score non-finite and the selection meaningless. Wrap it
+// in FiniteGuard where that matters.
 type Medoid struct{}
 
 var (
@@ -113,15 +118,8 @@ func (m Medoid) Select(vectors [][]float64) ([]int, error) {
 
 // AggregateContext implements ContextRule.
 func (m Medoid) AggregateContext(dst []float64, ctx *RoundContext) error {
-	if err := checkInputs(dst, ctx.Vectors()); err != nil {
-		return err
-	}
 	sel, err := m.SelectContext(ctx)
-	if err != nil {
-		return err
-	}
-	copy(dst, ctx.Vectors()[sel[0]])
-	return nil
+	return aggregateSelection(dst, ctx.Vectors(), sel, err, false)
 }
 
 // Aggregate implements Rule.

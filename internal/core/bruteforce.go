@@ -74,7 +74,7 @@ func (md *MinimalDiameter) SelectContext(ctx *RoundContext) ([]int, error) {
 	copy(best, cur)
 	bestDiam := subsetDiameter(dm, cur)
 	for nextCombination(cur, n) {
-		if diam := subsetDiameter(dm, cur); diam < bestDiam {
+		if diam := subsetDiameter(dm, cur); vec.Less(diam, bestDiam) {
 			bestDiam = diam
 			copy(best, cur)
 		}
@@ -91,15 +91,8 @@ func (md *MinimalDiameter) Select(vectors [][]float64) ([]int, error) {
 // AggregateContext implements ContextRule: the average of the
 // minimal-diameter subset found on the shared matrix.
 func (md *MinimalDiameter) AggregateContext(dst []float64, ctx *RoundContext) error {
-	if err := checkInputs(dst, ctx.Vectors()); err != nil {
-		return err
-	}
 	sel, err := md.SelectContext(ctx)
-	if err != nil {
-		return err
-	}
-	vec.MeanOf(dst, ctx.Vectors(), sel)
-	return nil
+	return aggregateSelection(dst, ctx.Vectors(), sel, err, true)
 }
 
 // Aggregate implements Rule: the average of the minimal-diameter subset.
@@ -108,12 +101,12 @@ func (md *MinimalDiameter) Aggregate(dst []float64, vectors [][]float64) error {
 }
 
 // subsetDiameter returns the largest pairwise squared distance within
-// the index subset.
+// the index subset by vec.Less: NaN if any is NaN.
 func subsetDiameter(dm *vec.DistanceMatrix, subset []int) float64 {
 	var diam float64
 	for a := 0; a < len(subset); a++ {
 		for b := a + 1; b < len(subset); b++ {
-			if d := dm.At(subset[a], subset[b]); d > diam {
+			if d := dm.At(subset[a], subset[b]); vec.Less(diam, d) {
 				diam = d
 			}
 		}

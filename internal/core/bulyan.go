@@ -25,9 +25,10 @@ import (
 // The iterated-Krum phase is memoized: the O(n²·d) pairwise distance
 // matrix (Lemma 4.1) is built exactly once per aggregation, and each of
 // the θ rounds only masks the previous winner out of the score sums
-// with a vec.ActiveSet view — Θ(n²·d + θ·n²) total instead of the
-// Θ(θ·n²·d) of rebuilding the pool every round. The selected index
-// sequence is identical to the naive pool-rebuilding formulation.
+// (Krum's own scorer with an alive mask) — Θ(n²·d + θ·n²·log n) total
+// instead of the Θ(θ·n²·d) of rebuilding the pool every round. The
+// selected index sequence is identical to the naive pool-rebuilding
+// formulation.
 //
 // It requires n ≥ 4f + 3. Construct with NewBulyan.
 type Bulyan struct {
@@ -75,13 +76,16 @@ func (b *Bulyan) SelectContext(ctx *RoundContext) ([]int, error) {
 		return nil, err
 	}
 	theta := n - 2*b.F
-	active := vec.NewActiveSet(ctx.Distances())
-	scratch := vec.GetFloats(n)
-	defer vec.PutFloats(scratch)
+	dm := ctx.Distances()
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	scores := vec.GetFloats(n)
+	defer vec.PutFloats(scores)
 	selected := make([]int, 0, theta)
-	for len(selected) < theta {
-		m := active.Count()
-		// Krum over the masked pool. The Krum score needs
+	for m := n; len(selected) < theta; m-- {
+		// Krum over the pool of m alive proposals. The Krum score needs
 		// m − f' − 2 ≥ 1 neighbours; near the end of the loop the pool
 		// drops to 2f + 1 elements, so the effective tolerance f' is
 		// clamped to m − 3. This is sound: winners already moved to S
@@ -91,30 +95,17 @@ func (b *Bulyan) SelectContext(ctx *RoundContext) ([]int, error) {
 			// With one or two candidates the Krum score cannot
 			// discriminate at all; take them in id order (the paper's
 			// deterministic tie-break).
-			selected = active.AppendAlive(selected)
-			selected = selected[:theta]
+			for i, ok := range alive {
+				if ok && len(selected) < theta {
+					selected = append(selected, i)
+				}
+			}
 			break
 		}
-		innerF := b.F
-		if maxF := m - 3; innerF > maxF {
-			innerF = maxF
-		}
-		neighbours := m - innerF - 2
-		// Argmin over the active scores; iterating active indices in
-		// ascending order with strict improvement reproduces the
-		// smallest-id tie-break of footnote 3.
-		best, bestScore := -1, 0.0
-		for i := 0; i < n; i++ {
-			if !active.Alive(i) {
-				continue
-			}
-			s := active.SumKSmallest(i, neighbours, scratch)
-			if best < 0 || s < bestScore {
-				best, bestScore = i, s
-			}
-		}
+		innerF := min(b.F, m-3)
+		best := krumScores(dm, m-innerF-2, alive, scores)
 		selected = append(selected, best)
-		active.Deactivate(best)
+		alive[best] = false
 	}
 	return selected, nil
 }

@@ -13,6 +13,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"krum/internal/vec"
 )
 
 // Sentinel errors returned by aggregation rules. They are wrapped with
@@ -81,6 +83,27 @@ func checkInputs(dst []float64, vectors [][]float64) error {
 	}
 	if len(dst) != d {
 		return fmt.Errorf("dst has dimension %d, want %d: %w", len(dst), d, ErrDimensionMismatch)
+	}
+	return nil
+}
+
+// aggregateSelection finishes the AggregateContext of every rule whose
+// output is its selection, given what its SelectContext returned: dst =
+// the one selected proposal (krum, krumk, medoid) or, with mean, the
+// average of the selected ones (multikrum, minimaldiameter). It takes
+// the selection rather than the selector so that no interface call sees
+// the round context, which can then stay on the stack of Aggregate.
+func aggregateSelection(dst []float64, vectors [][]float64, sel []int, err error, mean bool) error {
+	if err != nil {
+		return err
+	}
+	if err := checkInputs(dst, vectors); err != nil {
+		return err
+	}
+	if mean {
+		vec.MeanOf(dst, vectors, sel)
+	} else {
+		copy(dst, vectors[sel[0]])
 	}
 	return nil
 }

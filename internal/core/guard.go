@@ -12,11 +12,13 @@ import (
 //
 // Rationale: the paper's model lets a Byzantine worker propose ANY
 // vector, including NaN — and a single NaN poisons every Euclidean
-// distance it touches, which would make the Krum scores of honest
-// workers NaN as well (IEEE comparisons with NaN are false, so the
-// argmin degenerates to "first index"). A real parameter server must
-// not let one malformed message select the attacker; a zero vector is
-// the canonical harmless proposal (a no-op update direction). The
+// distance it touches and every average it enters. The Krum family,
+// Bulyan and MinimalDiameter rank a NaN score after +Inf (vec.Less), so
+// they never select such a proposal; the averaging rules, Medoid (whose
+// score sums every distance) and the coordinate-wise rules have no such
+// ordering to fall back on. A real parameter server must not let one
+// malformed message reach the update; a zero vector is the canonical
+// harmless proposal (a no-op update direction). The
 // replacement preserves n, so the wrapped rule's (α, f) guarantee is
 // unaffected: a zeroed proposal is just another Byzantine vector, one
 // that happens to be benign.

@@ -28,16 +28,15 @@ func TestFiniteGuardNeutralizesNaNProposal(t *testing.T) {
 	inf[3] = math.Inf(1)
 	vs[n-1] = inf
 
-	// Unguarded Krum degenerates: NaN distances poison every honest
-	// score, and the NaN-vector can win the argmin.
-	raw := NewKrum(f)
-	rawSel, err := raw.Select(vs)
+	// Unguarded Krum ranks the non-finite proposals' scores last
+	// (vec.Less), so it does not select them either.
+	rawSel, err := NewKrum(f).Select(vs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// (Documenting the hazard rather than asserting a specific index:
-	// scores involving NaN make the comparison semantics fragile.)
-	_ = rawSel
+	if rawSel[0] >= n-f {
+		t.Errorf("unguarded Krum selected non-finite slot %d", rawSel[0])
+	}
 
 	guarded := FiniteGuard{Inner: NewKrum(f)}
 	dst := make([]float64, d)

@@ -16,8 +16,8 @@ import (
 // in favour of the smallest worker identifier (footnote 3).
 //
 // Complexity is O(n²·d) (Lemma 4.1): the pairwise distance matrix
-// dominates; score extraction adds O(n²) with the bounded-heap
-// selection of package vec.
+// dominates; score extraction adds O(n²·log n) with the bounded heap
+// of vec.SumKSmallest.
 //
 // The zero value declares f = 0 (crash-free operation); construct with
 // NewKrum to declare a Byzantine tolerance.
@@ -40,59 +40,57 @@ var (
 // Name implements Rule.
 func (k *Krum) Name() string { return "krum" }
 
-// validateN checks the rule parameters against the number of inputs.
-func (k *Krum) validateN(n int) error {
+// scoresInto validates the round against the rule parameters, writes
+// the Krum score s(i) of every proposal into scores (length n) and
+// returns the index of the least.
+func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) (int, error) {
+	vectors := ctx.Vectors()
+	n := len(vectors)
+	if n == 0 {
+		return -1, ErrNoVectors
+	}
 	if k.F < 0 {
-		return fmt.Errorf("f = %d: %w", k.F, ErrBadParameter)
+		return -1, fmt.Errorf("f = %d: %w", k.F, ErrBadParameter)
 	}
 	// The score sums over n − F − 2 neighbours; it must cover at least
 	// one vector for the rule to discriminate at all.
 	if n-k.F-2 < 1 {
-		return fmt.Errorf("n = %d with f = %d leaves no neighbours (need n ≥ f+3): %w", n, k.F, ErrTooFewWorkers)
-	}
-	return nil
-}
-
-// prepare validates the round's proposals against the rule parameters
-// and returns the neighbour count n − F − 2 of the score sum.
-func (k *Krum) prepare(ctx *RoundContext) (int, error) {
-	vectors := ctx.Vectors()
-	n := len(vectors)
-	if n == 0 {
-		return 0, ErrNoVectors
-	}
-	if err := k.validateN(n); err != nil {
-		return 0, err
+		return -1, fmt.Errorf("n = %d with f = %d leaves no neighbours (need n ≥ f+3): %w", n, k.F, ErrTooFewWorkers)
 	}
 	if _, err := checkVectors(vectors); err != nil {
-		return 0, err
+		return -1, err
 	}
-	return n - k.F - 2, nil
+	return krumScores(ctx.Distances(), n-k.F-2, nil, scores), nil
 }
 
-// scoresInto writes the Krum score s(i) of every proposal into scores
-// (length n), reusing the context's shared distance matrix and a pooled
-// selection heap.
-func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
-	neighbours, err := k.prepare(ctx)
-	if err != nil {
-		return err
-	}
-	n := ctx.N()
-	dm := ctx.Distances()
-	scratch := vec.GetFloats(neighbours)
+// krumScores is the one place a Krum score is computed. For every
+// proposal i in alive (nil: every proposal) it writes into scores[i] the
+// sum of the k smallest squared distances from V_i to the other alive
+// proposals, and it returns the index of the least score by vec.Less,
+// ties to the smallest index (footnote 3). Krum and Multi-Krum call it
+// at k = n − f − 2, KrumK at its own K, Bulyan once per pass over its
+// shrinking pool.
+func krumScores(dm *vec.DistanceMatrix, k int, alive []bool, scores []float64) int {
+	scratch := vec.GetFloats(k)
 	defer vec.PutFloats(scratch)
-	for i := 0; i < n; i++ {
-		scores[i] = dm.SumKSmallestExcludingSelf(i, neighbours, scratch)
+	best := -1
+	for i := range scores {
+		if alive != nil && !alive[i] {
+			continue
+		}
+		scores[i] = vec.SumKSmallest(dm.Row(i), i, alive, k, scratch)
+		if best < 0 || vec.Less(scores[i], scores[best]) {
+			best = i
+		}
 	}
-	return nil
+	return best
 }
 
 // Scores returns the Krum score s(i) for every proposed vector. The
 // returned slice is freshly allocated.
 func (k *Krum) Scores(vectors [][]float64) ([]float64, error) {
 	scores := make([]float64, len(vectors))
-	if err := k.scoresInto(NewRoundContext(vectors), scores); err != nil {
+	if _, err := k.scoresInto(NewRoundContext(vectors), scores); err != nil {
 		return nil, err
 	}
 	return scores, nil
@@ -102,15 +100,15 @@ func (k *Krum) Scores(vectors [][]float64) ([]float64, error) {
 func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
-	if err := k.scoresInto(ctx, scores); err != nil {
+	best, err := k.scoresInto(ctx, scores)
+	if err != nil {
 		return nil, err
 	}
-	return []int{vec.Argmin(scores)}, nil
+	return []int{best}, nil
 }
 
 // Select implements Selector: it returns the index i* of the score
-// minimiser (a single-element slice). Ties resolve to the smallest index
-// because Argmin keeps the first minimum.
+// minimiser (a single-element slice), ties to the smallest index.
 func (k *Krum) Select(vectors [][]float64) ([]int, error) {
 	return k.SelectContext(NewRoundContext(vectors))
 }
@@ -118,15 +116,8 @@ func (k *Krum) Select(vectors [][]float64) ([]int, error) {
 // AggregateContext implements ContextRule: dst = V_{i*} with the score
 // pass running over the shared distance matrix.
 func (k *Krum) AggregateContext(dst []float64, ctx *RoundContext) error {
-	if err := checkInputs(dst, ctx.Vectors()); err != nil {
-		return err
-	}
 	sel, err := k.SelectContext(ctx)
-	if err != nil {
-		return err
-	}
-	copy(dst, ctx.Vectors()[sel[0]])
-	return nil
+	return aggregateSelection(dst, ctx.Vectors(), sel, err, false)
 }
 
 // Aggregate implements Rule: dst = V_{i*}.
@@ -173,7 +164,7 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 	inner := Krum{F: mk.F}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
-	if err := inner.scoresInto(ctx, scores); err != nil {
+	if _, err := inner.scoresInto(ctx, scores); err != nil {
 		return nil, err
 	}
 	return vec.KSmallestIndices(scores, mk.M), nil
@@ -188,15 +179,8 @@ func (mk *MultiKrum) Select(vectors [][]float64) ([]int, error) {
 // AggregateContext implements ContextRule: dst = (1/M)·Σ V_i over the
 // selected set, scored on the shared distance matrix.
 func (mk *MultiKrum) AggregateContext(dst []float64, ctx *RoundContext) error {
-	if err := checkInputs(dst, ctx.Vectors()); err != nil {
-		return err
-	}
 	sel, err := mk.SelectContext(ctx)
-	if err != nil {
-		return err
-	}
-	vec.MeanOf(dst, ctx.Vectors(), sel)
-	return nil
+	return aggregateSelection(dst, ctx.Vectors(), sel, err, true)
 }
 
 // Aggregate implements Rule: dst = (1/M)·Σ V_i over the selected set.

@@ -6,9 +6,9 @@ import (
 	"krum/internal/vec"
 )
 
-// KrumK is the ablation variant of Krum with an explicit neighbour
-// count: the score sums the K smallest squared distances instead of the
-// paper's n − f − 2. It exists to demonstrate WHY the paper picks
+// KrumK is Krum at an explicit k, the ablation variant: the score sums
+// the K smallest squared distances instead of the paper's n − f − 2
+// (the same scorer as Krum). It exists to demonstrate WHY the paper picks
 // n − f − 2 (krumk_test.go pins each case below):
 //
 //   - K too large (→ n − 1) degenerates to the medoid criterion, which
@@ -50,15 +50,9 @@ func (k *KrumK) SelectContext(ctx *RoundContext) ([]int, error) {
 	if _, err := checkVectors(vectors); err != nil {
 		return nil, err
 	}
-	dm := ctx.Distances()
 	scores := vec.GetFloats(n)
-	scratch := vec.GetFloats(k.K)
 	defer vec.PutFloats(scores)
-	defer vec.PutFloats(scratch)
-	for i := 0; i < n; i++ {
-		scores[i] = dm.SumKSmallestExcludingSelf(i, k.K, scratch)
-	}
-	return []int{vec.Argmin(scores)}, nil
+	return []int{krumScores(ctx.Distances(), k.K, nil, scores)}, nil
 }
 
 // Select implements Selector.
@@ -68,15 +62,8 @@ func (k *KrumK) Select(vectors [][]float64) ([]int, error) {
 
 // AggregateContext implements ContextRule.
 func (k *KrumK) AggregateContext(dst []float64, ctx *RoundContext) error {
-	if err := checkInputs(dst, ctx.Vectors()); err != nil {
-		return err
-	}
 	sel, err := k.SelectContext(ctx)
-	if err != nil {
-		return err
-	}
-	copy(dst, ctx.Vectors()[sel[0]])
-	return nil
+	return aggregateSelection(dst, ctx.Vectors(), sel, err, false)
 }
 
 // Aggregate implements Rule.

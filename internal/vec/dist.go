@@ -1,5 +1,7 @@
 package vec
 
+import "math"
+
 // DistanceMatrix holds the full symmetric matrix of pairwise squared
 // Euclidean distances between n vectors, stored densely (n×n, row
 // major). The diagonal is zero. It is the O(n²·d) object at the heart
@@ -394,28 +396,48 @@ func (m *DistanceMatrix) At(i, j int) float64 { return m.d[i*m.n+j] }
 // storage and must not be modified.
 func (m *DistanceMatrix) Row(i int) []float64 { return m.d[i*m.n : (i+1)*m.n] }
 
-// SumKSmallestExcludingSelf returns the sum of the k smallest squared
-// distances from vector i to the other vectors (the self-distance is
-// excluded). This is exactly the Krum score s(i) when k = n − f − 2.
+// SumKSmallest returns the sum of the k smallest entries of row,
+// skipping index skip and, when alive is non-nil, every index j with
+// !alive[j]. With row = m.Row(i), skip = i and k = n − f − 2 it is the
+// Krum score s(i); Bulyan passes its shrinking pool as alive. Entries
+// rank by Less: a NaN is among the k smallest only when fewer than k
+// entries are not NaN, and then the sum is NaN.
 //
-// The selection runs in O(n·k) time with no allocation beyond a k-sized
-// scratch buffer, keeping the overall Krum cost at O(n²·(d + n)) ≈
-// O(n²·d) for the high-dimensional regime the paper targets.
-func (m *DistanceMatrix) SumKSmallestExcludingSelf(i, k int, scratch []float64) float64 {
-	row := m.Row(i)
-	return sumKSmallest(row, i, k, scratch)
+// scratch must have capacity ≥ k (or ≥ the candidate count). No
+// allocation unless the row holds a NaN.
+func SumKSmallest(row []float64, skip int, alive []bool, k int, scratch []float64) float64 {
+	s := sumKSmallest(row, skip, alive, k, scratch)
+	if s == s {
+		return s
+	}
+	// A NaN entered the heap (it never leaves: every comparison with it
+	// is false), or +Inf met −Inf. Sum again with the NaNs masked out;
+	// if fewer than k entries remain, a NaN is among the k smallest.
+	kept, left := make([]bool, len(row)), 0
+	for j, v := range row {
+		kept[j] = v == v && (alive == nil || alive[j])
+		if kept[j] && j != skip {
+			left++
+		}
+	}
+	if left < k {
+		return math.NaN()
+	}
+	return sumKSmallest(row, skip, kept, k, scratch)
 }
 
-// sumKSmallest sums the k smallest entries of row, skipping index skip.
-// scratch must have capacity ≥ k; it is used as a simple binary max-heap
-// of the current k smallest values.
-func sumKSmallest(row []float64, skip, k int, scratch []float64) float64 {
+// sumKSmallest is SumKSmallest with every comparison a plain < or >,
+// the two agreeing with Less on any row without NaN. scratch holds a
+// binary max-heap of the k smallest so far, filled in row order and
+// summed in heap layout order, so a score's bits never depend on who
+// asked for it. O(len(row)·log k).
+func sumKSmallest(row []float64, skip int, alive []bool, k int, scratch []float64) float64 {
 	if k <= 0 {
 		return 0
 	}
 	heap := scratch[:0]
 	for j, v := range row {
-		if j == skip {
+		if j == skip || (alive != nil && !alive[j]) {
 			continue
 		}
 		if len(heap) < k {
@@ -436,8 +458,8 @@ func sumKSmallest(row []float64, skip, k int, scratch []float64) float64 {
 }
 
 // KSmallestIndices returns the indices of the k smallest entries of
-// vals. Ties are broken in favour of the smaller index, matching the
-// paper's footnote 3 tie-break rule. The result is sorted by (value,
+// vals by Less. Ties are broken in favour of the smaller index, matching
+// the paper's footnote 3 tie-break rule. The result is sorted by (value,
 // index).
 func KSmallestIndices(vals []float64, k int) []int {
 	if k <= 0 {
@@ -473,10 +495,7 @@ func KSmallestIndices(vals []float64, k int) []int {
 }
 
 func lessEntry(v1 float64, i1 int, v2 float64, i2 int) bool {
-	if v1 != v2 {
-		return v1 < v2
-	}
-	return i1 < i2
+	return Less(v1, v2) || (!Less(v2, v1) && i1 < i2)
 }
 
 func siftUp(h []float64, i int) {

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,13 +70,13 @@ func TestSumKSmallestExcludingSelf(t *testing.T) {
 		{k: 3, want: 110},
 	}
 	for _, tt := range tests {
-		if got := m.SumKSmallestExcludingSelf(0, tt.k, scratch); got != tt.want {
+		if got := SumKSmallest(m.Row(0), 0, nil, tt.k, scratch); got != tt.want {
 			t.Errorf("k=%d: got %v, want %v", tt.k, got, tt.want)
 		}
 	}
 }
 
-// Property: SumKSmallestExcludingSelf agrees with a sort-based oracle.
+// Property: SumKSmallest agrees with a sort-based oracle.
 func TestSumKSmallestMatchesSortOracle(t *testing.T) {
 	f := func(seed uint64, n8, k8 uint8) bool {
 		n := int(n8%10) + 3
@@ -88,7 +89,7 @@ func TestSumKSmallestMatchesSortOracle(t *testing.T) {
 		m := NewDistanceMatrix(vs)
 		scratch := make([]float64, k+1)
 		for i := 0; i < n; i++ {
-			got := m.SumKSmallestExcludingSelf(i, k, scratch)
+			got := SumKSmallest(m.Row(i), i, nil, k, scratch)
 			row := append([]float64(nil), m.Row(i)...)
 			row = append(row[:i], row[i+1:]...)
 			sort.Float64s(row)
@@ -132,19 +133,19 @@ func TestSumKSmallestBoundaries(t *testing.T) {
 		{k: 100 * n, want: 19}, // far beyond
 	}
 	for _, tt := range tests {
-		if got := m.SumKSmallestExcludingSelf(0, tt.k, scratch); got != tt.want {
+		if got := SumKSmallest(m.Row(0), 0, nil, tt.k, scratch); got != tt.want {
 			t.Errorf("k=%d: got %v, want %v", tt.k, got, tt.want)
 		}
 	}
 	// The self-distance stays excluded even when every candidate is a
 	// duplicate of it.
 	dup := NewDistanceMatrix([][]float64{{0}, {0}, {0}})
-	if got := dup.SumKSmallestExcludingSelf(1, 2, scratch); got != 0 {
+	if got := SumKSmallest(dup.Row(1), 1, nil, 2, scratch); got != 0 {
 		t.Errorf("all-duplicate matrix: got %v, want 0", got)
 	}
 	// n = 1: no candidates at all.
 	single := NewDistanceMatrix([][]float64{{5}})
-	if got := single.SumKSmallestExcludingSelf(0, 1, scratch); got != 0 {
+	if got := SumKSmallest(single.Row(0), 0, nil, 1, scratch); got != 0 {
 		t.Errorf("single-vector matrix: got %v, want 0", got)
 	}
 	// All-equal vectors: every pairwise distance is an exact zero tie;
@@ -153,7 +154,7 @@ func TestSumKSmallestBoundaries(t *testing.T) {
 	allEq := NewDistanceMatrix([][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}})
 	for i := 0; i < 4; i++ {
 		for k := 0; k <= 5; k++ {
-			if got := allEq.SumKSmallestExcludingSelf(i, k, scratch); got != 0 {
+			if got := SumKSmallest(allEq.Row(i), i, nil, k, scratch); got != 0 {
 				t.Errorf("all-equal matrix: i=%d k=%d got %v, want 0", i, k, got)
 			}
 		}
@@ -164,11 +165,71 @@ func TestSumKSmallestBoundaries(t *testing.T) {
 	lo := 4.0
 	hi := math.Nextafter(lo, math.Inf(1))
 	row := []float64{0, lo, hi, lo, hi, 100}
-	if got := sumKSmallest(row, 0, 2, scratch); got != lo+lo {
+	if got := SumKSmallest(row, 0, nil, 2, scratch); got != lo+lo {
 		t.Errorf("ulp boundary k=2: got %v, want %v", got, lo+lo)
 	}
-	if got := sumKSmallest(row, 0, 3, scratch); got != lo+lo+hi {
+	if got := SumKSmallest(row, 0, nil, 3, scratch); got != lo+lo+hi {
 		t.Errorf("ulp boundary k=3: got %v, want %v", got, lo+lo+hi)
+	}
+}
+
+// TestSumKSmallestMaskedMatchesSortOracle: the masked routine against
+// a sort by Less over the surviving entries — random alive masks, every
+// k from 0 to alive − 1, rows with ties, ±Inf and NaN. The heap sums in
+// layout order and the oracle in ascending order, so finite sums agree
+// to a tolerance and non-finite ones exactly (NaN with NaN). An all-true
+// mask must give the unmasked call's bits.
+func TestSumKSmallestMaskedMatchesSortOracle(t *testing.T) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for seed := uint64(0); seed < 2000; seed++ {
+		rng := NewRNG(seed)
+		n := 2 + rng.Intn(12)
+		row := make([]float64, n)
+		alive := make([]bool, n)
+		for j := range row {
+			switch r := rng.Intn(10); {
+			case r < 2:
+				row[j] = specials[rng.Intn(len(specials))]
+			case r < 5:
+				row[j] = float64(rng.Intn(3))
+			default:
+				row[j] = 10 * rng.Float64()
+			}
+			alive[j] = rng.Intn(4) > 0
+		}
+		skip := rng.Intn(n)
+		alive[skip] = true
+		allAlive := !slices.Contains(alive, false)
+		var kept []float64
+		for j, v := range row {
+			if j != skip && alive[j] {
+				kept = append(kept, v)
+			}
+		}
+		slices.SortFunc(kept, func(a, b float64) int {
+			switch {
+			case Less(a, b):
+				return -1
+			case Less(b, a):
+				return 1
+			}
+			return 0
+		})
+		scratch := make([]float64, n)
+		for k := 0; k <= len(kept); k++ {
+			var want float64
+			for _, v := range kept[:k] {
+				want += v
+			}
+			got := SumKSmallest(row, skip, alive, k, scratch)
+			same := got == want || (math.IsNaN(got) && math.IsNaN(want))
+			if !same && (math.IsInf(want, 0) || math.IsNaN(want) || math.Abs(got-want) > 1e-9*(1+math.Abs(want))) {
+				t.Fatalf("seed %d: SumKSmallest(%v, skip %d, alive %v, k %d) = %v, sorted %v sums to %v", seed, row, skip, alive, k, got, kept, want)
+			}
+			if unmasked := SumKSmallest(row, skip, nil, k, scratch); allAlive && math.Float64bits(unmasked) != math.Float64bits(got) {
+				t.Fatalf("seed %d: all-alive mask %v, unmasked %v", seed, got, unmasked)
+			}
+		}
 	}
 }
 
@@ -176,6 +237,7 @@ func TestKSmallestIndices(t *testing.T) {
 	vals := []float64{5, 1, 3, 1, 0}
 	tests := []struct {
 		name string
+		vals []float64
 		k    int
 		want []int
 	}{
@@ -183,10 +245,14 @@ func TestKSmallestIndices(t *testing.T) {
 		{name: "k=2 no skip", k: 2, want: []int{4, 1}},
 		{name: "tie broken by index", k: 3, want: []int{4, 1, 3}},
 		{name: "k larger than n", k: 10, want: []int{4, 1, 3, 2, 0}},
+		{name: "NaN ranks after +Inf", vals: []float64{math.NaN(), math.Inf(1), 1, math.NaN(), 0}, k: 4, want: []int{4, 2, 1, 0}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := KSmallestIndices(vals, tt.k)
+			if tt.vals == nil {
+				tt.vals = vals
+			}
+			got := KSmallestIndices(tt.vals, tt.k)
 			if len(got) != len(tt.want) {
 				t.Fatalf("got %v, want %v", got, tt.want)
 			}

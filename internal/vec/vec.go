@@ -223,20 +223,28 @@ func ApproxEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
-// Argmin returns the index of the smallest element of v (first occurrence
-// wins ties), or -1 for an empty vector.
+// Argmin returns the index of the smallest element of v by Less (first
+// occurrence wins ties), or -1 for an empty vector.
 func Argmin(v []float64) int {
 	if len(v) == 0 {
 		return -1
 	}
 	best := 0
 	for i, x := range v {
-		if x < v[best] {
+		if Less(x, v[best]) {
 			best = i
 		}
 	}
 	return best
 }
+
+// Less reports whether a ranks before b in the order every selection
+// ranks by: the usual order, with NaN after +Inf (NaNs tie with each
+// other). Where values tie, selections keep the lower index. A distance
+// is never −Inf, so a proposal whose distances are +Inf or NaN scores
+// last, and the NaN it puts in the other rows is never among their k
+// smallest while k of their distances are not NaN.
+func Less(a, b float64) bool { return a < b || (b != b && a == a) }
 
 // Argmax returns the index of the largest element of v (first occurrence
 // wins ties), or -1 for an empty vector.

@@ -169,6 +169,16 @@ func TestArgminArgmax(t *testing.T) {
 			}
 		})
 	}
+	// Argmin ranks by Less: NaN after +Inf.
+	nan := math.NaN()
+	for _, tt := range []struct {
+		v   []float64
+		min int
+	}{{[]float64{nan, math.Inf(1), 2, nan}, 2}, {[]float64{nan, math.Inf(1)}, 1}, {[]float64{nan, nan}, 0}} {
+		if got := Argmin(tt.v); got != tt.min {
+			t.Errorf("Argmin(%v) = %d, want %d", tt.v, got, tt.min)
+		}
+	}
 }
 
 func TestAllFinite(t *testing.T) {
