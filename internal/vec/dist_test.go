@@ -233,6 +233,77 @@ func TestSumKSmallestMaskedMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestActiveSetSumKSmallestMatchesBruteForce checks the score sum over
+// an active set (Bulyan's shrinking pool, passed as the alive mask)
+// against a direct sort over the surviving distances.
+func TestActiveSetSumKSmallestMatchesBruteForce(t *testing.T) {
+	rng := NewRNG(2)
+	const n, d = 9, 5
+	vs := make([][]float64, n)
+	for i := range vs {
+		vs[i] = rng.NewNormal(d, 0, 1)
+	}
+	m := NewDistanceMatrix(vs)
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	alive[3], alive[7] = false, false
+	scratch := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if !alive[i] {
+			continue
+		}
+		var surviving []float64
+		for j := 0; j < n; j++ {
+			if j == i || !alive[j] {
+				continue
+			}
+			surviving = append(surviving, m.At(i, j))
+		}
+		sort.Float64s(surviving)
+		for k := 0; k <= len(surviving); k++ {
+			var want float64
+			for _, v := range surviving[:k] {
+				want += v
+			}
+			// The heap accumulates in a different order than the
+			// sorted reference, so compare with a float tolerance.
+			got := SumKSmallest(m.Row(i), i, alive, k, scratch)
+			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("SumKSmallest(%d, %d) = %v, want %v", i, k, got, want)
+			}
+		}
+	}
+}
+
+// TestActiveSetMatchesUnmaskedMatrix: with every index active the masked
+// sum must agree bit for bit with the unmasked call.
+func TestActiveSetMatchesUnmaskedMatrix(t *testing.T) {
+	rng := NewRNG(3)
+	const n, d = 11, 8
+	vs := make([][]float64, n)
+	for i := range vs {
+		vs[i] = rng.NewNormal(d, 0, 1)
+	}
+	m := NewDistanceMatrix(vs)
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	scratch := make([]float64, n)
+	scratch2 := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for k := 1; k < n-1; k++ {
+			got := SumKSmallest(m.Row(i), i, alive, k, scratch)
+			want := SumKSmallest(m.Row(i), i, nil, k, scratch2)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("masked(%d,%d) = %v, unmasked = %v", i, k, got, want)
+			}
+		}
+	}
+}
+
 func TestKSmallestIndices(t *testing.T) {
 	vals := []float64{5, 1, 3, 1, 0}
 	tests := []struct {
