@@ -88,8 +88,10 @@ race:
 # matrices), the chaos tests (worker killed mid-cell, delayed
 # heartbeats — over sync and async cells — AND the coordinator itself
 # killed mid-matrix and recovered from its journal), the journal
-# replay/checkpoint suite, the fleet's dispatch-order, fair-share and
-# ring tests and the worker's heartbeat-cadence test, the
+# replay/checkpoint suite, the scheduler's priority and fair-share
+# tests (unit and whole-coordinator, with and without a fleet), the
+# fleet's dispatch-order and ring tests and the worker's
+# heartbeat-cadence test, the
 # store-directory crash-window suite (with the seal and removal
 # failures a fake segment backend injects), the cold-index suite
 # (sealed records read back and re-verified), the single-flight
@@ -101,7 +103,7 @@ race:
 # a reviewer's scratch run. Blocking in CI as its own job — the
 # sharding layer's byte-identity contract is the whole point.
 shard-tests:
-	$(GO) test -race -count 1 -run 'TestShard|TestJournal|TestFleet|TestWorker|TestSegment|TestCold|TestReplayed|TestDropped|TestLookupsAnswer|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
+	$(GO) test -race -count 1 -run 'TestShard|TestSchedule|TestJournal|TestFleet|TestWorker|TestSegment|TestCold|TestReplayed|TestDropped|TestLookupsAnswer|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
 	$(GO) test -race -count 3 -run 'TestChaos|TestStream' ./cmd/krum-scenariod
 	$(GO) test -race -count 1 ./scenario/shardproto
 
@@ -126,7 +128,8 @@ tier-tests:
 	done
 
 # load-test is the in-process multi-tenant load harness: hundreds of
-# worker slots against thousands of small cells from several tenants,
+# worker slots (and as many coordinator slots) against thousands of
+# small cells from several tenants,
 # asserting fair-share dispatch ratios (50% ± 10% between two
 # equal-priority tenants), strict priority precedence, quota
 # backpressure (real 429s, Retry-After honored, zero lost work) and

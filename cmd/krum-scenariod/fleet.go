@@ -7,7 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,18 +19,16 @@ import (
 )
 
 // The fleet is the coordinator half of sharded scenario execution: a
-// tenant-aware dispatch queue plus heartbeat-based membership. Cells
-// enter through fleet.execute (called under the store's single-flight,
-// so one key is dispatched at most once however many matrices or
-// callers want it), wait in per-tenant×priority ring queues, and are
-// leased to workers that long-poll for work — up to a whole batch per
-// poll. Dispatch order is priority first, then fair share: among the
-// highest-priority non-empty queues the tenant with the fewest
-// in-flight tasks goes next (least-recently-picked breaks ties), so
-// two tenants submitting equal work each hold ~half the fleet however
-// lopsided their queue depths are. The chosen queue gives up its head:
-// workers are interchangeable and keep no state between cells, so
-// nothing about the polling worker enters the choice. A worker silent
+// dispatch queue plus heartbeat-based membership. Cells enter through
+// fleet.execute (called from a pool slot under the store's
+// single-flight, so one key is dispatched at most once however many
+// matrices or callers want it), wait in one FIFO ring, and are leased
+// to workers that long-poll for work — up to a whole batch per poll.
+// The ring holds at most one task per coordinator slot, already in
+// the scheduler's priority and fair-share order (schedule.go), so the
+// fleet makes no choice of its own: the head goes next, and nothing
+// about the polling worker enters it — workers are interchangeable
+// and keep no state between cells. A worker silent
 // for longer than the lease is presumed dead: its tasks are requeued
 // and picked up by the next poll. When no live workers remain (none
 // ever joined, or the fleet died mid-matrix), execution falls back to
@@ -48,12 +47,12 @@ const maxTaskAttempts = 3
 type fleetTask struct {
 	id   string
 	spec scenario.Spec
-	// tenant and priority place the task in its dispatch queue; they
-	// come from the submission that first requested the cell (identical
-	// cells from different tenants collapse in the store's
-	// single-flight, so attribution goes to the first caller).
+	// tenant attributes the task in the per-tenant dispatch and
+	// requeue counters; it comes from the submission that first
+	// requested the cell (identical cells from different tenants
+	// collapse in the store's single-flight, so attribution goes to the
+	// first caller).
 	tenant   string
-	priority int
 	attempts int
 	// worker is the current assignee ("" while queued).
 	worker string
@@ -115,15 +114,6 @@ func (r *taskRing) pop() *fleetTask {
 	return t
 }
 
-// qkey identifies one dispatch queue: a tenant at a priority. Keeping
-// tenant×priority queues separate (rather than one priority-sorted
-// heap) makes fair-share selection a scan over live queues and keeps
-// every queue strictly FIFO within its class.
-type qkey struct {
-	tenant   string
-	priority int
-}
-
 // tenantStats is one tenant's dispatch accounting. queued/inflight are
 // live gauges; dispatches/requeues are monotonic counters kept for the
 // life of the process (they feed /metrics and the fair-share
@@ -133,10 +123,6 @@ type tenantStats struct {
 	inflight   int
 	dispatches int
 	requeues   int
-	// lastPick is the global pick sequence at this tenant's most recent
-	// dispatch — the round-robin tie-break among tenants with equal
-	// in-flight counts.
-	lastPick uint64
 }
 
 // fleetWorker is one fleet member's membership state.
@@ -151,19 +137,16 @@ type fleetWorker struct {
 	tasks map[string]*fleetTask
 }
 
-// fleet tracks members and the dispatch queues. All fields are guarded
+// fleet tracks members and the dispatch queue. All fields are guarded
 // by mu; tasks resolve by closing done with raw/err already set.
 type fleet struct {
 	lease    time.Duration
 	pollWait time.Duration
 
-	mu      sync.Mutex
-	workers map[string]*fleetWorker
-	queues  map[qkey]*taskRing
-	tenants map[string]*tenantStats
-	// queued is the total across all queues (Σ tenantStats.queued).
-	queued   int
-	pickSeq  uint64
+	mu       sync.Mutex
+	workers  map[string]*fleetWorker
+	queue    taskRing
+	tenants  map[string]*tenantStats
 	assigned map[string]*fleetTask
 	wseq     int
 	tseq     int
@@ -171,7 +154,7 @@ type fleet struct {
 	// localFallbacks counts cells resolved to in-process computation —
 	// no live workers, or a task that exhausted maxTaskAttempts.
 	localFallbacks int
-	// notify wakes one idle long-poll when a queue gains a task.
+	// notify wakes one idle long-poll when the queue gains a task.
 	notify chan struct{}
 	// canonical is the admission rule for reported result bytes
 	// (scenario.CanonicalResult; a field so a test can make it slow).
@@ -196,7 +179,6 @@ func newFleet(lease time.Duration) *fleet {
 		lease:     lease,
 		pollWait:  pollWait,
 		workers:   make(map[string]*fleetWorker),
-		queues:    make(map[qkey]*taskRing),
 		tenants:   make(map[string]*tenantStats),
 		assigned:  make(map[string]*fleetTask),
 		notify:    make(chan struct{}, 1),
@@ -234,11 +216,11 @@ func (fl *fleet) computeLocal(spec scenario.Spec) (json.RawMessage, error) {
 // reassignments it takes), falling back to local computation when no
 // live workers exist. It is the compute function the store's
 // single-flight invokes, so identical concurrent cells reach it
-// exactly once — under the first caller's tenant and priority. The
-// result is its canonical bytes: a worker's report is handed on as it
-// arrived, never decoded here.
-func (fl *fleet) execute(spec scenario.Spec, tenant string, priority int) (json.RawMessage, error) {
-	t, ok := fl.enqueue(spec, tenant, priority)
+// exactly once — under the first caller's tenant. The result is its
+// canonical bytes: a worker's report is handed on as it arrived, never
+// decoded here.
+func (fl *fleet) execute(spec scenario.Spec, tenant string) (json.RawMessage, error) {
+	t, ok := fl.enqueue(spec, tenant)
 	if !ok {
 		return fl.computeLocal(spec)
 	}
@@ -249,10 +231,9 @@ func (fl *fleet) execute(spec scenario.Spec, tenant string, priority int) (json.
 	return t.raw, t.err
 }
 
-// enqueue appends a task to its tenant×priority queue; ok is false
-// when the fleet has no live workers (or is closed) and the caller
-// should run locally.
-func (fl *fleet) enqueue(spec scenario.Spec, tenant string, priority int) (*fleetTask, bool) {
+// enqueue appends a task to the queue; ok is false when the fleet has
+// no live workers (or is closed) and the caller should run locally.
+func (fl *fleet) enqueue(spec scenario.Spec, tenant string) (*fleetTask, bool) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fl.closed || len(fl.workers) == 0 {
@@ -260,29 +241,21 @@ func (fl *fleet) enqueue(spec scenario.Spec, tenant string, priority int) (*flee
 	}
 	fl.tseq++
 	t := &fleetTask{
-		id:       fmt.Sprintf("t%d", fl.tseq),
-		spec:     spec,
-		tenant:   tenant,
-		priority: priority,
-		done:     make(chan struct{}),
+		id:     fmt.Sprintf("t%d", fl.tseq),
+		spec:   spec,
+		tenant: tenant,
+		done:   make(chan struct{}),
 	}
 	fl.pushLocked(t)
 	fl.signal()
 	return t, true
 }
 
-// pushLocked places a task on its queue and bumps the gauges; callers
-// hold fl.mu.
+// pushLocked appends a task to the queue and bumps its tenant's gauge;
+// callers hold fl.mu.
 func (fl *fleet) pushLocked(t *fleetTask) {
-	key := qkey{tenant: t.tenant, priority: t.priority}
-	r, ok := fl.queues[key]
-	if !ok {
-		r = &taskRing{}
-		fl.queues[key] = r
-	}
-	r.push(t)
+	fl.queue.push(t)
 	fl.tenantLocked(t.tenant).queued++
-	fl.queued++
 }
 
 // signal wakes one idle poller; callers hold fl.mu. The channel is a
@@ -350,60 +323,6 @@ func (fl *fleet) member(workerID, token string) *fleetWorker {
 	return w
 }
 
-// betterLocked orders two non-empty queues for dispatch: higher
-// priority first, then the tenant with fewer in-flight tasks (the
-// fair-share invariant), then the tenant picked least recently
-// (round-robin among equals), then tenant name for determinism.
-// Callers hold fl.mu.
-func (fl *fleet) betterLocked(a, b qkey) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	sa, sb := fl.tenantLocked(a.tenant), fl.tenantLocked(b.tenant)
-	if sa.inflight != sb.inflight {
-		return sa.inflight < sb.inflight
-	}
-	if sa.lastPick != sb.lastPick {
-		return sa.lastPick < sb.lastPick
-	}
-	return a.tenant < b.tenant
-}
-
-// pickLocked chooses and removes the next task, or nil when nothing is
-// queued: the best queue by betterLocked gives up its head. Callers
-// hold fl.mu.
-func (fl *fleet) pickLocked() *fleetTask {
-	if fl.queued == 0 {
-		return nil
-	}
-	var bestKey qkey
-	haveBest := false
-	for k, r := range fl.queues {
-		if r.len() == 0 {
-			continue
-		}
-		if !haveBest || fl.betterLocked(k, bestKey) {
-			bestKey, haveBest = k, true
-		}
-	}
-	if !haveBest {
-		return nil
-	}
-	r := fl.queues[bestKey]
-	t := r.pop()
-	if r.len() == 0 {
-		delete(fl.queues, bestKey)
-	}
-	ts := fl.tenantLocked(t.tenant)
-	ts.queued--
-	fl.queued--
-	ts.inflight++
-	ts.dispatches++
-	fl.pickSeq++
-	ts.lastPick = fl.pickSeq
-	return t
-}
-
 // tryAssign refreshes the member's lease and hands it up to max queued
 // tasks (DecodePollRequest guarantees max ≥ 1). known is false for
 // expired, never-joined or wrongly-authenticated ids — the 410 that
@@ -419,11 +338,12 @@ func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask,
 	if fl.closed {
 		return nil, true
 	}
-	for len(tasks) < max {
-		t := fl.pickLocked()
-		if t == nil {
-			break
-		}
+	for len(tasks) < max && fl.queue.len() > 0 {
+		t := fl.queue.pop()
+		ts := fl.tenantLocked(t.tenant)
+		ts.queued--
+		ts.inflight++
+		ts.dispatches++
 		t.worker = workerID
 		t.attempts++
 		t.deadline = time.Now().Add(fl.lease)
@@ -431,7 +351,7 @@ func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask,
 		w.tasks[t.id] = t
 		tasks = append(tasks, t)
 	}
-	if fl.queued > 0 {
+	if fl.queue.len() > 0 {
 		fl.signal()
 	}
 	return tasks, true
@@ -560,20 +480,16 @@ func resolveAll(tasks []*fleetTask) {
 	}
 }
 
-// drainQueuesLocked empties every queue for local-fallback resolution,
+// drainQueueLocked empties the queue for local-fallback resolution,
 // zeroing the queue gauges; callers hold fl.mu.
-func (fl *fleet) drainQueuesLocked() []*fleetTask {
+func (fl *fleet) drainQueueLocked() []*fleetTask {
 	var drained []*fleetTask
-	for key, r := range fl.queues {
-		for r.len() > 0 {
-			drained = append(drained, r.pop())
-		}
-		delete(fl.queues, key)
+	for fl.queue.len() > 0 {
+		drained = append(drained, fl.queue.pop())
 	}
 	for _, ts := range fl.tenants {
 		ts.queued = 0
 	}
-	fl.queued = 0
 	return drained
 }
 
@@ -605,7 +521,7 @@ func (fl *fleet) sweep(now time.Time) {
 		resolve = append(resolve, fl.requeueLocked(t)...)
 	}
 	if len(fl.workers) == 0 {
-		resolve = append(resolve, fl.drainQueuesLocked()...)
+		resolve = append(resolve, fl.drainQueueLocked()...)
 	}
 	fl.mu.Unlock()
 	resolveAll(resolve)
@@ -617,7 +533,7 @@ func (fl *fleet) sweep(now time.Time) {
 func (fl *fleet) close() {
 	fl.mu.Lock()
 	fl.closed = true
-	resolve := fl.drainQueuesLocked()
+	resolve := fl.drainQueueLocked()
 	for _, t := range fl.assigned {
 		resolve = append(resolve, t)
 	}
@@ -629,10 +545,7 @@ func (fl *fleet) close() {
 		ts.inflight = 0
 	}
 	fl.mu.Unlock()
-	for _, t := range resolve {
-		t.err = errNoWorkers
-		close(t.done)
-	}
+	resolveAll(resolve)
 }
 
 // fleetWorkerJSON is one member's row in the GET /fleet reply.
@@ -653,8 +566,7 @@ type fleetTenantJSON struct {
 	// Tenant is the submission-supplied tenant name ("default" when the
 	// submission named none).
 	Tenant string `json:"tenant"`
-	// Queued counts the tenant's tasks waiting for a poll, across all
-	// of its priority queues.
+	// Queued counts the tenant's tasks waiting for a poll.
 	Queued int `json:"queued"`
 	// InFlight counts the tenant's tasks currently leased to members.
 	InFlight int `json:"in_flight"`
@@ -664,17 +576,6 @@ type fleetTenantJSON struct {
 	// Requeues counts tasks taken back from workers (lease expiry, task
 	// deadline, garbage payloads) since the coordinator started.
 	Requeues int `json:"requeues"`
-}
-
-// fleetQueueDepthJSON is one tenant×priority queue's depth, for
-// /metrics (GET /fleet aggregates per tenant instead).
-type fleetQueueDepthJSON struct {
-	// Tenant is the queue's tenant.
-	Tenant string `json:"tenant"`
-	// Priority is the queue's priority tier.
-	Priority int `json:"priority"`
-	// Depth counts queued tasks.
-	Depth int `json:"depth"`
 }
 
 // fleetStatusJSON is the GET /fleet reply.
@@ -689,7 +590,7 @@ type fleetStatusJSON struct {
 	LeaseMillis int `json:"lease_millis"`
 	// Tenants lists per-tenant queue gauges and dispatch counters,
 	// sorted by tenant name. A tenant stays listed (counters intact)
-	// after its queues drain.
+	// after its tasks drain.
 	Tenants []fleetTenantJSON `json:"tenants,omitempty"`
 	// LocalFallbacks counts cells the coordinator computed in-process
 	// (no live workers, or a task that exhausted its attempts).
@@ -702,7 +603,7 @@ func (fl *fleet) status() fleetStatusJSON {
 	defer fl.mu.Unlock()
 	now := time.Now()
 	out := fleetStatusJSON{
-		Queued:         fl.queued,
+		Queued:         fl.queue.len(),
 		Assigned:       len(fl.assigned),
 		LeaseMillis:    int(fl.lease / time.Millisecond),
 		LocalFallbacks: fl.localFallbacks,
@@ -715,13 +616,7 @@ func (fl *fleet) status() fleetStatusJSON {
 			LastSeenMillis: now.Sub(w.lastSeen).Milliseconds(),
 		})
 	}
-	sort.Slice(out.Workers, func(i, j int) bool {
-		a, b := out.Workers[i].ID, out.Workers[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
+	slices.SortFunc(out.Workers, func(a, b fleetWorkerJSON) int { return idOrder(a.ID, b.ID) })
 	for tenant, ts := range fl.tenants {
 		out.Tenants = append(out.Tenants, fleetTenantJSON{
 			Tenant:     tenant,
@@ -731,27 +626,7 @@ func (fl *fleet) status() fleetStatusJSON {
 			Requeues:   ts.requeues,
 		})
 	}
-	sort.Slice(out.Tenants, func(i, j int) bool {
-		return out.Tenants[i].Tenant < out.Tenants[j].Tenant
-	})
-	return out
-}
-
-// queueDepths snapshots every tenant×priority queue's depth for
-// /metrics, sorted by tenant then priority.
-func (fl *fleet) queueDepths() []fleetQueueDepthJSON {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	out := make([]fleetQueueDepthJSON, 0, len(fl.queues))
-	for key, r := range fl.queues {
-		out = append(out, fleetQueueDepthJSON{Tenant: key.tenant, Priority: key.priority, Depth: r.len()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tenant != out[j].Tenant {
-			return out[i].Tenant < out[j].Tenant
-		}
-		return out[i].Priority < out[j].Priority
-	})
+	slices.SortFunc(out.Tenants, func(a, b fleetTenantJSON) int { return strings.Compare(a.Tenant, b.Tenant) })
 	return out
 }
 
@@ -806,7 +681,7 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetPoll leases up to MaxTasks tasks to a worker (POST
 // /fleet/poll), holding the request open for the poll window when the
-// queues are idle.
+// queue is idle.
 func (s *Server) handleFleetPoll(w http.ResponseWriter, r *http.Request) {
 	body, err := shardproto.ReadBody(r.Body)
 	if err != nil {
@@ -837,17 +712,17 @@ func (s *Server) handleFleetPoll(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-s.fleet.notify:
-		case <-deadline.C:
-			w.Header().Set("Content-Type", "application/json")
-			writeJSON(w, shardproto.PollResponse{})
-			return
+			continue
 		case <-r.Context().Done():
 			return
+		case <-deadline.C:
 		case <-s.ctx.Done():
-			w.Header().Set("Content-Type", "application/json")
-			writeJSON(w, shardproto.PollResponse{})
-			return
 		}
+		// The poll window closed, or the coordinator is stopping: an
+		// empty batch sends the worker back to poll.
+		w.Header().Set("Content-Type", "application/json")
+		writeJSON(w, shardproto.PollResponse{})
+		return
 	}
 }
 

@@ -44,7 +44,7 @@ func TestFleetReleasedTasksCollectible(t *testing.T) {
 	// holds no task references afterwards.
 	func() {
 		for i := 0; i < tasks; i++ {
-			task, ok := fl.enqueue(fleetSpec(uint64(i)), defaultTenant, 0)
+			task, ok := fl.enqueue(fleetSpec(uint64(i)), defaultTenant)
 			if !ok {
 				t.Fatal("enqueue refused with a live worker")
 			}
@@ -69,72 +69,8 @@ func TestFleetReleasedTasksCollectible(t *testing.T) {
 	}
 }
 
-// TestFleetFairShareDispatch pins the fair-share invariant: two
-// equal-priority tenants with queued backlogs alternate dispatches, so
-// each holds half the fleet's attention regardless of queue depth.
-func TestFleetFairShareDispatch(t *testing.T) {
-	fl := newFleet(time.Minute)
-	grant := fl.join(64)
-	// Lopsided backlogs: tenant a queues 3x what tenant b does.
-	for i := 0; i < 30; i++ {
-		if _, ok := fl.enqueue(fleetSpec(uint64(i)), "tenant-a", 0); !ok {
-			t.Fatal("enqueue refused")
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if _, ok := fl.enqueue(fleetSpec(uint64(100+i)), "tenant-b", 0); !ok {
-			t.Fatal("enqueue refused")
-		}
-	}
-	// Assign 20 tasks one at a time without completing any: in-flight
-	// balance is exactly what fair share equalizes.
-	counts := map[string]int{}
-	for i := 0; i < 20; i++ {
-		assigned, known := fl.tryAssign(grant.WorkerID, grant.Token, 1)
-		if !known || len(assigned) != 1 {
-			t.Fatalf("assign %d: got %d tasks", i, len(assigned))
-		}
-		counts[assigned[0].tenant]++
-	}
-	if counts["tenant-a"] != 10 || counts["tenant-b"] != 10 {
-		t.Fatalf("dispatches a=%d b=%d, want a perfect 10/10 split under fair share", counts["tenant-a"], counts["tenant-b"])
-	}
-}
-
-// TestFleetPriorityDispatch pins strict tier precedence: a
-// higher-priority tenant's backlog drains completely before any
-// lower-priority task dispatches.
-func TestFleetPriorityDispatch(t *testing.T) {
-	fl := newFleet(time.Minute)
-	grant := fl.join(64)
-	for i := 0; i < 5; i++ {
-		if _, ok := fl.enqueue(fleetSpec(uint64(i)), "background", 0); !ok {
-			t.Fatal("enqueue refused")
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := fl.enqueue(fleetSpec(uint64(50+i)), "rush", 5); !ok {
-			t.Fatal("enqueue refused")
-		}
-	}
-	var order []string
-	for i := 0; i < 8; i++ {
-		assigned, _ := fl.tryAssign(grant.WorkerID, grant.Token, 1)
-		if len(assigned) != 1 {
-			t.Fatalf("assign %d: got %d tasks", i, len(assigned))
-		}
-		order = append(order, assigned[0].tenant)
-	}
-	want := []string{"rush", "rush", "rush", "background", "background", "background", "background", "background"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want priority-5 tasks strictly first", order)
-		}
-	}
-}
-
-// TestFleetStrictFIFO pins that a tenant×priority queue dispatches in
-// enqueue order whoever polls: two workload×seed groups interleaved in
+// TestFleetStrictFIFO pins that the queue dispatches in enqueue order
+// whoever polls: two workload×seed groups interleaved in
 // one ring, polled by a worker that just ran a cell of the first group,
 // come out exactly as they went in — nothing about the poller's history
 // reorders the queue.
@@ -144,7 +80,7 @@ func TestFleetStrictFIFO(t *testing.T) {
 	groupA, groupB := fleetSpec(1), fleetSpec(2)
 	groupB.Workload = "gmm(k=3,dim=6,radius=4,sigma=0.5)"
 	// The worker's history: one cell of group A, assigned and finished.
-	if _, ok := fl.enqueue(groupA, defaultTenant, 0); !ok {
+	if _, ok := fl.enqueue(groupA, defaultTenant); !ok {
 		t.Fatal("enqueue refused")
 	}
 	first, _ := fl.tryAssign(grant.WorkerID, grant.Token, 1)
@@ -158,7 +94,7 @@ func TestFleetStrictFIFO(t *testing.T) {
 	var want []string
 	for i, spec := range []scenario.Spec{groupB, groupA, groupB, groupA, groupA, groupB} {
 		spec.Rounds += i // distinct cells, same groups
-		task, ok := fl.enqueue(spec, defaultTenant, 0)
+		task, ok := fl.enqueue(spec, defaultTenant)
 		if !ok {
 			t.Fatal("enqueue refused")
 		}
@@ -187,7 +123,7 @@ func TestFleetBatchedAssignAndHeartbeat(t *testing.T) {
 	fl := newFleet(50 * time.Millisecond)
 	grant := fl.join(8)
 	for i := 0; i < 5; i++ {
-		if _, ok := fl.enqueue(fleetSpec(uint64(i)), defaultTenant, 0); !ok {
+		if _, ok := fl.enqueue(fleetSpec(uint64(i)), defaultTenant); !ok {
 			t.Fatal("enqueue refused")
 		}
 	}
@@ -218,7 +154,7 @@ func TestFleetBatchedAssignAndHeartbeat(t *testing.T) {
 	fl.sweep(time.Now())
 	fl.mu.Lock()
 	survivors := len(fl.assigned)
-	requeued := fl.queued
+	requeued := fl.queue.len()
 	fl.mu.Unlock()
 	if survivors != 3 || requeued != 2 {
 		t.Fatalf("after sweep: %d assigned, %d requeued; want the 3 heartbeated tasks assigned and 2 requeued", survivors, requeued)
@@ -230,7 +166,7 @@ func TestFleetBatchedAssignAndHeartbeat(t *testing.T) {
 func TestFleetStatusTenantCounters(t *testing.T) {
 	fl := newFleet(time.Minute)
 	grant := fl.join(8)
-	if _, ok := fl.enqueue(fleetSpec(1), "tenant-x", 0); !ok {
+	if _, ok := fl.enqueue(fleetSpec(1), "tenant-x"); !ok {
 		t.Fatal("enqueue refused")
 	}
 	assigned, _ := fl.tryAssign(grant.WorkerID, grant.Token, 1)
@@ -253,10 +189,6 @@ func TestFleetStatusTenantCounters(t *testing.T) {
 	}
 	if row.Dispatches != 1 || row.Requeues != 1 || row.Queued != 1 || row.InFlight != 0 {
 		t.Fatalf("tenant-x counters %+v, want 1 dispatch, 1 requeue, 1 queued, 0 in flight", *row)
-	}
-	depths := fl.queueDepths()
-	if len(depths) != 1 || depths[0] != (fleetQueueDepthJSON{Tenant: "tenant-x", Priority: 0, Depth: 1}) {
-		t.Fatalf("queue depths %+v, want one tenant-x/0 queue of depth 1", depths)
 	}
 }
 
@@ -317,7 +249,7 @@ func TestFleetValidationOutsideLock(t *testing.T) {
 	}
 	slow, other := fl.join(2), fl.join(1)
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, ok := fl.enqueue(fleetSpec(seed), defaultTenant, 0); !ok {
+		if _, ok := fl.enqueue(fleetSpec(seed), defaultTenant); !ok {
 			t.Fatal("enqueue refused with live workers")
 		}
 	}

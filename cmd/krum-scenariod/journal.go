@@ -26,7 +26,8 @@ package main
 // Corruption tolerance matches the store's tail rules: a torn final
 // line (the append the crash interrupted) is ignored, malformed
 // interior lines are skipped, and unknown matrix references are
-// dropped. Losing a submit event loses only a matrix the client was
+// dropped, as are matrices whose tenant or priority no submission
+// could carry. Losing a submit event loses only a matrix the client was
 // never acknowledged... and the client retries. The lost-update
 // analysis for the checkpoint rewrite is in (*journal).rewrite.
 //
@@ -111,8 +112,9 @@ type journalState struct {
 	// events is the replayed lag: events applied since the last
 	// checkpoint (the whole file, if it has none).
 	events int
-	// skipped counts malformed interior lines and events referencing
-	// unknown matrices — surfaced so operators see journal damage.
+	// skipped counts malformed interior lines, events referencing
+	// unknown matrices and refused matrices — surfaced so operators see
+	// journal damage.
 	skipped int
 }
 
@@ -162,19 +164,35 @@ func openJournal(path string) (*journal, *journalState, error) {
 
 // replayJournal applies a journal file's events, in order, to state.
 // The final line may be torn (the append a crash interrupted) — it is
-// ignored, like the store's tail. Malformed interior lines and events
-// for unknown matrices are skipped and counted.
+// ignored, like the store's tail. Malformed interior lines, events
+// for unknown matrices and matrices admit refuses are skipped and
+// counted.
 func replayJournal(blob []byte, state *journalState) {
 	// byID mirrors state.matrices for O(1) event application; the slice
 	// keeps submission order.
 	byID := make(map[string]int)
+	// admit appends a live matrix — from a checkpoint or a submit event
+	// — unless its id is already live, it has no cells, or its
+	// attribution is one no submission could carry (handleSubmit's
+	// tenant and priority checks): a damaged priority would jump the
+	// scheduler's queue. The tenant is normalized the same way, so a
+	// pre-tenancy journal's empty tenant resumes as the default.
+	admit := func(m checkpointMatrix) bool {
+		tenant, err := canonTenant(m.Tenant)
+		if _, dup := byID[m.ID]; dup || len(m.Cells) == 0 || err != nil || m.Priority < -maxPriority || m.Priority > maxPriority {
+			state.skipped++
+			return false
+		}
+		m.Tenant = tenant
+		byID[m.ID] = len(state.matrices)
+		state.matrices = append(state.matrices, m)
+		return true
+	}
 	reset := func(cp *checkpoint) {
 		state.seq, state.wseq = cp.Seq, cp.Wseq
-		state.matrices = append([]checkpointMatrix(nil), cp.Matrices...)
-		state.events = 0
-		byID = make(map[string]int)
-		for i := range state.matrices {
-			byID[state.matrices[i].ID] = i
+		state.matrices, state.events, byID = nil, 0, make(map[string]int)
+		for _, m := range cp.Matrices {
+			admit(m)
 		}
 	}
 	lines := bytes.Split(blob, []byte("\n"))
@@ -206,18 +224,14 @@ func replayJournal(blob []byte, state *journalState) {
 				state.skipped++
 				continue
 			}
-			if _, dup := byID[ev.Matrix]; dup {
-				state.skipped++
-				continue
-			}
-			byID[ev.Matrix] = len(state.matrices)
-			state.matrices = append(state.matrices, checkpointMatrix{
-				ID: ev.Matrix, Cells: ev.Cells, Tenant: ev.Tenant, Priority: ev.Priority,
-			})
+			// A refused matrix's id still advances the sequence: its client
+			// may hold it, and must get a 404, not someone else's matrix.
 			if n := seqOf(ev.Matrix, 'm'); n > state.seq {
 				state.seq = n
 			}
-			state.events++
+			if admit(checkpointMatrix{ID: ev.Matrix, Cells: ev.Cells, Tenant: ev.Tenant, Priority: ev.Priority}) {
+				state.events++
+			}
 		case "cell":
 			// Per-cell progress from an older binary's journal: recovery
 			// re-executes every cell and the store answers the finished

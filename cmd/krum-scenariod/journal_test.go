@@ -45,9 +45,12 @@ func testCells(t *testing.T, seed uint64, rules ...string) []scenario.Spec {
 
 // TestJournalReplayRules pins the replay semantics line by line:
 // events apply in order, a checkpoint replaces everything before it,
-// done removes a matrix, unknown references and malformed interior
-// lines are skipped-and-counted, an older journal's "cell" lines are
-// neither applied nor counted, and a torn final line is forgiven.
+// done removes a matrix, unknown references, malformed interior lines
+// and matrices no submission could produce — no cells, or a tenant or
+// priority out of bounds, in a checkpoint or a submit event — are
+// skipped-and-counted, an
+// older journal's "cell" lines are neither applied nor counted, and a
+// torn final line is forgiven.
 func TestJournalReplayRules(t *testing.T) {
 	cells := testCells(t, 1, "krum")
 	var sb strings.Builder
@@ -55,12 +58,14 @@ func TestJournalReplayRules(t *testing.T) {
 	sb.WriteString(journalLine(t, journalEvent{Type: "submit", Matrix: "m1", Cells: cells}))
 	sb.WriteString(journalLine(t, journalEvent{Type: "checkpoint", Checkpoint: &checkpoint{
 		Seq: 4, Wseq: 7,
-		Matrices: []checkpointMatrix{{ID: "m3", Cells: cells}},
+		Matrices: []checkpointMatrix{{ID: "m3", Cells: cells}, {ID: "m2", Cells: cells, Priority: 99}, {ID: "m0"}},
 	}}))
 	sb.WriteString(`{"type":"cell","matrix":"m3"}` + "\n")
 	sb.WriteString(`{"type":"cell","matrix":"m99","index":4,"cached":true}` + "\n") // no such matrix; still just read past
 	sb.WriteString("{not json}\n")                                                  // malformed interior
 	sb.WriteString(journalLine(t, journalEvent{Type: "submit", Matrix: "m5", Cells: cells}))
+	sb.WriteString(journalLine(t, journalEvent{Type: "submit", Matrix: "m1", Cells: cells, Tenant: "bad tenant"}))
+	sb.WriteString(journalLine(t, journalEvent{Type: "submit", Matrix: "m4", Cells: cells, Priority: -10}))
 	sb.WriteString(journalLine(t, journalEvent{Type: "done", Matrix: "m3"}))
 	sb.WriteString(journalLine(t, journalEvent{Type: "done", Matrix: "m98"})) // unknown matrix
 	sb.WriteString(journalLine(t, journalEvent{Type: "join", Worker: "w9"}))
@@ -75,15 +80,16 @@ func TestJournalReplayRules(t *testing.T) {
 		t.Errorf("wseq = %d, want 9", state.wseq)
 	}
 	if len(state.matrices) != 1 || state.matrices[0].ID != "m5" {
-		t.Fatalf("live matrices = %+v, want just m5 (m3 is done, m1 pre-checkpoint)", state.matrices)
+		t.Fatalf("live matrices = %+v, want just m5 (m3 is done; m0, m1, m2 and m4 damaged)", state.matrices)
 	}
 	if len(state.matrices[0].Cells) != len(cells) {
 		t.Errorf("m5 carries %d cells, want %d", len(state.matrices[0].Cells), len(cells))
 	}
-	// Skipped: the unknown-matrix done and the malformed interior line;
-	// NOT the cell lines and NOT the torn final line.
-	if state.skipped != 2 {
-		t.Errorf("skipped = %d, want 2", state.skipped)
+	// Skipped: the unknown-matrix done, the malformed interior line and
+	// the four damaged matrices; NOT the cell lines and NOT the torn
+	// final line.
+	if state.skipped != 6 {
+		t.Errorf("skipped = %d, want 6", state.skipped)
 	}
 	// Lag since the checkpoint: submit(m5), done(m3), join.
 	if state.events != 3 {

@@ -112,10 +112,10 @@ func TestLoadMultiTenant(t *testing.T) {
 
 	st := store.NewMemory()
 	srv := NewServer(Options{
-		// A pool far wider than the cell count, so every cell reaches
-		// the fleet queues instead of waiting on the coordinator's own
-		// semaphore — the fleet's scheduling is what this test measures.
-		Workers:            4 * matricesPerTenant * 2,
+		// As many coordinator slots as the fleet has worker slots: every
+		// cell holds one while it runs, so a wider pool would only queue
+		// cells in the fleet, a narrower one leave workers idle.
+		Workers:            1 + bigWorkers*bigSlots,
 		Store:              st,
 		Lease:              5 * time.Second,
 		MaxActiveMatrices:  -1, // thousands of live matrices is the point

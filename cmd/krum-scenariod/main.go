@@ -7,9 +7,12 @@
 // -config accepts under "matrix" — expands them, and executes their
 // cells against a shared content-addressed result store with
 // store-level single-flight: concurrent identical cells, across
-// matrices and across callers, collapse to one execution. With no
-// workers joined every cell runs in-process on one shared bounded
-// pool; once workers join, cells are dispatched to the fleet instead.
+// matrices and across callers, collapse to one execution. The -workers
+// slots are the one bounded pool every cell holds while it executes —
+// a store hit, a cell computed in-process, or one dispatched to a
+// worker alike. With no workers joined the slots compute cells
+// themselves; once workers join, they dispatch them to the fleet
+// instead, so fleet slots beyond the coordinator's -workers stay idle.
 //
 //	krum-scenariod -addr :8080 -workers 8 -store-dir ./cells
 //
@@ -36,9 +39,9 @@
 // function of its spec.
 //
 // The coordinator is multi-tenant: a submission may carry optional
-// "tenant" and "priority" fields alongside the matrix. Dispatch to the
-// fleet is priority-tiered with fair share inside each tier (two
-// equal-priority tenants each get about half the fleet however
+// "tenant" and "priority" fields alongside the matrix. Slots go to
+// cells by priority tier with fair share inside each tier (two
+// equal-priority tenants each hold about half the slots however
 // lopsided their backlogs are), and per-tenant admission quotas answer
 // an over-quota submission with HTTP 429 plus a Retry-After hint — the
 // client resubmits later and loses nothing, because completed cells
@@ -60,7 +63,7 @@
 //	POST /fleet/result           worker → coordinator: report a finished task
 //	GET  /fleet                  fleet membership, queue depth, per-tenant dispatch counters
 //	GET  /store                  result-store counters (hits, misses, superseded, tampered, ...)
-//	GET  /metrics                Prometheus text exposition: queues, tenants, 429s, store, journal lag
+//	GET  /metrics                Prometheus text exposition: backlogs, tenants, 429s, store, journal lag
 //	GET  /healthz                liveness probe; reports journal lag when -journal is set
 //
 // Shutdown (SIGINT/SIGTERM) is graceful mid-matrix in both roles: a
@@ -100,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("krum-scenariod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addrFlag := fs.String("addr", ":8080", "coordinator listen address")
-	workersFlag := fs.Int("workers", 0, "coordinator: shared pool width across all matrices; worker: concurrent cell slots (0 = NumCPU)")
+	workersFlag := fs.Int("workers", 0, "coordinator: cell slots shared by all matrices; every cell (store hit, local or dispatched) holds one, so fleet slots beyond this stay idle; worker: concurrent cell slots (0 = NumCPU)")
 	storeDirFlag := fs.String("store-dir", "", "coordinator: segmented result store directory (live tail + sealed, hashed segments; empty = in-memory only)")
 	journalFlag := fs.String("journal", "", "coordinator checkpoint/journal path: a restarted coordinator replays it and resumes unfinished matrices")
 	leaseFlag := fs.Duration("lease", 10*time.Second, "coordinator: worker liveness lease (a worker silent this long is presumed dead)")

@@ -8,9 +8,10 @@ import (
 )
 
 // Prometheus-style text exposition (GET /metrics): every gauge and
-// counter an operator needs to see multi-tenant dispatch working —
-// per-tenant×priority queue depths, per-tenant dispatch/requeue
-// counters, admission gauges (pending cells, active matrices, 429s),
+// counter an operator needs to see multi-tenant scheduling working —
+// per-tenant×priority backlogs of unstarted cells, per-tenant
+// dispatch/requeue counters, admission gauges (pending cells, active
+// matrices, 429s),
 // fleet membership, the shared store's counters and the journal lag.
 // The format is the Prometheus text exposition format version 0.0.4
 // (HELP/TYPE comment lines, one sample per line, label values escaped)
@@ -103,10 +104,10 @@ func (s *Server) admissionMetrics() []tenantAdmissionJSON {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var m metricsWriter
 
-	m.header("krum_scenariod_queue_depth", "Queued fleet tasks per tenant and priority.", "gauge")
-	for _, q := range s.fleet.queueDepths() {
-		m.sample("krum_scenariod_queue_depth", q.Depth,
-			"priority", fmt.Sprintf("%d", q.Priority), "tenant", q.Tenant)
+	m.header("krum_scenariod_queue_depth", "Unstarted cells per tenant and priority.", "gauge")
+	for _, q := range s.backlog() {
+		m.sample("krum_scenariod_queue_depth", q.cells,
+			"priority", fmt.Sprintf("%d", q.priority), "tenant", q.tenant)
 	}
 
 	fs := s.fleet.status()

@@ -134,7 +134,10 @@ func TestShardMetricsAndBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The metrics page reports the rejection, the queues and the store.
+	// The metrics page reports the rejection, the backlog and the store.
+	// quota-tenant's matrix still has unstarted cells on the 1-wide
+	// pool, and the queue-depth family counts them with no worker
+	// joined.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +154,7 @@ func TestShardMetricsAndBackpressure(t *testing.T) {
 		`krum_scenariod_rejected_total{tenant="quota-tenant"} 1`,
 		`krum_scenariod_pending_cells{tenant="quota-tenant"}`,
 		`# TYPE krum_scenariod_queue_depth gauge`,
+		`krum_scenariod_queue_depth{priority="3",tenant="quota-tenant"} `,
 		`krum_scenariod_fleet_workers 0`,
 		`krum_scenariod_store_entries`,
 		`krum_scenariod_store_hits_total`,

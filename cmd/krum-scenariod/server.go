@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,9 +22,9 @@ import (
 )
 
 // Server is the multi-matrix scenario coordinator: it accepts JSON
-// matrix submissions over HTTP, fans their cells out across ONE shared
-// bounded pool (so concurrent matrices share capacity fairly instead
-// of each spawning its own), serves per-matrix progress and streaming
+// matrix submissions over HTTP, runs their cells on ONE shared bounded
+// pool in the scheduler's priority and fair-share order (schedule.go),
+// serves per-matrix progress and streaming
 // results, and runs every cell through a shared store's bytes-level
 // single-flight (DoCellRaw) — a stored cell is a hit, an in-flight
 // identical cell is waited on, and only genuinely new work executes. A
@@ -50,13 +51,12 @@ type Server struct {
 	// fleetless coordinator behaves exactly like the single-process
 	// service.
 	fleet *fleet
-	// sem is the shared pool: one slot per concurrently-running cell
-	// OR concurrently-dispatched cell, across ALL matrices.
-	sem chan struct{}
-	// ctx is cancelled by Stop; cells never start after cancellation.
+	// ctx is cancelled by Stop, ending the fleet's sweeps and polls and
+	// waking idle slots to see stopped.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// wg tracks in-flight matrix executors (not individual cells).
+	// wg tracks the slot goroutines and every submission between its
+	// registration and its hand-over to the scheduler.
 	wg  sync.WaitGroup
 	mux *http.ServeMux
 
@@ -79,8 +79,17 @@ type Server struct {
 	rejected map[string]int
 	// stopped flips under mu before ctx is cancelled, so handleSubmit
 	// can refuse new work without racing wg.Add against Stop's
-	// wg.Wait.
+	// wg.Wait, and no cell starts after it.
 	stopped bool
+
+	// The scheduler (schedule.go): runs are the live matrices with
+	// unstarted cells, in registration order; tenants their owners'
+	// held slots; picks counts registrations and grants; wake rouses
+	// idle slots.
+	runs    []*matrixRun
+	tenants map[string]tenantSlots
+	picks   uint64
+	wake    sync.Cond
 }
 
 // matrixRun is the execution state of one submitted matrix.
@@ -88,11 +97,15 @@ type matrixRun struct {
 	id    string
 	cells []scenario.Spec
 	// tenant and priority come from the submission envelope and are
-	// immutable after registration: they place every one of the run's
-	// cells in the fleet's dispatch queues and attribute the run in
-	// admission control and /metrics.
+	// immutable after registration: they rank the run's cells in the
+	// scheduler and attribute the run in admission control and
+	// /metrics.
 	tenant   string
 	priority int
+	// next is the first unstarted cell and turn the run's place among
+	// its tenant's priority; Server.mu guards both.
+	next int
+	turn uint64
 
 	mu sync.Mutex
 	// results is indexed by cell position (results[i] answers cells[i])
@@ -119,7 +132,7 @@ type matrixRun struct {
 }
 
 // defaultTenant attributes submissions that name no tenant; admission,
-// dispatch and metrics treat it like any explicitly-named tenant.
+// scheduling and metrics treat it like any explicitly-named tenant.
 const defaultTenant = "default"
 
 // maxPriority bounds submission priorities to [-maxPriority,
@@ -145,7 +158,8 @@ type cellStore interface {
 // sensible default (NumCPU pool, 10s fleet lease, default admission
 // limits) except Store, which the caller must always supply.
 type Options struct {
-	// Workers is the shared cell pool width (0 means runtime.NumCPU()).
+	// Workers is the shared cell pool width: every executing cell, hit,
+	// local or dispatched, holds one slot (0 means runtime.NumCPU()).
 	Workers int
 	// Store is the shared result store (use store.NewMemory() for a
 	// non-persistent service).
@@ -187,7 +201,6 @@ func NewServer(opts Options) *Server {
 	s := &Server{
 		store:       opts.Store,
 		fleet:       newFleet(opts.Lease),
-		sem:         make(chan struct{}, workers),
 		ctx:         ctx,
 		cancel:      cancel,
 		mux:         http.NewServeMux(),
@@ -196,7 +209,9 @@ func NewServer(opts Options) *Server {
 		tenantQuota: opts.TenantPendingCells,
 		matrices:    make(map[string]*matrixRun),
 		rejected:    make(map[string]int),
+		tenants:     make(map[string]tenantSlots),
 	}
+	s.wake.L = &s.mu
 	s.mux.HandleFunc("POST /matrices", s.handleSubmit)
 	s.mux.HandleFunc("GET /matrices", s.handleList)
 	s.mux.HandleFunc("GET /matrices/{id}", s.handleStatus)
@@ -212,6 +227,11 @@ func NewServer(opts Options) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	go s.sweepFleet()
+	context.AfterFunc(ctx, s.wake.Broadcast)
+	s.wg.Add(workers)
+	for range workers {
+		go s.slot()
+	}
 	return s
 }
 
@@ -240,15 +260,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Stop refuses further submissions, cancels cell scheduling, and
-// waits for in-flight cells to finish and persist. Cells that never
-// started simply never run — their matrices report aborted, and
-// resubmitting them after a restart replays the completed prefix from
-// the store.
+// Stop refuses further submissions, stops cell scheduling, and waits
+// for in-flight cells to finish and persist. Cells that never started
+// simply never run — their matrices report aborted, and resubmitting
+// them after a restart replays the completed prefix from the store.
 func (s *Server) Stop() {
 	// Flip stopped under the same lock handleSubmit takes before its
-	// wg.Add: after this critical section no new executor can register,
-	// so wg.Wait cannot race an Add from a submission in flight.
+	// wg.Add: after this critical section no new submission can
+	// register, so wg.Wait cannot race an Add from one in flight.
 	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
@@ -258,6 +277,11 @@ func (s *Server) Stop() {
 	// their workers never answer.
 	s.fleet.close()
 	s.wg.Wait()
+	// Only now, with their in-flight cells recorded, do the matrices
+	// that still had unstarted cells turn terminal.
+	for _, run := range s.runs {
+		s.finish(run, true)
+	}
 	// Final checkpoint (the graceful-shutdown contract): every matrix
 	// is terminal by now, so the checkpoint pins just the id sequences
 	// — a clean, zero-lag journal for the next incarnation. Only a
@@ -289,35 +313,19 @@ func (s *Server) UseJournal(path string) (resumed int, err error) {
 	s.journal = j
 	s.fleet.restoreWseq(state.wseq)
 
-	// Resurrect live matrices exactly the way handleSubmit registers
-	// fresh ones: registration + wg.Add in one critical section, then
-	// the executor goroutine.
+	// Resurrected matrices register like fresh submissions and join
+	// the scheduler behind one another, in submission order.
 	s.mu.Lock()
 	if state.seq > s.seq {
 		s.seq = state.seq
 	}
 	var runs []*matrixRun
 	for _, cm := range state.matrices {
-		tenant := cm.Tenant
-		if tenant == "" {
-			// Journals written before the tenancy fields carry no tenant;
-			// normalizing here keeps dispatch and quotas uniform.
-			tenant = defaultTenant
-		}
-		run := &matrixRun{
-			id:       cm.ID,
-			cells:    cm.Cells,
-			tenant:   tenant,
-			priority: cm.Priority,
-			results:  make([]*cellJSON, len(cm.Cells)),
-		}
-		s.matrices[run.id] = run
-		s.wg.Add(1)
-		runs = append(runs, run)
+		runs = append(runs, s.registerLocked(cm))
 	}
 	s.mu.Unlock()
 	for _, run := range runs {
-		go s.execute(run)
+		s.schedule(run)
 	}
 
 	// Start the new journal from a checkpoint: replay gets instant and
@@ -326,6 +334,14 @@ func (s *Server) UseJournal(path string) (resumed int, err error) {
 		return len(runs), fmt.Errorf("initial checkpoint: %w", err)
 	}
 	return len(runs), nil
+}
+
+// registerLocked adds a matrix — a fresh submission's or one the
+// journal resurrects — to the registry; callers hold s.mu.
+func (s *Server) registerLocked(m checkpointMatrix) *matrixRun {
+	run := &matrixRun{id: m.ID, cells: m.Cells, tenant: m.Tenant, priority: m.Priority, results: make([]*cellJSON, len(m.Cells))}
+	s.matrices[run.id] = run
+	return run
 }
 
 // journalAppend records one event and triggers the automatic
@@ -372,16 +388,15 @@ func (s *Server) snapshot() checkpoint {
 		})
 		run.mu.Unlock()
 	}
-	// Deterministic checkpoint bytes: ids are m1, m2, ... so
-	// length-then-lex is numeric order.
-	sort.Slice(cp.Matrices, func(i, j int) bool {
-		a, b := cp.Matrices[i].ID, cp.Matrices[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
+	// Deterministic checkpoint bytes.
+	slices.SortFunc(cp.Matrices, func(a, b checkpointMatrix) int { return idOrder(a.ID, b.ID) })
 	return cp
+}
+
+// idOrder orders the coordinator's ids (m1, m2, ... and w1, w2, ...)
+// numerically: length first, then bytes.
+func idOrder(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 }
 
 // maxCells bounds one submission's cartesian expansion — large enough
@@ -395,13 +410,13 @@ const maxCells = 100_000
 // unchanged.
 type submitRequest struct {
 	scenario.Matrix
-	// Tenant attributes the submission for fair-share dispatch,
+	// Tenant attributes the submission for fair-share scheduling,
 	// admission quotas and metrics; empty means defaultTenant. Allowed:
 	// up to 64 characters of [A-Za-z0-9._-].
 	Tenant string `json:"tenant,omitempty"`
-	// Priority places the matrix's cells in a dispatch tier (higher
-	// dispatches first; range -9..9, default 0). Fair share applies
-	// within a tier, strict precedence across tiers.
+	// Priority places the matrix's cells in a scheduling tier (higher
+	// starts first; range -9..9, default 0). Fair share applies within
+	// a tier, strict precedence across tiers.
 	Priority int `json:"priority,omitempty"`
 }
 
@@ -515,9 +530,9 @@ type submitResponse struct {
 type statusJSON struct {
 	// ID is the matrix id.
 	ID string `json:"id"`
-	// Tenant attributes the matrix for dispatch and quotas.
+	// Tenant attributes the matrix for scheduling and quotas.
 	Tenant string `json:"tenant,omitempty"`
-	// Priority is the matrix's dispatch tier.
+	// Priority is the matrix's scheduling tier.
 	Priority int `json:"priority,omitempty"`
 	// Total is the number of cells in the matrix.
 	Total int `json:"total"`
@@ -615,7 +630,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Registration and wg.Add happen in one critical section with the
-	// stopped check: once Stop has flipped the flag, no executor can
+	// stopped check: once Stop has flipped the flag, no submission can
 	// slip in behind its wg.Wait.
 	s.mu.Lock()
 	if s.stopped {
@@ -635,14 +650,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	run := &matrixRun{
-		id:       fmt.Sprintf("m%d", s.seq),
-		cells:    cells,
-		tenant:   tenant,
-		priority: req.Priority,
-		results:  make([]*cellJSON, len(cells)),
-	}
-	s.matrices[run.id] = run
+	run := s.registerLocked(checkpointMatrix{ID: fmt.Sprintf("m%d", s.seq), Cells: cells, Tenant: tenant, Priority: req.Priority})
 	s.wg.Add(1)
 	s.mu.Unlock()
 
@@ -650,8 +658,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// it — the ordering every checkpoint snapshot's completeness
 	// argument rests on (see journal.rewrite).
 	s.journalAppend(journalEvent{Type: "submit", Matrix: run.id, Cells: cells, Tenant: tenant, Priority: req.Priority})
-
-	go s.execute(run)
+	s.schedule(run)
+	s.wg.Done()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -664,56 +672,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// execute fans one matrix's cells into the shared pool and marks the
-// run finished (or aborted) when they drain.
-func (s *Server) execute(run *matrixRun) {
-	defer s.wg.Done()
-	var cellWG sync.WaitGroup
-	aborted := false
-loop:
-	for i := range run.cells {
-		// Non-blocking cancellation check first: when both a pool slot
-		// and cancellation are available, the select below picks at
-		// random, which would let new cells start after Stop.
-		if s.ctx.Err() != nil {
-			aborted = true
-			break loop
-		}
-		select {
-		case <-s.ctx.Done():
-			aborted = true
-			break loop
-		case s.sem <- struct{}{}:
-		}
-		cellWG.Add(1)
-		go func(i int) {
-			defer func() {
-				<-s.sem
-				cellWG.Done()
-			}()
-			run.record(s.executeCell(i, run.cells[i], run.tenant, run.priority))
-		}(i)
-	}
-	// The terminal flag is only set AFTER the in-flight cells drain:
-	// until then the matrix is still executing — streams must keep
-	// delivering late completions and DELETE must keep refusing.
-	cellWG.Wait()
-	run.finish(aborted)
-	s.journalAppend(journalEvent{Type: "done", Matrix: run.id, Aborted: aborted})
-}
-
 // executeCell runs one cell through the shared store's single-flight
 // (identical concurrent cells — across matrices and across the fleet —
 // collapse to one execution) with the fleet as the compute path: cells
 // dispatch to workers when any are live and run locally otherwise.
-// tenant and priority place the dispatch in its fleet queue; when the
+// tenant attributes the dispatch in the fleet's counters; when the
 // single-flight collapses identical cells across tenants, the first
 // caller's attribution wins (the others wait on its result). It
 // returns the cell's wire form, which embeds the store's bytes as they
 // are.
-func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority int) *cellJSON {
+func (s *Server) executeCell(i int, cell scenario.Spec, tenant string) *cellJSON {
 	raw, cached, storeErr, err := s.store.DoCellRaw(cell, func() (json.RawMessage, error) {
-		return s.fleet.execute(cell, tenant, priority)
+		return s.fleet.execute(cell, tenant)
 	})
 	c := &cellJSON{Index: i, Spec: cell, Cached: cached, Result: raw}
 	if err != nil {
@@ -725,8 +695,9 @@ func (s *Server) executeCell(i int, cell scenario.Spec, tenant string, priority 
 	return c
 }
 
-// record stores one completed cell and wakes the run's streams.
-func (r *matrixRun) record(c *cellJSON) {
+// record stores one completed cell and wakes the run's streams; last
+// reports that it completed the run's final cell.
+func (r *matrixRun) record(c *cellJSON) (last bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.results[c.Index] = c
@@ -741,21 +712,20 @@ func (r *matrixRun) record(c *cellJSON) {
 	if c.StoreError != "" {
 		r.storeErrs++
 	}
+	return len(r.order) == len(r.cells)
 }
 
-// finish marks the run terminal once every scheduled cell has drained:
-// aborted when shutdown cut the grid short, finished (strictly "every
-// cell completed") otherwise. The two flags stay mutually exclusive,
-// so clients may key on either alone.
-func (r *matrixRun) finish(aborted bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if aborted {
-		r.aborted = true
-	} else {
-		r.finished = true
-	}
-	r.wakeLocked()
+// finish marks a run terminal once every started cell has been
+// recorded — aborted when shutdown cut the grid short, finished
+// (strictly "every cell completed") otherwise; the two flags stay
+// mutually exclusive, so clients may key on either alone — and then
+// journals its one done event.
+func (s *Server) finish(run *matrixRun, aborted bool) {
+	run.mu.Lock()
+	run.aborted, run.finished = aborted, !aborted
+	run.wakeLocked()
+	run.mu.Unlock()
+	s.journalAppend(journalEvent{Type: "done", Matrix: run.id, Aborted: aborted})
 }
 
 // changedLocked returns the channel the next record or finish closes;
@@ -832,15 +802,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	for _, run := range runs {
 		out = append(out, run.status())
 	}
-	// Deterministic order: ids are m1, m2, ..., so length-then-lex is
-	// numeric order.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
+	slices.SortFunc(out, func(a, b statusJSON) int { return idOrder(a.ID, b.ID) })
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, out)
 }
