@@ -94,16 +94,15 @@ race:
 # heartbeat-cadence test, the
 # store-directory crash-window suite (with the seal and removal
 # failures a fake segment backend injects), the cold-index suite
-# (sealed records read back and re-verified), the single-flight
-# property suite and the Monte-Carlo warm-rerun proofs, all under the
-# race detector.
+# (sealed records read back and re-verified) and the single-flight
+# property suite, all under the race detector.
 # The chaos and stream tests run three times over: their assertions are
 # causal, and a timing premise that creeps back in (as "a cell outlives
 # the lease" did when cells got faster) should rot here, in CI, not in
 # a reviewer's scratch run. Blocking in CI as its own job — the
 # sharding layer's byte-identity contract is the whole point.
 shard-tests:
-	$(GO) test -race -count 1 -run 'TestShard|TestSchedule|TestJournal|TestFleet|TestWorker|TestSegment|TestCold|TestReplayed|TestDropped|TestLookupsAnswer|TestSingleFlight|TestMonteCarlo' ./cmd/krum-scenariod ./scenario/store ./internal/harness
+	$(GO) test -race -count 1 -run 'TestShard|TestSchedule|TestJournal|TestFleet|TestWorker|TestSegment|TestCold|TestReplayed|TestDropped|TestLookupsAnswer|TestSingleFlight' ./cmd/krum-scenariod ./scenario/store
 	$(GO) test -race -count 3 -run 'TestChaos|TestStream' ./cmd/krum-scenariod
 	$(GO) test -race -count 1 ./scenario/shardproto
 

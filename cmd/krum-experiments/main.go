@@ -20,9 +20,9 @@
 // registered rule, attack, schedule, workload and arrival spec.
 //
 // With -store (or the "store" config key) every scenario cell — the
-// figure-experiment grids and config matrices — is checked against a
-// content-addressed persistent result store directory before running
-// and written through after (see scenario/store): re-running an
+// figure-experiment grids, E7, E8 and config matrices — is checked
+// against a content-addressed persistent result store directory before
+// running and written through after (see scenario/store): re-running an
 // experiment with a warm store replays its cells as cache hits, so
 // overlapping grids (e.g. -exp all after -exp fig4) only pay for
 // uncovered cells. The directory has the layout krum-scenariod
@@ -227,17 +227,19 @@ func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int 
 		runs[i] = exps[j]
 	}
 
-	var st *store.Store
+	var cells scenario.ResultStore // a nil interface unless a store is configured
 	if cfg.Store != "" {
 		info, err := os.Stat(cfg.Store)
 		if err == nil && info.Mode().IsRegular() {
 			fmt.Fprintf(stderr, "store %[1]s is a file; stores are directories now: mkdir D && mv %[1]s D/tail.jsonl\n", cfg.Store)
 			return 2
 		}
-		if st, err = store.OpenDir(cfg.Store); err != nil {
+		st, err := store.OpenDir(cfg.Store)
+		if err != nil {
 			fmt.Fprintf(stderr, "store: %v\n", err)
 			return 2
 		}
+		cells = st
 		harness.SetStore(st)
 		// The closing line reports the session's cache economics.
 		defer func() {
@@ -254,7 +256,7 @@ func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int 
 		}
 	}
 	if cfg.Matrix != nil {
-		return runMatrix(*cfg.Matrix, cfg.Workers, st, stdout, stderr)
+		return runMatrix(*cfg.Matrix, cfg.Workers, cells, stdout, stderr)
 	}
 	return 0
 }
@@ -262,8 +264,10 @@ func runConfig(cfg fileConfig, exps []experiment, stdout, stderr io.Writer) int 
 // runMatrix validates and executes a scenario matrix, streaming per-cell
 // progress and rendering a deterministic summary table. When st is
 // non-nil, cells already in the store are served from it (marked
-// "cached" in the stream) and fresh cells are written through.
-func runMatrix(m scenario.Matrix, workers int, st *store.Store, stdout, stderr io.Writer) int {
+// "cached" in the stream) and fresh cells are written through. A failed
+// cell exits 1 before the table; a failed write-through only after it,
+// since the cell's result is still valid.
+func runMatrix(m scenario.Matrix, workers int, st scenario.ResultStore, stdout, stderr io.Writer) int {
 	if err := m.Validate(); err != nil {
 		fmt.Fprintf(stderr, "matrix: %v\n", err)
 		return 2
@@ -273,6 +277,7 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store, stdout, stderr i
 	done := 0
 	runner := &scenario.Runner{
 		Workers: workers,
+		Store:   st,
 		OnCell: func(cr scenario.CellResult) {
 			done++
 			status := "error"
@@ -292,11 +297,8 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store, stdout, stderr i
 			fmt.Fprintf(stdout, "[%d/%d] %s — %s\n", done, total, cr.Spec.Label(), status)
 		},
 	}
-	if st != nil {
-		runner.Store = st
-	}
 	results, err := runner.Run(m)
-	if err != nil {
+	if slices.ContainsFunc(results, func(cr scenario.CellResult) bool { return cr.Err != nil }) {
 		fmt.Fprintf(stderr, "matrix: %v\n", err)
 		return 1
 	}
@@ -314,6 +316,10 @@ func runMatrix(m scenario.Matrix, workers int, st *store.Store, stdout, stderr i
 	}
 	if err := tbl.Render(stdout); err != nil {
 		fmt.Fprintf(stderr, "matrix table: %v\n", err)
+		return 1
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "matrix: %v\n", err)
 		return 1
 	}
 	return 0

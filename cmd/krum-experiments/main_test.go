@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"krum/distsgd"
+	"krum/scenario"
 )
 
 // writeConfig writes a -config file and returns its path.
@@ -160,6 +165,39 @@ func TestMatrixWithStore(t *testing.T) {
 	invalid := strings.Replace(ruleSpellingsMatrix, `"krum(f=5)"`, `"krum(f=oops)"`, 1)
 	if code, _, stderr := runCLI("-config", writeConfig(t, invalid)); code != 2 || stderr == "" {
 		t.Errorf("invalid matrix: exit %d (stderr %q), want 2 with a diagnostic", code, stderr)
+	}
+}
+
+// failingStore misses every lookup and fails every write-through.
+type failingStore struct{}
+
+func (failingStore) Lookup(scenario.Spec) (*distsgd.Result, bool) { return nil, false }
+func (failingStore) Save(scenario.Spec, *distsgd.Result) error {
+	return errors.New("save failed")
+}
+
+// TestMatrixStoreFailureStillRendersTable: a matrix whose only failures
+// are its write-throughs prints its whole summary table — the same one
+// a storeless run prints — then reports each failed save and exits 1.
+func TestMatrixStoreFailureStillRendersTable(t *testing.T) {
+	cfg, code := readConfig(writeConfig(t, ruleSpellingsMatrix), io.Discard)
+	if code != 0 {
+		t.Fatalf("config refused: exit %d", code)
+	}
+	var want, got, stderr bytes.Buffer
+	if code := runMatrix(*cfg.Matrix, 2, nil, &want, &stderr); code != 0 {
+		t.Fatalf("storeless run: exit %d: %s", code, stderr.String())
+	}
+	stderr.Reset()
+	if code := runMatrix(*cfg.Matrix, 2, failingStore{}, &got, &stderr); code != 1 {
+		t.Errorf("failed saves: exit %d, want 1", code)
+	}
+	table := func(out string) string { return out[strings.Index(out, "\nworkload"):] }
+	if !strings.Contains(want.String(), "\nworkload") || table(got.String()) != table(want.String()) {
+		t.Errorf("summary table differs from the storeless run's:\n--- storeless\n%s\n--- failing store\n%s", want.String(), got.String())
+	}
+	if n := strings.Count(stderr.String(), "save failed"); n != 4 {
+		t.Errorf("%d failed saves reported, want one per cell (4):\n%s", n, stderr.String())
 	}
 }
 

@@ -14,7 +14,8 @@ package krum_test
 // path the docs name is on disk and every binary and example is listed
 // in the README, so a deletion cannot leave its documentation behind;
 // TestDocsFuzzTargetsListed pins that every native fuzz target runs in
-// `make fuzz-smoke`.
+// `make fuzz-smoke`; TestDocsMakefileTestPatternsMatch pins that every
+// -run and -bench pattern in the Makefile still names a function.
 
 import (
 	"go/ast"
@@ -24,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +61,8 @@ func minimalSpec(name string) string {
 		return name + "(gamma=0.1)"
 	case "noniid":
 		return "noniid(base=gmm(k=3,dim=4),classes=2)"
+	case "partition":
+		return "partition(base=gmm(k=3,dim=4))"
 	case "bounded":
 		return "bounded(tau=2)"
 	case "bernoulli":
@@ -341,5 +345,110 @@ func TestDocsFuzzTargetsListed(t *testing.T) {
 	}
 	if targets == 0 {
 		t.Error("found no fuzz targets: the scan is broken")
+	}
+}
+
+// makeVar matches a Makefile variable definition (NAME ?= value).
+var makeVar = regexp.MustCompile(`(?m)^(\w+) \??= (.*)$`)
+
+// testPattern matches a quoted -run or -bench pattern of a `go test`
+// line.
+var testPattern = regexp.MustCompile(`-(run|bench) '([^']*)'`)
+
+// testFuncNames returns the names of the test, fuzz and example
+// functions (run) or benchmarks (bench) declared in dir's _test.go
+// files — or, for a dir/... pattern, in every package below dir.
+func testFuncNames(t *testing.T, dir, flag string) []string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	if flag == "bench" {
+		decl = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	}
+	root, recursive := strings.CutSuffix(dir, "/...")
+	var names []string
+	err := filepath.WalkDir(filepath.Clean(root), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != filepath.Clean(root) && (!recursive || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestDocsMakefileTestPatternsMatch fails when a -run or -bench pattern
+// in the Makefile has an alternative that names no function in the
+// packages its line lists: `go test -run X` passes when X matches
+// nothing, so a renamed or deleted test would otherwise shrink a gate
+// silently. The `^$` (run nothing) and `.` (run everything) idioms are
+// exempt.
+func TestDocsMakefileTestPatternsMatch(t *testing.T) {
+	blob, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile := strings.ReplaceAll(string(blob), "\\\n", " ")
+	vars := map[string]string{}
+	for _, m := range makeVar.FindAllStringSubmatch(makefile, -1) {
+		vars[m[1]] = strings.TrimSpace(m[2])
+	}
+	patterns := 0
+	for _, line := range strings.Split(makefile, "\n") {
+		if !strings.Contains(line, "$(GO) test") {
+			continue
+		}
+		var pkgs []string
+		for _, field := range strings.Fields(line) {
+			if field == "." || strings.HasPrefix(field, "./") {
+				pkgs = append(pkgs, field)
+			}
+		}
+		for _, m := range testPattern.FindAllStringSubmatch(line, -1) {
+			flag, pattern := m[1], m[2]
+			for name, value := range vars {
+				pattern = strings.ReplaceAll(pattern, "$("+name+")", value)
+			}
+			pattern = strings.ReplaceAll(pattern, "$$", "$")
+			if pattern == "^$" || pattern == "." {
+				continue
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				patterns++
+				top, _, _ := strings.Cut(alt, "/") // a subtest path names its top-level test first
+				re, err := regexp.Compile(top)
+				if err != nil {
+					t.Errorf("Makefile -%s alternative %q: %v", flag, alt, err)
+					continue
+				}
+				found := false
+				for _, pkg := range pkgs {
+					found = found || slices.ContainsFunc(testFuncNames(t, pkg, flag), re.MatchString)
+				}
+				if !found {
+					t.Errorf("Makefile -%s alternative %q names no function in %v:\n%s", flag, alt, pkgs, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+	if patterns == 0 {
+		t.Error("found no -run or -bench patterns: the scan is broken")
 	}
 }

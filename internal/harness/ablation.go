@@ -37,52 +37,14 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// auxKindAblation is the store record kind for E6 Monte-Carlo cells.
-const auxKindAblation = "ablation"
-
-// ablationCellRecord is the store payload of one E6 cell. It mirrors
-// AblationRow except that the untracked selection rate travels as a
-// Tracked flag instead of NaN (plain JSON has no NaN literal).
-type ablationCellRecord struct {
-	// Rule is the canonical rule name of the row.
-	Rule string `json:"rule"`
-	// CoordError mirrors AblationRow.CoordError.
-	CoordError float64 `json:"coord_error"`
-	// RestError mirrors AblationRow.RestError.
-	RestError float64 `json:"rest_error"`
-	// Tracked reports the rule implements selection; ByzSelectedRate is
-	// meaningful only then (NaN otherwise on decode).
-	Tracked bool `json:"tracked"`
-	// ByzSelectedRate is the selection rate when Tracked.
-	ByzSelectedRate float64 `json:"byz_selected_rate"`
-}
-
-// row converts the record back to the NaN-sentineled result row.
-func (r ablationCellRecord) row() AblationRow {
-	out := AblationRow{
-		Rule:            r.Rule,
-		CoordError:      r.CoordError,
-		RestError:       r.RestError,
-		ByzSelectedRate: math.NaN(),
-	}
-	if r.Tracked {
-		out.ByzSelectedRate = r.ByzSelectedRate
-	}
-	return out
-}
-
 // RunAblation executes E6: Monte-Carlo aggregation under
 // attack.HiddenCoordinate across all rules, measuring per-coordinate
 // damage rather than selection alone. Each cell draws from its own
-// derived-seed RNG (DeriveSeeds decorrelates the rules' streams), so a
-// cell is a pure function of its spec plus (d, coord, trials) — which
-// is what lets a configured result store (SetStore) cache the cells
-// and replay a warm rerun with zero Monte-Carlo work.
+// derived-seed RNG (DeriveSeeds decorrelates the rules' streams).
 func RunAblation(w io.Writer, scale Scale, seed uint64) (*AblationResult, error) {
 	const n, f, d = 11, 2, 60 // n ≥ 4f+3 for Bulyan
 	const coord = 7
 	count := pick(scale, 300, 2000)
-	auxParams := fmt.Sprintf("d=%d,coord=%d,trials=%d", d, coord, count)
 
 	// The rule sweep is a scenario matrix over registry specs; the
 	// hidden-coordinate attack is a spec too, so this path contains no
@@ -115,47 +77,44 @@ func RunAblation(w io.Writer, scale Scale, seed uint64) (*AblationResult, error)
 		if err != nil {
 			return nil, fmt.Errorf("attack %q: %w", cell.Attack, err)
 		}
-		rec, err := monteCarloCell(w, auxKindAblation, cell, auxParams, func() (ablationCellRecord, error) {
-			var coordErr, restErr float64
-			hits := 0
-			sel, tracked := rule.(core.Selector)
-			err := trials(vec.NewRNG(cell.Seed), n, f, d, 0.3, atk, count, func(g []float64, proposals [][]float64) error {
-				if err := rule.Aggregate(out, proposals); err != nil {
-					return fmt.Errorf("%s: %w", rule.Name(), err)
+		var coordErr, restErr float64
+		hits := 0
+		sel, tracked := rule.(core.Selector)
+		err = trials(vec.NewRNG(cell.Seed), n, f, d, 0.3, atk, count, func(g []float64, proposals [][]float64) error {
+			if err := rule.Aggregate(out, proposals); err != nil {
+				return fmt.Errorf("%s: %w", rule.Name(), err)
+			}
+			coordErr += math.Abs(out[coord] - g[coord])
+			for j := 0; j < d; j++ {
+				if j != coord {
+					restErr += math.Abs(out[j] - g[j])
 				}
-				coordErr += math.Abs(out[coord] - g[coord])
-				for j := 0; j < d; j++ {
-					if j != coord {
-						restErr += math.Abs(out[j] - g[j])
-					}
-				}
-				if !tracked {
-					return nil
-				}
-				indices, err := sel.Select(proposals)
-				if err != nil {
-					return fmt.Errorf("%s select: %w", rule.Name(), err)
-				}
-				if selectsByzantine(indices, n-f) {
-					hits++
-				}
+			}
+			if !tracked {
 				return nil
-			})
-			rec := ablationCellRecord{
-				Rule:       rule.Name(),
-				CoordError: coordErr / float64(count),
-				RestError:  restErr / float64(count*(d-1)),
-				Tracked:    tracked,
 			}
-			if tracked {
-				rec.ByzSelectedRate = float64(hits) / float64(count)
+			indices, err := sel.Select(proposals)
+			if err != nil {
+				return fmt.Errorf("%s select: %w", rule.Name(), err)
 			}
-			return rec, err
+			if selectsByzantine(indices, n-f) {
+				hits++
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, rec.row())
+		row := AblationRow{
+			Rule:            rule.Name(),
+			CoordError:      coordErr / float64(count),
+			RestError:       restErr / float64(count*(d-1)),
+			ByzSelectedRate: math.NaN(),
+		}
+		if tracked {
+			row.ByzSelectedRate = float64(hits) / float64(count)
+		}
+		res.Rows = append(res.Rows, row)
 	}
 
 	section(w, "E6 (extension) — hidden-coordinate attack: Krum vs Bulyan ablation")

@@ -62,7 +62,7 @@ func RunAttackFigure(w io.Writer, scale Scale, seed uint64, attackSpec, figName 
 	clean := scenario.Matrix{Base: base, Rules: ruleSpecs, Fs: []int{0}}
 	byz := scenario.Matrix{Base: base, Rules: ruleSpecs, Attacks: []string{attackSpec}, Fs: []int{f}}
 	cells := append(clean.Cells(), byz.Cells()...)
-	results, err := newRunner().RunCells(cells)
+	results, storeErr, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func RunAttackFigure(w io.Writer, scale Scale, seed uint64, attackSpec, figName 
 	fmt.Fprintf(w, "\nfinal: avg(0%%)=%.3f avg(byz)=%.3f (diverged=%v) krum(0%%)=%.3f krum(byz)=%.3f\n",
 		curves.AvgCleanFinal, curves.AvgByzFinal, curves.AvgByzDiverged,
 		curves.KrumCleanFinal, curves.KrumByzFinal)
-	return curves, nil
+	return curves, storeErr
 }
 
 // RunFig4 is the Gaussian-attack figure (full paper Figure 4).

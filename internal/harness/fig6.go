@@ -54,7 +54,7 @@ func RunFig6(w io.Writer, scale Scale, seed uint64) (*Fig6Result, error) {
 	clean := scenario.Matrix{Base: base, Rules: ruleSpecs, Fs: []int{0}}
 	byz := scenario.Matrix{Base: base, Rules: ruleSpecs, Attacks: []string{"gaussian(sigma=200)"}, Fs: []int{f}}
 	cells := append(clean.Cells(), byz.Cells()...)
-	results, err := newRunner().RunCells(cells)
+	results, storeErr, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -95,5 +95,5 @@ func RunFig6(w io.Writer, scale Scale, seed uint64) (*Fig6Result, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "\nLarger m averages more estimates (faster/cleaner convergence, Figure 6);\nresilience holds while the selected set cannot contain a majority of\nByzantine proposals and collapses as m → n (averaging).\n")
-	return res, nil
+	return res, storeErr
 }

@@ -58,7 +58,7 @@ func RunFig7(w io.Writer, scale Scale, seed uint64) (*Fig7Result, error) {
 		cell.Attack = "gaussian(sigma=200)"
 		cells = append(cells, cell)
 	}
-	results, err := newRunner().RunCells(cells)
+	results, storeErr, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -78,5 +78,5 @@ func RunFig7(w io.Writer, scale Scale, seed uint64) (*Fig7Result, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "\nclean averaging reference: %.3f. Growing the mini-batch shrinks the\nestimator deviation σ, closing Krum's gap (Figure 7's crossover).\n", res.AverageCleanFinal)
-	return res, nil
+	return res, storeErr
 }

@@ -13,7 +13,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,7 +23,6 @@ import (
 	"krum/distsgd"
 	"krum/internal/vec"
 	"krum/scenario"
-	"krum/scenario/store"
 	"krum/workload"
 )
 
@@ -32,60 +30,34 @@ import (
 var ErrConfig = errors.New("harness: bad configuration")
 
 // cellStore, when set, backs every scenario.Runner the harness builds
-// and every Monte-Carlo cell (see SetStore).
-var cellStore *store.Store
+// (see SetStore).
+var cellStore scenario.ResultStore
 
 // SetStore routes every harness experiment that executes scenario
-// cells (the figure grids) or Monte-Carlo cells (table1's selection
-// rates, the ablation's coordinate errors) through the given result
-// store, so repeated invocations — and overlapping grids within one
+// cells (the figure grids, E7 and E8) through the given result store,
+// so repeated invocations — and overlapping grids within one
 // invocation — replay completed cells instead of recomputing them. The
-// CLI wires this to krum-experiments -store. Pass nil to disable. Not
-// safe to call concurrently with running experiments; set it once at
-// startup.
-func SetStore(st *store.Store) { cellStore = st }
+// CLI wires this to krum-experiments -store. The aggregation-level
+// Monte-Carlo experiments (fig2, prop42, table1, ablation) are not
+// cells and always recompute. Pass nil to disable. Not safe to call
+// concurrently with running experiments; set it once at startup.
+func SetStore(st scenario.ResultStore) { cellStore = st }
 
-// newRunner builds the shared scenario runner, wired to the configured
-// store. Every harness experiment that runs cells must construct its
-// runner here — constructing scenario.Runner directly would silently
-// opt out of the store. A nil store stays a nil interface: a typed nil
-// in Runner.Store would be called.
-func newRunner() *scenario.Runner {
-	r := &scenario.Runner{}
-	if cellStore != nil {
-		r.Store = cellStore
-	}
-	return r
-}
-
-// monteCarloCell returns the Monte-Carlo cell (kind, spec, params):
-// the configured store's payload when it holds a decodable one (any
-// failure is a miss, and recomputing is always safe), otherwise
-// compute's result, written through. A store failure is reported on
-// the experiment's writer — the result is still valid, only its
-// persistence failed (the same non-fatal treatment
-// scenario.CellResult.StoreErr gets).
-func monteCarloCell[T any](w io.Writer, kind string, spec scenario.Spec, params string, compute func() (T, error)) (T, error) {
-	if cellStore != nil {
-		if raw, ok := cellStore.LookupAux(kind, spec, params); ok {
-			var cached T
-			if json.Unmarshal(raw, &cached) == nil {
-				return cached, nil
-			}
+// runCells runs cells on a scenario.Runner wired to the configured
+// store. Every harness experiment that runs cells goes through here —
+// constructing scenario.Runner directly would silently opt out of the
+// store. A cell that failed fails the experiment (err). A failed
+// write-through does not: the computed result is valid, so the
+// Runner's error comes back as storeErr, for the experiment to return
+// once it has rendered every cell.
+func runCells(cells []scenario.Spec) (results []scenario.CellResult, storeErr, err error) {
+	results, err = (&scenario.Runner{Store: cellStore}).RunCells(cells)
+	for _, cr := range results {
+		if cr.Err != nil {
+			return nil, nil, err
 		}
 	}
-	v, err := compute()
-	if err != nil || cellStore == nil {
-		return v, err
-	}
-	raw, err := json.Marshal(v)
-	if err == nil {
-		err = cellStore.SaveAux(kind, spec, params, raw)
-	}
-	if err != nil {
-		fmt.Fprintf(w, "warning: storing %s cell: %v\n", kind, err)
-	}
-	return v, nil
+	return results, err, nil
 }
 
 // trials runs count aggregation-level Monte-Carlo trials. Each draws a

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"krum/data"
-	"krum/distsgd"
 	"krum/internal/core"
 	"krum/internal/metrics"
+	"krum/scenario"
 )
 
 // NonIIDRow is one rule's outcome under homogeneous and label-skewed
@@ -37,72 +36,50 @@ type NonIIDResult struct {
 // an unbiased aggregate (the skews cancel in the mean); Krum selects a
 // SINGLE worker's gradient per round, which under label skew is a
 // biased estimate, so selection rules degrade. This is the documented
-// boundary of the paper's guarantee, not a bug.
+// boundary of the paper's guarantee, not a bug. The eight runs are
+// scenario cells: each rule on the image workload and on its
+// partition, which deals the classes across the workers.
 func RunNonIID(w io.Writer, scale Scale, seed uint64) (*NonIIDResult, error) {
 	const n = 10
-	rounds := pick(scale, 200, 600)
-	evalEvery := pick(scale, 20, 40)
-
 	work, err := newImageWorkload(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	partitions, err := data.PartitionClasses(work.Dataset, n)
+	iid := imageWorkloadSpec(scale)
+	// Every worker is honest (f = 0), but the selection rules declare a
+	// nominal tolerance f = 2.
+	rules := []string{"average", "krum(f=2)", fmt.Sprintf("multikrum(f=2,m=%d)", n-2), "coordmedian"}
+	m := scenario.Matrix{
+		Base: scenario.Spec{
+			Schedule:  figSchedule,
+			N:         n,
+			Rounds:    pick(scale, 200, 600),
+			BatchSize: pick(scale, 16, 32),
+			Seed:      seed,
+			EvalEvery: pick(scale, 20, 40),
+			EvalBatch: pick(scale, 300, 1000),
+		},
+		Workloads: []string{iid, "partition(base=" + iid + ")"},
+		Rules:     rules,
+	}
+	results, storeErr, err := runCells(m.Cells())
 	if err != nil {
 		return nil, err
 	}
-	datasets := make([]data.Dataset, n)
-	for i, p := range partitions {
-		datasets[i] = p
-	}
-
-	base := distsgd.Config{
-		Model:        work.Model,
-		Dataset:      work.Dataset, // evaluation stays on the full distribution
-		N:            n,
-		F:            0,
-		BatchSize:    pick(scale, 16, 32),
-		ScheduleSpec: figSchedule,
-		Rounds:       rounds,
-		Seed:         seed,
-		EvalEvery:    evalEvery,
-		EvalBatch:    pick(scale, 300, 1000),
-	}
 
 	res := &NonIIDResult{N: n}
-	// Rules come from the central registry; the experiment declares a
-	// nominal tolerance f = 2 even though every worker is honest.
-	specCtx := core.SpecContext{N: n, F: 2}
-	specs := []string{"average", "krum", fmt.Sprintf("multikrum(m=%d)", n-2), "coordmedian"}
-	rules := make([]core.Rule, 0, len(specs))
-	for _, spec := range specs {
-		rule, err := core.ParseRuleIn(specCtx, spec)
+	for i, spec := range rules {
+		rule, err := core.ParseRuleIn(core.SpecContext{N: n}, spec)
 		if err != nil {
 			return nil, fmt.Errorf("rule %q: %w", spec, err)
 		}
-		rules = append(rules, rule)
-	}
-	for _, rule := range rules {
-		iidCfg := base
-		iidCfg.Rule = rule
-		iidRun, err := distsgd.Run(iidCfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s iid: %w", rule.Name(), err)
-		}
-
-		skewCfg := base
-		skewCfg.Rule = rule
-		skewCfg.WorkerData = datasets
-		skewRun, err := distsgd.Run(skewCfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s skew: %w", rule.Name(), err)
-		}
-
+		iidAcc := results[i].Result.FinalTestAccuracy
+		skewAcc := results[len(rules)+i].Result.FinalTestAccuracy
 		res.Rows = append(res.Rows, NonIIDRow{
 			Rule:         rule.Name(),
-			IIDAccuracy:  iidRun.FinalTestAccuracy,
-			SkewAccuracy: skewRun.FinalTestAccuracy,
-			Gap:          iidRun.FinalTestAccuracy - skewRun.FinalTestAccuracy,
+			IIDAccuracy:  iidAcc,
+			SkewAccuracy: skewAcc,
+			Gap:          iidAcc - skewAcc,
 		})
 	}
 
@@ -116,7 +93,7 @@ func RunNonIID(w io.Writer, scale Scale, seed uint64) (*NonIIDResult, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "\nAveraging cancels the per-worker skews; Krum selects one (biased) worker\nper round and pays for it — the documented boundary of the paper's\ni.i.d. assumption, and the opening for later heterogeneity-aware work.\n")
-	return res, nil
+	return res, storeErr
 }
 
 // Row returns the named row, or nil.

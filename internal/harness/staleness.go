@@ -67,7 +67,7 @@ func RunStaleness(w io.Writer, scale Scale, seed uint64) (*StalenessSweep, error
 	}
 	cells := append(avgArm.Cells(), krumArm.Cells()...)
 
-	results, err := newRunner().RunCells(cells)
+	results, storeErr, err := runCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -97,5 +97,5 @@ func RunStaleness(w io.Writer, scale Scale, seed uint64) (*StalenessSweep, error
 		fmt.Fprintf(w, "%-34s %12.3f %12.3f %14.3f\n",
 			arr, sweep.AvgFinal[i], sweep.KrumFinal[i], sweep.KrumByzRate[i])
 	}
-	return sweep, nil
+	return sweep, storeErr
 }

@@ -11,9 +11,6 @@ import (
 	"krum/scenario"
 )
 
-// auxKindTable1 is the store record kind for T1 Monte-Carlo cells.
-const auxKindTable1 = "table1"
-
 // Table1Cell is one (attack, rule) measurement.
 type Table1Cell struct {
 	// Attack and Rule identify the cell (canonical registry spec
@@ -57,14 +54,10 @@ func table1Matrix(seed uint64) scenario.Matrix {
 // RunTable1 measures how often each selection rule picks a Byzantine
 // proposal under each attack, at the aggregation level (tight correct
 // cluster, unit-scale gradients). The grid comes from table1Matrix;
-// each cell runs its own deterministically-seeded Monte-Carlo loop —
-// a pure function of its spec plus (d, trials), which is what lets a
-// configured result store (SetStore) cache the cells: a warm rerun
-// replays every cell with zero Monte-Carlo work.
+// each cell runs its own deterministically-seeded Monte-Carlo loop.
 func RunTable1(w io.Writer, scale Scale, seed uint64) (*Table1Result, error) {
 	const d = 12
 	count := pick(scale, 200, 2000)
-	auxParams := fmt.Sprintf("d=%d,trials=%d", d, count)
 
 	m := table1Matrix(seed)
 	n, f := m.Base.N, m.Base.F
@@ -82,24 +75,21 @@ func RunTable1(w io.Writer, scale Scale, seed uint64) (*Table1Result, error) {
 		if !ok {
 			continue
 		}
-		c, err := monteCarloCell(w, auxKindTable1, cell, auxParams, func() (Table1Cell, error) {
-			hits := 0
-			err := trials(vec.NewRNG(cell.Seed), n, f, d, 0.1, atk, count, func(_ []float64, proposals [][]float64) error {
-				indices, err := sel.Select(proposals)
-				if err != nil {
-					return fmt.Errorf("%s under %s: %w", rule.Name(), atk.Name(), err)
-				}
-				if selectsByzantine(indices, n-f) {
-					hits++
-				}
-				return nil
-			})
-			return Table1Cell{Attack: atk.Name(), Rule: rule.Name(), ByzSelectedRate: float64(hits) / float64(count)}, err
+		hits := 0
+		err = trials(vec.NewRNG(cell.Seed), n, f, d, 0.1, atk, count, func(_ []float64, proposals [][]float64) error {
+			indices, err := sel.Select(proposals)
+			if err != nil {
+				return fmt.Errorf("%s under %s: %w", rule.Name(), atk.Name(), err)
+			}
+			if selectsByzantine(indices, n-f) {
+				hits++
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Cells = append(res.Cells, c)
+		res.Cells = append(res.Cells, Table1Cell{Attack: atk.Name(), Rule: rule.Name(), ByzSelectedRate: float64(hits) / float64(count)})
 	}
 
 	section(w, "T1 — Byzantine-selection rate per (attack × rule)")

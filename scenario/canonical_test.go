@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -13,14 +14,15 @@ import (
 // canonicalForm is one case of testdata/canonical_forms.json: a spec as
 // a caller spells it, and either the canonical JSON the result store's
 // own resolvers produced for it before Canonical moved into this
-// package (a cell, or a Monte-Carlo partial spec), or the fact that
-// they refused to key it. The literals were generated once, by that
-// commit, and are never regenerated: a mismatch means a key moved. Two
-// entries were corrected by hand since: krum(f=2) and
-// minimaldiameter(f=2) at f = 3 had been given the bare name, the key
-// of f = 3, and now carry their f.
+// package, or the fact that they refused to key it. The literals were
+// generated once, by that commit, and are never regenerated: a mismatch
+// means a key moved. Two entries were corrected by hand since:
+// krum(f=2) and minimaldiameter(f=2) at f = 3 had been given the bare
+// name, the key of f = 3, and now carry their f. The rows marked
+// "partial" — specs without a rule, schedule or workload, which once
+// keyed the store's Monte-Carlo records — are all refused since those
+// records went: a partial spec has no identity.
 type canonicalForm struct {
-	Partial   bool            `json:"partial"`
 	Spec      Spec            `json:"spec"`
 	Canonical json.RawMessage `json:"canonical"`
 	Refused   bool            `json:"refused"`
@@ -41,17 +43,16 @@ func loadCanonicalForms(tb testing.TB) []canonicalForm {
 
 // TestCanonicalForms pins Spec.Canonical to the golden identities:
 // every registry built-in under case, spacing and default-parameter
-// variants, "" and "NONE" attacks, every sync spelling of the arrival
-// axis, and table1/ablation partial specs. A refused full cell fails
-// Validate; a refused partial spec fails Canonical itself.
+// variants, "" and "NONE" attacks and every sync spelling of the
+// arrival axis. A refused spec fails Canonical, and so Validate.
 func TestCanonicalForms(t *testing.T) {
 	for i, tc := range loadCanonicalForms(t) {
 		c, err := tc.Spec.Canonical()
 		if tc.Refused {
-			if tc.Partial && err == nil {
+			if err == nil {
 				t.Errorf("case %d (%+v): canonicalized to %+v, want an error", i, tc.Spec, c)
 			}
-			if !tc.Partial && tc.Spec.Validate() == nil {
+			if tc.Spec.Validate() == nil {
 				t.Errorf("case %d (%+v): validates, want refused", i, tc.Spec)
 			}
 			continue
@@ -70,10 +71,33 @@ func TestCanonicalForms(t *testing.T) {
 		if again, err := c.Canonical(); err != nil || again != c {
 			t.Errorf("case %d: not a fixed point: %+v → %+v (%v)", i, c, again, err)
 		}
-		if !tc.Partial {
-			if err := tc.Spec.Validate(); err != nil {
-				t.Errorf("case %d (%+v): Validate = %v", i, tc.Spec, err)
-			}
+		if err := tc.Spec.Validate(); err != nil {
+			t.Errorf("case %d (%+v): Validate = %v", i, tc.Spec, err)
+		}
+	}
+}
+
+// TestCanonicalRefusesEmptyAxes: Canonical is the one place that
+// refuses a spec with no rule, schedule or workload, and Validate
+// reports its refusal word for word.
+func TestCanonicalRefusesEmptyAxes(t *testing.T) {
+	cell := Spec{Workload: "gmm(k=3,dim=6)", Rule: "krum", Schedule: "const(gamma=0.1)", N: 9, F: 2, Rounds: 5, BatchSize: 4}
+	for _, tc := range []struct {
+		axis  string
+		empty func(*Spec)
+	}{
+		{"rule", func(s *Spec) { s.Rule = "" }},
+		{"schedule", func(s *Spec) { s.Schedule = "" }},
+		{"workload", func(s *Spec) { s.Workload = "" }},
+	} {
+		s := cell
+		tc.empty(&s)
+		want := "empty " + tc.axis + " spec: " + ErrBadSpec.Error()
+		if _, err := s.Canonical(); err == nil || err.Error() != want || !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Canonical without a %s: %v, want %q", tc.axis, err, want)
+		}
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate without a %s: %v, want %q", tc.axis, err, want)
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"krum/attack"
+	"krum/data"
 	"krum/distsgd"
 	"krum/internal/arrival"
 	"krum/internal/core"
@@ -129,9 +130,9 @@ func (s Spec) Label() string {
 	return strings.Join(parts, " ")
 }
 
-// Validate eagerly checks the scalar shape and the required axes and
-// resolves every axis through Canonical, so config files fail fast with
-// registry-grade error messages instead of mid-matrix.
+// Validate eagerly checks the scalar shape and resolves every axis
+// through Canonical, so config files fail fast with registry-grade
+// error messages instead of mid-matrix.
 func (s Spec) Validate() error {
 	if s.N < 1 || s.F < 0 || s.F >= s.N {
 		return fmt.Errorf("n = %d, f = %d (need 0 ≤ f < n): %w", s.N, s.F, ErrBadSpec)
@@ -141,14 +142,6 @@ func (s Spec) Validate() error {
 	}
 	if s.BatchSize < 1 {
 		return fmt.Errorf("batch_size = %d: %w", s.BatchSize, ErrBadSpec)
-	}
-	switch "" {
-	case s.Rule:
-		return fmt.Errorf("empty rule spec: %w", ErrBadSpec)
-	case s.Schedule:
-		return fmt.Errorf("empty schedule spec: %w", ErrBadSpec)
-	case s.Workload:
-		return fmt.Errorf("empty workload spec: %w", ErrBadSpec)
 	}
 	_, err := s.Canonical()
 	return err
@@ -162,26 +155,31 @@ func (s Spec) Validate() error {
 // Failures are not memoized: they stay cheap and keep their full error.
 var workloadCanon sync.Map
 
-// Canonical returns the spec's identity: every axis that is set,
-// resolved through its registry to the canonical form that reparses to
-// the same object — the rule under SpecContext{N, F}, the attack (""
-// becomes "none"), the schedule, the workload, and the arrival process,
-// where every spelling of sync (any τ = 0 spec) becomes "" and so shares
-// the synchronous identity. Rule, schedule and workload left empty stay
-// empty (the partial specs of Monte-Carlo cells); the cosmetic Name is
-// cleared. Canonical is idempotent and is the one place axis strings
-// become an identity: Validate and the result store's keys both go
-// through it.
+// Canonical returns the spec's identity: every axis resolved through
+// its registry to the canonical form that reparses to the same object —
+// the rule under SpecContext{N, F}, the attack ("" becomes "none"), the
+// schedule, the workload, and the arrival process, where every spelling
+// of sync (any τ = 0 spec) becomes "" and so shares the synchronous
+// identity. The cosmetic Name is cleared. A spec without a rule, a
+// schedule or a workload is not a cell and has no identity. Canonical
+// is idempotent and is the one place axis strings become an identity:
+// Validate and the result store's keys both go through it.
 func (s Spec) Canonical() (Spec, error) {
+	switch "" {
+	case s.Rule:
+		return Spec{}, fmt.Errorf("empty rule spec: %w", ErrBadSpec)
+	case s.Schedule:
+		return Spec{}, fmt.Errorf("empty schedule spec: %w", ErrBadSpec)
+	case s.Workload:
+		return Spec{}, fmt.Errorf("empty workload spec: %w", ErrBadSpec)
+	}
 	c := s
 	c.Name = ""
-	if s.Rule != "" {
-		rule, err := canonicalRule(core.SpecContext{N: s.N, F: s.F}, s.Rule)
-		if err != nil {
-			return Spec{}, err
-		}
-		c.Rule = rule
+	rule, err := canonicalRule(core.SpecContext{N: s.N, F: s.F}, s.Rule)
+	if err != nil {
+		return Spec{}, err
 	}
+	c.Rule = rule
 	c.Attack = "none"
 	if s.Attack != "" {
 		atk, err := attack.Parse(s.Attack)
@@ -190,24 +188,20 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 		c.Attack = atk.Name()
 	}
-	if s.Schedule != "" {
-		sched, err := sgd.ParseSchedule(s.Schedule)
+	sched, err := sgd.ParseSchedule(s.Schedule)
+	if err != nil {
+		return Spec{}, err
+	}
+	c.Schedule = sched.Name()
+	wl, ok := workloadCanon.Load(s.Workload)
+	if !ok {
+		built, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
 		if err != nil {
 			return Spec{}, err
 		}
-		c.Schedule = sched.Name()
+		wl, _ = workloadCanon.LoadOrStore(s.Workload, built.Spec)
 	}
-	if s.Workload != "" {
-		wl, ok := workloadCanon.Load(s.Workload)
-		if !ok {
-			built, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
-			if err != nil {
-				return Spec{}, err
-			}
-			wl, _ = workloadCanon.LoadOrStore(s.Workload, built.Spec)
-		}
-		c.Workload = wl.(string)
-	}
+	c.Workload = wl.(string)
 	if s.Arrival != "" {
 		proc, err := arrival.Parse(s.Arrival)
 		if err != nil {
@@ -273,16 +267,16 @@ func rebuilds(ctx core.SpecContext, s string, rule core.Rule) bool {
 // Compile materializes the spec into a distsgd.Config: the workload is
 // built through its registry (seeded by Spec.Seed) and the rule,
 // attack and schedule specs are handed to distsgd.Run, which constructs
-// them with the cluster shape as defaults.
+// them with the cluster shape as defaults. A workload that deals its
+// classes (partition) becomes the n − f correct workers' WorkerData,
+// dealt by data.PartitionClasses; evaluation stays on the whole
+// dataset.
 func (s Spec) Compile() (distsgd.Config, error) {
-	if s.Workload == "" {
-		return distsgd.Config{}, fmt.Errorf("empty workload spec: %w", ErrBadSpec)
-	}
 	wl, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
 	if err != nil {
 		return distsgd.Config{}, err
 	}
-	return distsgd.Config{
+	cfg := distsgd.Config{
 		Model:          wl.Model,
 		Dataset:        wl.Dataset,
 		RuleSpec:       s.Rule,
@@ -298,7 +292,18 @@ func (s Spec) Compile() (distsgd.Config, error) {
 		TrackSelection: s.TrackSelection,
 		Incremental:    s.Incremental,
 		ArrivalSpec:    s.Arrival,
-	}, nil
+	}
+	if wl.DealClasses {
+		parts, err := data.PartitionClasses(wl.Dataset, s.N-s.F)
+		if err != nil {
+			return distsgd.Config{}, err
+		}
+		cfg.WorkerData = make([]data.Dataset, len(parts))
+		for i, p := range parts {
+			cfg.WorkerData[i] = p
+		}
+	}
+	return cfg, nil
 }
 
 // MarshalIndent renders the spec as the JSON accepted by config files.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"krum/attack"
+	"krum/data"
 	"krum/internal/core"
 	"krum/internal/sgd"
 	"krum/internal/vec"
@@ -458,5 +459,42 @@ func TestCompileRunsUnderAttack(t *testing.T) {
 	}
 	if math.IsNaN(res.Result.FinalTestAccuracy) {
 		t.Error("run with EvalEvery > 0 never evaluated")
+	}
+}
+
+// TestCompileDealsPartitionClasses: a partition workload compiles to one
+// class-dealt dataset per correct worker (data.PartitionClasses over
+// n − f), evaluation stays on the base's whole dataset, and its base
+// alone compiles to no WorkerData. A base partition could hang on is
+// refused by Validate.
+func TestCompileDealsPartitionClasses(t *testing.T) {
+	s := quickSpec()
+	s.Workload = "partition(base=gmm(k=3,dim=4))"
+	cfg, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg.WorkerData) != s.N-s.F {
+		t.Fatalf("%d worker datasets, want n − f = %d", len(cfg.WorkerData), s.N-s.F)
+	}
+	for i, ds := range cfg.WorkerData {
+		cf, ok := ds.(*data.ClassFilter)
+		if !ok {
+			t.Fatalf("worker %d dataset is %T, want a class filter", i, ds)
+		}
+		if got := cf.Classes(); len(got) != 1 || got[0] != i%3 {
+			t.Errorf("worker %d dealt classes %v, want [%d]", i, got, i%3)
+		}
+	}
+	if _, ok := cfg.Dataset.(*data.ClassFilter); ok {
+		t.Error("evaluation dataset is class-filtered")
+	}
+	s.Workload = "gmm(k=3,dim=4)"
+	if cfg, err = s.Compile(); err != nil || cfg.WorkerData != nil {
+		t.Errorf("base workload compiled to %d worker datasets (%v), want none", len(cfg.WorkerData), err)
+	}
+	s.Workload = "partition(base=noniid(base=gmm,classes=2))"
+	if err := s.Validate(); !errors.Is(err, workload.ErrBadSpec) {
+		t.Errorf("Validate(%q) = %v, want a workload refusal", s.Workload, err)
 	}
 }

@@ -51,16 +51,11 @@ func mustMarshal(t *testing.T, v any) []byte {
 	return blob
 }
 
-// auxSpec and auxParams identify the one aux record these tests use.
-var auxSpec = scenario.Spec{Rule: "krum", N: 9, F: 2}
-
-const auxParams = "trials=3"
-
 // TestColdHitByteIdentical: the same key answers with the same bytes
 // while its record is resident in the tail, after the tail sealed,
-// after compaction moved the line, and after a reopen — on all three
-// read paths (single-flight, typed Lookup, LookupAux) — and the cold
-// answers are counted.
+// after compaction moved the line, and after a reopen — on both read
+// paths (single-flight and typed Lookup) — and the cold answers are
+// counted.
 func TestColdHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDir(dir)
@@ -68,7 +63,6 @@ func TestColdHitByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cells = 4
-	aux := json.RawMessage(`{"rate":0.25}`)
 	want := make([]json.RawMessage, cells)
 	for i := range want {
 		want[i] = mustMarshal(t, fakeResult(i))
@@ -79,9 +73,6 @@ func TestColdHitByteIdentical(t *testing.T) {
 			if err := st.Save(seededSpec(i), fakeResult(i)); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.SaveAux("table1", auxSpec, auxParams, aux); err != nil {
-			t.Fatal(err)
 		}
 	}
 	check := func(stage string, cold bool) {
@@ -95,11 +86,8 @@ func TestColdHitByteIdentical(t *testing.T) {
 				t.Errorf("%s: typed lookup of cell %d re-encodes to %s", stage, i, got)
 			}
 		}
-		if got, ok := st.LookupAux("table1", auxSpec, auxParams); !ok || !bytes.Equal(got, aux) {
-			t.Errorf("%s: aux lookup (%v) %s, want %s", stage, ok, got, aux)
-		}
 		after := st.Stats()
-		reads, wantCold := 2*cells+1, 0
+		reads, wantCold := 2*cells, 0
 		if cold {
 			wantCold = reads
 		}
@@ -145,8 +133,7 @@ func TestColdHitByteIdentical(t *testing.T) {
 
 // TestColdReadRejectsBytesAlteredAfterOpen: a sealed segment passes the
 // whole-segment hash at Open and is then edited on disk — one record's
-// result payload, another's spec, the aux record's payload, all in
-// place. None of the edited records is ever served: each cold read
+// result payload and another's spec, both in place. None of the edited records is ever served: each cold read
 // counts Tampered and drops the entry, the cell recomputes and its
 // fresh record heals the key. The untouched record of the same segment
 // keeps hitting.
@@ -161,9 +148,6 @@ func TestColdReadRejectsBytesAlteredAfterOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.SaveAux("table1", auxSpec, auxParams, json.RawMessage(`{"rate":0.25}`)); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +156,7 @@ func TestColdReadRejectsBytesAlteredAfterOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := st.Stats(); got.Entries != 4 || got.Tampered != 0 || got.Segments != 1 {
+	if got := st.Stats(); got.Entries != 3 || got.Tampered != 0 || got.Segments != 1 {
 		t.Fatalf("fixture drifted: %s", got)
 	}
 
@@ -192,7 +176,6 @@ func TestColdReadRejectsBytesAlteredAfterOpen(t *testing.T) {
 	}
 	edit(`"final_test_loss":0}`, `"final_test_loss":9}`) // cell 0: the result payload (still canonical)
 	edit(`"seed":1001,`, `"seed":1009,`)                 // cell 1: the spec
-	edit(`{"rate":0.25}`, `{"rate":0.75}`)               // the aux payload
 	if err := os.WriteFile(segPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +199,6 @@ func TestColdReadRejectsBytesAlteredAfterOpen(t *testing.T) {
 	altered.Seed = 1009
 	if _, ok := st.Lookup(altered); ok {
 		t.Error("the altered spec's own key was served")
-	}
-	if got, ok := st.LookupAux("table1", auxSpec, auxParams); ok {
-		t.Errorf("an aux payload altered on disk was served: %s", got)
 	}
 	if got := hitRaw(t, st, seededSpec(2)); !bytes.Equal(got, mustMarshal(t, fakeResult(2))) {
 		t.Errorf("the untouched record serves %s", got)
@@ -257,7 +237,7 @@ func TestReplayedRecordMeetsCanonicalCheckOnFirstHit(t *testing.T) {
 	}
 	var blob []byte
 	for i, payload := range payloads {
-		c, key, err := identify("", seededSpec(i), "")
+		c, key, err := identify(seededSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +300,7 @@ func TestReplayedRecordLookupMeetsCanonicalCheck(t *testing.T) {
 	good := mustMarshal(t, fakeResult(0))
 	var tail []byte
 	for i, payload := range []json.RawMessage{good, json.RawMessage(`{"history":[],"Final_Test_Accuracy":0.99,"extra":1}`)} {
-		c, key, err := identify("", seededSpec(i), "")
+		c, key, err := identify(seededSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +346,7 @@ func TestDroppedTailRecordStaysDroppedAcrossSeal(t *testing.T) {
 	dir := t.TempDir()
 	var tail []byte
 	for i, payload := range []json.RawMessage{mustMarshal(t, fakeResult(0)), json.RawMessage(`{"garbage":1}`)} {
-		c, key, err := identify("", seededSpec(i), "")
+		c, key, err := identify(seededSpec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,8 +519,8 @@ func TestColdIndexHeapBound(t *testing.T) {
 }
 
 // TestLookupsAnswerLastSavedBytes is the model-based property: a seeded
-// sequence of saves (cell and aux, over a small key pool so keys repeat
-// and supersede), seals, compactions and reopens runs against both
+// sequence of saves (over a small key pool so keys repeat and
+// supersede), seals, compactions and reopens runs against both
 // store kinds, and after every step every key answers with exactly the
 // bytes last saved under it — or misses if none were. Seal, Compact and
 // reopen are meaningless in memory and skipped there, so the in-memory
@@ -568,22 +548,14 @@ func TestLookupsAnswerLastSavedBytes(t *testing.T) {
 			}
 			defer func() { st.Close() }()
 			cells := make(map[int]json.RawMessage) // the model
-			auxes := make(map[int]json.RawMessage)
-			auxOf := func(k int) scenario.Spec { return scenario.Spec{Rule: "krum", N: 9 + 2*k, F: 2} }
 			for step := 0; step < steps; step++ {
 				switch op := rng.IntN(20); {
-				case op < 11:
+				case op < 14:
 					k, tag := rng.IntN(keys), rng.IntN(1<<20)
 					if err := st.Save(seededSpec(k), fakeResult(tag)); err != nil {
 						t.Fatal(err)
 					}
 					cells[k] = mustMarshal(t, fakeResult(tag))
-				case op < 14:
-					k := rng.IntN(keys)
-					auxes[k] = mustMarshal(t, map[string]int{"trials": rng.IntN(1 << 20)})
-					if err := st.SaveAux("table1", auxOf(k), auxParams, auxes[k]); err != nil {
-						t.Fatal(err)
-					}
 				case op < 16 && kind.segmented:
 					if err := st.Seal(); err != nil {
 						t.Fatal(err)
@@ -603,14 +575,10 @@ func TestLookupsAnswerLastSavedBytes(t *testing.T) {
 					if want, saved := cells[k]; saved != shared || (saved && !bytes.Equal(raw, want)) || (!saved && !errors.Is(runErr, errMustHit)) {
 						t.Fatalf("step %d, cell %d: shared=%v err=%v raw=%s, model has %s", step, k, shared, runErr, raw, want)
 					}
-					got, ok := st.LookupAux("table1", auxOf(k), auxParams)
-					if want, saved := auxes[k]; saved != ok || !bytes.Equal(got, want) {
-						t.Fatalf("step %d, aux %d: (%v) %s, model has %s", step, k, ok, got, want)
-					}
 				}
-				if stats := st.Stats(); stats.Tampered != 0 || stats.Entries != len(cells)+len(auxes) ||
+				if stats := st.Stats(); stats.Tampered != 0 || stats.Entries != len(cells) ||
 					(!kind.segmented && stats.ColdReads != 0) {
-					t.Fatalf("step %d: %s with %d keys in the model", step, stats, len(cells)+len(auxes))
+					t.Fatalf("step %d: %s with %d keys in the model", step, stats, len(cells))
 				}
 			}
 			if kind.segmented {

@@ -44,7 +44,7 @@ func TestStoreOnlyHashes(t *testing.T) {
 // TestKeysRefuseWhatTheyRefused replays the refused specs of
 // scenario/testdata/canonical_forms.json (written by the commit whose
 // store still resolved axes itself): every spec it could not key —
-// an unparsable axis, or a cell without a rule, schedule or workload —
+// an unparsable axis, or a spec without a rule, schedule or workload —
 // still has no key, and every spec it keyed still has one.
 func TestKeysRefuseWhatTheyRefused(t *testing.T) {
 	blob, err := os.ReadFile("../testdata/canonical_forms.json")
@@ -52,7 +52,6 @@ func TestKeysRefuseWhatTheyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cases []struct {
-		Partial bool          `json:"partial"`
 		Spec    scenario.Spec `json:"spec"`
 		Refused bool          `json:"refused"`
 	}
@@ -60,12 +59,7 @@ func TestKeysRefuseWhatTheyRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tc := range cases {
-		var err error
-		if tc.Partial {
-			_, err = KeyAux("table1", tc.Spec, "p")
-		} else {
-			_, err = Key(tc.Spec)
-		}
+		_, err := Key(tc.Spec)
 		if tc.Refused && err == nil {
 			t.Errorf("case %d (%+v): keyed, want refused", i, tc.Spec)
 		}

@@ -1,20 +1,22 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"krum/scenario"
 )
 
 // TestGoldenKeys pins literal content addresses for one dense and one
-// asynchronous spec under both order families, and for one auxiliary
-// record of each harness kind. The cell literals were computed by the
-// commit BEFORE scenario.Spec lost its omitempty "screened" field, the
-// aux literals by the commit before the store's own resolvers gave way
-// to Spec.Canonical, so they prove that neither change moved a key;
-// from here on they pin the whole key recipe (Version salt, order
-// salt, canonical form, field order). A change that makes this test
+// asynchronous spec under both order families. The literals were
+// computed by the commit BEFORE scenario.Spec lost its omitempty
+// "screened" field, so they prove that change moved no key; from here
+// on they pin the whole key recipe (Version salt, order salt, canonical
+// form, field order). A change that makes this test
 // fail orphans every stored result and needs a Version bump.
 func TestGoldenKeys(t *testing.T) {
 	if Version != "krum-store-v2" {
@@ -26,33 +28,22 @@ func TestGoldenKeys(t *testing.T) {
 	}
 	async := dense
 	async.Arrival = "bounded(tau=2)"
-	// One Monte-Carlo cell of each harness kind, spelled as
-	// table1Matrix and RunAblation expand them (labels included).
-	table1 := scenario.Spec{Name: "table1: rule=multikrum(m=4) attack=hiddencoord(j=3) f=3 seed=1", N: 13, F: 3, Seed: 1, Rule: "multikrum(m=4)", Attack: "hiddencoord(j=3)"}
-	ablation := scenario.Spec{Name: "rule=bulyan attack=hiddencoord(j=7,margin=1) f=2 seed=2", N: 11, F: 2, Seed: 2, Rule: "bulyan", Attack: "hiddencoord(j=7,margin=1)"}
 	for _, tc := range []struct {
-		name         string
-		kind, params string
-		spec         scenario.Spec
-		order        string
-		want         string
+		name  string
+		spec  scenario.Spec
+		order string
+		want  string
 	}{
-		{"dense/pair2", "", "", dense, "pair2", "sha256:1b7f4beca3f58e4a913065cdcdd7ba62bef10c20cda2b13a1d3dbf4365f185d6"},
-		{"async/pair2", "", "", async, "pair2", "sha256:d87cfeae4f3cc6617e62418160c11e6ded4e5b2d9c27b58d830264efc8bd0ac9"},
-		{"dense/fma4", "", "", dense, "fma4", "sha256:9dca064980c16a0dc0fd72dbf37276d6627dc13a60395a922cb7c1ff71ad023d"},
-		{"async/fma4", "", "", async, "fma4", "sha256:c9351b723602f1f22307de6d630427b1ff667af8ea73c3bdafadcc6efbae4c5f"},
-		{"table1/pair2", "table1", "d=12,trials=200", table1, "pair2", "sha256:63154de80d9c0e122c4cf2c2c0a296d4f88c399601fa31f8d7a0b71070a0a747"},
-		{"ablation/fma4", "ablation", "d=60,coord=7,trials=300", ablation, "fma4", "sha256:1bf21c2c389835a325785f351176475353cca81bd5944d5c7def710f686c425f"},
+		{"dense/pair2", dense, "pair2", "sha256:1b7f4beca3f58e4a913065cdcdd7ba62bef10c20cda2b13a1d3dbf4365f185d6"},
+		{"async/pair2", async, "pair2", "sha256:d87cfeae4f3cc6617e62418160c11e6ded4e5b2d9c27b58d830264efc8bd0ac9"},
+		{"dense/fma4", dense, "fma4", "sha256:9dca064980c16a0dc0fd72dbf37276d6627dc13a60395a922cb7c1ff71ad023d"},
+		{"async/fma4", async, "fma4", "sha256:c9351b723602f1f22307de6d630427b1ff667af8ea73c3bdafadcc6efbae4c5f"},
 	} {
 		c, err := tc.spec.Canonical()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, err := address(tc.order, tc.kind, tc.params, c)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != tc.want {
+		if got := address(tc.order, c); got != tc.want {
 			t.Errorf("%s: key %s, golden %s", tc.name, got, tc.want)
 		}
 	}
@@ -100,5 +91,89 @@ func TestLegacyScreenedRecordsSkippedOnOpen(t *testing.T) {
 	}
 	if _, ok := st.Lookup(fresh); !ok {
 		t.Error("intact record lost behind the legacy lines")
+	}
+}
+
+// legacyAuxLines are store lines written by the last commit that cached
+// table1's Monte-Carlo cells as auxiliary records (krum-experiments -exp
+// table1 -store D): its first record under KRUM_KERNEL_TIER=go, then
+// under avx2. Each keyed a spec with no workload or schedule plus
+// "kind" and "params" fields that records no longer have.
+const legacyAuxLines = `{"key":"sha256:12435eed1ab9d573d8a4253f85bdee896486f69be0afb97ec320d896330a9070","version":"krum-store-v2","kernel":"pair2","kind":"table1","params":"d=12,trials=200","spec":{"workload":"","rule":"krum","attack":"gaussian(sigma=200)","schedule":"","n":13,"f":3,"rounds":0,"batch_size":0,"seed":13934464819154148243},"result":{"Attack":"gaussian(sigma=200)","Rule":"krum","ByzSelectedRate":0}}
+{"key":"sha256:8b5ec8e466d45c3e4cebab1cdea4e8e1e174a27ddc994edd69b1a6d30654947d","version":"krum-store-v2","kernel":"fma4","kind":"table1","params":"d=12,trials=200","spec":{"workload":"","rule":"krum","attack":"gaussian(sigma=200)","schedule":"","n":13,"f":3,"rounds":0,"batch_size":0,"seed":13934464819154148243},"result":{"Attack":"gaussian(sigma=200)","Rule":"krum","ByzSelectedRate":0}}
+`
+
+// TestLegacyAuxRecordsStayDead: a store directory still holding
+// auxiliary Monte-Carlo records opens cleanly. A partial spec has no
+// identity, so neither record re-derives its key — under either order
+// family — and both count as skipped and tampered, like the screened
+// records above, and are never served. A cell saved after them loads,
+// and compaction drops them from disk.
+func TestLegacyAuxRecordsStayDead(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(tailPathOf(dir), []byte(legacyAuxLines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir over legacy aux records: %v", err)
+	}
+	fresh := quickSpec()
+	if cr := scenario.RunCell(st, 0, fresh); cr.Err != nil {
+		t.Fatal(cr.Err)
+	}
+	st.Close()
+
+	if st, err = OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if stats := st.Stats(); stats.Entries != 1 || stats.SkippedRecords != 2 || stats.Tampered != 2 || stats.Foreign != 0 {
+		t.Errorf("stats = %+v, want 1 entry and 2 skipped, tampered, non-foreign records", stats)
+	}
+	var keys []string
+	for _, line := range strings.Split(strings.TrimSpace(legacyAuxLines), "\n") {
+		var rec record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, rec.Key)
+		if _, _, ok := st.get(rec.Key); ok {
+			t.Errorf("legacy aux record %s served", rec.Key)
+		}
+		if _, ok := st.Lookup(rec.Spec); ok {
+			t.Errorf("legacy aux spec %+v served", rec.Spec)
+		}
+	}
+	if _, ok := st.Lookup(fresh); !ok {
+		t.Error("intact record lost behind the legacy lines")
+	}
+
+	// The tail seals as it stands, dead lines included; compaction
+	// keeps only the cell.
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	segs := st.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("segments after compaction: %v", segs)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if bytes.Contains(blob, []byte(key)) {
+			t.Errorf("compacted segment still holds %s", key)
+		}
+	}
+	if n := bytes.Count(blob, []byte("\n")); n != 1 {
+		t.Errorf("compacted segment holds %d lines, want the one cell", n)
+	}
+	if _, ok := st.Lookup(fresh); !ok {
+		t.Error("cell lost by compaction")
 	}
 }

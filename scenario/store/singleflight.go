@@ -47,7 +47,7 @@ type flight struct {
 // cached: the flight is removed before waiters are released, so a
 // later submission of the same key re-executes.
 func (s *Store) DoCellRaw(spec scenario.Spec, compute func() (json.RawMessage, error)) (raw json.RawMessage, shared bool, storeErr, runErr error) {
-	c, key, err := identify("", spec, "")
+	c, key, err := identify(spec)
 	if err != nil {
 		// Unkeyable specs cannot be deduplicated or persisted: compute
 		// directly, and surface the key failure as a store problem only

@@ -93,29 +93,25 @@ var ErrStore = errors.New("store: error")
 // even though results are bit-identical either way), so flipping it
 // recomputes.
 func Key(s scenario.Spec) (string, error) {
-	_, key, err := identify("", s, "")
+	_, key, err := identify(s)
 	return key, err
 }
 
-// identify resolves a caller's spec to its identity (Spec.Canonical)
-// and that identity's address under the active order family — the one
-// path from a spec to a key. kind is "" for a cell.
-func identify(kind string, s scenario.Spec, params string) (scenario.Spec, string, error) {
+// identify resolves a caller's spec to its identity (Spec.Canonical,
+// which refuses a spec that is not a whole cell) and that identity's
+// address under the active order family — the one path from a spec to
+// a key.
+func identify(s scenario.Spec) (scenario.Spec, string, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return scenario.Spec{}, "", err
 	}
-	key, err := address(vec.KernelOrder(), kind, params, c)
-	return c, key, err
+	return c, address(vec.KernelOrder(), c), nil
 }
 
 // address renders the content address of one identity: "sha256:" plus
 // the hex SHA-256 of the Version salt, a kernel accumulation-order
-// family and the identity's JSON — the canonical spec for a cell
-// (kind ""), or the auxIdentity for an auxiliary record. The two
-// preimage families start with different JSON structure, so they cannot
-// collide. A cell needs a rule, a schedule and a workload; a spec
-// without them has no cell key.
+// family and the canonical spec's JSON.
 //
 // The kernel salt is the order FAMILY, not the tier name: tiers with
 // the same canonical accumulation order produce bit-identical results
@@ -127,20 +123,12 @@ func identify(kind string, s scenario.Spec, params string) (scenario.Spec, strin
 // entries exactly like a Version bump, per order family. Records are
 // re-derived under their own stored family too (see decodeLine's
 // foreign verdict).
-func address(order, kind, params string, c scenario.Spec) (string, error) {
-	var blob []byte
-	switch {
-	case kind != "":
-		blob, _ = json.Marshal(auxIdentity{Kind: kind, Params: params, Spec: c})
-	case c.Rule == "" || c.Schedule == "" || c.Workload == "":
-		return "", fmt.Errorf("a cell needs a rule, a schedule and a workload: %w", ErrStore)
-	default:
-		blob, _ = json.Marshal(c)
-	}
+func address(order string, c scenario.Spec) string {
+	blob, _ := json.Marshal(c)
 	h := sha256.New()
 	h.Write([]byte(Version + "\n" + order + "\n"))
 	h.Write(blob)
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // keyID is a content address in binary: the 32 digest bytes behind a
@@ -177,20 +165,9 @@ type record struct {
 	// stored identity after hashing still fails BOTH derivations, so
 	// this weakens no integrity check.
 	Kernel string `json:"kernel,omitempty"`
-	// Kind discriminates the record family: empty for distsgd cell
-	// results (scenario.ResultStore records), a harness kind such as
-	// "table1" or "ablation" for auxiliary Monte-Carlo records (see
-	// aux.go). The kind participates in the key, so the families can
-	// never collide.
-	Kind string `json:"kind,omitempty"`
-	// Params is the auxiliary record's extra identity (trial counts,
-	// dimensions — everything result-affecting that the spec does not
-	// carry); empty for cell records.
-	Params string `json:"params,omitempty"`
 	// Spec is the canonical spec the result was computed from.
 	Spec scenario.Spec `json:"spec"`
-	// Result is the stable-encoded training outcome (for cell records)
-	// or the kind-specific JSON payload (for auxiliary records).
+	// Result is the stable-encoded training outcome.
 	Result json.RawMessage `json:"result"`
 }
 
@@ -473,15 +450,12 @@ func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 		return record{}, "", lineMalformed
 	}
 	c, err := rec.Spec.Canonical()
-	if err == nil {
-		key, err = address(vec.KernelOrder(), rec.Kind, rec.Params, c)
-	}
 	if err != nil || len(rec.Result) == 0 {
 		return record{}, "", lineTampered
 	}
-	if key != rec.Key {
+	if key = address(vec.KernelOrder(), c); key != rec.Key {
 		if rec.Kernel != "" && rec.Kernel != vec.KernelOrder() {
-			if fk, _ := address(rec.Kernel, rec.Kind, rec.Params, c); fk == rec.Key {
+			if address(rec.Kernel, c) == rec.Key {
 				return rec, rec.Key, lineForeign
 			}
 		}
@@ -595,7 +569,7 @@ func (s *Store) dropLocked(key string, e entry) {
 }
 
 // get is the whole read path for callers that need nothing from the
-// lock afterwards (Lookup, LookupAux): the payload under key, the entry
+// lock afterwards (Lookup): the payload under key, the entry
 // it was read through (cold when e.seg is set) and whether there is
 // one.
 func (s *Store) get(key string) (raw json.RawMessage, e entry, ok bool) {
@@ -653,7 +627,7 @@ func (s *Store) Lookup(spec scenario.Spec) (*distsgd.Result, bool) {
 // canonical form, so reloads re-derive the same key.
 func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 	raw := res.AppendJSON(nil)
-	c, key, err := identify("", spec, "")
+	c, key, err := identify(spec)
 	if err != nil {
 		return fmt.Errorf("keying spec: %w", err)
 	}
@@ -677,9 +651,8 @@ func (s *Store) appendRecord(rec record) error {
 	}
 
 	id := idOf(rec.Key)
-	// Cell callers hand over bytes they encoded themselves or that passed
-	// the canonical check, so the entry is born verified (aux payloads
-	// never meet that check).
+	// Callers hand over bytes they encoded themselves or that passed the
+	// canonical check, so the entry is born verified.
 	e := entry{raw: rec.Result, verified: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()

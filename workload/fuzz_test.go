@@ -12,6 +12,7 @@ func FuzzParseWorkload(f *testing.F) {
 		"mnist", "mnist(size=10,hidden=16)", "mnistconv(size=12,channels=4)",
 		"spambase", "spambase(spamrate=0.394)", "gmm(k=3,dim=6,radius=4,sigma=0.5)",
 		"regression(dim=8)", "noniid(base=mnist(size=10,hidden=16),classes=3)",
+		"partition(base=mnist(size=10,hidden=16))", "partition(base=noniid(base=gmm,classes=2))",
 		"MNIST(SIZE=10)", " gmm ( k = 2 ) ",
 		"", "(", "mnist(size=)", "mnist(size=0)", "mnist(size=-5)",
 		"mnist(hidden=0)", "gmm(k=0)", "noniid(base=nosuchworkload)",

@@ -6,10 +6,11 @@
 // strings take the form
 //
 //	mnist(size=16,hidden=48) | spambase(spamrate=0.394) |
-//	gmm(k=3,dim=8) | noniid(base=mnist(size=10,hidden=16),classes=3)
+//	gmm(k=3,dim=8) | noniid(base=mnist(size=10,hidden=16),classes=3) |
+//	partition(base=mnist(size=10,hidden=16))
 //
-// Parameter values may themselves be specs (noniid wraps another
-// workload), and every parsed Workload records the canonical spec that
+// Parameter values may themselves be specs (noniid and partition wrap
+// another workload), and every parsed Workload records the canonical spec that
 // rebuilds it, so workloads round-trip through JSON scenario files:
 // Parse(ctx, w.Spec) reconstructs w.
 package workload
@@ -48,6 +49,11 @@ type Workload struct {
 	Model model.Model
 	// Description is a human-readable summary.
 	Description string
+	// DealClasses asks for label skew: each correct worker trains on its
+	// own share of Dataset's classes (data.PartitionClasses over the n − f
+	// correct workers, dealt by scenario.Spec.Compile), while evaluation
+	// stays on the whole Dataset.
+	DealClasses bool
 }
 
 // SpecArgs holds the key=value parameters of a parsed workload spec.
@@ -340,6 +346,38 @@ func init() {
 				Dataset:     filtered,
 				Model:       base.Model,
 				Description: fmt.Sprintf("%s, restricted to the first %d classes", base.Description, classes),
+			}, nil
+		},
+	})
+	Register("partition", Factory{
+		Params: []string{"base"},
+		Doc:    "a base workload's classes dealt across the correct workers (label skew; violates the i.i.d. assumption)",
+		New: func(ctx SpecContext, a SpecArgs) (*Workload, error) {
+			baseSpec := a.String("base", "")
+			if baseSpec == "" {
+				return nil, fmt.Errorf("partition needs a base workload spec: %w", ErrBadSpec)
+			}
+			base, err := Parse(ctx, baseSpec)
+			if err != nil {
+				return nil, fmt.Errorf("base workload: %w", err)
+			}
+			// A worker dealt a class its base never emits would redraw
+			// forever (data.ClassFilter.Sample), so a base that already
+			// restricts or deals its classes is refused, as is one with no
+			// one-hot classes to deal.
+			if base.Name == "noniid" || base.Name == "partition" {
+				return nil, fmt.Errorf("partition cannot deal the classes of %s: %w", base.Spec, ErrBadSpec)
+			}
+			if _, err := data.PartitionClasses(base.Dataset, 1); err != nil {
+				return nil, fmt.Errorf("partition of %s: %w: %w", base.Spec, err, ErrBadSpec)
+			}
+			return &Workload{
+				Name:        "partition",
+				Spec:        fmt.Sprintf("partition(base=%s)", base.Spec),
+				Dataset:     base.Dataset,
+				Model:       base.Model,
+				Description: base.Description + ", classes dealt across the correct workers",
+				DealClasses: true,
 			}, nil
 		},
 	})

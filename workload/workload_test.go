@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +26,7 @@ func TestParseRoundTrip(t *testing.T) {
 		{"gmm(k=4,dim=6)", "gmm(k=4,dim=6,radius=4,sigma=0.5)"},
 		{"regression", "regression(in=12,out=1,noise=0.2)"},
 		{"noniid(base=gmm,classes=2)", "noniid(base=gmm(k=3,dim=8,radius=4,sigma=0.5),classes=2)"},
+		{"partition(base=gmm)", "partition(base=gmm(k=3,dim=8,radius=4,sigma=0.5))"},
 	}
 	for _, tc := range cases {
 		w, err := Parse(ctx, tc.spec)
@@ -98,6 +100,16 @@ func TestParseMalformedSpecs(t *testing.T) {
 		"noniid(base=gmm,classes=3)",        // must keep a strict subset
 		"noniid(base=nosuch,classes=1)",     // bad nested spec
 		"noniid(base=regression,classes=1)", // base is not one-hot
+		"partition",                         // base required
+		"partition(base=gmm,classes=2)",     // no classes parameter
+		"partition(base=nosuch)",            // bad nested spec
+		"partition(base=regression)",        // base is not one-hot
+		"partition(base=spambase)",          // base is not one-hot
+		// A worker dealt a class the base never emits would redraw
+		// forever: at n − f = 3 worker 2 gets class 2, which this base
+		// never produces.
+		"partition(base=noniid(base=gmm,classes=2))",
+		"partition(base=partition(base=gmm))",
 	}
 	for _, s := range bad {
 		if _, err := Parse(ctx, s); !errors.Is(err, ErrBadSpec) {
@@ -124,6 +136,7 @@ func TestParseRefusesOversizedBeforeAllocating(t *testing.T) {
 		"regression(in=10000,out=1000)",
 		"regression(in=9223372036854775807)",
 		"noniid(base=mnist(size=1000,hidden=1000),classes=3)",
+		"partition(base=mnist(size=1000,hidden=1000))",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -154,6 +167,29 @@ func TestNonIIDRestrictsClasses(t *testing.T) {
 		if cls := vec.Argmax(y); cls >= 2 {
 			t.Fatalf("sample %d drew excluded class %d", i, cls)
 		}
+	}
+}
+
+// TestPartitionDealsClasses: partition keeps its base's dataset and
+// model and asks for its classes to be dealt; no other built-in does.
+func TestPartitionDealsClasses(t *testing.T) {
+	ctx := SpecContext{Seed: 3}
+	base, err := Parse(ctx, "gmm(k=3,dim=4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Parse(ctx, "partition(base=gmm(k=3,dim=4))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.DealClasses || base.DealClasses {
+		t.Errorf("DealClasses: partition %v, its base %v; want true, false", w.DealClasses, base.DealClasses)
+	}
+	if w.Dataset.Dim() != base.Dataset.Dim() || w.Dataset.OutDim() != base.Dataset.OutDim() {
+		t.Errorf("partition reshaped its base's dataset")
+	}
+	if got, want := w.Model.Params(nil), base.Model.Params(nil); !slices.Equal(got, want) {
+		t.Error("partition's model differs from its base's under the same seed")
 	}
 }
 
