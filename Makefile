@@ -2,11 +2,13 @@ GO ?= go
 
 # The tracked perf-trajectory benchmarks `make bench` records in
 # BENCH_scenario.json: the memoized Bulyan kernel, the
-# blocked/incremental/large-n distance-matrix kernels, and the hot
-# loops of the gradient path (digit render, MLP and tiny-softmax
-# gradients, coordinate median, the matmul / axpy row kernels on their
-# own, and the normal sampler). End-to-end numbers — the runner, the
-# store, the async cache — are the benchmark module's (benchmark/).
+# blocked/incremental/large-n distance-matrix kernels (and the build at
+# grid_small's n = 9, d = 21, where every inner product has a tail),
+# and the hot loops of the gradient path (digit render, MLP and
+# tiny-softmax gradients, coordinate median at n = 20 and 21, the
+# matmul / axpy row kernels on their own, and the normal sampler).
+# End-to-end numbers — the runner, the store, the async cache — are the
+# benchmark module's (benchmark/).
 # COUNTED_BENCHES are the rows run at -count 6 so that each carries a
 # [min, max] band (krum-benchjson folds the repeats): the
 # distance-matrix kernels — the pattern also matches the Incremental

@@ -113,6 +113,15 @@ func BenchmarkDistanceMatrix(b *testing.B) {
 			vec.NewDistanceMatrix(vs)
 		}
 	})
+	// grid_small's shape: the softmax's d = 21 leaves a one-element
+	// tail in every inner product, so the cost of a kernel's tail path
+	// shows here and not at d = 10000.
+	small := benchVectors(9, 21)
+	b.Run("blocked-n9-d21", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			vec.NewDistanceMatrix(small)
+		}
+	})
 	// Per-kernel-tier variants of the blocked build (the "blocked"
 	// subtest above runs whatever tier the process auto-selected; these
 	// pin each tier explicitly so the trajectory records the per-ISA
@@ -229,27 +238,31 @@ func BenchmarkGradientPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("softmax-gradient-8x6x3", gradient(softmax, gmm, 8))
-	b.Run("coordmedian-n20-d12826", func(b *testing.B) {
-		// 14 honest proposals and 6 Gaussian-attack ones, as in the
-		// train_mnist_attack cells.
-		const n, f, d = 20, 6, 12826
-		rng := vec.NewRNG(benchSeed)
-		vs := make([][]float64, n)
-		for i := range vs {
-			sigma := 1.0
-			if i >= n-f {
-				sigma = 200
+	coordMedian := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
+			// n-6 honest proposals and 6 Gaussian-attack ones, as in
+			// the train_mnist_attack cells.
+			const f, d = 6, 12826
+			rng := vec.NewRNG(benchSeed)
+			vs := make([][]float64, n)
+			for i := range vs {
+				sigma := 1.0
+				if i >= n-f {
+					sigma = 200
+				}
+				vs[i] = rng.NewNormal(d, 0, sigma)
 			}
-			vs[i] = rng.NewNormal(d, 0, sigma)
-		}
-		dst := make([]float64, d)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := (krum.CoordMedian{}).Aggregate(dst, vs); err != nil {
-				b.Fatal(err)
+			dst := make([]float64, d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := (krum.CoordMedian{}).Aggregate(dst, vs); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("coordmedian-n20-d12826", coordMedian(20))
+	b.Run("coordmedian-n21-d12826", coordMedian(21)) // odd n: one middle value
 	perMadd := func(b *testing.B, madds int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(madds), "ns/madd")
 	}

@@ -145,7 +145,13 @@ func (CoordMedian) Aggregate(dst []float64, vectors [][]float64) error {
 	}
 	column := vec.GetFloats(len(vectors))
 	defer vec.PutFloats(column)
+	lanes := vec.MedianLanes(dst, vectors)
 	for j := range dst {
+		// The lanes give the sorted column's bits, and a NaN where the
+		// column holds one: those, the tail and other tiers sort here.
+		if j < lanes && dst[j] == dst[j] {
+			continue
+		}
 		sortedColumn(column, vectors, j)
 		dst[j] = medianOfSorted(column)
 	}

@@ -45,14 +45,16 @@ func trimmedMeanReference(trim int, dst []float64, vectors [][]float64) {
 	}
 }
 
-// sameValue is the equality the column order guarantees: == or both
-// NaN. It deliberately does not compare bits. Among values that compare
-// equal — +0 and -0, NaNs of different payloads — neither pdqsort nor
-// insertion promises an order, so the sign of a zero median over a
-// column of mixed-sign zeros was already unspecified before the helper
-// (it depends on where pdqsort's pivots fall); the SGD step washes it
-// out, because x − γ·(+0) and x − γ·(−0) are the same bits for every
-// x ≠ −0, and parameters are never −0.
+// sameValue is the equality the column order guarantees against
+// sort.Float64s: == or both NaN. It deliberately does not compare bits.
+// pdqsort promises no order among values that compare equal — +0 and
+// -0, NaNs of different payloads — so against it the sign of a zero
+// median over mixed-sign zeros is unspecified (it depends on where its
+// pivots fall). sortColumn's is not, below insertionSortMax: equal
+// values keep their row order, and the lane kernel picks the same
+// stable one (TestCoordMedianBitsEveryTier checks bits). Either way the
+// SGD step washes the sign out, because x − γ·(+0) and x − γ·(−0) are
+// the same bits for every x ≠ −0, and parameters are never −0.
 func sameValue(a, b float64) bool { return a == b || (a != a && b != b) }
 
 // awkwardColumn draws n values from a pool rich in ties: a few distinct
@@ -151,6 +153,109 @@ func TestColumnRulesMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoordMedianBitsEveryTier compares CoordMedian, by bits, with the
+// scalar path — sortedColumn then medianOfSorted, column by column —
+// under every available tier, so the lanes (TierAVX2) must pick the
+// very zero the stable sort puts in the middle. The columns are rich in
+// ±0, ±Inf, subnormals and duplicates; about one in eight also holds
+// NaNs of distinct payloads, which the lanes mark for the scalar path,
+// and one case has a single NaN column inside a lane block with clean
+// blocks on both sides. n crosses MedianLanesMax, d every tail residue
+// and the eight-column gate.
+func TestCoordMedianBitsEveryTier(t *testing.T) {
+	nans := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		math.Float64frombits(0x7ff0000000000003), math.NaN(),
+	}
+	pool := []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		1, 1, -1, 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64}
+	column := func(rng *vec.RNG, n int, withNaN bool) []float64 {
+		col := make([]float64, n)
+		for i := range col {
+			switch r := rng.Intn(8); {
+			case withNaN && r == 0:
+				col[i] = nans[rng.Intn(len(nans))]
+			case r < 3:
+				col[i] = float64(rng.Intn(3)) // more ties
+			default:
+				col[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		return col
+	}
+	check := func(t *testing.T, vectors [][]float64) []float64 {
+		t.Helper()
+		d := len(vectors[0])
+		got, want := make([]float64, d), make([]float64, d)
+		if err := (CoordMedian{}).Aggregate(got, vectors); err != nil {
+			t.Fatal(err)
+		}
+		col := make([]float64, len(vectors))
+		for j := range want {
+			sortedColumn(col, vectors, j)
+			want[j] = medianOfSorted(col)
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("n=%d d=%d column %d: median %#016x, scalar path %#016x",
+					len(vectors), d, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+		return want
+	}
+	build := func(rng *vec.RNG, n, d int, nanCol func(j int) bool) [][]float64 {
+		vectors := make([][]float64, n)
+		for i := range vectors {
+			vectors[i] = make([]float64, d)
+		}
+		for j := 0; j < d; j++ {
+			for i, x := range column(rng, n, nanCol(j)) {
+				vectors[i][j] = x
+			}
+		}
+		return vectors
+	}
+	if vec.MedianLanesMax > insertionSortMax {
+		t.Fatalf("MedianLanesMax %d > insertionSortMax %d: the lanes' stable order would meet pdqsort's", vec.MedianLanesMax, insertionSortMax)
+	}
+	for _, tier := range vec.AvailableTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			restore, err := vec.SetKernelTier(tier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			rng := vec.NewRNG(45)
+			for _, n := range []int{1, 2, 3, 4, 5, 20, 21, vec.MedianLanesMax, vec.MedianLanesMax + 1} {
+				for _, d := range []int{1, 3, 4, 5, 37} {
+					for trial := 0; trial < 8; trial++ {
+						check(t, build(rng, n, d, func(int) bool { return rng.Intn(8) == 0 }))
+					}
+				}
+				// NaN-free but for column 9.
+				seam := build(rng, n, 37, func(j int) bool { return j == 9 })
+				for _, v := range seam {
+					v[9] = nans[0]
+				}
+				want := check(t, seam)
+				if tier != vec.TierAVX2 || n > vec.MedianLanesMax {
+					continue
+				}
+				lanes := make([]float64, 37)
+				if got := vec.MedianLanes(lanes, seam); got != 36 {
+					t.Fatalf("n=%d: the lanes wrote %d columns of 37, want 36", n, got)
+				}
+				for j, x := range lanes[:36] {
+					switch {
+					case j == 9 && x == x:
+						t.Errorf("n=%d: the NaN column's lane reads %v, not a NaN", n, x)
+					case j != 9 && x == x && math.Float64bits(x) != math.Float64bits(want[j]):
+						t.Errorf("n=%d: lane %d reads %v, the median is %v", n, j, x, want[j])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ tail4:
 	SUBQ  DX, R12
 	TESTQ R12, R12
 	JZ    reduce4
-	MOVQ         R12, X4
+	VMOVQ        R12, X4
 	VPBROADCASTQ X4, Y4
 	VMOVDQU      laneidx<>(SB), Y5
 	VPCMPGTQ     Y5, Y4, Y9
@@ -156,7 +156,7 @@ tail24:
 	SUBQ  DX, R12
 	TESTQ R12, R12
 	JZ    reduce24
-	MOVQ         R12, X8
+	VMOVQ        R12, X8
 	VPBROADCASTQ X8, Y8
 	VMOVDQU      laneidx<>(SB), Y9
 	VPCMPGTQ     Y9, Y8, Y14

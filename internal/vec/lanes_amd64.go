@@ -5,14 +5,16 @@ package vec
 import "math"
 
 // amd64 dispatch for the gradient path's two row kernels
-// (lanes_avx2_amd64.s) and the Box–Muller kernel behind NormalRun
+// (lanes_avx2_amd64.s), the Box–Muller kernel behind NormalRun
 // (boxmuller_avx2_amd64.s), which serves FillNormal and the batch path
-// of data.FillBatch. Unlike the Gram microkernels these define no
+// of data.FillBatch, and the coordinate-wise median behind MedianLanes
+// (median_avx2_amd64.s). Unlike the Gram microkernels these define no
 // accumulation order of their own — SIMD lanes run across the output
 // columns j, or across independent samples, and every element sees the
-// scalar code's rounded operations in the scalar code's order — so only
-// TierAVX2 has them, and TierGo / TierSSE2 run the Go loops in dense.go,
-// vec.go and rng.go.
+// scalar code's rounded operations in the scalar code's order (the
+// median: its comparisons and its one 0.5·(lo + hi)) — so only TierAVX2
+// has them, and TierGo / TierSSE2 run the Go loops in dense.go, vec.go
+// and rng.go, and core's column sort.
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
@@ -22,6 +24,9 @@ func accum4AVX2(d *float64, n int, b *float64, offs *int, coefs *float64, groups
 
 //go:noescape
 func boxMullerAVX2(u, v, c, s *float64, n int)
+
+//go:noescape
+func medianAVX2(dst *float64, rows *[]float64, n, blocks int)
 
 // lanesMinWidth is the narrowest row worth a call into the assembly:
 // two full vectors. The 3- and 6-wide products of the small softmax
@@ -49,6 +54,18 @@ func boxMullerLanes(u, v, cos, sin []float64) int {
 	_, _, _ = v[n-1], cos[n-1], sin[n-1]
 	boxMullerAVX2(&u[0], &v[0], &cos[0], &sin[0], n)
 	return n
+}
+
+// medianLanes is MedianLanes on the AVX2 kernel, over the whole
+// four-column blocks of dst.
+func medianLanes(dst []float64, rows [][]float64) int {
+	for _, r := range rows {
+		if len(r) < len(dst) {
+			panic("vec: MedianLanes: a row is shorter than dst")
+		}
+	}
+	medianAVX2(&dst[0], &rows[0], len(rows), len(dst)/4)
+	return len(dst) &^ 3
 }
 
 // axpyLanes is Axpy's loop on the AVX2 kernel; len(x) == len(y) > 0.

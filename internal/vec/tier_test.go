@@ -167,6 +167,55 @@ func TestLaneKernelsUnfused(t *testing.T) {
 	}
 }
 
+// TestAVX2KernelsStayVEX: a legacy SSE instruction that touches an XMM
+// register while a YMM register's upper half is dirty costs an AVX/SSE
+// state transition — hundreds of cycles on some cores, more than a
+// whole short kernel call. So in every *_avx2_amd64.s of these packages
+// no instruction naming an X or Y register may lack the V prefix
+// between a TEXT line and its VZEROUPPER, nor anywhere in a #define
+// body (a macro may be used anywhere; its uses are not instructions).
+func TestAVX2KernelsStayVEX(t *testing.T) {
+	vector := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+	scanned := 0
+	for _, dir := range asmDirs {
+		asm, _ := filepath.Glob(filepath.Join(dir, "*_avx2_amd64.s"))
+		for _, name := range asm {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned++
+			dirty, continued := false, false
+			for i, line := range strings.Split(string(src), "\n") {
+				code, _, _ := strings.Cut(line, "//")
+				define := strings.HasPrefix(code, "#define")
+				inMacro := continued || define
+				continued = inMacro && strings.HasSuffix(strings.TrimSpace(code), `\`)
+				if define {
+					continue
+				}
+				for _, stmt := range strings.Split(strings.TrimSuffix(strings.TrimSpace(code), `\`), ";") {
+					fields := strings.Fields(stmt)
+					if len(fields) == 0 {
+						continue
+					}
+					switch op := fields[0]; {
+					case op == "TEXT":
+						dirty = true
+					case op == "VZEROUPPER":
+						dirty = false
+					case (inMacro || dirty) && !strings.HasPrefix(op, "V") && !strings.Contains(op, "(") && vector.MatchString(stmt):
+						t.Errorf("%s:%d: legacy SSE %q before VZEROUPPER", name, i+1, strings.TrimSpace(stmt))
+					}
+				}
+			}
+		}
+	}
+	if scanned < 4 {
+		t.Fatalf("scanned %d AVX2 assembly files: the scan is vacuous", scanned)
+	}
+}
+
 // TestParseTier pins the spec names round-tripping through String, the
 // case/whitespace tolerance, and rejection of unknown names.
 func TestParseTier(t *testing.T) {

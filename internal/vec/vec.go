@@ -87,6 +87,31 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
+// MedianLanesMax is the largest number of rows MedianLanes takes. Its
+// kernel does n² comparisons per four columns, insertion sort about
+// n²/4 per column plus a mispredicted branch per element, and the lanes
+// win at every n up to this cap (8× at n = 20, 2.7× at 128;
+// EXPERIMENTS.md, "Gradient path III"). The cap is the column sort's
+// insertion cut-over (core's insertionSortMax): beyond it the sort is
+// pdqsort, which does not keep equal values in row order.
+const MedianLanesMax = 128
+
+// MedianLanes writes dst[j] = the median of column j of rows — the
+// middle value of the column sorted ascending (NaNs first, equal values
+// in row order), or 0.5·(lo + hi) of the middle two — for every j below
+// the count it returns, which is len(dst) rounded down to a multiple of
+// four (the columns go four to a SIMD vector), or 0 under TierGo and
+// TierSSE2, past MedianLanesMax rows and below eight columns. A column
+// holding a NaN gets a NaN instead of its median: the caller computes
+// the NaNs it finds below the count, and the columns from the count on,
+// on its scalar path. Every row must be at least len(dst) long.
+func MedianLanes(dst []float64, rows [][]float64) int {
+	if len(rows) == 0 || len(rows) > MedianLanesMax || !useLanes(len(dst)) {
+		return 0
+	}
+	return medianLanes(dst, rows)
+}
+
 // Scale multiplies v by alpha in place.
 func Scale(alpha float64, v []float64) {
 	for i := range v {
