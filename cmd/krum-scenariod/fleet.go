@@ -22,9 +22,9 @@ import (
 // dispatch queue plus heartbeat-based membership. Cells enter through
 // fleet.execute (called from a pool slot under the store's
 // single-flight, so one key is dispatched at most once however many
-// matrices or callers want it), wait in one FIFO ring, and are leased
+// matrices or callers want it), wait in one FIFO queue, and are leased
 // to workers that long-poll for work — up to a whole batch per poll.
-// The ring holds at most one task per coordinator slot, already in
+// The queue holds at most one task per coordinator slot, already in
 // the scheduler's priority and fair-share order (schedule.go), so the
 // fleet makes no choice of its own: the head goes next, and nothing
 // about the polling worker enters it — workers are interchangeable
@@ -70,50 +70,6 @@ type fleetTask struct {
 	err  error
 }
 
-// taskRing is a FIFO queue over a reusable ring buffer. Every vacated
-// slot is nilled out, so the ring never pins a dequeued task: a
-// *fleetTask, spec and done channel included, becomes collectible the
-// moment its result is delivered.
-type taskRing struct {
-	buf  []*fleetTask
-	head int
-	n    int
-}
-
-// len reports the number of queued tasks.
-func (r *taskRing) len() int { return r.n }
-
-// at returns the i-th queued task (0 = oldest) without removing it.
-func (r *taskRing) at(i int) *fleetTask {
-	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-// push appends a task, growing the ring when full.
-func (r *taskRing) push(t *fleetTask) {
-	if r.n == len(r.buf) {
-		grown := make([]*fleetTask, 2*r.n+4)
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.at(i)
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = t
-	r.n++
-}
-
-// pop removes and returns the oldest task, clearing its slot. Panics
-// on an empty ring, like indexing an empty slice would.
-func (r *taskRing) pop() *fleetTask {
-	if r.n == 0 {
-		panic("taskRing.pop on an empty ring")
-	}
-	t := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return t
-}
-
 // tenantStats is one tenant's dispatch accounting. queued/inflight are
 // live gauges; dispatches/requeues are monotonic counters kept for the
 // life of the process (they feed /metrics and the fair-share
@@ -143,9 +99,10 @@ type fleet struct {
 	lease    time.Duration
 	pollWait time.Duration
 
-	mu       sync.Mutex
-	workers  map[string]*fleetWorker
-	queue    taskRing
+	mu      sync.Mutex
+	workers map[string]*fleetWorker
+	// queue is the dispatch FIFO, oldest first (popLocked).
+	queue    []*fleetTask
 	tenants  map[string]*tenantStats
 	assigned map[string]*fleetTask
 	wseq     int
@@ -254,8 +211,20 @@ func (fl *fleet) enqueue(spec scenario.Spec, tenant string) (*fleetTask, bool) {
 // pushLocked appends a task to the queue and bumps its tenant's gauge;
 // callers hold fl.mu.
 func (fl *fleet) pushLocked(t *fleetTask) {
-	fl.queue.push(t)
+	fl.queue = append(fl.queue, t)
 	fl.tenantLocked(t.tenant).queued++
+}
+
+// popLocked removes and returns the oldest queued task; callers hold
+// fl.mu and have checked the queue is not empty. It nils the vacated
+// slot, so the queue's backing array never pins a dequeued task: a
+// *fleetTask, spec and done channel included, becomes collectible the
+// moment its result is delivered.
+func (fl *fleet) popLocked() *fleetTask {
+	t := fl.queue[0]
+	fl.queue[0] = nil
+	fl.queue = fl.queue[1:]
+	return t
 }
 
 // signal wakes one idle poller; callers hold fl.mu. The channel is a
@@ -338,8 +307,8 @@ func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask,
 	if fl.closed {
 		return nil, true
 	}
-	for len(tasks) < max && fl.queue.len() > 0 {
-		t := fl.queue.pop()
+	for len(tasks) < max && len(fl.queue) > 0 {
+		t := fl.popLocked()
 		ts := fl.tenantLocked(t.tenant)
 		ts.queued--
 		ts.inflight++
@@ -351,7 +320,7 @@ func (fl *fleet) tryAssign(workerID, token string, max int) (tasks []*fleetTask,
 		w.tasks[t.id] = t
 		tasks = append(tasks, t)
 	}
-	if fl.queue.len() > 0 {
+	if len(fl.queue) > 0 {
 		fl.signal()
 	}
 	return tasks, true
@@ -483,10 +452,8 @@ func resolveAll(tasks []*fleetTask) {
 // drainQueueLocked empties the queue for local-fallback resolution,
 // zeroing the queue gauges; callers hold fl.mu.
 func (fl *fleet) drainQueueLocked() []*fleetTask {
-	var drained []*fleetTask
-	for fl.queue.len() > 0 {
-		drained = append(drained, fl.queue.pop())
-	}
+	drained := fl.queue
+	fl.queue = nil
 	for _, ts := range fl.tenants {
 		ts.queued = 0
 	}
@@ -603,7 +570,7 @@ func (fl *fleet) status() fleetStatusJSON {
 	defer fl.mu.Unlock()
 	now := time.Now()
 	out := fleetStatusJSON{
-		Queued:         fl.queue.len(),
+		Queued:         len(fl.queue),
 		Assigned:       len(fl.assigned),
 		LeaseMillis:    int(fl.lease / time.Millisecond),
 		LocalFallbacks: fl.localFallbacks,

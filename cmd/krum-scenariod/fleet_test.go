@@ -31,7 +31,7 @@ func fleetSpec(seed uint64) scenario.Spec {
 // dispatch-queue memory leak: the old slice queue (fl.queue =
 // fl.queue[1:]) never cleared dequeued slots, so the backing array
 // pinned every completed *fleetTask — spec, result bytes and done
-// channel — for the life of the coordinator. The ring queue nils every
+// channel — for the life of the coordinator. popLocked nils every
 // vacated slot; this test proves completed tasks actually become
 // garbage-collectible.
 func TestFleetReleasedTasksCollectible(t *testing.T) {
@@ -154,7 +154,7 @@ func TestFleetBatchedAssignAndHeartbeat(t *testing.T) {
 	fl.sweep(time.Now())
 	fl.mu.Lock()
 	survivors := len(fl.assigned)
-	requeued := fl.queue.len()
+	requeued := len(fl.queue)
 	fl.mu.Unlock()
 	if survivors != 3 || requeued != 2 {
 		t.Fatalf("after sweep: %d assigned, %d requeued; want the 3 heartbeated tasks assigned and 2 requeued", survivors, requeued)
@@ -192,43 +192,38 @@ func TestFleetStatusTenantCounters(t *testing.T) {
 	}
 }
 
-// TestFleetRingWrapAround pins the ring's push/pop arithmetic across
-// wraparound and growth, which index math makes easy to get wrong:
-// FIFO order holds and every vacated slot is cleared.
-func TestFleetRingWrapAround(t *testing.T) {
-	r := &taskRing{}
-	mk := func(n int) *fleetTask { return &fleetTask{id: fmt.Sprintf("t%d", n)} }
-	// Force wraparound: fill, drain a prefix, refill past the old tail.
-	for i := 0; i < 4; i++ {
-		r.push(mk(i))
+// TestFleetQueueFIFOUnderChurn drives the dispatch queue through
+// interleaved pushes and pops, across the reallocations append makes
+// as the live window slides along its backing array: FIFO order holds,
+// and every pop nils the slot it vacates.
+func TestFleetQueueFIFOUnderChurn(t *testing.T) {
+	fl := newFleet(time.Minute)
+	mk := func(n int) *fleetTask { return &fleetTask{id: fmt.Sprintf("t%d", n), tenant: defaultTenant} }
+	pushed, popped := 0, 0
+	pop := func() {
+		head := fl.queue
+		if got, want := fl.popLocked().id, fmt.Sprintf("t%d", popped); got != want {
+			t.Fatalf("pop %d: got %s, want %s", popped, got, want)
+		}
+		if head[0] != nil {
+			t.Fatalf("pop %d left its slot pinning %s", popped, head[0].id)
+		}
+		popped++
 	}
-	for i := 0; i < 3; i++ {
-		if got := r.pop(); got.id != fmt.Sprintf("t%d", i) {
-			t.Fatalf("pop %d: got %s", i, got.id)
+	for round := 1; round <= 40; round++ {
+		for i := 0; i < round%7+1; i++ {
+			fl.pushLocked(mk(pushed))
+			pushed++
+		}
+		for i := 0; i < round%5+1 && len(fl.queue) > 0; i++ {
+			pop()
 		}
 	}
-	for i := 4; i < 7; i++ {
-		r.push(mk(i))
+	for len(fl.queue) > 0 {
+		pop()
 	}
-	if r.head+r.len() <= len(r.buf) {
-		t.Fatalf("ring did not wrap: head %d, %d queued, %d slots", r.head, r.len(), len(r.buf))
-	}
-	// Queue now: 3 4 5 6, wrapped and full. Grow it while wrapped.
-	for i := 7; i < 10; i++ {
-		r.push(mk(i))
-	}
-	for i := 3; i < 10; i++ {
-		if got := r.pop(); got.id != fmt.Sprintf("t%d", i) {
-			t.Fatalf("after wrap and growth: got %s, want t%d", got.id, i)
-		}
-	}
-	if r.len() != 0 {
-		t.Fatalf("ring not drained: %d left", r.len())
-	}
-	for i, slot := range r.buf {
-		if slot != nil {
-			t.Fatalf("slot %d still pins %s after the ring drained", i, slot.id)
-		}
+	if popped != pushed {
+		t.Fatalf("popped %d of %d pushed tasks", popped, pushed)
 	}
 }
 

@@ -1,23 +1,17 @@
-// Bounded-staleness asynchronous execution (ROADMAP item 5): the
-// round loop delegates proposal assembly to an asyncState when
-// Config.ArrivalSpec is set. Each round the arrival trace elects a
-// subset of workers to submit fresh proposals; every other worker's
-// slot replays its last submitted proposal (optionally damped by the
-// Kardam factor 1/(1+λ·s) for staleness s), and the trace force-
-// arrives any worker about to exceed the τ bound.
+// Rounds under an arrival process (ROADMAP item 5): each round the
+// process elects the workers that submit a fresh proposal; every other
+// worker's slot replays its last submission, Kardam-damped by
+// 1/(1+λ·s) at staleness s when the process sets damp, and no worker
+// lags more than τ rounds. The paper's synchronous protocol is the
+// τ = 0 process, arrival.Sync, which Run uses when no ArrivalSpec is
+// set: every worker arrives every round, so nothing is replayed, copied
+// or allocated per round.
 //
-// Two invariants are load-bearing and pinned by tests:
-//
-//  1. Purity — the arrival trace derives from (Config.Seed, N) alone
-//     (see arrival.Process.NewTrace), never from the run's root RNG or
-//     wall-clock, so a cell's result is a pure function of its Spec on
-//     any machine and any topology.
-//  2. Sync differential — ArrivalSpec "sync" (or any τ = 0 spec) runs
-//     through this machinery yet is byte-identical to the synchronous
-//     path: value copies preserve bits, the attack sees the same
-//     Correct values and consumes the same RNG stream, and no extra
-//     root-RNG draw happens. An async mode that silently perturbed
-//     existing results would invalidate every stored sync cell.
+// The arrival trace derives from (Config.Seed, N) alone (see
+// arrival.Process.NewTrace), never from the run's root RNG or
+// wall-clock, so a cell's result is a pure function of its Spec on any
+// machine and any topology — and a round's arrivals are known before
+// the round computes anything.
 package distsgd
 
 import (
@@ -27,103 +21,111 @@ import (
 	"krum/internal/arrival"
 )
 
-// asyncState holds one run's bounded-staleness machinery: the arrival
-// trace plus the per-worker replay buffers.
+// asyncState assembles one run's proposals under its arrival process.
+// A fresh proposal is used where it lies: the worker's gradient buffer
+// or the attack's lent vector. A proposal is copied only once it is
+// replayed — at the top of the first round its worker straggles,
+// before that round's gradients and Propose overwrite the source — into
+// a replay buffer allocated the first time its slot straggles.
 type asyncState struct {
-	proc  arrival.Process
 	trace *arrival.Trace
-	n, f  int
 	damp  float64
-	// last[i] is an owned copy of worker i's most recent submitted
-	// proposal — the value replayed while i straggles.
+	// last[i] is worker i's replay buffer: a copy of its most recent
+	// submission, nil until i first straggles.
 	last [][]float64
-	// scratch holds damped copies (only allocated when damp > 0, so
-	// the undamped mode replays last[i] by reference and the
-	// incremental cache sees bit-stable rows).
+	// scratch[i] holds worker i's damped replay, nil until one is
+	// needed; an undamped replay is last[i] itself, so the incremental
+	// cache sees bit-stable rows.
 	scratch [][]float64
-	// changedAll is the 0..n-1 change-set declared when damping is on:
-	// the factor depends on current staleness, so every stale row is
-	// rescaled every round.
-	changedAll []int
+	// all is the change-set 0..n−1 of a damped round with replays: the
+	// factor moves with staleness, so every stale row is rescaled.
+	all []int
 }
 
-func newAsyncState(proc arrival.Process, seed uint64, n, f, dim int) *asyncState {
-	a := &asyncState{
-		proc:  proc,
-		trace: proc.NewTrace(seed, n),
-		n:     n,
-		f:     f,
-		damp:  proc.Damp(),
-	}
-	a.last = make([][]float64, n)
-	for i := range a.last {
-		a.last[i] = make([]float64, dim)
-	}
-	if a.damp > 0 {
-		a.scratch = make([][]float64, n)
-		for i := range a.scratch {
-			a.scratch[i] = make([]float64, dim)
-		}
-		a.changedAll = make([]int, n)
-		for i := range a.changedAll {
-			a.changedAll[i] = i
-		}
-	}
-	return a
+func newAsyncState(proc arrival.Process, seed uint64, n int) asyncState {
+	return asyncState{trace: proc.NewTrace(seed, n), damp: proc.Damp()}
 }
 
-// round assembles the effective proposals of round t and returns the
-// honest change-set for RoundContext.SetChanged (ascending, freshly
-// owned by the caller). correct holds this round's fresh gradients
-// from every correct worker — they are all computed regardless of
-// arrival so the per-worker data RNG streams match the synchronous
-// run exactly; non-arriving workers' fresh values are simply never
-// submitted. The attack runs every round (identical attack-RNG
-// consumption, through the run's one ctx) against the effective
-// correct proposals — the full-knowledge threat model under
-// asynchrony: the adversary sees what the server is about to see, and
-// its own Byzantine submissions are subject to the same arrival
-// process as everyone else's (which is also why the vectors ctx lends
-// are copied into the replay buffers, never kept).
-func (a *asyncState) round(t int, proposals, correct [][]float64, atk attack.Strategy, params []float64, ctx *attack.Context) ([]int, error) {
+// next starts a round. proposals still holds the previous round's
+// submissions where they lie, so next copies each one whose worker
+// straggles for the first time into its replay buffer. It returns the
+// round's change-set for RoundContext.SetChanged, or nil when every
+// worker arrives: the cache then diffs the round itself, which also
+// catches proposals that repeat on their own (a crashed worker's).
+func (a *asyncState) next(proposals [][]float64) []int {
 	arrivals := a.trace.Next()
-	nc := a.n - a.f
-	for _, i := range arrivals {
-		if i < nc {
-			copy(a.last[i], correct[i])
+	n := len(proposals)
+	if len(arrivals) == n {
+		return nil
+	}
+	if a.last == nil {
+		a.last = make([][]float64, n)
+	}
+	for i, p := range proposals {
+		if a.trace.Staleness(i) != 1 {
+			continue
+		}
+		if a.last[i] == nil {
+			a.last[i] = make([]float64, len(p))
+		}
+		copy(a.last[i], p)
+	}
+	if a.damp == 0 {
+		return arrivals
+	}
+	if a.all == nil {
+		a.all = make([]int, n)
+		for i := range a.all {
+			a.all[i] = i
 		}
 	}
-	for i := 0; i < nc; i++ {
-		proposals[i] = a.effective(i)
-	}
-	if a.f > 0 {
-		ctx.Round, ctx.Params, ctx.Correct = t, params, proposals[:nc]
-		byz := atk.Propose(ctx)
-		if len(byz) != a.f {
-			return nil, fmt.Errorf("attack returned %d proposals, want %d: %w", len(byz), a.f, ErrConfig)
-		}
-		for _, i := range arrivals {
-			if i >= nc {
-				copy(a.last[i], byz[i-nc])
-			}
-		}
-		for i := nc; i < a.n; i++ {
-			proposals[i] = a.effective(i)
-		}
-	}
-	if a.damp > 0 {
-		return a.changedAll, nil
-	}
-	return arrivals, nil
+	return a.all
 }
 
-// effective returns worker i's proposal as the server aggregates it
-// this round: the replay buffer itself when fresh or undamped, a
-// scaled copy otherwise.
-func (a *asyncState) effective(i int) []float64 {
-	factor := arrival.DampFactor(a.damp, a.trace.Staleness(i))
+// propose fills proposals with round t's submissions as the server
+// aggregates them. Every correct worker computed a gradient whether or
+// not it arrives, so the per-worker data RNG streams do not depend on
+// the arrival process. The attack runs every round, through the run's
+// one ctx, against the effective correct proposals — the full-knowledge
+// threat model under asynchrony: the adversary sees what the server is
+// about to see, and its own submissions arrive by the same process as
+// everyone else's.
+func (a *asyncState) propose(t int, proposals [][]float64, workers []worker, atk attack.Strategy, params []float64, ctx *attack.Context) error {
+	nc := len(workers)
+	for i := range workers {
+		proposals[i] = a.effective(i, workers[i].grad)
+	}
+	f := len(proposals) - nc
+	if f == 0 {
+		return nil
+	}
+	ctx.Round, ctx.Params, ctx.Correct = t, params, proposals[:nc]
+	byz := atk.Propose(ctx)
+	if len(byz) != f {
+		return fmt.Errorf("attack returned %d proposals, want %d: %w", len(byz), f, ErrConfig)
+	}
+	for i := nc; i < len(proposals); i++ {
+		proposals[i] = a.effective(i, byz[i-nc])
+	}
+	return nil
+}
+
+// effective returns worker i's proposal this round: fresh when it
+// arrives, else its replay, scaled into scratch when damped.
+func (a *asyncState) effective(i int, fresh []float64) []float64 {
+	s := a.trace.Staleness(i)
+	if s == 0 {
+		return fresh
+	}
+	factor := arrival.DampFactor(a.damp, s)
 	if factor == 1 {
 		return a.last[i]
+	}
+	if a.scratch == nil {
+		a.scratch = make([][]float64, len(a.last))
+	}
+	if a.scratch[i] == nil {
+		a.scratch[i] = make([]float64, len(fresh))
 	}
 	dst := a.scratch[i]
 	for j, v := range a.last[i] {

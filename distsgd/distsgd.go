@@ -7,6 +7,11 @@
 // full-knowledge threat model), applies the configured choice function
 // F, and performs the SGD step x_{t+1} = x_t − γ_t·F(V_1, ..., V_n).
 //
+// A round's proposals come from an arrival process (async.go): the
+// synchronous protocol is its τ = 0 case, in which every worker
+// arrives every round; with τ > 0 stragglers replay their last
+// proposal, the bounded-staleness asynchronous mode.
+//
 // The n − f correct workers run in-process, one goroutine each per
 // round, joined before the round aggregates. Each holds its own model
 // replica, RNG substream and batch buffers and shares no mutable state
@@ -143,16 +148,15 @@ type Config struct {
 	// cache is bypassed (full rebuild) on the first round, on a shape
 	// change, and when every proposal changed.
 	Incremental bool
-	// ArrivalSpec selects the bounded-staleness asynchronous mode
-	// through the arrival registry (arrival.Parse) — e.g.
-	// "bounded(tau=3)" or "bernoulli(p=0.5,tau=8,damp=0.1)". Each
-	// round only the workers elected by the (seed-derived,
-	// deterministic) arrival trace submit fresh proposals; the rest
-	// replay their last submission, Kardam-damped when the spec sets
-	// damp, with lag hard-capped at tau. Empty means the classic
-	// synchronous protocol; "sync" (or any tau=0 spec) runs through
-	// the async machinery but is byte-identical to the synchronous
-	// path — the differential tests in arrival_test.go pin this.
+	// ArrivalSpec selects the arrival process through the arrival
+	// registry (arrival.Parse) — e.g. "bounded(tau=3)" or
+	// "bernoulli(p=0.5,tau=8,damp=0.1)". Each round only the workers
+	// elected by the (seed-derived, deterministic) arrival trace submit
+	// fresh proposals; the rest replay their last submission,
+	// Kardam-damped when the spec sets damp, with lag hard-capped at
+	// tau. Empty means arrival.Sync, the paper's synchronous protocol,
+	// which "sync" and every tau=0 spec also parse to: every worker
+	// arrives every round and nothing is replayed.
 	ArrivalSpec string
 	// N is the total number of workers; F of them are Byzantine
 	// (0 ≤ F < N).
@@ -247,9 +251,10 @@ func (w *worker) round(params []float64) {
 // gradients runs one synchronous round of the correct workers, one
 // goroutine each, and returns their mean mini-batch loss summed in
 // worker order.
-func gradients(workers []*worker, params []float64) (float64, error) {
+func gradients(workers []worker, params []float64) (float64, error) {
 	var wg sync.WaitGroup
-	for _, w := range workers {
+	for i := range workers {
+		w := &workers[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -258,11 +263,11 @@ func gradients(workers []*worker, params []float64) (float64, error) {
 	}
 	wg.Wait()
 	var lossSum float64
-	for i, w := range workers {
-		if w.err != nil {
-			return 0, fmt.Errorf("worker %d: %w", i, w.err)
+	for i := range workers {
+		if err := workers[i].err; err != nil {
+			return 0, fmt.Errorf("worker %d: %w", i, err)
 		}
-		lossSum += w.loss
+		lossSum += workers[i].loss
 	}
 	return lossSum / float64(len(workers)), nil
 }
@@ -300,7 +305,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		cfg.Schedule = sched
 	}
-	var arrivalProc arrival.Process
+	var arrivalProc arrival.Process = arrival.Sync{}
 	if cfg.ArrivalSpec != "" {
 		p, err := arrival.Parse(cfg.ArrivalSpec)
 		if err != nil {
@@ -321,18 +326,17 @@ func Run(cfg Config) (*Result, error) {
 	dim := serverModel.Dim()
 	params := serverModel.Params(nil)
 
-	// The correct workers' gradient buffers belong to Run: correct[i]
-	// is worker i's own buffer, rewritten by every round and lent to the
-	// engine and the attack for that round only.
+	// The correct workers' gradient buffers belong to Run: worker i's
+	// buffer is rewritten by every round and lent to the engine and the
+	// attack for that round only.
 	workerRNG := vec.NewRNG(rootRNG.Uint64())
-	workers := make([]*worker, cfg.N-cfg.F)
-	correct := make([][]float64, len(workers))
+	workers := make([]worker, cfg.N-cfg.F)
 	for i := range workers {
 		ds := cfg.Dataset
 		if cfg.WorkerData != nil {
 			ds = cfg.WorkerData[i]
 		}
-		workers[i] = &worker{
+		workers[i] = worker{
 			m:    serverModel.Clone(),
 			rng:  workerRNG.Split(),
 			ds:   ds,
@@ -340,7 +344,6 @@ func Run(cfg Config) (*Result, error) {
 			y:    vec.NewDense(cfg.BatchSize, ds.OutDim()),
 			grad: make([]float64, dim),
 		}
-		correct[i] = workers[i].grad
 	}
 
 	evalBatch := cfg.EvalBatch
@@ -361,29 +364,24 @@ func Run(cfg Config) (*Result, error) {
 	// tracking and aggregation share a single distance matrix; the
 	// proposal slice and the pooled update buffer are reused across all
 	// rounds (every rule fully overwrites dst). With Incremental set
-	// the engine additionally carries the matrix across rounds,
-	// diffing each round's proposals lazily on first use. Either way the
-	// proposals are only lent to the engine for the round: it reads the
-	// workers', the attack's and the replay buffers where they lie, and
-	// the cache copies the rows it keeps, so all of them may be
-	// rewritten as soon as the round's aggregate is out.
+	// the engine additionally carries the matrix across rounds. Either
+	// way the proposals are only lent to the engine for the round: it
+	// reads the workers', the attack's and the replay buffers where they
+	// lie, and the cache copies the rows it keeps, so all of them may be
+	// rewritten once the round's aggregate is out.
 	engine := new(core.Engine)
 	if cfg.Incremental {
 		engine.EnableCache()
 	}
 	// One attack.Context for the whole run, so the strategy reuses its
-	// proposal vectors: both paths are done with round t's Byzantine
-	// vectors (aggregated, or copied into the replay buffers) before
-	// round t+1 asks for new ones.
+	// proposal vectors: round t's Byzantine vectors are aggregated, and
+	// copied into a replay buffer at the top of round t+1, before round
+	// t+1 asks for new ones.
 	atkCtx := &attack.Context{F: cfg.F, RNG: attackRNG}
-	// The async state is seeded from cfg.Seed directly (not from a
-	// rootRNG draw), so enabling an arrival process never shifts the
-	// worker/eval/attack RNG streams — load-bearing for the sync≡async
-	// differential and for trace replay in tests.
-	var async *asyncState
-	if arrivalProc != nil {
-		async = newAsyncState(arrivalProc, cfg.Seed, cfg.N, cfg.F, dim)
-	}
+	// The arrival trace is seeded from cfg.Seed directly (not from a
+	// rootRNG draw), so the arrival process never shifts the
+	// worker/eval/attack RNG streams, and tests can replay the trace.
+	arrivals := newAsyncState(arrivalProc, cfg.Seed, cfg.N)
 	proposals := make([][]float64, cfg.N)
 	update := vec.GetFloats(dim)
 	defer vec.PutFloats(update)
@@ -397,45 +395,30 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	for t := 0; t < cfg.Rounds; t++ {
+		changed := arrivals.next(proposals)
 		trainLoss, err := gradients(workers, params)
 		if err != nil {
 			return nil, fmt.Errorf("round %d gradients: %w", t, err)
 		}
-		var changed []int
-		if async != nil {
-			changed, err = async.round(t, proposals, correct, atk, params, atkCtx)
-			if err != nil {
-				return nil, fmt.Errorf("round %d: %w", t, err)
-			}
-		} else {
-			copy(proposals, correct)
-			if cfg.F > 0 {
-				atkCtx.Round, atkCtx.Params, atkCtx.Correct = t, params, correct
-				byz := atk.Propose(atkCtx)
-				if len(byz) != cfg.F {
-					return nil, fmt.Errorf("round %d: attack returned %d proposals, want %d: %w", t, len(byz), cfg.F, ErrConfig)
-				}
-				copy(proposals[cfg.N-cfg.F:], byz)
-			}
+		if err := arrivals.propose(t, proposals, workers, atk, params, atkCtx); err != nil {
+			return nil, fmt.Errorf("round %d: %w", t, err)
 		}
 
 		gamma := cfg.Schedule.Rate(t)
 		stats := RoundStats{Round: t, TrainLoss: trainLoss, LearningRate: gamma}
 
-		// With Incremental set, the engine's RoundCache diffs the
-		// proposals against the previous round lazily, on the first
-		// Distances() request: workers whose proposals replayed
-		// verbatim (crashed, stalled, frozen) cost no distance
-		// recomputation, and rules that never consult distances (e.g.
-		// average) never pay the O(n·d) diff at all. Callers with
-		// external knowledge of the change-set can still declare it
-		// via RoundContext.SetChanged.
+		// With Incremental set, the engine's RoundCache serves the
+		// matrix on the first Distances() request, recomputing only
+		// changed rows; rules that never consult distances (e.g.
+		// average) never pay for it. On a round with replays the
+		// arrival trace knows which rows changed and declares them —
+		// the honest change-set the property tests audit through
+		// Result.Stats.RowUpdates. On a full-arrival round the cache
+		// diffs the proposals itself, so a worker whose proposal
+		// repeats verbatim (crashed, stalled, frozen) costs no
+		// distance recomputation.
 		round := engine.Round(proposals)
-		if async != nil {
-			// The arrival trace knows exactly which rows changed, so
-			// declare it instead of letting the cache pay the O(n·d)
-			// self-diff — the honest change-set the property tests
-			// audit through Result.Stats.RowUpdates.
+		if changed != nil {
 			round.SetChanged(changed)
 		}
 		if cfg.TrackSelection {

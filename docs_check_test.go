@@ -15,7 +15,8 @@ package krum_test
 // in the README, so a deletion cannot leave its documentation behind;
 // TestDocsFuzzTargetsListed pins that every native fuzz target runs in
 // `make fuzz-smoke`; TestDocsMakefileTestPatternsMatch pins that every
-// -run and -bench pattern in the Makefile still names a function.
+// -run and -bench pattern in the Makefile still names a function;
+// TestDocsChangesEntriesCapped caps the length of a CHANGES.md entry.
 
 import (
 	"go/ast"
@@ -26,6 +27,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -450,5 +452,35 @@ func TestDocsMakefileTestPatternsMatch(t *testing.T) {
 	}
 	if patterns == 0 {
 		t.Error("found no -run or -bench patterns: the scan is broken")
+	}
+}
+
+// changesEntry matches the first line of a CHANGES.md entry and
+// captures its number.
+var changesEntry = regexp.MustCompile(`^PR (\d+) `)
+
+// TestDocsChangesEntriesCapped fails a CHANGES.md entry numbered 45 or
+// later that is longer than 1 200 bytes: an entry says what changed and
+// how it was checked, and its measurements live in EXPERIMENTS.md.
+// Earlier entries predate the cap.
+func TestDocsChangesEntriesCapped(t *testing.T) {
+	const firstCapped, maxBytes = 45, 1200
+	blob, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, line := range strings.Split(string(blob), "\n") {
+		m := changesEntry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		entries++
+		if n, _ := strconv.Atoi(m[1]); n >= firstCapped && len(line) > maxBytes {
+			t.Errorf("CHANGES.md entry %d is %d bytes, over the %d-byte cap", n, len(line), maxBytes)
+		}
+	}
+	if entries == 0 {
+		t.Error("found no CHANGES.md entries: the scan is broken")
 	}
 }

@@ -72,12 +72,13 @@ type decideFunc func(t, i int, rng *vec.RNG) bool
 //
 // A Trace is not safe for concurrent use.
 type Trace struct {
-	n      int
-	tau    int
-	round  int   // next round Next will serve
-	lastAt []int // round of each worker's most recent fresh arrival
-	decide decideFunc
-	rng    *vec.RNG // nil for RNG-free processes
+	n        int
+	tau      int
+	round    int   // next round Next will serve
+	lastAt   []int // round of each worker's most recent fresh arrival
+	arrivals []int // the slice Next fills and returns
+	decide   decideFunc
+	rng      *vec.RNG // nil for RNG-free processes
 }
 
 // traceSalt decorrelates the trace RNG stream from every other
@@ -89,10 +90,11 @@ const traceSalt = 0xA551C0DE5EEDFACE
 
 func newTrace(seed uint64, n, tau int, decide decideFunc, needRNG bool) *Trace {
 	tr := &Trace{
-		n:      n,
-		tau:    tau,
-		lastAt: make([]int, n),
-		decide: decide,
+		n:        n,
+		tau:      tau,
+		lastAt:   make([]int, n),
+		arrivals: make([]int, 0, n),
+		decide:   decide,
 	}
 	if needRNG {
 		_, mixed := splitMix64(seed ^ traceSalt)
@@ -122,13 +124,13 @@ func (tr *Trace) Tau() int { return tr.tau }
 func (tr *Trace) Rounds() int { return tr.round }
 
 // Next returns the ascending indices of the workers arriving at the
-// next round. The returned slice is freshly allocated and owned by the
-// caller. Round 0 always returns all n indices (cold start); later
-// rounds contain every elected worker plus every worker whose lag
-// would otherwise exceed τ.
+// next round. The slice belongs to the trace and is overwritten by the
+// next call, so serving a round allocates nothing. Round 0 always
+// returns all n indices (cold start); later rounds contain every
+// elected worker plus every worker whose lag would otherwise exceed τ.
 func (tr *Trace) Next() []int {
 	t := tr.round
-	arrivals := make([]int, 0, tr.n)
+	arrivals := tr.arrivals[:0]
 	for i := 0; i < tr.n; i++ {
 		// The election is evaluated unconditionally so RNG-backed
 		// processes consume an identical draw sequence whatever the
@@ -156,9 +158,9 @@ func (tr *Trace) Staleness(i int) int {
 }
 
 // Sync is the degenerate arrival process of the synchronous protocol:
-// every worker arrives every round and τ = 0. Running distsgd with
-// arrival "sync" is byte-identical to not configuring an arrival
-// process at all — the differential tests pin this.
+// every worker arrives every round and τ = 0. It is the process
+// distsgd runs when no arrival spec is configured, so "sync", every
+// τ = 0 spec and the empty spec are one round loop.
 type Sync struct{}
 
 // Name implements Process.

@@ -13,7 +13,7 @@ func collect(p Process, seed uint64, n, rounds int) [][]int {
 	tr := p.NewTrace(seed, n)
 	out := make([][]int, rounds)
 	for t := range out {
-		out[t] = tr.Next()
+		out[t] = append([]int(nil), tr.Next()...)
 	}
 	return out
 }
@@ -109,6 +109,18 @@ func TestTraceDeterminism(t *testing.T) {
 	c := collect(p, 43, 15, 60)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical bernoulli traces")
+	}
+}
+
+// TestNextAllocatesNothing: a trace serves its rounds from the slice it
+// minted with, so a synchronous training round costs no allocation for
+// being the τ = 0 arrival process.
+func TestNextAllocatesNothing(t *testing.T) {
+	for _, p := range []Process{Sync{}, Bounded{TauBound: 3}, Bernoulli{P: 0.4, TauBound: 6}} {
+		tr := p.NewTrace(9, 13)
+		if allocs := testing.AllocsPerRun(50, func() { tr.Next() }); allocs != 0 {
+			t.Errorf("%s: Next allocated %v times per round", p.Name(), allocs)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // encodeCell renders a cell result in the stable store encoding — the
-// level at which the sync≡async(τ=0) differential is asserted.
+// level at which the spellings of the τ = 0 process are compared.
 func encodeCell(t *testing.T, cr CellResult) string {
 	t.Helper()
 	if cr.Err != nil {
@@ -25,9 +25,10 @@ func encodeCell(t *testing.T, cr CellResult) string {
 	return string(b)
 }
 
-// TestRunnerArrivalSyncByteIdentical is the Runner level of the
-// tentpole differential: a matrix with arrival "" (legacy), "sync" and
-// "bounded(tau=0)" produces byte-identical results cell for cell.
+// TestRunnerArrivalSyncByteIdentical is the Runner level of
+// distsgd's TestRunArrivalSyncByteIdentical: a matrix with arrival ""
+// (the empty field), "sync" and "bounded(tau=0)" produces
+// byte-identical results cell for cell.
 func TestRunnerArrivalSyncByteIdentical(t *testing.T) {
 	base := quickSpec()
 	base.TrackSelection = true
@@ -53,7 +54,7 @@ func TestRunnerArrivalSyncByteIdentical(t *testing.T) {
 		}
 		for i := range legacy {
 			if encodeCell(t, got[i]) != encodeCell(t, legacy[i]) {
-				t.Errorf("arrival %q cell %d (%s): bytes differ from the legacy synchronous run",
+				t.Errorf("arrival %q cell %d (%s): bytes differ from the empty arrival's",
 					arr, i, legacy[i].Spec.Label())
 			}
 		}

@@ -98,11 +98,11 @@ type Spec struct {
 	// Arrival is the arrival-process registry spec selecting the
 	// bounded-staleness asynchronous mode (see
 	// distsgd.Config.ArrivalSpec), e.g. "bounded(tau=3)" or
-	// "bernoulli(p=0.5,tau=8)". Empty means synchronous rounds; "sync"
-	// and every tau=0 spec are byte-identical to empty and share its
-	// store key (Canonical maps them to empty), while genuinely
-	// asynchronous specs are part of the cell's identity and can never
-	// alias a synchronous cell.
+	// "bernoulli(p=0.5,tau=8)". Empty means synchronous rounds, the
+	// process "sync" and every tau=0 spec also parse to, so all of them
+	// run the same rounds and share one store key (Canonical maps them
+	// to empty), while genuinely asynchronous specs are part of the
+	// cell's identity and can never alias a synchronous cell.
 	Arrival string `json:"arrival,omitempty"`
 }
 
