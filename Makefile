@@ -120,13 +120,22 @@ shard-tests:
 # available tier themselves, whatever the knob says); an unavailable tier (e.g. avx2 on a
 # pre-Haswell box or a non-amd64 host) degrades to the auto-detected
 # one with a stderr note, so the matrix is green everywhere and only
-# gains coverage on capable hosts. Blocking in CI as its own job.
+# gains coverage on capable hosts. Two more legs hold vec.Exp's bits
+# (and so the rasteriser's) to no CPU feature and no GOARCH: Exp and
+# Render under GODEBUG=cpu.fma=off, where math.Exp rounds otherwise but
+# vec.Exp falls back to software FMA, on the go and avx2 tiers; and
+# TestExpPinned under GOARCH=386. Blocking in CI as its own job.
 tier-tests:
 	for tier in go sse2 avx2; do \
 		echo "=== KRUM_KERNEL_TIER=$$tier ==="; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ ./model/ ./data/ || exit 1; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -short -count 1 ./... || exit 1; \
 	done
+	for tier in go avx2; do \
+		echo "=== GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier ==="; \
+		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|Render' ./data ./internal/vec || exit 1; \
+	done
+	GOARCH=386 $(GO) test -count 1 -run Exp ./internal/vec
 
 # load-test is the in-process multi-tenant load harness: hundreds of
 # worker slots (and as many coordinator slots) against thousands of

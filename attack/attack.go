@@ -36,8 +36,10 @@ type Context struct {
 	// RNG is the adversary's private randomness.
 	RNG *vec.RNG
 
-	// arena holds the F vectors lend hands out.
-	arena [][]float64
+	// arena holds the F vectors lend hands out, scratch the d-vectors
+	// of scratchVec.
+	arena   [][]float64
+	scratch [2][]float64
 }
 
 // lend returns F vectors of the proposal dimension with arbitrary
@@ -55,6 +57,17 @@ func (c *Context) lend() [][]float64 {
 		}
 	}
 	return c.arena
+}
+
+// scratchVec returns the Context's i-th scratch vector (i < 2) of the
+// proposal dimension, with arbitrary contents: a strategy's working
+// estimates (a mean, a spread), which like lend's vectors a kept
+// Context allocates once.
+func (c *Context) scratchVec(i int) []float64 {
+	if d := c.dim(); len(c.scratch[i]) != d {
+		c.scratch[i] = make([]float64, d)
+	}
+	return c.scratch[i]
 }
 
 // dim returns the proposal dimension.

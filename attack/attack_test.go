@@ -208,7 +208,8 @@ func TestMimicCopiesFirstCorrect(t *testing.T) {
 // TestProposeLendsContextVectors pins the ownership rule of
 // Strategy.Propose for every built-in strategy: on a kept Context the
 // second call hands out the vectors of the first (so the caller must be
-// done with them), what they held before never shows in the result, and
+// done with them), what they or the Context's scratch vectors held
+// before never shows in the result, and
 // a fresh Context still yields fresh vectors that alias nothing.
 func TestProposeLendsContextVectors(t *testing.T) {
 	takeover, err := NewLinearTakeover([]float64{1, 2, 3, 4}, []float64{1, 1, 1, 1, 1, 1, 1, 1})
@@ -226,6 +227,9 @@ func TestProposeLendsContextVectors(t *testing.T) {
 			kept.arena = make([][]float64, 3)
 			for i := range kept.arena {
 				kept.arena[i] = []float64{math.NaN(), math.Inf(1), -7, math.NaN()}
+			}
+			for i := range kept.scratch {
+				kept.scratch[i] = []float64{math.NaN(), math.Inf(1), -7, math.NaN()}
 			}
 			lent := kept.arena[0]
 			out := s.Propose(kept)
@@ -302,5 +306,27 @@ func TestStrategyNamesAreStable(t *testing.T) {
 	}
 	if math.IsNaN((Omniscient{}).effScale()) {
 		t.Error("omniscient default scale")
+	}
+}
+
+// TestProposeAllocatesNothingWarm: every registered attack, on a kept
+// Context after its first round, proposes without allocating — its
+// proposals are lent and its working vectors are the Context's scratch.
+func TestProposeAllocatesNothingWarm(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			s, err := Parse(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := testCtx(3, 42)
+			s.Propose(ctx)
+			if allocs := testing.AllocsPerRun(10, func() {
+				ctx.Round++
+				s.Propose(ctx)
+			}); allocs != 0 {
+				t.Errorf("%s: %v allocations per Propose on a kept Context", name, allocs)
+			}
+		})
 	}
 }

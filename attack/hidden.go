@@ -43,7 +43,7 @@ func (h HiddenCoordinate) effMargin() float64 {
 // Propose implements Strategy.
 func (h HiddenCoordinate) Propose(ctx *Context) [][]float64 {
 	d := ctx.dim()
-	mean := make([]float64, d)
+	mean := ctx.scratchVec(0)
 	ctx.correctMean(mean)
 	// Estimate the correct proposals' total spread: the spike hides as
 	// long as its squared magnitude is comparable to the natural

@@ -3,6 +3,8 @@ package attack
 import (
 	"fmt"
 	"math"
+
+	"krum/internal/vec"
 )
 
 // LittleIsEnough is the "a little is enough" attack (Baruch, Baruch,
@@ -36,11 +38,11 @@ func (l LittleIsEnough) effZ() float64 {
 
 // Propose implements Strategy.
 func (l LittleIsEnough) Propose(ctx *Context) [][]float64 {
-	d := ctx.dim()
-	mean := make([]float64, d)
+	mean := ctx.scratchVec(0)
 	ctx.correctMean(mean)
 	// Per-coordinate standard deviation of the correct proposals.
-	std := make([]float64, d)
+	std := ctx.scratchVec(1)
+	vec.Zero(std)
 	if len(ctx.Correct) > 1 {
 		for _, v := range ctx.Correct {
 			for j, x := range v {

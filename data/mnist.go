@@ -211,17 +211,9 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 		}
 	}
 
-	// Pass 2: distance to intensity. Correctly rounded sqrt is monotone,
-	// so the root of the smallest square is the smallest root.
-	for i, d2 := range img {
-		d := math.Sqrt(d2)
-		if d <= thickness {
-			img[i] = 1
-		} else {
-			t := (d - thickness) / soft
-			img[i] = math.Exp(-t * t)
-		}
-	}
+	// Pass 2: distance to intensity, four pixels to a vector under
+	// TierAVX2 (intensity).
+	intensity(img, thickness, soft, lanes)
 
 	// Pass 3: pixel noise, in raster order, drawn by FillNormal a chunk
 	// at a time — one NormFloat64 per pixel, the same draws in the same
@@ -239,6 +231,29 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 				px[i] = min(max(px[i]+nz, 0), 1)
 			}
 			px = px[len(z):]
+		}
+	}
+}
+
+// intensity is Render's pass 2: squared distance to intensity, 1 where
+// the distance d is within thickness and exp(−t²), t = (d −
+// thickness)/soft, outside. Correctly rounded sqrt is monotone, so the
+// root of the smallest square is the smallest root. The exp is vec.Exp,
+// whose bits depend on no CPU or GOARCH. With lanes, intensityLanes runs
+// the pass four pixels to a vector — vec.Exp's fused steps fused in the
+// lanes too, so every pixel has the same bits — and the Go loop takes
+// the n mod 4 tail.
+func intensity(img []float64, thickness, soft float64, lanes bool) {
+	if lanes {
+		img = img[intensityLanes(img, thickness, soft):]
+	}
+	for i, d2 := range img {
+		d := math.Sqrt(d2)
+		if d <= thickness {
+			img[i] = 1
+		} else {
+			t := (d - thickness) / soft
+			img[i] = vec.Exp(-t * t)
 		}
 	}
 }

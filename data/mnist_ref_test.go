@@ -9,10 +9,12 @@ import (
 )
 
 // renderReference is Render as it stood before the multi-pass
-// rasteriser, kept verbatim: pixel-outer, one segmentDist (with its own
-// sqrt and division) per pixel and stroke, the skeleton transformed
-// into a fresh slice. TestRenderMatchesReference pins the rewrite to it
-// bit for bit.
+// rasteriser, kept verbatim but for its exp, now vec.Exp: pixel-outer,
+// one segmentDist (with its own sqrt and division) per pixel and
+// stroke, the skeleton transformed into a fresh slice.
+// TestRenderMatchesReference pins the rewrite to it bit for bit, and
+// TestRenderPinned pins it to the images it drew with math.Exp on an
+// FMA host.
 func renderReference(m *SyntheticMNIST, rng *vec.RNG, digit int, img []float64) {
 	// Random geometric jitter.
 	dx := 0.12 * (rng.Float64() - 0.5)
@@ -52,7 +54,7 @@ func renderReference(m *SyntheticMNIST, rng *vec.RNG, digit int, img []float64) 
 				intensity = 1
 			default:
 				t := (d - thickness) / soft
-				intensity = math.Exp(-t * t)
+				intensity = vec.Exp(-t * t)
 			}
 			if m.noise > 0 {
 				intensity += m.noise * rng.NormFloat64()
@@ -170,4 +172,79 @@ func renderMatchesReference(t *testing.T, size int, noise float64, instances int
 			}
 		}
 	}
+}
+
+// TestIntensityMatchesExp runs Render's pass 2 directly, under every
+// tier, on slices of every length mod 4 and against the per-pixel
+// formula with vec.Exp: squared distances whose −t² lies in the
+// subnormal and underflow band x ∈ [−780, −690], distances at, just
+// inside and just outside the thickness, 0 and +Inf.
+func TestIntensityMatchesExp(t *testing.T) {
+	const thickness, soft = 0.05, 0.025
+	n := 1 << 22
+	if testing.Short() {
+		n >>= 3
+	}
+	rng := vec.NewRNG(5)
+	d2s := make([]float64, 0, n+64)
+	at := thickness * thickness // √ of it is thickness exactly
+	d2s = append(d2s, 0, math.Inf(1), at, math.Nextafter(at, 0), math.Nextafter(at, 1), math.Nextafter(math.Nextafter(at, 1), 1))
+	for len(d2s) < cap(d2s) {
+		x := -780 + 90*rng.Float64()
+		d := thickness + math.Sqrt(-x)*soft
+		d2s = append(d2s, d*d)
+	}
+	want := make([]float64, len(d2s))
+	for i, d2 := range d2s {
+		if d := math.Sqrt(d2); d <= thickness {
+			want[i] = 1
+		} else {
+			x := (d - thickness) / soft
+			want[i] = vec.Exp(-x * x)
+		}
+	}
+	forEachTier(t, func(t *testing.T) {
+		got := make([]float64, len(d2s))
+		check := func(lo, hi int) {
+			t.Helper()
+			copy(got[lo:hi], d2s[lo:hi])
+			intensity(got[lo:hi], thickness, soft, rasterLanes())
+			for i := lo; i < hi; i++ {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("pixel %d of [%d:%d], d2 = %v: %v [%#x], want %v [%#x]", i, lo, hi, d2s[i],
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+		for lo := 0; lo < 4; lo++ {
+			for hi := lo; hi <= lo+12; hi++ {
+				check(lo, hi)
+			}
+		}
+		check(0, len(d2s))
+	})
+}
+
+// TestRenderAllocations: a warm Render with noise allocates nothing on
+// any tier — its per-column terms and noise chunk live on the stack,
+// FillNormal's scratch is pooled, and the kernels take pointers.
+func TestRenderAllocations(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops values at random under -race")
+	}
+	m, err := NewSyntheticMNIST(16, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]float64, m.Dim())
+	forEachTier(t, func(t *testing.T) {
+		rng := vec.NewRNG(1)
+		digit := 0
+		if n := testing.AllocsPerRun(100, func() {
+			m.Render(rng, digit, img)
+			digit = (digit + 1) % 10
+		}); n != 0 {
+			t.Errorf("%v allocations per warm Render", n)
+		}
+	})
 }

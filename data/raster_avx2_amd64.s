@@ -2,15 +2,18 @@
 
 #include "textflag.h"
 
-// AVX2 kernel of Render's pass 1, dispatched by raster_amd64.go.
+// AVX2 kernels of Render's passes 1 and 2, dispatched by
+// raster_amd64.go.
 //
 // Lanes run across pixels, never across strokes: lane j holds one
 // pixel, and every pixel sees exactly the operations of Render's Go
-// loop — each rounded multiply a VMULPD, each add or subtract a
-// VADDPD / VSUBPD, the quotient a VDIVPD, each branch a compare and a
-// blend or a min whose operand order is the branch's. Nothing is fused
-// and pixels never meet, so the image is the Go loop's bit for bit
-// (TestRenderMatchesReference).
+// loops — each rounded multiply a VMULPD, each add or subtract a
+// VADDPD / VSUBPD, the quotient a VDIVPD, the root a VSQRTPD, each
+// branch a compare and a blend or a min whose operand order is the
+// branch's, each math.FMA of vec.Exp a fused op. Nothing else is fused
+// (TestLaneKernelsUnfused) and pixels never meet, so the image is the
+// Go loops' bit for bit (TestRenderMatchesReference,
+// TestIntensityMatchesExp).
 
 // func strokeAVX2(row *float64, size int, centres, cx *float64, n int, wxvx, wx2, ex2 *float64, geom *[6]float64)
 //
@@ -129,5 +132,116 @@ next:
 	INCQ R13
 	CMPQ R13, CX
 	JLT  row
+	VZEROUPPER
+	RET
+
+// C4 defines sym<> as four copies of one 64-bit pattern: a constant a
+// YMM instruction can take as its memory operand.
+#define C4(sym, bits) \
+	DATA sym<>+0(SB)/8, $bits; \
+	DATA sym<>+8(SB)/8, $bits; \
+	DATA sym<>+16(SB)/8, $bits; \
+	DATA sym<>+24(SB)/8, $bits; \
+	GLOBL sym<>(SB), RODATA|NOPTR, $32
+
+C4(exSign, 0x8000000000000000)
+C4(exLog2e, 0x3ff71547652b82fe)
+C4(exLn2U, 0x3fe62e42fefa3000)
+C4(exLn2L, 0x3d53de6af278ece6)
+C4(exSixteenth, 0x3fb0000000000000) // 0.0625
+C4(exC8, 0x3efa01a01a01a01a)        // 1/8!
+C4(exC7, 0x3f2a01a01a01a01a)        // 1/7!
+C4(exC6, 0x3f56c16c16c16c17)        // 1/6!
+C4(exC5, 0x3f81111111111111)        // 1/5!
+C4(exC4, 0x3fa5555555555555)        // 1/4!
+C4(exC3, 0x3fc5555555555555)        // 1/3!
+C4(exHalf, 0x3fe0000000000000)
+C4(exOne, 0x3ff0000000000000)
+C4(exTwo, 0x4000000000000000)
+C4(exMinus1023, 0xc08ff80000000000) // -1023: k ≤ -1023 is a subnormal result
+C4(exMinus1075, 0xc090cc0000000000) // -1075: k < -1075 is 0
+C4(exTiny, 0x0010000000000000)      // 2⁻¹⁰²²
+C4(exBias, 0x00000000000003ff)      // int64 1023
+C4(exBias1, 0x00000000000003fe)     // int64 1022
+
+// func intensityAVX2(img *float64, n int, thickness, soft float64)
+//
+// Pass 2 of Render over img[:n], n a multiple of four: each squared
+// distance d2 becomes 1 where d = √d2 ≤ thickness and vec.Exp(−t·t),
+// t = (d − thickness)/soft, elsewhere. The exp block is vec.Exp's
+// sequence (internal/vec/exp.go) in lanes, one fused op per math.FMA
+// there and no other: both are correctly rounded, so each lane is
+// vec.Exp's bits. Its special cases need no code: d2 is a squared
+// distance, never NaN, and x = −t·t is never positive, so k ≤ 0 and
+// the result never overflows; VROUNDPD $0
+// rounds half to even as CVTSD2SL does, and where k leaves int32 range
+// (x = −Inf, from d2 = +Inf) the lane is zeroed with every k < −1075.
+TEXT ·intensityAVX2(SB), NOSPLIT, $0-32
+	MOVQ         img+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD thickness+16(FP), Y15
+	VBROADCASTSD soft+24(FP), Y14
+	VMOVUPD      exOne<>(SB), Y13
+	LEAQ         (DI)(CX*8), CX // end of img[:n]
+	CMPQ         DI, CX
+	JGE          done
+
+pixel:
+	// d := √d2; x := −t·t, t = (d − thickness)/soft; k := round(x·log₂e)
+	VSQRTPD  (DI), Y0
+	VSUBPD   Y15, Y0, Y1
+	VDIVPD   Y14, Y1, Y1
+	VMULPD   Y1, Y1, Y1
+	VXORPD   exSign<>(SB), Y1, Y1
+	VMULPD   exLog2e<>(SB), Y1, Y2
+	VROUNDPD $0, Y2, Y2
+
+	// exp: begin — r := x − k·ln2, then the polynomial and squarings
+	VFNMADD231PD exLn2U<>(SB), Y2, Y1
+	VFNMADD231PD exLn2L<>(SB), Y2, Y1
+	VMULPD       exSixteenth<>(SB), Y1, Y1
+	VMOVUPD      exC8<>(SB), Y3
+	VFMADD213PD  exC7<>(SB), Y1, Y3
+	VFMADD213PD  exC6<>(SB), Y1, Y3
+	VFMADD213PD  exC5<>(SB), Y1, Y3
+	VFMADD213PD  exC4<>(SB), Y1, Y3
+	VFMADD213PD  exC3<>(SB), Y1, Y3
+	VFMADD213PD  exHalf<>(SB), Y1, Y3
+	VFMADD213PD  Y13, Y1, Y3
+	VMULPD       Y3, Y1, Y1
+	VADDPD       exTwo<>(SB), Y1, Y3
+	VMULPD       Y3, Y1, Y1
+	VADDPD       exTwo<>(SB), Y1, Y3
+	VMULPD       Y3, Y1, Y1
+	VADDPD       exTwo<>(SB), Y1, Y3
+	VMULPD       Y3, Y1, Y1
+	VADDPD       exTwo<>(SB), Y1, Y3
+	VFMADD213PD  Y13, Y3, Y1
+	// exp: end
+
+	// fr·2**k: by 2**k where k > −1023, by 2**(k+1022) and then 2⁻¹⁰²²
+	// where k ≤ −1023; 0 where k < −1075.
+	VCVTPD2DQY Y2, X4
+	VPMOVSXDQ  X4, Y4
+	VPADDQ     exBias<>(SB), Y4, Y4
+	VCMPPD     $0x02, exMinus1023<>(SB), Y2, Y5
+	VPAND      exBias1<>(SB), Y5, Y6
+	VPADDQ     Y6, Y4, Y4
+	VPSLLQ     $52, Y4, Y4
+	VMULPD     Y4, Y1, Y1
+	VBLENDVPD  Y5, exTiny<>(SB), Y13, Y6
+	VMULPD     Y6, Y1, Y1
+	VCMPPD     $0x01, exMinus1075<>(SB), Y2, Y5
+	VANDNPD    Y1, Y5, Y1
+
+	// d ≤ thickness: 1
+	VCMPPD    $0x02, Y15, Y0, Y5
+	VBLENDVPD Y5, Y13, Y1, Y1
+	VMOVUPD   Y1, (DI)
+	ADDQ      $32, DI
+	CMPQ      DI, CX
+	JLT       pixel
+
+done:
 	VZEROUPPER
 	RET

@@ -472,3 +472,30 @@ func TestStepIsOneAxpy(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalRoundAllocations: a round served by the cross-round
+// cache allocates fewer times than an uncached one. Under the Gaussian
+// attack every proposal changes, so the cached engine rebuilds its
+// matrix in place where the uncached one makes a new one, and the diff
+// that finds the change-set writes into a slice the cache owns (one
+// grown by append from nil allocated five times a round at n = 11).
+func TestIncrementalRoundAllocations(t *testing.T) {
+	perRound := func(incremental bool) float64 {
+		allocs := func(rounds int) float64 {
+			cfg := quickConfig(t)
+			cfg.Attack = attack.Gaussian{Sigma: 200}
+			cfg.Rounds, cfg.EvalEvery, cfg.Incremental = rounds, 0, incremental
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(40) - allocs(20)) / 20
+	}
+	uncached, incremental := perRound(false), perRound(true)
+	t.Logf("allocations per round: %v uncached, %v incremental", uncached, incremental)
+	if incremental >= uncached {
+		t.Errorf("an incremental round allocates %v times, an uncached one %v", incremental, uncached)
+	}
+}

@@ -147,6 +147,9 @@ type RoundCache struct {
 	dm *vec.DistanceMatrix
 	// rows are the arena's n row views — the vectors dm is built over.
 	rows [][]float64
+	// changed is the change-set of the last round the cache diffed
+	// itself, kept so the diff allocates nothing.
+	changed []int
 	// handed counts the rounds the engine handed out, served is the
 	// stamp of the last one that asked for distances.
 	handed, served uint64
@@ -177,21 +180,18 @@ type CacheStats struct {
 // a tolerance — and NaN ≠ NaN, so a non-finite proposal always counts
 // as changed rather than ever being served from the cache.
 func (rc *RoundCache) Changed(vectors [][]float64) []int {
-	n := len(vectors)
-	if !rc.reusable(vectors) {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	var changed []int
+	return rc.appendChanged(nil, vectors)
+}
+
+// appendChanged appends Changed's indices to dst.
+func (rc *RoundCache) appendChanged(dst []int, vectors [][]float64) []int {
+	reusable := rc.reusable(vectors)
 	for i, v := range vectors {
-		if !rc.dm.VectorEqual(i, v) {
-			changed = append(changed, i)
+		if !reusable || !rc.dm.VectorEqual(i, v) {
+			dst = append(dst, i)
 		}
 	}
-	return changed
+	return dst
 }
 
 // reusable reports whether the cached matrix matches the round's shape.
@@ -223,7 +223,8 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 		return rc.dm
 	}
 	if !declared {
-		changed = rc.Changed(vectors)
+		rc.changed = rc.appendChanged(rc.changed[:0], vectors)
+		changed = rc.changed
 	}
 	for _, i := range changed {
 		if len(vectors[i]) != len(rc.rows[i]) {

@@ -24,11 +24,13 @@ import (
 // coordinator join handshake pins it exactly like store.Version — a
 // fleet can share cached results between order-identical tiers but can
 // never alias results across order families. An order family does not
-// yet fix every bit of a cell, though: Go's amd64 math.Exp takes an FMA
-// path on CPUs that have FMA whatever the tier, and the compiler may
-// fuse x*y + z on other GOARCHes, so a go/sse2 worker on an FMA-less
-// amd64 CPU or on arm64 can write different bytes under the same key as
-// one on an FMA host (ROADMAP item 1 is the fix).
+// yet fix every bit of a cell, though: Go's amd64 math.Exp, which the
+// model's activations and losses still call (the rasteriser calls Exp,
+// whose bits are its own), takes an FMA path on CPUs that have FMA
+// whatever the tier, and the compiler may fuse x*y + z on other
+// GOARCHes, so a go/sse2 worker on an FMA-less amd64 CPU or on arm64
+// can write different bytes under the same key as one on an FMA host
+// (ROADMAP item 2 is the fix).
 
 // Tier identifies one kernel implementation tier.
 type Tier int32

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,29 +143,75 @@ func checkAsmReachable(t *testing.T, dir string) {
 // TestLaneKernelsUnfused: the lane kernels promise the scalar loops'
 // bits because every multiply and every add is rounded on its own, so
 // no assembly of these packages may hold a fused multiply-add — except
-// gram_avx2_amd64.s, whose fma4 order family is defined by them.
+// gram_avx2_amd64.s, whose fma4 order family is defined by them, and
+// the exp block of raster_avx2_amd64.s (between "// exp: begin" and
+// "// exp: end"), which is Exp's sequence in lanes: it must hold
+// exactly Exp's fused steps, two VFNMADD231PD and then eight
+// VFMADD213PD, as many as exp.go has math.FMA calls.
 func TestLaneKernelsUnfused(t *testing.T) {
-	fused := regexp.MustCompile(`(?m)^\s*(VFMADD|VFMSUB|VFNMADD|VFNMSUB)\w*`)
-	scanned := 0
+	fused := regexp.MustCompile(`(?m)^\s*((?:VFMADD|VFMSUB|VFNMADD|VFNMSUB)\w*)`)
+	expSteps := append(slices.Repeat([]string{"VFNMADD231PD"}, 2), slices.Repeat([]string{"VFMADD213PD"}, 8)...)
+	if n := countCalls(t, "exp.go", "math", "FMA"); n != len(expSteps) {
+		t.Errorf("exp.go makes %d math.FMA calls, the exp block is held to %d fused ops", n, len(expSteps))
+	}
+	scanned, blocks := 0, 0
 	for _, dir := range asmDirs {
 		asm, _ := filepath.Glob(filepath.Join(dir, "*.s"))
 		for _, name := range asm {
 			if filepath.Base(name) == "gram_avx2_amd64.s" {
 				continue
 			}
-			src, err := os.ReadFile(name)
+			blob, err := os.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			scanned++
-			for _, m := range fused.FindAll(src, -1) {
-				t.Errorf("%s: fused multiply-add %s", name, strings.TrimSpace(string(m)))
+			src := string(blob)
+			if filepath.Base(name) == "raster_avx2_amd64.s" {
+				before, block, ok := strings.Cut(src, "// exp: begin")
+				block, after, ok2 := strings.Cut(block, "// exp: end")
+				if !ok || !ok2 {
+					t.Fatalf("%s: no exp block", name)
+				}
+				blocks++
+				var steps []string
+				for _, m := range fused.FindAllStringSubmatch(block, -1) {
+					steps = append(steps, m[1])
+				}
+				if !slices.Equal(steps, expSteps) {
+					t.Errorf("%s: exp block's fused ops are %v, want Exp's %v", name, steps, expSteps)
+				}
+				src = before + after
+			}
+			for _, m := range fused.FindAllStringSubmatch(src, -1) {
+				t.Errorf("%s: fused multiply-add %s", name, m[1])
 			}
 		}
 	}
-	if scanned < 4 {
-		t.Fatalf("scanned %d assembly files: the scan is vacuous", scanned)
+	if scanned < 4 || blocks != 1 {
+		t.Fatalf("scanned %d assembly files and %d exp blocks: the scan is vacuous", scanned, blocks)
 	}
+}
+
+// countCalls counts the calls of pkg.fn in the Go file name.
+func countCalls(t *testing.T, name, pkg, fn string) int {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	ast.Inspect(file, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == fn {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
+					n++
+				}
+			}
+		}
+		return true
+	})
+	return n
 }
 
 // TestAVX2KernelsStayVEX: a legacy SSE instruction that touches an XMM
