@@ -42,8 +42,9 @@ check: fmt vet build race check-docs
 # cmd/krum-scenariod must carry a doc comment, and every cmd/,
 # examples/ and internal/ path the docs name must exist (with every
 # binary and example listed in README), and every native fuzz target
-# must be run by fuzz-smoke. Blocking in CI — docs rot is a build
-# failure here.
+# must be run by fuzz-smoke; README, ARCHITECTURE and EXPERIMENTS may
+# not grow past their line caps (docLineCaps). Blocking in CI — docs
+# rot is a build failure here.
 check-docs:
 	$(GO) test -run 'TestDocs' .
 
@@ -71,16 +72,16 @@ bench-module-test:
 
 # race runs the full suite under the race detector — the concurrent
 # scenario runner, the fanned-out distance build, the cross-round
-# cache and distsgd's per-round fan-out of the correct workers all
-# carry determinism contracts that only mean something if they are
-# also data-race-free. The build fans out only where GOMAXPROCS
-# allows, so the second pass runs the packages that own it and its one
-# caller at -cpu 1,4 — both sides of that choice, whatever the
-# runner's core count — in shuffled order: each test's distance counts
-# are its own engine's, so no test may depend on another's. Through
-# ./distsgd that pass also races the correct workers' goroutines
-# against the round loop that reads their buffers, on one core and on
-# four.
+# cache and distsgd's lanes of correct workers all carry determinism
+# contracts that only mean something if they are also data-race-free.
+# Both fan-outs are sized by vec.Width from GOMAXPROCS, so the second
+# pass runs the packages that own them at -cpu 1,4 — both sides of
+# that choice, whatever the runner's core count — in shuffled order:
+# each test's distance counts are its own engine's, so no test may
+# depend on another's. Through ./distsgd that pass races the lane
+# goroutines of a cell above the width threshold
+# (TestLanesAboveThresholdBitIdentical) against the round loop that
+# reads the workers' buffers, on one core and on four.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count 1 -shuffle on -cpu 1,4 ./internal/vec ./internal/core ./distsgd

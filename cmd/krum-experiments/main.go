@@ -97,7 +97,7 @@ type fileConfig struct {
 	Scale string `json:"scale,omitempty"`
 	// Seed is the master seed (default 42, matching the flag).
 	Seed *uint64 `json:"seed,omitempty"`
-	// Workers bounds matrix-cell concurrency (0 = NumCPU).
+	// Workers bounds matrix-cell concurrency (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Store is an optional result-store directory (same as -store; the
 	// flag wins when both are given).

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -290,7 +289,7 @@ func TestLoadMultiTenant(t *testing.T) {
 			}
 			specs[i] = cell.Spec
 		}
-		direct, err := (&scenario.Runner{Workers: runtime.NumCPU()}).RunCells(specs)
+		direct, err := (&scenario.Runner{}).RunCells(specs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("krum-scenariod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addrFlag := fs.String("addr", ":8080", "coordinator listen address")
-	workersFlag := fs.Int("workers", 0, "coordinator: cell slots shared by all matrices; every cell (store hit, local or dispatched) holds one, so fleet slots beyond this stay idle; worker: concurrent cell slots (0 = NumCPU)")
+	workersFlag := fs.Int("workers", 0, "coordinator: cell slots shared by all matrices; every cell (store hit, local or dispatched) holds one, so fleet slots beyond this stay idle; worker: concurrent cell slots (0 = GOMAXPROCS)")
 	storeDirFlag := fs.String("store-dir", "", "coordinator: segmented result store directory (live tail + sealed, hashed segments; empty = in-memory only)")
 	journalFlag := fs.String("journal", "", "coordinator checkpoint/journal path: a restarted coordinator replays it and resumes unfinished matrices")
 	leaseFlag := fs.Duration("lease", 10*time.Second, "coordinator: worker liveness lease (a worker silent this long is presumed dead)")
@@ -166,7 +166,7 @@ func runWorker(ctx context.Context, stdout, stderr io.Writer, join string, slots
 		return 2
 	}
 	if slots <= 0 {
-		slots = runtime.NumCPU()
+		slots = runtime.GOMAXPROCS(0)
 	}
 	w := &Worker{
 		Coordinator: join,

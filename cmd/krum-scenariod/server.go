@@ -155,11 +155,11 @@ type cellStore interface {
 }
 
 // Options configures NewServer. Every zero field takes a
-// sensible default (NumCPU pool, 10s fleet lease, default admission
+// sensible default (GOMAXPROCS pool, 10s fleet lease, default admission
 // limits) except Store, which the caller must always supply.
 type Options struct {
 	// Workers is the shared cell pool width: every executing cell, hit,
-	// local or dispatched, holds one slot (0 means runtime.NumCPU()).
+	// local or dispatched, holds one slot (0 means runtime.GOMAXPROCS(0)).
 	Workers int
 	// Store is the shared result store (use store.NewMemory() for a
 	// non-persistent service).
@@ -187,7 +187,7 @@ type Options struct {
 func NewServer(opts Options) *Server {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	maxPending := opts.MaxPendingCells
 	if maxPending == 0 {

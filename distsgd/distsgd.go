@@ -12,10 +12,14 @@
 // arrives every round; with τ > 0 stragglers replay their last
 // proposal, the bounded-staleness asynchronous mode.
 //
-// The n − f correct workers run in-process, one goroutine each per
-// round, joined before the round aggregates. Each holds its own model
-// replica, RNG substream and batch buffers and shares no mutable state
-// — the isolation real worker processes would have, minus the network.
+// The n − f correct workers run in-process. Each holds its own RNG
+// substream, sample distribution and gradient buffer, and computes on
+// one of K lanes — a model replica and a batch buffer — worker i on
+// lane i mod K, joined before the round aggregates. K is vec.Width's
+// rule over the round's work (laneCount): 1, a plain loop on the
+// calling goroutine, for every cell too small to pay for a goroutine,
+// and at most GOMAXPROCS. A worker's gradient depends on the round's
+// parameters and its own mini-batch alone, so K moves no bit.
 // Every worker samples Config.Dataset unless Config.WorkerData gives
 // each its own distribution (the non-IID experiment, E7).
 package distsgd
@@ -24,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"krum/attack"
@@ -225,47 +230,69 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// worker is one correct worker's private state.
+// worker is one correct worker's own state: its RNG substream, its
+// sample distribution, its gradient buffer (its proposal, lent to the
+// engine and the attack for the round) and its last mini-batch loss.
+// What it computes on is a lane's.
 type worker struct {
-	m    model.Model
 	rng  *vec.RNG
 	ds   data.Dataset
-	x, y *vec.Dense
 	grad []float64
 	loss float64
-	err  error
 }
 
-// round is the worker's round-t computation: it receives params, draws
-// a fresh mini-batch ξ_i and computes V_i = G(x_t, ξ_i) into w.grad.
-func (w *worker) round(params []float64) {
-	if w.err = w.m.SetParams(params); w.err != nil {
-		return
-	}
-	if w.err = data.FillBatch(w.ds, w.rng, w.x, w.y); w.err != nil {
-		return
-	}
-	w.loss, w.err = w.m.Gradient(w.grad, w.x, w.y)
+// lane is one model replica and one batch buffer. Worker i computes on
+// lane i mod K; a lane runs its workers in index order.
+type lane struct {
+	m    model.Model
+	x, y *vec.Dense
+	// err is the error of worker failed, the lane's first to fail this
+	// round; nil when every one succeeded.
+	failed int
+	err    error
 }
 
-// gradients runs one synchronous round of the correct workers, one
-// goroutine each, and returns their mean mini-batch loss summed in
-// worker order.
-func gradients(workers []worker, params []float64) (float64, error) {
-	var wg sync.WaitGroup
-	for i := range workers {
+// laneCount returns K for nc correct workers of batch samples on a
+// d-parameter model when the host runs procs goroutines at once:
+// vec.Width over the workers, a round's work counted as
+// 3·nc·batch·d multiply-adds (a forward and a backward pass).
+func laneCount(procs, nc, batch, d int) int {
+	return vec.Width(procs, nc, 3*uint64(nc)*uint64(batch)*uint64(d))
+}
+
+// run is the round-t computation of workers first, first+stride, …:
+// each draws a fresh mini-batch ξ_i and computes V_i = G(x_t, ξ_i)
+// into its gradient buffer. It stops at the first failure.
+func (l *lane) run(workers []worker, first, stride int, params []float64) {
+	l.failed, l.err = first, l.m.SetParams(params)
+	for i := first; i < len(workers) && l.err == nil; i += stride {
+		l.failed = i
 		w := &workers[i]
+		if l.err = data.FillBatch(w.ds, w.rng, l.x, l.y); l.err == nil {
+			w.loss, l.err = l.m.Gradient(w.grad, l.x, l.y)
+		}
+	}
+}
+
+// gradients runs one synchronous round of the correct workers on the
+// lanes — lane 0 on the calling goroutine, each other lane on a
+// goroutine of its own — and returns their mean mini-batch loss summed
+// in worker order, or the error of the first worker that failed.
+func gradients(lanes []lane, workers []worker, params []float64) (float64, error) {
+	var wg sync.WaitGroup
+	for k := 1; k < len(lanes); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.round(params)
+			lanes[k].run(workers, k, len(lanes), params)
 		}()
 	}
+	lanes[0].run(workers, 0, len(lanes), params)
 	wg.Wait()
 	var lossSum float64
 	for i := range workers {
-		if err := workers[i].err; err != nil {
-			return 0, fmt.Errorf("worker %d: %w", i, err)
+		if l := &lanes[i%len(lanes)]; l.err != nil && l.failed == i {
+			return 0, fmt.Errorf("worker %d: %w", i, l.err)
 		}
 		lossSum += workers[i].loss
 	}
@@ -336,13 +363,14 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.WorkerData != nil {
 			ds = cfg.WorkerData[i]
 		}
-		workers[i] = worker{
-			m:    serverModel.Clone(),
-			rng:  workerRNG.Split(),
-			ds:   ds,
-			x:    vec.NewDense(cfg.BatchSize, ds.Dim()),
-			y:    vec.NewDense(cfg.BatchSize, ds.OutDim()),
-			grad: make([]float64, dim),
+		workers[i] = worker{rng: workerRNG.Split(), ds: ds, grad: make([]float64, dim)}
+	}
+	lanes := make([]lane, laneCount(runtime.GOMAXPROCS(0), len(workers), cfg.BatchSize, dim))
+	for k := range lanes {
+		lanes[k] = lane{
+			m: serverModel.Clone(),
+			x: vec.NewDense(cfg.BatchSize, cfg.Dataset.Dim()),
+			y: vec.NewDense(cfg.BatchSize, cfg.Dataset.OutDim()),
 		}
 	}
 
@@ -396,7 +424,7 @@ func Run(cfg Config) (*Result, error) {
 
 	for t := 0; t < cfg.Rounds; t++ {
 		changed := arrivals.next(proposals)
-		trainLoss, err := gradients(workers, params)
+		trainLoss, err := gradients(lanes, workers, params)
 		if err != nil {
 			return nil, fmt.Errorf("round %d gradients: %w", t, err)
 		}

@@ -16,7 +16,8 @@ package krum_test
 // TestDocsFuzzTargetsListed pins that every native fuzz target runs in
 // `make fuzz-smoke`; TestDocsMakefileTestPatternsMatch pins that every
 // -run and -bench pattern in the Makefile still names a function;
-// TestDocsChangesEntriesCapped caps the length of a CHANGES.md entry.
+// TestDocsChangesEntriesCapped caps the length of a CHANGES.md entry;
+// TestDocsLineCaps caps the line counts of the three long documents.
 
 import (
 	"go/ast"
@@ -482,5 +483,24 @@ func TestDocsChangesEntriesCapped(t *testing.T) {
 	}
 	if entries == 0 {
 		t.Error("found no CHANGES.md entries: the scan is broken")
+	}
+}
+
+// docLineCaps are the line counts README.md, ARCHITECTURE.md and
+// EXPERIMENTS.md may not exceed: their sizes when the cap was set. A
+// change that adds prose pays for it by trimming; one that trims
+// lowers the cap here.
+var docLineCaps = map[string]int{"README.md": 636, "ARCHITECTURE.md": 939, "EXPERIMENTS.md": 1719}
+
+// TestDocsLineCaps fails a long document that grew past its cap.
+func TestDocsLineCaps(t *testing.T) {
+	for name, limit := range docLineCaps {
+		blob, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(blob), "\n"); n > limit {
+			t.Errorf("%s has %d lines, over its cap of %d: trim it", name, n, limit)
+		}
 	}
 }

@@ -30,6 +30,33 @@ func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 	}
 }
 
+// TestEngineCountsMultiplyAdds: an engine's Stats sum the walker's
+// multiply-adds over its builds and row updates — (n(n+1)/2 + ⌊n/2⌋)·d
+// per Gram build, n·d per recomputed row (vec's
+// TestMultiplyAddsClosedForm) — and a reused round adds none.
+func TestEngineCountsMultiplyAdds(t *testing.T) {
+	t.Parallel()
+	const n, d = 11, 40
+	build, row := uint64(n*(n+1)/2+n/2)*d, uint64(n*d)
+	vs := engineTestVectors(n, d, 3)
+	plain := new(Engine)
+	plain.Round(vs).Distances()
+	plain.Round(vs).Distances()
+	if got := plain.Stats().MultiplyAdds; got != 2*build {
+		t.Errorf("uncached: %d multiply-adds over two rounds, want %d", got, 2*build)
+	}
+	e := new(Engine).EnableCache()
+	cacheRound(e, vs)
+	cacheRound(e, vs)
+	next := vec.CloneAll(vs)
+	next[2] = engineTestVectors(1, d, 99)[0]
+	next[7] = engineTestVectors(1, d, 100)[0]
+	cacheRound(e, next)
+	if got := e.Stats().MultiplyAdds; got != build+2*row {
+		t.Errorf("cached: %d multiply-adds for a build, a reuse and two rows, want %d", got, build+2*row)
+	}
+}
+
 // TestRoundCacheIncrementalMatchesRebuild: after mutating a few
 // proposals, the cached matrix must be bit-identical to a from-scratch
 // build over the new proposals, having recomputed only the changed

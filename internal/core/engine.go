@@ -84,6 +84,7 @@ func (c *RoundContext) Distances() *vec.DistanceMatrix {
 			c.dm = vec.NewDistanceMatrix(c.vectors)
 			if c.stats != nil {
 				c.stats.Builds++
+				c.stats.MultiplyAdds += c.dm.MultiplyAdds()
 			}
 		}
 	}
@@ -169,6 +170,10 @@ type CacheStats struct {
 	// incremental rounds (a row named twice in one change-set is
 	// recomputed, and counted, once).
 	RowUpdates uint64
+	// MultiplyAdds sums the distance kernels' multiply-adds over every
+	// build and row update (vec.DistanceMatrix.MultiplyAdds): the bill
+	// itself, counted where the tile walker runs rather than timed.
+	MultiplyAdds uint64
 }
 
 // Changed returns the indices of vectors that differ from the cache's
@@ -220,6 +225,7 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 		rc.rows = vec.CloneAll(vectors)
 		rc.dm = vec.NewDistanceMatrix(rc.rows)
 		c.stats.Builds++
+		c.stats.MultiplyAdds += rc.dm.MultiplyAdds()
 		return rc.dm
 	}
 	if !declared {
@@ -235,11 +241,13 @@ func (rc *RoundCache) distances(c *RoundContext) *vec.DistanceMatrix {
 	if len(changed) >= len(vectors) {
 		rc.dm.Rebuild()
 		c.stats.Builds++
+		c.stats.MultiplyAdds += rc.dm.MultiplyAdds()
 		return rc.dm
 	}
 	c.stats.Reuses++
 	if len(changed) > 0 {
 		c.stats.RowUpdates += uint64(rc.dm.UpdateRows(changed, rc.rows))
+		c.stats.MultiplyAdds += rc.dm.MultiplyAdds()
 	}
 	return rc.dm
 }

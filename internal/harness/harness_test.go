@@ -91,32 +91,19 @@ func TestRunFig2Shape(t *testing.T) {
 	}
 }
 
+// TestRunLemma41Shape runs the cost sweep and checks that it fits a
+// positive constant. Whether the timings follow n²·d is the sweep's
+// printed verdict (r² against lemma41MinR2), not an assertion: a
+// six-point wall-clock fit on a shared host misses it in isolated runs
+// whatever the kernel does. The cost's shape is pinned exactly, by
+// count, in internal/vec's TestMultiplyAddsClosedForm.
 func TestRunLemma41Shape(t *testing.T) {
-	// The fit is a six-point wall-clock regression of ~20 ms per point.
-	// On a shared host whose clock speed drifts by a quarter within a
-	// second, one sweep lands under the threshold about four times in
-	// ten, so the model gets a few sweeps to show its shape; a kernel
-	// that stopped scaling as n²·d fails all of them.
-	const sweeps = 5
-	var res *Lemma41Result
-	for s := 0; s < sweeps; s++ {
-		var err error
-		if res, err = RunLemma41(io.Discard, Quick, 3); err != nil {
-			t.Fatal(err)
-		}
-		if res.R2 >= 0.95 {
-			break
-		}
+	res, err := RunLemma41(io.Discard, Quick, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
-	}
-	// The O(n²·d) model must explain the measurements well. Under the
-	// race detector the timing is instrumentation-dominated and the
-	// fit quality is meaningless (it flakes under load), so the
-	// threshold check is left to the plain test job.
-	if !raceDetectorEnabled && res.R2 < 0.95 {
-		t.Errorf("n²·d fit r² < 0.95 in each of %d sweeps (last: %v)", sweeps, res.R2)
 	}
 	if res.NanosPerN2D <= 0 {
 		t.Errorf("fitted constant %v", res.NanosPerN2D)

@@ -32,6 +32,10 @@ type Lemma41Result struct {
 	NanosPerN2D float64
 }
 
+// lemma41MinR2 is the fit quality at which the sweep reports that the
+// O(n²·d) model explains its timings.
+const lemma41MinR2 = 0.95
+
 // RunLemma41 executes E3: the Krum cost sweep over n and d. At Full
 // scale the grid (n ≤ 80: every shape's vectors fit L2 together) is
 // followed by n = 200 and n = 1000 at d = 1000, where they do not: a
@@ -111,5 +115,10 @@ func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "\nleast-squares fit time ≈ %.4g ns · n²·d, r² = %.4f\n", res.NanosPerN2D, res.R2)
+	if res.R2 >= lemma41MinR2 {
+		fmt.Fprintf(w, "the n²·d model explains the timings (r² ≥ %g)\n", lemma41MinR2)
+	} else {
+		fmt.Fprintf(w, "the timings miss the n²·d model (r² < %g): a loaded host, or a kernel that stopped scaling\n", lemma41MinR2)
+	}
 	return res, nil
 }

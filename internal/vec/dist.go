@@ -30,6 +30,9 @@ type DistanceMatrix struct {
 	// panel holds every column). Tests force it to cross panel seams at
 	// small n; no result bit depends on it.
 	panel int
+	// madds is the multiply-adds of the last build or update
+	// (MultiplyAdds).
+	madds uint64
 }
 
 // naiveDimMax is the dimension at or below which NewDistanceMatrix
@@ -122,15 +125,28 @@ func stridedRows(n, w, workers int) []int {
 // fill is the one tile walker behind every distance the matrix ever
 // computes, in its two phases: stage accumulates inner products into
 // the rows' cells, assemble turns them into clamped distances (a
-// fanned-out build, buildOn, puts a barrier between the two).
-func (m *DistanceMatrix) fill(rows []int, upper bool) {
+// fanned-out build, buildOn, puts a barrier between the two). It
+// returns the multiply-adds the kernels did (MultiplyAdds).
+func (m *DistanceMatrix) fill(rows []int, upper bool) uint64 {
 	if !m.gram {
-		m.fillExact(rows, upper)
-		return
+		return m.fillExact(rows, upper)
 	}
-	m.stage(rows, upper)
+	madds := m.stage(rows, upper)
 	m.assemble(rows, upper)
+	return madds
 }
+
+// MultiplyAdds returns the multiply-adds the distance kernels did in
+// the matrix's last build, rebuild or update: the products the tiles
+// delivered into cells, d each (a tail tile's clamped duplicate columns
+// are not counted), or d per pair on the exact kernel. A full build on
+// the Gram kernel delivers the upper triangle with its diagonal plus,
+// for each full row pair, the one cell below it that the pair's first
+// tile yields: (n(n+1)/2 + ⌊n/2⌋)·d, Lemma 4.1's Θ(n²·d). An update of
+// c rows delivers c·n·d, and the exact kernel n(n−1)/2·d and c·(n−1)·d.
+// The count depends on the shape and the rows alone, not on how many
+// goroutines built the matrix nor on the panel width.
+func (m *DistanceMatrix) MultiplyAdds() uint64 { return m.madds }
 
 // stage walks k-block → column panel → row pair → tile, adding each
 // k-block's tile results into the rows' cells, and then reads the rows'
@@ -178,11 +194,12 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) {
 // A shape whose n slices fit the budget is one panel [0, n) — the
 // pair-inside-k-block loop of every shape with n ≤ 64, or n ≤ 128 at
 // d ≤ 1024 — and at d ≤ gramBlock the walk is a single block.
-func (m *DistanceMatrix) stage(rows []int, upper bool) {
+func (m *DistanceMatrix) stage(rows []int, upper bool) (madds uint64) {
 	n, d := m.n, m.dim
 	var t [8]float64
 	for k0 := 0; k0 < d; k0 += gramBlock {
 		k1 := min(k0+gramBlock, d)
+		cells := 0
 		for c0 := 0; c0 < n; c0 += m.panel {
 			c1 := min(c0+m.panel, n)
 			col := func(j int) []float64 { return m.rows[min(j, c1-1)][k0:k1] }
@@ -199,6 +216,7 @@ func (m *DistanceMatrix) stage(rows []int, upper bool) {
 						for c := range min(4, c1-j) {
 							row0[j+c] += t[c]
 						}
+						cells += min(4, c1-j)
 					}
 					break
 				}
@@ -210,13 +228,16 @@ func (m *DistanceMatrix) stage(rows []int, upper bool) {
 						row0[j+c] += t[c]
 						row1[j+c] += t[4+c]
 					}
+					cells += 2 * min(4, c1-j)
 				}
 			}
 		}
+		madds += uint64(cells * (k1 - k0))
 	}
 	for _, i := range rows {
 		m.nrm[i] = m.d[i*n+i]
 	}
+	return madds
 }
 
 // assemble turns the rows' staged inner products into distances. It
@@ -247,8 +268,8 @@ func (m *DistanceMatrix) assemble(rows []int, upper bool) {
 // fillExact is fill for matrices on the exact kernel (d ≤ naiveDimMax,
 // and the naive oracle): the one subtract-square pair loop, shared by
 // build and update, over the same row-set and column range.
-func (m *DistanceMatrix) fillExact(rows []int, upper bool) {
-	n := m.n
+func (m *DistanceMatrix) fillExact(rows []int, upper bool) uint64 {
+	n, pairs := m.n, 0
 	for _, i := range rows {
 		vi := m.rows[i]
 		j := 0
@@ -259,11 +280,13 @@ func (m *DistanceMatrix) fillExact(rows []int, upper bool) {
 			dist := 0.0
 			if j != i {
 				dist = Dist2(vi, m.rows[j])
+				pairs++
 			}
 			m.d[i*n+j] = dist
 			m.d[j*n+i] = dist
 		}
 	}
+	return uint64(pairs * m.dim)
 }
 
 // assembleRow turns the inner products staged in row i's cells [from,
@@ -326,7 +349,7 @@ func (m *DistanceMatrix) recompute(rows []int) {
 	for _, i := range rows {
 		clear(m.d[i*m.n : (i+1)*m.n])
 	}
-	m.fill(rows, false)
+	m.madds = m.fill(rows, false)
 }
 
 // dedupChanged returns changed without duplicate indices (first

@@ -411,6 +411,60 @@ func TestSharesFromShape(t *testing.T) {
 	}
 }
 
+// TestMultiplyAddsClosedForm is Lemma 4.1 as a count: the multiply-adds
+// the walker sums per tile call equal their closed form on every build
+// — serial or fanned out, on one column panel or on panels of 4 — and
+// every row update. A full Gram build delivers the upper triangle with
+// its diagonal plus one cell below it per full row pair,
+// (n(n+1)/2 + ⌊n/2⌋)·d, an update of c rows c·n·d; the exact kernel
+// n(n−1)/2·d and c·(n−1)·d. The grid covers the exact kernel (d ≤ 16),
+// odd n (a trailing row on the 1×4 tile), k-blocks with a tail
+// (d = 2·gramBlock + 51, the depth seam) and n past the 64-wide panel.
+// A walker that runs a tile twice, or skips one, is off by a tile's
+// worth.
+func TestMultiplyAddsClosedForm(t *testing.T) {
+	rng := NewRNG(3)
+	for _, c := range []struct{ n, d int }{
+		{1, 6}, {2, 6}, {9, 6}, {40, naiveDimMax}, // exact kernel
+		{4, 17}, {5, 17}, {9, 21}, {40, 100}, {41, 100}, {7, 2*gramBlock + 51}, {70, 300},
+	} {
+		vs := make([][]float64, c.n)
+		for i := range vs {
+			vs[i] = rng.NewNormal(c.d, 0, 1)
+		}
+		n, d := uint64(c.n), uint64(c.d)
+		build, perRow := n*(n-1)/2*d, (n-1)*d
+		if c.d > naiveDimMax {
+			build, perRow = (n*(n+1)/2+n/2)*d, n*d
+		}
+		for _, shape := range []struct{ panel, workers int }{{0, 1}, {0, 3}, {4, 1}, {4, 3}} {
+			m := newShell(vs)
+			if shape.panel > 0 {
+				m.panel = shape.panel
+			}
+			if got := m.buildOn(shape.workers).MultiplyAdds(); got != build {
+				t.Errorf("n=%d d=%d panel=%d workers=%d: build did %d multiply-adds, want %d",
+					c.n, c.d, shape.panel, shape.workers, got, build)
+			}
+			m.Rebuild()
+			if got := m.MultiplyAdds(); got != build {
+				t.Errorf("n=%d d=%d panel=%d: rebuild did %d multiply-adds, want %d", c.n, c.d, shape.panel, got, build)
+			}
+			for rows := range min(c.n, 3) + 1 {
+				changed := make([]int, rows)
+				for k := range changed {
+					changed[k] = (c.n - 1) * k / max(rows-1, 1)
+				}
+				m.UpdateRows(changed, vs)
+				if got, want := m.MultiplyAdds(), uint64(rows)*perRow; got != want {
+					t.Errorf("n=%d d=%d panel=%d: update of rows %v did %d multiply-adds, want %d",
+						c.n, c.d, shape.panel, changed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDistanceMatrixParallelSingleVector(t *testing.T) {
 	m := newShell([][]float64{{1, 2}}).buildOn(4)
 	if m.N() != 1 || m.At(0, 0) != 0 {

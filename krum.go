@@ -199,7 +199,7 @@ type RoundCache = core.RoundCache
 
 // CacheStats counts the distance work of an Engine's rounds
 // (Engine.Stats, distsgd.Result.Stats): full builds, cached rounds
-// served without one, and rows recomputed.
+// served without one, rows recomputed, and the kernels' multiply-adds.
 type CacheStats = core.CacheStats
 
 // ContextSelector is implemented by selection rules that can run

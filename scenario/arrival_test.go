@@ -93,12 +93,15 @@ func TestRunnerAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestCellBytesIndependentOfGOMAXPROCS is the whole-cell end of the
-// distance build's one decision: n = 40 proposals of d = 10 001 are
-// 7.8 Mflop a round, which vec fans out on min(GOMAXPROCS, 3)
-// goroutines (internal/vec's TestSharesFromShape), so the three settings
-// run the serial walk, two shares and three. The canonical result bytes
-// must not move — synchronous, and on the incremental cache under a
-// bernoulli arrival trace, where full-change rounds rebuild in place
+// repo's two fan-outs, both sized by vec.Width from GOMAXPROCS. n = 40
+// proposals of d = 10 001 are 7.8 Mflop a round, which the distance
+// build fans out on min(GOMAXPROCS, 3) goroutines (internal/vec's
+// TestSharesFromShape); a train_mnist_attack-shaped cell's correct
+// workers are 8.6 M multiply-adds a round, which distsgd runs on
+// min(GOMAXPROCS, 4) lanes (TestLaneCountFromShape). GOMAXPROCS 1–4
+// take each from its serial loop to its widest. The canonical result
+// bytes must not move — synchronous, and on the incremental cache under
+// a bernoulli arrival trace, where full-change rounds rebuild in place
 // and the rest update rows.
 func TestCellBytesIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -115,9 +118,20 @@ func TestCellBytesIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	async := cell
 	async.Arrival, async.Incremental = "bernoulli(p=0.5,tau=4)", true
-	for _, c := range []Spec{cell, async} {
+	mnist := Spec{
+		Workload:  "mnist(size=16,hidden=48)",
+		Rule:      "krum",
+		Attack:    "gaussian(sigma=200)",
+		Schedule:  "const(gamma=0.1)",
+		N:         20,
+		F:         6,
+		Rounds:    2,
+		BatchSize: 16,
+		Seed:      17,
+	}
+	for _, c := range []Spec{cell, async, mnist} {
 		var serial string
-		for _, procs := range []int{1, 2, 3} {
+		for procs := 1; procs <= 4; procs++ {
 			runtime.GOMAXPROCS(procs)
 			got := encodeCell(t, RunCell(nil, 0, c))
 			if procs == 1 {

@@ -64,7 +64,7 @@ type CellResult struct {
 // are identical whatever the worker count or scheduling — two
 // executions of the same matrix agree cell for cell.
 type Runner struct {
-	// Workers bounds cell-level concurrency; 0 means runtime.NumCPU().
+	// Workers bounds cell-level concurrency; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// OnCell, when non-nil, observes each result as its cell finishes
 	// (completion order, not index order). Calls are serialized, so the
@@ -113,7 +113,7 @@ func (r *Runner) RunCells(cells []Spec) ([]CellResult, error) {
 	}
 	workers := r.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(cells) {
 		workers = len(cells)
