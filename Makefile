@@ -27,7 +27,7 @@ TRACKED_BENCHES ?= BenchmarkBulyanMemoized
 # it up locally for a real hunt).
 FUZZTIME ?= 10s
 
-.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests load-test fuzz-smoke bench bench-large bench-all count-lines
+.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests pair2-unfused load-test fuzz-smoke bench bench-large bench-all count-lines
 
 # check is the CI gate: formatting, static analysis, build, the
 # race-detector pass over the full tree (race runs every test, so a
@@ -125,9 +125,12 @@ shard-tests:
 # (and so the rasteriser's) to no CPU feature and no GOARCH: Exp and
 # Render under GODEBUG=cpu.fma=off, where math.Exp rounds otherwise but
 # vec.Exp falls back to software FMA, on the go and avx2 tiers; and
-# TestExpPinned under GOARCH=386. Blocking in CI as its own job.
+# TestExpPinned under GOARCH=386. The last leg holds the pair2 tiles
+# (dot4Go, dot24Go) unfused where the compiler fuses x*y + z: an arm64
+# cross-build whose disassembly of them may hold no fused multiply-add.
+# Blocking in CI as its own job.
 tier-tests:
-	for tier in go sse2 avx2; do \
+	for tier in go avx2; do \
 		echo "=== KRUM_KERNEL_TIER=$$tier ==="; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -race -count 1 ./internal/vec/ ./internal/core/ ./model/ ./data/ || exit 1; \
 		KRUM_KERNEL_TIER=$$tier $(GO) test -short -count 1 ./... || exit 1; \
@@ -137,6 +140,16 @@ tier-tests:
 		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|Render' ./data ./internal/vec || exit 1; \
 	done
 	GOARCH=386 $(GO) test -count 1 -run Exp ./internal/vec
+	$(MAKE) --no-print-directory pair2-unfused
+
+# pair2-unfused is tier-tests' arm64 leg on its own (see above).
+pair2-unfused:
+	@echo "=== GOARCH=arm64: no fused multiply-add in vec.dot4Go, vec.dot24Go ==="
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	GOARCH=arm64 $(GO) test -c -o "$$tmp/vec.test" ./internal/vec && \
+	$(GO) tool objdump -s 'vec\.dot(4|24)Go$$' "$$tmp/vec.test" > "$$tmp/dot.txt" && \
+	if [ "$$(grep -c '^TEXT' "$$tmp/dot.txt")" != 2 ]; then echo "found $$(grep -c '^TEXT' "$$tmp/dot.txt") of the 2 pair2 tiles: the scan is vacuous"; exit 1; fi && \
+	if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$tmp/dot.txt"; then echo "fused multiply-add in a pair2 tile (write each product as float64(x*y))"; exit 1; fi
 
 # load-test is the in-process multi-tenant load harness: hundreds of
 # worker slots (and as many coordinator slots) against thousands of

@@ -125,7 +125,7 @@ func BenchmarkDistanceMatrix(b *testing.B) {
 	// Per-kernel-tier variants of the blocked build (the "blocked"
 	// subtest above runs whatever tier the process auto-selected; these
 	// pin each tier explicitly so the trajectory records the per-ISA
-	// spread — the avx2/sse2 ratio is the tentpole speedup).
+	// spread — the avx2/go ratio is the tentpole speedup).
 	for _, kt := range vec.AvailableTiers() {
 		b.Run("blocked-"+kt.String(), func(b *testing.B) {
 			restore, err := vec.SetKernelTier(kt)

@@ -617,14 +617,13 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 			req.Version, store.Version), http.StatusConflict)
 		return
 	}
-	// The kernel accumulation-order family is pinned exactly like the
-	// version salt: the coordinator persists worker results under keys
-	// salted with ITS order family, so a worker computing under another
-	// family would poison the store with results the coordinator's own
-	// kernels cannot bit-reproduce. Order-identical tiers (go/sse2)
-	// share a family id and mix freely; a mismatch means a genuinely
-	// different rounding order (e.g. an AVX2 worker joining a pair2
-	// coordinator) and is refused.
+	// The kernel accumulation order is pinned exactly like the version
+	// salt: the coordinator persists worker results under keys salted
+	// with ITS order, so a worker computing under another order would
+	// poison the store with results the coordinator's own kernels cannot
+	// bit-reproduce. There is one tier per order, so a mismatch is a
+	// different tier (e.g. an AVX2 worker joining a pair2 coordinator)
+	// and is refused.
 	if req.Kernel != vec.KernelOrder() {
 		http.Error(w, fmt.Sprintf("kernel order mismatch: worker %q, coordinator %q (set KRUM_KERNEL_TIER to a matching tier)",
 			req.Kernel, vec.KernelOrder()), http.StatusConflict)

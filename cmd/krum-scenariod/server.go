@@ -934,8 +934,8 @@ type healthJSON struct {
 	// journal is attached.
 	JournalLag *int `json:"journal_lag,omitempty"`
 	// KernelTier is the active kernel tier name (vec.KernelTier — "go",
-	// "sse2", "avx2") and KernelOrder its accumulation-order family
-	// ("pair2", "fma4") — the value the fleet join handshake pins.
+	// "avx2") and KernelOrder its accumulation order ("pair2", "fma4"),
+	// one per tier — the value the fleet join handshake pins.
 	// Operators diagnosing a worker's 409 look here first.
 	KernelTier string `json:"kernel_tier"`
 	// KernelOrder is the accumulation-order family of KernelTier.

@@ -90,7 +90,7 @@ func segmentDist(px, py float64, s segment) float64 {
 }
 
 // forEachTier runs f as one subtest per available kernel tier, with that
-// tier forced: Render's Go loop under go and sse2, its AVX2 kernel
+// tier forced: Render's Go loop under go, its AVX2 kernel
 // (raster_avx2_amd64.s) and FillNormal's under avx2.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range vec.AvailableTiers() {
@@ -105,7 +105,7 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestRasterLanesGate is what "the go and sse2 tiers run the Go loops"
+// TestRasterLanesGate is what "the go tier runs the Go loops"
 // rests on for Render: rasterLanes is the only way into the assembly,
 // and it opens under avx2 and nothing else.
 func TestRasterLanesGate(t *testing.T) {

@@ -7,8 +7,7 @@ import "krum/internal/vec"
 // amd64 dispatch for Render's AVX2 kernels (raster_avx2_amd64.s). Lanes
 // run across pixels and every pixel sees the Go loops' rounded
 // operations in the Go loops' order, so the kernels define no order of
-// their own: only TierAVX2 has them, and TierGo / TierSSE2 run the Go
-// loops.
+// their own: only TierAVX2 has them, and TierGo runs the Go loops.
 
 //go:noescape
 func strokeAVX2(row *float64, size int, centres, cx *float64, n int, wxvx, wx2, ex2 *float64, geom *[6]float64)
@@ -17,8 +16,7 @@ func strokeAVX2(row *float64, size int, centres, cx *float64, n int, wxvx, wx2, 
 func intensityAVX2(img *float64, n int, thickness, soft float64)
 
 // rasterLanes reports whether Render runs its AVX2 kernels. It is the
-// only gate: under TierGo and TierSSE2 no assembly in this package is
-// reached.
+// only gate: under TierGo no assembly in this package is reached.
 func rasterLanes() bool { return vec.KernelTier() == vec.TierAVX2 }
 
 // strokeLanes runs pass 1 of Render for one stroke, geom = {x1, y1, vx,

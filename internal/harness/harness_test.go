@@ -17,7 +17,7 @@ import (
 // checkRendered fails t unless h, the SHA-256 of everything an
 // experiment wrote, is want. The hashes were taken from the
 // krum-experiments binary's -scale quick output at each test's seed, and
-// go, sse2 and avx2 kernel tiers render the same bytes there. There is
+// go and avx2 kernel tiers render the same bytes there. There is
 // no update flag: a change that means to move an experiment's output
 // re-pins its hash by hand, and says why.
 func checkRendered(t *testing.T, h hash.Hash, want string) {

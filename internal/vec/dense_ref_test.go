@@ -106,7 +106,7 @@ func checkMatMulOrder(t *testing.T, a, b, bATB *Dense) {
 }
 
 // forEachTier runs f as one subtest per available kernel tier, with that
-// tier forced: the Go loops under go and sse2, the AVX2 row kernels
+// tier forced: the Go loops under go, the AVX2 row kernels
 // (lanes_avx2_amd64.s) under avx2 — all held to the same references.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range AvailableTiers() {
@@ -139,8 +139,7 @@ func TestMatMulOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLanesGate is what "the go and sse2 tiers run the Go loops" rests
-// on: useLanes is the only way into the assembly — the row kernels and
+// TestLanesGate is what "the go tier runs the Go loops" rests on: useLanes is the only way into the assembly — the row kernels and
 // FillNormal's Box–Muller kernel alike — and it opens for widths of at
 // least 8 under avx2 and for nothing else.
 func TestLanesGate(t *testing.T) {

@@ -172,27 +172,6 @@ func TestCrossTierAgreement(t *testing.T) {
 	}
 }
 
-// TestCrossTierPair2BitIdentical pins the deliberate aliasing: go and
-// sse2 share the pair2 order, so their matrices must be BIT-identical —
-// this is what justifies the two tiers sharing one store-key salt.
-func TestCrossTierPair2BitIdentical(t *testing.T) {
-	if !TierAvailable(TierSSE2) {
-		t.Skip("no sse2 tier on this platform")
-	}
-	rng := NewRNG(555)
-	vs := adversarialVectors(rng, 23, 137)
-	ms := crossTierMatrices(t, vs)
-	g, s := ms[TierGo], ms[TierSSE2]
-	for i := 0; i < 23; i++ {
-		for j := 0; j < 23; j++ {
-			if g.At(i, j) != s.At(i, j) {
-				t.Fatalf("cell (%d,%d): go %v ≠ sse2 %v — pair2 tiers must be bit-identical or the shared store salt is wrong",
-					i, j, g.At(i, j), s.At(i, j))
-			}
-		}
-	}
-}
-
 // TestCrossTierNonFiniteClassification: rows carrying NaN or ±Inf
 // (Byzantine payloads) must classify identically under every tier —
 // IEEE-754 makes NaN absorbing and Inf−Inf NaN in EVERY accumulation

@@ -10,9 +10,9 @@ package vec
 // dependency on a single accumulator, one shared load of a[k] feeding
 // four columns).
 //
-// BIT-STABILITY CONTRACT (per tier — ROADMAP decision (a)): every
+// BIT-STABILITY CONTRACT (per tier — ROADMAP decision (a)): each
 // kernel TIER (tier.go) defines its own canonical accumulation order
-// for an inner product, and WITHIN a tier every product the walker
+// for an inner product, one tier per order, and WITHIN a tier every product the walker
 // (DistanceMatrix.fill: every build and update, serial or parallel,
 // pairs and norms alike) takes from a tile reproduces exactly that
 // order. IEEE-754 multiplication is commutative bit for bit and the
@@ -24,9 +24,9 @@ package vec
 //
 // The canonical order has two levels:
 //
-// DEPTH BLOCKING (both families): an inner product of dimension d is
+// DEPTH BLOCKING (both orders): an inner product of dimension d is
 // accumulated in consecutive k-blocks of gramBlock elements. Each
-// block starts its lane accumulators at zero, runs the family's lane
+// block starts its lane accumulators at zero, runs the tier's lane
 // order below, and reduces; the per-block results are then summed into
 // one scalar in ascending-k order. For d ≤ gramBlock this is exactly
 // the single-pass order (one block), so the golden vectors and every
@@ -37,13 +37,11 @@ package vec
 // depends only on the k-sequence its own lanes consume, never on which
 // tile or row-set drove the kernel.
 //
-// LANE ORDER (the order families):
+// LANE ORDER (one per tier):
 //
-//   - "pair2" (TierGo: dot4Go below; TierSSE2: gram_amd64.s): two
-//     interleaved partial sums, lane j taking the terms with k ≡ j
-//     (mod 2) as a rounded multiply then a rounded add, reduced as
-//     s0+s1. The SSE2 assembly's two 64-bit XMM lanes ARE the (s0, s1)
-//     pair, so the go and sse2 tiers agree bit for bit on every input.
+//   - "pair2" (TierGo: dot4Go below): two interleaved partial sums,
+//     lane j taking the terms with k ≡ j (mod 2) as a rounded multiply
+//     then a rounded add, reduced as s0+s1.
 //   - "fma4" (TierAVX2: gram_avx2_amd64.s): four interleaved partial
 //     sums, lane j taking the terms with k ≡ j (mod 4) through fused
 //     multiply-adds, reduced as (s0+s2)+(s1+s3) — the four lanes of one
@@ -101,7 +99,9 @@ const panelBytes = 1 << 20
 // every column keeps its own even/odd accumulator pair (a tail element
 // joins the even one), reduced as even + odd; the two independent
 // chains per column break the add-latency dependency that bounds the
-// naive loop.
+// naive loop. Each product is written float64(x*y): an explicit
+// conversion rounds it, so no GOARCH may fuse it into the add (arm64
+// would, into FMADDD) and pair2 is pair2 everywhere.
 func dot4Go(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	n := len(a)
 	b0 = b0[:n]
@@ -112,21 +112,21 @@ func dot4Go(a, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 	k := 0
 	for ; k+2 <= n; k += 2 {
 		x, y := a[k], a[k+1]
-		p0 += x * b0[k]
-		q0 += y * b0[k+1]
-		p1 += x * b1[k]
-		q1 += y * b1[k+1]
-		p2 += x * b2[k]
-		q2 += y * b2[k+1]
-		p3 += x * b3[k]
-		q3 += y * b3[k+1]
+		p0 += float64(x * b0[k])
+		q0 += float64(y * b0[k+1])
+		p1 += float64(x * b1[k])
+		q1 += float64(y * b1[k+1])
+		p2 += float64(x * b2[k])
+		q2 += float64(y * b2[k+1])
+		p3 += float64(x * b3[k])
+		q3 += float64(y * b3[k+1])
 	}
 	if k < n {
 		x := a[k]
-		p0 += x * b0[k]
-		p1 += x * b1[k]
-		p2 += x * b2[k]
-		p3 += x * b3[k]
+		p0 += float64(x * b0[k])
+		p1 += float64(x * b1[k])
+		p2 += float64(x * b2[k])
+		p3 += float64(x * b3[k])
 	}
 	return p0 + q0, p1 + q1, p2 + q2, p3 + q3
 }

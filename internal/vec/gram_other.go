@@ -3,11 +3,8 @@
 package vec
 
 // Portable dispatch for the Gram microkernels: non-amd64 platforms run
-// the pure-Go pair2 tiles — TierGo is the only
-// available tier here (tier_other.go), and its canonical order is
-// exactly what amd64's SSE2 tier reproduces bit for bit, so go and
-// sse2 processes share one accumulation-order family (and therefore
-// one store-key salt; see tier.go).
+// the pure-Go pair2 tiles, TierGo being the only tier here
+// (tier_other.go).
 
 // dot4Block is the one-depth-block 1×4 tile; see dot4Go for the lane
 // order.

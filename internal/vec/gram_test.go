@@ -88,7 +88,7 @@ func checkTilesAgainstSpec(t *testing.T, seed uint64, lengths []int) {
 // available tier to that tier's order as spec_test.go defines it: all
 // lengths — including the empty, single-element, and every tail
 // residue — must agree bit for bit, not just within tolerance. This is
-// the asm ≡ definition proof for SSE2 and AVX2, and the pure-Go tiles'.
+// the asm ≡ definition proof for AVX2, and the pure-Go tiles'.
 func TestDotKernelsBitIdentical(t *testing.T) {
 	checkTilesAgainstSpec(t, 7, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 33, 100, 1001})
 }

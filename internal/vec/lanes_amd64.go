@@ -13,8 +13,8 @@ import "math"
 // columns j, or across independent samples, and every element sees the
 // scalar code's rounded operations in the scalar code's order (the
 // median: its comparisons and its one 0.5·(lo + hi)) — so only TierAVX2
-// has them, and TierGo / TierSSE2 run the Go loops in dense.go, vec.go
-// and rng.go, and core's column sort.
+// has them, and TierGo runs the Go loops in dense.go, vec.go and
+// rng.go, and core's column sort.
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
@@ -35,7 +35,7 @@ const lanesMinWidth = 8
 
 // useLanes reports whether a row (or a run of normals) of the given
 // width goes to the AVX2 kernels. It is the only gate: under
-// TierGo and TierSSE2 no assembly in this file is reached.
+// TierGo no assembly in this file is reached.
 func useLanes(width int) bool {
 	return width >= lanesMinWidth && KernelTier() == TierAVX2
 }
@@ -44,7 +44,7 @@ func useLanes(width int) bool {
 // uniforms (u[p], v[p]) on the AVX2 kernel, four pairs to a vector, for
 // every p below the largest multiple of four that fits in len(u), and
 // returns that count; the pairs above it are the caller's scalar tail.
-// Under TierGo and TierSSE2 it transforms nothing and returns 0 — the
+// Under TierGo it transforms nothing and returns 0 — the
 // count is gated through useLanes as a width of 2·p normals.
 func boxMullerLanes(u, v, cos, sin []float64) int {
 	n := len(u) &^ 3

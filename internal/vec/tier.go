@@ -8,29 +8,28 @@ import (
 )
 
 // Kernel tiers. The Gram microkernels behind DistanceMatrix
-// (dot4Block / dot24Block, see gram.go) exist in several
-// implementations of increasing ISA requirements; exactly one — the
-// tier — is active in a process at a time, selected once at init from
-// CPU feature detection and the KRUM_KERNEL_TIER environment knob.
+// (dot4Block / dot24Block, see gram.go) exist in two implementations;
+// exactly one — the tier — is active in a process at a time, selected
+// once at init from CPU feature detection and the KRUM_KERNEL_TIER
+// environment knob.
 //
 // The tier is more than a speed setting: each tier defines its own
 // CANONICAL ACCUMULATION ORDER for an inner product (contract decision
 // (a) of the ROADMAP — see gram.go), so results computed under
-// different orders may differ in the low bits. Order identity, not
-// tier identity, is therefore what the rest of the system keys on:
-// Tier.Order() names the order family ("pair2" for go/sse2, "fma4"
-// for avx2), the store salts every content-addressed key with it
-// (scenario/store), distsgd records it in Result.Kernel, and the
-// coordinator join handshake pins it exactly like store.Version — a
-// fleet can share cached results between order-identical tiers but can
-// never alias results across order families. An order family does not
-// yet fix every bit of a cell, though: Go's amd64 math.Exp, which the
-// model's activations and losses still call (the rasteriser calls Exp,
-// whose bits are its own), takes an FMA path on CPUs that have FMA
-// whatever the tier, and the compiler may fuse x*y + z on other
-// GOARCHes, so a go/sse2 worker on an FMA-less amd64 CPU or on arm64
-// can write different bytes under the same key as one on an FMA host
-// (ROADMAP item 2 is the fix).
+// different orders may differ in the low bits. There is one tier per
+// order: Tier.Order() names it ("pair2" for go, "fma4" for avx2), the
+// store salts every content-addressed key with it (scenario/store),
+// distsgd records it in Result.Kernel, and the coordinator join
+// handshake pins it exactly like store.Version, so a fleet never
+// aliases results across orders. An order does not yet fix every bit
+// of a cell, though: Go's amd64 math.Exp, which the model's
+// activations and losses still call (the rasteriser calls Exp, whose
+// bits are its own), takes an FMA path on CPUs that have FMA whatever
+// the tier, and the compiler may fuse x*y + z in Go loops on other
+// GOARCHes (the Gram tiles write float64(x*y) against it, held by
+// make tier-tests), so a go worker on an FMA-less amd64 CPU or on
+// arm64 can write different bytes under the same key as one on an FMA
+// host (ROADMAP item 2 is the fix).
 
 // Tier identifies one kernel implementation tier.
 type Tier int32
@@ -39,14 +38,10 @@ const (
 	// TierGo is the portable pure-Go tier: the "pair2" order's
 	// interleaved even/odd two-accumulator sums. Always available.
 	TierGo Tier = iota
-	// TierSSE2 is the amd64 SSE2 assembly tier. Its two 64-bit XMM
-	// lanes ARE TierGo's (even, odd) accumulator pair, so TierSSE2 and
-	// TierGo share the "pair2" order and agree bit for bit.
-	TierSSE2
 	// TierAVX2 is the amd64 AVX2+FMA assembly tier: four YMM lanes of
 	// fused multiply-adds (the "fma4" order — see gram.go). Fusing
 	// removes the per-step product rounding, so TierAVX2 results differ
-	// from pair2 tiers in the low bits (by less error, not more).
+	// from TierGo's in the low bits (by less error, not more).
 	TierAVX2
 )
 
@@ -56,20 +51,16 @@ func (t Tier) String() string {
 	switch t {
 	case TierGo:
 		return "go"
-	case TierSSE2:
-		return "sse2"
 	case TierAVX2:
 		return "avx2"
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
 }
 
-// Order returns the tier's canonical accumulation-order family id —
-// the identity the store key salt, the Result.Kernel metadata field
-// and the fleet join handshake carry. Tiers sharing an Order are
-// bit-identical on every input (pinned by gram_test.go) and may freely
-// share cached results; tiers with different Orders round differently
-// and must never alias.
+// Order returns the tier's canonical accumulation-order id — the
+// identity the store key salt, the Result.Kernel metadata field and
+// the fleet join handshake carry. Each tier has its own Order; tiers
+// round differently and their results must never alias.
 func (t Tier) Order() string {
 	switch t {
 	case TierAVX2:
@@ -79,18 +70,16 @@ func (t Tier) Order() string {
 	}
 }
 
-// ParseTier parses a tier spec name ("go", "sse2", "avx2"),
+// ParseTier parses a tier spec name ("go", "avx2"),
 // case-insensitively.
 func ParseTier(s string) (Tier, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "go":
 		return TierGo, nil
-	case "sse2":
-		return TierSSE2, nil
 	case "avx2":
 		return TierAVX2, nil
 	}
-	return TierGo, fmt.Errorf("vec: unknown kernel tier %q (want go|sse2|avx2)", s)
+	return TierGo, fmt.Errorf("vec: unknown kernel tier %q (want go|avx2)", s)
 }
 
 // currentTier holds the active tier. It is read on every microkernel
@@ -106,7 +95,7 @@ var supportedTiers = availableTiers()
 func KernelTier() Tier { return Tier(currentTier.Load()) }
 
 // KernelOrder returns the active tier's canonical accumulation-order
-// family id — shorthand for KernelTier().Order().
+// id — shorthand for KernelTier().Order().
 func KernelOrder() string { return KernelTier().Order() }
 
 // TierAvailable reports whether t can run on this process's CPU.
@@ -147,7 +136,7 @@ func SetKernelTier(t Tier) (restore func(), err error) {
 }
 
 // tierEnv is the environment knob forcing a kernel tier for tests and
-// ops ("go", "sse2", "avx2"). An unknown or unavailable value keeps
+// ops ("go", "avx2"). An unknown or unavailable value keeps
 // the auto-detected tier (with a note on stderr) rather than failing:
 // the CI tier matrix exports the knob unconditionally and hosts
 // lacking an ISA must degrade gracefully, not break.

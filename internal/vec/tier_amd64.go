@@ -2,8 +2,8 @@
 
 package vec
 
-// amd64 tier availability: SSE2 is part of the architectural baseline,
-// AVX2 requires a CPUID probe. The probe is hand-rolled (cpuid_amd64.s)
+// amd64 tier availability: the pure-Go tier always, AVX2 after a
+// CPUID probe. The probe is hand-rolled (cpuid_amd64.s)
 // rather than a dependency: three CPUID leaves and one XGETBV.
 
 // cpuid executes CPUID with the given EAX/ECX inputs.
@@ -15,7 +15,7 @@ func xgetbv0() uint64
 
 // availableTiers probes the CPU once at init.
 func availableTiers() []Tier {
-	tiers := []Tier{TierGo, TierSSE2}
+	tiers := []Tier{TierGo}
 	if cpuHasAVX2FMA() {
 		tiers = append(tiers, TierAVX2)
 	}

@@ -266,7 +266,7 @@ func TestAVX2KernelsStayVEX(t *testing.T) {
 // TestParseTier pins the spec names round-tripping through String, the
 // case/whitespace tolerance, and rejection of unknown names.
 func TestParseTier(t *testing.T) {
-	for _, tier := range []Tier{TierGo, TierSSE2, TierAVX2} {
+	for _, tier := range []Tier{TierGo, TierAVX2} {
 		got, err := ParseTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseTier(%q) = %v, %v; want %v", tier.String(), got, err, tier)
@@ -275,7 +275,7 @@ func TestParseTier(t *testing.T) {
 	if got, err := ParseTier("  AvX2 "); err != nil || got != TierAVX2 {
 		t.Errorf("ParseTier with case/space = %v, %v; want TierAVX2", got, err)
 	}
-	for _, name := range []string{"avx9000", "avx512"} {
+	for _, name := range []string{"avx9000", "avx512", "sse2"} {
 		if _, err := ParseTier(name); err == nil {
 			t.Errorf("ParseTier accepted the unknown tier name %q", name)
 		}
@@ -285,18 +285,20 @@ func TestParseTier(t *testing.T) {
 	}
 }
 
-// TestTierOrder pins the order-family mapping the store salt and join
-// handshake depend on: go and sse2 share pair2 (they are bit-identical,
-// so sharing cached results is correct), avx2 alone is fma4.
+// TestTierOrder pins the order mapping the store salt and join
+// handshake depend on — go is pair2, avx2 is fma4 — and that every
+// available tier has an order of its own: two tiers on one order would
+// be a second kernel for the same bits.
 func TestTierOrder(t *testing.T) {
-	if TierGo.Order() != "pair2" || TierSSE2.Order() != "pair2" {
-		t.Errorf("go/sse2 orders = %q/%q, want pair2/pair2", TierGo.Order(), TierSSE2.Order())
+	if TierGo.Order() != "pair2" || TierAVX2.Order() != "fma4" {
+		t.Errorf("go/avx2 orders = %q/%q, want pair2/fma4", TierGo.Order(), TierAVX2.Order())
 	}
-	if TierAVX2.Order() != "fma4" {
-		t.Errorf("avx2 order = %q, want fma4", TierAVX2.Order())
-	}
-	if TierGo.Order() == TierAVX2.Order() {
-		t.Error("go and avx2 share an order family; the cross-tier salt would be vacuous")
+	tierOf := map[string]Tier{}
+	for _, tier := range AvailableTiers() {
+		if other, ok := tierOf[tier.Order()]; ok {
+			t.Errorf("tiers %v and %v share the order %q", other, tier, tier.Order())
+		}
+		tierOf[tier.Order()] = tier
 	}
 }
 
@@ -329,27 +331,29 @@ const noSuchTier = Tier(99)
 
 // TestEnvUnknownTierIgnored pins the KRUM_KERNEL_TIER knob's
 // unknown-name path end to end: a child process started with a name no
-// tier carries ("avx512" was once reserved; it is now just unknown)
-// keeps the auto-detected tier and says so on stderr.
+// tier carries ("avx512" was once reserved, "sse2" a tier; both are now
+// just unknown) keeps the auto-detected tier and says so on stderr.
 func TestEnvUnknownTierIgnored(t *testing.T) {
 	const childEnv = "KRUM_TIER_TEST_CHILD"
 	if os.Getenv(childEnv) != "" {
 		os.Stdout.WriteString("active-tier=" + KernelTier().String() + "\n")
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestEnvUnknownTierIgnored$")
-	cmd.Env = append(os.Environ(), tierEnv+"=avx512", childEnv+"=1")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("child: %v\n%s", err, stderr.String())
-	}
 	auto := supportedTiers[len(supportedTiers)-1]
-	if want := "active-tier=" + auto.String() + "\n"; !strings.Contains(stdout.String(), want) {
-		t.Errorf("child stdout %q lacks %q: the unknown name changed the tier", stdout.String(), want)
-	}
-	if want := `ignoring KRUM_KERNEL_TIER="avx512": vec: unknown kernel tier`; !strings.Contains(stderr.String(), want) {
-		t.Errorf("child stderr %q lacks the note %q", stderr.String(), want)
+	for _, name := range []string{"avx512", "sse2"} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestEnvUnknownTierIgnored$")
+		cmd.Env = append(os.Environ(), tierEnv+"="+name, childEnv+"=1")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("child %s: %v\n%s", name, err, stderr.String())
+		}
+		if want := "active-tier=" + auto.String() + "\n"; !strings.Contains(stdout.String(), want) {
+			t.Errorf("child stdout %q lacks %q: the unknown name %q changed the tier", stdout.String(), want, name)
+		}
+		if want := `ignoring KRUM_KERNEL_TIER="` + name + `": vec: unknown kernel tier`; !strings.Contains(stderr.String(), want) {
+			t.Errorf("child stderr %q lacks the note %q", stderr.String(), want)
+		}
 	}
 }
 

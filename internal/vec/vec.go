@@ -100,8 +100,8 @@ const MedianLanesMax = 128
 // middle value of the column sorted ascending (NaNs first, equal values
 // in row order), or 0.5·(lo + hi) of the middle two — for every j below
 // the count it returns, which is len(dst) rounded down to a multiple of
-// four (the columns go four to a SIMD vector), or 0 under TierGo and
-// TierSSE2, past MedianLanesMax rows and below eight columns. A column
+// four (the columns go four to a SIMD vector), or 0 under TierGo, past
+// MedianLanesMax rows and below eight columns. A column
 // holding a NaN gets a NaN instead of its median: the caller computes
 // the NaNs it finds below the count, and the columns from the count on,
 // on its scalar path. Every row must be at least len(dst) long.

@@ -340,11 +340,12 @@ func ScheduleStep(gamma float64, every int, factor float64) Schedule {
 }
 
 // KernelTier is the identity of one Gram-microkernel implementation
-// tier (see internal/vec): "go", "sse2" or "avx2", selected once at
-// process start from CPU feature detection and the KRUM_KERNEL_TIER
-// environment knob. Each tier defines a canonical floating-point
-// accumulation order; results are bit-reproducible within a tier's
-// order family and norm-relative-close across families.
+// tier (see internal/vec): "go" or "avx2", selected once at process
+// start from CPU feature detection and the KRUM_KERNEL_TIER
+// environment knob. Each tier defines its own canonical floating-point
+// accumulation order, one tier per order; results are
+// bit-reproducible within an order and norm-relative-close across
+// orders.
 type KernelTier = vec.Tier
 
 // ActiveKernelTier returns the kernel tier every distance computation

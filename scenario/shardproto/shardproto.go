@@ -86,9 +86,8 @@ type JoinRequest struct {
 	// exactly like Version, rejecting a mismatch with HTTP 409: the
 	// coordinator's store keys are salted with ITS order family, so a
 	// worker computing under a different order would persist results the
-	// coordinator's own kernels cannot bit-reproduce. Order-identical
-	// tiers (pure-Go and SSE2) carry the same family id and mix freely
-	// in one fleet.
+	// coordinator's own kernels cannot bit-reproduce. There is one tier
+	// per order, so a fleet runs one tier.
 	Kernel string `json:"kernel"`
 }
 

@@ -113,12 +113,9 @@ func identify(s scenario.Spec) (scenario.Spec, string, error) {
 // the hex SHA-256 of the Version salt, a kernel accumulation-order
 // family and the canonical spec's JSON.
 //
-// The kernel salt is the order FAMILY, not the tier name: tiers with
-// the same canonical accumulation order produce bit-identical results
-// (pinned in internal/vec's gram_test.go), so a pure-Go worker and an
-// SSE2 worker deliberately share keys — while a result computed under
-// the fma4 (AVX2) order can never be served to a pair2 process, whose
-// cold run would produce different low bits. A tier switch (new CPU,
+// The kernel salt is the order id ("pair2", "fma4"), one per tier: a
+// result computed under the fma4 (AVX2) order can never be served to a
+// pair2 process, whose cold run would produce different low bits. A tier switch (new CPU,
 // KRUM_KERNEL_TIER change) across order families therefore orphans
 // entries exactly like a Version bump, per order family. Records are
 // re-derived under their own stored family too (see decodeLine's
