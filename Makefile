@@ -52,8 +52,11 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also runs for GOARCH=386, where int is 32 bits: a constant that
+# overflows it is a build failure there, not a finding.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -81,10 +84,12 @@ bench-module-test:
 # depend on another's. Through ./distsgd that pass races the lane
 # goroutines of a cell above the width threshold
 # (TestLanesAboveThresholdBitIdentical) against the round loop that
-# reads the workers' buffers, on one core and on four.
+# reads the workers' buffers, on one core and on four; through
+# ./scenario it races a cohort's slots, which step their members on
+# one round's shared batches (TestCohortsMatchComputeCell).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count 1 -shuffle on -cpu 1,4 ./internal/vec ./internal/core ./distsgd
+	$(GO) test -race -count 1 -shuffle on -cpu 1,4 ./internal/vec ./internal/core ./distsgd ./scenario
 
 # shard-tests is the distributed-execution gate: the coordinator +
 # in-process-worker-fleet integration tests (sync and async-arrival

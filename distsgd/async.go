@@ -90,10 +90,10 @@ func (a *asyncState) next(proposals [][]float64) []int {
 // threat model under asynchrony: the adversary sees what the server is
 // about to see, and its own submissions arrive by the same process as
 // everyone else's.
-func (a *asyncState) propose(t int, proposals [][]float64, workers []worker, atk attack.Strategy, params []float64, ctx *attack.Context) error {
-	nc := len(workers)
-	for i := range workers {
-		proposals[i] = a.effective(i, workers[i].grad)
+func (a *asyncState) propose(t int, proposals, grads [][]float64, atk attack.Strategy, params []float64, ctx *attack.Context) error {
+	nc := len(grads)
+	for i, g := range grads {
+		proposals[i] = a.effective(i, g)
 	}
 	f := len(proposals) - nc
 	if f == 0 {

@@ -12,16 +12,18 @@
 // arrives every round; with τ > 0 stragglers replay their last
 // proposal, the bounded-staleness asynchronous mode.
 //
-// The n − f correct workers run in-process. Each holds its own RNG
-// substream, sample distribution and gradient buffer, and computes on
-// one of K lanes — a model replica and a batch buffer — worker i on
-// lane i mod K, joined before the round aggregates. K is vec.Width's
-// rule over the round's work (laneCount): 1, a plain loop on the
-// calling goroutine, for every cell too small to pay for a goroutine,
-// and at most GOMAXPROCS. A worker's gradient depends on the round's
-// parameters and its own mini-batch alone, so K moves no bit.
-// Every worker samples Config.Dataset unless Config.WorkerData gives
-// each its own distribution (the non-IID experiment, E7).
+// The n − f correct workers run in-process. Each draws its mini-batch
+// from its own RNG substream and sample distribution, and computes its
+// gradient on one of K lanes (model replicas), worker i on lane i mod
+// K, joined before the round aggregates. Run is a cohort of one
+// (cohort.go): RunCohort steps cells that share a sample stream round
+// by round together, drawing each batch once. K is vec.Width's rule
+// over the round's work (CohortWidth): 1, a plain loop on the calling
+// goroutine, for every cell too small to pay for a goroutine, and at
+// most GOMAXPROCS. A worker's gradient depends on the round's
+// parameters and its own mini-batch alone, so K moves no bit. Every
+// worker samples Config.Dataset unless Config.WorkerData gives each
+// its own distribution (the non-IID experiment, E7).
 package distsgd
 
 import (
@@ -29,14 +31,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"krum/attack"
 	"krum/data"
 	"krum/internal/arrival"
 	"krum/internal/core"
 	"krum/internal/sgd"
-	"krum/internal/vec"
 	"krum/model"
 )
 
@@ -71,8 +71,9 @@ type RoundStats struct {
 type Result struct {
 	// History holds one entry per executed round.
 	History []RoundStats
-	// FinalParams is a defensive copy of x_T: mutating it does not
-	// affect any engine-owned buffer.
+	// FinalParams is x_T, in the run's own parameter buffer, handed
+	// over when the run ends: no engine, replica or other Result holds
+	// it, so the caller may keep or mutate it.
 	FinalParams []float64
 	// Diverged reports that parameters left the finite range and the
 	// run stopped early (the expected outcome for linear rules under
@@ -230,287 +231,76 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// worker is one correct worker's own state: its RNG substream, its
-// sample distribution, its gradient buffer (its proposal, lent to the
-// engine and the attack for the round) and its last mini-batch loss.
-// What it computes on is a lane's.
-type worker struct {
-	rng  *vec.RNG
-	ds   data.Dataset
-	grad []float64
-	loss float64
-}
-
-// lane is one model replica and one batch buffer. Worker i computes on
-// lane i mod K; a lane runs its workers in index order.
-type lane struct {
-	m    model.Model
-	x, y *vec.Dense
-	// err is the error of worker failed, the lane's first to fail this
-	// round; nil when every one succeeded.
-	failed int
-	err    error
-}
-
-// laneCount returns K for nc correct workers of batch samples on a
-// d-parameter model when the host runs procs goroutines at once:
-// vec.Width over the workers, a round's work counted as
-// 3·nc·batch·d multiply-adds (a forward and a backward pass).
-func laneCount(procs, nc, batch, d int) int {
-	return vec.Width(procs, nc, 3*uint64(nc)*uint64(batch)*uint64(d))
-}
-
-// run is the round-t computation of workers first, first+stride, …:
-// each draws a fresh mini-batch ξ_i and computes V_i = G(x_t, ξ_i)
-// into its gradient buffer. It stops at the first failure.
-func (l *lane) run(workers []worker, first, stride int, params []float64) {
-	l.failed, l.err = first, l.m.SetParams(params)
-	for i := first; i < len(workers) && l.err == nil; i += stride {
-		l.failed = i
-		w := &workers[i]
-		if l.err = data.FillBatch(w.ds, w.rng, l.x, l.y); l.err == nil {
-			w.loss, l.err = l.m.Gradient(w.grad, l.x, l.y)
-		}
-	}
-}
-
-// gradients runs one synchronous round of the correct workers on the
-// lanes — lane 0 on the calling goroutine, each other lane on a
-// goroutine of its own — and returns their mean mini-batch loss summed
-// in worker order, or the error of the first worker that failed.
-func gradients(lanes []lane, workers []worker, params []float64) (float64, error) {
-	var wg sync.WaitGroup
-	for k := 1; k < len(lanes); k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lanes[k].run(workers, k, len(lanes), params)
-		}()
-	}
-	lanes[0].run(workers, 0, len(lanes), params)
-	wg.Wait()
-	var lossSum float64
-	for i := range workers {
-		if l := &lanes[i%len(lanes)]; l.err != nil && l.failed == i {
-			return 0, fmt.Errorf("worker %d: %w", i, l.err)
-		}
-		lossSum += workers[i].loss
-	}
-	return lossSum / float64(len(workers)), nil
-}
-
 // Run executes the synchronous training protocol and returns the full
-// round history.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Rule != nil && cfg.RuleSpec != "" {
-		return nil, fmt.Errorf("both Rule and RuleSpec set (%q): %w", cfg.RuleSpec, ErrConfig)
+// round history. It is a cohort of one (RunCohort) on the lanes the
+// round's work is worth at GOMAXPROCS.
+func Run(cfg Config) (res *Result, err error) {
+	cfgs := []Config{cfg}
+	RunCohort(cfgs, CohortWidth(runtime.GOMAXPROCS(0), cfgs), func(_ int, r *Result, e error) { res, err = r, e })
+	return res, err
+}
+
+// resolve builds c's Rule, Attack and Schedule from their specs, its
+// arrival process from ArrivalSpec, validates the result and defaults
+// a nil Attack to attack.None.
+func (c *Config) resolve() (arrival.Process, error) {
+	if c.Rule != nil && c.RuleSpec != "" {
+		return nil, fmt.Errorf("both Rule and RuleSpec set (%q): %w", c.RuleSpec, ErrConfig)
 	}
-	if cfg.Rule == nil && cfg.RuleSpec != "" {
-		rule, err := core.ParseRuleIn(core.SpecContext{N: cfg.N, F: cfg.F}, cfg.RuleSpec)
+	if c.Rule == nil && c.RuleSpec != "" {
+		rule, err := core.ParseRuleIn(core.SpecContext{N: c.N, F: c.F}, c.RuleSpec)
 		if err != nil {
-			return nil, fmt.Errorf("rule spec %q: %w", cfg.RuleSpec, err)
+			return nil, fmt.Errorf("rule spec %q: %w", c.RuleSpec, err)
 		}
-		cfg.Rule = rule
+		c.Rule = rule
 	}
-	if cfg.Attack != nil && cfg.AttackSpec != "" {
-		return nil, fmt.Errorf("both Attack and AttackSpec set (%q): %w", cfg.AttackSpec, ErrConfig)
+	if c.Attack != nil && c.AttackSpec != "" {
+		return nil, fmt.Errorf("both Attack and AttackSpec set (%q): %w", c.AttackSpec, ErrConfig)
 	}
-	if cfg.Attack == nil && cfg.AttackSpec != "" {
-		atk, err := attack.Parse(cfg.AttackSpec)
+	if c.Attack == nil && c.AttackSpec != "" {
+		atk, err := attack.Parse(c.AttackSpec)
 		if err != nil {
-			return nil, fmt.Errorf("attack spec %q: %w", cfg.AttackSpec, err)
+			return nil, fmt.Errorf("attack spec %q: %w", c.AttackSpec, err)
 		}
-		cfg.Attack = atk
+		c.Attack = atk
 	}
-	if cfg.Schedule != nil && cfg.ScheduleSpec != "" {
-		return nil, fmt.Errorf("both Schedule and ScheduleSpec set (%q): %w", cfg.ScheduleSpec, ErrConfig)
+	if c.Schedule != nil && c.ScheduleSpec != "" {
+		return nil, fmt.Errorf("both Schedule and ScheduleSpec set (%q): %w", c.ScheduleSpec, ErrConfig)
 	}
-	if cfg.Schedule == nil && cfg.ScheduleSpec != "" {
-		sched, err := sgd.ParseSchedule(cfg.ScheduleSpec)
+	if c.Schedule == nil && c.ScheduleSpec != "" {
+		sched, err := sgd.ParseSchedule(c.ScheduleSpec)
 		if err != nil {
-			return nil, fmt.Errorf("schedule spec %q: %w", cfg.ScheduleSpec, err)
+			return nil, fmt.Errorf("schedule spec %q: %w", c.ScheduleSpec, err)
 		}
-		cfg.Schedule = sched
+		c.Schedule = sched
 	}
-	var arrivalProc arrival.Process = arrival.Sync{}
-	if cfg.ArrivalSpec != "" {
-		p, err := arrival.Parse(cfg.ArrivalSpec)
+	var proc arrival.Process = arrival.Sync{}
+	if c.ArrivalSpec != "" {
+		p, err := arrival.Parse(c.ArrivalSpec)
 		if err != nil {
-			return nil, fmt.Errorf("arrival spec %q: %w", cfg.ArrivalSpec, err)
+			return nil, fmt.Errorf("arrival spec %q: %w", c.ArrivalSpec, err)
 		}
-		arrivalProc = p
+		proc = p
 	}
-	if err := cfg.validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	atk := cfg.Attack
-	if atk == nil {
-		atk = attack.None{}
+	if c.Attack == nil {
+		c.Attack = attack.None{}
 	}
-	rootRNG := vec.NewRNG(cfg.Seed)
+	return proc, nil
+}
 
-	serverModel := cfg.Model.Clone()
-	dim := serverModel.Dim()
-	params := serverModel.Params(nil)
-
-	// The correct workers' gradient buffers belong to Run: worker i's
-	// buffer is rewritten by every round and lent to the engine and the
-	// attack for that round only.
-	workerRNG := vec.NewRNG(rootRNG.Uint64())
-	workers := make([]worker, cfg.N-cfg.F)
-	for i := range workers {
-		ds := cfg.Dataset
-		if cfg.WorkerData != nil {
-			ds = cfg.WorkerData[i]
-		}
-		workers[i] = worker{rng: workerRNG.Split(), ds: ds, grad: make([]float64, dim)}
+// evalBatch is the held-out sample size cfg evaluates on, 0 when it
+// never evaluates.
+func (c *Config) evalBatch() int {
+	switch {
+	case c.EvalEvery <= 0:
+		return 0
+	case c.EvalBatch <= 0:
+		return 512
 	}
-	lanes := make([]lane, laneCount(runtime.GOMAXPROCS(0), len(workers), cfg.BatchSize, dim))
-	for k := range lanes {
-		lanes[k] = lane{
-			m: serverModel.Clone(),
-			x: vec.NewDense(cfg.BatchSize, cfg.Dataset.Dim()),
-			y: vec.NewDense(cfg.BatchSize, cfg.Dataset.OutDim()),
-		}
-	}
-
-	evalBatch := cfg.EvalBatch
-	if evalBatch <= 0 {
-		evalBatch = 512
-	}
-	var evalX, evalY *vec.Dense
-	if cfg.EvalEvery > 0 {
-		var err error
-		evalX, evalY, err = data.NewBatch(cfg.Dataset, rootRNG.Split(), evalBatch)
-		if err != nil {
-			return nil, fmt.Errorf("building eval batch: %w", err)
-		}
-	}
-
-	attackRNG := rootRNG.Split()
-	// The engine hands out one RoundContext per round so that selection
-	// tracking and aggregation share a single distance matrix; the
-	// proposal slice and the pooled update buffer are reused across all
-	// rounds (every rule fully overwrites dst). With Incremental set
-	// the engine additionally carries the matrix across rounds. Either
-	// way the proposals are only lent to the engine for the round: it
-	// reads the workers', the attack's and the replay buffers where they
-	// lie, and the cache copies the rows it keeps, so all of them may be
-	// rewritten once the round's aggregate is out.
-	engine := new(core.Engine)
-	if cfg.Incremental {
-		engine.EnableCache()
-	}
-	// One attack.Context for the whole run, so the strategy reuses its
-	// proposal vectors: round t's Byzantine vectors are aggregated, and
-	// copied into a replay buffer at the top of round t+1, before round
-	// t+1 asks for new ones.
-	atkCtx := &attack.Context{F: cfg.F, RNG: attackRNG}
-	// The arrival trace is seeded from cfg.Seed directly (not from a
-	// rootRNG draw), so the arrival process never shifts the
-	// worker/eval/attack RNG streams, and tests can replay the trace.
-	arrivals := newAsyncState(arrivalProc, cfg.Seed, cfg.N)
-	proposals := make([][]float64, cfg.N)
-	update := vec.GetFloats(dim)
-	defer vec.PutFloats(update)
-	res := &Result{
-		History: make([]RoundStats, 0, cfg.Rounds),
-		// NaN until the first evaluation — "never evaluated" is
-		// distinguishable from a genuine zero-accuracy result.
-		FinalTestAccuracy: math.NaN(),
-		FinalTestLoss:     math.NaN(),
-		Kernel:            vec.KernelOrder(),
-	}
-
-	for t := 0; t < cfg.Rounds; t++ {
-		changed := arrivals.next(proposals)
-		trainLoss, err := gradients(lanes, workers, params)
-		if err != nil {
-			return nil, fmt.Errorf("round %d gradients: %w", t, err)
-		}
-		if err := arrivals.propose(t, proposals, workers, atk, params, atkCtx); err != nil {
-			return nil, fmt.Errorf("round %d: %w", t, err)
-		}
-
-		gamma := cfg.Schedule.Rate(t)
-		stats := RoundStats{Round: t, TrainLoss: trainLoss, LearningRate: gamma}
-
-		// With Incremental set, the engine's RoundCache serves the
-		// matrix on the first Distances() request, recomputing only
-		// changed rows; rules that never consult distances (e.g.
-		// average) never pay for it. On a round with replays the
-		// arrival trace knows which rows changed and declares them —
-		// the honest change-set the property tests audit through
-		// Result.Stats.RowUpdates. On a full-arrival round the cache
-		// diffs the proposals itself, so a worker whose proposal
-		// repeats verbatim (crashed, stalled, frozen) costs no
-		// distance recomputation.
-		round := engine.Round(proposals)
-		if changed != nil {
-			round.SetChanged(changed)
-		}
-		if cfg.TrackSelection {
-			if sel, ok := selector(cfg.Rule); ok {
-				indices, err := core.SelectContext(sel, round)
-				if err != nil {
-					return nil, fmt.Errorf("round %d selection: %w", t, err)
-				}
-				res.SelectionTrackedRounds++
-				for _, idx := range indices {
-					if idx >= cfg.N-cfg.F {
-						stats.ByzantineChosen = true
-						res.ByzantineSelectedRounds++
-						break
-					}
-				}
-			}
-		}
-
-		if err := core.AggregateContext(cfg.Rule, update, round); err != nil {
-			return nil, fmt.Errorf("round %d aggregation: %w", t, err)
-		}
-		stats.UpdateNorm = vec.Norm(update)
-		// The paper's step, x_{t+1} = x_t − γ_t·F(V_1 … V_n).
-		vec.Axpy(-gamma, update, params)
-
-		if !vec.AllFinite(params) {
-			res.Diverged = true
-			res.DivergedRound = t
-			res.History = append(res.History, stats)
-			if cfg.OnRound != nil {
-				cfg.OnRound(stats)
-			}
-			break
-		}
-
-		if cfg.EvalEvery > 0 && (t%cfg.EvalEvery == cfg.EvalEvery-1 || t == cfg.Rounds-1) {
-			if err := serverModel.SetParams(params); err != nil {
-				return nil, fmt.Errorf("round %d eval: %w", t, err)
-			}
-			acc, err := model.EvalAccuracy(serverModel, evalX, evalY)
-			if err != nil {
-				return nil, fmt.Errorf("round %d eval accuracy: %w", t, err)
-			}
-			loss, err := serverModel.Loss(evalX, evalY)
-			if err != nil {
-				return nil, fmt.Errorf("round %d eval loss: %w", t, err)
-			}
-			stats.Evaluated = true
-			stats.TestAccuracy = acc
-			stats.TestLoss = loss
-			res.FinalTestAccuracy = acc
-			res.FinalTestLoss = loss
-		}
-
-		res.History = append(res.History, stats)
-		if cfg.OnRound != nil {
-			cfg.OnRound(stats)
-		}
-	}
-
-	res.FinalParams = vec.Clone(params)
-	res.Stats = engine.Stats()
-	return res, nil
+	return c.EvalBatch
 }
 
 // selector returns rule as a Selector when it selects. A FiniteGuard

@@ -14,22 +14,29 @@ import (
 	"krum/model"
 )
 
-// TestLaneCountFromShape pins K, vec.Width over a round's 3·nc·batch·d
-// multiply-adds, for the shapes the repo runs.
+// TestLaneCountFromShape pins a cohort's width, vec.Width over a
+// round's 3·k·nc·batch·d multiply-adds, for the shapes the repo runs.
+// At k = 1 it is the lane count of Run.
 func TestLaneCountFromShape(t *testing.T) {
-	for _, c := range []struct{ nc, batch, d, procs, want int }{
+	for _, c := range []struct{ k, nc, batch, d, procs, want int }{
 		// grid_small and service_overlap cells: 3.5 k multiply-adds a round.
-		{7, 8, 21, 1, 1}, {7, 8, 21, 2, 1}, {7, 8, 21, 4, 1}, {7, 8, 21, 64, 1},
+		{1, 7, 8, 21, 1, 1}, {1, 7, 8, 21, 2, 1}, {1, 7, 8, 21, 4, 1}, {1, 7, 8, 21, 64, 1},
+		// grid_small's six-cell cohorts stay on one goroutine.
+		{6, 7, 8, 21, 2, 1}, {6, 7, 8, 21, 64, 1},
 		// Quick-scale figure cells: 0.94 M, under one goroutine's worth.
-		{11, 16, 1786, 2, 1}, {11, 16, 1786, 64, 1},
+		{1, 11, 16, 1786, 2, 1}, {1, 11, 16, 1786, 64, 1},
 		// train_mnist_attack cells: 8.6 M, the work cap binds at 4.
-		{14, 16, 12_826, 1, 1}, {14, 16, 12_826, 2, 2}, {14, 16, 12_826, 3, 3},
-		{14, 16, 12_826, 4, 4}, {14, 16, 12_826, 64, 4},
+		{1, 14, 16, 12_826, 1, 1}, {1, 14, 16, 12_826, 2, 2}, {1, 14, 16, 12_826, 3, 3},
+		{1, 14, 16, 12_826, 4, 4}, {1, 14, 16, 12_826, 64, 4},
+		// Its twelve-cell cohort takes every slot up to 49.
+		{12, 14, 16, 12_826, 2, 2}, {12, 14, 16, 12_826, 64, 49},
 		// The workers bind.
-		{2, 1024, 12_826, 64, 2},
+		{1, 2, 1024, 12_826, 64, 2}, {3, 2, 1024, 12_826, 64, 6},
+		// A shape that does not validate runs on one.
+		{1, 0, 16, 12_826, 64, 1}, {1, 14, 0, 12_826, 64, 1},
 	} {
-		if got := laneCount(c.procs, c.nc, c.batch, c.d); got != c.want {
-			t.Errorf("nc=%d batch=%d d=%d procs=%d: %d lanes, want %d", c.nc, c.batch, c.d, c.procs, got, c.want)
+		if got := cohortWidth(c.procs, c.k, c.nc, c.batch, c.d); got != c.want {
+			t.Errorf("k=%d nc=%d batch=%d d=%d procs=%d: width %d, want %d", c.k, c.nc, c.batch, c.d, c.procs, got, c.want)
 		}
 	}
 }
@@ -101,9 +108,10 @@ func goroutineID() uint64 {
 	return id
 }
 
-// TestRunHoldsOneReplicaPerLane: a Run clones the server model and one
-// replica per lane, hands the model K batch buffers, and computes on
-// the calling goroutine plus K − 1 goroutines started each round — none
+// TestRunHoldsOneReplicaPerLane: a Run clones one replica per lane
+// (lane 0 also evaluates, so there is no server model), hands the
+// model K batch buffers, and computes on the calling goroutine plus
+// K − 1 goroutines started each round — none
 // at all on grid_small's and service_overlap's shape, whatever
 // GOMAXPROCS is, and min(GOMAXPROCS, 4) lanes on train_mnist_attack's.
 func TestRunHoldsOneReplicaPerLane(t *testing.T) {
@@ -139,8 +147,8 @@ func TestRunHoldsOneReplicaPerLane(t *testing.T) {
 				t.Fatal(err)
 			}
 			k := shape.lanes(procs)
-			if log.clones != 1+k {
-				t.Errorf("%s, GOMAXPROCS %d: %d clones, want the server model and %d replicas", shape.name, procs, log.clones, k)
+			if log.clones != k {
+				t.Errorf("%s, GOMAXPROCS %d: %d clones, want %d replicas", shape.name, procs, log.clones, k)
 			}
 			if len(log.batches) != k {
 				t.Errorf("%s, GOMAXPROCS %d: %d batch buffers, want %d", shape.name, procs, len(log.batches), k)
@@ -180,7 +188,7 @@ func TestLanesAboveThresholdBitIdentical(t *testing.T) {
 		Seed:         3,
 	}
 	procs := runtime.GOMAXPROCS(0)
-	t.Logf("GOMAXPROCS %d: %d lanes", procs, laneCount(procs, cfg.N-cfg.F, cfg.BatchSize, m.Dim()))
+	t.Logf("GOMAXPROCS %d: %d lanes", procs, cohortWidth(procs, 1, cfg.N-cfg.F, cfg.BatchSize, m.Dim()))
 	fanned, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -187,7 +187,7 @@ func randomResult(rng *rand.Rand) *Result {
 		case 1:
 			return rng.IntN(100)
 		}
-		return int(rng.Int64()) - math.MaxInt64/2
+		return int(rng.Int64() - math.MaxInt64/2)
 	}
 	r := &Result{
 		Diverged:                rng.IntN(2) == 0,

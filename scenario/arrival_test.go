@@ -133,7 +133,7 @@ func TestCellBytesIndependentOfGOMAXPROCS(t *testing.T) {
 		var serial string
 		for procs := 1; procs <= 4; procs++ {
 			runtime.GOMAXPROCS(procs)
-			got := encodeCell(t, RunCell(nil, 0, c))
+			got := encodeCell(t, runCell(nil, 0, c))
 			if procs == 1 {
 				serial = got
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // CellExecutor runs one matrix cell and returns its outcome. It is the
-// seam that lets a Runner execute cells some other way than RunCell,
-// which compiles and trains in-process (the repo benchmark plugs in an
+// seam that lets a Runner execute cells one at a time some other way
+// than its in-process cohorts (the repo benchmark plugs in an
 // executor that records spans around the same steps; the scenariod
 // coordinator does not use this seam — it drives the store's DoCellRaw
 // with a compute function that dispatches to its fleet).
@@ -60,10 +60,8 @@ func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.
 		case !shared:
 			cr.StoreErr = storeErr
 		default:
-			cr.Result, cr.Cached = new(distsgd.Result), true
-			if err := cr.Result.UnmarshalJSON(raw); err != nil {
-				cr.Result, cr.Cached, cr.Err = nil, false, fmt.Errorf("decoding shared result: %w", err)
-			}
+			cr.Result, cr.Err = privateCopy(raw)
+			cr.Cached = cr.Err == nil
 		}
 		return cr
 	}
@@ -79,6 +77,16 @@ func RunCellWith(st ResultStore, index int, cell Spec, compute func() (*distsgd.
 		cr.StoreErr = st.Save(cell, cr.Result)
 	}
 	return cr
+}
+
+// privateCopy decodes a result's shared stable bytes into a Result of
+// the caller's own.
+func privateCopy(raw []byte) (*distsgd.Result, error) {
+	res := new(distsgd.Result)
+	if err := res.UnmarshalJSON(raw); err != nil {
+		return nil, fmt.Errorf("decoding shared result: %w", err)
+	}
+	return res, nil
 }
 
 // CanonicalResult reports whether raw is a stable-encoded

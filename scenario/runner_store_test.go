@@ -137,8 +137,8 @@ func TestRunCellsOrderingAndErrorAggregation(t *testing.T) {
 	good := storeSpec()
 	// Pre-warm only the first cell, so the run mixes a hit, a failure
 	// and a live computation.
-	if cr := scenario.RunCell(st, 0, good); cr.Err != nil {
-		t.Fatal(cr.Err)
+	if _, err := (&scenario.Runner{Store: st}).RunCells([]scenario.Spec{good}); err != nil {
+		t.Fatal(err)
 	}
 	bad := storeSpec()
 	bad.Rule = "no-such-rule"

@@ -5,7 +5,8 @@
 // shape (n, f, rounds, batch, seed). Specs marshal to/from JSON, so
 // whole experiment grids live in config files; a Matrix expands
 // cartesian products of spec axes into cells, and a Runner executes the
-// cells across a bounded goroutine pool, streaming per-cell results.
+// cells on a bounded pool of slots, cells that share a sample stream
+// as one cohort, streaming per-cell results.
 //
 // Because every cell is seeded explicitly and distsgd.Run is
 // deterministic given its Config, a matrix produces identical results
@@ -193,25 +194,43 @@ func (s Spec) Canonical() (Spec, error) {
 		return Spec{}, err
 	}
 	c.Schedule = sched.Name()
+	if c.Workload, err = canonicalWorkload(s); err != nil {
+		return Spec{}, err
+	}
+	if c.Arrival, err = canonicalArrival(s.Arrival); err != nil {
+		return Spec{}, err
+	}
+	return c, nil
+}
+
+// canonicalWorkload returns the canonical spelling of s's workload,
+// memoized in workloadCanon.
+func canonicalWorkload(s Spec) (string, error) {
 	wl, ok := workloadCanon.Load(s.Workload)
 	if !ok {
 		built, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
 		if err != nil {
-			return Spec{}, err
+			return "", err
 		}
 		wl, _ = workloadCanon.LoadOrStore(s.Workload, built.Spec)
 	}
-	c.Workload = wl.(string)
-	if s.Arrival != "" {
-		proc, err := arrival.Parse(s.Arrival)
-		if err != nil {
-			return Spec{}, err
-		}
-		if c.Arrival = proc.Name(); c.Arrival == "sync" {
-			c.Arrival = ""
-		}
+	return wl.(string), nil
+}
+
+// canonicalArrival returns the canonical spelling of arrival spec a,
+// "" for every spelling of sync.
+func canonicalArrival(a string) (string, error) {
+	if a == "" {
+		return "", nil
 	}
-	return c, nil
+	proc, err := arrival.Parse(a)
+	if err != nil {
+		return "", err
+	}
+	if name := proc.Name(); name != "sync" {
+		return name, nil
+	}
+	return "", nil
 }
 
 // canonicalRule returns the identity of rule spec s under ctx. It is
@@ -272,38 +291,83 @@ func rebuilds(ctx core.SpecContext, s string, rule core.Rule) bool {
 // dealt by data.PartitionClasses; evaluation stays on the whole
 // dataset.
 func (s Spec) Compile() (distsgd.Config, error) {
-	wl, err := workload.Parse(workload.SpecContext{Seed: s.Seed}, s.Workload)
+	cfgs, err := compileCohort([]Spec{s})
 	if err != nil {
 		return distsgd.Config{}, err
 	}
-	cfg := distsgd.Config{
-		Model:          wl.Model,
-		Dataset:        wl.Dataset,
-		RuleSpec:       s.Rule,
-		AttackSpec:     s.Attack,
-		ScheduleSpec:   s.Schedule,
-		N:              s.N,
-		F:              s.F,
-		Rounds:         s.Rounds,
-		BatchSize:      s.BatchSize,
-		Seed:           s.Seed,
-		EvalEvery:      s.EvalEvery,
-		EvalBatch:      s.EvalBatch,
-		TrackSelection: s.TrackSelection,
-		Incremental:    s.Incremental,
-		ArrivalSpec:    s.Arrival,
+	return cfgs[0], nil
+}
+
+// compileCohort compiles specs that share a sample stream (streamKey)
+// on one build of the first one's workload, so that their configs share
+// its Model, Dataset and WorkerData, as distsgd.RunCohort requires.
+func compileCohort(specs []Spec) ([]distsgd.Config, error) {
+	lead := specs[0]
+	wl, err := workload.Parse(workload.SpecContext{Seed: lead.Seed}, lead.Workload)
+	if err != nil {
+		return nil, err
 	}
+	var workerData []data.Dataset
 	if wl.DealClasses {
-		parts, err := data.PartitionClasses(wl.Dataset, s.N-s.F)
+		parts, err := data.PartitionClasses(wl.Dataset, lead.N-lead.F)
 		if err != nil {
-			return distsgd.Config{}, err
+			return nil, err
 		}
-		cfg.WorkerData = make([]data.Dataset, len(parts))
+		workerData = make([]data.Dataset, len(parts))
 		for i, p := range parts {
-			cfg.WorkerData[i] = p
+			workerData[i] = p
 		}
 	}
-	return cfg, nil
+	cfgs := make([]distsgd.Config, len(specs))
+	for i, s := range specs {
+		cfgs[i] = distsgd.Config{
+			Model:          wl.Model,
+			Dataset:        wl.Dataset,
+			WorkerData:     workerData,
+			RuleSpec:       s.Rule,
+			AttackSpec:     s.Attack,
+			ScheduleSpec:   s.Schedule,
+			N:              s.N,
+			F:              s.F,
+			Rounds:         s.Rounds,
+			BatchSize:      s.BatchSize,
+			Seed:           s.Seed,
+			EvalEvery:      s.EvalEvery,
+			EvalBatch:      s.EvalBatch,
+			TrackSelection: s.TrackSelection,
+			Incremental:    s.Incremental,
+			ArrivalSpec:    s.Arrival,
+		}
+	}
+	return cfgs, nil
+}
+
+// streamKey identifies a cell's sample stream: its canonical workload
+// (partition included), seed, n − f and batch size — what
+// distsgd.RunCohort asks its members to share. The eval batch is not
+// in it: a cohort draws one per size its members evaluate on.
+type streamKey struct {
+	workload  string
+	seed      uint64
+	nc, batch int
+}
+
+// stream returns s's stream key, and false when s runs alone: an
+// Incremental cell (its cache holds n × d rows across rounds), an
+// asynchronous one (its replay buffers do, and it replays from its own
+// round's buffers), or one whose workload or arrival does not parse.
+func (s Spec) stream() (streamKey, bool) {
+	if s.Incremental {
+		return streamKey{}, false
+	}
+	if a, err := canonicalArrival(s.Arrival); err != nil || a != "" {
+		return streamKey{}, false
+	}
+	wl, err := canonicalWorkload(s)
+	if err != nil {
+		return streamKey{}, false
+	}
+	return streamKey{workload: wl, seed: s.Seed, nc: s.N - s.F, batch: s.BatchSize}, true
 }
 
 // MarshalIndent renders the spec as the JSON accepted by config files.

@@ -11,6 +11,7 @@ import (
 
 	"krum/attack"
 	"krum/data"
+	"krum/distsgd"
 	"krum/internal/core"
 	"krum/internal/sgd"
 	"krum/internal/vec"
@@ -444,13 +445,19 @@ func TestRunnerCellErrors(t *testing.T) {
 	}
 }
 
+// runCell runs one cell through the store protocol (st may be nil),
+// computing it in-process on a miss.
+func runCell(st ResultStore, index int, cell Spec) CellResult {
+	return RunCellWith(st, index, cell, func() (*distsgd.Result, error) { return ComputeCell(cell) })
+}
+
 // TestCompileRunsUnderAttack is the end-to-end smoke test: a spec
 // compiled from pure strings trains and the Byzantine-resilient rule
 // survives the attack.
 func TestCompileRunsUnderAttack(t *testing.T) {
 	s := quickSpec()
 	s.Rounds = 60
-	res := RunCell(nil, 0, s)
+	res := runCell(nil, 0, s)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -105,11 +105,11 @@ func TestStoreAsyncHitByteIdentical(t *testing.T) {
 	s := quickSpec()
 	s.Arrival = "bernoulli(p=0.5,tau=4)"
 	s.Incremental = true
-	cold := scenario.RunCell(st, 0, s)
+	cold := runCell(st, 0, s)
 	if cold.Err != nil {
 		t.Fatal(cold.Err)
 	}
-	warm := scenario.RunCell(st, 0, s)
+	warm := runCell(st, 0, s)
 	if warm.Err != nil {
 		t.Fatal(warm.Err)
 	}

@@ -72,7 +72,7 @@ func TestLegacyScreenedRecordsSkippedOnOpen(t *testing.T) {
 		t.Fatalf("OpenDir over legacy screened records: %v", err)
 	}
 	fresh := quickSpec()
-	if cr := scenario.RunCell(st, 0, fresh); cr.Err != nil {
+	if cr := runCell(st, 0, fresh); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
 	st.Close()
@@ -119,7 +119,7 @@ func TestLegacyAuxRecordsStayDead(t *testing.T) {
 		t.Fatalf("OpenDir over legacy aux records: %v", err)
 	}
 	fresh := quickSpec()
-	if cr := scenario.RunCell(st, 0, fresh); cr.Err != nil {
+	if cr := runCell(st, 0, fresh); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
 	st.Close()

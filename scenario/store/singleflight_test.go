@@ -49,7 +49,8 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 	spec := flightSpec(31)
 
 	// Reference: the build cost of exactly one execution, in isolation.
-	ref := scenario.RunCell(store.NewMemory(), 0, spec)
+	compute := func() (*distsgd.Result, error) { return scenario.ComputeCell(spec) }
+	ref := scenario.RunCellWith(store.NewMemory(), 0, spec, compute)
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
@@ -72,7 +73,7 @@ func TestSingleFlightConcurrentIdenticalCells(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = scenario.RunCell(st, i, spec)
+			results[i] = scenario.RunCellWith(st, i, spec, compute)
 		}(i)
 	}
 	close(start)

@@ -28,10 +28,16 @@ func quickSpec() scenario.Spec {
 	}
 }
 
+// runCell runs one cell through st's store protocol, computing it
+// in-process on a miss.
+func runCell(st scenario.ResultStore, index int, cell scenario.Spec) scenario.CellResult {
+	return scenario.RunCellWith(st, index, cell, func() (*distsgd.Result, error) { return scenario.ComputeCell(cell) })
+}
+
 // mustRun computes a cell without any store.
 func mustRun(t *testing.T, s scenario.Spec) *distsgd.Result {
 	t.Helper()
-	cr := scenario.RunCell(nil, 0, s)
+	cr := runCell(nil, 0, s)
 	if cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
@@ -124,7 +130,7 @@ func TestStoreHitByteIdenticalZeroRebuilds(t *testing.T) {
 	st := NewMemory()
 	s := quickSpec()
 
-	cold := scenario.RunCell(st, 0, s)
+	cold := runCell(st, 0, s)
 	if cold.Err != nil {
 		t.Fatal(cold.Err)
 	}
@@ -132,7 +138,7 @@ func TestStoreHitByteIdenticalZeroRebuilds(t *testing.T) {
 		t.Fatal("first run reported cached")
 	}
 
-	warm := scenario.RunCell(st, 0, s)
+	warm := runCell(st, 0, s)
 	if warm.Err != nil {
 		t.Fatal(warm.Err)
 	}
@@ -165,7 +171,7 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := quickSpec()
-	cold := scenario.RunCell(st, 0, s)
+	cold := runCell(st, 0, s)
 	if cold.Err != nil {
 		t.Fatal(cold.Err)
 	}
@@ -181,7 +187,7 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 	if got := st2.Stats().Entries; got != 1 {
 		t.Fatalf("reloaded %d entries, want 1", got)
 	}
-	warm := scenario.RunCell(st2, 0, s)
+	warm := runCell(st2, 0, s)
 	if warm.Err != nil {
 		t.Fatal(warm.Err)
 	}
@@ -206,10 +212,10 @@ func TestStoreTruncatedTail(t *testing.T) {
 	a := quickSpec()
 	b := quickSpec()
 	b.Seed = 99
-	if cr := scenario.RunCell(st, 0, a); cr.Err != nil {
+	if cr := runCell(st, 0, a); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
-	if cr := scenario.RunCell(st, 1, b); cr.Err != nil {
+	if cr := runCell(st, 1, b); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
 	st.Close()
@@ -246,7 +252,7 @@ func TestStoreTruncatedTail(t *testing.T) {
 		t.Error("torn record served")
 	}
 	// The torn cell recomputes and re-persists cleanly.
-	if cr := scenario.RunCell(st2, 1, b); cr.Err != nil || cr.Cached {
+	if cr := runCell(st2, 1, b); cr.Err != nil || cr.Cached {
 		t.Fatalf("recompute after tear: err=%v cached=%v", cr.Err, cr.Cached)
 	}
 	st2.Close()
@@ -319,7 +325,7 @@ func TestStoreHashMismatchRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := quickSpec()
-	if cr := scenario.RunCell(st, 0, s); cr.Err != nil {
+	if cr := runCell(st, 0, s); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
 	st.Close()
@@ -368,7 +374,7 @@ func TestStoreHashMismatchRecomputes(t *testing.T) {
 		}
 	}
 	// Both specs recompute from scratch.
-	if cr := scenario.RunCell(st2, 0, s); cr.Err != nil || cr.Cached {
+	if cr := runCell(st2, 0, s); cr.Err != nil || cr.Cached {
 		t.Fatalf("recompute original: err=%v cached=%v", cr.Err, cr.Cached)
 	}
 }
@@ -384,7 +390,7 @@ func TestStoreSkipsMalformedInteriorLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := quickSpec()
-	if cr := scenario.RunCell(st, 0, s); cr.Err != nil {
+	if cr := runCell(st, 0, s); cr.Err != nil {
 		t.Fatal(cr.Err)
 	}
 	st.Close()
