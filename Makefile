@@ -27,7 +27,7 @@ TRACKED_BENCHES ?= BenchmarkBulyanMemoized
 # it up locally for a real hunt).
 FUZZTIME ?= 10s
 
-.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests pair2-unfused load-test fuzz-smoke bench bench-large bench-all count-lines
+.PHONY: check check-docs fmt vet build test bench-module-test race shard-tests tier-tests fused-ops load-test fuzz-smoke bench bench-large bench-all count-lines
 
 # check is the CI gate: formatting, static analysis, build, the
 # race-detector pass over the full tree (race runs every test, so a
@@ -117,23 +117,25 @@ shard-tests:
 # tier-tests is the kernel-tier matrix: the full vec, core, model and
 # data suites under the race detector (model: the gradient path's bits
 # must not depend on the tier; data: nor the rasteriser's) plus a -short
-# pass over the whole tree, once per
-# KRUM_KERNEL_TIER value. Forcing the knob re-runs every within-tier
-# bit-identity proof and the store/fleet salting under the forced tier
-# (the batteries that pin kernels and walker to the order's definition
-# in spec_test.go — TestWalkerMatchesSpec, TestPanelSeamUnobservable,
+# pass over the whole tree, once per KRUM_KERNEL_TIER value. Both tiers
+# compute the one fma4 order; forcing the knob re-runs every bit-identity
+# proof and the store/fleet salting under the forced tier (the
+# batteries that pin kernels and walker to the order's definition in
+# spec_test.go — TestWalkerMatchesSpec, TestPanelSeamUnobservable,
 # TestDotKernelsBitIdentical, TestDotGoldenVectors — loop over every
-# available tier themselves, whatever the knob says); an unavailable tier (e.g. avx2 on a
-# pre-Haswell box or a non-amd64 host) degrades to the auto-detected
-# one with a stderr note, so the matrix is green everywhere and only
-# gains coverage on capable hosts. Two more legs hold vec.Exp's bits
-# (and so the rasteriser's) to no CPU feature and no GOARCH: Exp and
-# Render under GODEBUG=cpu.fma=off, where math.Exp rounds otherwise but
-# vec.Exp falls back to software FMA, on the go and avx2 tiers; and
-# TestExpPinned under GOARCH=386. The last leg holds the pair2 tiles
-# (dot4Go, dot24Go) unfused where the compiler fuses x*y + z: an arm64
-# cross-build whose disassembly of them may hold no fused multiply-add.
+# available tier themselves, whatever the knob says); an unavailable
+# tier (e.g. avx2 on a pre-Haswell box or a non-amd64 host) degrades to
+# the auto-detected one with a stderr note, so the matrix is green
+# everywhere and only gains coverage on capable hosts. More legs hold
+# vec.Exp's bits (and so the rasteriser's) and the distance build's to
+# no CPU feature and no GOARCH: Exp, Render and the tile, golden and
+# walker pins under GODEBUG=cpu.fma=off, where math.Exp rounds
+# otherwise but math.FMA falls back to software, on the go and avx2
+# tiers; and Exp and the same pins under GOARCH=386. The last leg,
+# fused-ops, holds the Go tiles, Exp and accumulateRows to their
+# math.FMA sites where the compiler fuses x*y + z: an arm64 cross-build.
 # Blocking in CI as its own job.
+PORTABLE_PINS = TestDotKernelsBitIdentical|TestDotGoldenVectors|TestWalkerMatchesSpec
 tier-tests:
 	for tier in go avx2; do \
 		echo "=== KRUM_KERNEL_TIER=$$tier ==="; \
@@ -142,19 +144,32 @@ tier-tests:
 	done
 	for tier in go avx2; do \
 		echo "=== GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier ==="; \
-		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|Render' ./data ./internal/vec || exit 1; \
+		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|Render|$(PORTABLE_PINS)' ./data ./internal/vec || exit 1; \
 	done
-	GOARCH=386 $(GO) test -count 1 -run Exp ./internal/vec
-	$(MAKE) --no-print-directory pair2-unfused
+	GOARCH=386 $(GO) test -count 1 -run 'Exp|$(PORTABLE_PINS)' ./internal/vec
+	$(MAKE) --no-print-directory fused-ops
 
-# pair2-unfused is tier-tests' arm64 leg on its own (see above).
-pair2-unfused:
-	@echo "=== GOARCH=arm64: no fused multiply-add in vec.dot4Go, vec.dot24Go ==="
+# fused-ops is tier-tests' arm64 leg on its own (see above): in an
+# arm64 cross-build of internal/vec, each function of FUSED_FUNCS must
+# hold exactly as many fused multiply-adds as its source has math.FMA
+# calls. One more is a product the compiler fused into an add (write it
+# float64(x*y)); a function missing from the build or the source fails
+# the scan as vacuous.
+FUSED_FUNCS ?= dot4Go dot24Go Exp accumulateRows
+fused-ops:
+	@echo "=== GOARCH=arm64: fused ops = math.FMA sites in vec.{$(FUSED_FUNCS)} ==="
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	GOARCH=arm64 $(GO) test -c -o "$$tmp/vec.test" ./internal/vec && \
-	$(GO) tool objdump -s 'vec\.dot(4|24)Go$$' "$$tmp/vec.test" > "$$tmp/dot.txt" && \
-	if [ "$$(grep -c '^TEXT' "$$tmp/dot.txt")" != 2 ]; then echo "found $$(grep -c '^TEXT' "$$tmp/dot.txt") of the 2 pair2 tiles: the scan is vacuous"; exit 1; fi && \
-	if grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$tmp/dot.txt"; then echo "fused multiply-add in a pair2 tile (write each product as float64(x*y))"; exit 1; fi
+	for fn in $(FUSED_FUNCS); do \
+		$(GO) tool objdump -s "vec\.$$fn$$" "$$tmp/vec.test" > "$$tmp/fn.txt" || exit 1; \
+		awk "/^func $$fn\\(/,/^}/" internal/vec/*.go > "$$tmp/fn.go"; \
+		if [ "$$(grep -c '^TEXT' "$$tmp/fn.txt")" != 1 ] || [ "$$(grep -c '^func ' "$$tmp/fn.go")" != 1 ]; then \
+			echo "vec.$$fn: not found once in the arm64 build and the source: the scan is vacuous"; exit 1; fi; \
+		got=$$(grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' "$$tmp/fn.txt"); \
+		want=$$(grep -o 'math\.FMA(' "$$tmp/fn.go" | wc -l); \
+		echo "vec.$$fn: $$got fused ops, $$want math.FMA sites"; \
+		if [ "$$got" != "$$want" ]; then echo "vec.$$fn fuses a product math.FMA does not name (write it float64(x*y))"; exit 1; fi; \
+	done
 
 # load-test is the in-process multi-tenant load harness: hundreds of
 # worker slots (and as many coordinator slots) against thousands of

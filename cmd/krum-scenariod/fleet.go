@@ -621,11 +621,12 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 	// salt: the coordinator persists worker results under keys salted
 	// with ITS order, so a worker computing under another order would
 	// poison the store with results the coordinator's own kernels cannot
-	// bit-reproduce. There is one tier per order, so a mismatch is a
-	// different tier (e.g. an AVX2 worker joining a pair2 coordinator)
-	// and is refused.
+	// bit-reproduce. Every tier now computes fma4, but a go-tier worker
+	// built before the retired "pair2" order was folded into it still
+	// computes pair2 and says so — and store.Version did not move with
+	// that change, so this refusal is all that keeps its bits out.
 	if req.Kernel != vec.KernelOrder() {
-		http.Error(w, fmt.Sprintf("kernel order mismatch: worker %q, coordinator %q (set KRUM_KERNEL_TIER to a matching tier)",
+		http.Error(w, fmt.Sprintf("kernel order mismatch: worker %q, coordinator %q (rebuild the worker)",
 			req.Kernel, vec.KernelOrder()), http.StatusConflict)
 		return
 	}

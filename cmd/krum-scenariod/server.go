@@ -918,7 +918,6 @@ func (s *Server) handleStore(w http.ResponseWriter, _ *http.Request) {
 		"dropped_tail_bytes": stats.DroppedTailBytes,
 		"superseded":         stats.Superseded,
 		"tampered":           stats.Tampered,
-		"foreign":            stats.Foreign,
 		"segments":           stats.Segments,
 		"seals":              stats.Seals,
 		"compactions":        stats.Compactions,
@@ -934,11 +933,11 @@ type healthJSON struct {
 	// journal is attached.
 	JournalLag *int `json:"journal_lag,omitempty"`
 	// KernelTier is the active kernel tier name (vec.KernelTier — "go",
-	// "avx2") and KernelOrder its accumulation order ("pair2", "fma4"),
-	// one per tier — the value the fleet join handshake pins.
-	// Operators diagnosing a worker's 409 look here first.
+	// "avx2") and KernelOrder the accumulation order every tier computes
+	// ("fma4") — the value the fleet join handshake pins. Operators
+	// diagnosing a worker's 409 look here first.
 	KernelTier string `json:"kernel_tier"`
-	// KernelOrder is the accumulation-order family of KernelTier.
+	// KernelOrder is the kernel accumulation order (vec.KernelOrder).
 	KernelOrder string `json:"kernel_order"`
 }
 

@@ -279,15 +279,12 @@ func TestShardFleetEndpointsRejectHostileInput(t *testing.T) {
 		t.Errorf("mismatched-version join: status %d, want 409", resp0.StatusCode)
 	}
 
-	// Same for a worker running a different kernel accumulation-order
-	// family: its results could never be bit-reproduced by the
-	// coordinator's kernels, so membership is refused with the same 409.
-	wrongOrder := "fma4"
-	if vec.KernelOrder() == "fma4" {
-		wrongOrder = "pair2"
-	}
+	// Same for a worker computing another kernel accumulation order — a
+	// go-tier worker built when that tier had its own order, "pair2":
+	// the coordinator's kernels could never bit-reproduce its results,
+	// so membership is refused with the same 409.
 	respK, err := ts.Client().Post(ts.URL+"/fleet/join", "application/json",
-		jsonBody(`{"slots": 1, "version": "`+store.Version+`", "kernel": "`+wrongOrder+`"}`))
+		jsonBody(`{"slots": 1, "version": "`+store.Version+`", "kernel": "pair2"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 )
 
 // errVersionMismatch marks a join rejected for carrying the wrong
-// result-semantics version or kernel accumulation-order family —
-// fatal, unlike transient join failures: retrying cannot fix a build
-// or ISA mismatch.
+// result-semantics version or kernel accumulation order — fatal,
+// unlike transient join failures: retrying cannot fix a build
+// mismatch.
 var errVersionMismatch = errors.New("worker: coordinator rejected our version")
 
 // Worker is the worker half of sharded scenario execution

@@ -11,7 +11,6 @@ import (
 
 	"krum/attack"
 	"krum/internal/arrival"
-	"krum/internal/vec"
 )
 
 // stableBytes encodes a Result through the store's stable JSON
@@ -72,29 +71,21 @@ func TestRunArrivalSyncByteIdentical(t *testing.T) {
 }
 
 // TestRunArrivalReplayPinned pins whole results of replaying runs by
-// SHA-256 of their encoding, per accumulation-order family: undamped
-// and damped replay of the workers' and the attack's proposals, with
-// and without the incremental cache (the two are bit-identical, so
-// they share a pin). A change to how a round assembles its proposals
-// must keep these bytes.
+// SHA-256 of their encoding: undamped and damped replay of the workers'
+// and the attack's proposals, with and without the incremental cache
+// (the two are bit-identical, so they share a pin). A change to how a
+// round assembles its proposals must keep these bytes.
 func TestRunArrivalReplayPinned(t *testing.T) {
 	t.Parallel()
-	pins := []struct {
-		arrival, attack string
-		pair2, fma4     string
-	}{
-		{"bounded(tau=3)", "", "c34d6d5d30aa68ab6c4677d487a01c72cc0708b0e88881280b50ab9edb9ca1bd", "3fe6370be295f8a5f9fdf7da39e04937e9e5cde2e5010434f75f90c189b92b5e"},
-		{"bounded(tau=3,damp=0.5)", "", "8185e09b7d3a014a8c66a851dff5a038d7874540209cb9b8a128d99c6ecb9516", "bde010c6be1d6f5785252d890dbd3441119f7dc482af550dcd0c445f54575a7d"},
-		{"bernoulli(p=0.4,tau=6)", "", "78da98204fc28ce1bc717d61ec519f70537dc5c6c4bd57472157fe71374a7019", "c4ec9cca996d42e6e31e7e0a92d3a68cd23a28f891900e1110a433cfba8ae4d5"},
-		{"bounded(tau=3)", "gaussian(sigma=200)", "6e17873c1c9fa8422eade6fd46f5e208ca125984d7b9e08263e007eeeca92143", "57f7ec5485968d0b9a90e30cc95ebd12284aa104a60356250e47b0f0a222764c"},
-		{"bounded(tau=3,damp=0.5)", "gaussian(sigma=200)", "cb7bfbed99bbd5d684f5bf71339b9b5d7e7d78e40fff4294cfca8e53ae4e67b8", "d957bd8e46b6ab64ba8dd84b5e072b18d0a7009ff194c0a935ff353809e03c61"},
-		{"bernoulli(p=0.4,tau=6)", "gaussian(sigma=200)", "b1ef95276c520623b074e5d8dd85d929c214c521b6e2bbfbecf99deac7a4eb23", "8371c04a7d4575470801a3e073a3d016b3172d3b98a37578bc124e2d80213fc5"},
+	pins := []struct{ arrival, attack, want string }{
+		{"bounded(tau=3)", "", "3fe6370be295f8a5f9fdf7da39e04937e9e5cde2e5010434f75f90c189b92b5e"},
+		{"bounded(tau=3,damp=0.5)", "", "bde010c6be1d6f5785252d890dbd3441119f7dc482af550dcd0c445f54575a7d"},
+		{"bernoulli(p=0.4,tau=6)", "", "c4ec9cca996d42e6e31e7e0a92d3a68cd23a28f891900e1110a433cfba8ae4d5"},
+		{"bounded(tau=3)", "gaussian(sigma=200)", "57f7ec5485968d0b9a90e30cc95ebd12284aa104a60356250e47b0f0a222764c"},
+		{"bounded(tau=3,damp=0.5)", "gaussian(sigma=200)", "d957bd8e46b6ab64ba8dd84b5e072b18d0a7009ff194c0a935ff353809e03c61"},
+		{"bernoulli(p=0.4,tau=6)", "gaussian(sigma=200)", "8371c04a7d4575470801a3e073a3d016b3172d3b98a37578bc124e2d80213fc5"},
 	}
 	for _, p := range pins {
-		want := map[string]string{"pair2": p.pair2, "fma4": p.fma4}[vec.KernelOrder()]
-		if want == "" {
-			t.Skipf("no pins for order family %q", vec.KernelOrder())
-		}
 		for _, incremental := range []bool{false, true} {
 			cfg := quickConfig(t)
 			cfg.ArrivalSpec, cfg.AttackSpec, cfg.Incremental = p.arrival, p.attack, incremental
@@ -102,8 +93,8 @@ func TestRunArrivalReplayPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(res.AppendJSON(nil))); got != want {
-				t.Errorf("arrival %q attack %q incremental=%v: result sha256 %s, want %s", p.arrival, p.attack, incremental, got, want)
+			if got := fmt.Sprintf("%x", sha256.Sum256(res.AppendJSON(nil))); got != p.want {
+				t.Errorf("arrival %q attack %q incremental=%v: result sha256 %s, want %s", p.arrival, p.attack, incremental, got, p.want)
 			}
 		}
 	}

@@ -96,11 +96,10 @@ type Result struct {
 	// FinalTestLoss is the held-out loss at the last evaluation (NaN
 	// when never evaluated).
 	FinalTestLoss float64
-	// Kernel is the accumulation-order family (vec.Tier.Order) the run's
-	// distance kernels used — "pair2" or "fma4". Runs under the same
-	// family are bit-reproducible against each other; across families
-	// only norm-relative agreement holds (see internal/vec/gram.go), so
-	// anything comparing Results bit-for-bit must first compare Kernels.
+	// Kernel is the accumulation order (vec.KernelOrder) the run's
+	// distance kernels used: "fma4", whatever the tier (see
+	// internal/vec/gram.go). A Result decoded from older bytes may
+	// carry another value.
 	Kernel string
 	// Stats is the distance work the run's engine did (core.Engine.Stats).
 	// It describes this execution, not the outcome: it is not part of

@@ -437,8 +437,8 @@ func (p *parser) floatBits() []float64 {
 	return v
 }
 
-// string parses a JSON string. Plain ASCII is taken as it is (the two
-// kernel families without a copy); anything with an escape or a byte
+// string parses a JSON string. Plain ASCII is taken as it is (the
+// kernel order without a copy); anything with an escape or a byte
 // outside printable ASCII is decoded by encoding/json.
 func (p *parser) string() string {
 	if p.err != nil || len(p.b) == 0 || p.b[0] != '"' {
@@ -470,13 +470,10 @@ func (p *parser) string() string {
 	return ""
 }
 
-// internKernel returns the kernel family name b spells, without
-// allocating for the two families there are.
+// internKernel returns the kernel order name b spells, without
+// allocating for the one order there is.
 func internKernel(b []byte) string {
-	switch string(b) {
-	case "pair2":
-		return "pair2"
-	case "fma4":
+	if string(b) == "fma4" {
 		return "fma4"
 	}
 	return string(b)

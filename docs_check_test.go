@@ -490,7 +490,7 @@ func TestDocsChangesEntriesCapped(t *testing.T) {
 // EXPERIMENTS.md may not exceed: their sizes when the cap was set. A
 // change that adds prose pays for it by trimming; one that trims
 // lowers the cap here.
-var docLineCaps = map[string]int{"README.md": 634, "ARCHITECTURE.md": 936, "EXPERIMENTS.md": 1717}
+var docLineCaps = map[string]int{"README.md": 633, "ARCHITECTURE.md": 922, "EXPERIMENTS.md": 1717}
 
 // TestDocsLineCaps fails a long document that grew past its cap.
 func TestDocsLineCaps(t *testing.T) {

@@ -61,7 +61,7 @@ func (m *Dense) Zero() { Zero(m.Data) }
 // those zeros common (≈ 45 % on the mnist workload).
 //
 // The contract is per element and says nothing about j, which is what
-// lets one implementation use SIMD without becoming an order family:
+// lets one implementation use SIMD without becoming a second order:
 // lanes run across j, never across k; multiply and add are separately
 // rounded on every tier (no FMA); and a zero (or −0) coefficient skips
 // its term before any lane is loaded. One thing is left unspecified:
@@ -128,10 +128,10 @@ func accumulateRows(drow, coef []float64, first, stride int, b *Dense) {
 		a0, a1, a2, a3 := coef[first+ks[0]*stride], coef[first+ks[1]*stride], coef[first+ks[2]*stride], coef[first+ks[3]*stride]
 		b0, b1, b2, b3 := b.Row(ks[0])[:len(drow)], b.Row(ks[1])[:len(drow)], b.Row(ks[2])[:len(drow)], b.Row(ks[3])[:len(drow)]
 		for j, d := range drow {
-			d += a0 * b0[j]
-			d += a1 * b1[j]
-			d += a2 * b2[j]
-			d += a3 * b3[j]
+			d += float64(a0 * b0[j])
+			d += float64(a1 * b1[j])
+			d += float64(a2 * b2[j])
+			d += float64(a3 * b3[j])
 			drow[j] = d
 		}
 	}

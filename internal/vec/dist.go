@@ -172,7 +172,7 @@ func (m *DistanceMatrix) MultiplyAdds() uint64 { return m.madds }
 //     last column and keeps only the columns inside it (at the last
 //     panel: the columns that exist), so every product comes from a
 //     tile. Each tile column runs its pair's canonical lane order by
-//     gram.go's per-tier contract, and a diagonal cell sums its k-blocks
+//     gram.go's contract, and a diagonal cell sums its k-blocks
 //     in ascending k from +0: the blocked composition of ⟨v,v⟩ (the
 //     tests' specNorm).
 //

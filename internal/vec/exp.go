@@ -53,10 +53,10 @@ func Exp(x float64) float64 {
 	p = math.FMA(p, r, 1.6666666666666666667e-1)
 	p = math.FMA(p, r, 0.5)
 	p = math.FMA(p, r, 1.0)
-	r *= p
-	r *= r + 2
-	r *= r + 2
-	r *= r + 2
+	r = float64(r * p)
+	r = float64(r * (r + 2))
+	r = float64(r * (r + 2))
+	r = float64(r * (r + 2))
 	fr := math.FMA(r, r+2, 1.0)
 	// fr · 2**k. A subnormal result takes two multiplies, by 2**(k+1022)
 	// and then 2**−1022, so it is rounded once, at the end.

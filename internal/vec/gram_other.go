@@ -3,8 +3,7 @@
 package vec
 
 // Portable dispatch for the Gram microkernels: non-amd64 platforms run
-// the pure-Go pair2 tiles, TierGo being the only tier here
-// (tier_other.go).
+// the pure-Go tiles, TierGo being the only tier here (tier_other.go).
 
 // dot4Block is the one-depth-block 1×4 tile; see dot4Go for the lane
 // order.

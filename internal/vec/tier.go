@@ -13,21 +13,18 @@ import (
 // once at init from CPU feature detection and the KRUM_KERNEL_TIER
 // environment knob.
 //
-// The tier is more than a speed setting: each tier defines its own
-// CANONICAL ACCUMULATION ORDER for an inner product (contract decision
-// (a) of the ROADMAP — see gram.go), so results computed under
-// different orders may differ in the low bits. There is one tier per
-// order: Tier.Order() names it ("pair2" for go, "fma4" for avx2), the
-// store salts every content-addressed key with it (scenario/store),
+// The tier is a speed setting only: both tiers compute the one
+// canonical accumulation order, "fma4" (KernelOrder; contract decision
+// (a) of the ROADMAP — see gram.go), bit for bit, on every GOARCH.
+// The store salts every content-addressed key with the order id,
 // distsgd records it in Result.Kernel, and the coordinator join
-// handshake pins it exactly like store.Version, so a fleet never
-// aliases results across orders. An order does not yet fix every bit
-// of a cell, though: Go's amd64 math.Exp, which the model's
-// activations and losses still call (the rasteriser calls Exp, whose
-// bits are its own), takes an FMA path on CPUs that have FMA whatever
-// the tier, and the compiler may fuse x*y + z in Go loops on other
-// GOARCHes (the Gram tiles write float64(x*y) against it, held by
-// make tier-tests), so a go worker on an FMA-less amd64 CPU or on
+// handshake pins it. The order does not yet fix every bit of a cell,
+// though: Go's amd64 math.Exp, which the model's activations and
+// losses still call (the rasteriser calls Exp, whose bits are its
+// own), takes an FMA path on CPUs that have FMA whatever the tier,
+// and the compiler may fuse x*y + z in Go loops on other GOARCHes
+// (make fused-ops holds the tiles, Exp and accumulateRows to their
+// math.FMA sites on arm64), so a worker on an FMA-less amd64 CPU or on
 // arm64 can write different bytes under the same key as one on an FMA
 // host (ROADMAP item 2 is the fix).
 
@@ -35,13 +32,11 @@ import (
 type Tier int32
 
 const (
-	// TierGo is the portable pure-Go tier: the "pair2" order's
-	// interleaved even/odd two-accumulator sums. Always available.
+	// TierGo is the portable pure-Go tier: the four lanes as math.FMA
+	// chains. Always available.
 	TierGo Tier = iota
-	// TierAVX2 is the amd64 AVX2+FMA assembly tier: four YMM lanes of
-	// fused multiply-adds (the "fma4" order — see gram.go). Fusing
-	// removes the per-step product rounding, so TierAVX2 results differ
-	// from TierGo's in the low bits (by less error, not more).
+	// TierAVX2 is the amd64 AVX2+FMA assembly tier: the four lanes of
+	// one YMM accumulator, several times faster than TierGo.
 	TierAVX2
 )
 
@@ -55,19 +50,6 @@ func (t Tier) String() string {
 		return "avx2"
 	}
 	return fmt.Sprintf("tier(%d)", int32(t))
-}
-
-// Order returns the tier's canonical accumulation-order id — the
-// identity the store key salt, the Result.Kernel metadata field and
-// the fleet join handshake carry. Each tier has its own Order; tiers
-// round differently and their results must never alias.
-func (t Tier) Order() string {
-	switch t {
-	case TierAVX2:
-		return "fma4"
-	default:
-		return "pair2"
-	}
 }
 
 // ParseTier parses a tier spec name ("go", "avx2"),
@@ -94,9 +76,10 @@ var supportedTiers = availableTiers()
 // KernelTier returns the active kernel tier.
 func KernelTier() Tier { return Tier(currentTier.Load()) }
 
-// KernelOrder returns the active tier's canonical accumulation-order
-// id — shorthand for KernelTier().Order().
-func KernelOrder() string { return KernelTier().Order() }
+// KernelOrder returns the id of the canonical accumulation order every
+// tier computes — the identity the store key salt, the Result.Kernel
+// metadata field and the fleet join handshake carry.
+func KernelOrder() string { return "fma4" }
 
 // TierAvailable reports whether t can run on this process's CPU.
 func TierAvailable(t Tier) bool {
@@ -122,11 +105,8 @@ func AvailableTiers() []Tier {
 //
 // The intended callers are process init (the KRUM_KERNEL_TIER knob)
 // and tests forcing a tier around a battery; switching tiers while
-// kernel-derived state is live is safe but subtle — an existing
-// DistanceMatrix updated incrementally under a different tier than it
-// was built under loses its bit-identical-to-rebuild guarantee, and
-// store keys computed before the switch describe the old order. Force
-// the tier first, compute after.
+// kernel-derived state is live is safe: every tier computes the same
+// bits.
 func SetKernelTier(t Tier) (restore func(), err error) {
 	if !TierAvailable(t) {
 		return nil, fmt.Errorf("vec: kernel tier %v not available on this CPU (have %v)", t, supportedTiers)

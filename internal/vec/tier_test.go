@@ -143,7 +143,7 @@ func checkAsmReachable(t *testing.T, dir string) {
 // TestLaneKernelsUnfused: the lane kernels promise the scalar loops'
 // bits because every multiply and every add is rounded on its own, so
 // no assembly of these packages may hold a fused multiply-add — except
-// gram_avx2_amd64.s, whose fma4 order family is defined by them, and
+// gram_avx2_amd64.s, whose fma4 lane order is made of them, and
 // the exp block of raster_avx2_amd64.s (between "// exp: begin" and
 // "// exp: end"), which is Exp's sequence in lanes: it must hold
 // exactly Exp's fused steps, two VFNMADD231PD and then eight
@@ -285,23 +285,6 @@ func TestParseTier(t *testing.T) {
 	}
 }
 
-// TestTierOrder pins the order mapping the store salt and join
-// handshake depend on — go is pair2, avx2 is fma4 — and that every
-// available tier has an order of its own: two tiers on one order would
-// be a second kernel for the same bits.
-func TestTierOrder(t *testing.T) {
-	if TierGo.Order() != "pair2" || TierAVX2.Order() != "fma4" {
-		t.Errorf("go/avx2 orders = %q/%q, want pair2/fma4", TierGo.Order(), TierAVX2.Order())
-	}
-	tierOf := map[string]Tier{}
-	for _, tier := range AvailableTiers() {
-		if other, ok := tierOf[tier.Order()]; ok {
-			t.Errorf("tiers %v and %v share the order %q", other, tier, tier.Order())
-		}
-		tierOf[tier.Order()] = tier
-	}
-}
-
 // TestAvailableTiers checks the availability set's invariants: TierGo
 // is always present and first, the active tier is available, and
 // TierAvailable agrees with the slice.
@@ -378,20 +361,5 @@ func TestSetKernelTierRestore(t *testing.T) {
 	restore()
 	if KernelTier() != initial {
 		t.Errorf("restore left tier %v, want %v", KernelTier(), initial)
-	}
-}
-
-// TestKernelOrderMatchesTier ties the package-level shorthands to the
-// active tier.
-func TestKernelOrderMatchesTier(t *testing.T) {
-	for _, tier := range AvailableTiers() {
-		restore, err := SetKernelTier(tier)
-		if err != nil {
-			t.Fatalf("SetKernelTier(%v): %v", tier, err)
-		}
-		if KernelTier() != tier || KernelOrder() != tier.Order() {
-			t.Errorf("forced %v: KernelTier()=%v KernelOrder()=%q", tier, KernelTier(), KernelOrder())
-		}
-		restore()
 	}
 }

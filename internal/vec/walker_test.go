@@ -8,19 +8,18 @@ import (
 
 // specMatrix is the norms and cells the spec (spec_test.go) defines over
 // a set of Gram-kernel vectors: what every build, rebuild and update of
-// a DistanceMatrix over them must hold, bit for bit, under every tier
-// of the family.
+// a DistanceMatrix over them must hold, bit for bit, under every tier.
 type specMatrix struct{ nrm, d []float64 }
 
-func newSpecMatrix(order string, vs [][]float64) specMatrix {
+func newSpecMatrix(vs [][]float64) specMatrix {
 	n := len(vs)
 	m := specMatrix{make([]float64, n), make([]float64, n*n)}
 	for i, v := range vs {
-		m.nrm[i] = specNorm(order, v)
+		m.nrm[i] = specNorm(v)
 	}
 	for i := range vs {
 		for j := i + 1; j < n; j++ {
-			c := specAssemble(m.nrm[i], m.nrm[j], specDot(order, vs[i], vs[j]))
+			c := specAssemble(m.nrm[i], m.nrm[j], specDot(vs[i], vs[j]))
 			m.d[i*n+j], m.d[j*n+i] = c, c
 		}
 	}
@@ -70,8 +69,8 @@ func walkerVectors(rng *RNG, n, d int, special uint16) [][]float64 {
 
 // walkerScript is one scenario the walker is run through — a build and
 // three update rounds, each followed by a rebuild — with the spec's
-// cells and norms over the vector set of every step, per order family,
-// so that one evaluation of the spec serves every (tier, panel width,
+// cells and norms over the vector set of every step, so that one
+// evaluation of the spec serves every (tier, panel width,
 // worker count) the walker is replayed under.
 type walkerScript struct {
 	vs    [][]float64
@@ -79,7 +78,7 @@ type walkerScript struct {
 		rows []int       // the round's change-set, duplicate-free
 		cur  [][]float64 // the vector set after the round
 	}
-	want map[string][4]specMatrix // by family: over vs, then over each step's cur
+	want [4]specMatrix // over vs, then over each step's cur
 }
 
 // newWalkerScript draws the three rounds over vs and evaluates the spec.
@@ -89,7 +88,7 @@ type walkerScript struct {
 // is listed in.
 func newWalkerScript(rng *RNG, vs [][]float64, special uint16, changed [3][]int) *walkerScript {
 	n, d := len(vs), len(vs[0])
-	s := &walkerScript{vs: vs, want: map[string][4]specMatrix{}}
+	s := &walkerScript{vs: vs}
 	cur := append([][]float64(nil), vs...)
 	for step, rows := range changed {
 		rows = append([]int(nil), rows...)
@@ -104,13 +103,8 @@ func newWalkerScript(rng *RNG, vs [][]float64, special uint16, changed [3][]int)
 		}
 		s.steps[step].rows, s.steps[step].cur = rows, append([][]float64(nil), cur...)
 	}
-	for _, tier := range AvailableTiers() {
-		o := tier.Order()
-		if _, done := s.want[o]; !done {
-			s.want[o] = [4]specMatrix{newSpecMatrix(o, vs), newSpecMatrix(o, s.steps[0].cur),
-				newSpecMatrix(o, s.steps[1].cur), newSpecMatrix(o, s.steps[2].cur)}
-		}
-	}
+	s.want = [4]specMatrix{newSpecMatrix(vs), newSpecMatrix(s.steps[0].cur),
+		newSpecMatrix(s.steps[1].cur), newSpecMatrix(s.steps[2].cur)}
 	return s
 }
 
@@ -128,21 +122,20 @@ func (s *walkerScript) replay(t *testing.T, panel, workers int) {
 		what := func(step string) string {
 			return fmt.Sprintf("%v n=%d d=%d panel=%d workers=%d: %s", tier, len(s.vs), len(s.vs[0]), panel, workers, step)
 		}
-		want := s.want[tier.Order()]
 		m := newShell(s.vs)
 		if panel > 0 {
 			m.panel = panel
 		}
 		m.buildOn(workers)
-		sameWalkerBits(t, what("build"), m, want[0])
+		sameWalkerBits(t, what("build"), m, s.want[0])
 		if workers > 1 {
 			return
 		}
 		for k, st := range s.steps {
 			m.UpdateRows(st.rows, st.cur)
-			sameWalkerBits(t, what("update"), m, want[k+1])
+			sameWalkerBits(t, what("update"), m, s.want[k+1])
 			m.Rebuild()
-			sameWalkerBits(t, what("rebuild in place"), m, want[k+1])
+			sameWalkerBits(t, what("rebuild in place"), m, s.want[k+1])
 		}
 	})
 }
@@ -182,18 +175,17 @@ func TestWalkerMatchesSpec(t *testing.T) {
 	}
 	script := newWalkerScript(rng, dup, 0, [3][]int{{0}, {1, 2}, {8}})
 	script.replay(t, 0, 1)
-	for order, want := range script.want {
-		clamped := 0
-		for i := range dup {
-			for j := range i {
-				if want[0].nrm[i]+want[0].nrm[j]-2*specDot(order, dup[i], dup[j]) < 0 {
-					clamped++
-				}
+	clamped := 0
+	nrm := script.want[0].nrm
+	for i := range dup {
+		for j := range i {
+			if nrm[i]+nrm[j]-2*specDot(dup[i], dup[j]) < 0 {
+				clamped++
 			}
 		}
-		if clamped == 0 {
-			t.Errorf("%s: no near-duplicate pair cancels below zero; the clamp case is vacuous", order)
-		}
+	}
+	if clamped == 0 {
+		t.Error("no near-duplicate pair cancels below zero; the clamp case is vacuous")
 	}
 }
 
@@ -251,7 +243,7 @@ func TestPanelBudgetCrossed(t *testing.T) {
 		script.replay(t, 0, workers)
 	}
 	underEachTier(t, func(tier Tier) {
-		want := script.want[tier.Order()]
+		want := script.want
 		for _, workers := range []int{2, 8} {
 			m := newShell(vs).buildOn(workers)
 			sameWalkerBits(t, "fanned-out build", m, want[0])

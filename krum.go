@@ -342,22 +342,19 @@ func ScheduleStep(gamma float64, every int, factor float64) Schedule {
 // KernelTier is the identity of one Gram-microkernel implementation
 // tier (see internal/vec): "go" or "avx2", selected once at process
 // start from CPU feature detection and the KRUM_KERNEL_TIER
-// environment knob. Each tier defines its own canonical floating-point
-// accumulation order, one tier per order; results are
-// bit-reproducible within an order and norm-relative-close across
-// orders.
+// environment knob. The tier is a speed setting: every tier computes
+// one canonical floating-point accumulation order (ActiveKernelOrder),
+// bit for bit.
 type KernelTier = vec.Tier
 
 // ActiveKernelTier returns the kernel tier every distance computation
 // in this process dispatches to.
 func ActiveKernelTier() KernelTier { return vec.KernelTier() }
 
-// ActiveKernelOrder returns the active tier's accumulation-order family
-// id ("pair2" or "fma4") — the identity distsgd.Result.Kernel records,
+// ActiveKernelOrder returns the kernel accumulation order ("fma4",
+// the same on every tier) — the identity distsgd.Result.Kernel records,
 // the scenario store salts keys with, and the fleet join handshake
-// pins. Two processes sharing an order id produce bit-identical
-// results on identical inputs; processes with different ids agree only
-// to norm-relative tolerance.
+// pins.
 func ActiveKernelOrder() string { return vec.KernelOrder() }
 
 // ArrivalProcess is a deterministic arrival process describing which

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"krum/internal/vec"
 )
@@ -65,9 +66,7 @@ func (c *Conv2D) wAt(oc, ic, i, j int) int {
 func (c *Conv2D) Forward(x *vec.Dense) *vec.Dense {
 	c.lastX = x
 	outWidth := c.OutC * c.outH * c.outW
-	if c.outBuf == nil || c.outBuf.Rows != x.Rows {
-		c.outBuf = vec.NewDense(x.Rows, outWidth)
-	}
+	c.outBuf = reshape(c.outBuf, x.Rows, outWidth)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		out := c.outBuf.Row(s)
@@ -96,9 +95,7 @@ func (c *Conv2D) Forward(x *vec.Dense) *vec.Dense {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *vec.Dense) *vec.Dense {
-	if c.dxBuf == nil || c.dxBuf.Rows != dout.Rows {
-		c.dxBuf = vec.NewDense(dout.Rows, c.InC*c.InH*c.InW)
-	}
+	c.dxBuf = reshape(c.dxBuf, dout.Rows, c.InC*c.InH*c.InW)
 	c.dxBuf.Zero()
 	c.backward(dout, c.dxBuf)
 	return c.dxBuf
@@ -204,10 +201,8 @@ func (m *MaxPool2D) OutDim(inDim int) (int, error) {
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *vec.Dense) *vec.Dense {
 	outWidth := m.C * m.outH * m.outW
-	if m.outBuf == nil || m.outBuf.Rows != x.Rows {
-		m.outBuf = vec.NewDense(x.Rows, outWidth)
-		m.argmax = make([]int, x.Rows*outWidth)
-	}
+	m.outBuf = reshape(m.outBuf, x.Rows, outWidth)
+	m.argmax = slices.Grow(m.argmax[:0], x.Rows*outWidth)[:x.Rows*outWidth]
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		out := m.outBuf.Row(s)
@@ -239,9 +234,7 @@ func (m *MaxPool2D) Forward(x *vec.Dense) *vec.Dense {
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(dout *vec.Dense) *vec.Dense {
-	if m.dxBuf == nil || m.dxBuf.Rows != dout.Rows {
-		m.dxBuf = vec.NewDense(dout.Rows, m.C*m.H*m.W)
-	}
+	m.dxBuf = reshape(m.dxBuf, dout.Rows, m.C*m.H*m.W)
 	m.dxBuf.Zero()
 	outWidth := dout.Cols
 	for s := 0; s < dout.Rows; s++ {

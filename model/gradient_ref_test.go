@@ -147,8 +147,8 @@ func TestGradientMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGradientBitsTierIndependent: distances differ between order
-// families, the gradient path must not. Network.Gradient at the two
+// TestGradientBitsTierIndependent: like the distances, the gradient
+// path may not depend on the tier. Network.Gradient at the two
 // shapes the tracked workloads train — the mnist MLP (batch 16,
 // 256 → 48 → 10; rows wide enough for the AVX2 row kernels) and the gmm
 // softmax (batch 8, 6 → 3; never leaves the Go loops) — returns the same

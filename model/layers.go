@@ -45,6 +45,19 @@ type paramLayer interface {
 	backwardParams(dout *vec.Dense)
 }
 
+// reshape returns buf as a rows×cols matrix: its own backing array,
+// resliced, when that has room, and a new one only when it has not.
+// Its contents are unspecified; every caller overwrites all of them. A
+// replica alternating batch sizes — training batches, then a larger
+// evaluation batch — stops allocating once it has seen the largest.
+func reshape(buf *vec.Dense, rows, cols int) *vec.Dense {
+	if buf == nil || cap(buf.Data) < rows*cols {
+		return vec.NewDense(rows, cols)
+	}
+	buf.Rows, buf.Cols, buf.Data = rows, cols, buf.Data[:rows*cols]
+	return buf
+}
+
 // Dense is the fully connected layer y = x·W + b with W (in×out) and
 // bias b (out). Construct with NewDense; the owning Network binds and
 // initializes the weights with He/Xavier scaling.
@@ -79,9 +92,7 @@ func (l *Dense) OutDim(inDim int) (int, error) {
 // Forward implements Layer.
 func (l *Dense) Forward(x *vec.Dense) *vec.Dense {
 	l.lastX = x
-	if l.outBuf == nil || l.outBuf.Rows != x.Rows {
-		l.outBuf = vec.NewDense(x.Rows, l.Out)
-	}
+	l.outBuf = reshape(l.outBuf, x.Rows, l.Out)
 	vec.MatMul(l.outBuf, x, l.w)
 	vec.AddRowVector(l.outBuf, l.b)
 	return l.outBuf
@@ -91,9 +102,7 @@ func (l *Dense) Forward(x *vec.Dense) *vec.Dense {
 func (l *Dense) Backward(dout *vec.Dense) *vec.Dense {
 	// dW = xᵀ·dout, db = Σ rows(dout), dx = dout·Wᵀ.
 	l.backwardParams(dout)
-	if l.dxBuf == nil || l.dxBuf.Rows != dout.Rows {
-		l.dxBuf = vec.NewDense(dout.Rows, l.In)
-	}
+	l.dxBuf = reshape(l.dxBuf, dout.Rows, l.In)
 	vec.MatMulABT(l.dxBuf, dout, l.w)
 	return l.dxBuf
 }
@@ -177,9 +186,7 @@ func (a *Activation) OutDim(inDim int) (int, error) {
 // Forward implements Layer.
 func (a *Activation) Forward(x *vec.Dense) *vec.Dense {
 	a.lastIn = x
-	if a.outBuf == nil || a.outBuf.Rows != x.Rows || a.outBuf.Cols != x.Cols {
-		a.outBuf = vec.NewDense(x.Rows, x.Cols)
-	}
+	a.outBuf = reshape(a.outBuf, x.Rows, x.Cols)
 	out := a.outBuf.Data
 	switch a.Kind {
 	case ActReLU:
@@ -204,9 +211,7 @@ func (a *Activation) Forward(x *vec.Dense) *vec.Dense {
 
 // Backward implements Layer.
 func (a *Activation) Backward(dout *vec.Dense) *vec.Dense {
-	if a.dxBuf == nil || a.dxBuf.Rows != dout.Rows || a.dxBuf.Cols != dout.Cols {
-		a.dxBuf = vec.NewDense(dout.Rows, dout.Cols)
-	}
+	a.dxBuf = reshape(a.dxBuf, dout.Rows, dout.Cols)
 	dx := a.dxBuf.Data
 	switch a.Kind {
 	case ActReLU:

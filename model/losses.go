@@ -88,12 +88,7 @@ func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
 
 // softmaxRow computes softmax of row in place with max-subtraction.
 func softmaxRow(row []float64) {
-	m := row[0]
-	for _, v := range row[1:] {
-		if v > m {
-			m = v
-		}
-	}
+	m := rowMax(row)
 	var sum float64
 	for i, v := range row {
 		e := math.Exp(v - m)
@@ -106,19 +101,37 @@ func softmaxRow(row []float64) {
 	}
 }
 
+// rowMax is the largest entry of row as softmaxRow shifts by: a NaN
+// after the first entry is passed over.
+func rowMax(row []float64) float64 {
+	m := row[0]
+	for _, v := range row[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
 // Value implements Loss.
 func (SoftmaxCrossEntropy) Value(outputs, targets *vec.Dense) (float64, error) {
 	if err := checkLossShapes(outputs, targets); err != nil {
 		return 0, err
 	}
 	var total float64
-	probs := make([]float64, outputs.Cols)
 	for i := 0; i < outputs.Rows; i++ {
-		copy(probs, outputs.Row(i))
-		softmaxRow(probs)
+		// softmaxRow's probabilities, bit for bit, with no row of
+		// scratch: only the targets' are formed.
+		row := outputs.Row(i)
+		m := rowMax(row)
+		var sum float64
+		for _, v := range row {
+			sum += math.Exp(v - m)
+		}
+		inv := 1 / sum
 		for j, t := range targets.Row(i) {
 			if t > 0 {
-				total -= t * math.Log(math.Max(probs[j], 1e-300))
+				total -= t * math.Log(math.Max(math.Exp(row[j]-m)*inv, 1e-300))
 			}
 		}
 	}

@@ -135,9 +135,7 @@ func (n *Network) Gradient(dst []float64, x, y *vec.Dense) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n.dout == nil || n.dout.Rows != out.Rows {
-		n.dout = vec.NewDense(out.Rows, out.Cols)
-	}
+	n.dout = reshape(n.dout, out.Rows, out.Cols)
 	loss, err := n.loss.Grad(n.dout, out, y)
 	if err != nil {
 		return 0, err

@@ -377,3 +377,47 @@ func TestMLPLearnsSeparableData(t *testing.T) {
 		t.Errorf("MLP accuracy %v after training, want ≥ 0.95", acc)
 	}
 }
+
+// TestMixedBatchSizesAllocateNothing: a replica that alternates
+// 16-row gradients with 300-row evaluation losses — a training round,
+// then an eval batch — reuses its layers' buffers once it has seen
+// both sizes, for every layer kind (dense, activation, convolution,
+// pooling) and the loss gradient, and its gradient bits do not depend
+// on the evaluation in between.
+func TestMixedBatchSizesAllocateNothing(t *testing.T) {
+	mlp, err := NewMLP(64, []int{32}, 10, ActReLU, SoftmaxCrossEntropy{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnn, err := NewConvNet(8, 8, 3, 16, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := vec.NewRNG(3)
+	x16, y16 := randomBatch(rng, 16, 64, 10)
+	x300, y300 := randomBatch(rng, 300, 64, 10)
+	for name, net := range map[string]*Network{"mlp": mlp, "convnet": cnn} {
+		want := make([]float64, net.Dim())
+		if _, err := net.Gradient(want, x16, y16); err != nil {
+			t.Fatal(err)
+		}
+		grad := make([]float64, len(want))
+		step := func() {
+			if _, err := net.Loss(x300, y300); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.Gradient(grad, x16, y16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		if n := testing.AllocsPerRun(10, step); n != 0 {
+			t.Errorf("%s: %v allocations per warm 300-row loss and 16-row gradient, want 0", name, n)
+		}
+		for i := range want {
+			if math.Float64bits(grad[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: gradient %d after a 300-row loss = %v, alone %v", name, i, grad[i], want[i])
+			}
+		}
+	}
+}

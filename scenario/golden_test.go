@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"krum/internal/vec"
 )
 
 // goldenCells is the fixed table TestGoldenResultBytes pins: the paper's
@@ -76,14 +74,14 @@ func goldenCells() []Spec {
 }
 
 // TestGoldenResultBytes pins the stable JSON of whole cells across
-// commits, per accumulation-order family: a change that moves one
-// result byte without a store.Version bump would let the store serve
-// results the current code no longer computes. `make tier-tests` runs it
-// under both families. The hashes change only together with
-// store.Version; a failing run logs the active family's file as the
+// commits: a change that moves one result byte without a store.Version
+// bump would let the store serve results the current code no longer
+// computes. `make tier-tests` runs it under both kernel tiers, which
+// compute one accumulation order, "fma4". The hashes change only
+// together with store.Version; a failing run logs the file as the
 // current code would write it.
 func TestGoldenResultBytes(t *testing.T) {
-	path := filepath.Join("testdata", "golden_results_"+vec.KernelOrder()+".json")
+	path := filepath.Join("testdata", "golden_results_fma4.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

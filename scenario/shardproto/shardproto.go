@@ -81,13 +81,12 @@ type JoinRequest struct {
 	// persists under new-version keys — a silent, permanent stale-serve
 	// that the salt exists to prevent.
 	Version string `json:"version"`
-	// Kernel is the worker's kernel accumulation-order family
-	// (vec.KernelOrder — "pair2" or "fma4"). The coordinator pins it
-	// exactly like Version, rejecting a mismatch with HTTP 409: the
-	// coordinator's store keys are salted with ITS order family, so a
-	// worker computing under a different order would persist results the
-	// coordinator's own kernels cannot bit-reproduce. There is one tier
-	// per order, so a fleet runs one tier.
+	// Kernel is the worker's kernel accumulation order (vec.KernelOrder).
+	// The coordinator pins it exactly like Version, rejecting a mismatch
+	// with HTTP 409: the coordinator's store keys are salted with ITS
+	// order, so a worker computing under a different order (one built
+	// when the go tier had an order of its own) would persist results
+	// the coordinator's own kernels cannot bit-reproduce.
 	Kernel string `json:"kernel"`
 }
 

@@ -228,15 +228,12 @@ func (s *Store) sealLocked() error {
 
 // Compact merges every sealed segment into one, last write per key
 // winning, dropping superseded records and records or segments that
-// fail their integrity checks, then removes the merged inputs. Foreign
-// records — another kernel-order family's intact entries — are NOT
-// integrity failures and merge through, so compacting under one family
-// never loses the other family's results. Lookups are unchanged by
-// construction — compaction rewrites where bytes live, never which
-// bytes a key resolves to: cold entries are re-pointed at their line in
-// the merged segment as it is laid out. The tail is untouched. An
-// in-memory store errors; a store whose segments are already fully
-// compacted is a no-op.
+// fail their integrity checks, then removes the merged inputs. Lookups
+// are unchanged by construction — compaction rewrites where bytes live,
+// never which bytes a key resolves to: cold entries are re-pointed at
+// their line in the merged segment as it is laid out. The tail is
+// untouched. An in-memory store errors; a store whose segments are
+// already fully compacted is a no-op.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,13 +263,9 @@ func (s *Store) Compact() error {
 		}
 		for _, line := range splitLines(data) {
 			_, key, v := decodeLine(line)
-			if v != lineOK && v != lineForeign {
+			if v != lineOK {
 				// Malformed and tampered lines are dropped by the merge;
-				// they were counted when Open replayed them. Foreign
-				// records (another kernel-order family's intact entries)
-				// merge through under their own stored keys — those are
-				// collision-free with ours because the salt differs, so
-				// last-write-wins stays per-family correct.
+				// they were counted when Open replayed them.
 				dropped = v != lineEmpty
 				continue
 			}
@@ -327,7 +320,7 @@ func (s *Store) repointLocked(name string, order []string, final map[string][]by
 	var off int64
 	for _, key := range order {
 		line := final[key]
-		id := idOf(key) // a foreign family's key parses too, and is not indexed
+		id := idOf(key)
 		if e, ok := s.index[id]; ok && e.seg != "" {
 			digest := maphash.Bytes(s.seed, line)
 			// The merge keeps a key's last intact line, which is the line

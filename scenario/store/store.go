@@ -20,7 +20,7 @@
 // label is excluded: it cannot change a result. Everything else —
 // including Seed, EvalEvery/EvalBatch/TrackSelection (they change
 // Result contents) and the Incremental flag — is hashed, together with
-// the Version salt and the kernel order family.
+// the Version salt and the kernel accumulation order.
 //
 // # Invalidation
 //
@@ -85,13 +85,12 @@ const Version = "krum-store-v2"
 // ErrStore is the sentinel wrapped by store failures.
 var ErrStore = errors.New("store: error")
 
-// Key returns the spec's content address under the active order family
-// (see address). The key is conservative: two specs sharing a key are
-// guaranteed to produce the same result under the current code
-// version, but not every result-identical pair shares a key — notably
-// Incremental is hashed (it is part of the cell's declared identity
-// even though results are bit-identical either way), so flipping it
-// recomputes.
+// Key returns the spec's content address (see address). The key is
+// conservative: two specs sharing a key are guaranteed to produce the
+// same result under the current code version, but not every
+// result-identical pair shares a key — notably Incremental is hashed
+// (it is part of the cell's declared identity even though results are
+// bit-identical either way), so flipping it recomputes.
 func Key(s scenario.Spec) (string, error) {
 	_, key, err := identify(s)
 	return key, err
@@ -99,31 +98,22 @@ func Key(s scenario.Spec) (string, error) {
 
 // identify resolves a caller's spec to its identity (Spec.Canonical,
 // which refuses a spec that is not a whole cell) and that identity's
-// address under the active order family — the one path from a spec to
-// a key.
+// address — the one path from a spec to a key.
 func identify(s scenario.Spec) (scenario.Spec, string, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return scenario.Spec{}, "", err
 	}
-	return c, address(vec.KernelOrder(), c), nil
+	return c, address(c), nil
 }
 
 // address renders the content address of one identity: "sha256:" plus
-// the hex SHA-256 of the Version salt, a kernel accumulation-order
-// family and the canonical spec's JSON.
-//
-// The kernel salt is the order id ("pair2", "fma4"), one per tier: a
-// result computed under the fma4 (AVX2) order can never be served to a
-// pair2 process, whose cold run would produce different low bits. A tier switch (new CPU,
-// KRUM_KERNEL_TIER change) across order families therefore orphans
-// entries exactly like a Version bump, per order family. Records are
-// re-derived under their own stored family too (see decodeLine's
-// foreign verdict).
-func address(order string, c scenario.Spec) string {
+// the hex SHA-256 of the Version salt, the kernel accumulation order
+// (vec.KernelOrder, one on every tier) and the canonical spec's JSON.
+func address(c scenario.Spec) string {
 	blob, _ := json.Marshal(c)
 	h := sha256.New()
-	h.Write([]byte(Version + "\n" + order + "\n"))
+	h.Write([]byte(Version + "\n" + vec.KernelOrder() + "\n"))
 	h.Write(blob)
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
@@ -153,14 +143,8 @@ type record struct {
 	// Version is the salt in effect at write time (informational — the
 	// salt is already baked into Key).
 	Version string `json:"version"`
-	// Kernel is the accumulation-order family (vec.Tier.Order) active at
-	// write time. Unlike Version it is load-bearing: a record whose Key
-	// fails re-derivation under the ACTIVE family is re-checked against
-	// its own declared family, and if intact under that salt it is
-	// classified foreign (another family's valid entry — never served
-	// here, but preserved by Compact) instead of tampered. Altering the
-	// stored identity after hashing still fails BOTH derivations, so
-	// this weakens no integrity check.
+	// Kernel is the kernel accumulation order (vec.KernelOrder) at write
+	// time (informational, like Version: the order is baked into Key).
 	Kernel string `json:"kernel,omitempty"`
 	// Spec is the canonical spec the result was computed from.
 	Spec scenario.Spec `json:"spec"`
@@ -186,7 +170,7 @@ type Stats struct {
 	Saves int
 	// SkippedRecords counts records dropped from the index at Open
 	// time: malformed lines, key mismatches (tampered or stale-salt
-	// entries), foreign-family records, or undecodable results.
+	// entries), or undecodable results.
 	// Skipped records are never served by this process.
 	SkippedRecords int
 	// DroppedTailBytes is the size of the torn final line Open
@@ -204,16 +188,8 @@ type Stats struct {
 	// skipped wholesale), plus sealed records that no longer read back
 	// as the bytes that were indexed (each counts once and is dropped
 	// from the index). Tampered data is never served; the affected
-	// cells recompute. Records written under a DIFFERENT kernel-order
-	// family are not tampered — see Foreign.
+	// cells recompute.
 	Tampered int
-	// Foreign counts intact records observed since Open that belong to
-	// another kernel-order family (their key re-derives under their own
-	// stored Kernel salt, not the active one). They are skipped — this
-	// process's kernels cannot reproduce their rounding — but healthy:
-	// a mixed-family fleet sharing one store reports them here,
-	// not as Tampered, and Compact preserves them on disk.
-	Foreign int
 	// Segments is the number of sealed segments currently backing the
 	// store (0 for in-memory stores).
 	Segments int
@@ -227,9 +203,6 @@ type Stats struct {
 func (s Stats) String() string {
 	line := fmt.Sprintf("%d entries, %d hits, %d misses, %d flight waits, %d saves, %d skipped, %d tampered, %d superseded, %d tail bytes dropped",
 		s.Entries, s.Hits, s.Misses, s.FlightWaits, s.Saves, s.SkippedRecords, s.Tampered, s.Superseded, s.DroppedTailBytes)
-	if s.Foreign > 0 {
-		line += fmt.Sprintf(", %d foreign-family", s.Foreign)
-	}
 	if s.Segments > 0 || s.Seals > 0 || s.Compactions > 0 {
 		line += fmt.Sprintf(", %d segments (%d seals, %d compactions, %d cold reads)", s.Segments, s.Seals, s.Compactions, s.ColdReads)
 	}
@@ -416,28 +389,15 @@ const (
 	lineMalformed
 	// lineTampered parsed but failed the integrity check: its stored
 	// key does not re-derive from its stored identity (hand-edited
-	// spec, stale version salt), or it carries no result.
+	// spec, stale version or order salt), or it carries no result.
 	lineTampered
-	// lineForeign is intact but belongs to ANOTHER kernel-order family:
-	// its key re-derives under the record's own stored Kernel salt, just
-	// not under the active one. Never served by this process (its low
-	// bits encode a rounding order these kernels cannot reproduce), but
-	// not corruption either — Compact carries foreign records through so
-	// a mixed-family fleet sharing one store never loses the other
-	// family's results to a compaction.
-	lineForeign
 )
 
 // decodeLine parses one complete JSONL line and re-derives its key —
 // the acceptance rule shared by Open's replay and Compact's merge. A
-// key mismatch under BOTH the active order-family salt and the
-// record's own declared one means the record was written under a
-// different code version (stale salt) or its identity was altered
-// after hashing — either way serving it could be a stale result. A
-// mismatch that re-derives intact under the record's declared family
-// alone is foreign (see lineForeign); its returned key is the stored
-// one, valid in that family's keyspace and collision-free with ours
-// because the salt differs.
+// key mismatch means the record was written under a different code
+// version or kernel order (a stale salt) or its identity was altered
+// after hashing — either way serving it could be a stale result.
 func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 	trimmed := strings.TrimSpace(string(line))
 	if trimmed == "" {
@@ -450,12 +410,7 @@ func decodeLine(line []byte) (rec record, key string, v lineVerdict) {
 	if err != nil || len(rec.Result) == 0 {
 		return record{}, "", lineTampered
 	}
-	if key = address(vec.KernelOrder(), c); key != rec.Key {
-		if rec.Kernel != "" && rec.Kernel != vec.KernelOrder() {
-			if address(rec.Kernel, c) == rec.Key {
-				return rec, rec.Key, lineForeign
-			}
-		}
+	if key = address(c); key != rec.Key {
 		return record{}, "", lineTampered
 	}
 	return rec, key, lineOK
@@ -476,10 +431,6 @@ func (s *Store) indexLine(line []byte, seg string, off int64) {
 	case lineTampered:
 		s.stats.SkippedRecords++
 		s.stats.Tampered++
-		return
-	case lineForeign:
-		s.stats.SkippedRecords++
-		s.stats.Foreign++
 		return
 	}
 	id := idOf(key)
@@ -632,8 +583,8 @@ func (s *Store) Save(spec scenario.Spec, res *distsgd.Result) error {
 }
 
 // appendRecord writes one validated record to the tail (when the store
-// has one) and indexes it, stamping the active kernel order family into
-// the record's informational Kernel field.
+// has one) and indexes it, stamping the kernel order into the record's
+// informational Kernel field.
 func (s *Store) appendRecord(rec record) error {
 	if rec.Kernel == "" {
 		rec.Kernel = vec.KernelOrder()
