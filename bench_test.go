@@ -184,7 +184,8 @@ func benchUpdateRows(b *testing.B, vs [][]float64, c, stride int) {
 // BenchmarkGradientPath tracks the four loops a training cell spends
 // its time in, each at the shape that is hot: rendering one 16×16
 // digit, one MLP mini-batch gradient at the paper's experiment shape
-// (d = 12 826), the coordinate-wise median at n = 20 over that d — and
+// (d = 12 826) and one evaluation of that MLP on a 300-row batch
+// (accuracy and loss), the coordinate-wise median at n = 20 over that d — and
 // the grid_small softmax gradient, whose matrices are so small that a
 // per-call fixed cost in the matmuls (a zeroed stack scratch array once
 // cost it 25 %) shows here and nowhere else. The next three rows are
@@ -229,6 +230,18 @@ func BenchmarkGradientPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("mlp-gradient-16x256x48", gradient(mlp, ds, 16))
+	b.Run("mlp-evaluate-300x256x48", func(b *testing.B) {
+		x, y, err := data.NewBatch(ds, vec.NewRNG(benchSeed), 300)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := model.Evaluate(mlp, x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	gmm, err := data.NewGaussianMixture(3, 6, 4, 0.5, benchSeed)
 	if err != nil {
 		b.Fatal(err)

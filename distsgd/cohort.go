@@ -593,14 +593,9 @@ func (m *member) step(t int, sl *slot, st *stream, draw bool) {
 			return
 		}
 		evalX, evalY := st.eval(cfg.evalBatch())
-		acc, err := model.EvalAccuracy(ev, evalX, evalY)
+		acc, loss, err := model.Evaluate(ev, evalX, evalY)
 		if err != nil {
-			m.fail(fmt.Errorf("round %d eval accuracy: %w", t, err))
-			return
-		}
-		loss, err := ev.Loss(evalX, evalY)
-		if err != nil {
-			m.fail(fmt.Errorf("round %d eval loss: %w", t, err))
+			m.fail(fmt.Errorf("round %d eval: %w", t, err))
 			return
 		}
 		stats.Evaluated = true

@@ -75,6 +75,10 @@ func MatMul(dst, a, b *Dense) {
 		panic(fmt.Sprintf("vec: MatMul: shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	if useLanes(dst.Cols) {
+		matMulLanes(dst, a.Data, a.Cols, 1, b)
+		return
+	}
 	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
 		accumulateRows(dst.Row(i), a.Data, i*a.Cols, 1, b)
@@ -91,6 +95,10 @@ func MatMulATB(dst, a, b *Dense) {
 		panic(fmt.Sprintf("vec: MatMulATB: shape mismatch (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	if useLanes(dst.Cols) {
+		matMulLanes(dst, a.Data, 1, a.Cols, b)
+		return
+	}
 	dst.Zero()
 	for i := 0; i < a.Cols; i++ {
 		accumulateRows(dst.Row(i), a.Data, i, a.Cols, b)
@@ -98,22 +106,15 @@ func MatMulATB(dst, a, b *Dense) {
 }
 
 // accumulateRows adds Σ_k coef[first+k·stride]·b.Row(k) to drow in the
-// order MatMul documents. The indices of nonzero coefficients are
-// gathered four at a time, so that drow is loaded and stored once per
-// four terms; each element still sees its terms one by one in
-// increasing k. The gather is a conditional increment, not a branch —
-// at ≈ 45 % zeros a branch on the coefficient mispredicts every other
-// k — and its four-entry index buffer is all the scratch there is: a
-// buffer sized to the row would be zeroed on every call, which the
-// 8×6·6×3 products of the small workloads cannot afford. That is also
-// why the AVX2 path is a separate function: its gather scratch (512
-// bytes, zeroed on entry) lives in accumulateRowsLanes' frame and is
-// paid for only by rows wide enough to take it.
+// order MatMul documents: the Go loops, which run on a cleared dst
+// wherever the AVX2 kernel does not (matMulLanes writes each row from
+// +0 itself, so dst is not cleared there). The indices of nonzero
+// coefficients are gathered four at a time, so that drow is loaded and
+// stored once per four terms; each element still sees its terms one by
+// one in increasing k. Its four-entry index buffer is all the scratch
+// there is: a buffer sized to the row would be zeroed on every call,
+// which the 8×6·6×3 products of the small workloads cannot afford.
 func accumulateRows(drow, coef []float64, first, stride int, b *Dense) {
-	if useLanes(len(drow)) {
-		accumulateRowsLanes(drow, coef, first, stride, b)
-		return
-	}
 	var ks [4]int
 	n := 0
 	for k := 0; k < b.Rows; k++ {
@@ -142,7 +143,10 @@ func accumulateRows(drow, coef []float64, first, stride int, b *Dense) {
 
 // MatMulABT computes dst = a·bᵀ where a is (r×k) and b is (c×k); dst must
 // be (r×c). Used for input-gradient propagation in backprop
-// (dx = dy·Wᵀ).
+// (dx = dy·Wᵀ). Element (i, j) is Dot(a.Row(i), b.Row(j)), bit for bit:
+// four of them are summed side by side, each still in increasing k,
+// so that four independent chains of adds share the loop instead of
+// one chain waiting on its own latency.
 func MatMulABT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("vec: MatMulABT: shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
@@ -151,7 +155,19 @@ func MatMulABT(dst, a, b *Dense) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0, b1, b2, b3 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)], b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
 			drow[j] = Dot(arow, b.Row(j))
 		}
 	}

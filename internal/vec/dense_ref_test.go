@@ -9,8 +9,8 @@ import (
 // matMulReference and matMulATBReference are MatMul and MatMulATB as
 // they stood before the gather-four rewrite, kept verbatim (panics
 // aside): one pass over the destination row per nonzero coefficient.
-// They define the accumulation order the rewrite must reproduce bit for
-// bit, zero-coefficient skip included.
+// They define the accumulation order the Go loops and the AVX2 kernel
+// must reproduce bit for bit, zero-coefficient skip included.
 func matMulReference(dst, a, b *Dense) {
 	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
@@ -84,19 +84,29 @@ func sparseDense(rng *RNG, rows, cols int, zeroFrac float64) *Dense {
 	return m
 }
 
+// poisonedDense returns a rows×cols matrix of NaNs: a product written
+// into it must not read what it held (the AVX2 kernel writes each row
+// from +0 without a clear first; a row with no nonzero term must come
+// out +0).
+func poisonedDense(rows, cols int) *Dense {
+	m := NewDense(rows, cols)
+	Fill(m.Data, math.Float64frombits(0x7ff800000000beef))
+	return m
+}
+
 // checkMatMulOrder runs both products on (a, b) against their
 // references. a is r×k for MatMul; MatMulATB gets aᵀ's layout by
 // reusing a as its k×r left operand with a b of matching height.
 func checkMatMulOrder(t *testing.T, a, b, bATB *Dense) {
 	t.Helper()
-	got, want := NewDense(a.Rows, b.Cols), NewDense(a.Rows, b.Cols)
+	got, want := poisonedDense(a.Rows, b.Cols), NewDense(a.Rows, b.Cols)
 	MatMul(got, a, b)
 	matMulReference(want, a, b)
 	if i := sameBits(got.Data, want.Data); i >= 0 {
 		t.Fatalf("MatMul (%dx%d)·(%dx%d): element %d is %x, reference %x",
 			a.Rows, a.Cols, b.Rows, b.Cols, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 	}
-	got, want = NewDense(a.Cols, bATB.Cols), NewDense(a.Cols, bATB.Cols)
+	got, want = poisonedDense(a.Cols, bATB.Cols), NewDense(a.Cols, bATB.Cols)
 	MatMulATB(got, a, bATB)
 	matMulATBReference(want, a, bATB)
 	if i := sameBits(got.Data, want.Data); i >= 0 {
@@ -118,25 +128,59 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestMatMulOrderMatchesReference: random shapes at three sparsity
-// levels, under every tier. r < 40, k < 80 and c ≤ 70 cross every seam
+// levels, under every tier. r < 40, k < 80 and c ≤ 70 cross the seams
 // of both implementations for MatMul (k terms per element) and for the
 // strided MatMulATB (r terms): empty matrices, every remainder of the
-// four-term gather, the 8-wide gate into the row kernels, their
-// 8 / 4 / 1-column steps and every n mod 4 tail, and the 32-entry
-// gather scratch filling and flushing mid-row.
+// Go loops' four-term gather, the 8-wide gate into the AVX2 kernel, its
+// 8 / 4 / 1-column steps and every n mod 4 tail, and every remainder of
+// its four-term passes. One trial in ten is tall, r and k in [97, 257)
+// with c in [8, 24) — both column steps and every tail again — so that
+// a row has more than 96 nonzero terms and fills the kernel's 32-entry
+// buffer three times and then some; the test fails if no tall trial of
+// the two denser levels got there, for either product.
 func TestMatMulOrderMatchesReference(t *testing.T) {
 	for _, zeroFrac := range []float64{0, 0.45, 0.9} {
 		t.Run(fmt.Sprintf("zeros=%g", zeroFrac), func(t *testing.T) {
 			forEachTier(t, func(t *testing.T) {
 				rng := NewRNG(uint64(1 + 100*zeroFrac))
+				most, mostATB := 0, 0
 				for trial := 0; trial < 300; trial++ {
 					r, k, c := rng.Intn(40), rng.Intn(80), rng.Intn(71)
+					if trial%10 == 9 {
+						r, k, c = 97+rng.Intn(160), 97+rng.Intn(160), 8+rng.Intn(16)
+					}
 					a := sparseDense(rng, r, k, zeroFrac)
 					checkMatMulOrder(t, a, randomDense(rng, k, c), randomDense(rng, r, c))
+					m, mATB := mostNonzeroTerms(a)
+					most, mostATB = max(most, m), max(mostATB, mATB)
+				}
+				if zeroFrac < 0.5 && (most <= 96 || mostATB <= 96) {
+					t.Fatalf("at most %d (MatMul) and %d (MatMulATB) nonzero terms in a row: the 32-entry buffer never filled three times", most, mostATB)
 				}
 			})
 		})
 	}
+}
+
+// mostNonzeroTerms returns the most nonzero coefficients a row of
+// MatMul(·, a, ·) has (a's densest row) and a row of MatMulATB(·, a, ·)
+// (a's densest column).
+func mostNonzeroTerms(a *Dense) (rowTerms, colTerms int) {
+	cols := make([]int, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		n := 0
+		for j, v := range a.Row(i) {
+			if v != 0 {
+				n++
+				cols[j]++
+			}
+		}
+		rowTerms = max(rowTerms, n)
+	}
+	for _, n := range cols {
+		colTerms = max(colTerms, n)
+	}
+	return rowTerms, colTerms
 }
 
 // TestLanesGate is what "the go tier runs the Go loops" rests on: useLanes is the only way into the assembly — the row kernels and
@@ -226,13 +270,13 @@ func TestMatMulNaNContract(t *testing.T) {
 					a := specialDense(rng, r, k, 0.3, mode.specials)
 					b, bATB := specialDense(rng, k, c, 0.1, mode.specials), specialDense(rng, r, c, 0.1, mode.specials)
 
-					got, want := NewDense(r, c), NewDense(r, c)
+					got, want := poisonedDense(r, c), NewDense(r, c)
 					MatMul(got, a, b)
 					matMulReference(want, a, b)
 					if i := mode.differ(got.Data, want.Data); i >= 0 {
 						t.Fatalf("trial %d MatMul (%dx%d)·(%dx%d): element %d is %x, reference %x", trial, r, k, k, c, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 					}
-					got, want = NewDense(k, c), NewDense(k, c)
+					got, want = poisonedDense(k, c), NewDense(k, c)
 					MatMulATB(got, a, bATB)
 					matMulATBReference(want, a, bATB)
 					if i := mode.differ(got.Data, want.Data); i >= 0 {
@@ -290,8 +334,9 @@ func TestMatMulSkipsZeroCoefficients(t *testing.T) {
 	}
 }
 
-// FuzzMatMulOrder derives shapes (the ranges of
-// TestMatMulOrderMatchesReference), sparsity and the data from the fuzz
+// FuzzMatMulOrder derives shapes (r, k < 256, c ≤ 70: rows with more
+// than 96 nonzero terms, enough to fill the AVX2 kernel's 32-entry
+// buffer three times, are in range), sparsity and the data from the fuzz
 // input and checks both products against their references bit for bit
 // under every tier.
 func FuzzMatMulOrder(f *testing.F) {
@@ -301,8 +346,10 @@ func FuzzMatMulOrder(f *testing.F) {
 	f.Add(uint64(4), uint8(5), uint8(0), uint8(5), uint8(128))
 	f.Add(uint64(5), uint8(39), uint8(79), uint8(67), uint8(0))
 	f.Add(uint64(6), uint8(16), uint8(16), uint8(48), uint8(115))
+	f.Add(uint64(7), uint8(200), uint8(130), uint8(23), uint8(0))
+	f.Add(uint64(8), uint8(255), uint8(255), uint8(10), uint8(100))
 	f.Fuzz(func(t *testing.T, seed uint64, r8, k8, c8, zeros uint8) {
-		r, k, c := int(r8%40), int(k8%80), int(c8%71)
+		r, k, c := int(r8), int(k8), int(c8%71)
 		for _, tier := range AvailableTiers() {
 			forceTier(t, tier)
 			rng := NewRNG(seed)
@@ -310,4 +357,44 @@ func FuzzMatMulOrder(f *testing.F) {
 			checkMatMulOrder(t, a, randomDense(rng, k, c), randomDense(rng, r, c))
 		}
 	})
+}
+
+// matMulABTReference is MatMulABT as it stood before it summed four
+// elements side by side, kept verbatim: one Dot per element.
+func matMulABTReference(dst, a, b *Dense) {
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			drow[j] = Dot(arow, b.Row(j))
+		}
+	}
+}
+
+// TestMatMulABTMatchesDot holds MatMulABT to one Dot per element, bit
+// for bit: every column count below 12 (each remainder of the
+// four-column step), k < 20 including 0, with ±Inf, ±0, subnormals,
+// ±MaxFloat64 and the hardware NaN anywhere in a and b. With NaNs of
+// several payloads only which elements are NaN is held, as for MatMul.
+func TestMatMulABTMatchesDot(t *testing.T) {
+	inf := math.Inf(1)
+	hardwareNaN := inf - inf
+	specials := []float64{inf, -inf, 0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, hardwareNaN}
+	mixed := []float64{hardwareNaN, math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff800000000dead), inf, 0}
+	rng := NewRNG(31)
+	for trial := 0; trial < 2000; trial++ {
+		r, k, c := 1+rng.Intn(5), rng.Intn(20), rng.Intn(12)
+		pool, differ := specials, sameBits
+		if trial%2 == 1 {
+			pool, differ = mixed, sameNaNness
+		}
+		frac := []float64{0, 0.1, 0.4}[trial%3]
+		a, b := specialDense(rng, r, k, frac, pool), specialDense(rng, c, k, frac, pool)
+		got, want := poisonedDense(r, c), NewDense(r, c)
+		MatMulABT(got, a, b)
+		matMulABTReference(want, a, b)
+		if i := differ(got.Data, want.Data); i >= 0 {
+			t.Fatalf("trial %d MatMulABT (%dx%d)·(%dx%d)ᵀ: element %d is %x, Dot %x", trial, r, k, c, k, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
 }

@@ -2,8 +2,6 @@
 
 package vec
 
-import "math"
-
 // amd64 dispatch for the gradient path's two row kernels
 // (lanes_avx2_amd64.s), the Box–Muller kernel behind NormalRun
 // (boxmuller_avx2_amd64.s), which serves FillNormal and the batch path
@@ -20,7 +18,7 @@ import "math"
 func axpyAVX2(alpha float64, x, y *float64, n int)
 
 //go:noescape
-func accum4AVX2(d *float64, n int, b *float64, offs *int, coefs *float64, groups int)
+func accumRowAVX2(d *float64, n int, b *float64, cols int, coef *float64, stride int, terms int)
 
 //go:noescape
 func boxMullerAVX2(u, v, c, s *float64, n int)
@@ -73,39 +71,29 @@ func axpyLanes(alpha float64, x, y []float64) {
 	axpyAVX2(alpha, &x[0], &y[0], len(x))
 }
 
-// accumulateRowsLanes is accumulateRows on the AVX2 kernels: the
-// nonzero coefficients and the offsets of their rows of b are gathered
-// (a branchless conditional increment) into a scratch that is
-// flushed through accum4AVX2 whenever it fills; what is left at the end
-// goes four terms at a time, then one by one through axpyAVX2.
-func accumulateRowsLanes(drow, coef []float64, first, stride int, b *Dense) {
-	var (
-		offs  [32]int
-		coefs [32]float64
-	)
-	// Every row k < b.Rows is read at rows[k·Cols : k·Cols+len(drow)].
-	rows := b.Data[:b.Rows*b.Cols]
-	if len(drow) > b.Cols {
-		panic("vec: accumulateRows: destination row wider than b")
+// matMulLanes is MatMul and MatMulATB on the AVX2 kernel: row i of dst
+// is Σ_k coef[i·step+k·stride]·b.Row(k), one accumRowAVX2 call per
+// row, which reads the row's coefficient column, skips the ±0 terms
+// and writes the whole row from +0, so dst's previous contents do not
+// matter. All that is left here are the bounds checks the assembly
+// cannot make, once per product.
+func matMulLanes(dst *Dense, coef []float64, step, stride int, b *Dense) {
+	if dst.Cols > b.Cols {
+		panic("vec: MatMul: destination row wider than b")
 	}
-	n, cols := 0, b.Cols
-	for k, off := 0, 0; k < b.Rows; k, off = k+1, off+cols {
-		c := coef[first+k*stride]
-		offs[n], coefs[n] = off, c
-		// n++ unless c is ±0, without a branch (at ≈ 45 % zeros one
-		// would mispredict every other k): u drops the sign bit, and
-		// u|-u has its top bit set exactly when u is nonzero.
-		u := math.Float64bits(c) << 1
-		n += int((u | -u) >> 63)
-		if n == len(offs) {
-			accum4AVX2(&drow[0], len(drow), &rows[0], &offs[0], &coefs[0], len(offs)/4)
-			n = 0
-		}
+	if dst.Rows == 0 {
+		return
 	}
-	if n >= 4 {
-		accum4AVX2(&drow[0], len(drow), &rows[0], &offs[0], &coefs[0], n/4)
+	if b.Rows == 0 {
+		dst.Zero()
+		return
 	}
-	for i := n &^ 3; i < n; i++ {
-		axpyAVX2(coefs[i], &rows[offs[i]], &drow[0], len(drow))
+	// Row i reads coef[i·step+k·stride] and b's rows k < b.Rows, each
+	// at [k·Cols, k·Cols+dst.Cols).
+	_ = dst.Data[dst.Rows*dst.Cols-1]
+	_ = coef[(dst.Rows-1)*step+(b.Rows-1)*stride]
+	rows := b.Data[:(b.Rows-1)*b.Cols+dst.Cols]
+	for i := 0; i < dst.Rows; i++ {
+		accumRowAVX2(&dst.Data[i*dst.Cols], dst.Cols, &rows[0], b.Cols, &coef[i*step], stride, b.Rows)
 	}
 }

@@ -215,3 +215,73 @@ func TestGradientBitsTierIndependent(t *testing.T) {
 		})
 	}
 }
+
+// reluForwardReference and reluBackwardReference are Activation's ReLU
+// loops as they stood before they became bit masks, kept verbatim: a
+// branch on v > 0.
+func reluForwardReference(x *vec.Dense) []float64 {
+	out := make([]float64, len(x.Data))
+	for i, v := range x.Data {
+		if v > 0 {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+	return out
+}
+
+func reluBackwardReference(lastIn, dout *vec.Dense) []float64 {
+	dx := make([]float64, len(dout.Data))
+	for i, v := range lastIn.Data {
+		if v > 0 {
+			dx[i] = dout.Data[i]
+		} else {
+			dx[i] = 0
+		}
+	}
+	return dx
+}
+
+// TestReLUBitsPinned holds ReLU's Forward and Backward to the branchy
+// loops bit for bit under every kernel tier, on every pairing of an
+// input from ±x, ±0, ±Inf, ±subnormals and NaNs of two payloads (both
+// signs) with an upstream gradient from the same set: x > 0 passes x,
+// or dout's exact bits, NaN payloads included; everything else, NaN
+// and −0 among it, gives +0.
+func TestReLUBitsPinned(t *testing.T) {
+	specials := []float64{
+		1.5, -1.5, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 2.2250738585072e-308, -2.2250738585072e-308,
+		math.MaxFloat64, -math.MaxFloat64,
+		math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff8000000000abc),
+		math.Float64frombits(0x7ff000000000dead), math.Float64frombits(0xfff400000000dead),
+	}
+	n := len(specials)
+	x, dout := vec.NewDense(n, n), vec.NewDense(n, n)
+	for i, v := range specials {
+		for j, g := range specials {
+			x.Set(i, j, v)
+			dout.Set(i, j, g)
+		}
+	}
+	wantOut, wantDx := reluForwardReference(x), reluBackwardReference(x, dout)
+	for _, tier := range vec.AvailableTiers() {
+		restore, err := vec.SetKernelTier(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewActivation(ActReLU)
+		out := a.Forward(x).Data
+		dx := a.Backward(dout).Data
+		restore()
+		for i := range wantOut {
+			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
+				t.Errorf("%v: Forward(%x) = %x, branchy loop %x", tier, math.Float64bits(x.Data[i]), math.Float64bits(out[i]), math.Float64bits(wantOut[i]))
+			}
+			if math.Float64bits(dx[i]) != math.Float64bits(wantDx[i]) {
+				t.Errorf("%v: Backward(in %x, dout %x) = %x, branchy loop %x", tier, math.Float64bits(x.Data[i]), math.Float64bits(dout.Data[i]), math.Float64bits(dx[i]), math.Float64bits(wantDx[i]))
+			}
+		}
+	}
+}

@@ -96,3 +96,18 @@ func EvalAccuracy(m Model, x, y *vec.Dense) (float64, error) {
 	}
 	return Accuracy(out, y)
 }
+
+// Evaluate returns m's accuracy and mean loss on the batch: the values
+// EvalAccuracy and m.Loss return, bit for bit. A *Network takes both
+// from one forward pass and, once warm, allocates nothing; any other
+// Model runs the two calls.
+func Evaluate(m Model, x, y *vec.Dense) (acc, loss float64, err error) {
+	if n, ok := m.(*Network); ok {
+		return n.evaluate(x, y)
+	}
+	if acc, err = EvalAccuracy(m, x, y); err != nil {
+		return 0, 0, err
+	}
+	loss, err = m.Loss(x, y)
+	return acc, loss, err
+}

@@ -175,6 +175,25 @@ func (n *Network) Predict(x *vec.Dense) (*vec.Dense, error) {
 	return cp, nil
 }
 
+// evaluate is Evaluate on one forward pass: the loss from the raw
+// outputs, then the loss transform applied to them in place — they are
+// the last layer's own buffer, which the next forward pass overwrites —
+// and the accuracy, as Predict's copy would give it.
+func (n *Network) evaluate(x, y *vec.Dense) (acc, loss float64, err error) {
+	out, err := n.forward(x)
+	if err != nil {
+		return 0, 0, err
+	}
+	if loss, err = n.loss.Value(out, y); err != nil {
+		return 0, 0, err
+	}
+	n.loss.Transform(out)
+	if acc, err = Accuracy(out, y); err != nil {
+		return 0, 0, err
+	}
+	return acc, loss, nil
+}
+
 // Clone implements Model.
 func (n *Network) Clone() Model {
 	c := &Network{inDim: n.inDim, layers: make([]Layer, len(n.layers)), loss: n.loss}

@@ -421,3 +421,76 @@ func TestMixedBatchSizesAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// forwardCounter is a layer that counts the forward passes through it.
+type forwardCounter struct {
+	*Activation
+	forwards int
+}
+
+func (c *forwardCounter) Forward(x *vec.Dense) *vec.Dense {
+	c.forwards++
+	return c.Activation.Forward(x)
+}
+
+// TestEvaluateOneForwardPass: Evaluate gives EvalAccuracy's accuracy
+// and Loss's loss bit for bit, under each fused loss and plain MSE, from
+// one forward pass and, once warm, no allocation; and the gradient
+// after it is the gradient without it (the transform it applies in
+// place does not leak into the next pass).
+func TestEvaluateOneForwardPass(t *testing.T) {
+	rng := vec.NewRNG(9)
+	for _, c := range []struct {
+		loss    Loss
+		classes int
+	}{{SoftmaxCrossEntropy{}, 10}, {SigmoidBCE{}, 1}, {MSE{}, 3}} {
+		t.Run(c.loss.Name(), func(t *testing.T) {
+			counter := &forwardCounter{Activation: NewActivation(ActReLU)}
+			net, err := NewNetwork(64, c.loss, 1, NewDense(64, 32), counter, NewDense(32, c.classes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x300, y300 := randomBatch(rng, 300, 64, c.classes)
+			x16, y16 := randomBatch(rng, 16, 64, c.classes)
+			want := make([]float64, net.Dim())
+			if _, err := net.Gradient(want, x16, y16); err != nil {
+				t.Fatal(err)
+			}
+			wantAcc, err := EvalAccuracy(net, x300, y300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLoss, err := net.Loss(x300, y300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter.forwards = 0
+			acc, loss, err := Evaluate(net, x300, y300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counter.forwards != 1 {
+				t.Errorf("%d forward passes per evaluation, want 1", counter.forwards)
+			}
+			if math.Float64bits(acc) != math.Float64bits(wantAcc) || math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Errorf("Evaluate = (%v, %v), EvalAccuracy and Loss (%v, %v)", acc, loss, wantAcc, wantLoss)
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				if _, _, err := Evaluate(net, x300, y300); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%v allocations per warm evaluation, want 0", n)
+			}
+			grad := make([]float64, len(want))
+			if _, err := net.Gradient(grad, x16, y16); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(grad[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("gradient %d after Evaluate = %v, before %v", i, grad[i], want[i])
+				}
+			}
+		})
+	}
+}
