@@ -128,10 +128,13 @@ shard-tests:
 # the auto-detected one with a stderr note, so the matrix is green
 # everywhere and only gains coverage on capable hosts. More legs hold
 # vec.Exp's bits (and so the rasteriser's) and the distance build's to
-# no CPU feature and no GOARCH: Exp, Render and the tile, golden and
-# walker pins under GODEBUG=cpu.fma=off, where math.Exp rounds
+# no CPU feature and no GOARCH: Exp and the tile, golden and walker
+# pins, and the whole data and core suites (the samplers, Render, the
+# rules' selections), under GODEBUG=cpu.fma=off, where math.Exp rounds
 # otherwise but math.FMA falls back to software, on the go and avx2
-# tiers; and Exp and the same pins under GOARCH=386. The last leg,
+# tiers; and the same under GOARCH=386, where int is 32 bits, the data
+# and core suites with -short. distsgd and scenario stay out of both
+# until TestRunArrivalReplayPinned passes there. The last leg,
 # fused-ops, holds the Go tiles, Exp and accumulateRows to their
 # math.FMA sites where the compiler fuses x*y + z: an arm64 cross-build.
 # Blocking in CI as its own job.
@@ -144,9 +147,11 @@ tier-tests:
 	done
 	for tier in go avx2; do \
 		echo "=== GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier ==="; \
-		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|Render|$(PORTABLE_PINS)' ./data ./internal/vec || exit 1; \
+		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 -run 'Exp|$(PORTABLE_PINS)' ./internal/vec || exit 1; \
+		GODEBUG=cpu.fma=off KRUM_KERNEL_TIER=$$tier $(GO) test -count 1 ./data ./internal/core || exit 1; \
 	done
 	GOARCH=386 $(GO) test -count 1 -run 'Exp|$(PORTABLE_PINS)' ./internal/vec
+	GOARCH=386 $(GO) test -short -count 1 ./data ./internal/core
 	$(MAKE) --no-print-directory fused-ops
 
 # fused-ops is tier-tests' arm64 leg on its own (see above): in an

@@ -197,7 +197,9 @@ func benchUpdateRows(b *testing.B, vs [][]float64, c, stride int) {
 // sampler follows: one Gaussian-attack proposal's FillNormal at that
 // d, in ns per normal, then two mini-batch draws — grid_small's
 // per-worker 8×6 mixture batch and a 16-row spambase batch (57 normals
-// a row, odd, so a cached variate crosses rows).
+// a row, odd, so a cached variate crosses rows) — and one Sample of
+// each, a batch of one row, as ClassFilter's rejection loop and a
+// traced dataset draw them.
 func BenchmarkGradientPath(b *testing.B) {
 	ds, err := data.NewSyntheticMNIST(16, 0.05)
 	if err != nil {
@@ -339,6 +341,17 @@ func BenchmarkGradientPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("spambase-fillbatch-16x57", fillBatch(spam, 16))
+	sample := func(ds data.Dataset) func(b *testing.B) {
+		return func(b *testing.B) {
+			rng := vec.NewRNG(benchSeed)
+			x, y := make([]float64, ds.Dim()), make([]float64, ds.OutDim())
+			for i := 0; i < b.N; i++ {
+				ds.Sample(rng, x, y)
+			}
+		}
+	}
+	b.Run("gmm-sample-1x6", sample(gmm))
+	b.Run("spambase-sample-1x57", sample(spam))
 }
 
 // BenchmarkResilienceVerifier measures the Definition 3.2 Monte-Carlo

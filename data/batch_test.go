@@ -48,14 +48,16 @@ func zeroWordRNG(t *testing.T) *vec.RNG {
 	return vec.NewRNG(seed)
 }
 
-// TestFillBatchMatchesSample: under every tier, FillBatch on every
-// built-in dataset is x.Rows Sample calls — x bit for bit, y equal —
-// and leaves the generator where they leave it: the next normal (a
-// cached variate or none) and the next raw word agree. Batches of 1 to
-// 17 rows and of 64 cross both parities of the run and the four-pair
-// vector seams; each is entered with and without a cached variate, from
-// a seeded generator and from one whose first word is 0 (regression's
-// first u, the other datasets' first class or geometry draw).
+// TestFillBatchMatchesSample: under every tier, on every built-in
+// dataset, FillBatch and x.Rows one-row Sample calls each equal the
+// per-row reference (sampleReference) — x bit for bit, y equal — and
+// leave the generator where it leaves it: the next normal (a cached
+// variate or none) and the next raw word agree. Batches of 1 to 17
+// rows and of 64 cross both parities of the run and the four-pair
+// vector seams; each is entered with and without a cached variate,
+// from a seeded generator and from one whose first word is 0
+// (regression's first u, the other datasets' first class or geometry
+// draw).
 func TestFillBatchMatchesSample(t *testing.T) {
 	sizes := []int{64}
 	for n := 1; n <= 17; n++ {
@@ -67,38 +69,47 @@ func TestFillBatchMatchesSample(t *testing.T) {
 	}
 	forEachTier(t, func(t *testing.T) {
 		for name, ds := range builtins(t) {
+			reference := sampleReference(ds)
 			for gname, newRNG := range generators {
 				for _, rows := range sizes {
 					for prior := 0; prior <= 1; prior++ {
-						where := fmt.Sprintf("%s %s rows=%d prior=%d", name, gname, rows, prior)
-						got, want := newRNG(), newRNG()
-						for range prior {
-							got.NormFloat64()
-							want.NormFloat64()
-						}
-						x, y := vec.NewDense(rows, ds.Dim()), vec.NewDense(rows, ds.OutDim())
-						if err := FillBatch(ds, got, x, y); err != nil {
-							t.Fatal(err)
-						}
-						wx, wy := make([]float64, ds.Dim()), make([]float64, ds.OutDim())
-						for i := 0; i < rows; i++ {
-							ds.Sample(want, wx, wy)
-							for j, w := range wx {
-								if g := x.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-									t.Fatalf("%s: x[%d][%d] is %x, Sample %x", where, i, j, math.Float64bits(g), math.Float64bits(w))
+						for _, path := range []string{"FillBatch", "Sample"} {
+							where := fmt.Sprintf("%s %s %s rows=%d prior=%d", path, name, gname, rows, prior)
+							got, want := newRNG(), newRNG()
+							for range prior {
+								got.NormFloat64()
+								want.NormFloat64()
+							}
+							x, y := vec.NewDense(rows, ds.Dim()), vec.NewDense(rows, ds.OutDim())
+							if path == "FillBatch" {
+								if err := FillBatch(ds, got, x, y); err != nil {
+									t.Fatal(err)
+								}
+							} else {
+								for i := 0; i < rows; i++ {
+									ds.Sample(got, x.Row(i), y.Row(i))
 								}
 							}
-							for j, w := range wy {
-								if g := y.At(i, j); g != w {
-									t.Fatalf("%s: y[%d][%d] is %v, Sample %v", where, i, j, g, w)
+							wx, wy := make([]float64, ds.Dim()), make([]float64, ds.OutDim())
+							for i := 0; i < rows; i++ {
+								reference(want, wx, wy)
+								for j, w := range wx {
+									if g := x.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+										t.Fatalf("%s: x[%d][%d] is %x, the reference's %x", where, i, j, math.Float64bits(g), math.Float64bits(w))
+									}
+								}
+								for j, w := range wy {
+									if g := y.At(i, j); g != w {
+										t.Fatalf("%s: y[%d][%d] is %v, the reference's %v", where, i, j, g, w)
+									}
 								}
 							}
-						}
-						if gn, wn := got.NormFloat64(), want.NormFloat64(); math.Float64bits(gn) != math.Float64bits(wn) {
-							t.Fatalf("%s: next normal %x, Sample's %x", where, math.Float64bits(gn), math.Float64bits(wn))
-						}
-						if gw, ww := got.Uint64(), want.Uint64(); gw != ww {
-							t.Fatalf("%s: next word %x, Sample's %x", where, gw, ww)
+							if gn, wn := got.NormFloat64(), want.NormFloat64(); math.Float64bits(gn) != math.Float64bits(wn) {
+								t.Fatalf("%s: next normal %x, the reference's %x", where, math.Float64bits(gn), math.Float64bits(wn))
+							}
+							if gw, ww := got.Uint64(), want.Uint64(); gw != ww {
+								t.Fatalf("%s: next word %x, the reference's %x", where, gw, ww)
+							}
 						}
 					}
 				}
@@ -107,9 +118,10 @@ func TestFillBatchMatchesSample(t *testing.T) {
 	})
 }
 
-// TestFillBatchAllocations: a warm FillBatch on each dataset with a
-// batch path allocates nothing — its scratch is pooled, not made per
-// call and not held on the stack.
+// TestFillBatchAllocations: on each dataset that samples in batches, a
+// warm FillBatch and a warm one-row Sample allocate nothing — the
+// scratch is pooled, not made per call and not held on the stack, and
+// Sample's one-row headers stay on its stack.
 func TestFillBatchAllocations(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops values at random under -race")
@@ -129,6 +141,9 @@ func TestFillBatchAllocations(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Errorf("%s: %v allocations per warm FillBatch", name, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { ds.Sample(rng, x.Row(0), y.Row(0)) }); n != 0 {
+				t.Errorf("%s: %v allocations per warm one-row Sample", name, n)
 			}
 		}
 	})

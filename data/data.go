@@ -43,11 +43,12 @@ type Dataset interface {
 // y.Cols == ds.OutDim().
 //
 // Row i is the (i+1)-th of x.Rows Sample calls, and rng ends where they
-// leave it. The built-in mixture, regression and spambase streams get
-// there on a batch path: they draw the whole batch's uniforms in the
-// order the Sample calls would and transform its normals in one
-// vec.NormalRun (TestFillBatchMatchesSample). Every other dataset is
-// sampled row by row.
+// leave it. The built-in mixture, regression and spambase streams
+// sample one way, in batches: they draw the whole batch's uniforms in
+// the order per-row draws would and transform its normals in one
+// vec.NormalRun, and their Sample is that batch of one row
+// (TestFillBatchMatchesSample). Every other dataset is sampled row by
+// row.
 func FillBatch(ds Dataset, rng *vec.RNG, x, y *vec.Dense) error {
 	if x.Rows != y.Rows {
 		return fmt.Errorf("x has %d rows, y has %d: %w", x.Rows, y.Rows, ErrConfig)
@@ -57,9 +58,7 @@ func FillBatch(ds Dataset, rng *vec.RNG, x, y *vec.Dense) error {
 			x.Cols, y.Cols, ds.Dim(), ds.OutDim(), ErrConfig)
 	}
 	if b, ok := ds.(batchFiller); ok {
-		sc := batchScratches.Get().(*batchScratch)
-		b.fillBatch(rng, x, y, sc)
-		batchScratches.Put(sc)
+		b.fillBatch(rng, x, y)
 		return nil
 	}
 	for i := 0; i < x.Rows; i++ {
@@ -68,12 +67,17 @@ func FillBatch(ds Dataset, rng *vec.RNG, x, y *vec.Dense) error {
 	return nil
 }
 
-// batchFiller is a Dataset with a batch path: fillBatch fills the
-// (validated) batch exactly as x.Rows Sample calls would, in sc's
-// buffers.
+// batchFiller is a Dataset that samples in batches: fillBatch fills
+// the (validated) batch exactly as x.Rows Sample calls would, and
+// Sample is fillBatch on one row.
 type batchFiller interface {
-	fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch)
+	fillBatch(rng *vec.RNG, x, y *vec.Dense)
 }
+
+// oneRow returns v as a one-row matrix. A Sample hands it straight to
+// its own type's fillBatch, so the header stays on the stack; through
+// the batchFiller interface it would not.
+func oneRow(v []float64) *vec.Dense { return &vec.Dense{Rows: 1, Cols: len(v), Data: v} }
 
 // batchScratch is the reusable state of one fillBatch call: the normal
 // run and the per-row draws that must wait for its normals.
@@ -166,22 +170,16 @@ func (g *GaussianMixture) Dim() int { return len(g.centers[0]) }
 // OutDim implements Dataset.
 func (g *GaussianMixture) OutDim() int { return len(g.centers) }
 
-// Sample implements Dataset.
+// Sample implements Dataset: a batch of one row.
 func (g *GaussianMixture) Sample(rng *vec.RNG, x, y []float64) {
-	k := rng.Intn(len(g.centers))
-	c := g.centers[k]
-	for i := range x {
-		x[i] = c[i] + g.sigma*rng.NormFloat64()
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	y[k] = 1
+	g.fillBatch(rng, oneRow(x), oneRow(y))
 }
 
-// fillBatch implements batchFiller: each row's class, then its Dim()
-// normals, as Sample draws them.
-func (g *GaussianMixture) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+// fillBatch implements batchFiller: each row's class by Intn, then its
+// Dim() normals, centred on the class and scaled by sigma.
+func (g *GaussianMixture) fillBatch(rng *vec.RNG, x, y *vec.Dense) {
+	sc := batchScratches.Get().(*batchScratch)
+	defer batchScratches.Put(sc)
 	classes := sc.ints(x.Rows)
 	sc.run.Begin(rng)
 	for i := range classes {
@@ -235,22 +233,21 @@ func (l *LinearRegressionStream) Dim() int { return l.a.Cols }
 // OutDim implements Dataset.
 func (l *LinearRegressionStream) OutDim() int { return l.a.Rows }
 
-// Sample implements Dataset.
+// Sample implements Dataset: a batch of one row.
 func (l *LinearRegressionStream) Sample(rng *vec.RNG, x, y []float64) {
-	rng.FillNormal(x, 0, 1)
-	for o := 0; o < l.a.Rows; o++ {
-		y[o] = l.b[o] + vec.Dot(l.a.Row(o), x) + l.noise*rng.NormFloat64()
-	}
+	l.fillBatch(rng, oneRow(x), oneRow(y))
 }
 
-// fillBatch implements batchFiller. Sample draws nothing but normals,
-// Dim() for x and then OutDim() for ε, so a batch is one FillNormal of
+// fillBatch implements batchFiller. A row is Dim() normals for x and
+// then OutDim() for ε, so a batch is one FillNormal of
 // Rows·(Dim()+OutDim()) normals, then assembly. That FillNormal writes
-// 0 + 1·z where Sample's ε term reads z; the two differ only when z is
-// −0, and no Box–Muller variate is: its radius is positive, its cos
-// never 0, its sin −0 only at the angle −0 and the angle is never
-// negative.
-func (l *LinearRegressionStream) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+// 0 + 1·z where a row-by-row ε term would read z; the two differ only
+// when z is −0, and no Box–Muller variate is: its radius is positive,
+// its cos never 0, its sin −0 only at the angle −0 and the angle is
+// never negative.
+func (l *LinearRegressionStream) fillBatch(rng *vec.RNG, x, y *vec.Dense) {
+	sc := batchScratches.Get().(*batchScratch)
+	defer batchScratches.Put(sc)
 	in := x.Cols
 	width := in + y.Cols
 	z := sc.float64s(x.Rows * width)

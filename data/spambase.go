@@ -70,24 +70,9 @@ func (s *SyntheticSpambase) Dim() int { return s.dim }
 // OutDim implements Dataset (binary scalar target).
 func (s *SyntheticSpambase) OutDim() int { return 1 }
 
-// Sample implements Dataset.
+// Sample implements Dataset: a batch of one row.
 func (s *SyntheticSpambase) Sample(rng *vec.RNG, x, y []float64) {
-	spam := rng.Float64() < s.spamRate
-	profile := s.hamFreq
-	if spam {
-		profile = s.spamFreq
-	}
-	// A per-message "verbosity" factor correlates all frequencies,
-	// mimicking document-length effects in real corpora.
-	verbosity := 0.6 + 0.8*rng.Float64()
-	for j := range x {
-		x[j] = s.feature(j, profile, verbosity, rng.NormFloat64())
-	}
-	if spam {
-		y[0] = 1
-	} else {
-		y[0] = 0
-	}
+	s.fillBatch(rng, oneRow(x), oneRow(y))
 }
 
 // feature is feature j of a message with the given class profile and
@@ -104,10 +89,14 @@ func (s *SyntheticSpambase) feature(j int, profile []float64, verbosity, z float
 	return v
 }
 
-// fillBatch implements batchFiller: each row's class and verbosity,
-// then its 57 normals, as Sample draws them. 57 is odd, so every other
-// row starts on the sin variate of the pair the row before began.
-func (s *SyntheticSpambase) fillBatch(rng *vec.RNG, x, y *vec.Dense, sc *batchScratch) {
+// fillBatch implements batchFiller: each row's class (spam with
+// probability spamRate) and its "verbosity", a per-message factor that
+// correlates all frequencies as document length does in real corpora,
+// then its 57 normals. 57 is odd, so every other row starts on the sin
+// variate of the pair the row before began.
+func (s *SyntheticSpambase) fillBatch(rng *vec.RNG, x, y *vec.Dense) {
+	sc := batchScratches.Get().(*batchScratch)
+	defer batchScratches.Put(sc)
 	verbosity := sc.float64s(x.Rows)
 	sc.run.Begin(rng)
 	for i := range verbosity {

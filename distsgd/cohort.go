@@ -16,10 +16,12 @@
 // replicas, the n − f gradient buffers, the attack Context and the
 // update buffer, and step whole members, dealt dynamically each round.
 // A member's round runs on one slot from its gradients to its step, and
-// its proposals are lent only for that round. The round's draw fans out
-// by worker on all width goroutines. A worker's gradient depends on
-// the round's parameters and its own batch alone, and losses are summed
-// in worker order, so neither width nor dealing moves a bit.
+// its proposals are lent only for that round. Every round, a cohort of
+// one included, is two passes: the draw fills the stream's n − f batch
+// buffers, fanned out by worker on all width goroutines, and then the
+// slots step the members on them. A worker's gradient depends on the
+// round's parameters and its own batch alone, and losses are summed in
+// worker order, so neither width nor dealing moves a bit.
 package distsgd
 
 import (
@@ -200,14 +202,8 @@ func (c *cohort) run(width int, done func(int, *Result, error)) {
 			evalSizes = append(evalSizes, n)
 		}
 	}
-	buffers := lead.N - lead.F
-	if len(live) == 1 {
-		// A lone member's batches need not outlive its gradients: it
-		// draws each into its lane's own buffer, as a cell always did.
-		buffers = min(buffers, width)
-	}
 	var err error
-	if c.stream, err = newStream(&lead, evalSizes, buffers); err != nil {
+	if c.stream, err = newStream(&lead, evalSizes); err != nil {
 		for _, m := range live {
 			m.fail(err)
 		}
@@ -229,19 +225,10 @@ func (c *cohort) run(width int, done func(int, *Result, error)) {
 		}
 	}()
 	for t := 0; len(live) > 0; t++ {
-		if s == 1 {
-			// One slot steps every member in turn, so the first draws
-			// each batch on the lane that computes its gradient, as a
-			// lone cell does.
-			for i, m := range live {
-				m.step(t, c.slots[0], c.stream, i == 0)
-			}
-		} else {
-			// A failed draw is the stream's (stream.err), which each
-			// member's gradients report.
-			_ = fanOut(width, len(c.stream.rngs), c.stream)
-			c.step(t, live)
-		}
+		// A failed draw is the stream's (stream.err), which each
+		// member's gradients report.
+		_ = fanOut(width, len(c.stream.rngs), c.stream)
+		c.step(t, live)
 		live = retire(live, done)
 	}
 }
@@ -270,7 +257,7 @@ func (c *cohort) step(t int, live []*member) {
 	var next atomic.Int64
 	run := func(sl *slot) {
 		for j := next.Add(1) - 1; j < int64(len(live)); j = next.Add(1) - 1 {
-			live[j].step(t, sl, c.stream, false)
+			live[j].step(t, sl, c.stream)
 		}
 	}
 	var wg sync.WaitGroup
@@ -287,9 +274,8 @@ func (c *cohort) step(t int, live []*member) {
 
 // stream is a cohort's sample stream: the correct workers' RNG
 // substreams and sample distributions, the round's batches they draw
-// into and each draw's error, and an eval batch per size. Every member
-// reads the batches and none writes them. Worker i draws into batch i
-// mod len(x): one per worker, or one per lane for a lone member.
+// into (worker i's is x[i], y[i]) and each draw's error, and an eval
+// batch per size. Every member reads the batches and none writes them.
 type stream struct {
 	rngs         []*vec.RNG
 	ds           []data.Dataset
@@ -298,18 +284,18 @@ type stream struct {
 	evalX, evalY []*vec.Dense
 }
 
-// newStream builds cfg's stream on the given number of batch buffers,
+// newStream builds cfg's stream, a batch buffer per correct worker,
 // with an eval batch of each of evalSizes samples. The worker
 // substreams split from a seed the root RNG draws first; an eval
 // batch's RNG is the root's next split, whatever its size.
-func newStream(cfg *Config, evalSizes []int, buffers int) (*stream, error) {
+func newStream(cfg *Config, evalSizes []int) (*stream, error) {
 	workerRNG := vec.NewRNG(vec.NewRNG(cfg.Seed).Uint64())
 	nc := cfg.N - cfg.F
 	s := &stream{
 		rngs: make([]*vec.RNG, nc),
 		ds:   make([]data.Dataset, nc),
-		x:    batches(buffers, cfg.BatchSize, cfg.Dataset.Dim()),
-		y:    batches(buffers, cfg.BatchSize, cfg.Dataset.OutDim()),
+		x:    batches(nc, cfg.BatchSize, cfg.Dataset.Dim()),
+		y:    batches(nc, cfg.BatchSize, cfg.Dataset.OutDim()),
 		errs: make([]error, nc),
 	}
 	for i := range nc {
@@ -356,16 +342,10 @@ func batches(n, rows, cols int) []*vec.Dense {
 	return out
 }
 
-// batch returns worker i's batch.
-func (s *stream) batch(i int) (x, y *vec.Dense) {
-	return s.x[i%len(s.x)], s.y[i%len(s.y)]
-}
-
 // do is the draw pass: worker i's batch for the round, from its own
 // substream.
 func (s *stream) do(_, i int) error {
-	x, y := s.batch(i)
-	s.errs[i] = data.FillBatch(s.ds[i], s.rngs[i], x, y)
+	s.errs[i] = data.FillBatch(s.ds[i], s.rngs[i], s.x[i], s.y[i])
 	return s.errs[i]
 }
 
@@ -395,7 +375,6 @@ type slot struct {
 	// The gradient pass's operands (gradients sets them).
 	st     *stream
 	params []float64
-	draw   bool
 }
 
 // newSlot builds a slot of k lanes for members shaped like cfg, n
@@ -421,17 +400,14 @@ func newSlot(cfg *Config, k, n int) *slot {
 
 // gradients computes round t's correct proposals V_i = G(x_t, ξ_i) at
 // params into the slot's gradient buffers, on its lanes — lane 0 on the
-// calling goroutine — drawing each worker's batch first when draw is
-// set, and otherwise failing as the round's draw did. It returns their
-// mean mini-batch loss summed in worker order, or the error of the
-// first worker that failed.
-func (sl *slot) gradients(st *stream, params []float64, draw bool) (float64, error) {
-	if !draw {
-		if err := st.err(); err != nil {
-			return 0, err
-		}
+// calling goroutine — or fails as the round's draw did. It returns
+// their mean mini-batch loss summed in worker order, or the error of
+// the first worker that failed.
+func (sl *slot) gradients(st *stream, params []float64) (float64, error) {
+	if err := st.err(); err != nil {
+		return 0, err
 	}
-	sl.st, sl.params, sl.draw = st, params, draw
+	sl.st, sl.params = st, params
 	err := fanOut(len(sl.lanes), len(sl.grads), sl)
 	if err != nil {
 		return 0, err
@@ -443,23 +419,16 @@ func (sl *slot) gradients(st *stream, params []float64, draw bool) (float64, err
 	return lossSum / float64(len(sl.losses)), nil
 }
 
-// do is the gradient pass: worker i's gradient on lane k, its batch
-// drawn first when the pass draws.
+// do is the gradient pass: worker i's gradient on lane k.
 func (sl *slot) do(k, i int) error {
-	if sl.draw {
-		if err := sl.st.do(k, i); err != nil {
-			return err
-		}
-	}
 	m := sl.lanes[k]
 	if i == k {
 		if err := m.SetParams(sl.params); err != nil {
 			return err
 		}
 	}
-	x, y := sl.st.batch(i)
 	var err error
-	sl.losses[i], err = m.Gradient(sl.grads[i], x, y)
+	sl.losses[i], err = m.Gradient(sl.grads[i], sl.st.x[i], sl.st.y[i])
 	return err
 }
 
@@ -520,15 +489,15 @@ type failure struct {
 	err error
 }
 
-// step runs the member's round t on slot sl over the stream's batches,
-// drawing them first when draw is set: gradients, proposals, selection
-// tracking, aggregation, the SGD step and, when due, evaluation. It
-// ends the member after its last round, on divergence and on failure.
-func (m *member) step(t int, sl *slot, st *stream, draw bool) {
+// step runs the member's round t on slot sl over the stream's batches:
+// gradients, proposals, selection tracking, aggregation, the SGD step
+// and, when due, evaluation. It ends the member after its last round,
+// on divergence and on failure.
+func (m *member) step(t int, sl *slot, st *stream) {
 	cfg := &m.cfg
 	proposals := sl.proposals[:cfg.N]
 	changed := m.arrivals.next(proposals)
-	trainLoss, err := sl.gradients(st, m.params, draw)
+	trainLoss, err := sl.gradients(st, m.params)
 	if err != nil {
 		m.fail(fmt.Errorf("round %d gradients: %w", t, err))
 		return

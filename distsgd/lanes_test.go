@@ -110,8 +110,8 @@ func goroutineID() uint64 {
 
 // TestRunHoldsOneReplicaPerLane: a Run clones one replica per lane
 // (lane 0 also evaluates, so there is no server model), hands the
-// model K batch buffers, and computes on the calling goroutine plus
-// K − 1 goroutines started each round — none
+// model the n − f batch buffers the round's draw fills, and computes
+// on the calling goroutine plus K − 1 goroutines started each round — none
 // at all on grid_small's and service_overlap's shape, whatever
 // GOMAXPROCS is, and min(GOMAXPROCS, 4) lanes on train_mnist_attack's.
 func TestRunHoldsOneReplicaPerLane(t *testing.T) {
@@ -150,8 +150,8 @@ func TestRunHoldsOneReplicaPerLane(t *testing.T) {
 			if log.clones != k {
 				t.Errorf("%s, GOMAXPROCS %d: %d clones, want %d replicas", shape.name, procs, log.clones, k)
 			}
-			if len(log.batches) != k {
-				t.Errorf("%s, GOMAXPROCS %d: %d batch buffers, want %d", shape.name, procs, len(log.batches), k)
+			if nc := shape.n - shape.f; len(log.batches) != nc {
+				t.Errorf("%s, GOMAXPROCS %d: %d batch buffers, want %d", shape.name, procs, len(log.batches), nc)
 			}
 			if !log.goroutines[goroutineID()] || len(log.goroutines) != 1+rounds*(k-1) {
 				t.Errorf("%s, GOMAXPROCS %d: gradients on %d goroutines (caller among them: %v), want the caller and %d started",

@@ -141,7 +141,7 @@ func binomial(n, k int) int {
 	res := 1
 	for i := 1; i <= k; i++ {
 		// res * (n-k+i) may overflow; detect via float guard.
-		if float64(res)*float64(n-k+i) > math.MaxInt64/4 {
+		if float64(res)*float64(n-k+i) > math.MaxInt/4 {
 			return -1
 		}
 		res = res * (n - k + i) / i

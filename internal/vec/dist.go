@@ -1,6 +1,9 @@
 package vec
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // DistanceMatrix holds the full symmetric matrix of pairwise squared
 // Euclidean distances between n vectors, stored densely (n×n, row
@@ -31,8 +34,10 @@ type DistanceMatrix struct {
 	// small n; no result bit depends on it.
 	panel int
 	// madds is the multiply-adds of the last build or update
-	// (MultiplyAdds).
-	madds uint64
+	// (MultiplyAdds). Atomic because a fanned-out build's goroutines
+	// add their shares; the type also keeps it 8-aligned on 32-bit
+	// hosts, where a plain uint64 field need not be.
+	madds atomic.Uint64
 }
 
 // naiveDimMax is the dimension at or below which NewDistanceMatrix
@@ -146,7 +151,7 @@ func (m *DistanceMatrix) fill(rows []int, upper bool) uint64 {
 // c rows delivers c·n·d, and the exact kernel n(n−1)/2·d and c·(n−1)·d.
 // The count depends on the shape and the rows alone, not on how many
 // goroutines built the matrix nor on the panel width.
-func (m *DistanceMatrix) MultiplyAdds() uint64 { return m.madds }
+func (m *DistanceMatrix) MultiplyAdds() uint64 { return m.madds.Load() }
 
 // stage walks k-block → column panel → row pair → tile, adding each
 // k-block's tile results into the rows' cells, and then reads the rows'
@@ -349,7 +354,7 @@ func (m *DistanceMatrix) recompute(rows []int) {
 	for _, i := range rows {
 		clear(m.d[i*m.n : (i+1)*m.n])
 	}
-	m.madds = m.fill(rows, false)
+	m.madds.Store(m.fill(rows, false))
 }
 
 // dedupChanged returns changed without duplicate indices (first

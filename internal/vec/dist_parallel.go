@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // minParallelFlops is the minimum number of multiply-adds a fan-out
@@ -73,10 +72,10 @@ func (m *DistanceMatrix) build() *DistanceMatrix {
 func (m *DistanceMatrix) buildOn(workers int) *DistanceMatrix {
 	n := m.n
 	if workers <= 1 || !m.gram {
-		m.madds = m.fill(stridedRows(n, 0, 1), true)
+		m.madds.Store(m.fill(stridedRows(n, 0, 1), true))
 		return m
 	}
-	m.madds = 0
+	m.madds.Store(0)
 	var staged, done sync.WaitGroup
 	staged.Add(workers)
 	done.Add(workers)
@@ -88,7 +87,7 @@ func (m *DistanceMatrix) buildOn(workers int) *DistanceMatrix {
 			staged.Done()
 			staged.Wait()
 			m.assemble(rows, true)
-			atomic.AddUint64(&m.madds, madds)
+			m.madds.Add(madds)
 		}(w)
 	}
 	done.Wait()
